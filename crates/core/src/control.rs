@@ -184,28 +184,26 @@ impl Solros {
             let (req_rx, resp_tx) = (fs_ch.req_rx, fs_ch.resp_tx);
             let builder =
                 std::thread::Builder::new().name(format!("solros-fs-proxy-{}", coproc.id));
-            let handle = if qos.enabled {
-                let gate = HostGate::per_class(
+            let gate = qos.enabled.then(|| {
+                HostGate::per_class(
                     &format!("fs{}", coproc.id),
                     &qos,
                     &host_qos,
                     Service::Fs,
                     coproc.id as usize,
-                );
-                let gate_stats = gate.stats();
-                fs_qos_stats.push(Arc::clone(&gate_stats));
+                )
+            });
+            if let Some(gate) = &gate {
+                fs_qos_stats.push(gate.stats());
                 // Leased bypass bytes are charged to the bulk-data flow
                 // so zero-RPC traffic cannot evade tenant accounting.
-                proxy.set_lease_charge(gate_stats, QosClass::BestEffort.index());
+                proxy.set_lease_charge(gate.stats(), QosClass::BestEffort.index());
+            }
+            threads.push(
                 builder
-                    .spawn(move || proxy.serve_qos(req_rx, resp_tx, sd, gate))
-                    .expect("spawn fs proxy")
-            } else {
-                builder
-                    .spawn(move || proxy.serve(req_rx, resp_tx, sd))
-                    .expect("spawn fs proxy")
-            };
-            threads.push(handle);
+                    .spawn(move || proxy.serve(req_rx, resp_tx, sd, gate))
+                    .expect("spawn fs proxy"),
+            );
             let fs_client = RpcClient::with_link(
                 fs_ch.req_tx,
                 fs_ch.resp_rx,

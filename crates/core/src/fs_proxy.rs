@@ -153,7 +153,7 @@ pub struct FsProxy {
     /// Co-processor id stamped on grants made through this proxy.
     coproc: u8,
     /// QoS ledger and flow leased bypass bytes are charged to.
-    lease_charge: Mutex<Option<(Arc<QosStats>, usize)>>,
+    lease_charge: Option<(Arc<QosStats>, usize)>,
     /// Replicated per-tenant ledger this proxy's engine charges gated
     /// admissions to (shared log, domain-local replicas).
     tenant_ledger: Option<Arc<TenantLedger>>,
@@ -189,7 +189,7 @@ impl FsProxy {
             lease_mgr,
             holds,
             coproc: 0,
-            lease_charge: Mutex::new(None),
+            lease_charge: None,
             tenant_ledger: None,
         }
     }
@@ -223,7 +223,7 @@ impl FsProxy {
     /// Charges leased bypass bytes to a QoS flow (tenant accounting for
     /// traffic that never crosses the gate).
     pub fn set_lease_charge(&mut self, stats: Arc<QosStats>, flow: usize) {
-        *self.lease_charge.lock() = Some((stats, flow));
+        self.lease_charge = Some((stats, flow));
     }
 
     /// The engine-level fault hooks this proxy serves with.
@@ -238,18 +238,14 @@ impl FsProxy {
     }
 
     /// Serves requests until `shutdown` is set, through the shared proxy
-    /// engine: FIFO admission, wave-coalesced P2P reads, and a
-    /// [`PROXY_WORKERS`]-wide pool for everything else.
-    pub fn serve(self, req_rx: Consumer, resp_tx: Producer, shutdown: Arc<AtomicBool>) {
-        self.engine(req_rx, resp_tx, None).serve(shutdown)
-    }
-
-    /// Serves requests through a QoS gate until `shutdown` is set.
+    /// engine: wave-coalesced P2P reads, and a [`PROXY_WORKERS`]-wide
+    /// pool for everything else. Without a `gate`, admission is FIFO.
     ///
-    /// Ring arrivals are admitted into per-class queues (metadata ops are
-    /// [`QosClass::High`]; small data ops [`QosClass::Normal`]; bulk data
-    /// [`QosClass::BestEffort`]; a non-zero frame tenant re-keys the flow
-    /// via [`HostGate::flow_for_tenant`]) and drained in DWRR order.
+    /// With one, ring arrivals are admitted into per-class queues
+    /// (metadata ops are [`QosClass::High`]; small data ops
+    /// [`QosClass::Normal`]; bulk data [`QosClass::BestEffort`]; a
+    /// non-zero frame tenant re-keys the flow via
+    /// [`HostGate::flow_for_tenant`]) and drained in DWRR order.
     /// Shed requests — overload, full queue, or expired deadline — are
     /// answered immediately with [`RpcErr::Overloaded`]; nothing is
     /// dropped silently. Every reply carries the flow's current credit
@@ -257,22 +253,13 @@ impl FsProxy {
     /// engine also applies priority inheritance: metadata ops waiting on
     /// an inode held by a lower-weight writer promote that writer's flow
     /// until the write completes.
-    pub fn serve_qos(
+    pub fn serve(
         self,
         req_rx: Consumer,
         resp_tx: Producer,
         shutdown: Arc<AtomicBool>,
-        gate: HostGate<GateJob<FsRequest>>,
-    ) {
-        self.engine(req_rx, resp_tx, Some(gate)).serve(shutdown)
-    }
-
-    fn engine(
-        self,
-        req_rx: Consumer,
-        resp_tx: Producer,
         gate: Option<HostGate<GateJob<FsRequest>>>,
-    ) -> ProxyEngine<FsProxy> {
+    ) {
         let stats = Arc::clone(&self.stats.engine);
         let faults = Arc::clone(&self.faults);
         let ledger = self.tenant_ledger.clone();
@@ -286,7 +273,7 @@ impl FsProxy {
         if let Some(l) = ledger {
             eng.set_tenant_ledger(l);
         }
-        eng
+        eng.serve(shutdown)
     }
 
     /// Executes one RPC.
@@ -454,7 +441,7 @@ impl FsProxy {
         } else {
             LeaseKind::Read
         };
-        let charge = self.lease_charge.lock().clone();
+        let charge = self.lease_charge.clone();
         match self.lease_mgr.grant(
             self.coproc,
             ino,

@@ -1058,7 +1058,6 @@ mod tests {
             queue_cap: 1024,
             deadline_ns: 0,
             sheddable: false,
-            tenant: 0,
         };
         let host = HostScheduler::new(HostConfig::default());
         HostGate::new(

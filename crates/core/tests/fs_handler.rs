@@ -333,7 +333,7 @@ fn injected_worker_panic_is_contained() {
     let shutdown = Arc::new(AtomicBool::new(false));
     proxy.inject_worker_panics(1);
     let (req_rx, resp_tx, sd) = (ch.req_rx, ch.resp_tx, Arc::clone(&shutdown));
-    let server = std::thread::spawn(move || proxy.serve(req_rx, resp_tx, sd));
+    let server = std::thread::spawn(move || proxy.serve(req_rx, resp_tx, sd, None));
 
     // The armed panic fires inside a worker and comes back as Io.
     let tag = client.tag();

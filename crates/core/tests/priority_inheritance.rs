@@ -68,7 +68,6 @@ fn run(inherit: bool) -> Outcome {
         queue_cap: 1024,
         deadline_ns: 0,
         sheddable: false,
-        tenant: 0,
     };
     // Flow indices follow QosClass::index, matching the proxy's classify.
     let host = HostScheduler::new(HostConfig::default());

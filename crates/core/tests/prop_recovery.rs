@@ -183,7 +183,7 @@ fn run_engine_case(ops: Vec<EngOp>) {
     let fs_ch = Channel::new(Arc::new(PcieCounters::new()));
     let shutdown = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let sd = Arc::clone(&shutdown);
-    let fs_thread = std::thread::spawn(move || proxy.serve(fs_ch.req_rx, fs_ch.resp_tx, sd));
+    let fs_thread = std::thread::spawn(move || proxy.serve(fs_ch.req_rx, fs_ch.resp_tx, sd, None));
 
     let counters = Arc::new(PcieCounters::new());
     let net_ch = Channel::new(Arc::clone(&counters));

@@ -118,7 +118,6 @@ fn run_fs_case(waves: Vec<Vec<FsOp>>) {
             queue_cap: cap,
             deadline_ns: 0,
             sheddable: true,
-            tenant: 0,
         };
         let host = HostScheduler::new(HostConfig::default());
         let gate = HostGate::new(
@@ -133,7 +132,7 @@ fn run_fs_case(waves: Vec<Vec<FsOp>>) {
             Service::Fs,
             0,
         );
-        proxy.serve_qos(ch.req_rx, ch.resp_tx, sd, gate);
+        proxy.serve(ch.req_rx, ch.resp_tx, sd, Some(gate));
     });
 
     let mut tag = 0u32;

@@ -123,7 +123,6 @@ fn fs_rig(gated: bool) -> FsRig {
                 queue_cap: 1024,
                 deadline_ns: 0,
                 sheddable: false,
-                tenant: 0,
             };
             let host = HostScheduler::new(HostConfig::default());
             let gate = HostGate::new(
@@ -138,9 +137,9 @@ fn fs_rig(gated: bool) -> FsRig {
                 Service::Fs,
                 0,
             );
-            proxy.serve_qos(ch.req_rx, ch.resp_tx, sd, gate);
+            proxy.serve(ch.req_rx, ch.resp_tx, sd, Some(gate));
         } else {
-            proxy.serve(ch.req_rx, ch.resp_tx, sd);
+            proxy.serve(ch.req_rx, ch.resp_tx, sd, None);
         }
     });
     FsRig {

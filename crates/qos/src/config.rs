@@ -147,8 +147,8 @@ impl QosConfig {
     /// The canned multi-tenant profile: [`QosConfig::enforcing`] with a
     /// tighter per-stub credit window and smaller queues, sized so that a
     /// handful of tenants sharing one proxy hit per-tenant flow
-    /// accounting (the `"name#t<N>"` keying) instead of drowning each
-    /// other in a deep shared queue. Best-effort keeps its 2 ms deadline
+    /// accounting (the gate's `(tenant, class)` keying) instead of
+    /// drowning each other in a deep shared queue. Best-effort keeps its 2 ms deadline
     /// and stays the only sheddable class, so one tenant's bulk traffic
     /// is what gives way under overload.
     pub fn multi_tenant() -> Self {

@@ -6,9 +6,9 @@
 //! rings and collapse tail latency for everyone else. This crate provides
 //! the missing layer:
 //!
-//! * **Per-(co-processor, priority-class) queues** drained by
-//!   deficit-weighted round robin ([`DwrrScheduler`]) so configured weights
-//!   translate into throughput shares.
+//! * **Per-(tenant, priority-class) queues** drained by deficit-weighted
+//!   round robin ([`HostGate`], one shard per engine domain) so
+//!   configured weights translate into throughput shares.
 //! * **Token-bucket rate limiting** ([`TokenBucket`]) on both ops/s and
 //!   bytes/s per flow, following the shaper idiom of
 //!   `solros_simkit::resource`.
@@ -25,11 +25,11 @@
 //! * **A replicated per-tenant ledger** ([`TenantLedger`]) driven by the
 //!   shared operation log, so every control-plane shard charges and
 //!   reads tenant budgets from a socket-local replica.
-//! * **A host-global tenant→service→flow hierarchy** ([`HostScheduler`] +
-//!   per-domain [`HostGate`] shards): tenants are arbitrated against
-//!   host-wide budgets rebalanced over the tenant ledger, service shares
-//!   split each tenant's credit between FS and TCP, and flow state lives
-//!   in hash-indexed, epoch-GC'd tables that stay O(active tenants).
+//! * **A host-global tenant→service→flow hierarchy** ([`HostScheduler`]
+//!   above the gate shards): tenants are arbitrated against host-wide
+//!   budgets rebalanced over the tenant ledger, service shares split
+//!   each tenant's credit between FS and TCP, and flow state lives in
+//!   hash-indexed, epoch-GC'd tables that stay O(active tenants).
 //!
 //! All scheduler state is driven by an explicit `now_ns` clock parameter,
 //! so the same code runs under the real clock inside proxies and under a
@@ -49,6 +49,6 @@ pub use bucket::TokenBucket;
 pub use config::{ClassConfig, QosClass, QosConfig};
 pub use credit::CreditPool;
 pub use host::{HostConfig, HostGate, HostQosSnapshot, HostScheduler, Service, SERVICE_COUNT};
-pub use sched::{Dispatch, DwrrScheduler, FlowSpec, ShedReason, Verdict};
+pub use sched::{Dispatch, FlowSpec, ShedReason, Verdict};
 pub use stats::{FlowSnapshot, QosStats};
 pub use tenant::{TenantLedger, TenantLedgerReplica, TenantOp, TenantUsage, TENANT_SLOTS};

@@ -1,11 +1,7 @@
-//! Deficit-weighted round-robin gate with shedding and deadlines.
+//! The gate's vocabulary: what a flow is configured with, and what
+//! [`HostGate`](crate::HostGate) answers on submit and dispatch.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
-use crate::bucket::TokenBucket;
-use crate::config::{ClassConfig, QosClass, QosConfig};
-use crate::stats::QosStats;
+use crate::config::{ClassConfig, QosClass};
 
 /// Static description of one scheduled flow.
 #[derive(Debug, Clone)]
@@ -30,28 +26,14 @@ pub struct FlowSpec {
     pub deadline_ns: u64,
     /// Shed at submit while the gate is overloaded.
     pub sheddable: bool,
-    /// Tenant this flow serves. Tenant 0 is the default tenant: flows
-    /// built without an explicit tenant carry 0 and behave exactly as
-    /// before tenants existed. A tenant variant of a flow named `N` is
-    /// named `"N#t<tenant>"` by convention, which is how
-    /// [`DwrrScheduler::flow_for_tenant`] finds it.
-    pub tenant: u8,
 }
 
 impl FlowSpec {
-    /// Builds a spec from a per-class config. A trailing `#t<N>` on the
-    /// name marks the flow as serving tenant `N` (the keying convention
-    /// for per-tenant quotas); otherwise the flow serves tenant 0.
+    /// Builds a spec from a per-class config.
     pub fn from_class(name: impl Into<String>, class: QosClass, cc: &ClassConfig) -> Self {
-        let name = name.into();
-        let tenant = name
-            .rsplit_once("#t")
-            .and_then(|(_, t)| t.parse::<u8>().ok())
-            .unwrap_or(0);
         Self {
-            name,
+            name: name.into(),
             class,
-            tenant,
             weight: cc.weight.max(1),
             ops_per_sec: cc.ops_per_sec,
             bytes_per_sec: cc.bytes_per_sec,
@@ -78,7 +60,7 @@ pub enum ShedReason {
 /// Outcome of offering a request to the gate.
 #[derive(Debug)]
 pub enum Verdict<T> {
-    /// Queued; it will come back out of [`DwrrScheduler::dispatch`].
+    /// Queued; it will come back out of [`HostGate::dispatch`](crate::HostGate::dispatch).
     Admitted,
     /// Refused before queueing; the caller must surface an error.
     Shed {
@@ -112,578 +94,4 @@ pub enum Dispatch<T> {
     },
     /// Nothing is eligible: queues are empty or rate limits are in force.
     Idle,
-}
-
-struct Queued<T> {
-    bytes: u64,
-    submit_ns: u64,
-    item: T,
-}
-
-struct Flow<T> {
-    spec: FlowSpec,
-    ops: TokenBucket,
-    bytes: TokenBucket,
-    queue: VecDeque<Queued<T>>,
-    deficit: u64,
-    /// Weights inherited from waiters via [`DwrrScheduler::promote_flow`],
-    /// newest last. Non-empty = promoted.
-    inherited: Vec<u32>,
-}
-
-impl<T> Flow<T> {
-    /// DWRR weight in force: the spec weight, or the strongest inherited
-    /// weight while promoted.
-    fn weight(&self) -> u32 {
-        self.inherited
-            .iter()
-            .copied()
-            .fold(self.spec.weight, u32::max)
-    }
-
-    fn promoted(&self) -> bool {
-        !self.inherited.is_empty()
-    }
-}
-
-/// Deficit-weighted round-robin scheduler over a fixed set of flows.
-///
-/// `T` is the opaque queued payload (a decoded request plus reply
-/// plumbing, in the proxies). The clock is an explicit `now_ns`
-/// parameter so real and virtual time both work.
-pub struct DwrrScheduler<T> {
-    flows: Vec<Flow<T>>,
-    cursor: usize,
-    /// Deficit remains valid for the flow at `cursor` only while it keeps
-    /// its turn; other flows' deficits are reset when they yield.
-    fresh_turn: bool,
-    quantum_bytes: u64,
-    overload_threshold: usize,
-    queued_total: usize,
-    /// `(tenant, base flow) → tenant-variant flow` index built once at
-    /// construction, so per-admission tenant keying is one hash probe —
-    /// no name formatting, no scan.
-    tenant_lut: HashMap<(u8, usize), usize>,
-    stats: Arc<QosStats>,
-}
-
-impl<T> DwrrScheduler<T> {
-    /// Builds a scheduler over `specs`, in priority order.
-    pub fn new(specs: Vec<FlowSpec>, quantum_bytes: u64, overload_threshold: usize) -> Self {
-        assert!(!specs.is_empty(), "scheduler needs at least one flow");
-        let stats = Arc::new(QosStats::new(
-            specs.iter().map(|s| s.name.clone()).collect(),
-        ));
-        let flows: Vec<Flow<T>> = specs
-            .into_iter()
-            .map(|spec| Flow {
-                ops: TokenBucket::new(spec.ops_per_sec, spec.burst_ops.max(1)),
-                bytes: TokenBucket::new(spec.bytes_per_sec, spec.burst_bytes.max(1)),
-                queue: VecDeque::new(),
-                deficit: 0,
-                inherited: Vec::new(),
-                spec,
-            })
-            .collect();
-        // Index tenant-variant flows (`"name#t<N>"`) by their base flow
-        // once, up front; admission then keys tenants without allocating.
-        let mut tenant_lut = HashMap::new();
-        for (i, f) in flows.iter().enumerate() {
-            if f.spec.tenant == 0 {
-                continue;
-            }
-            let Some((base_name, _)) = f.spec.name.rsplit_once("#t") else {
-                continue;
-            };
-            if let Some(base) = flows.iter().position(|b| b.spec.name == base_name) {
-                tenant_lut.insert((f.spec.tenant, base), i);
-            }
-        }
-        Self {
-            flows,
-            cursor: 0,
-            fresh_turn: true,
-            quantum_bytes: quantum_bytes.max(1),
-            overload_threshold,
-            queued_total: 0,
-            tenant_lut,
-            stats,
-        }
-    }
-
-    /// Builds one flow per priority class from a [`QosConfig`].
-    ///
-    /// Flow indices equal [`QosClass::index`], so callers can submit by
-    /// class without a lookup table.
-    pub fn per_class(prefix: &str, cfg: &QosConfig) -> Self {
-        let specs = QosClass::ALL
-            .iter()
-            .map(|&c| FlowSpec::from_class(format!("{prefix}/{}", c.label()), c, cfg.class(c)))
-            .collect();
-        Self::new(specs, cfg.quantum_bytes, cfg.overload_threshold)
-    }
-
-    /// The shared stats ledger for this gate.
-    pub fn stats(&self) -> Arc<QosStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Number of flows.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
-    /// Total requests queued across all flows.
-    pub fn queued_total(&self) -> usize {
-        self.queued_total
-    }
-
-    /// Requests queued in one flow.
-    pub fn queued(&self, flow: usize) -> usize {
-        self.flows[flow].queue.len()
-    }
-
-    /// True while the gate considers itself overloaded.
-    pub fn overloaded(&self) -> bool {
-        self.queued_total >= self.overload_threshold
-    }
-
-    /// Resolves the flow serving `tenant` with the same role as
-    /// `fallback` (by the `"name#t<tenant>"` naming convention), falling
-    /// back to `fallback` itself when no such flow is configured — so
-    /// tenant ids flow through keying today while configs without tenant
-    /// flows behave byte-identically.
-    pub fn flow_for_tenant(&self, tenant: u8, fallback: usize) -> usize {
-        if self.flows[fallback].spec.tenant == tenant {
-            return fallback;
-        }
-        self.tenant_lut
-            .get(&(tenant, fallback))
-            .copied()
-            .unwrap_or(fallback)
-    }
-
-    /// Credit window to advertise to the stub feeding `flow`:
-    /// remaining queue headroom, clamped to the `1..=255` the frame
-    /// header's credit byte can carry. Never zero, so a stub can always
-    /// make progress and re-learn the window from its next reply.
-    pub fn credit(&self, flow: usize) -> u8 {
-        let f = &self.flows[flow];
-        let free = f.spec.queue_cap.saturating_sub(f.queue.len());
-        free.clamp(1, 255) as u8
-    }
-
-    /// Priority inheritance (the waiter side of a lock-holder protocol):
-    /// `flow` inherits `waiter`'s current effective weight — and, while
-    /// promoted, immunity from overload shedding — so work queued behind
-    /// a resource the waiter needs drains at the waiter's priority.
-    ///
-    /// Promotions nest: each call pushes one inherited weight and the
-    /// strongest one wins; each [`DwrrScheduler::demote_flow`] releases
-    /// the most recent. A flow with an empty promotion stack behaves
-    /// exactly as its spec describes (restore-on-release).
-    pub fn promote_flow(&mut self, flow: usize, waiter: usize) {
-        let w = self.effective_weight(waiter);
-        self.flows[flow].inherited.push(w);
-    }
-
-    /// Releases the most recent promotion of `flow`; a no-op when the
-    /// flow is not promoted.
-    pub fn demote_flow(&mut self, flow: usize) {
-        self.flows[flow].inherited.pop();
-    }
-
-    /// True while `flow` carries at least one inherited weight.
-    pub fn is_promoted(&self, flow: usize) -> bool {
-        self.flows[flow].promoted()
-    }
-
-    /// The DWRR weight currently in force for `flow` (spec weight, or the
-    /// strongest inherited weight while promoted).
-    pub fn effective_weight(&self, flow: usize) -> u32 {
-        self.flows[flow].weight()
-    }
-
-    /// Offers a request of `bytes` payload to `flow` at time `now_ns`.
-    pub fn submit(&mut self, flow: usize, bytes: u64, now_ns: u64, item: T) -> Verdict<T> {
-        let overloaded = self.overloaded();
-        let f = &mut self.flows[flow];
-        if overloaded && f.spec.sheddable && !f.promoted() {
-            self.stats.on_shed(flow, false);
-            return Verdict::Shed {
-                item,
-                reason: ShedReason::Overload,
-            };
-        }
-        if f.queue.len() >= f.spec.queue_cap {
-            self.stats.on_shed(flow, false);
-            return Verdict::Shed {
-                item,
-                reason: ShedReason::QueueFull,
-            };
-        }
-        if f.queue.is_empty() {
-            // A flow re-entering after its queue drained must start its
-            // next turn from zero banked deficit. Dispatch already resets
-            // idle flows it visits, but a gate that went fully idle never
-            // visits anyone — without this, residual deficit from the
-            // flow's last burst would distort its first burst back.
-            f.deficit = 0;
-        }
-        f.queue.push_back(Queued {
-            bytes,
-            submit_ns: now_ns,
-            item,
-        });
-        self.queued_total += 1;
-        let depth = f.queue.len();
-        self.stats.on_submit(flow, depth);
-        Verdict::Admitted
-    }
-
-    /// Picks the next request to serve (or shed) at time `now_ns`.
-    ///
-    /// DWRR: each flow's turn credits `weight × quantum` bytes of
-    /// deficit; the flow keeps dispatching until its head no longer fits
-    /// the deficit or a token bucket runs dry, then yields the turn with
-    /// its deficit reset (a flow that cannot send banks nothing, so an
-    /// idle flow cannot later burst past its share).
-    pub fn dispatch(&mut self, now_ns: u64) -> Dispatch<T> {
-        if self.queued_total == 0 {
-            return Dispatch::Idle;
-        }
-        let n = self.flows.len();
-        // Visit each flow at most once per call; `fresh_turn` carries the
-        // current flow's remaining deficit across calls.
-        for _ in 0..n {
-            let flow_idx = self.cursor;
-            let f = &mut self.flows[flow_idx];
-            if f.queue.is_empty() {
-                f.deficit = 0;
-                self.advance();
-                continue;
-            }
-            if self.fresh_turn {
-                f.deficit = f
-                    .deficit
-                    .saturating_add(f.weight() as u64 * self.quantum_bytes);
-                self.fresh_turn = false;
-            }
-            // Deadline check happens before cost accounting: expired work
-            // is shed, not served, and consumes no deficit or tokens.
-            let head = f.queue.front().expect("non-empty");
-            if f.spec.deadline_ns > 0 && now_ns.saturating_sub(head.submit_ns) > f.spec.deadline_ns
-            {
-                let q = f.queue.pop_front().expect("non-empty");
-                self.queued_total -= 1;
-                self.stats.on_shed(flow_idx, true);
-                return Dispatch::Shed {
-                    flow: flow_idx,
-                    item: q.item,
-                    reason: ShedReason::DeadlineExpired,
-                };
-            }
-            let cost = head.bytes.max(1);
-            let within_deficit = f.deficit >= cost;
-            if within_deficit && f.ops.check(1, now_ns) && f.bytes.check(cost, now_ns) {
-                f.ops.try_take(1, now_ns);
-                f.bytes.try_take(cost, now_ns);
-                f.deficit -= cost;
-                let q = f.queue.pop_front().expect("non-empty");
-                self.queued_total -= 1;
-                let wait_ns = now_ns.saturating_sub(q.submit_ns);
-                self.stats.on_dispatch(flow_idx, q.bytes, wait_ns);
-                return Dispatch::Run {
-                    flow: flow_idx,
-                    item: q.item,
-                    wait_ns,
-                };
-            }
-            if within_deficit {
-                // Rate-limited: yield the turn but keep no banked deficit
-                // beyond one quantum's worth of headroom.
-                f.deficit = f.deficit.min(f.weight() as u64 * self.quantum_bytes);
-            } else {
-                // Deficit exhausted for this turn; it carries over so a
-                // large head request eventually accumulates enough.
-            }
-            self.advance();
-        }
-        Dispatch::Idle
-    }
-
-    fn advance(&mut self) {
-        self.cursor = (self.cursor + 1) % self.flows.len();
-        self.fresh_turn = true;
-    }
-
-    #[cfg(test)]
-    fn deficit(&self, flow: usize) -> u64 {
-        self.flows[flow].deficit
-    }
-
-    /// Drains every queued request, in flow order, for shutdown paths.
-    pub fn drain(&mut self) -> Vec<(usize, T)> {
-        let mut out = Vec::new();
-        for (i, f) in self.flows.iter_mut().enumerate() {
-            while let Some(q) = f.queue.pop_front() {
-                self.queued_total -= 1;
-                self.stats.on_shed(i, true);
-                out.push((i, q.item));
-            }
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn spec(name: &str, class: QosClass, weight: u32) -> FlowSpec {
-        FlowSpec {
-            name: name.into(),
-            class,
-            weight,
-            ops_per_sec: 0,
-            bytes_per_sec: 0,
-            burst_ops: 0,
-            burst_bytes: 0,
-            queue_cap: 1024,
-            deadline_ns: 0,
-            sheddable: false,
-            tenant: 0,
-        }
-    }
-
-    #[test]
-    fn tenant_keying_resolves_and_falls_back() {
-        let mut t1 = spec("fs0/high#t1", QosClass::High, 1);
-        t1.tenant = 1;
-        let s: DwrrScheduler<u32> = DwrrScheduler::new(
-            vec![spec("fs0/high", QosClass::High, 1), t1],
-            1024,
-            usize::MAX,
-        );
-        // Tenant 0 keeps its flow; tenant 1 resolves to its variant;
-        // an unconfigured tenant falls back to the default flow.
-        assert_eq!(s.flow_for_tenant(0, 0), 0);
-        assert_eq!(s.flow_for_tenant(1, 0), 1);
-        assert_eq!(s.flow_for_tenant(7, 0), 0);
-    }
-
-    #[test]
-    fn weights_shape_throughput() {
-        let mut s: DwrrScheduler<u32> = DwrrScheduler::new(
-            vec![spec("a", QosClass::High, 3), spec("b", QosClass::Normal, 1)],
-            1024,
-            usize::MAX,
-        );
-        for i in 0..400 {
-            assert!(matches!(s.submit(0, 1024, 0, i), Verdict::Admitted));
-            assert!(matches!(s.submit(1, 1024, 0, i), Verdict::Admitted));
-        }
-        let mut served = [0u32; 2];
-        for _ in 0..400 {
-            match s.dispatch(0) {
-                Dispatch::Run { flow, .. } => served[flow] += 1,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        // 3:1 weights → the first flow gets ~3x the service.
-        let ratio = served[0] as f64 / served[1] as f64;
-        assert!((2.5..=3.5).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn queue_cap_sheds_with_reason() {
-        let mut sp = spec("a", QosClass::BestEffort, 1);
-        sp.queue_cap = 2;
-        let mut s: DwrrScheduler<u32> = DwrrScheduler::new(vec![sp], 1024, usize::MAX);
-        assert!(matches!(s.submit(0, 1, 0, 1), Verdict::Admitted));
-        assert!(matches!(s.submit(0, 1, 0, 2), Verdict::Admitted));
-        match s.submit(0, 1, 0, 3) {
-            Verdict::Shed { item, reason } => {
-                assert_eq!(item, 3);
-                assert_eq!(reason, ShedReason::QueueFull);
-            }
-            Verdict::Admitted => panic!("should shed"),
-        }
-        let snap = s.stats().flow(0);
-        assert_eq!(snap.submitted, 3);
-        assert_eq!(snap.shed, 1);
-        assert!(snap.accounted());
-    }
-
-    #[test]
-    fn overload_sheds_best_effort_not_high() {
-        let mut be = spec("be", QosClass::BestEffort, 1);
-        be.sheddable = true;
-        let hi = spec("hi", QosClass::High, 8);
-        let mut s: DwrrScheduler<u32> = DwrrScheduler::new(vec![hi, be], 1024, 4);
-        for i in 0..4 {
-            assert!(matches!(s.submit(0, 1, 0, i), Verdict::Admitted));
-        }
-        assert!(s.overloaded());
-        // Best-effort refused before queueing; high still admitted.
-        assert!(matches!(
-            s.submit(1, 1, 0, 99),
-            Verdict::Shed {
-                reason: ShedReason::Overload,
-                ..
-            }
-        ));
-        assert!(matches!(s.submit(0, 1, 0, 5), Verdict::Admitted));
-    }
-
-    #[test]
-    fn deadline_expiry_sheds_at_dispatch() {
-        let mut sp = spec("a", QosClass::BestEffort, 1);
-        sp.deadline_ns = 1_000;
-        let mut s: DwrrScheduler<u32> = DwrrScheduler::new(vec![sp], 1024, usize::MAX);
-        assert!(matches!(s.submit(0, 1, 0, 7), Verdict::Admitted));
-        match s.dispatch(5_000) {
-            Dispatch::Shed { item, reason, .. } => {
-                assert_eq!(item, 7);
-                assert_eq!(reason, ShedReason::DeadlineExpired);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(s.stats().flow(0).accounted());
-    }
-
-    #[test]
-    fn rate_limit_defers_but_does_not_drop() {
-        let mut sp = spec("a", QosClass::Normal, 1);
-        sp.ops_per_sec = 1_000;
-        sp.burst_ops = 1;
-        let mut s: DwrrScheduler<u32> = DwrrScheduler::new(vec![sp], 1024, usize::MAX);
-        assert!(matches!(s.submit(0, 1, 0, 1), Verdict::Admitted));
-        assert!(matches!(s.submit(0, 1, 0, 2), Verdict::Admitted));
-        assert!(matches!(s.dispatch(0), Dispatch::Run { item: 1, .. }));
-        // Bucket empty: idle, not shed.
-        assert!(matches!(s.dispatch(1), Dispatch::Idle));
-        // One ms later a token is back.
-        assert!(matches!(
-            s.dispatch(1_000_000),
-            Dispatch::Run { item: 2, .. }
-        ));
-    }
-
-    #[test]
-    fn promotion_shifts_dispatch_shares() {
-        // Weight 1 vs 3: unpromoted, flow 0 gets ~1/4 of the service.
-        let mut s: DwrrScheduler<u32> = DwrrScheduler::new(
-            vec![
-                spec("be", QosClass::BestEffort, 1),
-                spec("norm", QosClass::Normal, 3),
-                spec("hi", QosClass::High, 12),
-            ],
-            1024,
-            usize::MAX,
-        );
-        for i in 0..400 {
-            assert!(matches!(s.submit(0, 1024, 0, i), Verdict::Admitted));
-            assert!(matches!(s.submit(1, 1024, 0, i), Verdict::Admitted));
-        }
-        // Flow 0 inherits the high flow's weight (12) while it waits.
-        s.promote_flow(0, 2);
-        assert!(s.is_promoted(0));
-        assert_eq!(s.effective_weight(0), 12);
-        let mut served = [0u32; 2];
-        for _ in 0..400 {
-            match s.dispatch(0) {
-                Dispatch::Run { flow, .. } => served[flow] += 1,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        // 12:3 in force → the promoted best-effort flow now dominates.
-        let ratio = served[0] as f64 / served[1] as f64;
-        assert!((3.0..=5.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn nested_waiters_keep_strongest_until_fully_demoted() {
-        let mut s: DwrrScheduler<u32> = DwrrScheduler::new(
-            vec![
-                spec("be", QosClass::BestEffort, 1),
-                spec("norm", QosClass::Normal, 4),
-                spec("hi", QosClass::High, 16),
-            ],
-            1024,
-            usize::MAX,
-        );
-        // Two waiters pile onto the same holder: normal first, then high.
-        s.promote_flow(0, 1);
-        s.promote_flow(0, 2);
-        assert_eq!(s.effective_weight(0), 16);
-        // Releasing one waiter keeps the strongest remaining inheritance.
-        s.demote_flow(0);
-        assert!(s.is_promoted(0));
-        assert_eq!(s.effective_weight(0), 4);
-        // Promotion chains transitively: a holder promoted by an already
-        // promoted flow inherits the effective (not spec) weight.
-        s.promote_flow(1, 0);
-        assert_eq!(s.effective_weight(1), 4);
-        s.demote_flow(1);
-        s.demote_flow(0);
-        assert!(!s.is_promoted(0));
-        assert_eq!(s.effective_weight(0), 1);
-    }
-
-    #[test]
-    fn demotion_restores_spec_weight_and_shedding() {
-        let mut be = spec("be", QosClass::BestEffort, 1);
-        be.sheddable = true;
-        let hi = spec("hi", QosClass::High, 8);
-        let mut s: DwrrScheduler<u32> = DwrrScheduler::new(vec![hi, be], 1024, 4);
-        for i in 0..4 {
-            assert!(matches!(s.submit(0, 1, 0, i), Verdict::Admitted));
-        }
-        assert!(s.overloaded());
-        // Promoted flows ride out overload: their backlog is the very
-        // thing a high-class waiter is blocked on.
-        s.promote_flow(1, 0);
-        assert!(matches!(s.submit(1, 1, 0, 50), Verdict::Admitted));
-        // Restore-on-release: spec weight and sheddability come back.
-        s.demote_flow(1);
-        assert!(!s.is_promoted(1));
-        assert_eq!(s.effective_weight(1), 1);
-        assert!(matches!(
-            s.submit(1, 1, 0, 51),
-            Verdict::Shed {
-                reason: ShedReason::Overload,
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn idle_flow_reenters_with_reset_deficit() {
-        let mut s: DwrrScheduler<u32> =
-            DwrrScheduler::new(vec![spec("a", QosClass::Normal, 4)], 1024, usize::MAX);
-        assert!(matches!(s.submit(0, 64, 0, 1), Verdict::Admitted));
-        assert!(matches!(s.dispatch(0), Dispatch::Run { .. }));
-        assert!(s.deficit(0) > 0, "residual deficit banked after the run");
-        // The gate is now fully idle: dispatch never visits the flow, so
-        // only submit can clear the stale carryover.
-        assert!(matches!(s.dispatch(0), Dispatch::Idle));
-        assert!(matches!(s.submit(0, 64, 10, 2), Verdict::Admitted));
-        assert_eq!(s.deficit(0), 0, "stale deficit must not survive idling");
-    }
-
-    #[test]
-    fn credit_reflects_headroom() {
-        let mut sp = spec("a", QosClass::Normal, 1);
-        sp.queue_cap = 4;
-        let mut s: DwrrScheduler<u32> = DwrrScheduler::new(vec![sp], 1024, usize::MAX);
-        assert_eq!(s.credit(0), 4);
-        s.submit(0, 1, 0, 1);
-        s.submit(0, 1, 0, 2);
-        assert_eq!(s.credit(0), 2);
-        s.submit(0, 1, 0, 3);
-        s.submit(0, 1, 0, 4);
-        // Full queue still advertises 1 so the stub can always recover.
-        assert_eq!(s.credit(0), 1);
-    }
 }

@@ -27,7 +27,6 @@ fn open_spec(name: &str, weight: u32) -> FlowSpec {
         queue_cap: usize::MAX,
         deadline_ns: 0,
         sheddable: false,
-        tenant: 0,
     }
 }
 

@@ -3,7 +3,10 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use solros_qos::{Dispatch, DwrrScheduler, FlowSpec, QosClass, TokenBucket, Verdict};
+use solros_qos::{
+    Dispatch, FlowSpec, HostConfig, HostGate, HostScheduler, QosClass, Service, TokenBucket,
+    Verdict,
+};
 
 fn open_spec(name: String, weight: u32) -> FlowSpec {
     FlowSpec {
@@ -17,8 +20,12 @@ fn open_spec(name: String, weight: u32) -> FlowSpec {
         queue_cap: usize::MAX,
         deadline_ns: 0,
         sheddable: false,
-        tenant: 0,
     }
+}
+
+fn gate(specs: Vec<FlowSpec>, quantum: u64, threshold: usize) -> HostGate<u64> {
+    let host = HostScheduler::new(HostConfig::default());
+    HostGate::new(specs, quantum, threshold, &host, Service::Fs, 0)
 }
 
 proptest! {
@@ -34,7 +41,7 @@ proptest! {
         cost in 1u64..4096,
     ) {
         const QUANTUM: u64 = 4096;
-        let mut s: DwrrScheduler<u64> = DwrrScheduler::new(
+        let mut s = gate(
             vec![
                 open_spec("aggressor".into(), aggressor_weight),
                 open_spec("victim".into(), victim_weight),
@@ -111,7 +118,7 @@ proptest! {
             })
             .collect();
         let nflows = specs.len();
-        let mut s: DwrrScheduler<u64> = DwrrScheduler::new(specs, 1024, overload_threshold);
+        let mut s = gate(specs, 1024, overload_threshold);
         let mut now = 0u64;
         let mut dispatched = 0u64;
         let mut shed = 0u64;
