@@ -1817,9 +1817,12 @@ pub struct TcpWaveOutcome {
 /// coalesce in the proxy's staging table into one backend write per
 /// admission wave, and their replies settle as one batched enqueue —
 /// so both directions of the ring pay `~1/depth` publishes per op while
-/// every part still gets its own byte-identical `Sent` reply.
+/// every part still gets its own byte-identical `Sent` reply. Each wave
+/// is one [`RpcClient::submit_batch`], so the counts are the same on
+/// every run; the wall-clock figure is the fastest of three sweeps.
 ///
 /// [`STAGE_SEND_MAX`]: solros::tcp_proxy::STAGE_SEND_MAX
+/// [`RpcClient::submit_batch`]: solros::transport::RpcClient::submit_batch
 pub fn tcp_send_coalescing(depths: &[usize], ops: usize) -> TcpWaveOutcome {
     use solros::tcp_proxy::{NetChannelHost, TcpProxy};
     use solros::transport::{event_ring, Channel, RpcClient};
@@ -1874,8 +1877,12 @@ pub fn tcp_send_coalescing(depths: &[usize], ops: usize) -> TcpWaveOutcome {
     let (conn, _peer) = accept_on(&network, PORT);
 
     let msg = vec![0x5au8; MSG];
-    let mut points = Vec::new();
-    for &depth in depths {
+    // The counters repeat exactly from round to round; the clock does
+    // not (this box changes speed in phases that outlast a 1 ms sweep), so
+    // each depth reports its fastest of ROUNDS interleaved sweeps.
+    const ROUNDS: usize = 3;
+    let mut points: Vec<TcpCoalescePoint> = Vec::new();
+    for (round, &depth) in (0..ROUNDS).flat_map(|r| depths.iter().map(move |d| (r, d))) {
         let r0 = stats.engine.replies.load(Relaxed);
         let p0 = stats.engine.reply_publishes.load(Relaxed);
         let s0 = stats.staged_sends.load(Relaxed);
@@ -1884,21 +1891,21 @@ pub fn tcp_send_coalescing(depths: &[usize], ops: usize) -> TcpWaveOutcome {
         let mut done = 0usize;
         while done < ops {
             let wave = depth.min(ops - done);
-            let tokens: Vec<_> = (0..wave)
+            // One publish per wave: the proxy can never observe a partial
+            // wave, so how much it coalesces does not depend on how the
+            // scheduler interleaves this thread with the proxy's.
+            let frames: Vec<_> = (0..wave)
                 .map(|_| {
                     tag += 1;
-                    client
-                        .submit(
-                            tag,
-                            NetRequest::Send {
-                                sock,
-                                data: msg.clone(),
-                            }
-                            .encode(tag),
-                        )
-                        .unwrap()
+                    let send = NetRequest::Send {
+                        sock,
+                        data: msg.clone(),
+                    };
+                    (tag, send.encode(tag))
                 })
                 .collect();
+            let tokens = client.submit_batch(frames).unwrap();
+            assert_eq!(tokens.len(), wave, "window and ring hold a whole wave");
             for token in tokens {
                 let reply = client.wait(token);
                 assert_eq!(reply[4], R_SENT, "every part gets its own Sent");
@@ -1909,7 +1916,7 @@ pub fn tcp_send_coalescing(depths: &[usize], ops: usize) -> TcpWaveOutcome {
             }
             done += wave;
         }
-        points.push(TcpCoalescePoint {
+        let point = TcpCoalescePoint {
             depth,
             ops: ops as u64,
             staged_sends: stats.staged_sends.load(Relaxed) - s0,
@@ -1917,12 +1924,23 @@ pub fn tcp_send_coalescing(depths: &[usize], ops: usize) -> TcpWaveOutcome {
             replies: stats.engine.replies.load(Relaxed) - r0,
             reply_publishes: stats.engine.reply_publishes.load(Relaxed) - p0,
             elapsed_s: t0.elapsed().as_secs_f64(),
-        });
+        };
+        if round == 0 {
+            points.push(point);
+        } else {
+            let best = points
+                .iter_mut()
+                .find(|p| p.depth == depth)
+                .expect("round 0 recorded every depth");
+            if point.elapsed_s < best.elapsed_s {
+                *best = point;
+            }
+        }
     }
 
     // Coalescing merges backend writes, never bytes: the external server
     // must see exactly the acknowledged payload.
-    let expected = (depths.len() * ops * MSG) as u64;
+    let expected = (ROUNDS * depths.len() * ops * MSG) as u64;
     let mut got = 0u64;
     let mut clean = true;
     loop {
@@ -1978,7 +1996,9 @@ pub struct ReplyWaveOutcome {
 pub fn reply_wave() -> ReplyWaveOutcome {
     let depths = [1usize, 2, 4, 8, 16, 32];
     let fs_points = sweep_reply_wave(&depths, 256);
-    let tcp = tcp_send_coalescing(&depths, 256);
+    // The TCP sweep is timed, so it has to outlast a scheduling hiccup:
+    // 256 sends at depth 32 are over in 0.2 ms, 4096 take a few ms.
+    let tcp = tcp_send_coalescing(&depths, 4096);
 
     let mut out = String::new();
     let mut t = Table::new(vec![
@@ -3197,10 +3217,13 @@ mod tests {
         assert_eq!(o.bytes_mismatch, 0, "coalescing lost payload bytes");
         let deep = &o.points[1];
         assert_eq!(deep.staged_sends, 192, "all small sends must stage");
-        assert!(
-            deep.backend_writes * 4 <= deep.staged_sends,
-            "QD32 coalescing under 4x: {} writes for {} sends",
+        // A wave is one request-ring publish (`submit_batch`), so the
+        // proxy sees all 32 sends in one admission burst whatever the
+        // schedule: exactly one backend write per wave.
+        assert_eq!(
             deep.backend_writes,
+            192 / 32,
+            "QD32 must coalesce 32:1 ({} sends)",
             deep.staged_sends
         );
         assert!(

@@ -40,7 +40,7 @@ use solros_proto::codec::stamp_credit;
 use solros_proto::fs_msg::{FsRequest, FsResponse};
 use solros_proto::rpc_error::RpcErr;
 use solros_qos::{HostGate, QosClass, QosStats, TenantLedger};
-use solros_ringbuf::{Consumer, Producer};
+use solros_ringbuf::{Consumer, Doorbell, Producer};
 
 use crate::proxy_engine::{
     Access, EngineLane, ExternalHolds, GateJob, OpHandler, ProxyEngine, ProxyStats,
@@ -150,6 +150,9 @@ pub struct FsProxy {
     /// This engine's external-hold table; registered as a recall sink so
     /// every grant anywhere defers conflicting RPC traffic here.
     holds: Arc<ExternalHolds>,
+    /// The doorbell this proxy's engine sleeps on; `holds` rings it when
+    /// a lease settles.
+    bell: Arc<Doorbell>,
     /// Co-processor id stamped on grants made through this proxy.
     coproc: u8,
     /// QoS ledger and flow leased bypass bytes are charged to.
@@ -172,7 +175,8 @@ impl FsProxy {
         stats: Arc<FsProxyStats>,
     ) -> Self {
         let lease_mgr = Arc::new(LeaseManager::new());
-        let holds = Arc::new(ExternalHolds::new());
+        let bell = Doorbell::new();
+        let holds = Arc::new(ExternalHolds::with_doorbell(Arc::clone(&bell)));
         lease_mgr.attach_sink(Arc::clone(&holds) as Arc<dyn solros_lease::RecallSink>);
         let cache_dir = fs.cache().replica();
         Self {
@@ -188,6 +192,7 @@ impl FsProxy {
             wave: Mutex::new(Wave::default()),
             lease_mgr,
             holds,
+            bell,
             coproc: 0,
             lease_charge: None,
             tenant_ledger: None,
@@ -798,6 +803,10 @@ impl OpHandler for FsProxy {
             self.apply_settled(s);
         }
         progressed
+    }
+
+    fn doorbell(&self) -> Option<Arc<Doorbell>> {
+        Some(Arc::clone(&self.bell))
     }
 
     fn external_holds(&self) -> Option<&ExternalHolds> {

@@ -6,6 +6,12 @@
 //! feed per-listener accept queues, `Data` events append to per-connection
 //! byte streams, `Closed` marks end-of-stream. Application threads block
 //! on their own socket's queue under a condition variable.
+//!
+//! Both kinds of waiter follow [`crate::waitpolicy`]: the dispatcher
+//! parks on the event ring's doorbell as soon as the ring is empty (it
+//! is the third thread in every hand-off, so it takes no turn in the
+//! run queue it was not rung for), and socket waiters escalate spin →
+//! yield → park on the dispatcher's condition variable.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,11 +21,11 @@ use std::time::Duration;
 use parking_lot::{Condvar, Mutex};
 use solros_proto::net_msg::{NetEvent, NetRequest, NetResponse, SockId};
 use solros_proto::rpc_error::RpcErr;
-use solros_ringbuf::Consumer;
+use solros_ringbuf::{Consumer, Doorbell};
 
 use crate::tcp_proxy::SOCKOPT_EVENTED;
 use crate::transport::{RpcClient, Token};
-use crate::waitpolicy::{Wait, WaitPolicy};
+use crate::waitpolicy::{Sleeper, SpinBudget, Wait, WaitPolicy};
 
 #[derive(Default)]
 struct NetInner {
@@ -36,6 +42,42 @@ struct NetInner {
 struct NetShared {
     inner: Mutex<NetInner>,
     arrived: Condvar,
+    /// What spinning on this stub's socket queues has earned.
+    spin: SpinBudget,
+    /// The event ring's doorbell (the dispatcher sleeps on it).
+    evt_bell: Arc<Doorbell>,
+}
+
+impl NetShared {
+    /// Blocks until `take` yields something from the socket queues,
+    /// escalating spin → yield → park on the dispatcher's condvar. The
+    /// dispatcher notifies for *every* socket's events, so a wake-up is
+    /// not progress: only `take` succeeding ends the wait, and a waiter
+    /// woken by someone else's event goes straight back to sleep.
+    fn wait_for<T>(&self, mut take: impl FnMut(&mut NetInner) -> Option<T>) -> T {
+        let mut policy = WaitPolicy::new(&self.spin);
+        loop {
+            let mut g = self.inner.lock();
+            if let Some(v) = take(&mut g) {
+                return v;
+            }
+            match policy.advance() {
+                Wait::Park(d) => {
+                    self.arrived.wait_for(&mut g, d);
+                }
+                // Spin/yield with the lock released so the dispatcher can
+                // deliver.
+                Wait::Spin => {
+                    drop(g);
+                    std::hint::spin_loop();
+                }
+                Wait::Yield => {
+                    drop(g);
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
 }
 
 /// Runs the event dispatcher loop (§4.4.2). One thread per co-processor.
@@ -45,9 +87,12 @@ fn dispatch_loop(
     shared: Arc<NetShared>,
     shutdown: Arc<AtomicBool>,
 ) {
+    let bell = Arc::clone(&shared.evt_bell);
+    let mut sleeper = Sleeper::new(WaitPolicy::parking(), &bell);
     while !shutdown.load(Ordering::Relaxed) {
         match evt_rx.recv() {
             Ok(frame) => {
+                sleeper.progress();
                 let Ok(ev) = NetEvent::decode(&frame) else {
                     continue;
                 };
@@ -82,7 +127,8 @@ fn dispatch_loop(
                 drop(g);
                 shared.arrived.notify_all();
             }
-            Err(_) => std::thread::yield_now(),
+            // Bounded parks keep the shutdown flag checked.
+            Err(_) => sleeper.idle(),
         }
     }
 }
@@ -104,6 +150,8 @@ impl CoprocNet {
         let shared = Arc::new(NetShared {
             inner: Mutex::new(NetInner::default()),
             arrived: Condvar::new(),
+            spin: SpinBudget::new(),
+            evt_bell: evt_rx.doorbell(),
         });
         let shared2 = Arc::clone(&shared);
         let client2 = Arc::clone(&client);
@@ -133,6 +181,12 @@ impl CoprocNet {
     /// inspection in tests and tools).
     pub fn client(&self) -> &Arc<RpcClient> {
         &self.client
+    }
+
+    /// Doorbell rings delivered to the event dispatcher so far — how
+    /// often an inbound event found it asleep.
+    pub fn event_doorbell_rings(&self) -> u64 {
+        self.shared.evt_bell.rings()
     }
 
     fn expect_ok(&self, req: NetRequest) -> Result<(), RpcErr> {
@@ -277,41 +331,21 @@ impl TcpListener {
 
     /// Blocking accept.
     ///
-    /// Escalates spin→yield→park via [`WaitPolicy`] instead of re-arming a
-    /// fixed timeout: a busy listener takes connections off the queue
-    /// without ever sleeping, while an idle one parks on the dispatcher's
-    /// condition variable.
+    /// Escalates spin→yield→park via [`WaitPolicy`]: a busy listener takes
+    /// connections off the queue without ever sleeping, while an idle one
+    /// parks on the dispatcher's condition variable.
     pub fn accept(&self) -> (TcpStream, u64) {
-        let mut policy = WaitPolicy::new();
-        loop {
-            let mut g = self.net.shared.inner.lock();
-            if let Some((conn, peer)) = g.accept_q.entry(self.sock).or_default().pop_front() {
-                return (
-                    TcpStream {
-                        net: self.net.clone(),
-                        sock: conn,
-                    },
-                    peer,
-                );
-            }
-            match policy.advance() {
-                Wait::Park(d) => {
-                    if !self.net.shared.arrived.wait_for(&mut g, d).timed_out() {
-                        policy.reset();
-                    }
-                }
-                // Spin/yield with the lock released so the dispatcher can
-                // deliver.
-                Wait::Spin => {
-                    drop(g);
-                    std::hint::spin_loop();
-                }
-                Wait::Yield => {
-                    drop(g);
-                    std::thread::yield_now();
-                }
-            }
-        }
+        let (conn, peer) = self
+            .net
+            .shared
+            .wait_for(|g| g.accept_q.entry(self.sock).or_default().pop_front());
+        (
+            TcpStream {
+                net: self.net.clone(),
+                sock: conn,
+            },
+            peer,
+        )
     }
 
     /// Closes the listener (leaves the shared port open if other
@@ -399,36 +433,17 @@ impl TcpStream {
     /// Uses the shared [`WaitPolicy`] escalation (spin→yield→park) rather
     /// than re-arming a fixed timeout in a tight loop.
     pub fn recv(&self, buf: &mut [u8]) -> usize {
-        let mut policy = WaitPolicy::new();
-        loop {
-            let mut g = self.net.shared.inner.lock();
+        self.net.shared.wait_for(|g| {
             let q = g.data_q.entry(self.sock).or_default();
             if !q.is_empty() {
                 let n = buf.len().min(q.len());
                 for b in buf[..n].iter_mut() {
                     *b = q.pop_front().expect("checked non-empty");
                 }
-                return n;
+                return Some(n);
             }
-            if g.closed.contains(&self.sock) {
-                return 0;
-            }
-            match policy.advance() {
-                Wait::Park(d) => {
-                    if !self.net.shared.arrived.wait_for(&mut g, d).timed_out() {
-                        policy.reset();
-                    }
-                }
-                Wait::Spin => {
-                    drop(g);
-                    std::hint::spin_loop();
-                }
-                Wait::Yield => {
-                    drop(g);
-                    std::thread::yield_now();
-                }
-            }
-        }
+            g.closed.contains(&self.sock).then_some(0)
+        })
     }
 
     /// Enqueues a send of all of `data` without waiting: each
@@ -482,5 +497,66 @@ impl TcpStream {
     /// Closes the connection.
     pub fn close(self) -> Result<(), RpcErr> {
         self.net.expect_ok(NetRequest::Close { sock: self.sock })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::waitpolicy::SPIN_LIMIT;
+    use std::sync::atomic::AtomicU64;
+    use std::time::Instant;
+
+    /// One busy socket and one idle one on the same stub. The dispatcher
+    /// notifies every waiter for every event, so the idle waiter wakes
+    /// once per event — but a wake-up that is not its own progress must
+    /// not send it back to the spin band (it used to: ~80 probes of the
+    /// shared mutex per unrelated event).
+    #[test]
+    fn idle_waiter_is_not_respun_by_another_sockets_events() {
+        const EVENTS: u64 = 300;
+        let shared = Arc::new(NetShared {
+            inner: Mutex::new(NetInner::default()),
+            arrived: Condvar::new(),
+            spin: SpinBudget::new(),
+            evt_bell: Doorbell::new(),
+        });
+        let probes = Arc::new(AtomicU64::new(0));
+        let idle = {
+            let (shared, probes) = (Arc::clone(&shared), Arc::clone(&probes));
+            std::thread::spawn(move || {
+                shared.wait_for(|g| {
+                    probes.fetch_add(1, Ordering::Relaxed);
+                    g.closed.contains(&2).then_some(())
+                })
+            })
+        };
+        let t0 = Instant::now();
+        for i in 0..EVENTS {
+            // The dispatcher's half of a `Data` event for socket 1 ...
+            shared
+                .inner
+                .lock()
+                .data_q
+                .entry(1)
+                .or_default()
+                .push_back(i as u8);
+            shared.arrived.notify_all();
+            // ... and its reader's.
+            let got = shared.wait_for(|g| g.data_q.get_mut(&1)?.pop_front());
+            assert_eq!(got, i as u8);
+            // Time for the idle waiter to do whatever a wake-up makes it do.
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let seen = probes.load(Ordering::Relaxed);
+        let elapsed_ms = t0.elapsed().as_millis() as u64;
+        shared.inner.lock().closed.insert(2);
+        shared.arrived.notify_all();
+        idle.join().unwrap();
+        // One escalation to get parked (the yield band is 50 µs of probes
+        // that each take the mutex: well under 2000), then a probe needs a
+        // wake-up: one per event or one per expired park bound (1 ms).
+        let bound = u64::from(SPIN_LIMIT) + 2_000 + EVENTS + elapsed_ms;
+        assert!(seen <= bound, "idle waiter probed {seen} times (> {bound})");
     }
 }

@@ -12,7 +12,9 @@ use solros_proto::codec::{peek_tag, stamp_credit, FLAG_BARRIER};
 use solros_proto::rpc_error::RpcErr;
 use solros_proto::{AdmitRequest, AdmittedFrame};
 use solros_qos::{Dispatch, HostGate, TenantLedger, Verdict};
-use solros_ringbuf::{Consumer, Producer};
+use solros_ringbuf::{Consumer, Doorbell, Producer};
+
+use crate::waitpolicy::{Sleeper, WaitPolicy};
 
 use super::admission::{Access, GateJob, ReadyJob};
 use super::health::{ShardHealth, StagedPart, Wreck};
@@ -98,6 +100,14 @@ pub trait OpHandler: Send + Sync {
         false
     }
 
+    /// The bell the engine should sleep on, when the handler has already
+    /// handed one to work sources of its own that the engine cannot see
+    /// (a lease table, a NIC, a peer shard's inbox). `None` (the default)
+    /// lets the engine make its own.
+    fn doorbell(&self) -> Option<Arc<Doorbell>> {
+        None
+    }
+
     /// The handler's external-hold table, when it grants extent leases.
     /// Jobs touching an externally-held resource park until the hold
     /// frees; `None` (the default) skips the check entirely.
@@ -148,6 +158,14 @@ struct HolderRec {
 /// freed waiters, admit a burst from each request ring (one decode per
 /// frame), dispatch through the optional DWRR gate with priority
 /// inheritance, flush the handler's coalescing wave, and poll.
+///
+/// Between productive cycles the serve loop follows
+/// [`crate::waitpolicy`]: it yields while its peers were recently
+/// active, then arms its doorbell — attached to every lane's request
+/// ring, rung too by worker completions and by whatever the handler
+/// passed it to — re-checks with one more cycle, and parks. Parks are
+/// bounded, so the per-cycle clocks (heartbeat, lease sweep, QoS epoch,
+/// shutdown flag) keep ticking on an idle engine.
 pub struct ProxyEngine<H: OpHandler> {
     handler: Arc<H>,
     lanes: Vec<EngineLane>,
@@ -173,6 +191,8 @@ pub struct ProxyEngine<H: OpHandler> {
     /// Failover handshake with the domain supervisor: heartbeat per
     /// cycle, crash/wedge fault checks, wreck dump on death.
     health: Option<Arc<ShardHealth>>,
+    /// What the idle serve loop parks on.
+    bell: Arc<Doorbell>,
 }
 
 impl<H: OpHandler> ProxyEngine<H> {
@@ -189,7 +209,12 @@ impl<H: OpHandler> ProxyEngine<H> {
             Arc::clone(&faults),
             Arc::clone(&stats),
         );
+        let bell = handler.doorbell().unwrap_or_default();
+        for lane in &lanes {
+            lane.req_rx.attach_doorbell(&bell);
+        }
         Self {
+            bell,
             handler,
             lanes,
             stats,
@@ -238,16 +263,9 @@ impl<H: OpHandler> ProxyEngine<H> {
     pub fn serve(mut self, shutdown: Arc<AtomicBool>) {
         let workers = self.handler.workers();
         if workers == 0 {
-            while !shutdown.load(Ordering::Relaxed) {
-                if self.check_vitals(None, &shutdown) {
-                    return; // died: wreck dumped, no shutdown drain
-                }
-                let now = self.epoch.elapsed().as_nanos() as u64;
-                if !self.cycle(None, now) {
-                    std::thread::yield_now();
-                }
+            if !self.serve_loop(None, &shutdown) {
+                self.drain_for_shutdown(None);
             }
-            self.drain_for_shutdown(None);
             return;
         }
         let jobs: JobQueue<ReadyJob<H::Req>> = JobQueue::new();
@@ -256,29 +274,61 @@ impl<H: OpHandler> ProxyEngine<H> {
         let stats = Arc::clone(&self.stats);
         let faults = Arc::clone(&self.faults);
         let releases = Arc::clone(&self.releases);
+        let bell = Arc::clone(&self.bell);
         std::thread::scope(|s| {
             for _ in 0..workers {
                 let (jobs, settler) = (&jobs, Arc::clone(&settler));
                 let (handler, stats) = (Arc::clone(&handler), Arc::clone(&stats));
                 let (faults, releases) = (Arc::clone(&faults), Arc::clone(&releases));
-                s.spawn(move || worker_loop(&*handler, jobs, &settler, &stats, &faults, &releases));
+                let bell = Arc::clone(&bell);
+                s.spawn(move || {
+                    worker_loop(&*handler, jobs, &settler, &stats, &faults, &releases, &bell)
+                });
             }
-            let mut wrecked = false;
-            while !shutdown.load(Ordering::Relaxed) {
-                if self.check_vitals(Some(&jobs), &shutdown) {
-                    wrecked = true;
-                    break;
-                }
-                let now = self.epoch.elapsed().as_nanos() as u64;
-                if !self.cycle(Some(&jobs), now) {
-                    std::thread::yield_now();
-                }
-            }
-            if !wrecked {
+            if !self.serve_loop(Some(&jobs), &shutdown) {
                 self.drain_for_shutdown(Some(&jobs));
             }
             jobs.close();
         });
+    }
+
+    /// Cycles until `shutdown` is set or the shard dies; returns true
+    /// when it died (wreck dumped: the caller must not drain).
+    fn serve_loop(
+        &mut self,
+        pool: Option<&JobQueue<ReadyJob<H::Req>>>,
+        shutdown: &AtomicBool,
+    ) -> bool {
+        let bell = Arc::clone(&self.bell);
+        let mut sleeper = Sleeper::new(WaitPolicy::yielding(), &bell);
+        while !shutdown.load(Ordering::Relaxed) {
+            if self.check_vitals(pool, shutdown) {
+                return true;
+            }
+            let now = self.epoch.elapsed().as_nanos() as u64;
+            if self.cycle(pool, now) {
+                sleeper.progress();
+                continue;
+            }
+            if self.gate.as_ref().is_some_and(|g| g.queued_total() > 0) {
+                // Admitted work the gate is pacing waits on the clock
+                // (a token refill), which rings nothing: stay in the
+                // yield band rather than sleep through its release.
+                sleeper.progress();
+            }
+            // Once armed, the next cycle is the re-check of every source;
+            // only if that is idle too does the loop park — and says so,
+            // so that a late wake-up is not mistaken for a wedge.
+            let parked = self.health.as_ref().filter(|_| sleeper.will_park());
+            if let Some(h) = parked {
+                h.set_parked(true);
+            }
+            sleeper.idle();
+            if let Some(h) = parked {
+                h.set_parked(false);
+            }
+        }
+        false
     }
 
     /// Beats the health cell and honours armed domain-crash/wedge
@@ -867,6 +917,7 @@ fn worker_loop<H: OpHandler>(
     stats: &ProxyStats,
     faults: &EngineFaults,
     releases: &Mutex<Vec<(u64, usize)>>,
+    bell: &Doorbell,
 ) {
     while let Some(job) = jobs.pop() {
         let ReadyJob {
@@ -886,6 +937,9 @@ fn worker_loop<H: OpHandler>(
             releases.lock().push(r);
         }
         jobs.done();
+        // The engine thread settles what was just posted; it may have
+        // parked while this job ran.
+        bell.ring();
     }
 }
 
@@ -1114,6 +1168,83 @@ mod tests {
         eng.step(0);
         assert!(resp_rx.recv().is_err(), "reply must vanish");
         assert_eq!(stats.dropped_replies.load(Ordering::Relaxed), 1);
+    }
+
+    /// A handler whose single worker blocks in `exec` until the test
+    /// opens the gate.
+    struct Gated {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl OpHandler for Gated {
+        type Req = FsRequest;
+
+        fn encode_err(&self, tag: u32, err: RpcErr) -> Vec<u8> {
+            FsResponse::Error { err }.encode(tag)
+        }
+
+        fn classify(&self, _lane: usize, _req: &FsRequest) -> (usize, u64) {
+            (0, 0)
+        }
+
+        fn exec(&self, _lane: usize, tag: u32, _req: FsRequest) -> Vec<u8> {
+            let mut open = self.open.lock();
+            while !*open {
+                self.opened.wait(&mut open);
+            }
+            FsResponse::Ok.encode(tag)
+        }
+
+        fn workers(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn worker_completion_rings_a_parked_engine() {
+        let (lane, req_tx, resp_rx) = lane();
+        let handler = Arc::new(Gated {
+            open: Mutex::new(false),
+            opened: Condvar::new(),
+        });
+        let stats = Arc::new(ProxyStats::default());
+        let eng = ProxyEngine::new(
+            Arc::clone(&handler),
+            vec![lane],
+            Arc::clone(&stats),
+            Arc::new(EngineFaults::new()),
+            None,
+        );
+        let bell = Arc::clone(&eng.bell);
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let sd = Arc::clone(&shutdown);
+        let server = std::thread::spawn(move || eng.serve(sd));
+
+        req_tx
+            .send_blocking(&FsRequest::Fsync { ino: 1 }.encode(7))
+            .unwrap();
+        // The worker is inside `exec` and the engine, with nothing left
+        // to do, has gone through its yield band and armed the bell.
+        while stats.rpcs.load(Ordering::Relaxed) == 0 || !bell.is_armed() {
+            std::thread::yield_now();
+        }
+        let before = bell.rings();
+        *handler.open.lock() = true;
+        handler.opened.notify_all();
+        let reply = loop {
+            match resp_rx.recv() {
+                Ok(f) => break f,
+                Err(_) => std::thread::yield_now(),
+            }
+        };
+        assert_eq!(FsResponse::decode(&reply).unwrap(), (7, FsResponse::Ok));
+        assert!(
+            bell.rings() > before,
+            "the completion must ring the engine, not wait out its park"
+        );
+        shutdown.store(true, Ordering::Relaxed);
+        server.join().unwrap();
     }
 
     #[test]

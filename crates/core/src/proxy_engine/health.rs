@@ -3,7 +3,11 @@
 //!
 //! Every engine cycle bumps a heartbeat epoch. The supervisor samples
 //! the epoch on its tick: a shard whose epoch stopped advancing is
-//! wedged; a shard that marked itself down crashed. Either way the
+//! wedged; a shard that marked itself down crashed. An idle shard
+//! parks on its doorbell between cycles — for at most a millisecond at
+//! a time, so it keeps beating — and flags itself parked while it
+//! sleeps: asleep by choice is not wedged, however late the scheduler
+//! delivers the wake-up. Either way the
 //! supervisor *fences* the shard — after which the serve loop (if it is
 //! still spinning in the wedge hold) exits and the thread becomes
 //! joinable — and then collects the [`Wreck`]: the complete set of
@@ -63,6 +67,8 @@ pub struct StagedPart {
 pub struct ShardHealth {
     heartbeat: AtomicU64,
     state: AtomicU8,
+    /// Set by the serve loop around a doorbell park.
+    parked: AtomicBool,
     wreck: Mutex<Option<Wreck>>,
 }
 
@@ -75,6 +81,18 @@ impl ShardHealth {
     /// One engine cycle happened.
     pub fn beat(&self) {
         self.heartbeat.fetch_add(1, Ordering::Release);
+    }
+
+    /// The serve loop is about to park on (true) or has returned from
+    /// (false) its doorbell.
+    pub fn set_parked(&self, parked: bool) {
+        self.parked.store(parked, Ordering::Release);
+    }
+
+    /// True while the shard sleeps on its doorbell with nothing to do;
+    /// the supervisor does not count a quiet heartbeat against it.
+    pub fn is_parked(&self) -> bool {
+        self.parked.load(Ordering::Acquire)
     }
 
     /// Heartbeat epoch (monotonic while the shard is live).

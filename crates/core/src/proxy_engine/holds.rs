@@ -13,9 +13,11 @@
 //! jobs until the recall protocol settles the lease.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use solros_lease::RecallSink;
+use solros_ringbuf::Doorbell;
 
 /// Per-resource external hold counts: `(writers, readers)`.
 ///
@@ -29,12 +31,23 @@ pub struct ExternalHolds {
     /// Every `free` pushes here unconditionally so the engine never
     /// misses a wakeup for a job parked between check and settle.
     freed: Mutex<Vec<u64>>,
+    /// The engine's doorbell: a free is work for a parked engine.
+    bell: Arc<Doorbell>,
 }
 
 impl ExternalHolds {
-    /// Builds an empty hold table.
+    /// Builds an empty hold table (ringing a bell nobody sleeps on).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty hold table whose frees ring `bell`, the doorbell of the
+    /// engine that drains the freed queue.
+    pub fn with_doorbell(bell: Arc<Doorbell>) -> Self {
+        Self {
+            bell,
+            ..Self::default()
+        }
     }
 
     /// True when `res` carries any external hold.
@@ -84,6 +97,7 @@ impl RecallSink for ExternalHolds {
             }
         }
         self.freed.lock().push(resource);
+        self.bell.ring();
     }
 }
 

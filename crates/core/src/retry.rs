@@ -5,9 +5,9 @@
 //! [`RpcErr::Timeout`] from the transport and QoS gate, media/timeout/
 //! queue-full bursts from the NVMe substrate — and every caller used to
 //! hand-roll the same loop around them. [`RetryPolicy`] centralizes that
-//! loop: a transient failure first burns the cheap spin/yield band of the
-//! shared [`WaitPolicy`] (the peer usually recovers within microseconds),
-//! then sleeps an exponential backoff per attempt, and gives up after a
+//! loop: a transient failure first burns the yield band of the shared
+//! [`WaitPolicy`] (the peer usually recovers within microseconds), then
+//! sleeps an exponential backoff per attempt, and gives up after a
 //! bounded number of attempts so a permanent failure surfaces instead of
 //! looping forever. Non-transient errors are returned immediately.
 
@@ -70,7 +70,7 @@ impl RetryPolicy {
         is_transient: impl Fn(&E) -> bool,
         mut op: impl FnMut(u32) -> Result<T, E>,
     ) -> Result<T, E> {
-        let mut policy = WaitPolicy::new();
+        let mut policy = WaitPolicy::yielding();
         let mut attempt = 0u32;
         loop {
             match op(attempt) {
@@ -92,19 +92,13 @@ impl RetryPolicy {
         self.run(|e: &RpcErr| e.is_transient(), op)
     }
 
-    /// One inter-attempt pause: drain the wait policy's spin/yield band
+    /// One inter-attempt pause: drain the wait policy's yield band
     /// (cheap — the condition usually clears in microseconds), then sleep
-    /// at least this attempt's exponential backoff.
-    fn pause(&self, policy: &mut WaitPolicy, attempt: u32) {
-        loop {
-            match policy.pause() {
-                None => continue,
-                Some(park) => {
-                    std::thread::sleep(park.max(self.backoff(attempt)));
-                    return;
-                }
-            }
-        }
+    /// this attempt's exponential backoff. A retry waits out a condition
+    /// that no ring publishes, so there is no doorbell to park on.
+    fn pause(&self, policy: &mut WaitPolicy<'_>, attempt: u32) {
+        while policy.pause().is_none() {}
+        std::thread::sleep(self.backoff(attempt));
     }
 }
 

@@ -9,7 +9,8 @@
 //!   ([`ShardHealth::is_down`]), or
 //! * **wedge** — the heartbeat froze for [`WEDGE_TICKS`] consecutive
 //!   ticks while the loop still spins (detection by stall, the only
-//!   evidence a wedge leaves).
+//!   evidence a wedge leaves). A shard parked on its doorbell says so
+//!   ([`ShardHealth::is_parked`]) and is not suspected.
 //!
 //! Failover is a fixed sequence whose order carries the exactly-once
 //! guarantee (every admitted tag resolves exactly once, no credit or
@@ -176,7 +177,10 @@ impl ShardSupervisor {
                 continue;
             }
             let beats = slot.health.beats();
-            if beats == slot.last_beats {
+            // A shard asleep on its doorbell is idle, not wedged: its
+            // bounded parks keep it beating, but how late a wake-up is
+            // delivered is the scheduler's business, not the shard's.
+            if beats == slot.last_beats && !slot.health.is_parked() {
                 slot.stalled_ticks += 1;
                 if slot.stalled_ticks >= WEDGE_TICKS {
                     self.fail_over(d, slot);

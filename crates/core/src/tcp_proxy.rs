@@ -33,7 +33,7 @@ use solros_proto::rpc_error::RpcErr;
 use solros_qos::{
     FlowSpec, HostGate, HostScheduler, QosClass, QosConfig, QosStats, Service, TenantLedger,
 };
-use solros_ringbuf::{Consumer, Producer};
+use solros_ringbuf::{Consumer, Doorbell, Producer};
 
 use crate::proxy_engine::{
     EngineLane, GateJob, OpHandler, ProxyEngine, ProxyStats, ShardHealth, StagedPart,
@@ -307,6 +307,13 @@ struct CtrlObserver {
 pub struct TcpControl {
     log: Arc<OpLog<TcpCtrlOp>>,
     inboxes: Vec<Mutex<VecDeque<Handoff>>>,
+    /// One doorbell per shard slot: the shard's engine sleeps on it, and
+    /// whatever gives that shard work it cannot see on its own rings —
+    /// a handoff into its inbox, a control-log append, NIC ingress —
+    /// rings it. Owned here so it outlives a shard's incarnations.
+    bells: Vec<Arc<Doorbell>>,
+    /// Set once the NIC ingress hook for this control plane is in place.
+    nic_hooked: AtomicBool,
     observer: Mutex<CtrlObserver>,
     /// Replica overruns recovered by an `install_snapshot` rebuild from
     /// the observer (the OplogReplicaLag recovery path).
@@ -343,6 +350,8 @@ impl TcpControl {
         Arc::new(Self {
             log,
             inboxes: (0..nshards).map(|_| Mutex::new(VecDeque::new())).collect(),
+            bells: (0..nshards).map(|_| Doorbell::new()).collect(),
+            nic_hooked: AtomicBool::new(false),
             observer,
             overruns_recovered: AtomicU64::new(0),
             events: Arc::new(AtomicU64::new(0)),
@@ -393,15 +402,46 @@ impl TcpControl {
         );
     }
 
+    /// Appends one control operation and rings every shard: each
+    /// replica has something to apply (and the appender's own bell is
+    /// unarmed, so that one is a load).
+    fn append(&self, op: TcpCtrlOp) {
+        self.log.append(op);
+        self.ring_all();
+    }
+
+    /// Rings every shard's doorbell (a control-log append, or NIC
+    /// ingress whose owning shard the fabric does not know).
+    fn ring_all(&self) {
+        for bell in &self.bells {
+            bell.ring();
+        }
+    }
+
+    /// Queues a routed connection for its owning shard and wakes it.
+    fn hand_off(&self, owner: usize, h: Handoff) {
+        self.inboxes[owner].lock().push_back(h);
+        self.bells[owner].ring();
+    }
+
+    /// Has the fabric ring this control plane's shards on ingress. Once
+    /// per control plane, however many shard incarnations it sees.
+    fn hook_nic(self: &Arc<Self>, network: &Network) {
+        if !self.nic_hooked.swap(true, Ordering::SeqCst) {
+            let control = Arc::clone(self);
+            network.on_ingress(Arc::new(move || control.ring_all()));
+        }
+    }
+
     /// Publishes the fencing of `shard` (listener removal, port
     /// re-homing to `heir`, wholesale balancer-charge release).
     pub(crate) fn append_fence(&self, shard: usize, heir: usize) {
-        self.log.append(TcpCtrlOp::ShardFenced { shard, heir });
+        self.append(TcpCtrlOp::ShardFenced { shard, heir });
     }
 
     /// Publishes that `shard`'s replacement is live again.
     pub(crate) fn append_rejoin(&self, shard: usize) {
-        self.log.append(TcpCtrlOp::ShardRejoined { shard });
+        self.append(TcpCtrlOp::ShardRejoined { shard });
     }
 
     /// Refuses every handoff still parked in a dead shard's inbox: the
@@ -583,6 +623,7 @@ impl TcpProxy {
         lb: Box<dyn LoadBalancer>,
     ) -> (Self, Arc<TcpProxyStats>) {
         assert_eq!(coprocs.len(), channels.len());
+        control.hook_nic(&network);
         let stats = Arc::new(TcpProxyStats {
             engine: Arc::new(ProxyStats::default()),
             events: Arc::clone(&control.events),
@@ -958,7 +999,7 @@ impl TcpProxy {
                         };
                     }
                 }
-                self.control.log.append(TcpCtrlOp::ListenerAdd {
+                self.control.append(TcpCtrlOp::ListenerAdd {
                     port,
                     sock,
                     shard: self.shard,
@@ -1109,7 +1150,7 @@ impl TcpProxy {
                 let _ = self.network.close(id, end);
                 rec.state = SockState::Closed;
                 if let Some(slot) = rec.lb_slot.take() {
-                    self.control.log.append(TcpCtrlOp::ConnClosed {
+                    self.control.append(TcpCtrlOp::ConnClosed {
                         slot,
                         shard: self.shard,
                     });
@@ -1119,9 +1160,7 @@ impl TcpProxy {
             }
             SockState::Listening(port) => {
                 rec.state = SockState::Closed;
-                self.control
-                    .log
-                    .append(TcpCtrlOp::ListenerDel { port, sock });
+                self.control.append(TcpCtrlOp::ListenerDel { port, sock });
                 self.apply_log(st);
                 // Refuse the un-accepted backlog: each queued connection
                 // already holds an open fabric conn and a balancer slot,
@@ -1137,7 +1176,7 @@ impl TcpProxy {
                         crec.state = SockState::Closed;
                     }
                     if let Some(slot) = crec.lb_slot.take() {
-                        self.control.log.append(TcpCtrlOp::ConnClosed {
+                        self.control.append(TcpCtrlOp::ConnClosed {
                             slot,
                             shard: self.shard,
                         });
@@ -1181,7 +1220,6 @@ impl TcpProxy {
                     (sock, owner, idx)
                 };
                 self.control
-                    .log
                     .append(TcpCtrlOp::ConnAssigned { slot, shard: owner });
                 self.apply_log(st);
                 let h = Handoff {
@@ -1193,7 +1231,7 @@ impl TcpProxy {
                 if owner == self.shard {
                     self.deliver(st, h);
                 } else {
-                    self.control.inboxes[owner].lock().push_back(h);
+                    self.control.hand_off(owner, h);
                 }
             }
         }
@@ -1213,7 +1251,7 @@ impl TcpProxy {
             Some(rec) if matches!(rec.state, SockState::Listening(_)) => rec,
             _ => {
                 let _ = self.network.close(h.conn, EndKind::Server);
-                self.control.log.append(TcpCtrlOp::ConnClosed {
+                self.control.append(TcpCtrlOp::ConnClosed {
                     slot: h.slot,
                     shard: self.shard,
                 });
@@ -1297,7 +1335,7 @@ impl TcpProxy {
                         }
                     }
                     if let Some(slot) = closed_slot {
-                        self.control.log.append(TcpCtrlOp::ConnClosed {
+                        self.control.append(TcpCtrlOp::ConnClosed {
                             slot,
                             shard: self.shard,
                         });
@@ -1510,6 +1548,13 @@ impl OpHandler for TcpProxy {
                 })
             })
             .collect()
+    }
+
+    /// The shard slot's doorbell (see [`TcpControl`]): the same bell for
+    /// every incarnation of this shard, so peers and the NIC hook keep
+    /// ringing the live one across a failover.
+    fn doorbell(&self) -> Option<Arc<Doorbell>> {
+        Some(Arc::clone(&self.control.bells[self.shard]))
     }
 
     fn poll(&self) -> bool {

@@ -19,6 +19,11 @@
 //! a deep queue outstanding — the depth the proxies exploit to coalesce
 //! NVMe doorbells across independent calls. The synchronous
 //! [`RpcClient::call`] is `wait(submit(..))`.
+//!
+//! Waiters follow the one discipline of [`crate::waitpolicy`]: spin while
+//! this client's spin budget has been earned, yield, then park on the
+//! response ring's doorbell — rung by the proxy's next publish, or by a
+//! sibling waiter that drained this waiter's reply.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -26,7 +31,7 @@ use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use solros_pcie::counter::PcieCounters;
 use solros_pcie::Side;
 use solros_proto::codec::{
@@ -35,9 +40,9 @@ use solros_proto::codec::{
 use solros_proto::rpc_error::RpcErr;
 use solros_qos::CreditPool;
 use solros_ringbuf::ring::{RingBuf, RingConfig};
-use solros_ringbuf::{Consumer, Producer, RingError};
+use solros_ringbuf::{Consumer, Doorbell, Producer, RingError};
 
-use crate::waitpolicy::WaitPolicy;
+use crate::waitpolicy::{Sleeper, SpinBudget, WaitPolicy};
 
 /// Default request/response ring capacity (64 KiB each).
 pub const RPC_RING_BYTES: usize = 64 * 1024;
@@ -112,7 +117,8 @@ enum Slot {
 /// and its outstanding [`Token`]s.
 struct Shared {
     pending: Mutex<HashMap<u32, Slot>>,
-    arrived: Condvar,
+    /// What spinning on this client's response ring has earned.
+    spin: SpinBudget,
     /// QoS backpressure: when present, each submission holds one in-flight
     /// credit from submit until its reply arrives, and replies carry
     /// window updates from the proxy.
@@ -120,12 +126,11 @@ struct Shared {
 }
 
 impl Shared {
-    /// Applies the credit grant piggybacked on an arrived reply and
+    /// Applies the credit `grant` piggybacked on an arrived reply and
     /// releases the in-flight slot taken at submit time. Called exactly
     /// once per reply, at arrival.
-    fn settle_credit(&self, reply: &[u8]) {
+    fn settle_credit(&self, grant: u8) {
         if let Some(pool) = &self.credits {
-            let grant = decode_frame(reply).map(|f| f.credit).unwrap_or(0);
             pool.complete(grant);
         }
     }
@@ -204,6 +209,15 @@ pub struct ResetReport {
 /// pair during a drain; installed via [`RpcClient::set_error_encoder`].
 type ErrEncoder = Box<dyn Fn(u32, RpcErr) -> Vec<u8> + Send>;
 
+/// What a failed enqueue means to the submitter.
+fn ring_err(e: RingError) -> RpcErr {
+    match e {
+        RingError::WouldBlock => RpcErr::WouldBlock,
+        RingError::TooBig => RpcErr::TooLarge,
+        RingError::Corrupt => RpcErr::Gone,
+    }
+}
+
 /// A tag-routing RPC client shared by data-plane threads: a non-blocking
 /// submission half and a completion half over one shared ring pair.
 pub struct RpcClient {
@@ -219,6 +233,8 @@ pub struct RpcClient {
     /// Tenant id stamped into every submitted frame (0 = default tenant,
     /// which proxies treat exactly as the pre-tenant wire format).
     tenant: AtomicU8,
+    /// The response ring's doorbell: parked waiters sleep on it.
+    bell: Arc<Doorbell>,
     shared: Arc<Shared>,
 }
 
@@ -254,6 +270,7 @@ impl RpcClient {
         rings: Option<(Arc<RingBuf>, Arc<RingBuf>)>,
     ) -> Arc<Self> {
         Arc::new(Self {
+            bell: rx.doorbell(),
             tx: RwLock::new(tx),
             rx: RwLock::new(rx),
             rings,
@@ -262,7 +279,7 @@ impl RpcClient {
             tenant: AtomicU8::new(0),
             shared: Arc::new(Shared {
                 pending: Mutex::new(HashMap::new()),
-                arrived: Condvar::new(),
+                spin: SpinBudget::new(),
                 credits,
             }),
         })
@@ -310,6 +327,18 @@ impl RpcClient {
         self.shared.pending.lock().len()
     }
 
+    /// Doorbell rings delivered so far as `(to the proxy serving the
+    /// request ring, to this client's parked waiters)` — how often each
+    /// side was found asleep, for tests and tools.
+    pub fn doorbell_rings(&self) -> (u64, u64) {
+        (self.tx.read().doorbell().rings(), self.bell.rings())
+    }
+
+    /// A sleeper for one wait on this client's response ring.
+    fn sleeper(&self) -> Sleeper<'_> {
+        Sleeper::new(WaitPolicy::new(&self.shared.spin), &self.bell)
+    }
+
     /// Drains one reply from the ring, routing it to its tag's slot.
     ///
     /// Returns `Ok(Some(reply))` only when the reply matches `want`
@@ -319,25 +348,29 @@ impl RpcClient {
     /// blocked on the credit window can free credits by pumping.
     fn pump(&self, want: Option<u32>) -> Result<Option<Vec<u8>>, RingError> {
         let reply = self.rx.read().recv()?;
-        let rtag = decode_frame(&reply).map(|f| f.tag).unwrap_or(0);
+        let (rtag, grant) = decode_frame(&reply)
+            .map(|f| (f.tag, f.credit))
+            .unwrap_or((0, 0));
         let mut g = self.shared.pending.lock();
         if Some(rtag) == want {
             g.remove(&rtag);
             drop(g);
-            self.shared.settle_credit(&reply);
+            self.shared.settle_credit(grant);
             return Ok(Some(reply));
         }
         match g.get_mut(&rtag) {
             Some(slot @ Slot::Waiting) => {
-                *slot = Slot::Ready(reply.clone());
+                *slot = Slot::Ready(reply);
                 drop(g);
-                self.shared.settle_credit(&reply);
-                self.shared.arrived.notify_all();
+                self.shared.settle_credit(grant);
+                // The owner may be parked on the bell this reply's
+                // publish already rang (and this thread answered).
+                self.bell.ring();
             }
             Some(Slot::Abandoned) => {
                 g.remove(&rtag);
                 drop(g);
-                self.shared.settle_credit(&reply);
+                self.shared.settle_credit(grant);
             }
             // Duplicate or unknown tag: nobody owns it; drop the reply
             // without touching the credit ledger.
@@ -380,16 +413,14 @@ impl RpcClient {
     /// Acquires one in-flight credit, pumping the completion ring while
     /// the window is closed so a single thread with a deep queue cannot
     /// deadlock against its own unharvested completions.
-    fn acquire_credit_pumping(&self, pool: &Arc<CreditPool>) {
-        let mut policy = WaitPolicy::new();
+    fn acquire_credit_pumping(&self, pool: &CreditPool) {
+        let mut sleeper = self.sleeper();
         while !pool.try_acquire() {
             match self.pump(None) {
-                Ok(_) => policy.reset(),
-                Err(_) => {
-                    if let Some(park) = policy.pause() {
-                        std::thread::sleep(park);
-                    }
-                }
+                Ok(_) => sleeper.progress(),
+                // Credits come back on replies, so the response ring's
+                // doorbell is what ends this wait.
+                Err(_) => sleeper.idle(),
             }
         }
     }
@@ -423,7 +454,7 @@ impl RpcClient {
     ) -> Result<Token, RpcErr> {
         if let Some(pool) = &self.shared.credits {
             if block {
-                self.acquire_credit_pumping(&Arc::clone(pool));
+                self.acquire_credit_pumping(pool);
             } else if !pool.try_acquire() {
                 return Err(RpcErr::Overloaded);
             }
@@ -437,7 +468,7 @@ impl RpcClient {
             } else {
                 // Bounded retries: spin and yield through one escalation of
                 // the wait policy, then report the ring full.
-                let mut policy = WaitPolicy::new();
+                let mut policy = WaitPolicy::new(&self.shared.spin);
                 loop {
                     match tx.send(&frame) {
                         Err(RingError::WouldBlock) => {
@@ -454,11 +485,7 @@ impl RpcClient {
             Ok(()) => Ok(self.mint_token(tag)),
             Err(e) => {
                 self.scrub_failed_submit(tag);
-                Err(match e {
-                    RingError::WouldBlock => RpcErr::WouldBlock,
-                    RingError::TooBig => RpcErr::TooLarge,
-                    RingError::Corrupt => RpcErr::Gone,
-                })
+                Err(ring_err(e))
             }
         }
     }
@@ -518,6 +545,71 @@ impl RpcClient {
         self.do_submit(tag, frame, 0, true)
     }
 
+    /// Enqueues a whole wave of `(tag, frame)` submissions with **one**
+    /// request-ring publish (and at most one doorbell ring), so the proxy
+    /// can never observe a partial wave: how much it coalesces no longer
+    /// depends on how the submitter and the proxy interleave.
+    ///
+    /// Credits are taken per frame exactly as [`RpcClient::submit`] does
+    /// (no waiting: a closed window truncates the wave there). Returns
+    /// one token per accepted frame, in order — a prefix of the wave when
+    /// the window or the ring ran out partway; the unsent tail is
+    /// scrubbed like a failed `submit` (tags forgotten, credits
+    /// returned). Fails only when nothing at all was accepted.
+    pub fn submit_batch(&self, frames: Vec<(u32, Vec<u8>)>) -> Result<Vec<Token>, RpcErr> {
+        let mut tags = Vec::with_capacity(frames.len());
+        let mut wave = Vec::with_capacity(frames.len());
+        {
+            let mut g = self.shared.pending.lock();
+            for (tag, mut frame) in frames {
+                if let Some(pool) = &self.shared.credits {
+                    if !pool.try_acquire() {
+                        break;
+                    }
+                }
+                self.prep_frame(&mut frame, 0);
+                g.insert(tag, Slot::Waiting);
+                tags.push(tag);
+                wave.push(frame);
+            }
+        }
+        if tags.is_empty() {
+            return Err(RpcErr::Overloaded);
+        }
+        // A wave the ring has no room for is retried whole or in part
+        // through one escalation of the wait policy, like `submit`.
+        let mut sent = 0;
+        let mut err = RingError::WouldBlock;
+        let mut policy = WaitPolicy::new(&self.shared.spin);
+        {
+            let tx = self.tx.read();
+            while !wave.is_empty() {
+                match tx.send_batch(std::mem::take(&mut wave)) {
+                    Ok((n, rest)) => {
+                        sent += n;
+                        wave = rest;
+                        if n > 0 {
+                            policy.reset();
+                        } else if policy.pause().is_some() {
+                            break;
+                        }
+                    }
+                    Err(e) => {
+                        err = e;
+                        break;
+                    }
+                }
+            }
+        }
+        for &tag in &tags[sent..] {
+            self.scrub_failed_submit(tag);
+        }
+        if sent == 0 {
+            return Err(ring_err(err));
+        }
+        Ok(tags[..sent].iter().map(|&t| self.mint_token(t)).collect())
+    }
+
     /// Blocks until `token`'s reply arrives and returns it. Replies for
     /// other tags drained along the way are handed to their waiters.
     ///
@@ -528,26 +620,19 @@ impl RpcClient {
         assert!(!token.done.get(), "token redeemed twice");
         let tag = token.tag;
         token.done.set(true);
-        let mut policy = WaitPolicy::new();
+        let mut sleeper = self.sleeper();
         loop {
             if let Some(reply) = self.take_ready(tag) {
                 return reply;
             }
             match self.pump(Some(tag)) {
                 Ok(Some(reply)) => return reply,
-                Ok(None) => policy.reset(),
-                Err(_) => {
-                    if let Some(park) = policy.pause() {
-                        // Park until another waiter routes a reply or the
-                        // timeout elapses; escalating timeouts stop an
-                        // idle waiter from spinning on the ring.
-                        let mut g = self.shared.pending.lock();
-                        if matches!(g.get(&tag), Some(Slot::Ready(_))) {
-                            continue;
-                        }
-                        self.shared.arrived.wait_for(&mut g, park);
-                    }
-                }
+                Ok(None) => sleeper.progress(),
+                // Past the spin and yield bands this arms the response
+                // ring's doorbell, comes round once more (the re-check of
+                // slot and ring), then parks until the proxy's publish or
+                // a sibling routing our reply rings it.
+                Err(_) => sleeper.idle(),
             }
         }
     }
@@ -566,28 +651,20 @@ impl RpcClient {
         let tag = token.tag;
         token.done.set(true);
         let deadline = Instant::now() + timeout;
-        let mut policy = WaitPolicy::new();
+        let mut sleeper = self.sleeper();
         loop {
             if let Some(reply) = self.take_ready(tag) {
                 return Ok(reply);
             }
-            if Instant::now() >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 self.shared.abandon(tag);
                 return Err(RpcErr::Timeout);
             }
             match self.pump(Some(tag)) {
                 Ok(Some(reply)) => return Ok(reply),
-                Ok(None) => policy.reset(),
-                Err(_) => {
-                    if let Some(park) = policy.pause() {
-                        let park = park.min(deadline.saturating_duration_since(Instant::now()));
-                        let mut g = self.shared.pending.lock();
-                        if matches!(g.get(&tag), Some(Slot::Ready(_))) {
-                            continue;
-                        }
-                        self.shared.arrived.wait_for(&mut g, park);
-                    }
-                }
+                Ok(None) => sleeper.progress(),
+                Err(_) => sleeper.idle_for(left),
             }
         }
     }
@@ -604,7 +681,7 @@ impl RpcClient {
             tokens.iter().any(|t| !t.done.get()),
             "wait_any needs at least one unredeemed token"
         );
-        let mut policy = WaitPolicy::new();
+        let mut sleeper = self.sleeper();
         loop {
             for (i, t) in tokens.iter().enumerate() {
                 if t.done.get() {
@@ -616,19 +693,8 @@ impl RpcClient {
                 }
             }
             match self.pump(None) {
-                Ok(_) => policy.reset(),
-                Err(_) => {
-                    if let Some(park) = policy.pause() {
-                        let mut g = self.shared.pending.lock();
-                        let any_ready = tokens.iter().any(|t| {
-                            !t.done.get() && matches!(g.get(&t.tag), Some(Slot::Ready(_)))
-                        });
-                        if any_ready {
-                            continue;
-                        }
-                        self.shared.arrived.wait_for(&mut g, park);
-                    }
-                }
+                Ok(_) => sleeper.progress(),
+                Err(_) => sleeper.idle(),
             }
         }
     }
@@ -702,7 +768,7 @@ impl RpcClient {
                 pool.complete(0);
             }
         }
-        self.shared.arrived.notify_all();
+        self.bell.ring();
         if let Some((req, resp)) = &self.rings {
             let mut tx = self.tx.write();
             let mut rx = self.rx.write();
@@ -1023,6 +1089,93 @@ mod tests {
         proxy.join().unwrap();
         assert_eq!(client.pending_len(), 0);
         assert_eq!(pool.levels().0, 0);
+    }
+
+    #[test]
+    fn submit_batch_is_one_publish_and_truncates_at_the_window() {
+        let counters = Arc::new(PcieCounters::new());
+        let ch = Channel::new(counters);
+        let pool = Arc::new(CreditPool::new(8));
+        let req_tx = ch.req_tx.clone();
+        let client = RpcClient::with_credits(ch.req_tx, ch.resp_rx, Some(Arc::clone(&pool)));
+
+        // Twelve frames against a window of eight: the first eight go out
+        // as one wave, the tail is never enqueued and leaves no trace.
+        let frames: Vec<(u32, Vec<u8>)> = (0..12u64)
+            .map(|ino| {
+                let tag = client.tag();
+                (tag, FsRequest::Fstat { ino }.encode(tag))
+            })
+            .collect();
+        let tags: Vec<u32> = frames.iter().map(|(t, _)| *t).collect();
+        let before = req_tx.publishes();
+        let tokens = client.submit_batch(frames).unwrap();
+        assert_eq!(req_tx.publishes() - before, 1, "one publish per wave");
+        assert_eq!(tokens.len(), 8);
+        assert!(tokens.iter().map(Token::tag).eq(tags[..8].iter().copied()));
+        assert_eq!(client.pending_len(), 8);
+        assert_eq!(pool.levels().0, 8);
+        // With the window shut a further wave is refused outright.
+        let tag = client.tag();
+        let err = client
+            .submit_batch(vec![(tag, FsRequest::Fstat { ino: 99 }.encode(tag))])
+            .unwrap_err();
+        assert_eq!(err, RpcErr::Overloaded);
+        assert_eq!(client.pending_len(), 8);
+
+        // The proxy sees the whole wave at once and answers it.
+        let mut seen = Vec::new();
+        while let Ok(f) = ch.req_rx.recv() {
+            seen.push(FsRequest::decode(&f).unwrap().0);
+        }
+        assert_eq!(seen, tags[..8]);
+        for &tag in &seen {
+            ch.resp_tx
+                .send_blocking(&FsResponse::Ok.encode(tag))
+                .unwrap();
+        }
+        for t in tokens {
+            let (_, resp) = FsResponse::decode(&client.wait(t)).unwrap();
+            assert_eq!(resp, FsResponse::Ok);
+        }
+        assert_eq!(client.pending_len(), 0);
+        assert_eq!(pool.levels().0, 0);
+    }
+
+    #[test]
+    fn submit_batch_scrubs_the_tail_a_full_ring_refused() {
+        // No proxy: the request ring fills, a wave is cut short, and in
+        // the end one is refused whole. Neither may leak a tag or credit.
+        let counters = Arc::new(PcieCounters::new());
+        let ch = Channel::new(counters);
+        let pool = Arc::new(CreditPool::new(u32::MAX));
+        let client = RpcClient::with_credits(ch.req_tx, ch.resp_rx, Some(Arc::clone(&pool)));
+        let mut accepted = 0usize;
+        let err = loop {
+            let frames: Vec<(u32, Vec<u8>)> = (0..32u64)
+                .map(|ino| {
+                    let tag = client.tag();
+                    (tag, FsRequest::Fstat { ino }.encode(tag))
+                })
+                .collect();
+            match client.submit_batch(frames) {
+                Ok(tokens) => {
+                    accepted += tokens.len();
+                    // Keep the tags in flight: forget the tokens.
+                    tokens.into_iter().for_each(std::mem::forget);
+                }
+                Err(e) => break e,
+            }
+            assert!(accepted < 100_000, "ring never filled");
+        };
+        assert_eq!(err, RpcErr::WouldBlock);
+        assert_eq!(client.pending_len(), accepted);
+        assert_eq!(pool.levels().0 as usize, accepted);
+        let mut queued = 0;
+        while ch.req_rx.recv().is_ok() {
+            queued += 1;
+        }
+        assert_eq!(queued, accepted, "exactly the accepted frames were sent");
     }
 
     #[test]

@@ -143,10 +143,13 @@ fn run_overload_failover(wedge: bool, victim: usize) {
         })
         .collect();
 
-    // The flood must be visibly shaping the flow tables before the kill.
+    // The flood must be shaping *every* domain's flow table before the
+    // kill — one dynamic flow per tenant per gate. (Waiting for any
+    // `DOMAINS` flows let one fast stub satisfy it alone, and a victim
+    // whose own flood had not started yet died with nothing to reclaim.)
     assert!(
         wait_until(Duration::from_secs(10), || host.snapshot().live_flows
-            >= DOMAINS),
+            >= DOMAINS * usize::from(TENANTS)),
         "flood never populated dynamic tenant flows: {:?}",
         host.snapshot()
     );

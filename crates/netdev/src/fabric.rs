@@ -9,7 +9,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 /// Connection identifier.
 pub type ConnId = u64;
@@ -111,12 +111,32 @@ struct Inner {
 #[derive(Default)]
 pub struct Network {
     inner: Mutex<Inner>,
+    /// Called after anything arrives that a server-side poller would
+    /// find: a new connection, bytes, a FIN (see [`Network::on_ingress`]).
+    ingress_hooks: RwLock<Vec<IngressHook>>,
 }
+
+/// A notification callback for [`Network::on_ingress`].
+pub type IngressHook = Arc<dyn Fn() + Send + Sync>;
 
 impl Network {
     /// Creates an empty fabric.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    /// Registers `hook` to run after every `client_connect`, `send` and
+    /// `close` — the NIC's interrupt line. A proxy that polls the fabric
+    /// can then sleep while nothing arrives; hooks must be cheap and
+    /// must not call back into the fabric.
+    pub fn on_ingress(&self, hook: IngressHook) {
+        self.ingress_hooks.write().push(hook);
+    }
+
+    fn notify_ingress(&self) {
+        for hook in self.ingress_hooks.read().iter() {
+            hook();
+        }
     }
 
     /// Registers a listener on `port`.
@@ -165,6 +185,8 @@ impl Network {
                 client_addr,
             },
         );
+        drop(g);
+        self.notify_ingress();
         Ok(id)
     }
 
@@ -200,6 +222,8 @@ impl Network {
             return Err(NetworkError::Closed);
         }
         s.bytes.extend(data.iter().copied());
+        drop(g);
+        self.notify_ingress();
         Ok(data.len())
     }
 
@@ -239,6 +263,8 @@ impl Network {
         let mut g = self.inner.lock();
         let conn = g.conns.get_mut(&id).ok_or(NetworkError::NotConnected)?;
         Self::stream_mut(conn, from).fin = true;
+        drop(g);
+        self.notify_ingress();
         Ok(())
     }
 

@@ -18,5 +18,5 @@
 pub mod fabric;
 pub mod perf;
 
-pub use fabric::{ConnId, EndKind, Network, NetworkError};
+pub use fabric::{ConnId, EndKind, IngressHook, Network, NetworkError};
 pub use perf::NetPerf;

@@ -26,16 +26,23 @@
 //! 4. **Adaptive copy** (§4.2.4): element payloads move by load/store
 //!    below the initiator's threshold and by DMA above it.
 //!
+//! Waiting is covered by [`doorbell::Doorbell`]: a consumer that finds
+//! the ring idle arms a flag in the producer's memory and sleeps; the
+//! producer rings after a publish only if that flag is set, so neither
+//! side polls across the bus and an unarmed publish costs nothing extra.
+//!
 //! The crate also implements the paper's comparison baselines for Figure 8:
 //! the Michael–Scott two-lock queue under a ticket lock and under an MCS
 //! queue lock ([`twolock::TwoLockQueue`]).
 
 pub mod combiner;
+pub mod doorbell;
 pub mod error;
 pub mod locks;
 pub mod ring;
 pub mod twolock;
 
+pub use doorbell::Doorbell;
 pub use error::RingError;
 pub use ring::{Consumer, Producer, RbBuf, RingBuf, RingConfig};
 pub use twolock::TwoLockQueue;

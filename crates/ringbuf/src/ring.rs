@@ -19,15 +19,17 @@
 //! tables, which is free, exactly as it would be on real hardware.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use parking_lot::Mutex;
 use solros_pcie::cost::{CostModel, Xfer};
 use solros_pcie::counter::PcieCounters;
 use solros_pcie::window::{Window, WindowHandle};
 use solros_pcie::Side;
 
 use crate::combiner::Combiner;
+use crate::doorbell::Doorbell;
 use crate::error::RingError;
 
 /// Element header size in bytes.
@@ -192,6 +194,14 @@ struct Shared {
     data: Arc<Window>,
     prod_ctrl: Arc<Window>,
     cons_ctrl: Arc<Window>,
+    /// The doorbell's armed flag. Always in the *producer's* memory, so
+    /// the post-publish test is a local load and arming is one posted
+    /// write from the consumer (§4.2.4's placement rule, applied to
+    /// notifications).
+    bell_flag: Arc<Window>,
+    /// The bell a set flag rings: the ring's own until a poller attaches
+    /// one it shares across rings. Read only on the armed (slow) path.
+    bell: Mutex<Arc<Doorbell>>,
     model: Arc<CostModel>,
     producer_side: Side,
     consumer_side: Side,
@@ -245,6 +255,9 @@ impl RingBuf {
         };
         let prod_ctrl = Window::new(64, tail_home, Arc::clone(&counters));
         let cons_ctrl = Window::new(64, head_home, Arc::clone(&counters));
+        let bell_flag = Window::new(64, cfg.producer, Arc::clone(&counters));
+        let bell = Doorbell::new();
+        bell.add_ring_flag(bell_flag.map(cfg.consumer));
         let shared = Arc::new(Shared {
             capacity: cfg.capacity as u64,
             max_elem: (cfg.capacity as u64 / 4).saturating_sub(HDR).max(8),
@@ -253,6 +266,8 @@ impl RingBuf {
             data,
             prod_ctrl,
             cons_ctrl,
+            bell_flag,
+            bell: Mutex::new(bell),
             model,
             producer_side: cfg.producer,
             consumer_side: cfg.consumer,
@@ -278,6 +293,7 @@ impl RingBuf {
                 data: sh.data.map(sh.producer_side),
                 tail_auth: sh.prod_ctrl.map(sh.producer_side),
                 head_auth: sh.cons_ctrl.map(sh.producer_side),
+                bell_flag: sh.bell_flag.map(sh.producer_side),
                 ready_flags: flags,
                 corrupt_budget: AtomicU64::new(0),
                 publishes: AtomicU64::new(0),
@@ -417,6 +433,8 @@ struct ProdInner {
     tail_auth: WindowHandle,
     /// Peer's authoritative `head` window.
     head_auth: WindowHandle,
+    /// The doorbell's armed flag (local to this side).
+    bell_flag: WindowHandle,
     /// Process-local ready flags, indexed by slot offset / 8.
     ready_flags: Box<[AtomicBool]>,
     /// Fault injection: while nonzero, each `set_ready` decrements it and
@@ -606,6 +624,12 @@ impl Producer {
         self.inner.combiner.batches()
     }
 
+    /// The bell this producer's publishes ring when the consumer armed
+    /// it (see [`Consumer::doorbell`]).
+    pub fn doorbell(&self) -> Arc<Doorbell> {
+        Arc::clone(&self.inner.sh.bell.lock())
+    }
+
     /// Largest accepted payload in bytes (see [`RingBuf::max_element`]).
     pub fn max_element(&self) -> usize {
         self.inner.sh.max_elem as usize
@@ -788,6 +812,27 @@ impl ProdInner {
             st.published_tail = st.ready_frontier;
             self.tail_auth.ctrl(0).store(st.ready_frontier);
             self.publishes.fetch_add(1, Ordering::Relaxed);
+            self.ring_if_armed();
+        }
+    }
+
+    /// The producer half of the doorbell protocol (see
+    /// [`crate::doorbell`]): publish → fence → test armed → ring. The
+    /// flag is in this side's memory, so an unarmed ring puts nothing on
+    /// the bus; the ring itself is one posted write toward the sleeper.
+    fn ring_if_armed(&self) {
+        fence(Ordering::SeqCst);
+        let flag = self.bell_flag.ctrl(0);
+        if flag.load() != 0 && flag.swap(0) != 0 {
+            if self.sh.producer_side != self.sh.consumer_side {
+                self.sh
+                    .data
+                    .counters()
+                    .ctrl_writes
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            let bell = Arc::clone(&self.sh.bell.lock());
+            bell.wake();
         }
     }
 }
@@ -897,6 +942,23 @@ impl Consumer {
     /// Number of combiner tenures (instrumentation for the ablations).
     pub fn combiner_batches(&self) -> u64 {
         self.inner.combiner.batches()
+    }
+
+    /// The bell this ring's producers ring: arm it, re-check the ring,
+    /// then park on it (see [`crate::doorbell`]).
+    pub fn doorbell(&self) -> Arc<Doorbell> {
+        Arc::clone(&self.inner.sh.bell.lock())
+    }
+
+    /// Makes `bell` the one this ring's producers ring, so a poller that
+    /// serves several rings (and other work sources) sleeps on one bell.
+    pub fn attach_doorbell(&self, bell: &Arc<Doorbell>) {
+        let sh = &self.inner.sh;
+        let mut cur = sh.bell.lock();
+        if !Arc::ptr_eq(&cur, bell) {
+            bell.add_ring_flag(sh.bell_flag.map(sh.consumer_side));
+            *cur = Arc::clone(bell);
+        }
     }
 }
 

@@ -7,7 +7,8 @@
 # criterion (their dev-dependencies, the two [[bench]] targets, the
 # prop_*.rs / proptest_*.rs integration tests), patches the other four crates
 # onto the std-backed stand-ins in benchmark/stubs/ (read only), then runs
-# every remaining test and the nine extension gates in release mode.
+# every remaining test and the nine extension gates in release mode (the e8
+# gate five times, the idle-CPU test once more on its own).
 #
 # Usage: scripts/offline-check.sh      (from anywhere; exits nonzero on failure)
 set -euo pipefail
@@ -38,10 +39,13 @@ EOF
 
 cd "$ws"
 cargo test --offline --workspace --release
+# The idle-CPU reading is per process: once more with no neighbour threads.
+cargo test --offline --release -p solros --test idle_wake -- --test-threads=1
 cargo build --offline --release -p solros-bench --bin extensions
-for gate in e3 e3-engine e4 e5 e6 e7 e8 e9 e10; do
+# e8 submits each wave with one publish, so it is deterministic: five in a row.
+for gate in e3 e3-engine e4 e5 e6 e7 e8 e8 e8 e8 e8 e9 e10; do
     echo "== extensions $gate"
     "$ws/target/release/extensions" "$gate" >"$ws/target/$gate.out" ||
         { cat "$ws/target/$gate.out"; echo "FAIL: extensions $gate"; exit 1; }
 done
-echo "offline-check: tests and all nine extension gates passed"
+echo "offline-check: tests and all nine extension gates passed (e8 five times)"
