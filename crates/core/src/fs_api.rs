@@ -14,6 +14,7 @@
 //! at once — the queue depth the host proxy converts into coalesced NVMe
 //! doorbells (Fig 11 of the paper).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use solros_lease::{BatchIo, LeaseIo, LeaseTable};
@@ -21,11 +22,26 @@ use solros_machine::WindowAlloc;
 use solros_nvme::BLOCK_SIZE;
 use solros_pcie::window::{Window, WindowHandle};
 use solros_pcie::Side;
-use solros_proto::codec::FLAG_BARRIER;
+use solros_proto::codec::{stamp_flags, FLAG_BARRIER};
 use solros_proto::fs_msg::{FsRequest, FsResponse};
 use solros_proto::rpc_error::RpcErr;
+use solros_ringbuf::Wave;
 
 use crate::transport::{RpcClient, Token};
+
+/// Size of a `Read`/`Write` request frame: header plus four `u64`s.
+const REQUEST_FRAME_BYTES: usize = solros_proto::codec::HEADER_LEN + 32;
+
+/// Pads a staged write out to its block boundary.
+static ZERO_PAD: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+
+/// Decodes a reply where it lies; an undecodable one is an I/O error.
+fn decode_reply(reply: &[u8]) -> FsResponse {
+    match FsResponse::decode(reply) {
+        Ok((_, resp)) => resp,
+        Err(_) => FsResponse::Error { err: RpcErr::Io },
+    }
+}
 
 /// A file handle on the data plane (an inode number under the hood).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,12 +154,69 @@ impl CoprocFs {
     }
 
     fn call(&self, req: FsRequest) -> FsResponse {
-        let tag = self.client.tag();
-        let reply = self.client.call(tag, req.encode(tag));
-        match FsResponse::decode(&reply) {
-            Ok((_, resp)) => resp,
-            Err(_) => FsResponse::Error { err: RpcErr::Io },
+        self.client
+            .call_with(|tag, frame| req.encode_into(tag, frame), decode_reply)
+    }
+
+    /// Carves a read's window buffer and builds the request that names
+    /// it. Returns the request, the buffer's offset and its length.
+    fn stage_read(
+        &self,
+        f: FileHandle,
+        offset: u64,
+        len: usize,
+    ) -> Result<(FsRequest, usize, usize), RpcErr> {
+        if len == 0 {
+            return Err(RpcErr::Invalid);
         }
+        // Round up so a block-granular P2P transfer cannot overrun.
+        let alloc_len = len.div_ceil(BLOCK_SIZE) * BLOCK_SIZE + BLOCK_SIZE;
+        let off = self.alloc.alloc(alloc_len).ok_or(RpcErr::NoSpace)?;
+        let req = FsRequest::Read {
+            ino: f.0,
+            offset,
+            count: len as u64,
+            buf_addr: off as u64,
+        };
+        Ok((req, off, alloc_len))
+    }
+
+    /// Stages `data` for a block-granular P2P write in a window buffer —
+    /// the payload, then zeroes up to the block boundary so the transfer
+    /// lands zeroes beyond it (both local copies) — and builds the
+    /// request that names it. Returns as [`CoprocFs::stage_read`].
+    fn stage_write(
+        &self,
+        f: FileHandle,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<(FsRequest, usize, usize), RpcErr> {
+        if data.is_empty() {
+            return Err(RpcErr::Invalid);
+        }
+        let alloc_len = data.len().div_ceil(BLOCK_SIZE) * BLOCK_SIZE;
+        let off = self.alloc.alloc(alloc_len).ok_or(RpcErr::NoSpace)?;
+        // SAFETY: exclusively allocated range.
+        unsafe {
+            self.local()
+                .write(off + data.len(), &ZERO_PAD[..alloc_len - data.len()]);
+            self.local().write(off, data);
+        }
+        let req = FsRequest::Write {
+            ino: f.0,
+            offset,
+            count: data.len() as u64,
+            buf_addr: off as u64,
+        };
+        Ok((req, off, alloc_len))
+    }
+
+    /// Enqueues a staged request; a refused one gives its window buffer
+    /// back (nothing was enqueued, so the range is ours again).
+    fn submit_staged(&self, req: FsRequest, off: usize, alloc_len: usize) -> Result<Token, RpcErr> {
+        self.client
+            .submit_encoded(false, |tag, frame| req.encode_into(tag, frame))
+            .inspect_err(|_| self.alloc.free(off, alloc_len))
     }
 
     /// Creates a file.
@@ -192,16 +265,8 @@ impl CoprocFs {
                 LeaseIo::Fallback => {}
             }
         }
-        // Round up so a block-granular P2P transfer cannot overrun.
-        let alloc_len = buf.len().div_ceil(BLOCK_SIZE) * BLOCK_SIZE + BLOCK_SIZE;
-        let off = self.alloc.alloc(alloc_len).ok_or(RpcErr::NoSpace)?;
-        let resp = self.call(FsRequest::Read {
-            ino: f.0,
-            offset,
-            count: buf.len() as u64,
-            buf_addr: off as u64,
-        });
-        let result = match resp {
+        let (req, off, alloc_len) = self.stage_read(f, offset, buf.len())?;
+        let result = match self.call(req) {
             FsResponse::Read { count } => {
                 let n = (count as usize).min(buf.len());
                 // Local copy out of the window buffer (free on real HW).
@@ -275,25 +340,8 @@ impl CoprocFs {
                 LeaseIo::Fallback => {}
             }
         }
-        let alloc_len = data.len().div_ceil(BLOCK_SIZE) * BLOCK_SIZE;
-        let off = self.alloc.alloc(alloc_len).ok_or(RpcErr::NoSpace)?;
-        // Zero the padding tail so a block-granular P2P write lands zeroes
-        // beyond the payload, then stage the payload (both local copies).
-        // SAFETY: exclusively allocated range.
-        unsafe {
-            if alloc_len > data.len() {
-                self.local()
-                    .write(off + data.len(), &vec![0u8; alloc_len - data.len()]);
-            }
-            self.local().write(off, data);
-        }
-        let resp = self.call(FsRequest::Write {
-            ino: f.0,
-            offset,
-            count: data.len() as u64,
-            buf_addr: off as u64,
-        });
-        let result = match resp {
+        let (req, off, alloc_len) = self.stage_write(f, offset, data)?;
+        let result = match self.call(req) {
             FsResponse::Write { count } => Ok(count as usize),
             FsResponse::Error { err } => Err(err),
             _ => Err(RpcErr::Io),
@@ -392,41 +440,6 @@ impl CoprocFs {
         }
     }
 
-    fn submit_read_flags(
-        &self,
-        f: FileHandle,
-        offset: u64,
-        len: usize,
-        flags: u8,
-    ) -> Result<PendingRead, RpcErr> {
-        if len == 0 {
-            return Err(RpcErr::Invalid);
-        }
-        let alloc_len = len.div_ceil(BLOCK_SIZE) * BLOCK_SIZE + BLOCK_SIZE;
-        let off = self.alloc.alloc(alloc_len).ok_or(RpcErr::NoSpace)?;
-        let tag = self.client.tag();
-        let frame = FsRequest::Read {
-            ino: f.0,
-            offset,
-            count: len as u64,
-            buf_addr: off as u64,
-        }
-        .encode(tag);
-        match self.client.submit_with_flags(tag, frame, flags) {
-            Ok(token) => Ok(PendingRead {
-                token,
-                off,
-                alloc_len,
-                want: len,
-            }),
-            Err(e) => {
-                // Nothing was enqueued, so the window range is ours again.
-                self.alloc.free(off, alloc_len);
-                Err(e)
-            }
-        }
-    }
-
     /// Enqueues a read of `len` bytes at `offset` without waiting.
     ///
     /// The returned [`PendingRead`] owns a window buffer for the transfer;
@@ -441,48 +454,13 @@ impl CoprocFs {
         offset: u64,
         len: usize,
     ) -> Result<PendingRead, RpcErr> {
-        self.submit_read_flags(f, offset, len, 0)
-    }
-
-    fn submit_write_flags(
-        &self,
-        f: FileHandle,
-        offset: u64,
-        data: &[u8],
-        flags: u8,
-    ) -> Result<PendingWrite, RpcErr> {
-        if data.is_empty() {
-            return Err(RpcErr::Invalid);
-        }
-        let alloc_len = data.len().div_ceil(BLOCK_SIZE) * BLOCK_SIZE;
-        let off = self.alloc.alloc(alloc_len).ok_or(RpcErr::NoSpace)?;
-        // SAFETY: exclusively allocated range (see `write_at`).
-        unsafe {
-            if alloc_len > data.len() {
-                self.local()
-                    .write(off + data.len(), &vec![0u8; alloc_len - data.len()]);
-            }
-            self.local().write(off, data);
-        }
-        let tag = self.client.tag();
-        let frame = FsRequest::Write {
-            ino: f.0,
-            offset,
-            count: data.len() as u64,
-            buf_addr: off as u64,
-        }
-        .encode(tag);
-        match self.client.submit_with_flags(tag, frame, flags) {
-            Ok(token) => Ok(PendingWrite {
-                token,
-                off,
-                alloc_len,
-            }),
-            Err(e) => {
-                self.alloc.free(off, alloc_len);
-                Err(e)
-            }
-        }
+        let (req, off, alloc_len) = self.stage_read(f, offset, len)?;
+        Ok(PendingRead {
+            token: self.submit_staged(req, off, alloc_len)?,
+            off,
+            alloc_len,
+            want: len,
+        })
     }
 
     /// Enqueues a write of `data` at `offset` without waiting. The payload
@@ -494,7 +472,12 @@ impl CoprocFs {
         offset: u64,
         data: &[u8],
     ) -> Result<PendingWrite, RpcErr> {
-        self.submit_write_flags(f, offset, data, 0)
+        let (req, off, alloc_len) = self.stage_write(f, offset, data)?;
+        Ok(PendingWrite {
+            token: self.submit_staged(req, off, alloc_len)?,
+            off,
+            alloc_len,
+        })
     }
 }
 
@@ -519,33 +502,40 @@ impl PendingRead {
         self.token.tag()
     }
 
-    /// Blocks until the read completes and copies the payload into `buf`
-    /// (which should be at least the submitted length); returns bytes
-    /// read (short at EOF).
-    pub fn wait_into(self, fs: &CoprocFs, buf: &mut [u8]) -> Result<usize, RpcErr> {
-        let reply = fs.client.wait(self.token);
-        let result = match FsResponse::decode(&reply) {
-            Ok((_, FsResponse::Read { count })) => {
-                let n = (count as usize).min(self.want).min(buf.len());
-                // SAFETY: the proxy's transfer into this exclusively
-                // allocated range completed before the reply was sent.
-                unsafe { fs.local().read(self.off, &mut buf[..n]) };
-                Ok(n)
-            }
-            Ok((_, FsResponse::Error { err })) => Err(err),
+    /// Blocks until the read completes, then lets `take` move the `n`
+    /// bytes read (short at EOF) out of the window buffer at the given
+    /// offset before the buffer goes back to the allocator.
+    fn finish<R>(self, fs: &CoprocFs, take: impl FnOnce(usize, usize) -> R) -> Result<R, RpcErr> {
+        let result = match fs.client.wait_with(self.token, decode_reply) {
+            FsResponse::Read { count } => Ok(take(self.off, (count as usize).min(self.want))),
+            FsResponse::Error { err } => Err(err),
             _ => Err(RpcErr::Io),
         };
         fs.alloc.free(self.off, self.alloc_len);
         result
     }
 
+    /// Blocks until the read completes and copies the payload into `buf`
+    /// (which should be at least the submitted length); returns bytes
+    /// read (short at EOF).
+    pub fn wait_into(self, fs: &CoprocFs, buf: &mut [u8]) -> Result<usize, RpcErr> {
+        self.finish(fs, |off, n| {
+            let n = n.min(buf.len());
+            // SAFETY: the proxy's transfer into this exclusively
+            // allocated range completed before the reply was sent.
+            unsafe { fs.local().read(off, &mut buf[..n]) };
+            n
+        })
+    }
+
     /// Blocks until the read completes and returns the payload.
     pub fn wait(self, fs: &CoprocFs) -> Result<Vec<u8>, RpcErr> {
-        let want = self.want;
-        let mut v = vec![0u8; want];
-        let n = self.wait_into(fs, &mut v)?;
-        v.truncate(n);
-        Ok(v)
+        self.finish(fs, |off, n| {
+            let mut v = vec![0u8; n];
+            // SAFETY: as in `wait_into`.
+            unsafe { fs.local().read(off, &mut v) };
+            v
+        })
     }
 }
 
@@ -568,10 +558,9 @@ impl PendingWrite {
 
     /// Blocks until the write completes; returns bytes written.
     pub fn wait(self, fs: &CoprocFs) -> Result<usize, RpcErr> {
-        let reply = fs.client.wait(self.token);
-        let result = match FsResponse::decode(&reply) {
-            Ok((_, FsResponse::Write { count })) => Ok(count as usize),
-            Ok((_, FsResponse::Error { err })) => Err(err),
+        let result = match fs.client.wait_with(self.token, decode_reply) {
+            FsResponse::Write { count } => Ok(count as usize),
+            FsResponse::Error { err } => Err(err),
             _ => Err(RpcErr::Io),
         };
         fs.alloc.free(self.off, self.alloc_len);
@@ -595,6 +584,15 @@ enum BatchOp {
 enum PendingOp {
     Read(PendingRead),
     Write(PendingWrite),
+}
+
+impl PendingOp {
+    fn wait(self, fs: &CoprocFs) -> BatchResult {
+        match self {
+            PendingOp::Read(p) => BatchResult::Read(p.wait(fs)),
+            PendingOp::Write(p) => BatchResult::Write(p.wait(fs)),
+        }
+    }
 }
 
 /// The outcome of one [`Batch`] operation, in submission order.
@@ -626,13 +624,16 @@ impl BatchResult {
 
 /// A builder that submits N file operations and waits for all of them,
 /// keeping the whole set in flight so the proxy sees real queue depth.
+/// The set goes out as one wave — one request-ring publish — so the proxy
+/// sees all of it or none: how it coalesces the wave does not depend on
+/// how the two threads interleave.
 ///
 /// Operations between barriers are independent and may complete in any
 /// order; [`Batch::barrier`] marks the *next* operation so the proxy
 /// finishes everything already drained before starting it. When the ring,
-/// credit window, or buffer space fills mid-submission, the builder
-/// harvests its oldest in-flight operation and retries — depth degrades
-/// gracefully instead of deadlocking.
+/// credit window, or buffer space runs out mid-wave, the builder submits
+/// what fits, harvests its oldest in-flight operation and goes on with
+/// the rest — depth degrades gracefully instead of deadlocking.
 pub struct Batch<'a> {
     fs: &'a CoprocFs,
     ops: Vec<(BatchOp, bool)>,
@@ -681,55 +682,100 @@ impl Batch<'_> {
     /// Submits every queued operation and waits for all completions.
     /// Results are in queue order even though completions may arrive out
     /// of order.
-    pub fn run(self) -> Vec<BatchResult> {
+    pub fn run(mut self) -> Vec<BatchResult> {
         let fs = self.fs;
+        let n = self.ops.len();
         let mut results: Vec<Option<BatchResult>> = Vec::new();
-        results.resize_with(self.ops.len(), || None);
-        let mut inflight: Vec<(usize, PendingOp)> = Vec::new();
+        results.resize_with(n, || None);
+        let mut inflight: VecDeque<(usize, PendingOp)> = VecDeque::with_capacity(n);
+        // The wave being submitted: frames, their tags, their buffers.
+        let mut wave = Wave::with_capacity(n, n * REQUEST_FRAME_BYTES);
+        let mut tags: Vec<u32> = Vec::with_capacity(n);
+        let mut buffers: Vec<(usize, usize)> = Vec::with_capacity(n);
 
-        let harvest = |slot: (usize, PendingOp), results: &mut Vec<Option<BatchResult>>| {
-            let (idx, op) = slot;
-            results[idx] = Some(match op {
-                PendingOp::Read(p) => BatchResult::Read(p.wait(fs)),
-                PendingOp::Write(p) => BatchResult::Write(p.wait(fs)),
-            });
-        };
-
-        for (idx, (op, barrier)) in self.ops.into_iter().enumerate() {
-            let flags = if barrier { FLAG_BARRIER } else { 0 };
-            loop {
-                let attempt = match &op {
-                    BatchOp::Read { f, offset, len } => fs
-                        .submit_read_flags(*f, *offset, *len, flags)
-                        .map(PendingOp::Read),
-                    BatchOp::Write { f, offset, data } => fs
-                        .submit_write_flags(*f, *offset, data, flags)
-                        .map(PendingOp::Write),
+        let mut next = 0;
+        while next < n {
+            // Stage every remaining operation the window has room for ...
+            wave.clear();
+            tags.clear();
+            buffers.clear();
+            let mut refused = None;
+            for (op, barrier) in &self.ops[next..] {
+                let staged = match op {
+                    BatchOp::Read { f, offset, len } => fs.stage_read(*f, *offset, *len),
+                    BatchOp::Write { f, offset, data } => fs.stage_write(*f, *offset, data),
                 };
-                match attempt {
-                    Ok(p) => {
-                        inflight.push((idx, p));
-                        break;
-                    }
-                    Err(RpcErr::WouldBlock | RpcErr::Overloaded | RpcErr::NoSpace)
-                        if !inflight.is_empty() =>
-                    {
-                        // Free ring space / credits / window buffers by
-                        // completing the oldest in-flight operation.
-                        harvest(inflight.remove(0), &mut results);
-                    }
+                let (req, off, alloc_len) = match staged {
+                    Ok(staged) => staged,
                     Err(e) => {
-                        results[idx] = Some(match op {
-                            BatchOp::Read { .. } => BatchResult::Read(Err(e)),
-                            BatchOp::Write { .. } => BatchResult::Write(Err(e)),
-                        });
+                        refused = Some(e);
                         break;
                     }
+                };
+                let tag = fs.client.tag();
+                wave.push_with(|frame| req.encode_into(tag, frame));
+                if *barrier {
+                    stamp_flags(wave.frame_mut(tags.len()), FLAG_BARRIER);
+                }
+                tags.push(tag);
+                buffers.push((off, alloc_len));
+            }
+            // ... and submit them with one publish.
+            let accepted = match refused {
+                Some(e) if tags.is_empty() => Err(e),
+                _ => fs.client.submit_wave(&tags, &mut wave),
+            };
+            // What the ring or the credit window did not take is staged
+            // again on the next round; its buffers go back meanwhile.
+            let taken = accepted.as_ref().map_or(0, Vec::len);
+            for &(off, alloc_len) in &buffers[taken..] {
+                fs.alloc.free(off, alloc_len);
+            }
+            match accepted {
+                Ok(tokens) => {
+                    for (token, &(off, alloc_len)) in tokens.into_iter().zip(&buffers) {
+                        let op = match &mut self.ops[next].0 {
+                            BatchOp::Read { len, .. } => PendingOp::Read(PendingRead {
+                                token,
+                                off,
+                                alloc_len,
+                                want: *len,
+                            }),
+                            BatchOp::Write { data, .. } => {
+                                // The payload is in the window now: give
+                                // its memory back before the reads' results
+                                // are allocated, not when the batch ends.
+                                drop(std::mem::take(data));
+                                PendingOp::Write(PendingWrite {
+                                    token,
+                                    off,
+                                    alloc_len,
+                                })
+                            }
+                        };
+                        inflight.push_back((next, op));
+                        next += 1;
+                    }
+                }
+                Err(RpcErr::WouldBlock | RpcErr::Overloaded | RpcErr::NoSpace)
+                    if !inflight.is_empty() =>
+                {
+                    // Free ring space / credits / window buffers by
+                    // completing the oldest in-flight operation.
+                    let (idx, op) = inflight.pop_front().expect("checked non-empty");
+                    results[idx] = Some(op.wait(fs));
+                }
+                Err(e) => {
+                    results[next] = Some(match self.ops[next].0 {
+                        BatchOp::Read { .. } => BatchResult::Read(Err(e)),
+                        BatchOp::Write { .. } => BatchResult::Write(Err(e)),
+                    });
+                    next += 1;
                 }
             }
         }
-        for slot in inflight {
-            harvest(slot, &mut results);
+        for (idx, op) in inflight {
+            results[idx] = Some(op.wait(fs));
         }
         results
             .into_iter()

@@ -24,7 +24,6 @@
 //! go to the worker pool and complete out of order (the stub's tag table
 //! reorders). A frame flagged `FLAG_BARRIER` quiesces both before it runs.
 
-use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,6 +33,7 @@ use solros_faults::EngineFaults;
 use solros_fs::{CacheDirReplica, FileSystem, FsError};
 use solros_lease::{LeaseError, LeaseKind, LeaseManager, SettledLease};
 use solros_nvme::{DmaPtr, NvmeCommand, NvmeError, BLOCK_SIZE};
+use solros_pcie::cost::CostModel;
 use solros_pcie::window::Window;
 use solros_pcie::Side;
 use solros_proto::codec::stamp_credit;
@@ -41,6 +41,7 @@ use solros_proto::fs_msg::{FsRequest, FsResponse};
 use solros_proto::rpc_error::RpcErr;
 use solros_qos::{HostGate, QosClass, QosStats, TenantLedger};
 use solros_ringbuf::{Consumer, Doorbell, Producer};
+use solros_simkit::{IntMap, IntSet};
 
 use crate::proxy_engine::{
     Access, EngineLane, ExternalHolds, GateJob, OpHandler, ProxyEngine, ProxyStats,
@@ -135,14 +136,16 @@ pub struct FsProxy {
     /// Engine-level fault hooks (worker panics, dropped replies).
     faults: Arc<EngineFaults>,
     /// Inodes opened with `O_BUFFER` by this co-processor.
-    buffered_open: Mutex<HashSet<u64>>,
+    buffered_open: Mutex<IntSet<u64>>,
     /// Per-inode end offset of the last read, for sequential detection.
-    last_read_end: Mutex<HashMap<u64, u64>>,
+    last_read_end: Mutex<IntMap<u64, u64>>,
+    /// Prices the buffered path's adaptive host-to-window copies.
+    cost_model: CostModel,
     /// Pages to read ahead on a sequential buffered stream (0 disables).
     readahead_pages: u64,
     /// The current wave of coalesced P2P reads, staged via
     /// [`OpHandler::stage`] and settled at [`OpHandler::flush`].
-    wave: Mutex<Wave>,
+    wave: Mutex<ReadWave>,
     /// The extent-lease control plane, shared across every proxy when
     /// the boot path wires one system (each proxy grants and recalls
     /// against the same books).
@@ -186,10 +189,11 @@ impl FsProxy {
             crosses_numa,
             stats,
             faults: Arc::new(EngineFaults::new()),
-            buffered_open: Mutex::new(HashSet::new()),
-            last_read_end: Mutex::new(HashMap::new()),
+            buffered_open: Mutex::default(),
+            last_read_end: Mutex::default(),
+            cost_model: CostModel::paper_default(),
             readahead_pages: 8,
-            wave: Mutex::new(Wave::default()),
+            wave: Mutex::default(),
             lease_mgr,
             holds,
             bell,
@@ -559,13 +563,7 @@ impl FsProxy {
             let h = self.coproc_window.map(Side::Host);
             // SAFETY: the stub owns [buf_addr, buf_addr+count) exclusively
             // for the duration of this call (driver contract).
-            unsafe {
-                h.adaptive_write(
-                    &solros_pcie::cost::CostModel::paper_default(),
-                    buf_addr as usize,
-                    &buf,
-                )
-            };
+            unsafe { h.adaptive_write(&self.cost_model, buf_addr as usize, &buf) };
             // Sequential stream on the buffered path: warm the shared
             // cache ahead of the next request (§4.3.2's prefetch).
             if sequential && self.readahead_pages > 0 {
@@ -584,7 +582,8 @@ impl FsProxy {
     /// Builds and submits the vectored NVMe batch for a P2P read.
     fn p2p_read(&self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<(), RpcErr> {
         let extents = self.fs.fiemap(ino, offset, count).map_err(rpc_err)?;
-        let cmds = Self::extent_cmds(&extents, &self.coproc_window, buf_addr, true);
+        let mut cmds = Vec::new();
+        Self::extent_cmds(&extents, &self.coproc_window, buf_addr, true, &mut cmds);
         self.submit_with_retry(&cmds)
     }
 
@@ -621,7 +620,8 @@ impl FsProxy {
                 .fs
                 .fiemap_allocated(ino, offset, map_len)
                 .map_err(rpc_err)?;
-            let cmds = Self::extent_cmds(&extents, &self.coproc_window, buf_addr, false);
+            let mut cmds = Vec::new();
+            Self::extent_cmds(&extents, &self.coproc_window, buf_addr, false, &mut cmds);
             self.submit_with_retry(&cmds)?;
             self.fs.extend_size(ino, offset + count).map_err(rpc_err)?;
             // Coherence: drop any cached pages the DMA just bypassed.
@@ -642,14 +642,14 @@ impl FsProxy {
     }
 
     /// Splits extents into MDTS-sized NVMe commands targeting consecutive
-    /// window offsets.
+    /// window offsets, appended to `cmds`.
     fn extent_cmds(
         extents: &[solros_fs::Extent],
         window: &Arc<Window>,
         buf_addr: u64,
         is_read: bool,
-    ) -> Vec<NvmeCommand> {
-        let mut cmds = Vec::new();
+        cmds: &mut Vec<NvmeCommand>,
+    ) {
         let mut cursor = buf_addr;
         for e in extents {
             let mut lba = e.start;
@@ -675,7 +675,6 @@ impl FsProxy {
                 cursor += n * BLOCK_SIZE as u64;
             }
         }
-        cmds
     }
 
     /// Submits one vectored batch; retries individual transient failures.
@@ -724,7 +723,7 @@ impl FsProxy {
         offset: u64,
         count: u64,
         buf_addr: u64,
-        wave: &mut Wave,
+        wave: &mut ReadWave,
     ) -> Option<(u64, Range<usize>)> {
         let size = self.fs.size_of(ino).ok()?;
         if offset >= size {
@@ -734,16 +733,19 @@ impl FsProxy {
         if !self.read_path_is_p2p(ino, offset, count) {
             return None;
         }
-        let extents = self.fs.fiemap(ino, offset, count).ok()?;
+        self.fs
+            .fiemap_into(ino, offset, count, &mut wave.extents)
+            .ok()?;
         self.last_read_end.lock().insert(ino, offset + count);
         self.stats.p2p_reads.fetch_add(1, Ordering::Relaxed);
         let start = wave.cmds.len();
-        wave.cmds.extend(Self::extent_cmds(
-            &extents,
+        Self::extent_cmds(
+            &wave.extents,
             &self.coproc_window,
             buf_addr,
             true,
-        ));
+            &mut wave.cmds,
+        );
         Some((count, start..wave.cmds.len()))
     }
 }
@@ -751,16 +753,16 @@ impl FsProxy {
 impl OpHandler for FsProxy {
     type Req = FsRequest;
 
-    fn encode_err(&self, tag: u32, err: RpcErr) -> Vec<u8> {
-        FsResponse::Error { err }.encode(tag)
+    fn encode_err(&self, tag: u32, err: RpcErr, reply: &mut Vec<u8>) {
+        FsResponse::Error { err }.encode_into(tag, reply)
     }
 
     fn classify(&self, _lane: usize, req: &FsRequest) -> (usize, u64) {
         classify(req)
     }
 
-    fn exec(&self, _lane: usize, tag: u32, req: FsRequest) -> Vec<u8> {
-        self.handle(req).encode(tag)
+    fn exec(&self, _lane: usize, tag: u32, req: FsRequest, reply: &mut Vec<u8>) {
+        self.handle(req).encode_into(tag, reply)
     }
 
     fn workers(&self) -> usize {
@@ -867,24 +869,29 @@ impl OpHandler for FsProxy {
     /// two halves of the same symmetric pipeline (DESIGN.md §12).
     ///
     /// [`ReplySettler`]: crate::proxy_engine::ReplySettler
-    fn flush(&self, reply: &mut dyn FnMut(usize, Vec<u8>)) {
+    fn flush(&self, reply: &mut dyn FnMut(usize, &[u8])) {
         let mut wave = self.wave.lock();
-        if wave.reads.is_empty() {
-            wave.cmds.clear();
-            return;
-        }
-        let results = self.fs.device().submit_vectored(&wave.cmds);
-        let Wave { cmds, reads } = &mut *wave;
-        for r in reads.drain(..) {
-            let resp = match self.settle_span(cmds, &results, r.span) {
-                Ok(()) => FsResponse::Read { count: r.count },
-                Err(e) => FsResponse::Error { err: e },
-            };
-            let mut frame = resp.encode(r.tag);
-            if let Some(c) = r.credit {
-                stamp_credit(&mut frame, c);
+        let ReadWave {
+            cmds,
+            reads,
+            results,
+            frame,
+            ..
+        } = &mut *wave;
+        if !reads.is_empty() {
+            self.fs.device().submit_vectored_into(cmds, results);
+            for r in reads.drain(..) {
+                let resp = match self.settle_span(cmds, results, r.span) {
+                    Ok(()) => FsResponse::Read { count: r.count },
+                    Err(e) => FsResponse::Error { err: e },
+                };
+                frame.clear();
+                resp.encode_into(r.tag, frame);
+                if let Some(c) = r.credit {
+                    stamp_credit(frame, c);
+                }
+                reply(0, frame);
             }
-            reply(0, frame);
         }
         cmds.clear();
     }
@@ -923,9 +930,17 @@ struct StagedRead {
     charged: u64,
 }
 
-/// One drain cycle's worth of coalesced P2P reads.
+/// One drain cycle's worth of coalesced P2P reads, and the scratch the
+/// cycle works in: every vector here is cleared and refilled wave after
+/// wave, never rebuilt.
 #[derive(Default)]
-struct Wave {
+struct ReadWave {
     cmds: Vec<NvmeCommand>,
     reads: Vec<StagedRead>,
+    /// The extent map of the read being staged.
+    extents: Vec<solros_fs::Extent>,
+    /// Per-command statuses of the wave's one vectored submission.
+    results: Vec<Result<(), NvmeError>>,
+    /// The reply frame being encoded.
+    frame: Vec<u8>,
 }

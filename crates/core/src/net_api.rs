@@ -80,6 +80,14 @@ impl NetShared {
     }
 }
 
+/// Decodes a reply where it lies; an undecodable one is an I/O error.
+fn decode_reply(reply: &[u8]) -> NetResponse {
+    match NetResponse::decode(reply) {
+        Ok((_, resp)) => resp,
+        Err(_) => NetResponse::Error { err: RpcErr::Io },
+    }
+}
+
 /// Runs the event dispatcher loop (§4.4.2). One thread per co-processor.
 fn dispatch_loop(
     evt_rx: Consumer,
@@ -90,10 +98,10 @@ fn dispatch_loop(
     let bell = Arc::clone(&shared.evt_bell);
     let mut sleeper = Sleeper::new(WaitPolicy::parking(), &bell);
     while !shutdown.load(Ordering::Relaxed) {
-        match evt_rx.recv() {
-            Ok(frame) => {
+        match evt_rx.recv_with(NetEvent::decode) {
+            Ok(decoded) => {
                 sleeper.progress();
-                let Ok(ev) = NetEvent::decode(&frame) else {
+                let Ok(ev) = decoded else {
                     continue;
                 };
                 let mut g = shared.inner.lock();
@@ -108,8 +116,12 @@ fn dispatch_loop(
                             // the ring: refuse the connection instead of
                             // queueing an orphan no accept will reach.
                             drop(g);
-                            let tag = client.tag();
-                            let _ = client.call(tag, NetRequest::Close { sock: conn }.encode(tag));
+                            client.call_with(
+                                |tag, frame| {
+                                    NetRequest::Close { sock: conn }.encode_into(tag, frame)
+                                },
+                                |_| (),
+                            );
                             continue;
                         }
                         g.accept_q
@@ -163,12 +175,8 @@ impl CoprocNet {
     }
 
     fn call(&self, req: NetRequest) -> NetResponse {
-        let tag = self.client.tag();
-        let reply = self.client.call(tag, req.encode(tag));
-        match NetResponse::decode(&reply) {
-            Ok((_, resp)) => resp,
-            Err(_) => NetResponse::Error { err: RpcErr::Io },
-        }
+        self.client
+            .call_with(|tag, frame| req.encode_into(tag, frame), decode_reply)
     }
 
     /// Issues a raw socket RPC — the §5 one-to-one syscall mapping,
@@ -239,8 +247,11 @@ impl CoprocNet {
     /// Enqueues a socket RPC without waiting — the submission half of
     /// [`CoprocNet::raw_call`]. Redeem with [`PendingNet::wait`].
     pub fn submit_call(&self, req: NetRequest) -> Result<PendingNet, RpcErr> {
-        let tag = self.client.tag();
-        let token = self.client.submit(tag, req.encode(tag))?;
+        self.submit_encoded(|tag, frame| req.encode_into(tag, frame))
+    }
+
+    fn submit_encoded(&self, encode: impl FnOnce(u32, &mut Vec<u8>)) -> Result<PendingNet, RpcErr> {
+        let token = self.client.submit_encoded(false, encode)?;
         Ok(PendingNet { token })
     }
 }
@@ -260,11 +271,7 @@ impl PendingNet {
 
     /// Blocks until the reply arrives and decodes it.
     pub fn wait(self, net: &CoprocNet) -> NetResponse {
-        let reply = net.client.wait(self.token);
-        match NetResponse::decode(&reply) {
-            Ok((_, resp)) => resp,
-            Err(_) => NetResponse::Error { err: RpcErr::Io },
-        }
+        net.client.wait_with(self.token, decode_reply)
     }
 }
 
@@ -272,7 +279,10 @@ impl PendingNet {
 /// all in flight at once.
 #[must_use = "a submitted send completes only when waited on"]
 pub struct PendingSend {
-    chunks: Vec<PendingNet>,
+    /// The first chunk, held inline: a send of one chunk (up to 8 KiB)
+    /// allocates nothing for its handle.
+    first: Option<PendingNet>,
+    rest: Vec<PendingNet>,
 }
 
 impl PendingSend {
@@ -280,7 +290,7 @@ impl PendingSend {
     pub fn wait(self, net: &CoprocNet) -> Result<usize, RpcErr> {
         let mut sent = 0;
         let mut first_err = None;
-        for p in self.chunks {
+        for p in self.first.into_iter().chain(self.rest) {
             match p.wait(net) {
                 NetResponse::Sent { count } => sent += count as usize,
                 NetResponse::Error { err } => first_err = first_err.or(Some(err)),
@@ -390,10 +400,11 @@ impl TcpStream {
         const CHUNK: usize = 8 * 1024;
         let mut sent = 0;
         for chunk in data.chunks(CHUNK.max(1)) {
-            match self.net.call(NetRequest::Send {
-                sock: self.sock,
-                data: chunk.to_vec(),
-            }) {
+            // Encoded from the caller's slice: no owned request is built.
+            match self.net.client.call_with(
+                |tag, frame| NetRequest::encode_send_into(tag, self.sock, chunk, frame),
+                decode_reply,
+            ) {
                 NetResponse::Sent { count } => sent += count as usize,
                 NetResponse::Error { err } => return Err(err),
                 _ => return Err(RpcErr::Io),
@@ -451,22 +462,25 @@ impl TcpStream {
     /// keeps the request ring full instead of round-tripping per chunk.
     pub fn submit_send(&self, data: &[u8]) -> Result<PendingSend, RpcErr> {
         const CHUNK: usize = 8 * 1024;
-        let mut chunks = Vec::new();
+        let mut pending = PendingSend {
+            first: None,
+            rest: Vec::new(),
+        };
         for chunk in data.chunks(CHUNK) {
-            match self.net.submit_call(NetRequest::Send {
-                sock: self.sock,
-                data: chunk.to_vec(),
+            match self.net.submit_encoded(|tag, frame| {
+                NetRequest::encode_send_into(tag, self.sock, chunk, frame)
             }) {
-                Ok(p) => chunks.push(p),
+                Ok(p) if pending.first.is_none() => pending.first = Some(p),
+                Ok(p) => pending.rest.push(p),
                 Err(e) => {
                     // Ring or window full: settle what is already in
                     // flight, then report.
-                    let _ = PendingSend { chunks }.wait(&self.net);
+                    let _ = pending.wait(&self.net);
                     return Err(e);
                 }
             }
         }
-        Ok(PendingSend { chunks })
+        Ok(pending)
     }
 
     /// Enqueues a polled-path receive of up to `max` bytes without

@@ -13,6 +13,7 @@ use solros_proto::rpc_error::RpcErr;
 use solros_proto::{AdmitRequest, AdmittedFrame};
 use solros_qos::{Dispatch, HostGate, TenantLedger, Verdict};
 use solros_ringbuf::{Consumer, Doorbell, Producer};
+use solros_simkit::IntMap;
 
 use crate::waitpolicy::{Sleeper, WaitPolicy};
 
@@ -41,15 +42,17 @@ pub trait OpHandler: Send + Sync {
     /// The request family served (decoded once at admission).
     type Req: AdmitRequest + Send + 'static;
 
-    /// Encodes an error reply for `tag` (the engine settles sheds,
-    /// malformed frames, and contained panics uniformly through this).
-    fn encode_err(&self, tag: u32, err: RpcErr) -> Vec<u8>;
+    /// Appends an encoded error reply for `tag` to `reply` (the engine
+    /// settles sheds, malformed frames, and contained panics uniformly
+    /// through this).
+    fn encode_err(&self, tag: u32, err: RpcErr, reply: &mut Vec<u8>);
 
     /// Maps a request to `(flow index, payload bytes)` for the QoS gate.
     fn classify(&self, lane: usize, req: &Self::Req) -> (usize, u64);
 
-    /// Executes one request, returning the encoded reply frame.
-    fn exec(&self, lane: usize, tag: u32, req: Self::Req) -> Vec<u8>;
+    /// Executes one request, appending the encoded reply frame to
+    /// `reply` — a buffer its caller reuses from request to request.
+    fn exec(&self, lane: usize, tag: u32, req: Self::Req, reply: &mut Vec<u8>);
 
     /// Worker-pool width; 0 executes inline on the engine thread.
     fn workers(&self) -> usize {
@@ -81,7 +84,7 @@ pub trait OpHandler: Send + Sync {
     }
 
     /// Flushes staged work, emitting `(lane, reply frame)` per completion.
-    fn flush(&self, reply: &mut dyn FnMut(usize, Vec<u8>)) {
+    fn flush(&self, reply: &mut dyn FnMut(usize, &[u8])) {
         let _ = reply;
     }
 
@@ -180,11 +183,14 @@ pub struct ProxyEngine<H: OpHandler> {
     /// Deferral (the lock model) applies regardless; this gates only the
     /// promotion, so the inheritance effect can be measured on/off.
     inherit: bool,
-    holders: HashMap<u64, HolderRec>,
-    waiting: HashMap<u64, Vec<ReadyJob<H::Req>>>,
+    holders: IntMap<u64, HolderRec>,
+    waiting: IntMap<u64, Vec<ReadyJob<H::Req>>>,
     ready_backlog: Vec<ReadyJob<H::Req>>,
     /// Completed exclusive holds, pushed by workers, drained per cycle.
     releases: Arc<Mutex<Vec<(u64, usize)>>>,
+    /// The engine thread's reply frame, rebuilt in place per request and
+    /// copied once, into its lane's settlement wave.
+    reply: Vec<u8>,
     /// Replicated tenant ledger; admitted work is charged here, batched
     /// to one log append per (tenant, admission burst).
     ledger: Option<Arc<TenantLedger>>,
@@ -223,10 +229,11 @@ impl<H: OpHandler> ProxyEngine<H> {
             gate,
             epoch: Instant::now(),
             inherit: true,
-            holders: HashMap::new(),
-            waiting: HashMap::new(),
+            holders: IntMap::default(),
+            waiting: IntMap::default(),
             ready_backlog: Vec::new(),
             releases: Arc::new(Mutex::new(Vec::new())),
+            reply: Vec::new(),
             ledger: None,
             health: None,
         }
@@ -424,7 +431,8 @@ impl<H: OpHandler> ProxyEngine<H> {
             owed.push((part.lane, part.tag, part.credit, part.tenant, part.bytes));
         }
         for (lane, tag, credit, tenant, bytes) in owed {
-            let mut frame = self.handler.encode_err(tag, RpcErr::Gone);
+            let mut frame = Vec::new();
+            self.handler.encode_err(tag, RpcErr::Gone, &mut frame);
             if let Some(c) = credit {
                 stamp_credit(&mut frame, c);
             }
@@ -514,21 +522,12 @@ impl<H: OpHandler> ProxyEngine<H> {
         let mut charges: HashMap<u8, (u64, u64)> = HashMap::new();
         for lane in 0..self.lanes.len() {
             for _ in 0..ADMIT_BURST {
-                let Ok(frame) = self.lanes[lane].req_rx.recv() else {
+                let Some(admitted) = self.admit_one(lane) else {
                     break;
                 };
                 progressed = true;
-                let admitted = match AdmittedFrame::<H::Req>::decode(&frame) {
-                    Ok(a) => a,
-                    Err(_) => {
-                        self.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                        // Echo the header tag when it survived so the
-                        // error reply stays routable at the submitter.
-                        let tag = peek_tag(&frame).unwrap_or(0);
-                        let reply = self.handler.encode_err(tag, RpcErr::Invalid);
-                        self.post(lane, reply);
-                        continue;
-                    }
+                let Ok(admitted) = admitted else {
+                    continue;
                 };
                 let (class_flow, bytes) = self.handler.classify(lane, &admitted.req);
                 let touch = self.handler.touches(&admitted.req);
@@ -563,9 +562,7 @@ impl<H: OpHandler> ProxyEngine<H> {
                     Verdict::Shed { item, .. } => {
                         let credit = gate.credit(flow);
                         self.stats.sheds.fetch_add(1, Ordering::Relaxed);
-                        let mut reply = self.handler.encode_err(item.tag, RpcErr::Overloaded);
-                        stamp_credit(&mut reply, credit);
-                        self.post(lane, reply);
+                        self.post_err(lane, item.tag, RpcErr::Overloaded, Some(credit));
                     }
                 }
             }
@@ -604,9 +601,7 @@ impl<H: OpHandler> ProxyEngine<H> {
             progressed = true;
             if shed {
                 self.stats.sheds.fetch_add(1, Ordering::Relaxed);
-                let mut reply = self.handler.encode_err(job.tag, RpcErr::Overloaded);
-                stamp_credit(&mut reply, credit);
-                self.post(job.lane, reply);
+                self.post_err(job.lane, job.tag, RpcErr::Overloaded, Some(credit));
                 // A shed exclusive never executes: release its hold now.
                 if let Some((res, Access::Exclusive)) = job.touch {
                     self.release_one(res, flow);
@@ -646,36 +641,45 @@ impl<H: OpHandler> ProxyEngine<H> {
         let mut progressed = false;
         for lane in 0..self.lanes.len() {
             for _ in 0..DRAIN_BURST {
-                let Ok(frame) = self.lanes[lane].req_rx.recv() else {
+                let Some(admitted) = self.admit_one(lane) else {
                     break;
                 };
                 progressed = true;
-                match AdmittedFrame::<H::Req>::decode(&frame) {
-                    Ok(a) => {
-                        let job = ReadyJob {
-                            lane,
-                            tag: a.tag,
-                            credit: None,
-                            req: a.req,
-                            release: None,
-                            tenant: a.tenant,
-                        };
-                        if a.flags & FLAG_BARRIER != 0 {
-                            self.barrier(pool, job);
-                        } else {
-                            self.route(pool, job);
-                        }
-                    }
-                    Err(_) => {
-                        self.stats.malformed.fetch_add(1, Ordering::Relaxed);
-                        let tag = peek_tag(&frame).unwrap_or(0);
-                        let reply = self.handler.encode_err(tag, RpcErr::Invalid);
-                        self.post(lane, reply);
-                    }
+                let Ok(a) = admitted else {
+                    continue;
+                };
+                let job = ReadyJob {
+                    lane,
+                    tag: a.tag,
+                    credit: None,
+                    req: a.req,
+                    release: None,
+                    tenant: a.tenant,
+                };
+                if a.flags & FLAG_BARRIER != 0 {
+                    self.barrier(pool, job);
+                } else {
+                    self.route(pool, job);
                 }
             }
         }
         progressed
+    }
+
+    /// Takes the next frame off `lane`'s request ring and decodes it
+    /// where the ring staged it — once, with no copy of the frame.
+    /// `None`: the ring is empty. `Some(Err(()))`: the frame was
+    /// malformed and has been answered.
+    fn admit_one(&mut self, lane: usize) -> Option<Result<AdmittedFrame<H::Req>, ()>> {
+        let decoded = self.lanes[lane].req_rx.recv_with(|frame| {
+            // Echo the header tag when it survived so the error reply
+            // stays routable at the submitter.
+            AdmittedFrame::<H::Req>::decode(frame).map_err(|_| peek_tag(frame).unwrap_or(0))
+        });
+        Some(decoded.ok()?.map_err(|tag| {
+            self.stats.malformed.fetch_add(1, Ordering::Relaxed);
+            self.post_err(lane, tag, RpcErr::Invalid, None);
+        }))
     }
 
     /// Parks a shared-access job behind an exclusively-held resource,
@@ -790,11 +794,20 @@ impl<H: OpHandler> ProxyEngine<H> {
             release,
             ..
         } = job;
-        let mut reply = exec_contained(&*self.handler, &self.faults, &self.stats, lane, tag, req);
+        self.reply.clear();
+        exec_contained(
+            &*self.handler,
+            &self.faults,
+            &self.stats,
+            lane,
+            tag,
+            req,
+            &mut self.reply,
+        );
         if let Some(c) = credit {
-            stamp_credit(&mut reply, c);
+            stamp_credit(&mut self.reply, c);
         }
-        self.post(lane, reply);
+        self.settler.post_slice(lane, &self.reply);
         if let Some((res, flow)) = release {
             self.release_one(res, flow);
         }
@@ -855,7 +868,7 @@ impl<H: OpHandler> ProxyEngine<H> {
     fn flush_handler(&mut self) {
         let handler = Arc::clone(&self.handler);
         let settler = Arc::clone(&self.settler);
-        handler.flush(&mut |lane, frame| settler.post(lane, frame));
+        handler.flush(&mut |lane, frame| settler.post_slice(lane, frame));
     }
 
     /// Completes in-flight work at shutdown so nothing is left parked.
@@ -875,15 +888,20 @@ impl<H: OpHandler> ProxyEngine<H> {
         self.settler.settle();
     }
 
-    /// Buffers one reply for the lane's next settlement wave.
-    fn post(&self, lane: usize, frame: Vec<u8>) {
-        self.settler.post(lane, frame);
+    /// Buffers an error reply for the lane's next settlement wave.
+    fn post_err(&mut self, lane: usize, tag: u32, err: RpcErr, credit: Option<u8>) {
+        self.reply.clear();
+        self.handler.encode_err(tag, err, &mut self.reply);
+        if let Some(c) = credit {
+            stamp_credit(&mut self.reply, c);
+        }
+        self.settler.post_slice(lane, &self.reply);
     }
 }
 
-/// Executes one request with panic containment: a panicking handler (a
-/// proxy bug or an armed [`EngineFaults`] charge) yields an `Io` error
-/// reply instead of taking down the serve loop.
+/// Executes one request into `reply` with panic containment: a panicking
+/// handler (a proxy bug or an armed [`EngineFaults`] charge) yields an
+/// `Io` error reply instead of taking down the serve loop.
 fn exec_contained<H: OpHandler>(
     handler: &H,
     faults: &EngineFaults,
@@ -891,19 +909,23 @@ fn exec_contained<H: OpHandler>(
     lane: usize,
     tag: u32,
     req: H::Req,
-) -> Vec<u8> {
+    reply: &mut Vec<u8>,
+) {
     stats.rpcs.fetch_add(1, Ordering::Relaxed);
     let armed = faults.take_worker_panic();
+    let start = reply.len();
     let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if armed {
             panic!("injected proxy worker panic");
         }
-        handler.exec(lane, tag, req)
+        handler.exec(lane, tag, req, reply)
     }));
-    out.unwrap_or_else(|_| {
+    if out.is_err() {
         stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-        handler.encode_err(tag, RpcErr::Io)
-    })
+        // Whatever the handler wrote before it died is not a reply.
+        reply.truncate(start);
+        handler.encode_err(tag, RpcErr::Io, reply);
+    }
 }
 
 /// Worker-pool loop: executes ready jobs out of order until the queue
@@ -919,6 +941,8 @@ fn worker_loop<H: OpHandler>(
     releases: &Mutex<Vec<(u64, usize)>>,
     bell: &Doorbell,
 ) {
+    // This worker's reply frame, rebuilt in place per job.
+    let mut reply = Vec::new();
     while let Some(job) = jobs.pop() {
         let ReadyJob {
             lane,
@@ -928,11 +952,12 @@ fn worker_loop<H: OpHandler>(
             release,
             ..
         } = job;
-        let mut reply = exec_contained(handler, faults, stats, lane, tag, req);
+        reply.clear();
+        exec_contained(handler, faults, stats, lane, tag, req, &mut reply);
         if let Some(c) = credit {
             stamp_credit(&mut reply, c);
         }
-        settler.post(lane, reply);
+        settler.post_slice(lane, &reply);
         if let Some(r) = release {
             releases.lock().push(r);
         }
@@ -1030,8 +1055,8 @@ mod tests {
     impl OpHandler for Echo {
         type Req = FsRequest;
 
-        fn encode_err(&self, tag: u32, err: RpcErr) -> Vec<u8> {
-            FsResponse::Error { err }.encode(tag)
+        fn encode_err(&self, tag: u32, err: RpcErr, reply: &mut Vec<u8>) {
+            FsResponse::Error { err }.encode_into(tag, reply)
         }
 
         fn classify(&self, _lane: usize, req: &FsRequest) -> (usize, u64) {
@@ -1041,16 +1066,16 @@ mod tests {
             }
         }
 
-        fn exec(&self, _lane: usize, tag: u32, req: FsRequest) -> Vec<u8> {
+        fn exec(&self, _lane: usize, tag: u32, req: FsRequest, reply: &mut Vec<u8>) {
             match req {
                 FsRequest::Fstat { ino } => FsResponse::Stat {
                     ino,
                     is_dir: false,
                     size: ino,
-                }
-                .encode(tag),
-                _ => FsResponse::Ok.encode(tag),
+                },
+                _ => FsResponse::Ok,
             }
+            .encode_into(tag, reply)
         }
 
         fn touches(&self, req: &FsRequest) -> Option<(u64, Access)> {
@@ -1180,20 +1205,20 @@ mod tests {
     impl OpHandler for Gated {
         type Req = FsRequest;
 
-        fn encode_err(&self, tag: u32, err: RpcErr) -> Vec<u8> {
-            FsResponse::Error { err }.encode(tag)
+        fn encode_err(&self, tag: u32, err: RpcErr, reply: &mut Vec<u8>) {
+            FsResponse::Error { err }.encode_into(tag, reply)
         }
 
         fn classify(&self, _lane: usize, _req: &FsRequest) -> (usize, u64) {
             (0, 0)
         }
 
-        fn exec(&self, _lane: usize, tag: u32, _req: FsRequest) -> Vec<u8> {
+        fn exec(&self, _lane: usize, tag: u32, _req: FsRequest, reply: &mut Vec<u8>) {
             let mut open = self.open.lock();
             while !*open {
                 self.opened.wait(&mut open);
             }
-            FsResponse::Ok.encode(tag)
+            FsResponse::Ok.encode_into(tag, reply)
         }
 
         fn workers(&self) -> usize {

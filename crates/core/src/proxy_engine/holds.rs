@@ -12,12 +12,12 @@
 //! engine consults the table when routing and parks conflicting RPC
 //! jobs until the recall protocol settles the lease.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use solros_lease::RecallSink;
 use solros_ringbuf::Doorbell;
+use solros_simkit::IntMap;
 
 /// Per-resource external hold counts: `(writers, readers)`.
 ///
@@ -26,7 +26,7 @@ use solros_ringbuf::Doorbell;
 /// an RPC read coexists with a read lease just fine).
 #[derive(Debug, Default)]
 pub struct ExternalHolds {
-    held: Mutex<HashMap<u64, (u64, u64)>>,
+    held: Mutex<IntMap<u64, (u64, u64)>>,
     /// Resources whose hold count dropped, pending an engine drain.
     /// Every `free` pushes here unconditionally so the engine never
     /// misses a wakeup for a job parked between check and settle.

@@ -508,6 +508,12 @@ struct TcpState {
     /// Pending accepts for non-evented (RPC-polling) listeners.
     pending_accepts: HashMap<SockId, VecDeque<(SockId, u64)>>,
     next_sock: SockId,
+    /// The event frame being encoded for an event ring.
+    evt_frame: Vec<u8>,
+    /// Home ports, copied out for one poll round's NIC scan.
+    scan_ports: Vec<u16>,
+    /// Evented connections, copied out for one poll round's data scan.
+    scan_conns: Vec<SockId>,
 }
 
 /// One staged small `Send` awaiting its run's coalesced backend write.
@@ -522,6 +528,7 @@ struct StagedSend {
 
 /// Contiguous small `Send`s on one `(lane, socket)`, coalesced into one
 /// backend write and one reply wave.
+#[derive(Default)]
 struct SendRun {
     data: Vec<u8>,
     parts: Vec<StagedSend>,
@@ -534,6 +541,31 @@ struct SendRun {
 struct SendStage {
     runs: Vec<((usize, SockId), SendRun)>,
     done: Vec<(usize, Vec<u8>)>,
+    /// Settled runs, emptied, whose buffers the next runs start from.
+    spare: Vec<SendRun>,
+    /// The reply frame being encoded.
+    frame: Vec<u8>,
+}
+
+impl SendStage {
+    /// The staged run for `key`, started if there is none.
+    fn run_mut(&mut self, key: (usize, SockId)) -> &mut SendRun {
+        let i = match self.runs.iter().position(|(k, _)| *k == key) {
+            Some(i) => i,
+            None => {
+                self.runs.push((key, self.spare.pop().unwrap_or_default()));
+                self.runs.len() - 1
+            }
+        };
+        &mut self.runs[i].1
+    }
+
+    /// Keeps a settled run's buffers for the next run.
+    fn recycle(&mut self, mut run: SendRun) {
+        run.data.clear();
+        run.parts.clear();
+        self.spare.push(run);
+    }
 }
 
 /// One NUMA domain's TCP proxy shard.
@@ -664,6 +696,9 @@ impl TcpProxy {
                     // Stride allocation keeps sock ids globally unique
                     // without cross-shard coordination.
                     next_sock: shard as SockId + 1,
+                    evt_frame: Vec::new(),
+                    scan_ports: Vec::new(),
+                    scan_conns: Vec::new(),
                 }),
                 send_stage: Mutex::new(SendStage::default()),
                 qos: Mutex::new(None),
@@ -1193,14 +1228,18 @@ impl TcpProxy {
     /// routes them via the balancer replica. Returns true when any work
     /// happened.
     fn poll_accepts(&self, st: &mut TcpState) -> bool {
-        let ports: Vec<u16> = st
-            .registry
-            .iter()
-            .filter(|(_, rec)| rec.home == self.shard)
-            .map(|(p, _)| *p)
-            .collect();
+        // Routing mutates the registry, so the scan runs over a copy — in
+        // a vector kept from round to round.
+        let mut ports = std::mem::take(&mut st.scan_ports);
+        ports.clear();
+        ports.extend(
+            st.registry
+                .iter()
+                .filter(|(_, rec)| rec.home == self.shard)
+                .map(|(p, _)| *p),
+        );
         let mut worked = false;
-        for port in ports {
+        for &port in &ports {
             while let Ok(Some((conn, client_addr))) = self.network.poll_accept(port) {
                 worked = true;
                 // A port can lose its last proxy-side listener between the
@@ -1235,6 +1274,7 @@ impl TcpProxy {
                 }
             }
         }
+        st.scan_ports = ports;
         worked
     }
 
@@ -1285,7 +1325,7 @@ impl TcpProxy {
                 conn: conn_sock,
                 peer_addr: h.client_addr,
             };
-            self.push_event(coproc, &ev);
+            self.push_event(&mut st.evt_frame, coproc, &ev);
         } else {
             st.pending_accepts
                 .entry(h.listener)
@@ -1309,8 +1349,12 @@ impl TcpProxy {
     /// Pulls inbound data for evented connections into event rings.
     fn poll_data(&self, st: &mut TcpState) -> bool {
         let mut worked = false;
-        let conns: Vec<SockId> = st.evented_conns.clone();
-        for sock in conns {
+        // Closes edit `evented_conns`, so the scan runs over a copy — in
+        // a vector kept from round to round.
+        let mut conns = std::mem::take(&mut st.scan_conns);
+        conns.clear();
+        conns.extend_from_slice(&st.evented_conns);
+        for &sock in &conns {
             let Some(rec) = st.socks.get(&sock) else {
                 continue;
             };
@@ -1322,7 +1366,7 @@ impl TcpProxy {
                 Ok(data) if data.is_empty() => {}
                 Ok(data) => {
                     worked = true;
-                    self.push_event(coproc, &NetEvent::Data { sock, data });
+                    self.push_event(&mut st.evt_frame, coproc, &NetEvent::Data { sock, data });
                 }
                 Err(NetworkError::Closed) => {
                     let mut closed_slot = None;
@@ -1331,7 +1375,7 @@ impl TcpProxy {
                         if !rec.close_sent {
                             rec.close_sent = true;
                             worked = true;
-                            self.push_event(coproc, &NetEvent::Closed { sock });
+                            self.push_event(&mut st.evt_frame, coproc, &NetEvent::Closed { sock });
                         }
                     }
                     if let Some(slot) = closed_slot {
@@ -1348,17 +1392,20 @@ impl TcpProxy {
                 }
             }
         }
+        st.scan_conns = conns;
         worked
     }
 
-    fn push_event(&self, coproc: usize, ev: &NetEvent) {
+    fn push_event(&self, frame: &mut Vec<u8>, coproc: usize, ev: &NetEvent) {
         self.stats.events.fetch_add(1, Ordering::Relaxed);
         let lane = self
             .coprocs
             .iter()
             .position(|&c| c == coproc)
             .unwrap_or(coproc.min(self.evt_tx.len().saturating_sub(1)));
-        if self.evt_tx[lane].send_blocking(&ev.encode()).is_err() {
+        frame.clear();
+        ev.encode_into(frame);
+        if self.evt_tx[lane].send_blocking(frame).is_err() {
             // The only enqueue failure left after the blocking retry is
             // an event larger than the ring accepts; the co-processor
             // never sees it. Count the loss instead of hiding it — E8
@@ -1367,11 +1414,18 @@ impl TcpProxy {
         }
     }
 
-    /// Executes one coalesced run's backend write and encodes its reply
+    /// Executes one coalesced run's backend write and emits its reply
     /// wave — each part answered exactly as the unbatched `Send` arm of
     /// [`TcpProxy::handle`] would have (the fabric accepts whole writes,
     /// so per-part `Sent` counts are byte-identical to one-at-a-time).
-    fn run_out(&self, lane: usize, sock: SockId, run: SendRun) -> Vec<(usize, Vec<u8>)> {
+    fn run_out(
+        &self,
+        lane: usize,
+        sock: SockId,
+        run: &SendRun,
+        frame: &mut Vec<u8>,
+        reply: &mut dyn FnMut(usize, &[u8]),
+    ) {
         let outcome = {
             let mut st = self.state.lock();
             match st.socks.get_mut(&sock) {
@@ -1390,42 +1444,45 @@ impl TcpProxy {
         self.stats
             .staged_sends
             .fetch_add(run.parts.len() as u64, Ordering::Relaxed);
-        run.parts
-            .iter()
-            .map(|p| {
-                let mut frame = match outcome {
-                    Ok(()) => NetResponse::Sent {
-                        count: p.len as u64,
-                    }
-                    .encode(p.tag),
-                    Err(err) => NetResponse::Error { err }.encode(p.tag),
-                };
-                if let Some(c) = p.credit {
-                    stamp_credit(&mut frame, c);
-                }
-                (lane, frame)
-            })
-            .collect()
+        for p in &run.parts {
+            frame.clear();
+            match outcome {
+                Ok(()) => NetResponse::Sent {
+                    count: p.len as u64,
+                },
+                Err(err) => NetResponse::Error { err },
+            }
+            .encode_into(p.tag, frame);
+            if let Some(c) = p.credit {
+                stamp_credit(frame, c);
+            }
+            reply(lane, frame);
+        }
+    }
+
+    /// Settles the staged run at `i` right now, ahead of the cycle flush:
+    /// its replies park in `done` and ride the next wave flush.
+    fn run_out_early(&self, stage: &mut SendStage, i: usize) {
+        let ((lane, sock), run) = stage.runs.remove(i);
+        let SendStage { done, frame, .. } = stage;
+        self.run_out(lane, sock, &run, frame, &mut |l, f| {
+            done.push((l, f.to_vec()))
+        });
+        stage.recycle(run);
     }
 
     /// Settles every staged run touching `sock` right now, preserving
     /// program order ahead of an about-to-execute large send, `Close`,
-    /// or `Shutdown` on the same socket. Replies park in `done` and ride
-    /// the next wave flush.
+    /// or `Shutdown` on the same socket.
     fn flush_sock(&self, sock: SockId) {
         let mut stage = self.send_stage.lock();
-        let mut extracted = Vec::new();
         let mut i = 0;
         while i < stage.runs.len() {
             if stage.runs[i].0 .1 == sock {
-                extracted.push(stage.runs.remove(i));
+                self.run_out_early(&mut stage, i);
             } else {
                 i += 1;
             }
-        }
-        for ((lane, s), run) in extracted {
-            let replies = self.run_out(lane, s, run);
-            stage.done.extend(replies);
         }
     }
 }
@@ -1433,8 +1490,8 @@ impl TcpProxy {
 impl OpHandler for TcpProxy {
     type Req = NetRequest;
 
-    fn encode_err(&self, tag: u32, err: RpcErr) -> Vec<u8> {
-        NetResponse::Error { err }.encode(tag)
+    fn encode_err(&self, tag: u32, err: RpcErr, reply: &mut Vec<u8>) {
+        NetResponse::Error { err }.encode_into(tag, reply)
     }
 
     /// Flow index `lane * 2 + class offset`, matching the per-co-processor
@@ -1444,8 +1501,8 @@ impl OpHandler for TcpProxy {
         (lane * 2 + off, bytes)
     }
 
-    fn exec(&self, lane: usize, tag: u32, req: NetRequest) -> Vec<u8> {
-        self.handle(lane, req).encode(tag)
+    fn exec(&self, lane: usize, tag: u32, req: NetRequest, reply: &mut Vec<u8>) {
+        self.handle(lane, req).encode_into(tag, reply)
     }
 
     /// Coalesces small `Send`s: consecutive sub-[`STAGE_SEND_MAX`] sends
@@ -1468,19 +1525,7 @@ impl OpHandler for TcpProxy {
             NetRequest::Send { sock, data } if data.len() <= STAGE_SEND_MAX => {
                 let mut stage = self.send_stage.lock();
                 let key = (lane, sock);
-                let run = match stage.runs.iter_mut().position(|(k, _)| *k == key) {
-                    Some(i) => &mut stage.runs[i].1,
-                    None => {
-                        stage.runs.push((
-                            key,
-                            SendRun {
-                                data: Vec::new(),
-                                parts: Vec::new(),
-                            },
-                        ));
-                        &mut stage.runs.last_mut().expect("just pushed").1
-                    }
-                };
+                let run = stage.run_mut(key);
                 run.parts.push(StagedSend {
                     tag,
                     credit,
@@ -1494,9 +1539,7 @@ impl OpHandler for TcpProxy {
                         .iter()
                         .position(|(k, _)| *k == key)
                         .expect("run present");
-                    let (_, run) = stage.runs.remove(i);
-                    let replies = self.run_out(lane, sock, run);
-                    stage.done.extend(replies);
+                    self.run_out_early(&mut stage, i);
                 }
                 None
             }
@@ -1512,21 +1555,18 @@ impl OpHandler for TcpProxy {
 
     /// Settles the staging table: cap-flushed replies first, then one
     /// coalesced backend write + reply wave per remaining run.
-    fn flush(&self, reply: &mut dyn FnMut(usize, Vec<u8>)) {
+    fn flush(&self, reply: &mut dyn FnMut(usize, &[u8])) {
         let mut stage = self.send_stage.lock();
-        if stage.done.is_empty() && stage.runs.is_empty() {
-            return;
-        }
         for (lane, frame) in stage.done.drain(..) {
-            reply(lane, frame);
+            reply(lane, &frame);
         }
-        let runs = std::mem::take(&mut stage.runs);
-        drop(stage);
-        for ((lane, sock), run) in runs {
-            for (l, f) in self.run_out(lane, sock, run) {
-                reply(l, f);
-            }
+        let mut runs = std::mem::take(&mut stage.runs);
+        for ((lane, sock), run) in runs.drain(..) {
+            self.run_out(lane, sock, &run, &mut stage.frame, reply);
+            stage.recycle(run);
         }
+        // Emptied, with its capacity.
+        stage.runs = runs;
     }
 
     /// Abandons staged-but-unexecuted send runs for the failover wreck:

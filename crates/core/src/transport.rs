@@ -26,7 +26,7 @@
 //! sibling waiter that drained this waiter's reply.
 
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -40,7 +40,8 @@ use solros_proto::codec::{
 use solros_proto::rpc_error::RpcErr;
 use solros_qos::CreditPool;
 use solros_ringbuf::ring::{RingBuf, RingConfig};
-use solros_ringbuf::{Consumer, Doorbell, Producer, RingError};
+use solros_ringbuf::{Consumer, Doorbell, Producer, RingError, Wave};
+use solros_simkit::IntMap;
 
 use crate::waitpolicy::{Sleeper, SpinBudget, WaitPolicy};
 
@@ -49,6 +50,16 @@ pub const RPC_RING_BYTES: usize = 64 * 1024;
 /// Default inbound event ring capacity. The paper sizes this generously
 /// (128 MB) to backlog inbound data; the simulation uses 4 MiB.
 pub const EVENT_RING_BYTES: usize = 4 * 1024 * 1024;
+/// Tags a client's routing table holds before it first grows: about what
+/// a full request ring of fixed-size frames keeps in flight.
+const PENDING_TAGS: usize = 1024;
+
+thread_local! {
+    /// This thread's request-encode buffer: [`RpcClient::submit_encoded`]
+    /// builds the frame here, stamps it, and copies it once, into ring
+    /// memory.
+    static FRAME: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// One co-processor's RPC plumbing for a service (FS or network).
 pub struct Channel {
@@ -116,7 +127,7 @@ enum Slot {
 /// The tag-routing table and flow-control state shared between the client
 /// and its outstanding [`Token`]s.
 struct Shared {
-    pending: Mutex<HashMap<u32, Slot>>,
+    pending: Mutex<IntMap<u32, Slot>>,
     /// What spinning on this client's response ring has earned.
     spin: SpinBudget,
     /// QoS backpressure: when present, each submission holds one in-flight
@@ -140,12 +151,11 @@ impl Shared {
     /// settled at arrival); otherwise the slot is marked abandoned so the
     /// eventual reply settles the credit instead of leaking it.
     fn abandon(&self, tag: u32) {
-        let mut g = self.pending.lock();
-        match g.remove(&tag) {
-            Some(Slot::Waiting) | Some(Slot::Abandoned) => {
-                g.insert(tag, Slot::Abandoned);
+        if let Entry::Occupied(mut slot) = self.pending.lock().entry(tag) {
+            match slot.get() {
+                Slot::Waiting | Slot::Abandoned => *slot.get_mut() = Slot::Abandoned,
+                Slot::Ready(_) => drop(slot.remove()),
             }
-            Some(Slot::Ready(_)) | None => {}
         }
     }
 }
@@ -278,7 +288,10 @@ impl RpcClient {
             next_tag: AtomicU32::new(1),
             tenant: AtomicU8::new(0),
             shared: Arc::new(Shared {
-                pending: Mutex::new(HashMap::new()),
+                pending: Mutex::new(IntMap::with_capacity_and_hasher(
+                    PENDING_TAGS,
+                    Default::default(),
+                )),
                 spin: SpinBudget::new(),
                 credits,
             }),
@@ -341,49 +354,71 @@ impl RpcClient {
 
     /// Drains one reply from the ring, routing it to its tag's slot.
     ///
-    /// Returns `Ok(Some(reply))` only when the reply matches `want`
-    /// (fast path: handed straight to the caller, slot removed).
-    /// `Ok(None)` means some other tag progressed; `Err` means the ring
-    /// had nothing ready. Credits settle here, on arrival, so a submitter
-    /// blocked on the credit window can free credits by pumping.
-    fn pump(&self, want: Option<u32>) -> Result<Option<Vec<u8>>, RingError> {
-        let reply = self.rx.read().recv()?;
-        let (rtag, grant) = decode_frame(&reply)
-            .map(|f| (f.tag, f.credit))
-            .unwrap_or((0, 0));
-        let mut g = self.shared.pending.lock();
-        if Some(rtag) == want {
-            g.remove(&rtag);
-            drop(g);
-            self.shared.settle_credit(grant);
-            return Ok(Some(reply));
+    /// Returns `Ok(Some(take(reply)))` only when the reply matches `want`
+    /// (fast path: lent to the caller where the ring staged it, slot
+    /// removed). `Ok(None)` means some other tag progressed; `Err` means
+    /// the ring had nothing ready. Credits settle here, on arrival, so a
+    /// submitter blocked on the credit window can free credits by pumping.
+    fn pump<R>(
+        &self,
+        want: Option<u32>,
+        take: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>, RingError> {
+        enum Routed<R> {
+            Mine(R),
+            /// Handed to another waiter's slot.
+            Sibling,
+            Nobody,
         }
-        match g.get_mut(&rtag) {
-            Some(slot @ Slot::Waiting) => {
-                *slot = Slot::Ready(reply);
-                drop(g);
-                self.shared.settle_credit(grant);
-                // The owner may be parked on the bell this reply's
-                // publish already rang (and this thread answered).
-                self.bell.ring();
-            }
-            Some(Slot::Abandoned) => {
+        let routed = self.rx.read().recv_with(|reply| {
+            let (rtag, grant) = decode_frame(reply)
+                .map(|f| (f.tag, f.credit))
+                .unwrap_or((0, 0));
+            let mut g = self.shared.pending.lock();
+            if Some(rtag) == want {
                 g.remove(&rtag);
                 drop(g);
                 self.shared.settle_credit(grant);
+                return Routed::Mine(take(reply));
             }
-            // Duplicate or unknown tag: nobody owns it; drop the reply
-            // without touching the credit ledger.
-            Some(Slot::Ready(_)) | None => {}
-        }
-        Ok(None)
+            let Entry::Occupied(mut slot) = g.entry(rtag) else {
+                // Unknown tag: nobody owns it; drop the reply without
+                // touching the credit ledger.
+                return Routed::Nobody;
+            };
+            let routed = match slot.get() {
+                Slot::Waiting => {
+                    *slot.get_mut() = Slot::Ready(reply.to_vec());
+                    Routed::Sibling
+                }
+                Slot::Abandoned => {
+                    slot.remove();
+                    Routed::Nobody
+                }
+                // A duplicate is dropped like an unknown tag.
+                Slot::Ready(_) => return Routed::Nobody,
+            };
+            drop(g);
+            self.shared.settle_credit(grant);
+            routed
+        })?;
+        Ok(match routed {
+            Routed::Mine(r) => Some(r),
+            Routed::Sibling => {
+                // The owner may be parked on the bell this reply's
+                // publish already rang (and this thread answered).
+                self.bell.ring();
+                None
+            }
+            Routed::Nobody => None,
+        })
     }
 
     /// Drains every reply currently available on the ring, routing each.
     /// Returns how many replies were routed.
     pub fn drain_now(&self) -> usize {
         let mut n = 0;
-        while let Ok(None) = self.pump(None) {
+        while let Ok(None) = self.pump(None, |_| ()) {
             n += 1;
         }
         n
@@ -391,14 +426,12 @@ impl RpcClient {
 
     /// Takes `tag`'s stashed reply if one has been routed to it.
     fn take_ready(&self, tag: u32) -> Option<Vec<u8>> {
-        let mut g = self.shared.pending.lock();
-        if matches!(g.get(&tag), Some(Slot::Ready(_))) {
-            match g.remove(&tag) {
-                Some(Slot::Ready(reply)) => Some(reply),
+        match self.shared.pending.lock().entry(tag) {
+            Entry::Occupied(slot) if matches!(slot.get(), Slot::Ready(_)) => match slot.remove() {
+                Slot::Ready(reply) => Some(reply),
                 _ => unreachable!("checked Ready under the lock"),
-            }
-        } else {
-            None
+            },
+            _ => None,
         }
     }
 
@@ -416,7 +449,7 @@ impl RpcClient {
     fn acquire_credit_pumping(&self, pool: &CreditPool) {
         let mut sleeper = self.sleeper();
         while !pool.try_acquire() {
-            match self.pump(None) {
+            match self.pump(None, |_| ()) {
                 Ok(_) => sleeper.progress(),
                 // Credits come back on replies, so the response ring's
                 // doorbell is what ends this wait.
@@ -445,10 +478,11 @@ impl RpcClient {
         }
     }
 
+    /// Stamps `frame` where it lies and copies it into ring memory.
     fn do_submit(
         &self,
         tag: u32,
-        mut frame: Vec<u8>,
+        frame: &mut [u8],
         flags: u8,
         block: bool,
     ) -> Result<Token, RpcErr> {
@@ -459,18 +493,18 @@ impl RpcClient {
                 return Err(RpcErr::Overloaded);
             }
         }
-        self.prep_frame(&mut frame, flags);
+        self.prep_frame(frame, flags);
         self.shared.pending.lock().insert(tag, Slot::Waiting);
         let sent = {
             let tx = self.tx.read();
             if block {
-                tx.send_blocking(&frame)
+                tx.send_blocking(frame)
             } else {
                 // Bounded retries: spin and yield through one escalation of
                 // the wait policy, then report the ring full.
                 let mut policy = WaitPolicy::new(&self.shared.spin);
                 loop {
-                    match tx.send(&frame) {
+                    match tx.send(frame) {
                         Err(RingError::WouldBlock) => {
                             if policy.pause().is_some() {
                                 break Err(RingError::WouldBlock);
@@ -497,14 +531,39 @@ impl RpcClient {
     /// completion ring while the window is closed). Fails with
     /// [`RpcErr::WouldBlock`] if the request ring stays full through the
     /// retry policy — in that case the tag and credit are fully released.
-    pub fn submit(&self, tag: u32, frame: Vec<u8>) -> Result<Token, RpcErr> {
-        self.do_submit(tag, frame, 0, false)
+    pub fn submit(&self, tag: u32, mut frame: Vec<u8>) -> Result<Token, RpcErr> {
+        self.do_submit(tag, &mut frame, 0, false)
+    }
+
+    /// Mints a tag, has `encode` build that tag's frame in this thread's
+    /// reusable buffer, and enqueues it as [`RpcClient::submit`] would
+    /// (`block`: as [`RpcClient::submit_blocking`]) — a stub's fixed-size
+    /// request costs no allocation.
+    pub fn submit_encoded(
+        &self,
+        block: bool,
+        encode: impl FnOnce(u32, &mut Vec<u8>),
+    ) -> Result<Token, RpcErr> {
+        let tag = self.tag();
+        // Taken, not borrowed: an `encode` that itself submits starts
+        // from an empty buffer instead of failing.
+        let mut frame = FRAME.take();
+        frame.clear();
+        encode(tag, &mut frame);
+        let submitted = self.do_submit(tag, &mut frame, 0, block);
+        FRAME.set(frame);
+        submitted
     }
 
     /// As [`RpcClient::submit`], stamping submission `flags`
     /// (e.g. [`solros_proto::codec::FLAG_BARRIER`]) into the frame.
-    pub fn submit_with_flags(&self, tag: u32, frame: Vec<u8>, flags: u8) -> Result<Token, RpcErr> {
-        self.do_submit(tag, frame, flags, false)
+    pub fn submit_with_flags(
+        &self,
+        tag: u32,
+        mut frame: Vec<u8>,
+        flags: u8,
+    ) -> Result<Token, RpcErr> {
+        self.do_submit(tag, &mut frame, flags, false)
     }
 
     /// As [`RpcClient::submit`], stamping a per-request deadline into the
@@ -515,17 +574,17 @@ impl RpcClient {
     pub fn submit_with_deadline(
         &self,
         tag: u32,
-        frame: Vec<u8>,
+        mut frame: Vec<u8>,
         deadline: Duration,
     ) -> Result<Token, RpcErr> {
         let flags = flags_with_deadline(0, deadline_class(deadline));
-        self.do_submit(tag, frame, flags, false)
+        self.do_submit(tag, &mut frame, flags, false)
     }
 
     /// As [`RpcClient::submit`], but refuses immediately with
     /// [`RpcErr::Overloaded`] when no flow-control credit is available
     /// instead of waiting for the window to open.
-    pub fn try_submit(&self, tag: u32, frame: Vec<u8>) -> Result<Token, RpcErr> {
+    pub fn try_submit(&self, tag: u32, mut frame: Vec<u8>) -> Result<Token, RpcErr> {
         if let Some(pool) = &self.shared.credits {
             if !pool.try_acquire() {
                 return Err(RpcErr::Overloaded);
@@ -534,21 +593,23 @@ impl RpcClient {
             // and re-acquiring: cheaper to inline the send here.
             pool.complete(0);
         }
-        self.do_submit(tag, frame, 0, false)
+        self.do_submit(tag, &mut frame, 0, false)
     }
 
     /// As [`RpcClient::submit`], spinning until ring space frees up; only
     /// an oversized frame can fail. Used by the synchronous [`call`] path.
     ///
     /// [`call`]: RpcClient::call
-    pub fn submit_blocking(&self, tag: u32, frame: Vec<u8>) -> Result<Token, RpcErr> {
-        self.do_submit(tag, frame, 0, true)
+    pub fn submit_blocking(&self, tag: u32, mut frame: Vec<u8>) -> Result<Token, RpcErr> {
+        self.do_submit(tag, &mut frame, 0, true)
     }
 
-    /// Enqueues a whole wave of `(tag, frame)` submissions with **one**
-    /// request-ring publish (and at most one doorbell ring), so the proxy
-    /// can never observe a partial wave: how much it coalesces no longer
-    /// depends on how the submitter and the proxy interleave.
+    /// Enqueues a whole wave of submissions — frame `i` of `wave` must
+    /// carry `tags[i]` — with **one** request-ring publish (and at most
+    /// one doorbell ring), so the proxy can never observe a partial wave:
+    /// how much it coalesces does not depend on how the submitter and the
+    /// proxy interleave. The tenant id is stamped into the frames where
+    /// they lie; flags are the caller's to stamp.
     ///
     /// Credits are taken per frame exactly as [`RpcClient::submit`] does
     /// (no waiting: a closed window truncates the wave there). Returns
@@ -556,24 +617,27 @@ impl RpcClient {
     /// the window or the ring ran out partway; the unsent tail is
     /// scrubbed like a failed `submit` (tags forgotten, credits
     /// returned). Fails only when nothing at all was accepted.
-    pub fn submit_batch(&self, frames: Vec<(u32, Vec<u8>)>) -> Result<Vec<Token>, RpcErr> {
-        let mut tags = Vec::with_capacity(frames.len());
-        let mut wave = Vec::with_capacity(frames.len());
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tags` and `wave` differ in length.
+    pub fn submit_wave(&self, tags: &[u32], wave: &mut Wave) -> Result<Vec<Token>, RpcErr> {
+        assert_eq!(tags.len(), wave.len(), "one tag per frame");
+        let mut offered = 0;
         {
             let mut g = self.shared.pending.lock();
-            for (tag, mut frame) in frames {
+            for (i, &tag) in tags.iter().enumerate() {
                 if let Some(pool) = &self.shared.credits {
                     if !pool.try_acquire() {
                         break;
                     }
                 }
-                self.prep_frame(&mut frame, 0);
+                self.prep_frame(wave.frame_mut(i), 0);
                 g.insert(tag, Slot::Waiting);
-                tags.push(tag);
-                wave.push(frame);
+                offered += 1;
             }
         }
-        if tags.is_empty() {
+        if offered == 0 {
             return Err(RpcErr::Overloaded);
         }
         // A wave the ring has no room for is retried whole or in part
@@ -583,16 +647,17 @@ impl RpcClient {
         let mut policy = WaitPolicy::new(&self.shared.spin);
         {
             let tx = self.tx.read();
-            while !wave.is_empty() {
-                match tx.send_batch(std::mem::take(&mut wave)) {
-                    Ok((n, rest)) => {
-                        sent += n;
-                        wave = rest;
-                        if n > 0 {
-                            policy.reset();
-                        } else if policy.pause().is_some() {
+            while sent < offered {
+                // Frames past the credit window are not offered.
+                match tx.send_wave(wave, sent..offered) {
+                    Ok(0) => {
+                        if policy.pause().is_some() {
                             break;
                         }
+                    }
+                    Ok(n) => {
+                        sent += n;
+                        policy.reset();
                     }
                     Err(e) => {
                         err = e;
@@ -601,13 +666,20 @@ impl RpcClient {
                 }
             }
         }
-        for &tag in &tags[sent..] {
+        for &tag in &tags[sent..offered] {
             self.scrub_failed_submit(tag);
         }
         if sent == 0 {
             return Err(ring_err(err));
         }
         Ok(tags[..sent].iter().map(|&t| self.mint_token(t)).collect())
+    }
+
+    /// [`RpcClient::submit_wave`] for `(tag, frame)` pairs the caller
+    /// holds as owned vectors.
+    pub fn submit_batch(&self, frames: Vec<(u32, Vec<u8>)>) -> Result<Vec<Token>, RpcErr> {
+        let (tags, frames): (Vec<u32>, Vec<Vec<u8>>) = frames.into_iter().unzip();
+        self.submit_wave(&tags, &mut Wave::of(&frames))
     }
 
     /// Blocks until `token`'s reply arrives and returns it. Replies for
@@ -617,16 +689,29 @@ impl RpcClient {
     ///
     /// Panics if the token was already redeemed.
     pub fn wait(&self, token: Token) -> Vec<u8> {
+        self.wait_with(token, <[u8]>::to_vec)
+    }
+
+    /// As [`RpcClient::wait`], lending the reply to `decode` instead of
+    /// returning it: a reply this thread drains itself is decoded where
+    /// the ring staged it and never copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the token was already redeemed.
+    pub fn wait_with<R>(&self, token: Token, decode: impl FnOnce(&[u8]) -> R) -> R {
         assert!(!token.done.get(), "token redeemed twice");
         let tag = token.tag;
         token.done.set(true);
+        let mut decode = Some(decode);
         let mut sleeper = self.sleeper();
         loop {
+            let mut lend = |reply: &[u8]| decode.take().expect("one reply per tag")(reply);
             if let Some(reply) = self.take_ready(tag) {
-                return reply;
+                return lend(&reply);
             }
-            match self.pump(Some(tag)) {
-                Ok(Some(reply)) => return reply,
+            match self.pump(Some(tag), lend) {
+                Ok(Some(decoded)) => return decoded,
                 Ok(None) => sleeper.progress(),
                 // Past the spin and yield bands this arms the response
                 // ring's doorbell, comes round once more (the re-check of
@@ -661,7 +746,7 @@ impl RpcClient {
                 self.shared.abandon(tag);
                 return Err(RpcErr::Timeout);
             }
-            match self.pump(Some(tag)) {
+            match self.pump(Some(tag), <[u8]>::to_vec) {
                 Ok(Some(reply)) => return Ok(reply),
                 Ok(None) => sleeper.progress(),
                 Err(_) => sleeper.idle_for(left),
@@ -692,7 +777,7 @@ impl RpcClient {
                     return (i, reply);
                 }
             }
-            match self.pump(None) {
+            match self.pump(None, |_| ()) {
                 Ok(_) => sleeper.progress(),
                 Err(_) => sleeper.idle(),
             }
@@ -723,6 +808,23 @@ impl RpcClient {
             .submit_blocking(tag, frame)
             .expect("RPC frame exceeds ring element limit");
         self.wait(token)
+    }
+
+    /// [`RpcClient::call`] without the owned frames:
+    /// `wait_with(submit_encoded(..), decode)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame exceeds the ring element limit.
+    pub fn call_with<R>(
+        &self,
+        encode: impl FnOnce(u32, &mut Vec<u8>),
+        decode: impl FnOnce(&[u8]) -> R,
+    ) -> R {
+        let token = self
+            .submit_encoded(true, encode)
+            .expect("RPC frame exceeds ring element limit");
+        self.wait_with(token, decode)
     }
 
     /// Recovers the link after a peer failure (stub crash, wedged or
@@ -1089,6 +1191,54 @@ mod tests {
         proxy.join().unwrap();
         assert_eq!(client.pending_len(), 0);
         assert_eq!(pool.levels().0, 0);
+    }
+
+    #[test]
+    fn caller_chosen_tags_route_and_stray_replies_are_dropped() {
+        // The table is keyed by whatever tag the caller put in the frame:
+        // sparse, huge, out of order. A reply nobody waits for — a second
+        // answer to a redeemed tag, an answer to a tag never submitted —
+        // is dropped without touching the credit ledger.
+        let counters = Arc::new(PcieCounters::new());
+        let ch = Channel::new(counters);
+        let pool = Arc::new(CreditPool::new(16));
+        let client = RpcClient::with_credits(ch.req_tx, ch.resp_rx, Some(Arc::clone(&pool)));
+        let tags = [u32::MAX, 7, 1 << 31, 0, 1 << 16, (1 << 16) + 1024];
+        let mut tokens: Vec<Token> = tags
+            .iter()
+            .map(|&tag| {
+                client
+                    .submit(tag, FsRequest::Fstat { ino: tag as u64 }.encode(tag))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(client.pending_len(), tags.len());
+        let reply = |tag: u32| {
+            let stat = FsResponse::Stat {
+                ino: tag as u64,
+                is_dir: false,
+                size: 1,
+            };
+            ch.resp_tx.send_blocking(&stat.encode(tag)).unwrap();
+        };
+        while ch.req_rx.recv().is_ok() {}
+        // Answers arrive in reverse, each twice, with strays in between.
+        for &tag in tags.iter().rev() {
+            reply(tag);
+            reply(12345);
+            reply(tag);
+        }
+        // An abandoned tag's (first) answer settles its credit and slot.
+        drop(tokens.remove(1));
+        for token in tokens {
+            let tag = token.tag();
+            let (rtag, resp) = FsResponse::decode(&client.wait(token)).unwrap();
+            assert_eq!(rtag, tag);
+            assert!(matches!(resp, FsResponse::Stat { ino, .. } if ino == tag as u64));
+        }
+        client.drain_now();
+        assert_eq!(client.pending_len(), 0);
+        assert_eq!(pool.levels().0, 0, "one credit per submission, no more");
     }
 
     #[test]

@@ -79,8 +79,15 @@ fn run_convergence(streams: Vec<Vec<u32>>) {
 }
 
 /// A lag-bounded log overruns a straggler instead of retaining unbounded
-/// history; after the straggler reinstalls at the tail, later entries
-/// apply exactly once.
+/// history, and it may do so again right after the straggler recovered:
+/// with `high_water: 8` the second append after a recovery can be the
+/// ninth resident entry, so compaction runs with the straggler two
+/// behind against an allowance of one. After any number of `Overrun` →
+/// `install_snapshot` rounds, every entry appended after the last
+/// installed snapshot is applied exactly once, none is applied twice,
+/// and `LogStats::overruns` counts each round. (`solros-oplog`'s own
+/// tests run the two shapes that used to fail here, `(7, 1)` and
+/// `(199, 1)`, and the whole input space, without proptest.)
 fn run_overrun_recovery(burst: u32, max_lag: u64) {
     let log: Arc<OpLog<u32>> = OpLog::new(LogConfig {
         high_water: 8,
@@ -88,31 +95,51 @@ fn run_overrun_recovery(burst: u32, max_lag: u64) {
     });
     let mut fresh = log.register();
     let mut straggler = log.register();
-    // Sync the straggler once so compaction can proceed past it, then
-    // let it fall behind a full burst.
-    log.sync(&mut straggler, |_, _| {});
+    let mut applied: Vec<u64> = Vec::new();
+    let mut owed_from = 0;
+    let mut rounds = 0u64;
+    let mut counted = 0;
+    let mut catch_up = |straggler: &mut solros_oplog::ReplicaCursor| loop {
+        match log.sync(straggler, |seq, _| applied.push(seq)) {
+            SyncOutcome::Applied(_) => return,
+            SyncOutcome::Overrun => {
+                // The straggler lost history it can no longer read; a
+                // real replica rebuilds from an authoritative snapshot
+                // and resumes.
+                let overruns = log.stats().overruns;
+                assert!(overruns > counted, "an uncounted overrun round");
+                counted = overruns;
+                rounds += 1;
+                owed_from = log.tail();
+                log.install_snapshot(straggler, owed_from);
+            }
+        }
+    };
+    // The straggler sleeps through the burst...
     let mut fresh_sum: u64 = 0;
     for v in 0..burst {
         log.append(v);
         log.sync(&mut fresh, |_, &op| fresh_sum += u64::from(op));
     }
     assert_eq!(fresh_sum, (0..u64::from(burst)).sum::<u64>());
-
-    let outcome = log.sync(&mut straggler, |_, _| {});
-    if matches!(outcome, SyncOutcome::Overrun) {
-        // The straggler lost history it can no longer read; a real
-        // replica rebuilds from an authoritative snapshot and resumes.
-        log.install_snapshot(&mut straggler, log.tail());
+    catch_up(&mut straggler);
+    // ... and through every other append after it.
+    for i in 0..4 {
+        log.append(7_000_000 + i);
+        log.sync(&mut fresh, |_, _| {});
+        if i % 2 == 1 {
+            catch_up(&mut straggler);
+        }
     }
-    let mut tail_seen = Vec::new();
-    log.append(7_000_000);
-    log.append(7_000_001);
-    log.sync(&mut straggler, |_, &op| tail_seen.push(op));
-    assert_eq!(
-        tail_seen,
-        vec![7_000_000, 7_000_001],
-        "post-recovery entries must apply exactly once"
+    assert!(applied.windows(2).all(|w| w[0] < w[1]), "applied twice");
+    let owed: Vec<u64> = (owed_from..log.tail()).collect();
+    assert!(
+        applied.ends_with(&owed),
+        "entries after the last snapshot must apply exactly once: \
+         {rounds} round(s), owed {owed:?}, applied {applied:?}"
     );
+    assert_eq!(log.lag(&straggler), 0);
+    assert_eq!(rounds == 0, log.stats().overruns == 0);
 }
 
 /// Balancer ops as they ride the TCP control log.

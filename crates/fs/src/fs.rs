@@ -191,21 +191,31 @@ impl FileSystem {
 
     // ---- Inode table ----
 
+    /// The cached inode, read from the table on first touch. Borrowed:
+    /// a caller that only looks copies nothing.
+    fn inode<'a>(&self, inner: &'a mut FsInner, ino: Ino) -> Result<&'a Inode, FsError> {
+        use std::collections::hash_map::Entry;
+        let FsInner { inodes, sb, .. } = inner;
+        match inodes.entry(ino) {
+            Entry::Occupied(cached) => Ok(cached.into_mut()),
+            Entry::Vacant(slot) => {
+                if ino >= sb.inode_count {
+                    return Err(FsError::Corrupt);
+                }
+                let per_block = (BLOCK_SIZE / INODE_SIZE) as u64;
+                let mut block = vec![0u8; BLOCK_SIZE];
+                self.io
+                    .read_block(sb.itable_start + ino / per_block, &mut block)?;
+                let s = (ino % per_block) as usize;
+                let inode = Inode::decode(&block[s * INODE_SIZE..(s + 1) * INODE_SIZE])?;
+                Ok(slot.insert(inode))
+            }
+        }
+    }
+
+    /// A copy of the inode, for callers that go on to change it.
     fn load_inode(&self, inner: &mut FsInner, ino: Ino) -> Result<Inode, FsError> {
-        if let Some(i) = inner.inodes.get(&ino) {
-            return Ok(i.clone());
-        }
-        if ino >= inner.sb.inode_count {
-            return Err(FsError::Corrupt);
-        }
-        let per_block = (BLOCK_SIZE / INODE_SIZE) as u64;
-        let mut block = vec![0u8; BLOCK_SIZE];
-        self.io
-            .read_block(inner.sb.itable_start + ino / per_block, &mut block)?;
-        let s = (ino % per_block) as usize;
-        let inode = Inode::decode(&block[s * INODE_SIZE..(s + 1) * INODE_SIZE])?;
-        inner.inodes.insert(ino, inode.clone());
-        Ok(inode)
+        self.inode(inner, ino).cloned()
     }
 
     fn store_inode(&self, inner: &mut FsInner, ino: Ino, inode: Inode) {
@@ -225,21 +235,55 @@ impl FileSystem {
 
     // ---- Extents ----
 
-    /// Returns the full ordered extent list of an inode (direct +
+    /// Calls `f` on every extent of `inode` in file order (direct, then
     /// overflow).
-    fn all_extents(&self, inner: &mut FsInner, ino: Ino) -> Result<Vec<Extent>, FsError> {
-        let inode = self.load_inode(inner, ino)?;
-        let mut out = inode.extents.clone();
+    fn for_each_extent(&self, inode: &Inode, mut f: impl FnMut(Extent)) -> Result<(), FsError> {
+        inode.extents.iter().copied().for_each(&mut f);
         if inode.overflow_block != 0 {
             let mut block = vec![0u8; BLOCK_SIZE];
             self.io.read_block(inode.overflow_block, &mut block)?;
             for i in 0..inode.overflow_count as usize {
-                out.push(Extent::decode(
+                f(Extent::decode(
                     &block[i * EXTENT_SIZE..(i + 1) * EXTENT_SIZE],
                 ));
             }
         }
+        Ok(())
+    }
+
+    /// Returns the full ordered extent list of an inode (direct +
+    /// overflow).
+    fn all_extents(&self, inner: &mut FsInner, ino: Ino) -> Result<Vec<Extent>, FsError> {
+        let inode = self.inode(inner, ino)?;
+        let mut out = Vec::with_capacity(inode.extents.len() + inode.overflow_count as usize);
+        self.for_each_extent(inode, |e| out.push(e))?;
         Ok(out)
+    }
+
+    /// Appends to `out` the disk runs backing file pages `[first, last)`
+    /// of `inode`, merging neighbours.
+    fn map_pages(
+        &self,
+        inode: &Inode,
+        first: u64,
+        last: u64,
+        out: &mut Vec<Extent>,
+    ) -> Result<(), FsError> {
+        let mut cum = 0u64;
+        self.for_each_extent(inode, |e| {
+            let e_first = cum;
+            cum += e.len as u64; // Exclusive page index.
+            let lo = first.max(e_first);
+            let hi = last.min(cum);
+            if lo < hi {
+                let start = e.start + (lo - e_first);
+                let len = (hi - lo) as u32;
+                match out.last_mut() {
+                    Some(prev) if prev.start + prev.len as u64 == start => prev.len += len,
+                    _ => out.push(Extent { start, len }),
+                }
+            }
+        })
     }
 
     fn set_extents(
@@ -475,7 +519,7 @@ impl FileSystem {
     /// Returns metadata by inode.
     pub fn stat_ino(&self, ino: Ino) -> Result<Stat, FsError> {
         let mut inner = self.inner.lock();
-        let inode = self.load_inode(&mut inner, ino)?;
+        let inode = self.inode(&mut inner, ino)?;
         if inode.kind == InodeKind::Free {
             return Err(FsError::NotFound);
         }
@@ -561,7 +605,7 @@ impl FileSystem {
         // Snapshot size and extents under the lock, then copy without it.
         let (size, extents) = {
             let mut inner = self.inner.lock();
-            let inode = self.load_inode(&mut inner, ino)?;
+            let inode = self.inode(&mut inner, ino)?;
             if inode.kind == InodeKind::Dir {
                 return Err(FsError::IsDir);
             }
@@ -775,37 +819,32 @@ impl FileSystem {
     /// uses (§5). The returned runs are block-granular and cover
     /// `[offset, offset+len)` clamped to EOF.
     pub fn fiemap(&self, ino: Ino, offset: u64, len: u64) -> Result<Vec<Extent>, FsError> {
+        let mut out = Vec::new();
+        self.fiemap_into(ino, offset, len, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`FileSystem::fiemap`] writing the runs over `out`, for callers
+    /// that map once per request and keep the vector.
+    pub fn fiemap_into(
+        &self,
+        ino: Ino,
+        offset: u64,
+        len: u64,
+        out: &mut Vec<Extent>,
+    ) -> Result<(), FsError> {
+        out.clear();
         let mut inner = self.inner.lock();
-        let inode = self.load_inode(&mut inner, ino)?;
+        let inode = self.inode(&mut inner, ino)?;
         if inode.kind != InodeKind::File {
             return Err(FsError::IsDir);
         }
         let end = (offset + len).min(inode.size);
         if offset >= end {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let bs = BLOCK_SIZE as u64;
-        let first_page = offset / bs;
-        let last_page = end.div_ceil(bs); // exclusive
-        let extents = self.all_extents(&mut inner, ino)?;
-        let mut out: Vec<Extent> = Vec::new();
-        let mut cum = 0u64;
-        for e in &extents {
-            let e_first = cum;
-            let e_last = cum + e.len as u64; // exclusive page indices
-            let lo = first_page.max(e_first);
-            let hi = last_page.min(e_last);
-            if lo < hi {
-                let start = e.start + (lo - e_first);
-                let len = (hi - lo) as u32;
-                match out.last_mut() {
-                    Some(prev) if prev.start + prev.len as u64 == start => prev.len += len,
-                    _ => out.push(Extent { start, len }),
-                }
-            }
-            cum = e_last;
-        }
-        Ok(out)
+        self.map_pages(inode, offset / bs, end.div_ceil(bs), out)
     }
 
     /// As [`FileSystem::fiemap`] but clamped to *allocated* blocks rather
@@ -818,31 +857,13 @@ impl FileSystem {
         len: u64,
     ) -> Result<Vec<Extent>, FsError> {
         let mut inner = self.inner.lock();
-        let inode = self.load_inode(&mut inner, ino)?;
+        let inode = self.inode(&mut inner, ino)?;
         if inode.kind != InodeKind::File {
             return Err(FsError::IsDir);
         }
         let bs = BLOCK_SIZE as u64;
-        let first_page = offset / bs;
-        let last_page = (offset + len).div_ceil(bs); // exclusive
-        let extents = self.all_extents(&mut inner, ino)?;
-        let mut out: Vec<Extent> = Vec::new();
-        let mut cum = 0u64;
-        for e in &extents {
-            let e_first = cum;
-            let e_last = cum + e.len as u64;
-            let lo = first_page.max(e_first);
-            let hi = last_page.min(e_last);
-            if lo < hi {
-                let start = e.start + (lo - e_first);
-                let len = (hi - lo) as u32;
-                match out.last_mut() {
-                    Some(prev) if prev.start + prev.len as u64 == start => prev.len += len,
-                    _ => out.push(Extent { start, len }),
-                }
-            }
-            cum = e_last;
-        }
+        let mut out = Vec::new();
+        self.map_pages(inode, offset / bs, (offset + len).div_ceil(bs), &mut out)?;
         Ok(out)
     }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use solros_fs::Extent;
 use solros_machine::WindowAlloc;
-use solros_nvme::{DmaPtr, NvmeCommand, NvmeDevice, BLOCK_SIZE, MDTS_BLOCKS};
+use solros_nvme::{DmaPtr, NvmeCommand, NvmeDevice, NvmeError, BLOCK_SIZE, MDTS_BLOCKS};
 use solros_pcie::{Side, Window};
 
 use crate::manager::LeaseManager;
@@ -85,7 +85,25 @@ pub struct LeaseTable {
     alloc: Arc<WindowAlloc>,
     manager: Arc<LeaseManager>,
     leases: Mutex<HashMap<u64, Arc<LeaseState>>>,
+    /// The command list and statuses of the leased operation in progress:
+    /// refilled per operation, so the fast path allocates nothing. Held
+    /// across the submission, which the device serializes anyway.
+    scratch: Mutex<Scratch>,
     stats: LeaseTableStats,
+}
+
+#[derive(Default)]
+struct Scratch {
+    cmds: Vec<NvmeCommand>,
+    results: Vec<Result<(), NvmeError>>,
+}
+
+impl Scratch {
+    /// Moves `cmds` with one vectored submission; true when all succeeded.
+    fn submit(&mut self, device: &NvmeDevice) -> bool {
+        device.submit_vectored_into(&self.cmds, &mut self.results);
+        self.results.iter().all(Result::is_ok)
+    }
 }
 
 impl LeaseTable {
@@ -103,6 +121,7 @@ impl LeaseTable {
             alloc,
             manager,
             leases: Mutex::new(HashMap::new()),
+            scratch: Mutex::default(),
             stats: LeaseTableStats::default(),
         }
     }
@@ -303,6 +322,31 @@ impl LeaseTable {
         }
     }
 
+    /// Maps `blocks` blocks starting `first_block` blocks into the lease
+    /// onto the window span at `win_off` and moves them with one vectored
+    /// submission. False when the extents do not cover the span or any
+    /// command failed.
+    fn transfer(
+        &self,
+        st: &LeaseState,
+        first_block: u64,
+        blocks: u64,
+        win_off: usize,
+        is_read: bool,
+    ) -> bool {
+        let mut scratch = self.scratch.lock();
+        scratch.cmds.clear();
+        slice_cmds(
+            st.extents(),
+            first_block,
+            blocks,
+            &self.window,
+            win_off,
+            is_read,
+            &mut scratch.cmds,
+        ) && scratch.submit(&self.device)
+    }
+
     fn leased_read(&self, st: &LeaseState, offset: u64, buf: &mut [u8]) -> Option<usize> {
         // Outside the leased range: not ours to answer. The file may
         // extend past a partial-range lease, so only the RPC path can
@@ -329,18 +373,7 @@ impl LeaseTable {
         let span_blocks = (rel + want as u64).div_ceil(bs) - first_block;
         let span_bytes = (span_blocks * bs) as usize;
         let win_off = self.alloc.alloc(span_bytes)?;
-        let cmds = slice_cmds(
-            st.extents(),
-            first_block,
-            span_blocks,
-            &self.window,
-            win_off,
-            true,
-        );
-        let ok = match cmds {
-            Some(cmds) => self.device.submit_vectored(&cmds).iter().all(|r| r.is_ok()),
-            None => false,
-        };
+        let ok = self.transfer(st, first_block, span_blocks, win_off, true);
         if ok {
             let local = self.window.map(Side::Coproc);
             // SAFETY: `win_off..win_off + span_bytes` was just allocated
@@ -364,18 +397,7 @@ impl LeaseTable {
         let local = self.window.map(Side::Coproc);
         // SAFETY: the span was just allocated from this window.
         unsafe { local.write(win_off, data) };
-        let cmds = slice_cmds(
-            st.extents(),
-            first_block,
-            span_blocks,
-            &self.window,
-            win_off,
-            false,
-        );
-        let ok = match cmds {
-            Some(cmds) => self.device.submit_vectored(&cmds).iter().all(|r| r.is_ok()),
-            None => false,
-        };
+        let ok = self.transfer(st, first_block, span_blocks, win_off, false);
         self.alloc.free(win_off, data.len());
         ok.then_some(data.len())
     }
@@ -411,26 +433,22 @@ impl LeaseTable {
             return Some(reqs.iter().map(|_| Vec::new()).collect());
         }
         let win_off = self.alloc.alloc(total_span)?;
-        let mut cmds = Vec::new();
-        let mut covered = true;
-        for plan in plans.iter().flatten() {
-            let (first_block, span_blocks, _, _, span_off) = *plan;
-            match slice_cmds(
-                st.extents(),
-                first_block,
-                span_blocks,
-                &self.window,
-                win_off + span_off,
-                true,
-            ) {
-                Some(mut c) => cmds.append(&mut c),
-                None => {
-                    covered = false;
-                    break;
-                }
-            }
-        }
-        let ok = covered && self.device.submit_vectored(&cmds).iter().all(|r| r.is_ok());
+        let ok = {
+            let mut scratch = self.scratch.lock();
+            scratch.cmds.clear();
+            plans.iter().flatten().all(|plan| {
+                let (first_block, span_blocks, _, _, span_off) = *plan;
+                slice_cmds(
+                    st.extents(),
+                    first_block,
+                    span_blocks,
+                    &self.window,
+                    win_off + span_off,
+                    true,
+                    &mut scratch.cmds,
+                )
+            }) && scratch.submit(&self.device)
+        };
         let out = if ok {
             let local = self.window.map(Side::Coproc);
             let mut out = Vec::with_capacity(reqs.len());
@@ -457,8 +475,8 @@ impl LeaseTable {
 
 /// Slices `want` blocks starting `skip` blocks into the extent map into
 /// MDTS-sized NVMe commands targeting a contiguous window span at
-/// `cursor`. `None` when the extents don't cover the span (hole or
-/// truncated map) — the caller falls back to RPC.
+/// `cursor`, appended to `cmds`. False when the extents don't cover the
+/// span (hole or truncated map) — the caller falls back to RPC.
 fn slice_cmds(
     extents: &[Extent],
     mut skip: u64,
@@ -466,8 +484,8 @@ fn slice_cmds(
     window: &Arc<Window>,
     mut cursor: usize,
     is_read: bool,
-) -> Option<Vec<NvmeCommand>> {
-    let mut cmds = Vec::new();
+    cmds: &mut Vec<NvmeCommand>,
+) -> bool {
     for e in extents {
         let elen = e.len as u64;
         if skip >= elen {
@@ -502,7 +520,7 @@ fn slice_cmds(
             break;
         }
     }
-    (want == 0).then_some(cmds)
+    want == 0
 }
 
 #[cfg(test)]

@@ -11,6 +11,13 @@
 //!   whole batch.
 //! * [`NvmeDevice::submit_each`] — the conventional path (one doorbell and
 //!   one interrupt per command), used by the baselines.
+//!
+//! Like the DMA engine it stands for, the model reads each command where
+//! the submitter wrote it and moves each block once, store to window or
+//! window to store. A submission runs in one queue-pair critical section
+//! — reserve a consecutive command-identifier range, ring, execute, post,
+//! reap — so the completions a submitter reaps are the ones carrying its
+//! own range, however many threads share the device.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -197,8 +204,21 @@ impl NvmeDevice {
     /// interrupt for the whole batch. Returns per-command results in
     /// submission order.
     pub fn submit_vectored(&self, cmds: &[NvmeCommand]) -> Vec<Result<(), NvmeError>> {
+        let mut results = Vec::with_capacity(cmds.len());
+        self.submit_vectored_into(cmds, &mut results);
+        results
+    }
+
+    /// [`NvmeDevice::submit_vectored`] writing the per-command results
+    /// over `results`, for submitters that keep the vector between waves.
+    pub fn submit_vectored_into(
+        &self,
+        cmds: &[NvmeCommand],
+        results: &mut Vec<Result<(), NvmeError>>,
+    ) {
+        results.clear();
         if cmds.is_empty() {
-            return Vec::new();
+            return;
         }
         let refused = self
             .inject_queue_full
@@ -207,33 +227,28 @@ impl NvmeDevice {
         if refused {
             self.failures
                 .fetch_add(cmds.len() as u64, Ordering::Relaxed);
-            return cmds.iter().map(|_| Err(NvmeError::QueueFull)).collect();
+            results.resize(cmds.len(), Err(NvmeError::QueueFull));
+            return;
         }
-        let batch = {
-            let mut qp = self.qp.lock();
-            let mut cids = Vec::with_capacity(cmds.len());
-            for cmd in cmds {
-                // Ring depth 1024 exceeds any batch the FS proxy builds; a
-                // full ring here is a bug, not a runtime condition.
-                cids.push(qp.submit(cmd.clone()).expect("ring depth exceeded"));
-            }
-            qp.ring_doorbell()
-        };
-        let mut results = Vec::with_capacity(batch.len());
-        {
-            let mut qp = self.qp.lock();
-            for (cid, cmd) in batch {
-                let status = self.execute(&cmd);
-                qp.post_completion(cid, status);
-            }
+        // Held from submission to reaping: another submitter's entries
+        // never interleave with this batch's, in either ring.
+        let mut qp = self.qp.lock();
+        // Ring depth 1024 exceeds any batch the FS proxy builds; a full
+        // ring here is a bug, not a runtime condition.
+        let first = qp.submit(cmds.len()).expect("ring depth exceeded");
+        qp.ring_doorbell();
+        let cid = |i: usize| first.wrapping_add(i as u16);
+        for (i, cmd) in cmds.iter().enumerate() {
+            let status = self.execute(cmd);
+            qp.post_completion(cid(i), status);
         }
         // One interrupt covers the batch.
         self.interrupts.fetch_add(1, Ordering::Relaxed);
-        let mut qp = self.qp.lock();
-        for _ in 0..cmds.len() {
-            results.push(qp.reap().expect("completion present").status);
+        for i in 0..cmds.len() {
+            let done = qp.reap().expect("completion present");
+            assert_eq!(done.cid, cid(i), "reaped another submitter's completion");
+            results.push(done.status);
         }
-        results
     }
 
     /// The conventional path: one doorbell + one interrupt per command.
@@ -289,31 +304,32 @@ impl NvmeDevice {
         }
         match cmd {
             NvmeCommand::Read { lba, nblocks, dst } => {
-                let mut tmp = vec![0u8; BLOCK_SIZE];
+                // The device's own DMA engine moves the data; this is
+                // not CPU-initiated PCIe traffic, so it uses a local
+                // mapping of the target window.
+                let handle = dst.window.map(dst.window.home());
                 for i in 0..*nblocks {
-                    self.store.read(lba + i as u64, &mut tmp)?;
                     let off = dst.offset + i as usize * BLOCK_SIZE;
-                    // The device's own DMA engine moves the data; this is
-                    // not CPU-initiated PCIe traffic, so it uses a local
-                    // mapping of the target window.
-                    let handle = dst.window.map(dst.window.home());
-                    // SAFETY: the submitter owns the destination buffer
-                    // exclusively for the duration of the command (driver
-                    // contract, enforced by the FS proxy).
-                    unsafe { handle.write(off, &tmp) };
+                    self.store.read_with(lba + i as u64, |block| {
+                        // SAFETY: the submitter owns the destination
+                        // buffer exclusively for the duration of the
+                        // command (driver contract, enforced by the FS
+                        // proxy).
+                        unsafe { handle.write(off, block) }
+                    })?;
                 }
                 self.blocks_read
                     .fetch_add(*nblocks as u64, Ordering::Relaxed);
                 Ok(())
             }
             NvmeCommand::Write { lba, nblocks, src } => {
-                let mut tmp = vec![0u8; BLOCK_SIZE];
+                let handle = src.window.map(src.window.home());
                 for i in 0..*nblocks {
                     let off = src.offset + i as usize * BLOCK_SIZE;
-                    let handle = src.window.map(src.window.home());
-                    // SAFETY: as above — exclusive source buffer.
-                    unsafe { handle.read(off, &mut tmp) };
-                    self.store.write(lba + i as u64, &tmp)?;
+                    self.store.write_with(lba + i as u64, |block| {
+                        // SAFETY: as above — exclusive source buffer.
+                        unsafe { handle.read(off, block) }
+                    })?;
                 }
                 self.blocks_written
                     .fetch_add(*nblocks as u64, Ordering::Relaxed);

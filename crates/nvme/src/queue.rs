@@ -8,10 +8,14 @@
 //! optimization (§5) is visible here: one doorbell ring may cover many
 //! queued commands, and the device raises a single interrupt per doorbell
 //! batch rather than per command.
+//!
+//! As on the real device, a submission entry *points at* its command and
+//! data (PRP lists in host memory); the ring holds only the command
+//! identifiers, handed out as a consecutive range per submission so that
+//! a submitter recognises its own completions.
 
 use std::collections::VecDeque;
 
-use crate::device::NvmeCommand;
 use crate::error::NvmeError;
 
 /// A completion queue entry.
@@ -28,7 +32,8 @@ pub struct Completion {
 /// A bounded submission/completion ring pair.
 pub struct QueuePair {
     depth: usize,
-    sq: VecDeque<(u16, NvmeCommand)>,
+    /// Entries written to the submission ring since the last doorbell.
+    sq_pending: usize,
     cq: VecDeque<Completion>,
     next_cid: u16,
     cq_phase: bool,
@@ -47,8 +52,8 @@ impl QueuePair {
         assert!(depth > 0, "queue depth must be positive");
         Self {
             depth,
-            sq: VecDeque::new(),
-            cq: VecDeque::new(),
+            sq_pending: 0,
+            cq: VecDeque::with_capacity(depth),
             next_cid: 0,
             cq_phase: true,
             cq_posted: 0,
@@ -63,7 +68,7 @@ impl QueuePair {
 
     /// Returns the number of submitted-but-unprocessed commands.
     pub fn sq_pending(&self) -> usize {
-        self.sq.len()
+        self.sq_pending
     }
 
     /// Returns the number of unreaped completions.
@@ -71,23 +76,24 @@ impl QueuePair {
         self.cq.len()
     }
 
-    /// Places a command in the submission ring (no doorbell yet). Returns
-    /// the assigned command identifier.
-    pub fn submit(&mut self, cmd: NvmeCommand) -> Result<u16, NvmeError> {
-        if self.sq.len() >= self.depth {
+    /// Places `n` commands in the submission ring (no doorbell yet).
+    /// Returns the identifier of the first; the rest follow consecutively
+    /// (wrapping), so command `i` of the submission is `first + i`.
+    pub fn submit(&mut self, n: usize) -> Result<u16, NvmeError> {
+        if self.sq_pending + n > self.depth {
             return Err(NvmeError::QueueFull);
         }
-        let cid = self.next_cid;
-        self.next_cid = self.next_cid.wrapping_add(1);
-        self.sq.push_back((cid, cmd));
-        Ok(cid)
+        let first = self.next_cid;
+        self.next_cid = first.wrapping_add(n as u16);
+        self.sq_pending += n;
+        Ok(first)
     }
 
     /// Rings the submission doorbell: hands all pending commands to the
-    /// controller. Returns the batch.
-    pub fn ring_doorbell(&mut self) -> Vec<(u16, NvmeCommand)> {
+    /// controller. Returns how many.
+    pub fn ring_doorbell(&mut self) -> usize {
         self.doorbells += 1;
-        self.sq.drain(..).collect()
+        std::mem::take(&mut self.sq_pending)
     }
 
     /// Controller side: posts a completion, toggling the phase each lap.
@@ -109,24 +115,18 @@ impl QueuePair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::NvmeCommand;
-
-    fn flush() -> NvmeCommand {
-        NvmeCommand::Flush
-    }
 
     #[test]
     fn submit_doorbell_reap_cycle() {
         let mut qp = QueuePair::new(8);
-        let a = qp.submit(flush()).unwrap();
-        let b = qp.submit(flush()).unwrap();
+        let a = qp.submit(1).unwrap();
+        let b = qp.submit(1).unwrap();
         assert_ne!(a, b);
         assert_eq!(qp.sq_pending(), 2);
-        let batch = qp.ring_doorbell();
-        assert_eq!(batch.len(), 2);
+        assert_eq!(qp.ring_doorbell(), 2);
         assert_eq!(qp.sq_pending(), 0);
         assert_eq!(qp.doorbells, 1);
-        for (cid, _) in batch {
+        for cid in [a, b] {
             qp.post_completion(cid, Ok(()));
         }
         assert_eq!(qp.reap().unwrap().cid, a);
@@ -137,11 +137,12 @@ mod tests {
     #[test]
     fn queue_full() {
         let mut qp = QueuePair::new(2);
-        qp.submit(flush()).unwrap();
-        qp.submit(flush()).unwrap();
-        assert_eq!(qp.submit(flush()), Err(NvmeError::QueueFull));
+        qp.submit(2).unwrap();
+        assert_eq!(qp.submit(1), Err(NvmeError::QueueFull));
         qp.ring_doorbell();
-        qp.submit(flush()).unwrap();
+        qp.submit(1).unwrap();
+        assert_eq!(qp.submit(2), Err(NvmeError::QueueFull), "refused whole");
+        assert_eq!(qp.sq_pending(), 1);
     }
 
     #[test]
@@ -159,13 +160,14 @@ mod tests {
     }
 
     #[test]
-    fn one_doorbell_many_commands() {
+    fn one_doorbell_many_commands_with_a_consecutive_cid_range() {
         let mut qp = QueuePair::new(64);
-        for _ in 0..32 {
-            qp.submit(flush()).unwrap();
-        }
-        let batch = qp.ring_doorbell();
-        assert_eq!(batch.len(), 32);
-        assert_eq!(qp.doorbells, 1);
+        qp.submit(63).unwrap(); // Move off cid 0.
+        qp.ring_doorbell();
+        let first = qp.submit(32).unwrap();
+        let next = qp.submit(1).unwrap();
+        assert_eq!(next, first.wrapping_add(32));
+        assert_eq!(qp.ring_doorbell(), 33);
+        assert_eq!(qp.doorbells, 2);
     }
 }

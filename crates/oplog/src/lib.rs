@@ -451,6 +451,85 @@ mod tests {
         assert_eq!(got, vec![(100, 100)]);
     }
 
+    /// A straggler sleeps through `burst` appends on a log that may
+    /// compact past it, then through four more, syncing in between and
+    /// recovering (`Overrun` → snapshot at the tail) as often as the log
+    /// demands — with a small `max_lag` a recovered replica is overrun
+    /// again two appends later. However many rounds that takes: nothing
+    /// is applied twice, everything appended after the last installed
+    /// snapshot is applied, and every round shows in `LogStats::overruns`.
+    /// Returns the number of rounds.
+    fn straggler_recovers(burst: u64, max_lag: u64) -> u32 {
+        let log = OpLog::new(LogConfig {
+            high_water: 8,
+            max_lag,
+        });
+        let mut fresh = log.register();
+        let mut straggler = log.register();
+        let mut applied: Vec<u64> = Vec::new();
+        let mut owed_from = 0;
+        let mut rounds = 0;
+        let mut counted = 0;
+        let mut catch_up = |straggler: &mut ReplicaCursor| loop {
+            match log.sync(straggler, |seq, op| {
+                assert_eq!(seq, *op, "entry delivered under another's sequence");
+                applied.push(seq);
+            }) {
+                SyncOutcome::Applied(_) => return,
+                SyncOutcome::Overrun => {
+                    let overruns = log.stats().overruns;
+                    assert!(overruns > counted, "an uncounted overrun round");
+                    counted = overruns;
+                    rounds += 1;
+                    owed_from = log.tail();
+                    log.install_snapshot(straggler, owed_from);
+                }
+            }
+        };
+        for seq in 0..burst {
+            log.append(seq);
+            log.sync(&mut fresh, |_, _| {});
+        }
+        catch_up(&mut straggler);
+        for i in 0..4 {
+            log.append(burst + i);
+            log.sync(&mut fresh, |_, _| {});
+            if i % 2 == 1 {
+                catch_up(&mut straggler);
+            }
+        }
+        assert!(applied.windows(2).all(|w| w[0] < w[1]), "applied twice");
+        let owed: Vec<u64> = (owed_from..log.tail()).collect();
+        assert!(
+            applied.ends_with(&owed),
+            "burst {burst}, max_lag {max_lag}: {rounds} round(s), owed {owed:?}, applied {applied:?}"
+        );
+        assert_eq!(log.lag(&straggler), 0);
+        assert_eq!(rounds == 0, log.stats().overruns == 0);
+        rounds
+    }
+
+    /// The two shapes the old property (`max_lag == 1`, `burst ≡ 7 mod 8`)
+    /// called failures: the second append after the burst is the ninth
+    /// resident entry, so compaction runs and overruns a straggler that
+    /// is legitimately two behind — for the long burst, a second time.
+    #[test]
+    fn straggler_overrun_right_after_catching_up_still_recovers() {
+        assert_eq!(straggler_recovers(7, 1), 1);
+        assert_eq!(straggler_recovers(199, 1), 2);
+    }
+
+    #[test]
+    fn straggler_recovers_over_the_whole_input_space() {
+        for burst in 1..200 {
+            for max_lag in 1..32 {
+                straggler_recovers(burst, max_lag);
+            }
+        }
+        // Generous allowances never overrun at all.
+        assert_eq!(straggler_recovers(199, 300), 0);
+    }
+
     #[test]
     fn concurrent_appends_sequence_every_ticket() {
         let log = OpLog::new(LogConfig::default());

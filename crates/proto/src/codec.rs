@@ -19,7 +19,7 @@
 //! for per-tenant QoS accounting. Both default to zero, which preserves
 //! pre-pipeline behaviour bit-for-bit apart from the two header bytes.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::{Buf, BufMut};
 
 /// Frame header length in bytes.
 pub const HEADER_LEN: usize = 4 + 1 + 4 + 1 + 1 + 1;
@@ -141,15 +141,9 @@ pub struct Frame<'a> {
 
 /// Encodes a frame with no credit grant, no flags, default tenant.
 pub fn encode_frame(msg_type: u8, tag: u32, body: &[u8]) -> Vec<u8> {
-    let mut out = BytesMut::with_capacity(HEADER_LEN + body.len());
-    out.put_u32_le(body.len() as u32);
-    out.put_u8(msg_type);
-    out.put_u32_le(tag);
-    out.put_u8(0);
-    out.put_u8(0);
-    out.put_u8(0);
-    out.put_slice(body);
-    out.to_vec()
+    let mut out = Vec::new();
+    Writer::frame(&mut out, msg_type, tag).raw(body).finish();
+    out
 }
 
 /// Stamps a credit grant into an already-encoded frame, in place.
@@ -276,53 +270,73 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Body writer.
-#[derive(Default)]
-pub struct Writer {
-    buf: BytesMut,
+/// Bytes a frame's first write into a fresh vector reserves: the header
+/// plus every fixed-size body and a small payload, so those are encoded
+/// with one allocation — none when the buffer is reused.
+const FRAME_RESERVE: usize = 128;
+
+/// Frame writer: builds one frame, header included, at the end of a
+/// caller-owned buffer. The bytes are written once, where they stay.
+pub struct Writer<'a> {
+    out: &'a mut Vec<u8>,
+    /// Offset of this frame's header inside `out`.
+    start: usize,
 }
 
-impl Writer {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
+impl<'a> Writer<'a> {
+    /// Appends a header (no credit grant, no flags, default tenant) to
+    /// `out`; the body length is filled in by [`Writer::finish`].
+    pub fn frame(out: &'a mut Vec<u8>, msg_type: u8, tag: u32) -> Self {
+        let start = out.len();
+        if out.capacity() == 0 {
+            out.reserve(FRAME_RESERVE);
+        }
+        out.put_u32_le(0);
+        out.put_u8(msg_type);
+        out.put_u32_le(tag);
+        out.put_slice(&[0; HEADER_LEN - CREDIT_OFFSET]);
+        Self { out, start }
     }
 
     /// Writes a `u8`.
-    pub fn u8(mut self, v: u8) -> Self {
-        self.buf.put_u8(v);
+    pub fn u8(self, v: u8) -> Self {
+        self.out.put_u8(v);
         self
     }
 
     /// Writes a `u32`.
-    pub fn u32(mut self, v: u32) -> Self {
-        self.buf.put_u32_le(v);
+    pub fn u32(self, v: u32) -> Self {
+        self.out.put_u32_le(v);
         self
     }
 
     /// Writes a `u64`.
-    pub fn u64(mut self, v: u64) -> Self {
-        self.buf.put_u64_le(v);
+    pub fn u64(self, v: u64) -> Self {
+        self.out.put_u64_le(v);
         self
     }
 
     /// Writes a length-prefixed string.
-    pub fn string(mut self, s: &str) -> Self {
-        self.buf.put_u32_le(s.len() as u32);
-        self.buf.put_slice(s.as_bytes());
-        self
+    pub fn string(self, s: &str) -> Self {
+        self.bytes(s.as_bytes())
     }
 
     /// Writes a length-prefixed byte blob.
-    pub fn bytes(mut self, b: &[u8]) -> Self {
-        self.buf.put_u32_le(b.len() as u32);
-        self.buf.put_slice(b);
+    pub fn bytes(self, b: &[u8]) -> Self {
+        self.out.put_u32_le(b.len() as u32);
+        self.raw(b)
+    }
+
+    /// Writes bytes with no length prefix.
+    pub fn raw(self, b: &[u8]) -> Self {
+        self.out.put_slice(b);
         self
     }
 
-    /// Finalizes the body.
-    pub fn build(self) -> Vec<u8> {
-        self.buf.to_vec()
+    /// Completes the frame by writing its body length into the header.
+    pub fn finish(self) {
+        let body_len = (self.out.len() - self.start - HEADER_LEN) as u32;
+        self.out[self.start..self.start + 4].copy_from_slice(&body_len.to_le_bytes());
     }
 }
 
@@ -412,15 +426,22 @@ mod tests {
         assert_eq!(decode_frame(&long), Err(ProtoError::Truncated));
     }
 
+    /// The body a writer chain produces, cut out of its finished frame.
+    fn body(write: impl FnOnce(Writer<'_>) -> Writer<'_>) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write(Writer::frame(&mut frame, 1, 0)).finish();
+        decode_frame(&frame).unwrap().body.to_vec()
+    }
+
     #[test]
     fn reader_writer_roundtrip() {
-        let body = Writer::new()
-            .u8(3)
-            .u32(70_000)
-            .u64(1 << 40)
-            .string("/path/to/file")
-            .bytes(&[9, 8, 7])
-            .build();
+        let body = body(|w| {
+            w.u8(3)
+                .u32(70_000)
+                .u64(1 << 40)
+                .string("/path/to/file")
+                .bytes(&[9, 8, 7])
+        });
         let mut r = Reader::new(&body);
         assert_eq!(r.u8().unwrap(), 3);
         assert_eq!(r.u32().unwrap(), 70_000);
@@ -431,31 +452,40 @@ mod tests {
     }
 
     #[test]
+    fn writer_appends_after_existing_bytes() {
+        let mut out = b"earlier".to_vec();
+        Writer::frame(&mut out, 7, 0xDEAD).raw(b"body!").finish();
+        assert_eq!(&out[..7], b"earlier");
+        assert_eq!(out[7..], encode_frame(7, 0xDEAD, b"body!"));
+        // A second frame in the same buffer patches its own header.
+        let first_end = out.len();
+        Writer::frame(&mut out, 8, 1).u64(5).finish();
+        assert_eq!(decode_frame(&out[7..first_end]).unwrap().body, b"body!");
+        assert_eq!(decode_frame(&out[first_end..]).unwrap().body.len(), 8);
+    }
+
+    #[test]
     fn reader_rejects_malformed() {
         let mut r = Reader::new(&[1]);
         assert_eq!(r.u32(), Err(ProtoError::Malformed));
 
         // String length exceeding the buffer.
-        let bad = Writer::new().u32(100).build();
+        let bad = body(|w| w.u32(100));
         let mut r = Reader::new(&bad);
         assert_eq!(r.string(), Err(ProtoError::Malformed));
 
         // Invalid UTF-8.
-        let mut bad = Writer::new().u32(2).build();
-        bad.extend_from_slice(&[0xFF, 0xFE]);
+        let bad = body(|w| w.u32(2).raw(&[0xFF, 0xFE]));
         let mut r = Reader::new(&bad);
         assert_eq!(r.string(), Err(ProtoError::Malformed));
 
         // Oversized string length.
-        let mut huge = Writer::new().u32(MAX_STR as u32 + 1).build();
-        huge.extend(vec![b'a'; MAX_STR + 1]);
+        let huge = body(|w| w.u32(MAX_STR as u32 + 1).raw(&vec![b'a'; MAX_STR + 1]));
         let mut r = Reader::new(&huge);
         assert_eq!(r.string(), Err(ProtoError::Malformed));
 
         // Trailing garbage.
-        let body = Writer::new().u8(1).build();
-        let mut extra = body.clone();
-        extra.push(0);
+        let extra = body(|w| w.u8(1).u8(0));
         let mut r = Reader::new(&extra);
         r.u8().unwrap();
         assert_eq!(r.finish(), Err(ProtoError::Malformed));

@@ -7,7 +7,7 @@
 //! mode) to move the data — the RPC ring only ever carries control
 //! messages, which is the zero-copy property.
 
-use crate::codec::{decode_frame, encode_frame, ProtoError, Reader, Writer};
+use crate::codec::{decode_frame, ProtoError, Reader, Writer};
 use crate::rpc_error::RpcErr;
 
 /// Requests sent by the data-plane FS stub.
@@ -145,86 +145,76 @@ const T_LEASE_ACK: u8 = 24;
 impl FsRequest {
     /// Encodes with a caller tag.
     pub fn encode(&self, tag: u32) -> Vec<u8> {
-        let (ty, body) = match self {
+        let mut out = Vec::new();
+        self.encode_into(tag, &mut out);
+        out
+    }
+
+    /// Appends the encoded frame to `out` (a reusable buffer pays no
+    /// allocation).
+    pub fn encode_into(&self, tag: u32, out: &mut Vec<u8>) {
+        match self {
             FsRequest::Open {
                 path,
                 create,
                 truncate,
                 buffered,
-            } => (
-                T_OPEN,
-                Writer::new()
-                    .string(path)
-                    .u8(*create as u8)
-                    .u8(*truncate as u8)
-                    .u8(*buffered as u8)
-                    .build(),
-            ),
-            FsRequest::Create { path } => (T_CREATE, Writer::new().string(path).build()),
+            } => Writer::frame(out, T_OPEN, tag)
+                .string(path)
+                .u8(*create as u8)
+                .u8(*truncate as u8)
+                .u8(*buffered as u8),
+            FsRequest::Create { path } => Writer::frame(out, T_CREATE, tag).string(path),
             FsRequest::Read {
                 ino,
                 offset,
                 count,
                 buf_addr,
-            } => (
-                T_READ,
-                Writer::new()
-                    .u64(*ino)
-                    .u64(*offset)
-                    .u64(*count)
-                    .u64(*buf_addr)
-                    .build(),
-            ),
+            } => Writer::frame(out, T_READ, tag)
+                .u64(*ino)
+                .u64(*offset)
+                .u64(*count)
+                .u64(*buf_addr),
             FsRequest::Write {
                 ino,
                 offset,
                 count,
                 buf_addr,
-            } => (
-                T_WRITE,
-                Writer::new()
-                    .u64(*ino)
-                    .u64(*offset)
-                    .u64(*count)
-                    .u64(*buf_addr)
-                    .build(),
-            ),
-            FsRequest::Stat { path } => (T_STAT, Writer::new().string(path).build()),
-            FsRequest::Fstat { ino } => (T_FSTAT, Writer::new().u64(*ino).build()),
-            FsRequest::Unlink { path } => (T_UNLINK, Writer::new().string(path).build()),
-            FsRequest::Mkdir { path } => (T_MKDIR, Writer::new().string(path).build()),
-            FsRequest::Readdir { path } => (T_READDIR, Writer::new().string(path).build()),
+            } => Writer::frame(out, T_WRITE, tag)
+                .u64(*ino)
+                .u64(*offset)
+                .u64(*count)
+                .u64(*buf_addr),
+            FsRequest::Stat { path } => Writer::frame(out, T_STAT, tag).string(path),
+            FsRequest::Fstat { ino } => Writer::frame(out, T_FSTAT, tag).u64(*ino),
+            FsRequest::Unlink { path } => Writer::frame(out, T_UNLINK, tag).string(path),
+            FsRequest::Mkdir { path } => Writer::frame(out, T_MKDIR, tag).string(path),
+            FsRequest::Readdir { path } => Writer::frame(out, T_READDIR, tag).string(path),
             FsRequest::Rename { from, to } => {
-                (T_RENAME, Writer::new().string(from).string(to).build())
+                Writer::frame(out, T_RENAME, tag).string(from).string(to)
             }
             FsRequest::Truncate { ino, size } => {
-                (T_TRUNCATE, Writer::new().u64(*ino).u64(*size).build())
+                Writer::frame(out, T_TRUNCATE, tag).u64(*ino).u64(*size)
             }
-            FsRequest::Fsync { ino } => (T_FSYNC, Writer::new().u64(*ino).build()),
+            FsRequest::Fsync { ino } => Writer::frame(out, T_FSYNC, tag).u64(*ino),
             FsRequest::LeaseAcquire {
                 ino,
                 offset,
                 len,
                 write,
-            } => (
-                T_LEASE_ACQ,
-                Writer::new()
-                    .u64(*ino)
-                    .u64(*offset)
-                    .u64(*len)
-                    .u8(*write as u8)
-                    .build(),
-            ),
-            FsRequest::LeaseRelease { id, written_end } => (
-                T_LEASE_REL,
-                Writer::new().u64(*id).u64(*written_end).build(),
-            ),
-            FsRequest::LeaseRecallAck { id, written_end } => (
-                T_LEASE_ACK,
-                Writer::new().u64(*id).u64(*written_end).build(),
-            ),
-        };
-        encode_frame(ty, tag, &body)
+            } => Writer::frame(out, T_LEASE_ACQ, tag)
+                .u64(*ino)
+                .u64(*offset)
+                .u64(*len)
+                .u8(*write as u8),
+            FsRequest::LeaseRelease { id, written_end } => Writer::frame(out, T_LEASE_REL, tag)
+                .u64(*id)
+                .u64(*written_end),
+            FsRequest::LeaseRecallAck { id, written_end } => Writer::frame(out, T_LEASE_ACK, tag)
+                .u64(*id)
+                .u64(*written_end),
+        }
+        .finish()
     }
 
     /// Decodes a request frame, returning `(tag, request)`.
@@ -378,43 +368,45 @@ const R_ERROR: u8 = 127;
 impl FsResponse {
     /// Encodes with the echoed tag.
     pub fn encode(&self, tag: u32) -> Vec<u8> {
-        let (ty, body) = match self {
-            FsResponse::Open { ino, size } => (R_OPEN, Writer::new().u64(*ino).u64(*size).build()),
-            FsResponse::Create { ino } => (R_CREATE, Writer::new().u64(*ino).build()),
-            FsResponse::Read { count } => (R_READ, Writer::new().u64(*count).build()),
-            FsResponse::Write { count } => (R_WRITE, Writer::new().u64(*count).build()),
-            FsResponse::Stat { ino, is_dir, size } => (
-                R_STAT,
-                Writer::new().u64(*ino).u8(*is_dir as u8).u64(*size).build(),
+        let mut out = Vec::new();
+        self.encode_into(tag, &mut out);
+        out
+    }
+
+    /// Appends the encoded frame to `out` (a reusable buffer pays no
+    /// allocation).
+    pub fn encode_into(&self, tag: u32, out: &mut Vec<u8>) {
+        match self {
+            FsResponse::Open { ino, size } => Writer::frame(out, R_OPEN, tag).u64(*ino).u64(*size),
+            FsResponse::Create { ino } => Writer::frame(out, R_CREATE, tag).u64(*ino),
+            FsResponse::Read { count } => Writer::frame(out, R_READ, tag).u64(*count),
+            FsResponse::Write { count } => Writer::frame(out, R_WRITE, tag).u64(*count),
+            FsResponse::Stat { ino, is_dir, size } => Writer::frame(out, R_STAT, tag)
+                .u64(*ino)
+                .u8(*is_dir as u8)
+                .u64(*size),
+            FsResponse::Readdir { names } => names.iter().fold(
+                Writer::frame(out, R_READDIR, tag).u32(names.len() as u32),
+                |w, n| w.string(n),
             ),
-            FsResponse::Readdir { names } => {
-                let mut w = Writer::new().u32(names.len() as u32);
-                for n in names {
-                    w = w.string(n);
-                }
-                (R_READDIR, w.build())
-            }
-            FsResponse::Ok => (R_OK, Vec::new()),
-            FsResponse::Mkdir { ino } => (R_MKDIR, Writer::new().u64(*ino).build()),
+            FsResponse::Ok => Writer::frame(out, R_OK, tag),
+            FsResponse::Mkdir { ino } => Writer::frame(out, R_MKDIR, tag).u64(*ino),
             FsResponse::LeaseGrant {
                 id,
                 generation,
                 data_end,
                 extents,
-            } => {
-                let mut w = Writer::new()
+            } => extents.iter().fold(
+                Writer::frame(out, R_LEASE, tag)
                     .u64(*id)
                     .u64(*generation)
                     .u64(*data_end)
-                    .u32(extents.len() as u32);
-                for (start, blocks) in extents {
-                    w = w.u64(*start).u32(*blocks);
-                }
-                (R_LEASE, w.build())
-            }
-            FsResponse::Error { err } => (R_ERROR, Writer::new().u32(err.code()).build()),
-        };
-        encode_frame(ty, tag, &body)
+                    .u32(extents.len() as u32),
+                |w, (start, blocks)| w.u64(*start).u32(*blocks),
+            ),
+            FsResponse::Error { err } => Writer::frame(out, R_ERROR, tag).u32(err.code()),
+        }
+        .finish()
     }
 
     /// Decodes a reply frame, returning `(tag, response)`.
@@ -485,6 +477,10 @@ mod tests {
         let (tag, got) = FsRequest::decode(&buf).unwrap();
         assert_eq!(tag, 42);
         assert_eq!(got, req);
+        // Appending to a buffer in use yields the same bytes.
+        let mut appended = b"earlier frame".to_vec();
+        req.encode_into(42, &mut appended);
+        assert_eq!(appended[13..], buf);
     }
 
     fn resp_roundtrip(resp: FsResponse) {
@@ -492,6 +488,9 @@ mod tests {
         let (tag, got) = FsResponse::decode(&buf).unwrap();
         assert_eq!(tag, 7);
         assert_eq!(got, resp);
+        let mut appended = b"earlier frame".to_vec();
+        resp.encode_into(7, &mut appended);
+        assert_eq!(appended[13..], buf);
     }
 
     #[test]
@@ -578,9 +577,9 @@ mod tests {
 
     #[test]
     fn bad_type_rejected() {
-        let buf = encode_frame(200, 0, &[]);
+        let buf = crate::codec::encode_frame(200, 0, &[]);
         assert_eq!(FsRequest::decode(&buf), Err(ProtoError::BadType));
-        let buf = encode_frame(5, 0, &[]);
+        let buf = crate::codec::encode_frame(5, 0, &[]);
         assert_eq!(FsResponse::decode(&buf), Err(ProtoError::BadType));
     }
 

@@ -8,7 +8,7 @@
 //! in the event element (the inbound ring master is at the host so
 //! co-processor DMA engines pull it).
 
-use crate::codec::{decode_frame, encode_frame, ProtoError, Reader, Writer};
+use crate::codec::{decode_frame, ProtoError, Reader, Writer};
 use crate::rpc_error::RpcErr;
 
 /// Socket identifier assigned by the proxy.
@@ -100,37 +100,50 @@ const T_SHUTDOWN: u8 = 49;
 impl NetRequest {
     /// Encodes with a caller tag.
     pub fn encode(&self, tag: u32) -> Vec<u8> {
-        let (ty, body) = match self {
-            NetRequest::Socket => (T_SOCKET, Vec::new()),
+        let mut out = Vec::new();
+        self.encode_into(tag, &mut out);
+        out
+    }
+
+    /// Appends the encoded frame to `out` (a reusable buffer pays no
+    /// allocation).
+    pub fn encode_into(&self, tag: u32, out: &mut Vec<u8>) {
+        match self {
+            NetRequest::Socket => Writer::frame(out, T_SOCKET, tag),
             NetRequest::Bind { sock, port } => {
-                (T_BIND, Writer::new().u64(*sock).u32(*port as u32).build())
+                Writer::frame(out, T_BIND, tag).u64(*sock).u32(*port as u32)
             }
             NetRequest::Listen { sock, backlog } => {
-                (T_LISTEN, Writer::new().u64(*sock).u32(*backlog).build())
+                Writer::frame(out, T_LISTEN, tag).u64(*sock).u32(*backlog)
             }
-            NetRequest::Accept { sock } => (T_ACCEPT, Writer::new().u64(*sock).build()),
-            NetRequest::Connect { sock, addr, port } => (
-                T_CONNECT,
-                Writer::new()
-                    .u64(*sock)
-                    .u64(*addr)
-                    .u32(*port as u32)
-                    .build(),
-            ),
+            NetRequest::Accept { sock } => Writer::frame(out, T_ACCEPT, tag).u64(*sock),
+            NetRequest::Connect { sock, addr, port } => Writer::frame(out, T_CONNECT, tag)
+                .u64(*sock)
+                .u64(*addr)
+                .u32(*port as u32),
             NetRequest::Send { sock, data } => {
-                (T_SEND, Writer::new().u64(*sock).bytes(data).build())
+                return Self::encode_send_into(tag, *sock, data, out)
             }
-            NetRequest::Recv { sock, max } => (T_RECV, Writer::new().u64(*sock).u32(*max).build()),
-            NetRequest::Close { sock } => (T_CLOSE, Writer::new().u64(*sock).build()),
-            NetRequest::Setsockopt { sock, opt, val } => (
-                T_SETSOCKOPT,
-                Writer::new().u64(*sock).u32(*opt).u64(*val).build(),
-            ),
+            NetRequest::Recv { sock, max } => Writer::frame(out, T_RECV, tag).u64(*sock).u32(*max),
+            NetRequest::Close { sock } => Writer::frame(out, T_CLOSE, tag).u64(*sock),
+            NetRequest::Setsockopt { sock, opt, val } => Writer::frame(out, T_SETSOCKOPT, tag)
+                .u64(*sock)
+                .u32(*opt)
+                .u64(*val),
             NetRequest::Shutdown { sock, how } => {
-                (T_SHUTDOWN, Writer::new().u64(*sock).u8(*how).build())
+                Writer::frame(out, T_SHUTDOWN, tag).u64(*sock).u8(*how)
             }
-        };
-        encode_frame(ty, tag, &body)
+        }
+        .finish()
+    }
+
+    /// Appends a [`NetRequest::Send`] frame whose payload is borrowed, so
+    /// a stub sending from a caller's slice builds no owned request first.
+    pub fn encode_send_into(tag: u32, sock: SockId, data: &[u8], out: &mut Vec<u8>) {
+        Writer::frame(out, T_SEND, tag)
+            .u64(sock)
+            .bytes(data)
+            .finish()
     }
 
     /// Decodes a request frame, returning `(tag, request)`.
@@ -228,17 +241,25 @@ const R_NERROR: u8 = 157;
 impl NetResponse {
     /// Encodes with the echoed tag.
     pub fn encode(&self, tag: u32) -> Vec<u8> {
-        let (ty, body) = match self {
-            NetResponse::Socket { sock } => (R_SOCKET, Writer::new().u64(*sock).build()),
-            NetResponse::Accepted { conn, peer_addr } => {
-                (R_ACCEPTED, Writer::new().u64(*conn).u64(*peer_addr).build())
-            }
-            NetResponse::Sent { count } => (R_SENT, Writer::new().u64(*count).build()),
-            NetResponse::Data { data } => (R_DATA, Writer::new().bytes(data).build()),
-            NetResponse::Ok => (R_NOK, Vec::new()),
-            NetResponse::Error { err } => (R_NERROR, Writer::new().u32(err.code()).build()),
-        };
-        encode_frame(ty, tag, &body)
+        let mut out = Vec::new();
+        self.encode_into(tag, &mut out);
+        out
+    }
+
+    /// Appends the encoded frame to `out` (a reusable buffer pays no
+    /// allocation).
+    pub fn encode_into(&self, tag: u32, out: &mut Vec<u8>) {
+        match self {
+            NetResponse::Socket { sock } => Writer::frame(out, R_SOCKET, tag).u64(*sock),
+            NetResponse::Accepted { conn, peer_addr } => Writer::frame(out, R_ACCEPTED, tag)
+                .u64(*conn)
+                .u64(*peer_addr),
+            NetResponse::Sent { count } => Writer::frame(out, R_SENT, tag).u64(*count),
+            NetResponse::Data { data } => Writer::frame(out, R_DATA, tag).bytes(data),
+            NetResponse::Ok => Writer::frame(out, R_NOK, tag),
+            NetResponse::Error { err } => Writer::frame(out, R_NERROR, tag).u32(err.code()),
+        }
+        .finish()
     }
 
     /// Decodes a reply frame, returning `(tag, response)`.
@@ -299,23 +320,26 @@ const E_CLOSED: u8 = 202;
 impl NetEvent {
     /// Encodes the event.
     pub fn encode(&self) -> Vec<u8> {
-        let (ty, body) = match self {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded event frame to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
             NetEvent::Accepted {
                 listen,
                 conn,
                 peer_addr,
-            } => (
-                E_ACCEPTED,
-                Writer::new()
-                    .u64(*listen)
-                    .u64(*conn)
-                    .u64(*peer_addr)
-                    .build(),
-            ),
-            NetEvent::Data { sock, data } => (E_DATA, Writer::new().u64(*sock).bytes(data).build()),
-            NetEvent::Closed { sock } => (E_CLOSED, Writer::new().u64(*sock).build()),
-        };
-        encode_frame(ty, 0, &body)
+            } => Writer::frame(out, E_ACCEPTED, 0)
+                .u64(*listen)
+                .u64(*conn)
+                .u64(*peer_addr),
+            NetEvent::Data { sock, data } => Writer::frame(out, E_DATA, 0).u64(*sock).bytes(data),
+            NetEvent::Closed { sock } => Writer::frame(out, E_CLOSED, 0).u64(*sock),
+        }
+        .finish()
     }
 
     /// Decodes an event frame.
@@ -384,6 +408,10 @@ mod tests {
             let (tag, got) = NetRequest::decode(&buf).unwrap();
             assert_eq!(tag, i as u32);
             assert_eq!(got, req);
+            // Appending to a buffer in use yields the same bytes.
+            let mut appended = b"earlier frame".to_vec();
+            req.encode_into(i as u32, &mut appended);
+            assert_eq!(appended[13..], buf);
         }
     }
 
@@ -406,6 +434,9 @@ mod tests {
             let (tag, got) = NetResponse::decode(&buf).unwrap();
             assert_eq!(tag, 3);
             assert_eq!(got, resp);
+            let mut appended = b"earlier frame".to_vec();
+            resp.encode_into(3, &mut appended);
+            assert_eq!(appended[13..], buf);
         }
     }
 
@@ -429,7 +460,21 @@ mod tests {
         ] {
             let buf = ev.encode();
             assert_eq!(NetEvent::decode(&buf).unwrap(), ev);
+            let mut appended = b"earlier frame".to_vec();
+            ev.encode_into(&mut appended);
+            assert_eq!(appended[13..], buf);
         }
+    }
+
+    #[test]
+    fn borrowed_send_encodes_the_same_frame() {
+        let owned = NetRequest::Send {
+            sock: 9,
+            data: vec![7; 200],
+        };
+        let mut borrowed = Vec::new();
+        NetRequest::encode_send_into(4, 9, &[7; 200], &mut borrowed);
+        assert_eq!(borrowed, owned.encode(4));
     }
 
     #[test]

@@ -41,8 +41,10 @@ pub mod error;
 pub mod locks;
 pub mod ring;
 pub mod twolock;
+pub mod wave;
 
 pub use doorbell::Doorbell;
 pub use error::RingError;
 pub use ring::{Consumer, Producer, RbBuf, RingBuf, RingConfig};
 pub use twolock::TwoLockQueue;
+pub use wave::Wave;

@@ -18,7 +18,9 @@
 //! `set_done` by concurrent threads) is tracked in process-local flag
 //! tables, which is free, exactly as it would be on real hardware.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,6 +33,7 @@ use solros_pcie::Side;
 use crate::combiner::Combiner;
 use crate::doorbell::Doorbell;
 use crate::error::RingError;
+use crate::wave::Wave;
 
 /// Element header size in bytes.
 const HDR: u64 = 8;
@@ -169,9 +172,10 @@ impl RingConfig {
 pub struct RbBuf {
     pos: u64,
     len: u32,
-    /// Payload captured by the consumer's batched pull, when it covered
-    /// this element; [`Consumer::copy_from`] then copies locally.
-    staged: Option<Vec<u8>>,
+    /// The consumer's batched pull, when it covered this element, and the
+    /// payload's offset in it; [`Consumer::copy_from`] then copies locally
+    /// and [`Consumer::recv_with`] lends the bytes where they are.
+    staged: Option<(Arc<Vec<u8>>, usize)>,
 }
 
 impl RbBuf {
@@ -335,7 +339,7 @@ impl RingBuf {
                         published_head: 0,
                         pending: VecDeque::new(),
                         stage_base: 0,
-                        stage: Vec::new(),
+                        stage: Arc::default(),
                     },
                     sh.threshold,
                 ),
@@ -412,18 +416,19 @@ enum ProdOp {
     /// Reserve a prefix of the listed sizes (as many as fit) in one
     /// combiner pass.
     ReserveBatch(Vec<u32>),
-    /// Reserve, copy, and mark ready a whole wave of frames; on a lazy
-    /// ring the wave pays a single control-variable publish at batch end.
-    SendBatch(Vec<Vec<u8>>),
+    /// Reserve, copy, and mark ready the given frames of a wave; on a
+    /// lazy ring they pay a single control-variable publish at batch end.
+    /// The wave is lent to the combiner, not consumed.
+    SendWave(Wave, Range<usize>),
 }
 
 /// Result of a [`ProdOp`].
 enum ProdRes {
     Reserved(Result<RbBuf, RingError>),
     Bufs(Vec<RbBuf>),
-    /// Frames accepted off the front of the wave, plus the unsent tail
-    /// (non-empty when the ring filled mid-wave).
-    Batched(usize, Vec<Vec<u8>>),
+    /// The wave, handed back, and how many of its frames were accepted
+    /// (fewer than offered when the ring filled mid-wave).
+    Waved(Wave, usize),
 }
 
 struct ProdInner {
@@ -513,53 +518,79 @@ impl Producer {
         Ok(bufs)
     }
 
-    /// Vectored send: reserves, copies, and readies a whole wave of
-    /// frames in **one** combiner pass, publishing the authoritative tail
+    /// Vectored send: reserves, copies, and readies frames `range` of
+    /// `wave` in **one** combiner pass, publishing the authoritative tail
     /// once at batch end (on a lazy ring — the eager baseline still pays
     /// one publish per frame, which is the ablation's point). Returns the
-    /// number of frames accepted plus the unsent tail of the wave when
-    /// the ring filled partway.
+    /// number of frames accepted, fewer than offered when the ring filled
+    /// partway; the wave itself is left as it was, so the caller resends
+    /// from `range.start + accepted`.
     ///
-    /// Returns [`RingError::TooBig`] (sending nothing) if any frame is
-    /// empty or exceeds [`RingBuf::max_element`].
-    pub fn send_batch(&self, frames: Vec<Vec<u8>>) -> Result<(usize, Vec<Vec<u8>>), RingError> {
+    /// Returns [`RingError::TooBig`] (sending nothing) if any offered frame
+    /// is empty or exceeds [`RingBuf::max_element`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the wave's last frame.
+    pub fn send_wave(&self, wave: &mut Wave, range: Range<usize>) -> Result<usize, RingError> {
         let inner = &self.inner;
-        if frames
-            .iter()
-            .any(|f| f.is_empty() || f.len() as u64 > inner.sh.max_elem)
+        assert!(
+            range.end <= wave.len(),
+            "no frame {} in the wave",
+            range.end
+        );
+        if range
+            .clone()
+            .map(|i| wave.frame(i).len() as u64)
+            .any(|len| len == 0 || len > inner.sh.max_elem)
         {
             return Err(RingError::TooBig);
         }
-        if frames.is_empty() {
-            return Ok((0, frames));
+        if range.is_empty() {
+            return Ok(0);
         }
-        let (sent, rest) = match inner.combiner.submit(
-            ProdOp::SendBatch(frames),
+        // The combiner may run on another thread, so the frames travel
+        // with the operation and come back with its result.
+        let sent = match inner.combiner.submit(
+            ProdOp::SendWave(std::mem::take(wave), range),
             |st, op| inner.apply(st, op),
             |st| inner.publish(st),
         ) {
-            ProdRes::Batched(sent, rest) => (sent, rest),
-            _ => unreachable!("SendBatch yields Batched"),
+            ProdRes::Waved(lent, sent) => {
+                *wave = lent;
+                sent
+            }
+            _ => unreachable!("SendWave yields Waved"),
         };
         inner.wave_submits.fetch_add(1, Ordering::Relaxed);
         inner.wave_frames.fetch_add(sent as u64, Ordering::Relaxed);
+        Ok(sent)
+    }
+
+    /// [`Producer::send_wave`] of the whole wave, spinning until all of it
+    /// has been accepted (resubmitting the unsent tail after each backoff).
+    pub fn send_wave_blocking(&self, wave: &mut Wave) -> Result<(), RingError> {
+        let mut sent = self.send_wave(wave, 0..wave.len())?;
+        let mut spins = 0u32;
+        while sent < wave.len() {
+            self.inner.wave_resubmits.fetch_add(1, Ordering::Relaxed);
+            crate::locks::spin_backoff(&mut spins);
+            sent += self.send_wave(wave, sent..wave.len())?;
+        }
+        Ok(())
+    }
+
+    /// [`Producer::send_wave`] for frames the caller holds as owned
+    /// vectors: returns the number accepted plus the unsent tail.
+    pub fn send_batch(&self, mut frames: Vec<Vec<u8>>) -> Result<(usize, Vec<Vec<u8>>), RingError> {
+        let sent = self.send_wave(&mut Wave::of(&frames), 0..frames.len())?;
+        let rest = frames.split_off(sent);
         Ok((sent, rest))
     }
 
-    /// As [`Producer::send_batch`], spinning until the entire wave has
-    /// been accepted (resubmitting the unsent tail after each backoff).
+    /// [`Producer::send_wave_blocking`] for owned frames.
     pub fn send_batch_blocking(&self, frames: Vec<Vec<u8>>) -> Result<(), RingError> {
-        let mut rest = frames;
-        let mut spins = 0u32;
-        loop {
-            let (_, unsent) = self.send_batch(rest)?;
-            if unsent.is_empty() {
-                return Ok(());
-            }
-            self.inner.wave_resubmits.fetch_add(1, Ordering::Relaxed);
-            rest = unsent;
-            crate::locks::spin_backoff(&mut spins);
-        }
+        self.send_wave_blocking(&mut Wave::of(&frames))
     }
 
     /// Copies `data` into the element memory (the paper's
@@ -675,25 +706,17 @@ impl ProdInner {
                 }
                 ProdRes::Bufs(bufs)
             }
-            ProdOp::SendBatch(frames) => {
-                let mut iter = frames.into_iter();
-                let mut sent = 0usize;
-                let mut rest = Vec::new();
-                for frame in iter.by_ref() {
-                    match self.try_reserve(st, frame.len() as u32) {
-                        Ok(rb) => {
-                            self.write_payload(&rb, &frame);
-                            self.mark_ready(&rb);
-                            sent += 1;
-                        }
-                        Err(_) => {
-                            rest.push(frame);
-                            break;
-                        }
-                    }
+            ProdOp::SendWave(wave, range) => {
+                let mut sent = 0;
+                for frame in range.map(|i| wave.frame(i)) {
+                    let Ok(rb) = self.try_reserve(st, frame.len() as u32) else {
+                        break;
+                    };
+                    self.write_payload(&rb, frame);
+                    self.mark_ready(&rb);
+                    sent += 1;
                 }
-                rest.extend(iter);
-                ProdRes::Batched(sent, rest)
+                ProdRes::Waved(wave, sent)
             }
         }
     }
@@ -853,8 +876,11 @@ struct ConsState {
     pending: VecDeque<PendingSlot>,
     /// Ring position the staging buffer starts at.
     stage_base: u64,
-    /// Staged snapshot of `[stage_base, stage_base + stage.len())`.
-    stage: Vec<u8>,
+    /// Staged snapshot of `[stage_base, stage_base + stage.len())`. Shared
+    /// with the handles of the elements it covers, so a payload is lent
+    /// from here instead of copied out; refilled in place once no handle
+    /// holds it.
+    stage: Arc<Vec<u8>>,
 }
 
 struct ConsInner {
@@ -898,9 +924,9 @@ impl Consumer {
     /// Panics if `out.len()` differs from the element size.
     pub fn copy_from(&self, rb: &RbBuf, out: &mut [u8]) {
         assert_eq!(out.len(), rb.len as usize, "copy size mismatch");
-        if let Some(staged) = &rb.staged {
+        if let Some((stage, off)) = &rb.staged {
             // The batched pull already moved these bytes; local copy.
-            out.copy_from_slice(staged);
+            out.copy_from_slice(&stage[*off..*off + out.len()]);
             return;
         }
         let off = ((rb.pos % self.inner.sh.capacity) + HDR) as usize;
@@ -919,13 +945,51 @@ impl Consumer {
         inner.done_flags[flag_index(rb.pos, inner.sh.capacity)].store(true, Ordering::Release);
     }
 
-    /// Convenience: dequeue + copy + release in one call.
+    /// Dequeues the next element, lends its payload to `f`, and releases
+    /// it: the bytes `f` sees are the consumer's batched pull when that
+    /// covered the element, and otherwise this thread's copy of the
+    /// element memory — `f` decodes in place, with no per-element buffer.
+    /// The element is released when `f` returns *or unwinds*: a panicking
+    /// `f` consumes its element and wedges nothing.
+    pub fn recv_with<R>(&self, f: impl FnOnce(&[u8]) -> R) -> Result<R, RingError> {
+        /// Releases the element on every exit from `recv_with`.
+        struct Release<'a>(&'a Consumer, Option<RbBuf>);
+        impl Drop for Release<'_> {
+            fn drop(&mut self) {
+                if let Some(rb) = self.1.take() {
+                    self.0.set_done(rb);
+                }
+            }
+        }
+        thread_local! {
+            /// This thread's copy of an element the batched pull did not
+            /// cover (a local ring, an eager one, a span cut short).
+            static ELEM: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+        }
+
+        let held = Release(self, Some(self.dequeue()?));
+        let rb = held.1.as_ref().expect("held until drop");
+        let len = rb.len as usize;
+        Ok(match &rb.staged {
+            Some((stage, off)) => f(&stage[*off..*off + len]),
+            None => {
+                // Taken, not borrowed: a nested `recv_with` inside `f`
+                // starts from an empty buffer instead of failing.
+                let mut buf = ELEM.take();
+                if buf.len() < len {
+                    buf.resize(len, 0);
+                }
+                self.copy_from(rb, &mut buf[..len]);
+                let out = f(&buf[..len]);
+                ELEM.set(buf);
+                out
+            }
+        })
+    }
+
+    /// Convenience: [`Consumer::recv_with`] copying the payload out.
     pub fn recv(&self) -> Result<Vec<u8>, RingError> {
-        let rb = self.dequeue()?;
-        let mut out = vec![0u8; rb.len as usize];
-        self.copy_from(&rb, &mut out);
-        self.set_done(rb);
-        Ok(out)
+        self.recv_with(<[u8]>::to_vec)
     }
 
     /// As [`Consumer::recv`], spinning until an element arrives.
@@ -1053,8 +1117,13 @@ impl ConsInner {
         if span == 0 {
             return;
         }
-        st.stage.resize(span as usize, 0);
-        self.data.stage_read((pos % cap) as usize, &mut st.stage);
+        if Arc::get_mut(&mut st.stage).is_none() {
+            // A handle still lends out the old snapshot: leave it be.
+            st.stage = Arc::default();
+        }
+        let stage = Arc::get_mut(&mut st.stage).expect("unshared");
+        stage.resize(span as usize, 0);
+        self.data.stage_read((pos % cap) as usize, stage);
         st.stage_base = pos;
     }
 
@@ -1069,16 +1138,12 @@ impl ConsInner {
         }
     }
 
-    /// Extracts a staged payload copy when the snapshot covers it fully.
-    fn staged_payload(st: &ConsState, pos: u64, len: u32) -> Option<Vec<u8>> {
+    /// Shares the staged snapshot when it covers the payload fully.
+    fn staged_payload(st: &ConsState, pos: u64, len: u32) -> Option<(Arc<Vec<u8>>, usize)> {
         let start = pos + HDR;
         let end = st.stage_base + st.stage.len() as u64;
-        if start >= st.stage_base && start + len as u64 <= end {
-            let off = (start - st.stage_base) as usize;
-            Some(st.stage[off..off + len as usize].to_vec())
-        } else {
-            None
-        }
+        (start >= st.stage_base && start + len as u64 <= end)
+            .then(|| (Arc::clone(&st.stage), (start - st.stage_base) as usize))
     }
 
     /// Advances the reclaim frontier over released (done) slots and passed
@@ -1539,6 +1604,110 @@ mod tests {
             }
         }
         assert_eq!(got, 40);
+    }
+
+    #[test]
+    fn send_wave_sends_a_range_and_leaves_the_wave_intact() {
+        let (tx, rx) = local_ring(1024);
+        let mut wave = Wave::new();
+        for i in 0..40u8 {
+            wave.push(&[i; 64]);
+        }
+        let before = tx.publishes();
+        let first = tx.send_wave(&mut wave, 0..40).unwrap();
+        assert!(first > 0 && first < 40, "partial wave, got {first}");
+        assert_eq!(tx.publishes() - before, 1, "one publish per accepted run");
+        assert_eq!(wave.len(), 40, "the wave is lent, not consumed");
+        let mut sent = first;
+        let mut got = 0u8;
+        while got < 40 {
+            while let Ok(frame) = rx.recv() {
+                assert_eq!(frame, [got; 64]);
+                got += 1;
+            }
+            // Offer only up to frame 30 until the rest is due.
+            let upto = if sent < 30 { 30 } else { 40 };
+            sent += tx.send_wave(&mut wave, sent..upto).unwrap();
+        }
+        assert_eq!(sent, 40);
+        assert_eq!(tx.send_wave(&mut wave, 40..40).unwrap(), 0, "none offered");
+    }
+
+    /// Frames whose sizes do not divide the capacity, so some wrap.
+    fn ragged_frames(n: usize) -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|i| {
+                let mut f = vec![(i % 251) as u8; 1 + (i * 37) % 120];
+                f[0] = i as u8;
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn recv_with_lends_the_sent_bytes_staged_unstaged_and_wrapped() {
+        let rings = [
+            // Remote lazy consumer: payloads come from the batched pull.
+            RingConfig::over_pcie(512, Side::Coproc, Side::Coproc, Side::Host),
+            // Local consumer: nothing is staged.
+            RingConfig::local(512, Side::Host),
+            // Eager remote consumer: element-wise pulls, nothing staged.
+            RingConfig::over_pcie(512, Side::Coproc, Side::Coproc, Side::Host).eager(),
+        ];
+        for cfg in rings {
+            let mk = || RingBuf::new(cfg.clone(), Arc::new(PcieCounters::new())).endpoints();
+            // One ring is drained by lending, its twin by the decoupled
+            // dequeue / copy / release steps `recv` used to be made of.
+            let (ltx, lrx) = mk();
+            let (ctx, crx) = mk();
+            // 300 ragged frames through a 512-byte ring wrap many times.
+            let frames = ragged_frames(300);
+            for pair in frames.chunks(2) {
+                // Two at a time, so a staged span holds more than one.
+                for frame in pair {
+                    ltx.send_blocking(frame).unwrap();
+                    ctx.send_blocking(frame).unwrap();
+                }
+                for frame in pair {
+                    assert_eq!(&lrx.recv_with(<[u8]>::to_vec).unwrap(), frame);
+                    let rb = crx.dequeue().unwrap();
+                    let mut copied = vec![0u8; rb.len()];
+                    crx.copy_from(&rb, &mut copied);
+                    crx.set_done(rb);
+                    assert_eq!(&copied, frame);
+                }
+            }
+            assert_eq!(lrx.recv_with(|_| ()).unwrap_err(), RingError::WouldBlock);
+        }
+    }
+
+    #[test]
+    fn recv_with_panic_consumes_its_element_and_frees_its_slot() {
+        for cfg in [
+            RingConfig::over_pcie(256, Side::Coproc, Side::Coproc, Side::Host),
+            RingConfig::local(256, Side::Host),
+        ] {
+            let (tx, rx) = RingBuf::new(cfg, Arc::new(PcieCounters::new())).endpoints();
+            for i in 0..3u8 {
+                tx.send(&[i; 40]).unwrap();
+            }
+            assert_eq!(rx.recv().unwrap(), [0; 40]);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                rx.recv_with(|b| {
+                    assert_eq!(b, [1; 40]);
+                    panic!("decoder bug");
+                })
+            }));
+            assert!(unwound.is_err());
+            // Not delivered twice, and nothing after it lost.
+            assert_eq!(rx.recv().unwrap(), [2; 40]);
+            assert_eq!(rx.recv().unwrap_err(), RingError::WouldBlock);
+            // Its slot was released: the ring still takes several laps.
+            for i in 0..40u8 {
+                tx.send_blocking(&[i; 40]).unwrap();
+                assert_eq!(rx.recv_blocking(), [i; 40]);
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! the Solros reproduction runs: a virtual-time event engine, FIFO and
 //! multi-channel resources for modelling serialized hardware (PCIe links,
 //! DMA channels, SSD internals), bandwidth-shaping helpers, deterministic
-//! random number generation, and statistics collection (streaming moments
-//! and log-scaled histograms with percentile queries).
+//! random number generation, statistics collection (streaming moments
+//! and log-scaled histograms with percentile queries), and the integer
+//! hasher the per-request lookup tables share.
 //!
 //! Everything here is single-threaded and deterministic: running the same
 //! simulation twice produces bit-identical results, which is what lets the
@@ -28,6 +29,7 @@
 //! ```
 
 pub mod engine;
+pub mod hash;
 pub mod report;
 pub mod resource;
 pub mod rng;
@@ -35,6 +37,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::Engine;
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use resource::{FifoResource, Link, MultiChannel};
 pub use rng::DetRng;
 pub use stats::{Histogram, Summary};

@@ -8,7 +8,8 @@
 # prop_*.rs / proptest_*.rs integration tests), patches the other four crates
 # onto the std-backed stand-ins in benchmark/stubs/ (read only), then runs
 # every remaining test and the nine extension gates in release mode (the e8
-# gate five times, the idle-CPU test once more on its own).
+# gate five times; the idle-CPU test and the allocation-budget test, whose
+# readings are per process, once more on their own).
 #
 # Usage: scripts/offline-check.sh      (from anywhere; exits nonzero on failure)
 set -euo pipefail
@@ -41,6 +42,9 @@ cd "$ws"
 cargo test --offline --workspace --release
 # The idle-CPU reading is per process: once more with no neighbour threads.
 cargo test --offline --release -p solros --test idle_wake -- --test-threads=1
+# So is the allocation count (crates/nvme's two-thread status test needs
+# release mode to interleave; the workspace run above already is).
+cargo test --offline --release -p solros-bench --test alloc_budget -- --test-threads=1
 cargo build --offline --release -p solros-bench --bin extensions
 # e8 submits each wave with one publish, so it is deterministic: five in a row.
 for gate in e3 e3-engine e4 e5 e6 e7 e8 e8 e8 e8 e8 e9 e10; do

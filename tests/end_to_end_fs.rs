@@ -172,3 +172,85 @@ fn cache_shared_between_coprocs() {
     assert!(sys.host_fs().cache().stats().hits > 0);
     sys.shutdown();
 }
+
+#[test]
+fn a_batch_is_one_wave_whatever_the_schedule() {
+    let sys = boot_paper_like();
+    let fs = sys.data_plane(0).fs();
+    let f = fs.create("/wave").unwrap();
+    let block = |i: u8| vec![i; 4096];
+    for i in 0..32u8 {
+        fs.write_at(f, i as u64 * 4096, &block(i)).unwrap();
+    }
+    sys.host_fs().cache().invalidate_ino(f.0);
+
+    // 32 cold 4 KiB reads go out as one request-ring publish, so the
+    // proxy stages all of them into one vectored submission: exactly one
+    // doorbell and one interrupt, however the two threads interleave.
+    let before = sys.machine().nvme.stats();
+    let mut batch = fs.batch();
+    for i in (0..32u64).rev() {
+        batch = batch.read(f, i * 4096, 4096);
+    }
+    let results = batch.run();
+    let after = sys.machine().nvme.stats();
+    assert_eq!(after.doorbells - before.doorbells, 1, "one wave");
+    assert_eq!(after.interrupts - before.interrupts, 1);
+    assert_eq!(after.commands - before.commands, 32);
+    for (r, i) in results.into_iter().zip((0..32u8).rev()) {
+        assert_eq!(r.into_read(), block(i), "results keep queue order");
+    }
+
+    // Writes, a barrier and a read of what was just written, in one
+    // batch: the barrier op runs after everything queued before it.
+    let results = fs
+        .batch()
+        .write(f, 0, &block(0xAA))
+        .write(f, 4096, &block(0xBB))
+        .barrier()
+        .read(f, 0, 8192)
+        .run();
+    let mut results = results.into_iter();
+    assert_eq!(results.next().unwrap().into_write(), 4096);
+    assert_eq!(results.next().unwrap().into_write(), 4096);
+    assert_eq!(
+        results.next().unwrap().into_read(),
+        [block(0xAA), block(0xBB)].concat()
+    );
+    sys.shutdown();
+}
+
+#[test]
+fn a_batch_larger_than_the_window_degrades_without_deadlock() {
+    // Sixteen 512 KiB reads need twice the 4 MiB window: the batch
+    // submits what fits, harvests its oldest operation, and goes on.
+    let sys = boot_paper_like();
+    let fs = sys.data_plane(0).fs();
+    let f = fs.create("/bulk").unwrap();
+    const CHUNK: usize = 512 * 1024;
+    let chunk = |i: u8| vec![i + 1; CHUNK];
+    for i in 0..16u8 {
+        assert_eq!(
+            fs.write_at(f, i as u64 * CHUNK as u64, &chunk(i)),
+            Ok(CHUNK)
+        );
+    }
+    let mut batch = fs.batch();
+    for i in 0..16u64 {
+        batch = batch.read(f, i * CHUNK as u64, CHUNK);
+    }
+    // An empty read is refused where it stands; its neighbours run.
+    let results = batch.read(f, 0, 0).read(f, 0, 4096).run();
+    assert_eq!(results.len(), 18);
+    let mut results = results.into_iter();
+    for i in 0..16u8 {
+        assert_eq!(results.next().unwrap().into_read(), chunk(i), "read {i}");
+    }
+    assert!(matches!(
+        results.next().unwrap(),
+        solros::fs_api::BatchResult::Read(Err(RpcErr::Invalid))
+    ));
+    assert_eq!(results.next().unwrap().into_read(), chunk(0)[..4096]);
+    assert_eq!(fs.client().pending_len(), 0);
+    sys.shutdown();
+}
