@@ -9,9 +9,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_baseline::FileStore;
 use solros_proto::rpc_error::RpcErr;
+use solros_simkit::sync::Mutex;
 use solros_simkit::DetRng;
 
 /// Feature dimension (SIFT-like descriptors).

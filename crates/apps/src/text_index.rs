@@ -10,9 +10,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_baseline::FileStore;
 use solros_proto::rpc_error::RpcErr;
+use solros_simkit::sync::Mutex;
 
 /// Index construction results.
 #[derive(Debug, Clone, PartialEq, Eq)]

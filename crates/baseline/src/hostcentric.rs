@@ -10,12 +10,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_fs::{FileSystem, OpenFlags};
 use solros_machine::WindowAlloc;
 use solros_pcie::window::Window;
 use solros_pcie::Side;
 use solros_proto::rpc_error::RpcErr;
+use solros_simkit::sync::Mutex;
 
 use crate::filestore::{map_fs_err, FileStore};
 

@@ -28,7 +28,6 @@ use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_faults::EngineFaults;
 use solros_fs::{CacheDirReplica, FileSystem, FsError};
 use solros_lease::{LeaseError, LeaseKind, LeaseManager, SettledLease};
@@ -41,6 +40,7 @@ use solros_proto::fs_msg::{FsRequest, FsResponse};
 use solros_proto::rpc_error::RpcErr;
 use solros_qos::{HostGate, QosClass, QosStats, TenantLedger};
 use solros_ringbuf::{Consumer, Doorbell, Producer};
+use solros_simkit::sync::Mutex;
 use solros_simkit::{IntMap, IntSet};
 
 use crate::proxy_engine::{

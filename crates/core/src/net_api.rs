@@ -18,10 +18,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
 use solros_proto::net_msg::{NetEvent, NetRequest, NetResponse, SockId};
 use solros_proto::rpc_error::RpcErr;
 use solros_ringbuf::{Consumer, Doorbell};
+use solros_simkit::sync::{Condvar, Mutex};
 
 use crate::tcp_proxy::SOCKOPT_EVENTED;
 use crate::transport::{RpcClient, Token};

@@ -6,13 +6,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::{Condvar, Mutex};
 use solros_faults::EngineFaults;
 use solros_proto::codec::{peek_tag, stamp_credit, FLAG_BARRIER};
 use solros_proto::rpc_error::RpcErr;
 use solros_proto::{AdmitRequest, AdmittedFrame};
 use solros_qos::{Dispatch, HostGate, TenantLedger, Verdict};
 use solros_ringbuf::{Consumer, Doorbell, Producer};
+use solros_simkit::sync::{Condvar, Mutex};
 use solros_simkit::IntMap;
 
 use crate::waitpolicy::{Sleeper, WaitPolicy};

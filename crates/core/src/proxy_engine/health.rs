@@ -24,7 +24,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
-use parking_lot::Mutex;
+use solros_simkit::sync::Mutex;
 
 /// Shard is serving (or wedged — a wedge keeps the state `LIVE` and is
 /// detected by heartbeat stall, exercising the real detection path).

@@ -14,9 +14,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_lease::RecallSink;
 use solros_ringbuf::Doorbell;
+use solros_simkit::sync::Mutex;
 use solros_simkit::IntMap;
 
 /// Per-resource external hold counts: `(writers, readers)`.

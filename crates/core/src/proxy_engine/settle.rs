@@ -26,9 +26,9 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_faults::EngineFaults;
 use solros_ringbuf::{Producer, Wave};
+use solros_simkit::sync::Mutex;
 
 use super::stats::ProxyStats;
 

@@ -51,11 +51,11 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use solros_faults::{EngineFaults, RecoveryReport};
 use solros_lease::LeaseManager;
 use solros_netdev::Network;
 use solros_qos::{HostScheduler, QosConfig, TenantLedger};
+use solros_simkit::sync::Mutex;
 
 use crate::proxy_engine::ShardHealth;
 use crate::tcp_proxy::{LoadBalancer, NetChannelHost, TcpControl, TcpProxy, TcpProxyStats};

@@ -23,7 +23,6 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_faults::EngineFaults;
 use solros_netdev::{ConnId, EndKind, Network, NetworkError};
 use solros_oplog::{LogConfig, LogStats, OpLog, ReplicaCursor, SyncOutcome};
@@ -34,6 +33,7 @@ use solros_qos::{
     FlowSpec, HostGate, HostScheduler, QosClass, QosConfig, QosStats, Service, TenantLedger,
 };
 use solros_ringbuf::{Consumer, Doorbell, Producer};
+use solros_simkit::sync::Mutex;
 
 use crate::proxy_engine::{
     EngineLane, GateJob, OpHandler, ProxyEngine, ProxyStats, ShardHealth, StagedPart,

@@ -31,7 +31,6 @@ use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
 use solros_pcie::counter::PcieCounters;
 use solros_pcie::Side;
 use solros_proto::codec::{
@@ -41,6 +40,7 @@ use solros_proto::rpc_error::RpcErr;
 use solros_qos::CreditPool;
 use solros_ringbuf::ring::{RingBuf, RingConfig};
 use solros_ringbuf::{Consumer, Doorbell, Producer, RingError, Wave};
+use solros_simkit::sync::{Mutex, RwLock};
 use solros_simkit::IntMap;
 
 use crate::waitpolicy::{Sleeper, SpinBudget, WaitPolicy};

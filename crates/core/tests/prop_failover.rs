@@ -10,11 +10,12 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use proptest::prelude::*;
 use solros::control::Solros;
 use solros_machine::MachineConfig;
 use solros_proto::net_msg::NetRequest;
 use solros_qos::QosConfig;
+use solros_simkit::check;
+use solros_simkit::DetRng;
 
 const DOMAINS: usize = 2;
 /// Must match `QosConfig::enforcing().credit_window`: the refill check
@@ -32,15 +33,12 @@ struct KillEvent {
     rounds: u8,
 }
 
-fn kill_schedule() -> impl Strategy<Value = Vec<KillEvent>> {
-    proptest::collection::vec(
-        (any::<bool>(), 0..DOMAINS, 1..4u8).prop_map(|(wedge, domain, rounds)| KillEvent {
-            wedge,
-            domain,
-            rounds,
-        }),
-        1..4,
-    )
+fn kill_schedule(rng: &mut DetRng) -> Vec<KillEvent> {
+    check::vec(rng, 1..4, |r| KillEvent {
+        wedge: r.chance(0.5),
+        domain: r.index(DOMAINS),
+        rounds: r.range(1..4) as u8,
+    })
 }
 
 /// Spins until `cond` or `timeout`; true when the condition was met.
@@ -67,32 +65,31 @@ fn bounded(what: &str, timeout: Duration, f: impl FnOnce() + Send + 'static) {
         .unwrap_or_else(|e| std::panic::resume_unwind(e));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn random_kill_schedules_keep_the_failover_invariants(events in kill_schedule()) {
-        run_storm(events);
-    }
+#[test]
+fn random_kill_schedules_keep_the_failover_invariants() {
+    check::cases(6, |rng| run_storm(kill_schedule(rng)));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// Failover under multi-tenant overload: a domain dies while every
-    /// stub floods TCP through churning wire-tenant ids, so its QoS
-    /// shard is full of live dynamic flows at the moment it is fenced.
-    /// The wreck path must retire that shard (its flow-table entries
-    /// stop counting against host occupancy), refund the in-flight
-    /// tenant charges, and leave the host flow-table ledger exact; the
-    /// replacement shard then serves a full credit-window burst.
-    #[test]
-    fn failover_under_overload_retires_the_fenced_qos_shard(
-        wedge in any::<bool>(),
-        victim in 0..DOMAINS,
-    ) {
+/// Failover under multi-tenant overload: a domain dies while every
+/// stub floods TCP through churning wire-tenant ids, so its QoS
+/// shard is full of live dynamic flows at the moment it is fenced.
+/// The wreck path must retire that shard (its flow-table entries
+/// stop counting against host occupancy), refund the in-flight
+/// tenant charges, and leave the host flow-table ledger exact; the
+/// replacement shard then serves a full credit-window burst.
+///
+/// Three cases, not more: the supervisor judges a wall-clock heartbeat,
+/// so a vCPU stalled for tens of ms can fence a second, healthy domain
+/// and fail the `domains_failed_over == 1` check (about one case in 500;
+/// ROADMAP direction 2 replaces the clock). This test runs in tier-1, and
+/// a higher count would only multiply that false alarm.
+#[test]
+fn failover_under_overload_retires_the_fenced_qos_shard() {
+    check::cases(3, |rng| {
+        let wedge = rng.chance(0.5);
+        let victim = rng.index(DOMAINS);
         run_overload_failover(wedge, victim);
-    }
+    });
 }
 
 fn run_overload_failover(wedge: bool, victim: usize) {

@@ -8,11 +8,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
 use solros::balancer::{ConnMeta, LeastLoaded, LoadBalancer};
 use solros_oplog::{LogConfig, OpLog, SyncOutcome};
 use solros_qos::TenantLedger;
+use solros_simkit::check::{self, vec};
 
 /// A replica's materialized view for the generic convergence property:
 /// the full per-mutator sequence of values it applied, in apply order.
@@ -87,7 +86,7 @@ fn run_convergence(streams: Vec<Vec<u32>>) {
 /// installed snapshot is applied exactly once, none is applied twice,
 /// and `LogStats::overruns` counts each round. (`solros-oplog`'s own
 /// tests run the two shapes that used to fail here, `(7, 1)` and
-/// `(199, 1)`, and the whole input space, without proptest.)
+/// `(199, 1)`, and the whole input space.)
 fn run_overrun_recovery(burst: u32, max_lag: u64) {
     let log: Arc<OpLog<u32>> = OpLog::new(LogConfig {
         high_water: 8,
@@ -261,37 +260,40 @@ fn run_ledger_storm(charges: Vec<(u8, u8, u16)>, mutators: usize) {
     assert_eq!(observer.lag(), 0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+const CASES: u64 = 24;
 
-    #[test]
-    fn replicas_converge_under_concurrent_mutators(
-        streams in vec(vec(any::<u32>(), 0..40), 1..4)
-    ) {
-        run_convergence(streams);
-    }
+#[test]
+fn replicas_converge_under_concurrent_mutators() {
+    check::cases(CASES, |rng| {
+        run_convergence(vec(rng, 1..4, |r| vec(r, 0..40, |r| r.next_u64() as u32)));
+    });
+}
 
-    #[test]
-    fn stragglers_recover_from_overrun_exactly_once(
-        burst in 1u32..200,
-        max_lag in 1u64..32,
-    ) {
+#[test]
+fn stragglers_recover_from_overrun_exactly_once() {
+    check::cases(CASES, |rng| {
+        let burst = rng.range(1..200) as u32;
+        let max_lag = rng.range(1..32);
         run_overrun_recovery(burst, max_lag);
-    }
+    });
+}
 
-    #[test]
-    fn balancer_counts_never_negative_across_replicas(
-        interleave in vec((any::<u8>(), any::<bool>()), 0..100),
-        slots in 1usize..6,
-    ) {
+#[test]
+fn balancer_counts_never_negative_across_replicas() {
+    check::cases(CASES, |rng| {
+        let interleave = vec(rng, 0..100, |r| (r.next_u64() as u8, r.chance(0.5)));
+        let slots = rng.range(1..6) as usize;
         run_balancer_replay(interleave, slots);
-    }
+    });
+}
 
-    #[test]
-    fn ledger_charges_apply_exactly_once_per_replica(
-        charges in vec((any::<u8>(), any::<u8>(), any::<u16>()), 0..120),
-        mutators in 1usize..4,
-    ) {
+#[test]
+fn ledger_charges_apply_exactly_once_per_replica() {
+    check::cases(CASES, |rng| {
+        let charges = vec(rng, 0..120, |r| {
+            (r.next_u64() as u8, r.next_u64() as u8, r.next_u64() as u16)
+        });
+        let mutators = rng.range(1..4) as usize;
         run_ledger_storm(charges, mutators);
-    }
+    });
 }

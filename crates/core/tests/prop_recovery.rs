@@ -8,13 +8,13 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
 use solros::transport::{Channel, RpcClient, Token};
 use solros_pcie::counter::PcieCounters;
 use solros_proto::fs_msg::{FsRequest, FsResponse};
 use solros_proto::rpc_error::RpcErr;
 use solros_qos::CreditPool;
+use solros_simkit::check;
+use solros_simkit::DetRng;
 
 /// One step of a generated fault schedule, applied in order on a single
 /// thread so the interleaving is exactly the generated sequence.
@@ -33,14 +33,14 @@ enum Op {
     Reset,
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        4 => Just(Op::Submit),
-        1 => Just(Op::SubmitDrop),
-        3 => (1u8..6).prop_map(Op::Serve),
-        1 => Just(Op::Corrupt),
-        1 => Just(Op::Reset),
-    ]
+fn gen_op(rng: &mut DetRng) -> Op {
+    match check::pick(rng, &[4, 1, 3, 1, 1]) {
+        0 => Op::Submit,
+        1 => Op::SubmitDrop,
+        2 => Op::Serve(rng.range(1..6) as u8),
+        3 => Op::Corrupt,
+        _ => Op::Reset,
+    }
 }
 
 fn run_case(ops: Vec<Op>) {
@@ -128,13 +128,9 @@ fn run_case(ops: Vec<Op>) {
     assert_eq!(pool.levels().0, 0, "leaked credits after recovery");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn recovery_resolves_every_token(ops in vec(op_strategy(), 1..80)) {
-        run_case(ops.clone());
-    }
+#[test]
+fn recovery_resolves_every_token() {
+    check::cases(48, |rng| run_case(check::vec(rng, 1..80, gen_op)));
 }
 
 /// One generated request against the shared proxy engine: a valid FS or
@@ -149,15 +145,15 @@ enum EngOp {
     BadNetFrame,
 }
 
-fn eng_op_strategy() -> impl Strategy<Value = EngOp> {
-    prop_oneof![
-        3 => (1u64..8).prop_map(EngOp::Fstat),
-        3 => (1u16..4096).prop_map(EngOp::Write),
-        1 => Just(EngOp::BadFsFrame),
-        3 => Just(EngOp::Socket),
-        2 => (1u64..8).prop_map(EngOp::NetClose),
-        1 => Just(EngOp::BadNetFrame),
-    ]
+fn gen_eng_op(rng: &mut DetRng) -> EngOp {
+    match check::pick(rng, &[3, 3, 1, 3, 2, 1]) {
+        0 => EngOp::Fstat(rng.range(1..8)),
+        1 => EngOp::Write(rng.range(1..4096) as u16),
+        2 => EngOp::BadFsFrame,
+        3 => EngOp::Socket,
+        4 => EngOp::NetClose(rng.range(1..8)),
+        _ => EngOp::BadNetFrame,
+    }
 }
 
 /// Liveness + accounting through the shared engine, for both proxies at
@@ -279,11 +275,9 @@ fn run_engine_case(ops: Vec<EngOp>) {
     assert_eq!(fs_stats.sheds.load(o) + tcp_stats.sheds.load(o), 0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn engine_resolves_every_frame(ops in vec(eng_op_strategy(), 1..40)) {
-        run_engine_case(ops.clone());
-    }
+#[test]
+fn engine_resolves_every_frame() {
+    check::cases(16, |rng| {
+        run_engine_case(check::vec(rng, 1..40, gen_eng_op))
+    });
 }

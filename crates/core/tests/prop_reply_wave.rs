@@ -7,8 +7,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
 use solros::fs_proxy::{FsProxy, FsProxyStats};
 use solros::tcp_proxy::{NetChannelHost, TcpProxy};
 use solros::transport::{event_ring, Channel, RpcClient};
@@ -20,6 +18,8 @@ use solros_pcie::{PcieCounters, Side};
 use solros_proto::fs_msg::FsRequest;
 use solros_proto::net_msg::NetRequest;
 use solros_qos::{CreditPool, FlowSpec, HostConfig, HostGate, HostScheduler, QosClass, Service};
+use solros_simkit::check::{self, vec};
+use solros_simkit::DetRng;
 
 /// Accepts the pending fabric connection on `port`, reporting which
 /// listener died instead of unwrapping blind.
@@ -79,13 +79,8 @@ enum FsOp {
     BigRead,
 }
 
-fn fs_op() -> impl Strategy<Value = FsOp> {
-    prop_oneof![
-        Just(FsOp::Stat),
-        Just(FsOp::Missing),
-        Just(FsOp::Malformed),
-        Just(FsOp::BigRead),
-    ]
+fn fs_op(rng: &mut DetRng) -> FsOp {
+    [FsOp::Stat, FsOp::Missing, FsOp::Malformed, FsOp::BigRead][rng.index(4)]
 }
 
 fn run_fs_case(waves: Vec<Vec<FsOp>>) {
@@ -192,14 +187,14 @@ enum NetOp {
     Malformed,
 }
 
-fn net_op() -> impl Strategy<Value = NetOp> {
-    prop_oneof![
-        3 => Just(NetOp::SmallSend),
-        1 => Just(NetOp::BigSend),
-        1 => Just(NetOp::Socket),
-        1 => Just(NetOp::BadClose),
-        1 => Just(NetOp::Malformed),
-    ]
+fn net_op(rng: &mut DetRng) -> NetOp {
+    [
+        NetOp::SmallSend,
+        NetOp::BigSend,
+        NetOp::Socket,
+        NetOp::BadClose,
+        NetOp::Malformed,
+    ][check::pick(rng, &[3, 1, 1, 1, 1])]
 }
 
 fn run_tcp_case(lanes: Vec<Vec<Vec<NetOp>>>) {
@@ -342,27 +337,27 @@ fn run_tcp_case(lanes: Vec<Vec<Vec<NetOp>>>) {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+const CASES: u64 = 16;
 
-    #[test]
-    fn batched_waves_decode_byte_identical(
-        waves in vec(vec(vec(any::<u8>(), 1..96), 1..24), 1..4),
-    ) {
-        run_ring_wave(waves);
-    }
+#[test]
+fn batched_waves_decode_byte_identical() {
+    check::cases(CASES, |rng| {
+        run_ring_wave(vec(rng, 1..4, |r| {
+            vec(r, 1..24, |r| vec(r, 1..96, |r| r.next_u64() as u8))
+        }));
+    });
+}
 
-    #[test]
-    fn fs_shed_error_mix_accounts_exactly_once(
-        waves in vec(vec(fs_op(), 1..24), 1..4),
-    ) {
-        run_fs_case(waves);
-    }
+#[test]
+fn fs_shed_error_mix_accounts_exactly_once() {
+    check::cases(CASES, |rng| {
+        run_fs_case(vec(rng, 1..4, |r| vec(r, 1..24, fs_op)));
+    });
+}
 
-    #[test]
-    fn tcp_lanes_account_exactly_once_under_coalescing(
-        lanes in vec(vec(vec(net_op(), 1..16), 1..3), 1..3),
-    ) {
-        run_tcp_case(lanes);
-    }
+#[test]
+fn tcp_lanes_account_exactly_once_under_coalescing() {
+    check::cases(CASES, |rng| {
+        run_tcp_case(vec(rng, 1..3, |r| vec(r, 1..3, |r| vec(r, 1..16, net_op))));
+    });
 }

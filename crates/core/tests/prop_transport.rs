@@ -6,11 +6,10 @@
 
 use std::sync::Arc;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
 use solros::transport::{Channel, RpcClient};
 use solros_pcie::counter::PcieCounters;
 use solros_proto::fs_msg::{FsRequest, FsResponse};
+use solros_simkit::check::{cases, vec};
 use solros_simkit::DetRng;
 
 /// How one generated operation redeems its token(s).
@@ -27,13 +26,8 @@ enum Redeem {
     AnyBurst,
 }
 
-fn redeem_strategy() -> impl Strategy<Value = Redeem> {
-    prop_oneof![
-        Just(Redeem::Wait),
-        Just(Redeem::Poll),
-        Just(Redeem::Drop),
-        Just(Redeem::AnyBurst),
-    ]
+fn gen_redeem(rng: &mut DetRng) -> Redeem {
+    [Redeem::Wait, Redeem::Poll, Redeem::Drop, Redeem::AnyBurst][rng.index(4)]
 }
 
 const MAGIC: u64 = 0x5013;
@@ -174,14 +168,10 @@ fn run_case(plans: Vec<Vec<Redeem>>, shuffle_seed: u64) {
     assert_eq!(client.pending_len(), 0, "tag leaked in the pending map");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn tag_lifecycle_survives_interleaving(
-        plans in vec(vec(redeem_strategy(), 1..24), 1..4),
-        shuffle_seed in any::<u64>(),
-    ) {
-        run_case(plans.clone(), shuffle_seed);
-    }
+#[test]
+fn tag_lifecycle_survives_interleaving() {
+    cases(24, |rng| {
+        let plans = vec(rng, 1..4, |r| vec(r, 1..24, gen_redeem));
+        run_case(plans, rng.next_u64());
+    });
 }

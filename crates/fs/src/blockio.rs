@@ -9,9 +9,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_nvme::{DmaPtr, NvmeCommand, NvmeDevice, NvmeError, BLOCK_SIZE};
 use solros_pcie::{PcieCounters, Side, Window};
+use solros_simkit::sync::Mutex;
 
 /// A staged block I/O channel to the simulated NVMe device.
 pub struct BlockIo {

@@ -18,8 +18,8 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_oplog::{LogConfig, LogStats, OpLog, ReplicaCursor, SyncOutcome};
+use solros_simkit::sync::Mutex;
 
 use crate::fs::Ino;
 

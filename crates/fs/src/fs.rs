@@ -14,8 +14,8 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_nvme::{NvmeDevice, BLOCK_SIZE};
+use solros_simkit::sync::Mutex;
 
 use crate::alloc::Bitmap;
 use crate::blockio::BlockIo;

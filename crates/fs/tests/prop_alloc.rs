@@ -2,38 +2,36 @@
 
 use std::collections::HashSet;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
 use solros_fs::alloc::Bitmap;
+use solros_simkit::check::{self, vec};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+const CASES: u64 = 128;
 
-    /// Allocated runs never overlap and never exceed the device; frees
-    /// restore the exact free count.
-    #[test]
-    fn never_double_allocates(
-        total in 64u64..4096,
-        requests in vec(1u32..64, 1..100),
-    ) {
+/// Allocated runs never overlap and never exceed the device; frees
+/// restore the exact free count.
+#[test]
+fn never_double_allocates() {
+    check::cases(CASES, |rng| {
+        let total = rng.range(64..4096);
+        let requests = vec(rng, 1..100, |r| r.range(1..64) as u32);
         let mut bm = Bitmap::new(total);
         let mut owned: Vec<(u64, u32)> = Vec::new();
         let mut blocks = HashSet::new();
         for want in requests {
             match bm.alloc_run(want) {
                 Ok((start, len)) => {
-                    prop_assert!(len >= 1 && len <= want);
-                    prop_assert!(start + len as u64 <= total);
+                    assert!(len >= 1 && len <= want);
+                    assert!(start + len as u64 <= total);
                     for b in start..start + len as u64 {
-                        prop_assert!(blocks.insert(b), "block {b} handed out twice");
+                        assert!(blocks.insert(b), "block {b} handed out twice");
                     }
                     owned.push((start, len));
                 }
                 Err(_) => {
                     // alloc_run returns partial runs, so NoSpace can only
                     // mean a genuinely full device.
-                    prop_assert_eq!(bm.free(), total - blocks.len() as u64);
-                    prop_assert_eq!(bm.free(), 0, "NoSpace with free blocks");
+                    assert_eq!(bm.free(), total - blocks.len() as u64);
+                    assert_eq!(bm.free(), 0, "NoSpace with free blocks");
                 }
             }
         }
@@ -43,26 +41,30 @@ proptest! {
                 bm.release(b);
             }
         }
-        prop_assert_eq!(bm.free(), total);
+        assert_eq!(bm.free(), total);
         // And a full-device run is allocatable in pieces.
         let mut regot = 0u64;
         while let Ok((_, l)) = bm.alloc_run(total as u32) {
             regot += l as u64;
         }
-        prop_assert_eq!(regot, total);
-    }
+        assert_eq!(regot, total);
+    });
+}
 
-    /// Serialization round-trips the exact allocation state.
-    #[test]
-    fn bytes_roundtrip(total in 64u64..2048, allocs in vec(1u32..32, 0..40)) {
+/// Serialization round-trips the exact allocation state.
+#[test]
+fn bytes_roundtrip() {
+    check::cases(CASES, |rng| {
+        let total = rng.range(64..2048);
+        let allocs = vec(rng, 0..40, |r| r.range(1..32) as u32);
         let mut bm = Bitmap::new(total);
         for want in allocs {
             let _ = bm.alloc_run(want);
         }
         let copy = Bitmap::from_bytes(&bm.to_bytes(), total);
-        prop_assert_eq!(copy.free(), bm.free());
+        assert_eq!(copy.free(), bm.free());
         for b in 0..total {
-            prop_assert_eq!(copy.is_set(b), bm.is_set(b), "block {}", b);
+            assert_eq!(copy.is_set(b), bm.is_set(b), "block {}", b);
         }
-    }
+    });
 }

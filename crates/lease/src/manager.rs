@@ -6,10 +6,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use solros_faults::LeaseFaults;
 use solros_fs::Extent;
 use solros_qos::QosStats;
+use solros_simkit::sync::Mutex;
 
 use crate::state::{LeaseKind, LeaseState, SettledLease};
 

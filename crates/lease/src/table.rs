@@ -11,11 +11,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_fs::Extent;
 use solros_machine::WindowAlloc;
 use solros_nvme::{DmaPtr, NvmeCommand, NvmeDevice, NvmeError, BLOCK_SIZE, MDTS_BLOCKS};
 use solros_pcie::{Side, Window};
+use solros_simkit::sync::Mutex;
 
 use crate::manager::LeaseManager;
 use crate::state::{LeaseKind, LeaseState};

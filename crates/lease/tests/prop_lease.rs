@@ -11,10 +11,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
 use solros_fs::Extent;
 use solros_lease::{LeaseKind, LeaseManager, LeaseState};
+use solros_simkit::check;
 
 const BS: u64 = 4096;
 
@@ -38,17 +37,22 @@ fn settle_model(live: &mut Vec<Arc<LeaseState>>, settled_gen: &mut HashMap<u64, 
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Random grant/release/recall/sweep interleavings: after every step
-    /// the outstanding set is conflict-free and matches the ledger; at
-    /// quiescence every grant has settled exactly once and every recall
-    /// was answered or force-revoked.
-    #[test]
-    fn lease_protocol_invariants(
-        ops in vec((0u8..5, 1u64..4, 0u64..8, 1u64..4, any::<bool>()), 1..80),
-    ) {
+/// Random grant/release/recall/sweep interleavings: after every step
+/// the outstanding set is conflict-free and matches the ledger; at
+/// quiescence every grant has settled exactly once and every recall
+/// was answered or force-revoked.
+#[test]
+fn lease_protocol_invariants() {
+    check::cases(64, |rng| {
+        let ops = check::vec(rng, 1..80, |r| {
+            (
+                r.range(0..5),
+                r.range(1..4),
+                r.range(0..8),
+                r.range(1..4),
+                r.chance(0.5),
+            )
+        });
         let m = LeaseManager::new();
         // Zero budget: recalls are sweepable the moment they are issued,
         // so the single-threaded model never has to wait out a deadline.
@@ -58,27 +62,35 @@ proptest! {
         let mut settled_gen: HashMap<u64, u64> = HashMap::new();
 
         for (op, ino, block, blocks, write) in ops {
-            let kind = if write { LeaseKind::Write } else { LeaseKind::Read };
+            let kind = if write {
+                LeaseKind::Write
+            } else {
+                LeaseKind::Read
+            };
             match op {
                 // Grant attempt.
                 0 => {
                     let offset = block * BS;
                     let len = blocks * BS;
-                    let ext = vec![Extent { start: 100 + block, len: blocks as u32 }];
+                    let ext = vec![Extent {
+                        start: 100 + block,
+                        len: blocks as u32,
+                    }];
                     match m.grant(0, ino, offset, len, kind, ext, offset + len, None) {
                         Ok(st) => {
                             let gen_floor = settled_gen.get(&ino).copied().unwrap_or(0);
-                            prop_assert!(
+                            assert!(
                                 st.generation() > gen_floor,
                                 "re-grant reused generation {} (floor {})",
-                                st.generation(), gen_floor
+                                st.generation(),
+                                gen_floor
                             );
                             live.push(st);
                         }
                         Err(_) => {
                             // A denial must be justified by a real
                             // conflict on the books.
-                            prop_assert!(
+                            assert!(
                                 live.iter().any(|l| l.ino() == ino
                                     && l.offset() < offset + len
                                     && offset < l.offset() + l.len()
@@ -93,7 +105,7 @@ proptest! {
                     if !live.is_empty() {
                         let idx = (block as usize) % live.len();
                         let id = live[idx].id();
-                        prop_assert!(m.settle_wire(id, 0, true).is_some());
+                        assert!(m.settle_wire(id, 0, true).is_some());
                         settle_model(&mut live, &mut settled_gen, id);
                     }
                 }
@@ -119,11 +131,15 @@ proptest! {
             // Rule 1: the outstanding set is conflict-free.
             for (i, a) in live.iter().enumerate() {
                 for b in &live[i + 1..] {
-                    prop_assert!(!conflicts(a, b),
-                        "conflicting leases coexist: {}/{}", a.id(), b.id());
+                    assert!(
+                        !conflicts(a, b),
+                        "conflicting leases coexist: {}/{}",
+                        a.id(),
+                        b.id()
+                    );
                 }
             }
-            prop_assert_eq!(m.ledger().outstanding, live.len() as u64);
+            assert_eq!(m.ledger().outstanding, live.len() as u64);
         }
 
         // Quiesce: recall everything still out, then sweep to settle.
@@ -138,12 +154,12 @@ proptest! {
 
         // Rule 2: every recall settled, none in flight.
         let ledger = m.ledger();
-        prop_assert!(ledger.clean(), "dirty ledger at quiescence: {ledger:?}");
-        prop_assert_eq!(ledger.outstanding, 0);
+        assert!(ledger.clean(), "dirty ledger at quiescence: {ledger:?}");
+        assert_eq!(ledger.outstanding, 0);
         // Rule 3: every grant left the books through exactly one door.
-        prop_assert_eq!(
+        assert_eq!(
             ledger.granted,
             ledger.released + ledger.recalls_acked + ledger.forced_revokes
         );
-    }
+    });
 }

@@ -6,7 +6,7 @@
 //! over a sorted free list with coalescing on free, 64-byte alignment
 //! (PCIe line granularity).
 
-use parking_lot::Mutex;
+use solros_simkit::sync::Mutex;
 
 /// Allocation alignment (one PCIe cache line).
 pub const ALIGN: usize = 64;

@@ -9,7 +9,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use solros_simkit::sync::{Mutex, RwLock};
 
 /// Connection identifier.
 pub type ConnId = u64;

@@ -23,8 +23,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_pcie::window::Window;
+use solros_simkit::sync::Mutex;
 
 use crate::error::NvmeError;
 use crate::queue::QueuePair;

@@ -8,7 +8,7 @@
 //! ([`BlockStore::read_with`], [`BlockStore::write_with`]): a block is
 //! lent under its shard's lock, never bounced through a temporary.
 
-use parking_lot::Mutex;
+use solros_simkit::sync::Mutex;
 use solros_simkit::IntMap;
 
 /// Device logical block size in bytes (standard 4 KiB).

@@ -34,7 +34,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use solros_simkit::sync::{Mutex, RwLock};
 
 /// Construction parameters for one log.
 #[derive(Debug, Clone, Copy)]

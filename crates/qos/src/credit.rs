@@ -6,7 +6,7 @@
 //! congestion without any extra control messages: a flooded proxy shrinks
 //! the stub's window toward 1, a recovered proxy grows it back.
 
-use std::sync::{Condvar, Mutex};
+use solros_simkit::sync::{Condvar, Mutex};
 
 struct State {
     in_flight: u32,
@@ -42,16 +42,16 @@ impl CreditPool {
             }
             std::hint::spin_loop();
         }
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         while st.in_flight >= st.window {
-            st = self.freed.wait(st).unwrap();
+            self.freed.wait(&mut st);
         }
         st.in_flight += 1;
     }
 
     /// Claims a slot if one is free.
     pub fn try_acquire(&self) -> bool {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         if st.in_flight < st.window {
             st.in_flight += 1;
             true
@@ -64,7 +64,7 @@ impl CreditPool {
     /// proxy piggybacked on that reply (0 = sender not QoS-aware, keep
     /// the current window).
     pub fn complete(&self, advertised_window: u8) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state.lock();
         st.in_flight = st.in_flight.saturating_sub(1);
         if advertised_window > 0 {
             st.window = advertised_window as u32;
@@ -75,7 +75,7 @@ impl CreditPool {
 
     /// Current (in_flight, window) pair, for tests and introspection.
     pub fn levels(&self) -> (u32, u32) {
-        let st = self.state.lock().unwrap();
+        let st = self.state.lock();
         (st.in_flight, st.window)
     }
 }

@@ -34,7 +34,9 @@
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use solros_simkit::sync::Mutex;
 
 use crate::bucket::TokenBucket;
 use crate::config::{QosClass, QosConfig};
@@ -270,14 +272,13 @@ impl HostScheduler {
     pub fn tenant_over_budget(&self, tenant: u64) -> bool {
         self.tenants
             .lock()
-            .unwrap()
             .get(&tenant)
             .is_some_and(|e| e.over_budget())
     }
 
     /// Snapshot of the occupancy/GC ledger.
     pub fn snapshot(&self) -> HostQosSnapshot {
-        let live_tenants = self.tenants.lock().unwrap().len();
+        let live_tenants = self.tenants.lock().len();
         HostQosSnapshot {
             live_flows: self.live_flows.load(Ordering::Relaxed),
             peak_live_flows: self.peak_live_flows.load(Ordering::Relaxed),
@@ -294,7 +295,7 @@ impl HostScheduler {
 
     /// Looks up or lazily admits a tenant directory entry.
     fn tenant(&self, id: u64) -> Arc<TenantEntry> {
-        let mut g = self.tenants.lock().unwrap();
+        let mut g = self.tenants.lock();
         if let Some(e) = g.get(&id) {
             return Arc::clone(e);
         }
@@ -321,7 +322,7 @@ impl HostScheduler {
         if let Some(rep) = &self.ledger {
             rep.sync();
         }
-        let mut g = self.tenants.lock().unwrap();
+        let mut g = self.tenants.lock();
         if let Some(rep) = &self.ledger {
             for (&id, e) in g.iter() {
                 if !e.ledger_backed || id >= TENANT_SLOTS as u64 {

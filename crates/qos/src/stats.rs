@@ -1,9 +1,9 @@
 //! QoS accounting ledger, exposed alongside the existing proxy stats.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use solros_simkit::stats::{Histogram, Summary};
+use solros_simkit::sync::Mutex;
 use solros_simkit::time::SimTime;
 
 /// Distribution shards per flow. Each recording thread hashes to one
@@ -44,7 +44,7 @@ impl FlowStats {
     fn merged_wait(&self) -> Histogram {
         let mut out = Histogram::default();
         for shard in &self.wait {
-            out.merge(&shard.lock().unwrap());
+            out.merge(&shard.lock());
         }
         out
     }
@@ -52,7 +52,7 @@ impl FlowStats {
     fn merged_depth(&self) -> Summary {
         let mut out = Summary::default();
         for shard in &self.depth {
-            out.merge(&shard.lock().unwrap());
+            out.merge(&shard.lock());
         }
         out
     }
@@ -105,10 +105,7 @@ impl QosStats {
         let f = &self.flows[flow];
         f.submitted.fetch_add(1, Ordering::Relaxed);
         f.admitted.fetch_add(1, Ordering::Relaxed);
-        f.depth[stat_shard()]
-            .lock()
-            .unwrap()
-            .record(depth_after as f64);
+        f.depth[stat_shard()].lock().record(depth_after as f64);
     }
 
     pub(crate) fn on_shed(&self, flow: usize, was_admitted: bool) {
@@ -129,7 +126,6 @@ impl QosStats {
         f.dispatched_bytes.fetch_add(bytes, Ordering::Relaxed);
         f.wait[stat_shard()]
             .lock()
-            .unwrap()
             .record(SimTime::from_ns(wait_ns));
     }
 

@@ -14,9 +14,10 @@
 //! ledger replicas have no authoritative side-channel to rebuild from,
 //! so stragglers hold up trimming instead of being overrun.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use solros_oplog::{LogConfig, LogStats, OpLog, ReplicaCursor, SyncOutcome};
+use solros_simkit::sync::Mutex;
 
 /// Tenant id space — ids ride in a `u8` frame header field.
 pub const TENANT_SLOTS: usize = 256;
@@ -147,18 +148,18 @@ impl TenantLedgerReplica {
     /// Applies every outstanding log entry. Cheap (one atomic load) when
     /// already at the tail.
     pub fn sync(&self) {
-        let mut cursor = self.cursor.lock().unwrap();
+        let mut cursor = self.cursor.lock();
         let outcome = self.ledger.log.sync(&mut cursor, |_, op| match *op {
             TenantOp::Charge { tenant, ops, bytes } => {
-                let mut u = self.usage[tenant as usize].lock().unwrap();
+                let mut u = self.usage[tenant as usize].lock();
                 u.ops += ops;
                 u.bytes += bytes;
             }
             TenantOp::SetBudget { tenant, bytes } => {
-                self.usage[tenant as usize].lock().unwrap().budget_bytes = bytes;
+                self.usage[tenant as usize].lock().budget_bytes = bytes;
             }
             TenantOp::Refund { tenant, ops, bytes } => {
-                let mut u = self.usage[tenant as usize].lock().unwrap();
+                let mut u = self.usage[tenant as usize].lock();
                 u.ops = u.ops.saturating_sub(ops);
                 u.bytes = u.bytes.saturating_sub(bytes);
             }
@@ -172,7 +173,7 @@ impl TenantLedgerReplica {
     /// This replica's view of `tenant`, after syncing to the tail.
     pub fn usage(&self, tenant: u8) -> TenantUsage {
         self.sync();
-        *self.usage[tenant as usize].lock().unwrap()
+        *self.usage[tenant as usize].lock()
     }
 
     /// Whether `tenant` is at or past its byte budget, on local state.
@@ -184,14 +185,14 @@ impl TenantLedgerReplica {
     pub fn total(&self) -> (u64, u64) {
         self.sync();
         self.usage.iter().fold((0, 0), |(o, b), u| {
-            let u = u.lock().unwrap();
+            let u = u.lock();
             (o + u.ops, b + u.bytes)
         })
     }
 
     /// Entries this replica has yet to apply.
     pub fn lag(&self) -> u64 {
-        self.ledger.log.lag(&self.cursor.lock().unwrap())
+        self.ledger.log.lag(&self.cursor.lock())
     }
 }
 

@@ -7,11 +7,10 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
 use solros_qos::{
     Dispatch, FlowSpec, HostConfig, HostGate, HostScheduler, QosClass, Service, Verdict,
 };
+use solros_simkit::check;
 
 /// An unshaped, unbounded Normal-class spec: fairness comes from the
 /// hierarchy alone, not caps or buckets.
@@ -41,21 +40,20 @@ fn open_gate(host: &Arc<HostScheduler>, service: Service) -> HostGate<u32> {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+const CASES: u64 = 48;
 
-    /// Level 1: two persistently backlogged tenants with random weights
-    /// split the service in proportion to those weights, within DWRR
-    /// granularity, while a churn of transient tenants constantly
-    /// enters, drains, and is GC'd around them. The churn must neither
-    /// skew the persistent tenants' shares nor leave residue in the
-    /// flow table.
-    #[test]
-    fn tenant_weights_shape_shares_under_churn(
-        wa in 1u32..8,
-        wb in 1u32..8,
-        churn in vec(1u64..64, 0..64),
-    ) {
+/// Level 1: two persistently backlogged tenants with random weights
+/// split the service in proportion to those weights, within DWRR
+/// granularity, while a churn of transient tenants constantly
+/// enters, drains, and is GC'd around them. The churn must neither
+/// skew the persistent tenants' shares nor leave residue in the
+/// flow table.
+#[test]
+fn tenant_weights_shape_shares_under_churn() {
+    check::cases(CASES, |rng| {
+        let wa = rng.range(1..8) as u32;
+        let wb = rng.range(1..8) as u32;
+        let churn = check::vec(rng, 0..64, |r| r.range(1..64));
         let host = HostScheduler::new(HostConfig {
             epoch_ns: 8_000,
             gc_idle_epochs: 2,
@@ -73,10 +71,10 @@ proptest! {
             now += 1_000;
             // Keep both persistent tenants backlogged.
             while g.queued(fa) < 8 {
-                prop_assert!(matches!(g.submit(fa, 1024, now, 0), Verdict::Admitted));
+                assert!(matches!(g.submit(fa, 1024, now, 0), Verdict::Admitted));
             }
             while g.queued(fb) < 8 {
-                prop_assert!(matches!(g.submit(fb, 1024, now, 0), Verdict::Admitted));
+                assert!(matches!(g.submit(fb, 1024, now, 0), Verdict::Admitted));
             }
             // Transient churn: a fresh tenant id drops one request and
             // never returns; the id pool is offset so it can't collide
@@ -87,7 +85,7 @@ proptest! {
                 if let Some(&seed) = churn.get((i / 4) % churn.len().max(1)) {
                     let t = 1_000 + (i as u64) * 64 + seed;
                     let tf = g.flow_for_tenant(t, 0);
-                    prop_assert!(matches!(g.submit(tf, 1024, now, 0), Verdict::Admitted));
+                    assert!(matches!(g.submit(tf, 1024, now, 0), Verdict::Admitted));
                 }
             }
             g.maintain(now);
@@ -95,19 +93,19 @@ proptest! {
                 Dispatch::Run { flow, .. } if flow == fa => served[0] += 1,
                 Dispatch::Run { flow, .. } if flow == fb => served[1] += 1,
                 Dispatch::Run { .. } => {}
-                other => return Err(TestCaseError::fail(format!("unexpected {other:?}"))),
+                other => panic!("unexpected {other:?}"),
             }
         }
         let ratio = served[0] as f64 / served[1].max(1) as f64;
         let want = f64::from(wa) / f64::from(wb);
-        prop_assert!(
+        assert!(
             ratio >= want / 1.4 && ratio <= want * 1.4,
             "served {served:?}: ratio {ratio:.2} strayed from weights {wa}:{wb} ({want:.2})"
         );
         // Occupancy stayed O(active) while the churn ran: the table
         // never grew toward the hundreds of ids ever admitted.
         let mid = host.snapshot();
-        prop_assert!(
+        assert!(
             mid.peak_live_flows < 64,
             "flow table peaked at {} entries under transient churn",
             mid.peak_live_flows
@@ -120,7 +118,7 @@ proptest! {
         let mut calls = 0u32;
         while g.queued_total() > 0 {
             calls += 1;
-            prop_assert!(calls < 1_000_000, "drain made no progress");
+            assert!(calls < 1_000_000, "drain made no progress");
             let _ = g.dispatch(now);
         }
         for _ in 0..4 {
@@ -128,23 +126,23 @@ proptest! {
             g.maintain(now);
         }
         let snap = host.snapshot();
-        prop_assert_eq!(snap.live_flows, 0, "churn left flow-table residue");
-        prop_assert_eq!(
-            snap.admitted_flows,
-            snap.reclaimed_flows,
+        assert_eq!(snap.live_flows, 0, "churn left flow-table residue");
+        assert_eq!(
+            snap.admitted_flows, snap.reclaimed_flows,
             "occupancy ledger leaked"
         );
-    }
+    });
+}
 
-    /// Level 2: a tenant backlogged on *both* services has its FS
-    /// deficit credit scaled to the FS share of the configured service
-    /// weights, so a single-service tenant beside it is served
-    /// `(w_fs + w_tcp) / w_fs` times as fast, for any weight split.
-    #[test]
-    fn service_share_tracks_configured_split(
-        w_fs in 1u32..8,
-        w_tcp in 1u32..8,
-    ) {
+/// Level 2: a tenant backlogged on *both* services has its FS
+/// deficit credit scaled to the FS share of the configured service
+/// weights, so a single-service tenant beside it is served
+/// `(w_fs + w_tcp) / w_fs` times as fast, for any weight split.
+#[test]
+fn service_share_tracks_configured_split() {
+    check::cases(CASES, |rng| {
+        let w_fs = rng.range(1..8) as u32;
+        let w_tcp = rng.range(1..8) as u32;
         let host = HostScheduler::new(HostConfig {
             service_weights: [w_fs, w_tcp],
             ..HostConfig::default()
@@ -155,12 +153,15 @@ proptest! {
         let solo = fs.flow_for_tenant(6, 0);
         let both_tcp = tcp.flow_for_tenant(5, 0);
         for _ in 0..2_000u32 {
-            prop_assert!(matches!(fs.submit(both, 1024, 0, 0), Verdict::Admitted));
-            prop_assert!(matches!(fs.submit(solo, 1024, 0, 0), Verdict::Admitted));
+            assert!(matches!(fs.submit(both, 1024, 0, 0), Verdict::Admitted));
+            assert!(matches!(fs.submit(solo, 1024, 0, 0), Verdict::Admitted));
         }
         // A standing TCP backlog keeps level 2 engaged for tenant 5.
         for _ in 0..64u32 {
-            prop_assert!(matches!(tcp.submit(both_tcp, 1024, 0, 0), Verdict::Admitted));
+            assert!(matches!(
+                tcp.submit(both_tcp, 1024, 0, 0),
+                Verdict::Admitted
+            ));
         }
         // A single dispatch pass visits each flow at most once and may
         // transiently report Idle while every backlogged flow is mid
@@ -170,34 +171,37 @@ proptest! {
         let mut calls = 0u32;
         while served[0] + served[1] < 900 {
             calls += 1;
-            prop_assert!(calls < 100_000, "dispatch made no progress: {served:?}");
+            assert!(calls < 100_000, "dispatch made no progress: {served:?}");
             match fs.dispatch(0) {
                 Dispatch::Run { flow, .. } if flow == both => served[0] += 1,
                 Dispatch::Run { flow, .. } if flow == solo => served[1] += 1,
                 Dispatch::Idle => {}
-                other => return Err(TestCaseError::fail(format!("unexpected {other:?}"))),
+                other => panic!("unexpected {other:?}"),
             }
         }
         let ratio = served[1] as f64 / served[0].max(1) as f64;
         let want = f64::from(w_fs + w_tcp) / f64::from(w_fs);
-        prop_assert!(
+        assert!(
             ratio >= want / 1.5 && ratio <= want * 1.5,
             "served {served:?}: solo/both {ratio:.2} strayed from share {want:.2} \
              (weights fs {w_fs} tcp {w_tcp})"
         );
-    }
+    });
+}
 
-    /// GC safety: across arbitrary interleavings of lazy admission,
-    /// submits, dispatches, pins, promotions, and epoch turnover, the
-    /// GC never reclaims a flow that holds queued work, a live pin, or
-    /// an inherited promotion — its slot stays resolvable — and the
-    /// host occupancy ledger never drifts (admitted == live +
-    /// reclaimed). Once every guard is released and the table idles,
-    /// it drains to exactly the static flows.
-    #[test]
-    fn gc_never_reclaims_guarded_flows_and_ledger_stays_exact(
-        events in vec((0usize..7, 1u64..12, 1u64..2048), 1..200),
-    ) {
+/// GC safety: across arbitrary interleavings of lazy admission,
+/// submits, dispatches, pins, promotions, and epoch turnover, the
+/// GC never reclaims a flow that holds queued work, a live pin, or
+/// an inherited promotion — its slot stays resolvable — and the
+/// host occupancy ledger never drifts (admitted == live +
+/// reclaimed). Once every guard is released and the table idles,
+/// it drains to exactly the static flows.
+#[test]
+fn gc_never_reclaims_guarded_flows_and_ledger_stays_exact() {
+    check::cases(CASES, |rng| {
+        let events = check::vec(rng, 1..200, |r| {
+            (r.range(0..7), r.range(1..12), r.range(1..2048))
+        });
         let host = HostScheduler::new(HostConfig {
             epoch_ns: 1_000,
             gc_idle_epochs: 1,
@@ -218,7 +222,7 @@ proptest! {
                 0 | 1 => {
                     let f = g.flow_for_tenant(tenant, 0);
                     seen.insert(tenant, f);
-                    prop_assert!(matches!(g.submit(f, bytes, now, 0), Verdict::Admitted));
+                    assert!(matches!(g.submit(f, bytes, now, 0), Verdict::Admitted));
                 }
                 2 => {
                     let _ = g.dispatch(now);
@@ -254,15 +258,13 @@ proptest! {
                         .iter()
                         .filter(|&(&t, &s)| g.lookup(t, 0) == Some(s))
                         .filter(|&(_, &s)| {
-                            g.queued(s) > 0
-                                || pins.contains_key(&s)
-                                || promos.contains_key(&s)
+                            g.queued(s) > 0 || pins.contains_key(&s) || promos.contains_key(&s)
                         })
                         .map(|(&t, &s)| (t, s))
                         .collect();
                     g.maintain(now);
                     for (t, s) in guarded {
-                        prop_assert_eq!(
+                        assert_eq!(
                             g.lookup(t, 0),
                             Some(s),
                             "GC reclaimed the guarded flow of tenant {}",
@@ -272,7 +274,7 @@ proptest! {
                 }
             }
             let snap = host.snapshot();
-            prop_assert_eq!(
+            assert_eq!(
                 snap.admitted_flows,
                 snap.live_flows as u64 + snap.reclaimed_flows,
                 "occupancy ledger drifted mid-run"
@@ -296,21 +298,22 @@ proptest! {
             g.maintain(now);
         }
         let snap = host.snapshot();
-        prop_assert_eq!(snap.live_flows, 0, "idle dynamic flows not reclaimed");
-        prop_assert_eq!(snap.admitted_flows, snap.reclaimed_flows);
-    }
+        assert_eq!(snap.live_flows, 0, "idle dynamic flows not reclaimed");
+        assert_eq!(snap.admitted_flows, snap.reclaimed_flows);
+    });
+}
 
-    /// Priority inheritance outranks tenant-budget gating: while a
-    /// flow is promoted, an over-budget tenant's frames always admit
-    /// (the waiter must not starve behind the holder's budget), and
-    /// the moment the promotion is released the budget gate bites
-    /// again — for any budget, flood size, and promotion nesting.
-    #[test]
-    fn promotion_outranks_tenant_budget_gating(
-        budget in 1u64..100_000,
-        flood in 1u64..100_000,
-        nest in 1usize..4,
-    ) {
+/// Priority inheritance outranks tenant-budget gating: while a
+/// flow is promoted, an over-budget tenant's frames always admit
+/// (the waiter must not starve behind the holder's budget), and
+/// the moment the promotion is released the budget gate bites
+/// again — for any budget, flood size, and promotion nesting.
+#[test]
+fn promotion_outranks_tenant_budget_gating() {
+    check::cases(CASES, |rng| {
+        let budget = rng.range(1..100_000);
+        let flood = rng.range(1..100_000);
+        let nest = rng.range(1..4) as usize;
         let host = HostScheduler::new(HostConfig::default());
         host.set_tenant_budget(7, Some(budget));
         let mut g = HostGate::new(
@@ -324,23 +327,23 @@ proptest! {
         let aggr = g.flow_for_tenant(7, 0);
         let victim = g.flow_for_tenant(8, 0);
         // Blow the budget and push the gate into overload.
-        prop_assert!(matches!(
+        assert!(matches!(
             g.submit(aggr, budget + flood, 0, 0),
             Verdict::Admitted
         ));
         for _ in 0..4 {
-            prop_assert!(matches!(g.submit(victim, 1, 0, 0), Verdict::Admitted));
+            assert!(matches!(g.submit(victim, 1, 0, 0), Verdict::Admitted));
         }
-        prop_assert!(g.overloaded());
-        prop_assert!(host.tenant_over_budget(7));
-        prop_assert!(matches!(g.submit(aggr, 1, 0, 0), Verdict::Shed { .. }));
+        assert!(g.overloaded());
+        assert!(host.tenant_over_budget(7));
+        assert!(matches!(g.submit(aggr, 1, 0, 0), Verdict::Shed { .. }));
 
         // Promoted (however deeply nested): immune at every level.
         for _ in 0..nest {
             g.promote_flow(aggr, 0);
         }
         for i in 0..nest {
-            prop_assert!(
+            assert!(
                 matches!(g.submit(aggr, 1, 0, 0), Verdict::Admitted),
                 "promoted flow shed at nesting depth {}",
                 nest - i
@@ -349,7 +352,7 @@ proptest! {
         }
         // Fully demoted: the budget gate bites again, while the
         // under-budget tenant keeps admitting throughout.
-        prop_assert!(matches!(g.submit(aggr, 1, 0, 0), Verdict::Shed { .. }));
-        prop_assert!(matches!(g.submit(victim, 1, 0, 0), Verdict::Admitted));
-    }
+        assert!(matches!(g.submit(aggr, 1, 0, 0), Verdict::Shed { .. }));
+        assert!(matches!(g.submit(victim, 1, 0, 0), Verdict::Admitted));
+    });
 }

@@ -1,12 +1,11 @@
 //! Property-based tests for QoS invariants: DWRR freedom from
 //! starvation, token-bucket admission bounds, and shed accounting.
 
-use proptest::collection::vec;
-use proptest::prelude::*;
 use solros_qos::{
     Dispatch, FlowSpec, HostConfig, HostGate, HostScheduler, QosClass, Service, TokenBucket,
     Verdict,
 };
+use solros_simkit::check;
 
 fn open_spec(name: String, weight: u32) -> FlowSpec {
     FlowSpec {
@@ -28,18 +27,17 @@ fn gate(specs: Vec<FlowSpec>, quantum: u64, threshold: usize) -> HostGate<u64> {
     HostGate::new(specs, quantum, threshold, &host, Service::Fs, 0)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u64 = 64;
 
-    /// A non-empty flow is served within one full DWRR round no matter
-    /// how aggressively a competing flow is topped up: the scheduler
-    /// never starves a backlogged class.
-    #[test]
-    fn dwrr_never_starves_nonempty_class(
-        aggressor_weight in 1u32..16,
-        victim_weight in 1u32..16,
-        cost in 1u64..4096,
-    ) {
+/// A non-empty flow is served within one full DWRR round no matter
+/// how aggressively a competing flow is topped up: the scheduler
+/// never starves a backlogged class.
+#[test]
+fn dwrr_never_starves_nonempty_class() {
+    check::cases(CASES, |rng| {
+        let aggressor_weight = rng.range(1..16) as u32;
+        let victim_weight = rng.range(1..16) as u32;
+        let cost = rng.range(1..4096);
         const QUANTUM: u64 = 4096;
         let mut s = gate(
             vec![
@@ -49,7 +47,7 @@ proptest! {
             QUANTUM,
             usize::MAX,
         );
-        prop_assert!(matches!(s.submit(1, cost, 0, 0), Verdict::Admitted));
+        assert!(matches!(s.submit(1, cost, 0, 0), Verdict::Admitted));
         // One aggressor turn serves at most deficit/cost requests, and the
         // deficit of a flow whose head always fits never exceeds one
         // quantum grant. Give a generous 2x margin.
@@ -58,27 +56,31 @@ proptest! {
         loop {
             // Keep the aggressor permanently backlogged.
             while s.queued(0) < 4 {
-                prop_assert!(matches!(s.submit(0, cost, 0, 1), Verdict::Admitted));
+                assert!(matches!(s.submit(0, cost, 0, 1), Verdict::Admitted));
             }
             match s.dispatch(0) {
                 Dispatch::Run { flow: 1, .. } => break,
                 Dispatch::Run { .. } => waited += 1,
                 other => {
-                    return Err(TestCaseError::fail(format!("unexpected {other:?}")));
+                    panic!("unexpected {other:?}")
                 }
             }
-            prop_assert!(waited <= bound, "victim starved for {waited} > {bound} dispatches");
+            assert!(
+                waited <= bound,
+                "victim starved for {waited} > {bound} dispatches"
+            );
         }
-    }
+    });
+}
 
-    /// Token buckets never admit more than `burst + rate × elapsed`,
-    /// regardless of the take pattern.
-    #[test]
-    fn token_bucket_respects_rate_bound(
-        rate in 1u64..100_000,
-        burst in 1u64..10_000,
-        steps in vec((0u64..10_000_000, 1u64..64), 1..64),
-    ) {
+/// Token buckets never admit more than `burst + rate × elapsed`,
+/// regardless of the take pattern.
+#[test]
+fn token_bucket_respects_rate_bound() {
+    check::cases(CASES, |rng| {
+        let rate = rng.range(1..100_000);
+        let burst = rng.range(1..10_000);
+        let steps = check::vec(rng, 1..64, |r| (r.range(0..10_000_000), r.range(1..64)));
         let mut b = TokenBucket::new(rate, burst);
         let mut now = 0u64;
         let mut admitted: u128 = 0;
@@ -89,24 +91,27 @@ proptest! {
             }
             // Exact bound in token·ns fixed point (no float slack).
             let cap = burst as u128 * 1_000_000_000 + rate as u128 * now as u128;
-            prop_assert!(
+            assert!(
                 admitted * 1_000_000_000 <= cap,
                 "admitted {admitted} tokens by {now} ns exceeds rate bound"
             );
         }
-    }
+    });
+}
 
-    /// Every request offered to the gate is accounted for: at quiescence,
-    /// `admitted + shed == submitted` and `dispatched == admitted` hold
-    /// per flow, across arbitrary interleavings of submits, dispatches,
-    /// deadlines, queue caps, and overload shedding.
-    #[test]
-    fn sheds_are_fully_accounted(
-        caps in vec(1usize..8, 2..5),
-        overload_threshold in 1usize..16,
-        deadline_ns in 0u64..2_000,
-        events in vec((0usize..5, 0u64..1_500, 1u64..2048), 1..128),
-    ) {
+/// Every request offered to the gate is accounted for: at quiescence,
+/// `admitted + shed == submitted` and `dispatched == admitted` hold
+/// per flow, across arbitrary interleavings of submits, dispatches,
+/// deadlines, queue caps, and overload shedding.
+#[test]
+fn sheds_are_fully_accounted() {
+    check::cases(CASES, |rng| {
+        let caps = check::vec(rng, 2..5, |r| r.range(1..8) as usize);
+        let overload_threshold = rng.range(1..16) as usize;
+        let deadline_ns = rng.range(0..2_000);
+        let events = check::vec(rng, 1..128, |r| {
+            (r.range(0..5) as usize, r.range(0..1_500), r.range(1..2048))
+        });
         let specs: Vec<FlowSpec> = caps
             .iter()
             .enumerate()
@@ -140,14 +145,17 @@ proptest! {
         }
         // Quiesce: drain whatever is still queued (counts as shed).
         shed += s.drain().len() as u64;
-        prop_assert_eq!(dispatched + shed, submitted, "requests lost or duplicated");
+        assert_eq!(dispatched + shed, submitted, "requests lost or duplicated");
         for snap in s.stats().snapshot() {
-            prop_assert!(
+            assert!(
                 snap.accounted(),
                 "flow {}: admitted {} + shed {} != submitted {}",
-                snap.name, snap.admitted, snap.shed, snap.submitted
+                snap.name,
+                snap.admitted,
+                snap.shed,
+                snap.submitted
             );
-            prop_assert_eq!(snap.dispatched, snap.admitted);
+            assert_eq!(snap.dispatched, snap.admitted);
         }
-    }
+    });
 }

@@ -37,8 +37,8 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
 use solros_pcie::WindowHandle;
+use solros_simkit::sync::{Condvar, Mutex};
 
 /// An event count a ring consumer parks on; see the module docs.
 ///

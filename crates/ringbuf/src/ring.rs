@@ -24,11 +24,11 @@ use std::ops::Range;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use solros_pcie::cost::{CostModel, Xfer};
 use solros_pcie::counter::PcieCounters;
 use solros_pcie::window::{Window, WindowHandle};
 use solros_pcie::Side;
+use solros_simkit::sync::Mutex;
 
 use crate::combiner::Combiner;
 use crate::doorbell::Doorbell;
@@ -1309,7 +1309,7 @@ mod tests {
                 }
             }));
         }
-        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
         let total = producers as u32 * per_producer;
         let done = Arc::new(std::sync::atomic::AtomicU32::new(0));
         for _ in 0..consumers {

@@ -132,6 +132,7 @@ impl<L: RawLock> Drop for TwoLockQueue<L> {
 mod tests {
     use super::*;
     use crate::locks::{McsLock, TicketLock};
+    use solros_simkit::sync::Mutex;
     use std::sync::Arc;
 
     fn fifo_smoke<L: RawLock>() {
@@ -169,7 +170,7 @@ mod tests {
                 }
             }));
         }
-        let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let got = Arc::new(Mutex::new(Vec::new()));
         let remaining = Arc::new(std::sync::atomic::AtomicU32::new(producers * per));
         for _ in 0..4 {
             let q = Arc::clone(&q);

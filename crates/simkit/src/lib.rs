@@ -27,13 +27,21 @@
 //! engine.run();
 //! assert_eq!(engine.now(), SimTime::from_us(5));
 //! ```
+//!
+//! # Shared by the whole workspace
+//!
+//! As the leaf every crate can name, this one also carries what the whole
+//! workspace shares: the non-poisoning locks in [`sync`] (the one module
+//! here that is about threads) and the seeded property driver in [`check`].
 
+pub mod check;
 pub mod engine;
 pub mod hash;
 pub mod report;
 pub mod resource;
 pub mod rng;
 pub mod stats;
+pub mod sync;
 pub mod time;
 
 pub use engine::Engine;

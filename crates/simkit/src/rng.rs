@@ -4,10 +4,10 @@
 //! request interarrival jitter, synthetic corpora) draw from [`DetRng`] so
 //! that every experiment is exactly reproducible from its seed.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
-/// A small, fast, seedable RNG with convenience helpers.
+/// A small, fast, seedable RNG (xoshiro256++ seeded through SplitMix64).
+/// The benchmark's offsets depend on its stream: `golden_vectors` pins it.
 ///
 /// # Examples
 ///
@@ -19,15 +19,36 @@ use rand::{Rng, SeedableRng};
 /// assert_eq!(a.below(1000), b.below(1000));
 /// ```
 pub struct DetRng {
-    inner: SmallRng,
+    s: [u64; 4],
 }
 
 impl DetRng {
     /// Creates an RNG from a 64-bit seed.
     pub fn seed(seed: u64) -> Self {
-        Self {
-            inner: SmallRng::seed_from_u64(seed),
+        let mut state = seed;
+        let mut s = [0u64; 4];
+        for word in &mut s {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            *word = z ^ (z >> 31);
         }
+        Self { s }
+    }
+
+    /// Returns a raw `u64`.
+    pub fn next_u64(&mut self) -> u64 {
+        let s = &mut self.s;
+        let out = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        out
     }
 
     /// Returns a uniform `u64` in `[0, bound)`.
@@ -37,7 +58,24 @@ impl DetRng {
     /// Panics if `bound == 0`.
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0) is meaningless");
-        self.inner.gen_range(0..bound)
+        // Widening multiply with rejection of the biased low zone (Lemire).
+        let zone = bound.wrapping_neg() % bound;
+        loop {
+            let m = u128::from(self.next_u64()) * u128::from(bound);
+            if (m as u64) >= zone {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// Returns a uniform `u64` in the half-open `range`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is empty.
+    pub fn range(&mut self, range: Range<u64>) -> u64 {
+        assert!(range.start < range.end, "cannot sample an empty range");
+        range.start + self.below(range.end - range.start)
     }
 
     /// Returns a uniform `usize` in `[0, bound)`.
@@ -47,18 +85,20 @@ impl DetRng {
     /// Panics if `bound == 0`.
     pub fn index(&mut self, bound: usize) -> usize {
         assert!(bound > 0, "index(0) is meaningless");
-        self.inner.gen_range(0..bound)
+        self.below(bound as u64) as usize
     }
 
     /// Returns a uniform `f64` in `[0, 1)`.
     pub fn unit(&mut self) -> f64 {
-        self.inner.gen_range(0.0..1.0)
+        // 53 random mantissa bits.
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Returns an exponentially distributed value with the given mean,
     /// useful for Poisson request arrivals.
     pub fn exp(&mut self, mean: f64) -> f64 {
-        let u: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
+        // Kept off zero so the logarithm is finite.
+        let u = self.unit().max(f64::MIN_POSITIVE);
         -mean * u.ln()
     }
 
@@ -69,12 +109,10 @@ impl DetRng {
 
     /// Fills `buf` with pseudo-random bytes.
     pub fn fill(&mut self, buf: &mut [u8]) {
-        self.inner.fill(buf);
-    }
-
-    /// Returns a raw `u64`.
-    pub fn next_u64(&mut self) -> u64 {
-        self.inner.gen()
+        for chunk in buf.chunks_mut(8) {
+            let v = self.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&v[..chunk.len()]);
+        }
     }
 
     /// Samples an index from a Zipf-like distribution over `[0, n)` with
@@ -102,6 +140,84 @@ impl DetRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Recorded from the generator the tree drew from before `DetRng`
+    /// owned it (`SmallRng` of the benchmark's `rand` stand-in): first
+    /// eight raw words, then `below(1000)`, `unit`, `fill` of 13 bytes,
+    /// `index(1000)` and `exp(5.0)` in that order.
+    #[test]
+    fn golden_vectors() {
+        type Golden = (u64, [u64; 8], u64, u64, [u8; 13], usize, u64);
+        let golden: [Golden; 3] = [
+            (
+                0,
+                [
+                    0x53175d61490b23df,
+                    0x61da6f3dc380d507,
+                    0x5c0fdf91ec9a7bfc,
+                    0x02eebf8c3bbe5e1a,
+                    0x7eca04ebaf4a5eea,
+                    0x0543c37757f08d9a,
+                    0xdb7490c75ab5026e,
+                    0xd87343e6464bc959,
+                ],
+                294,
+                0x3fb300fc58c04248,
+                [104, 153, 193, 6, 50, 132, 132, 80, 252, 77, 170, 233, 61],
+                104,
+                0x4027aa236f08a567,
+            ),
+            (
+                7,
+                [
+                    0x0e2c1a002aae913d,
+                    0x2c0fc8ddfa4e9e14,
+                    0xb7b311b3b0d45872,
+                    0x6d5d9f6a6318013c,
+                    0xf6b263f2f5790376,
+                    0x77385b627c22c489,
+                    0xb951f9b3621ea380,
+                    0x54705b5adc01e528,
+                ],
+                982,
+                0x3fb2c2b9fdd9c110,
+                [57, 18, 87, 185, 235, 233, 62, 29, 126, 174, 105, 25, 164],
+                733,
+                0x4025cbcc615f83a0,
+            ),
+            (
+                0x71d1,
+                [
+                    0x7bc168e29b4e2f8b,
+                    0xc03e031f57daeb3a,
+                    0xb1c58f3b1b1f99d5,
+                    0x34e3e12026911831,
+                    0xe3ac71c58c96dcf8,
+                    0x24b7cf27ee8616a5,
+                    0x20d6ffd81edf3efa,
+                    0x9f5d1d696fc6f181,
+                ],
+                92,
+                0x3fc352448cb6f278,
+                [102, 95, 31, 151, 34, 61, 151, 6, 16, 130, 114, 240, 105],
+                188,
+                0x4006a34056318424,
+            ),
+        ];
+        for (seed, raw, below, unit_bits, fill, index, exp_bits) in golden {
+            let mut r = DetRng::seed(seed);
+            for want in raw {
+                assert_eq!(r.next_u64(), want, "seed {seed:#x}");
+            }
+            assert_eq!(r.below(1000), below, "seed {seed:#x}");
+            assert_eq!(r.unit().to_bits(), unit_bits, "seed {seed:#x}");
+            let mut buf = [0u8; 13];
+            r.fill(&mut buf);
+            assert_eq!(buf, fill, "seed {seed:#x}");
+            assert_eq!(r.index(1000), index, "seed {seed:#x}");
+            assert_eq!(r.exp(5.0).to_bits(), exp_bits, "seed {seed:#x}");
+        }
+    }
 
     #[test]
     fn determinism() {

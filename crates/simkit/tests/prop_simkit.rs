@@ -4,20 +4,18 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
+use solros_simkit::check::{self, vec};
 use solros_simkit::{Engine, FifoResource, Histogram, MultiChannel, SimTime};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+const CASES: u64 = 128;
 
-    /// Histogram percentiles stay within the documented 1/16 relative
-    /// error of the exact order statistic.
-    #[test]
-    fn histogram_percentile_error_bounded(
-        mut samples in vec(1u64..100_000_000, 10..400),
-        p in 1.0f64..99.0,
-    ) {
+/// Histogram percentiles stay within the documented 1/16 relative
+/// error of the exact order statistic.
+#[test]
+fn histogram_percentile_error_bounded() {
+    check::cases(CASES, |rng| {
+        let mut samples = vec(rng, 10..400, |r| r.range(1..100_000_000));
+        let p = 1.0 + rng.unit() * 98.0;
         let mut h = Histogram::new();
         for &s in &samples {
             h.record(SimTime::from_ns(s));
@@ -28,13 +26,16 @@ proptest! {
         let got = h.percentile(p).as_ns() as f64;
         let err = (got - exact).abs() / exact;
         // 1/16 sub-bucket resolution plus rank rounding slack.
-        prop_assert!(err <= 0.20, "p{p}: exact {exact} got {got} err {err}");
-    }
+        assert!(err <= 0.20, "p{p}: exact {exact} got {got} err {err}");
+    });
+}
 
-    /// The engine runs every event exactly once, in timestamp order, with
-    /// ties in schedule order.
-    #[test]
-    fn engine_total_order(delays in vec(0u64..1_000, 1..200)) {
+/// The engine runs every event exactly once, in timestamp order, with
+/// ties in schedule order.
+#[test]
+fn engine_total_order() {
+    check::cases(CASES, |rng| {
+        let delays = vec(rng, 1..200, |r| r.range(0..1_000));
         let fired: Rc<RefCell<Vec<(u64, usize)>>> = Rc::new(RefCell::new(Vec::new()));
         let mut e = Engine::new();
         for (seq, &d) in delays.iter().enumerate() {
@@ -44,41 +45,52 @@ proptest! {
             });
         }
         let n = e.run();
-        prop_assert_eq!(n as usize, delays.len());
+        assert_eq!(n as usize, delays.len());
         let fired = fired.borrow();
-        prop_assert_eq!(fired.len(), delays.len());
+        assert_eq!(fired.len(), delays.len());
         for w in fired.windows(2) {
-            prop_assert!(
+            assert!(
                 w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1),
-                "order violated: {:?} then {:?}", w[0], w[1]
+                "order violated: {:?} then {:?}",
+                w[0],
+                w[1]
             );
         }
-    }
+    });
+}
 
-    /// A FIFO resource conserves work: total busy time equals the sum of
-    /// service times, and completions never overlap.
-    #[test]
-    fn fifo_conserves_work(jobs in vec((0u64..1_000, 1u64..500), 1..100)) {
+/// A FIFO resource conserves work: total busy time equals the sum of
+/// service times, and completions never overlap.
+#[test]
+fn fifo_conserves_work() {
+    check::cases(CASES, |rng| {
+        let jobs = vec(rng, 1..100, |r| (r.range(0..1_000), r.range(1..500)));
         let mut r = FifoResource::new("prop");
         let mut total = SimTime::ZERO;
         let mut prev_done = SimTime::ZERO;
-        let mut arrivals: Vec<(SimTime, SimTime)> =
-            jobs.iter().map(|&(a, s)| (SimTime::from_ns(a), SimTime::from_ns(s))).collect();
+        let mut arrivals: Vec<(SimTime, SimTime)> = jobs
+            .iter()
+            .map(|&(a, s)| (SimTime::from_ns(a), SimTime::from_ns(s)))
+            .collect();
         arrivals.sort_by_key(|(a, _)| *a);
         for (arrive, service) in arrivals {
             let done = r.acquire(arrive, service);
-            prop_assert!(done >= arrive + service);
-            prop_assert!(done >= prev_done + service, "overlapping service");
+            assert!(done >= arrive + service);
+            assert!(done >= prev_done + service, "overlapping service");
             prev_done = done;
             total += service;
         }
-        prop_assert_eq!(r.busy_time(), total);
-    }
+        assert_eq!(r.busy_time(), total);
+    });
+}
 
-    /// A multi-channel bank never completes later than a single FIFO
-    /// server given the same jobs.
-    #[test]
-    fn channels_never_hurt(jobs in vec(1u64..500, 1..60), channels in 1usize..8) {
+/// A multi-channel bank never completes later than a single FIFO
+/// server given the same jobs.
+#[test]
+fn channels_never_hurt() {
+    check::cases(CASES, |rng| {
+        let jobs = vec(rng, 1..60, |r| r.range(1..500));
+        let channels = rng.range(1..8) as usize;
         let mut single = FifoResource::new("one");
         let mut multi = MultiChannel::new("many", channels);
         let mut last_single = SimTime::ZERO;
@@ -87,6 +99,6 @@ proptest! {
             last_single = single.acquire(SimTime::ZERO, SimTime::from_ns(s));
             last_multi = multi.acquire(SimTime::ZERO, SimTime::from_ns(s));
         }
-        prop_assert!(last_multi <= last_single);
-    }
+        assert!(last_multi <= last_single);
+    });
 }

@@ -2,26 +2,24 @@
 
 use std::sync::Arc;
 
-use proptest::collection::vec;
-use proptest::prelude::*;
 use solros_pcie::{PcieCounters, Side};
 use solros_ringbuf::ring::{CopyMode, RingBuf, RingConfig};
 use solros_ringbuf::RingError;
+use solros_simkit::check::{self, vec};
 
 fn ring(cfg: RingConfig) -> (solros_ringbuf::Producer, solros_ringbuf::Consumer) {
     RingBuf::new(cfg, Arc::new(PcieCounters::new())).endpoints()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+const CASES: u64 = 64;
 
-    /// Any interleaving of sends and receives preserves content and FIFO
-    /// order (single-threaded model check against a VecDeque oracle).
-    #[test]
-    fn fifo_model_equivalence(
-        ops in vec((any::<bool>(), 1usize..200), 1..400),
-        cap_pow in 9u32..14,
-    ) {
+/// Any interleaving of sends and receives preserves content and FIFO
+/// order (single-threaded model check against a VecDeque oracle).
+#[test]
+fn fifo_model_equivalence() {
+    check::cases(CASES, |rng| {
+        let ops = vec(rng, 1..400, |r| (r.chance(0.5), r.range(1..200) as usize));
+        let cap_pow = rng.range(9..14);
         let cap = 1usize << cap_pow;
         let (tx, rx) = ring(RingConfig::local(cap, Side::Host));
         let mut oracle: std::collections::VecDeque<Vec<u8>> = Default::default();
@@ -50,45 +48,46 @@ proptest! {
                         });
                     }
                     Err(RingError::TooBig) => {
-                        prop_assert!(size + 8 > cap / 4, "spurious TooBig for {size}");
+                        assert!(size + 8 > cap / 4, "spurious TooBig for {size}");
                     }
                     Err(RingError::Corrupt) => {
-                        prop_assert!(false, "corruption surfaced with no fault injected");
+                        panic!("corruption surfaced with no fault injected");
                     }
                 }
             } else {
                 match rx.recv() {
                     Ok(got) => {
                         let want = oracle.pop_front().expect("ring had no element");
-                        prop_assert_eq!(got, want);
+                        assert_eq!(got, want);
                     }
-                    Err(_) => prop_assert!(oracle.is_empty(), "element lost"),
+                    Err(_) => assert!(oracle.is_empty(), "element lost"),
                 }
             }
         }
         // Drain: everything the oracle holds must come out, in order.
         while let Some(want) = oracle.pop_front() {
             let got = rx.recv_blocking();
-            prop_assert_eq!(got, want);
+            assert_eq!(got, want);
         }
-        prop_assert!(matches!(rx.recv(), Err(RingError::WouldBlock)));
-    }
+        assert!(matches!(rx.recv(), Err(RingError::WouldBlock)));
+    });
+}
 
-    /// Cross-PCIe rings deliver identical bytes for every size mix and
-    /// copy mode.
-    #[test]
-    fn pcie_ring_integrity(
-        sizes in vec(1usize..2000, 1..120),
-        mode in prop_oneof![
-            Just(CopyMode::Memcpy),
-            Just(CopyMode::Dma),
-            Just(CopyMode::Adaptive)
-        ],
-        master_at_producer in any::<bool>(),
-    ) {
-        let master = if master_at_producer { Side::Coproc } else { Side::Host };
-        let cfg = RingConfig::over_pcie(1 << 14, master, Side::Coproc, Side::Host)
-            .with_copy_mode(mode);
+/// Cross-PCIe rings deliver identical bytes for every size mix and
+/// copy mode.
+#[test]
+fn pcie_ring_integrity() {
+    check::cases(CASES, |rng| {
+        let sizes = vec(rng, 1..120, |r| r.range(1..2000) as usize);
+        let mode = [CopyMode::Memcpy, CopyMode::Dma, CopyMode::Adaptive][rng.index(3)];
+        let master_at_producer = rng.chance(0.5);
+        let master = if master_at_producer {
+            Side::Coproc
+        } else {
+            Side::Host
+        };
+        let cfg =
+            RingConfig::over_pcie(1 << 14, master, Side::Coproc, Side::Host).with_copy_mode(mode);
         let (tx, rx) = ring(cfg);
         for (i, &size) in sizes.iter().enumerate() {
             let fill = (i % 251) as u8;
@@ -96,14 +95,17 @@ proptest! {
             data[0] = (i % 256) as u8;
             tx.send_blocking(&data).unwrap();
             let got = rx.recv_blocking();
-            prop_assert_eq!(got, data);
+            assert_eq!(got, data);
         }
-    }
+    });
+}
 
-    /// The decoupled reserve/copy/publish phases never corrupt neighbours
-    /// even when publication happens out of order.
-    #[test]
-    fn out_of_order_publication(mut order in vec(0usize..8, 8)) {
+/// The decoupled reserve/copy/publish phases never corrupt neighbours
+/// even when publication happens out of order.
+#[test]
+fn out_of_order_publication() {
+    check::cases(CASES, |rng| {
+        let mut order = vec(rng, 8..9, |r| r.index(8));
         // Make `order` a permutation of 0..8.
         order.sort_unstable();
         order.dedup();
@@ -126,9 +128,9 @@ proptest! {
         tx.kick();
         // FIFO delivery in reservation order regardless.
         for i in 0..8u8 {
-            prop_assert_eq!(rx.recv_blocking(), vec![i; 16]);
+            assert_eq!(rx.recv_blocking(), vec![i; 16]);
         }
-    }
+    });
 }
 
 #[test]
