@@ -6,7 +6,7 @@
 //! rings, engines, FS, NVMe model, supervisor ticks — over 10 000+
 //! operations. Each budget is one above what the path measured when it
 //! was set, so the next `Vec` on a hot path fails here, not in a
-//! benchmark. One `#[test]`: the count is process-wide, so the four
+//! benchmark. One `#[test]`: the count is process-wide, so the six
 //! paths must not overlap (CI also passes `--test-threads=1`).
 
 use std::sync::Arc;
@@ -25,6 +25,8 @@ const BS: u64 = BLOCK_SIZE as u64;
 /// Operations counted per path.
 const OPS: u64 = 12_800;
 const WAVE: usize = 32;
+/// Pages of the `O_BUFFER` file: all of them fit in the host cache.
+const HOT_BLOCKS: u64 = 128;
 
 /// Allocations per call of `call`, over `calls` calls after a warm-up
 /// that lets every reusable buffer reach its working size.
@@ -97,6 +99,32 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
         "every read in (c) was served from the lease"
     );
 
+    // (e) One 4 KiB buffered read of a resident page, and (f) one 4 KiB
+    // buffered overwrite of one: the page moves between the cache slot
+    // and the co-processor window, and nothing else is touched.
+    let (hot, _) = fs.open("/hot", true, false, true).unwrap();
+    let block = vec![0x3Cu8; BLOCK_SIZE];
+    for page in 0..HOT_BLOCKS {
+        assert_eq!(fs.write_at(hot, page * BS, &block), Ok(BLOCK_SIZE));
+    }
+    let cache = sys.host_fs().cache();
+    let misses = cache.stats().misses;
+    let per_buffered_read = allocs_per_call(OPS, || {
+        let off = rng.below(HOT_BLOCKS) * BS;
+        assert_eq!(fs.read_at(hot, off, &mut buf), Ok(BLOCK_SIZE));
+    });
+    let per_buffered_overwrite = allocs_per_call(OPS, || {
+        let off = rng.below(HOT_BLOCKS) * BS;
+        assert_eq!(fs.write_at(hot, off, &block), Ok(BLOCK_SIZE));
+    });
+    assert_eq!(buf, block);
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.misses, stats.evictions),
+        (misses, 0),
+        "every access in (e) and (f) found its page resident"
+    );
+
     // (d) A wave of 32 pipelined 64-byte sends on one socket, which the
     // proxy coalesces into one backend write and one reply wave; the
     // fabric client then drains it (its `recv` returns a fresh `Vec`).
@@ -125,12 +153,14 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     sys.shutdown();
     println!(
         "allocations per call: p2p read {per_read:.3}, batch of {WAVE} {per_batch:.2}, \
-         leased read {per_leased_read:.3}, wave of {WAVE} sends {per_send_wave:.2}"
+         leased read {per_leased_read:.3}, wave of {WAVE} sends {per_send_wave:.2}, \
+         buffered read hit {per_buffered_read:.3}, buffered overwrite {per_buffered_overwrite:.3}"
     );
     // Measured when set, the same on every run: 0, 43 (32 payloads, the
     // builder's four growths, and one each for the wave's arena, offsets,
     // tags, buffers and tokens, the in-flight queue and the results), 0,
-    // and 33 (32 owned payloads at the proxy, the fabric client's `recv`).
+    // 33 (32 owned payloads at the proxy, the fabric client's `recv`),
+    // 0 and 0 (before the page was lent in place: 3 and 7).
     assert!(per_read <= 1.0, "P2P read: {per_read:.3} allocations");
     assert!(
         per_batch <= 44.0,
@@ -143,5 +173,13 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     assert!(
         per_send_wave <= 34.0,
         "wave of {WAVE} sends: {per_send_wave:.2} allocations"
+    );
+    assert!(
+        per_buffered_read <= 1.0,
+        "buffered read hit: {per_buffered_read:.3} allocations"
+    );
+    assert!(
+        per_buffered_overwrite <= 1.0,
+        "buffered overwrite: {per_buffered_overwrite:.3} allocations"
     );
 }

@@ -3,7 +3,9 @@
 //! One proxy server runs per co-processor on a host thread, driven by the
 //! shared [`crate::proxy_engine`]: the engine pulls file-system RPCs from
 //! the request ring, decodes each frame once, runs the QoS gate, and
-//! dispatches to the worker pool; this module supplies the FS semantics
+//! serves the call start to finish on that thread — only the few calls
+//! that can wait on a lease holder go to a worker pool
+//! ([`OpHandler::may_wait`]); this module supplies the FS semantics
 //! through the [`OpHandler`] trait. For data transfers it chooses between:
 //!
 //! * **Peer-to-peer**: translate the file range to disk extents
@@ -11,18 +13,20 @@
 //!   system-mapped PCIe window, and submit *all* NVMe commands of the
 //!   system call as one vectored batch — a single doorbell and a single
 //!   interrupt (the §5 driver optimization).
-//! * **Buffered**: stage through the host's shared page cache and push
-//!   with host DMA. Chosen on a cache hit, when the P2P path would cross
-//!   a NUMA boundary (Figure 1a), when the file was opened with
-//!   `O_BUFFER`, or when the request is not block-aligned.
+//! * **Buffered**: go through the host's shared page cache, moving each
+//!   page once — cache page to co-processor window or back — with host
+//!   DMA. Chosen on a cache hit, when the P2P path would cross a NUMA
+//!   boundary (Figure 1a), when the file was opened with `O_BUFFER`, or
+//!   when the request is not block-aligned.
 //!
 //! Since the data plane pipelines submissions, the engine drains the
 //! request ring in *waves*: every P2P-eligible read is staged (via
 //! [`OpHandler::stage`]) into one combined vectored submission — a single
 //! doorbell and a single interrupt across ops *from different calls*, the
 //! cross-call generalisation of the §5 batching — while the remaining ops
-//! go to the worker pool and complete out of order (the stub's tag table
-//! reorders). A frame flagged `FLAG_BARRIER` quiesces both before it runs.
+//! run where they were admitted, or on the pool if they may wait, and
+//! complete out of order (the stub's tag table reorders). A frame flagged
+//! `FLAG_BARRIER` quiesces both before it runs.
 
 use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,7 +54,8 @@ use crate::retry::RetryPolicy;
 
 pub use crate::proxy_engine::DRAIN_BURST;
 
-/// Worker threads per proxy executing non-coalesced operations.
+/// Worker threads per proxy, for the operations that may wait on a
+/// lease holder ([`OpHandler::may_wait`]).
 pub const PROXY_WORKERS: usize = 3;
 
 /// NVMe MDTS in blocks (mirrors `solros_nvme::device::MDTS_BLOCKS`).
@@ -126,8 +131,9 @@ fn classify(req: &FsRequest) -> (usize, u64) {
 
 /// One co-processor's proxy server.
 ///
-/// Shared-state fields are lock-protected so the engine's worker pool can
-/// execute independent operations concurrently through [`FsProxy::handle`].
+/// Shared-state fields are lock-protected so the engine thread and its
+/// worker pool can execute independent operations concurrently through
+/// [`FsProxy::handle`].
 pub struct FsProxy {
     fs: Arc<FileSystem>,
     coproc_window: Arc<Window>,
@@ -247,8 +253,9 @@ impl FsProxy {
     }
 
     /// Serves requests until `shutdown` is set, through the shared proxy
-    /// engine: wave-coalesced P2P reads, and a [`PROXY_WORKERS`]-wide
-    /// pool for everything else. Without a `gate`, admission is FIFO.
+    /// engine: wave-coalesced P2P reads, everything else run to
+    /// completion on the engine thread, and a [`PROXY_WORKERS`]-wide
+    /// pool for what may wait. Without a `gate`, admission is FIFO.
     ///
     /// With one, ring arrivals are admitted into per-class queues
     /// (metadata ops are [`QosClass::High`]; small data ops
@@ -557,13 +564,16 @@ impl FsProxy {
             Ok(count)
         } else {
             self.stats.buffered_reads.fetch_add(1, Ordering::Relaxed);
-            let mut buf = vec![0u8; count as usize];
-            let n = self.fs.read(ino, offset, &mut buf).map_err(rpc_err)? as u64;
-            buf.truncate(n as usize);
             let h = self.coproc_window.map(Side::Host);
-            // SAFETY: the stub owns [buf_addr, buf_addr+count) exclusively
-            // for the duration of this call (driver contract).
-            unsafe { h.adaptive_write(&self.cost_model, buf_addr as usize, &buf) };
+            let n = self
+                .fs
+                .read_with(ino, offset, count as usize, |at, piece| {
+                    // SAFETY: the stub owns [buf_addr, buf_addr+count)
+                    // exclusively for the duration of this call (driver
+                    // contract).
+                    unsafe { h.adaptive_write(&self.cost_model, buf_addr as usize + at, piece) }
+                })
+                .map_err(rpc_err)? as u64;
             // Sequential stream on the buffered path: warm the shared
             // cache ahead of the next request (§4.3.2's prefetch).
             if sequential && self.readahead_pages > 0 {
@@ -581,10 +591,14 @@ impl FsProxy {
 
     /// Builds and submits the vectored NVMe batch for a P2P read.
     fn p2p_read(&self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<(), RpcErr> {
-        let extents = self.fs.fiemap(ino, offset, count).map_err(rpc_err)?;
-        let mut cmds = Vec::new();
-        Self::extent_cmds(&extents, &self.coproc_window, buf_addr, true, &mut cmds);
-        self.submit_with_retry(&cmds)
+        let mut wave = self.wave.lock();
+        let ReadWave { extents, cmds, .. } = &mut *wave;
+        self.fs
+            .fiemap_into(ino, offset, count, extents)
+            .map_err(rpc_err)?;
+        let start = cmds.len();
+        Self::extent_cmds(extents, &self.coproc_window, buf_addr, true, cmds);
+        self.submit_with_retry(&mut wave, start)
     }
 
     fn do_write(&self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<u64, RpcErr> {
@@ -620,9 +634,17 @@ impl FsProxy {
                 .fs
                 .fiemap_allocated(ino, offset, map_len)
                 .map_err(rpc_err)?;
-            let mut cmds = Vec::new();
-            Self::extent_cmds(&extents, &self.coproc_window, buf_addr, false, &mut cmds);
-            self.submit_with_retry(&cmds)?;
+            let mut wave = self.wave.lock();
+            let start = wave.cmds.len();
+            Self::extent_cmds(
+                &extents,
+                &self.coproc_window,
+                buf_addr,
+                false,
+                &mut wave.cmds,
+            );
+            self.submit_with_retry(&mut wave, start)?;
+            drop(wave);
             self.fs.extend_size(ino, offset + count).map_err(rpc_err)?;
             // Coherence: drop any cached pages the DMA just bypassed.
             for page in offset / bs..(offset + count).div_ceil(bs) {
@@ -631,12 +653,17 @@ impl FsProxy {
             Ok(count)
         } else {
             self.stats.buffered_writes.fetch_add(1, Ordering::Relaxed);
-            let mut buf = vec![0u8; count as usize];
             let h = self.coproc_window.map(Side::Host);
-            // SAFETY: the stub owns the source range exclusively for the
-            // duration of this call.
-            unsafe { h.dma_read(buf_addr as usize, &mut buf) };
-            let n = self.fs.write(ino, offset, &buf).map_err(rpc_err)? as u64;
+            // Host DMA pulls each page out of the window into the cache
+            // page it refreshes; the write-through goes from there.
+            let n = self
+                .fs
+                .write_with(ino, offset, count as usize, |at, piece| {
+                    // SAFETY: the stub owns the source range exclusively
+                    // for the duration of this call.
+                    unsafe { h.dma_read(buf_addr as usize + at, piece) }
+                })
+                .map_err(rpc_err)? as u64;
             Ok(n)
         }
     }
@@ -677,10 +704,16 @@ impl FsProxy {
         }
     }
 
-    /// Submits one vectored batch; retries individual transient failures.
-    fn submit_with_retry(&self, cmds: &[NvmeCommand]) -> Result<(), RpcErr> {
-        let results = self.fs.device().submit_vectored(cmds);
-        self.settle_span(cmds, &results, 0..cmds.len())
+    /// Submits `wave.cmds[start..]` — a P2P transfer served outside the
+    /// wave, borrowing its vectors — as one vectored batch, retries
+    /// individual transient failures, and takes the commands back off.
+    fn submit_with_retry(&self, wave: &mut ReadWave, start: usize) -> Result<(), RpcErr> {
+        let ReadWave { cmds, results, .. } = wave;
+        let own = &cmds[start..];
+        self.fs.device().submit_vectored_into(own, results);
+        let settled = self.settle_span(own, results, 0..own.len());
+        cmds.truncate(start);
+        settled
     }
 
     /// Checks one operation's slice of a combined batch's results,
@@ -715,8 +748,8 @@ impl FsProxy {
     }
 
     /// Stages a read into the wave's combined command list if it takes
-    /// the P2P path; `None` falls the request through to the worker pool
-    /// (buffered path, EOF handling, and errors all live in `do_read`).
+    /// the P2P path; `None` falls the request through to `do_read`
+    /// (buffered path, EOF handling, and errors all live there).
     fn stage_p2p_read(
         &self,
         ino: u64,
@@ -767,6 +800,27 @@ impl OpHandler for FsProxy {
 
     fn workers(&self) -> usize {
         PROXY_WORKERS
+    }
+
+    /// The calls that settle leases before they run: they sit in
+    /// [`LeaseManager::recall_range_sync`] until the holder's
+    /// `LeaseRecallAck` arrives — through this engine, if the holder is
+    /// this proxy's co-processor. Those take a pool thread; everything
+    /// else (buffered and P2P data on an unleased inode, metadata, lease
+    /// settlement itself) runs to completion on the engine thread. A
+    /// lease granted between this check and the call makes the call
+    /// settle it from the engine thread after all, which costs at most
+    /// the recall budget: the manager force-revokes an unanswered recall.
+    fn may_wait(&self, req: &FsRequest) -> bool {
+        match req {
+            FsRequest::Unlink { .. }
+            | FsRequest::Truncate { .. }
+            | FsRequest::LeaseAcquire { .. } => true,
+            FsRequest::Read { ino, .. } | FsRequest::Write { ino, .. } => {
+                self.lease_mgr.has_lease(*ino)
+            }
+            _ => false,
+        }
     }
 
     /// Data-mutating ops hold their inode exclusively; `fstat` and
@@ -932,7 +986,9 @@ struct StagedRead {
 
 /// One drain cycle's worth of coalesced P2P reads, and the scratch the
 /// cycle works in: every vector here is cleared and refilled wave after
-/// wave, never rebuilt.
+/// wave, never rebuilt. A P2P transfer that is not staged (a write, or a
+/// read that reaches `do_read` directly) borrows `extents`, the end of
+/// `cmds` and — dead between a stage and its flush — `results`.
 #[derive(Default)]
 struct ReadWave {
     cmds: Vec<NvmeCommand>,

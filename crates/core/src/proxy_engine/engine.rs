@@ -59,6 +59,17 @@ pub trait OpHandler: Send + Sync {
         0
     }
 
+    /// Whether executing `req` can wait on another party — in
+    /// particular one whose answer arrives *through this engine*, which
+    /// an engine thread blocked in `exec` would never admit. Such a
+    /// request goes to the worker pool; every other one runs to
+    /// completion on the engine thread, with no hand-off. The default
+    /// keeps a pooled handler's every request on its pool.
+    fn may_wait(&self, req: &Self::Req) -> bool {
+        let _ = req;
+        true
+    }
+
     /// Names the resource a request touches, for priority inheritance.
     /// Exclusive touches hold the resource from admission to completion;
     /// shared touches dispatched onto a held resource wait for release.
@@ -731,8 +742,9 @@ impl<H: OpHandler> ProxyEngine<H> {
         }
     }
 
-    /// Routes one ready job: offer it to the handler's wave, else hand it
-    /// to the pool (or run inline). A job touching a resource held by an
+    /// Routes one ready job: offer it to the handler's wave, else run it
+    /// inline — or hand it to the pool, if there is one and the handler
+    /// says the job may wait. A job touching a resource held by an
     /// external lease holder parks here instead, and the handler starts
     /// the recall; the freed queue re-routes it once the lease settles.
     fn route(&mut self, pool: Option<&JobQueue<ReadyJob<H::Req>>>, job: ReadyJob<H::Req>) {
@@ -779,8 +791,8 @@ impl<H: OpHandler> ProxyEngine<H> {
             tenant,
         };
         match pool {
-            Some(p) => p.push(job),
-            None => self.exec_inline(job),
+            Some(p) if self.handler.may_wait(&job.req) => p.push(job),
+            _ => self.exec_inline(job),
         }
     }
 
@@ -1195,11 +1207,29 @@ mod tests {
         assert_eq!(stats.dropped_replies.load(Ordering::Relaxed), 1);
     }
 
-    /// A handler whose single worker blocks in `exec` until the test
-    /// opens the gate.
+    /// A pooled handler in which only `Fstat` never waits: every other
+    /// request blocks in `exec` until the test opens the gate. Records
+    /// which thread executed each tag; `Fstat` replies with the number of
+    /// requests executed so far, itself included.
     struct Gated {
         open: Mutex<bool>,
         opened: Condvar,
+        ran: Mutex<Vec<(u32, std::thread::ThreadId)>>,
+    }
+
+    impl Gated {
+        fn new(open: bool) -> Arc<Self> {
+            Arc::new(Gated {
+                open: Mutex::new(open),
+                opened: Condvar::new(),
+                ran: Mutex::new(Vec::new()),
+            })
+        }
+
+        fn open(&self) {
+            *self.open.lock() = true;
+            self.opened.notify_all();
+        }
     }
 
     impl OpHandler for Gated {
@@ -1213,29 +1243,52 @@ mod tests {
             (0, 0)
         }
 
-        fn exec(&self, _lane: usize, tag: u32, _req: FsRequest, reply: &mut Vec<u8>) {
-            let mut open = self.open.lock();
-            while !*open {
-                self.opened.wait(&mut open);
+        fn exec(&self, _lane: usize, tag: u32, req: FsRequest, reply: &mut Vec<u8>) {
+            if self.may_wait(&req) {
+                let mut open = self.open.lock();
+                while !*open {
+                    self.opened.wait(&mut open);
+                }
             }
-            FsResponse::Ok.encode_into(tag, reply)
+            let mut ran = self.ran.lock();
+            ran.push((tag, std::thread::current().id()));
+            match req {
+                FsRequest::Fstat { ino } => FsResponse::Stat {
+                    ino,
+                    is_dir: false,
+                    size: ran.len() as u64,
+                },
+                _ => FsResponse::Ok,
+            }
+            .encode_into(tag, reply)
         }
 
         fn workers(&self) -> usize {
-            1
+            2
+        }
+
+        fn may_wait(&self, req: &FsRequest) -> bool {
+            !matches!(req, FsRequest::Fstat { .. })
         }
     }
 
-    #[test]
-    fn worker_completion_rings_a_parked_engine() {
+    /// Serves `handler` on a thread of its own; returns what a test needs
+    /// to talk to it and to stop it.
+    #[allow(clippy::type_complexity)]
+    fn serve_gated(
+        handler: &Arc<Gated>,
+    ) -> (
+        solros_ringbuf::Producer,
+        solros_ringbuf::Consumer,
+        Arc<ProxyStats>,
+        Arc<Doorbell>,
+        Arc<AtomicBool>,
+        std::thread::JoinHandle<()>,
+    ) {
         let (lane, req_tx, resp_rx) = lane();
-        let handler = Arc::new(Gated {
-            open: Mutex::new(false),
-            opened: Condvar::new(),
-        });
         let stats = Arc::new(ProxyStats::default());
         let eng = ProxyEngine::new(
-            Arc::clone(&handler),
+            Arc::clone(handler),
             vec![lane],
             Arc::clone(&stats),
             Arc::new(EngineFaults::new()),
@@ -1245,6 +1298,24 @@ mod tests {
         let shutdown = Arc::new(AtomicBool::new(false));
         let sd = Arc::clone(&shutdown);
         let server = std::thread::spawn(move || eng.serve(sd));
+        (req_tx, resp_rx, stats, bell, shutdown, server)
+    }
+
+    fn recv_reply(resp_rx: &solros_ringbuf::Consumer) -> (u32, FsResponse) {
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        loop {
+            match resp_rx.recv() {
+                Ok(f) => return FsResponse::decode(&f).unwrap(),
+                Err(_) => std::thread::yield_now(),
+            }
+            assert!(Instant::now() < deadline, "no reply");
+        }
+    }
+
+    #[test]
+    fn worker_completion_rings_a_parked_engine() {
+        let handler = Gated::new(false);
+        let (req_tx, resp_rx, stats, bell, shutdown, server) = serve_gated(&handler);
 
         req_tx
             .send_blocking(&FsRequest::Fsync { ino: 1 }.encode(7))
@@ -1255,19 +1326,71 @@ mod tests {
             std::thread::yield_now();
         }
         let before = bell.rings();
-        *handler.open.lock() = true;
-        handler.opened.notify_all();
-        let reply = loop {
-            match resp_rx.recv() {
-                Ok(f) => break f,
-                Err(_) => std::thread::yield_now(),
-            }
-        };
-        assert_eq!(FsResponse::decode(&reply).unwrap(), (7, FsResponse::Ok));
+        handler.open();
+        assert_eq!(recv_reply(&resp_rx), (7, FsResponse::Ok));
         assert!(
             bell.rings() > before,
             "the completion must ring the engine, not wait out its park"
         );
+        shutdown.store(true, Ordering::Relaxed);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn only_an_op_that_may_wait_leaves_the_serve_thread() {
+        let handler = Gated::new(true);
+        let (req_tx, resp_rx, _, _, shutdown, server) = serve_gated(&handler);
+        req_tx
+            .send_blocking(&FsRequest::Fstat { ino: 1 }.encode(1))
+            .unwrap();
+        req_tx
+            .send_blocking(&FsRequest::Fsync { ino: 1 }.encode(2))
+            .unwrap();
+        let mut tags = [recv_reply(&resp_rx).0, recv_reply(&resp_rx).0];
+        tags.sort_unstable();
+        assert_eq!(tags, [1, 2]);
+        let ran = handler.ran.lock().clone();
+        let thread_of = |tag| ran.iter().find(|(t, _)| *t == tag).unwrap().1;
+        assert_eq!(thread_of(1), server.thread().id(), "inline op left home");
+        assert_ne!(thread_of(2), server.thread().id(), "waiting op ran inline");
+        shutdown.store(true, Ordering::Relaxed);
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_barrier_observes_inline_and_pooled_work_alike() {
+        const INLINE: u32 = 5;
+        const POOLED: u32 = 3;
+        let handler = Gated::new(false);
+        let (req_tx, resp_rx, stats, _, shutdown, server) = serve_gated(&handler);
+        for tag in 0..INLINE + POOLED {
+            let req = if tag % 2 == 0 && tag / 2 < POOLED {
+                FsRequest::Fsync { ino: 1 }
+            } else {
+                FsRequest::Fstat { ino: 1 }
+            };
+            req_tx.send_blocking(&req.encode(tag)).unwrap();
+        }
+        let mut barrier = FsRequest::Fstat { ino: 2 }.encode(99);
+        solros_proto::codec::stamp_flags(&mut barrier, FLAG_BARRIER);
+        req_tx.send_blocking(&barrier).unwrap();
+        // Every inline op has run and the pool is stuck behind the gate
+        // (a third pooled job may still be queued): the barrier is next.
+        while stats.rpcs.load(Ordering::Relaxed) < u64::from(INLINE) + 2 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(
+            handler.ran.lock().iter().all(|(tag, _)| *tag != 99),
+            "the barrier overtook pooled work"
+        );
+        handler.open();
+        let seen = loop {
+            if let (99, FsResponse::Stat { size, .. }) = recv_reply(&resp_rx) {
+                break size;
+            }
+        };
+        assert_eq!(seen, u64::from(INLINE + POOLED) + 1);
         shutdown.store(true, Ordering::Relaxed);
         server.join().unwrap();
     }

@@ -5,6 +5,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use solros::fs_proxy::{FsProxy, FsProxyStats};
 use solros::transport::{Channel, RpcClient};
@@ -324,32 +325,142 @@ fn sequential_buffered_reads_trigger_readahead() {
     assert_eq!(stats.prefetched_pages.load(Ordering::Relaxed), before);
 }
 
+/// Puts `proxy` behind an engine on a thread of its own.
+fn serve(proxy: FsProxy) -> (Arc<RpcClient>, Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+    let ch = Channel::new(Arc::new(PcieCounters::new()));
+    let client = RpcClient::new(ch.req_tx, ch.resp_rx);
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let (req_rx, resp_tx, sd) = (ch.req_rx, ch.resp_tx, Arc::clone(&shutdown));
+    let server = std::thread::spawn(move || proxy.serve(req_rx, resp_tx, sd, None));
+    (client, shutdown, server)
+}
+
+fn call(client: &RpcClient, req: FsRequest) -> FsResponse {
+    let tag = client.tag();
+    FsResponse::decode(&client.call(tag, req.encode(tag)))
+        .unwrap()
+        .1
+}
+
 #[test]
 fn injected_worker_panic_is_contained() {
     let (proxy, fs, _window, stats) = setup(false);
     let ino = fs.create("/f").unwrap();
-    let ch = Channel::new(Arc::new(PcieCounters::new()));
-    let client = RpcClient::new(ch.req_tx, ch.resp_rx);
-    let shutdown = Arc::new(AtomicBool::new(false));
     proxy.inject_worker_panics(1);
-    let (req_rx, resp_tx, sd) = (ch.req_rx, ch.resp_tx, Arc::clone(&shutdown));
-    let server = std::thread::spawn(move || proxy.serve(req_rx, resp_tx, sd, None));
+    let (client, shutdown, server) = serve(proxy);
 
-    // The armed panic fires inside a worker and comes back as Io.
-    let tag = client.tag();
-    let reply = client.call(tag, FsRequest::Fstat { ino }.encode(tag));
-    let (_, resp) = FsResponse::decode(&reply).unwrap();
+    // The armed panic fires inside the handler and comes back as Io.
+    let resp = call(&client, FsRequest::Fstat { ino });
     assert_eq!(resp, FsResponse::Error { err: RpcErr::Io });
 
-    // The pool survived: the next request is served normally.
-    let tag = client.tag();
-    let reply = client.call(tag, FsRequest::Fstat { ino }.encode(tag));
-    let (_, resp) = FsResponse::decode(&reply).unwrap();
+    // The engine survived: the next request is served normally.
+    let resp = call(&client, FsRequest::Fstat { ino });
     assert!(matches!(resp, FsResponse::Stat { .. }), "got {resp:?}");
 
     shutdown.store(true, Ordering::Relaxed);
     server.join().unwrap();
     assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn injected_panic_on_an_inline_buffered_read_is_contained() {
+    let (proxy, fs, window, stats) = setup(false);
+    let data = vec![3u8; BLOCK_SIZE];
+    let ino = match proxy.handle(FsRequest::Open {
+        path: "/f".into(),
+        create: true,
+        truncate: false,
+        buffered: true,
+    }) {
+        FsResponse::Open { ino, .. } => ino,
+        other => panic!("open: {other:?}"),
+    };
+    fs.write(ino, 0, &data).unwrap();
+    proxy.inject_worker_panics(1);
+    let (client, shutdown, server) = serve(proxy);
+    let read = FsRequest::Read {
+        ino,
+        offset: 0,
+        count: BLOCK_SIZE as u64,
+        buf_addr: 0,
+    };
+    // The buffered read runs on the engine thread, where the armed panic
+    // fires: one `Io` reply, and the engine is there for the next call.
+    assert_eq!(
+        call(&client, read.clone()),
+        FsResponse::Error { err: RpcErr::Io }
+    );
+    assert_eq!(
+        call(&client, read),
+        FsResponse::Read {
+            count: BLOCK_SIZE as u64
+        }
+    );
+    assert_eq!(window_read(&window, 0, BLOCK_SIZE), data);
+    shutdown.store(true, Ordering::Relaxed);
+    server.join().unwrap();
+    assert_eq!(stats.worker_panics.load(Ordering::Relaxed), 1);
+    assert_eq!(stats.buffered_reads.load(Ordering::Relaxed), 1);
+}
+
+/// An op that settles leases before it runs waits for the holder's ack
+/// on a pool thread — `Unlink` inside `recall_range_sync`, `Truncate`
+/// parked by the engine behind the external hold — and the ack comes in
+/// through the same engine, which must still admit and execute it.
+#[test]
+fn a_call_waiting_on_a_lease_does_not_keep_the_engine_from_the_ack() {
+    for by_unlink in [true, false] {
+        let (proxy, fs, _window, _stats) = setup(false);
+        let ino = fs.create("/leased").unwrap();
+        fs.write(ino, 0, &vec![1u8; 4 * BLOCK_SIZE]).unwrap();
+        let leases = proxy.lease_manager();
+        // Far beyond the watchdog: only an ack can settle the recall.
+        leases.set_recall_budget(Duration::from_secs(60));
+        let (client, shutdown, server) = serve(proxy);
+        let id = match call(
+            &client,
+            FsRequest::LeaseAcquire {
+                ino,
+                offset: 0,
+                len: 4 * BLOCK_SIZE as u64,
+                write: false,
+            },
+        ) {
+            FsResponse::LeaseGrant { id, .. } => id,
+            other => panic!("lease: {other:?}"),
+        };
+        let lease = leases.shared(id).expect("granted lease");
+
+        let started = Instant::now();
+        let tag = client.tag();
+        let conflicting = if by_unlink {
+            FsRequest::Unlink {
+                path: "/leased".into(),
+            }
+        } else {
+            FsRequest::Truncate { ino, size: 0 }
+        };
+        let waiting = client.submit(tag, conflicting.encode(tag)).unwrap();
+        // The holder's side of the protocol: notice the recall, ack it.
+        while !lease.is_recalled() {
+            assert!(started.elapsed() < Duration::from_secs(2), "never recalled");
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            call(&client, FsRequest::LeaseRecallAck { id, written_end: 0 }),
+            FsResponse::Ok
+        );
+        let reply = client
+            .wait_timeout(waiting, Duration::from_secs(2))
+            .expect("the ack did not free the waiting call");
+        assert_eq!(FsResponse::decode(&reply).unwrap().1, FsResponse::Ok);
+        assert!(started.elapsed() < Duration::from_secs(2));
+        let ledger = leases.ledger();
+        assert_eq!((ledger.recalls_acked, ledger.forced_revokes), (1, 0));
+        assert!(ledger.clean(), "{ledger:?}");
+        shutdown.store(true, Ordering::Relaxed);
+        server.join().unwrap();
+    }
 }
 
 #[test]

@@ -17,7 +17,9 @@ use solros_simkit::sync::Mutex;
 pub struct BlockIo {
     dev: Arc<NvmeDevice>,
     staging: Arc<Window>,
-    lock: Mutex<()>,
+    /// Owns the staging buffer; holds the one-command status vector
+    /// every submission reuses.
+    status: Mutex<Vec<Result<(), NvmeError>>>,
 }
 
 impl BlockIo {
@@ -26,7 +28,7 @@ impl BlockIo {
         Self {
             dev,
             staging: Window::new(BLOCK_SIZE, Side::Host, Arc::new(PcieCounters::new())),
-            lock: Mutex::new(()),
+            status: Mutex::new(Vec::with_capacity(1)),
         }
     }
 
@@ -48,15 +50,16 @@ impl BlockIo {
     /// Panics if `buf.len() != BLOCK_SIZE`.
     pub fn read_block(&self, lba: u64, buf: &mut [u8]) -> Result<(), NvmeError> {
         assert_eq!(buf.len(), BLOCK_SIZE);
-        let _g = self.lock.lock();
+        let mut status = self.status.lock();
         let cmd = NvmeCommand::Read {
             lba,
             nblocks: 1,
             dst: DmaPtr::new(Arc::clone(&self.staging), 0),
         };
-        self.dev.submit_vectored(&[cmd])[0]?;
+        self.dev.submit_vectored_into(&[cmd], &mut status);
+        status[0]?;
         let h = self.staging.map(Side::Host);
-        // SAFETY: the staging buffer is exclusively owned under `lock`.
+        // SAFETY: the staging buffer is exclusively owned under `status`.
         unsafe { h.read(0, buf) };
         Ok(())
     }
@@ -68,16 +71,17 @@ impl BlockIo {
     /// Panics if `buf.len() != BLOCK_SIZE`.
     pub fn write_block(&self, lba: u64, buf: &[u8]) -> Result<(), NvmeError> {
         assert_eq!(buf.len(), BLOCK_SIZE);
-        let _g = self.lock.lock();
+        let mut status = self.status.lock();
         let h = self.staging.map(Side::Host);
-        // SAFETY: the staging buffer is exclusively owned under `lock`.
+        // SAFETY: the staging buffer is exclusively owned under `status`.
         unsafe { h.write(0, buf) };
         let cmd = NvmeCommand::Write {
             lba,
             nblocks: 1,
             src: DmaPtr::new(Arc::clone(&self.staging), 0),
         };
-        self.dev.submit_vectored(&[cmd])[0]
+        self.dev.submit_vectored_into(&[cmd], &mut status);
+        status[0]
     }
 
     /// Reads a block with up to `retries` retries on transient device

@@ -14,12 +14,18 @@
 //! path decision (§4.3.2) without ever taking the shared cache lock. A
 //! replica that falls behind the log's lag bound is compacted past and
 //! rebuilds itself from an authoritative snapshot on its next probe.
+//!
+//! Pages never leave the cache by value on the data path: a reader is
+//! lent the resident page ([`BufferCache::with_page`]) and a writer or a
+//! miss is lent the slot's own buffer ([`BufferCache::fill`]), both
+//! under the cache lock, so a page moves once — cache to destination or
+//! source to cache — and nothing is allocated per access.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use solros_oplog::{LogConfig, LogStats, OpLog, ReplicaCursor, SyncOutcome};
 use solros_simkit::sync::Mutex;
+use solros_simkit::{IntMap, IntSet};
 
 use crate::fs::Ino;
 
@@ -49,6 +55,7 @@ const DIR_MAX_LAG: u64 = 16_384;
 
 struct Entry {
     key: Key,
+    /// The slot's own page buffer; empty while the slot is free.
     page: Box<[u8]>,
     prev: usize,
     next: usize,
@@ -57,7 +64,7 @@ struct Entry {
 const NIL: usize = usize::MAX;
 
 struct LruInner {
-    map: HashMap<Key, usize>,
+    map: IntMap<Key, usize>,
     slots: Vec<Entry>,
     free: Vec<usize>,
     head: usize, // Most recently used.
@@ -106,15 +113,10 @@ impl LruInner {
         self.push_front(idx);
     }
 
-    fn insert(&mut self, key: Key, page: Box<[u8]>) {
-        if let Some(&idx) = self.map.get(&key) {
-            // In-place refresh: residency is unchanged, nothing to log.
-            self.slots[idx].page = page;
-            self.touch(idx);
-            return;
-        }
-        let idx = if self.map.len() >= self.capacity {
-            // Evict the LRU entry.
+    /// Detaches a slot for a page about to become resident: the LRU
+    /// page's when the cache is full (evicting it), else a free one.
+    fn claim(&mut self) -> usize {
+        if self.map.len() >= self.capacity {
             let victim = self.tail;
             debug_assert_ne!(victim, NIL);
             self.unlink(victim);
@@ -127,31 +129,12 @@ impl LruInner {
             free
         } else {
             self.slots.push(Entry {
-                key,
-                page: Box::from(&[][..]),
+                key: (0, 0),
+                page: Box::default(),
                 prev: NIL,
                 next: NIL,
             });
             self.slots.len() - 1
-        };
-        self.slots[idx].key = key;
-        self.slots[idx].page = page;
-        self.map.insert(key, idx);
-        self.push_front(idx);
-        self.dir.append(DirOp::Add(key.0, key.1));
-    }
-
-    fn get(&mut self, key: &Key) -> Option<Vec<u8>> {
-        match self.map.get(key).copied() {
-            Some(idx) => {
-                self.hits += 1;
-                self.touch(idx);
-                Some(self.slots[idx].page.to_vec())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
         }
     }
 
@@ -160,12 +143,17 @@ impl LruInner {
     fn remove_quiet(&mut self, key: &Key) -> bool {
         if let Some(idx) = self.map.remove(key) {
             self.unlink(idx);
-            self.slots[idx].page = Box::from(&[][..]);
-            self.free.push(idx);
+            self.release(idx);
             true
         } else {
             false
         }
+    }
+
+    /// Returns a detached slot (and its page's memory) to the free list.
+    fn release(&mut self, idx: usize) {
+        self.slots[idx].page = Box::default();
+        self.free.push(idx);
     }
 
     fn remove(&mut self, key: &Key) {
@@ -196,7 +184,7 @@ pub struct CacheStats {
 /// use solros_fs::cache::{BufferCache, PAGE_SIZE};
 ///
 /// let cache = BufferCache::new(2);
-/// cache.insert(1, 0, vec![7u8; PAGE_SIZE].into_boxed_slice());
+/// cache.insert(1, 0, &[7u8; PAGE_SIZE]);
 /// assert!(cache.get(1, 0).is_some());
 /// assert!(cache.get(1, 1).is_none());
 /// ```
@@ -214,7 +202,7 @@ impl BufferCache {
         assert!(capacity_pages > 0, "zero-capacity cache");
         Self {
             inner: Mutex::new(LruInner {
-                map: HashMap::new(),
+                map: IntMap::default(),
                 slots: Vec::new(),
                 free: Vec::new(),
                 head: NIL,
@@ -231,9 +219,26 @@ impl BufferCache {
         }
     }
 
+    /// Lends the resident page to `f` under the cache lock; counts a hit
+    /// or a miss. `f` should only copy: every other cache user waits.
+    pub fn with_page<R>(&self, ino: Ino, page: u64, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let g = &mut *self.inner.lock();
+        match g.map.get(&(ino, page)).copied() {
+            Some(idx) => {
+                g.hits += 1;
+                g.touch(idx);
+                Some(f(&g.slots[idx].page))
+            }
+            None => {
+                g.misses += 1;
+                None
+            }
+        }
+    }
+
     /// Looks up a page copy; counts a hit or miss.
     pub fn get(&self, ino: Ino, page: u64) -> Option<Vec<u8>> {
-        self.inner.lock().get(&(ino, page))
+        self.with_page(ino, page, <[u8]>::to_vec)
     }
 
     /// Returns whether a page is resident without touching LRU order or
@@ -242,9 +247,75 @@ impl BufferCache {
         self.inner.lock().map.contains_key(&(ino, page))
     }
 
-    /// Inserts (or refreshes) a page.
-    pub fn insert(&self, ino: Ino, page: u64, data: Box<[u8]>) {
-        self.inner.lock().insert((ino, page), data);
+    /// Lends `f` the page buffer of `(ino, page)`'s slot under the cache
+    /// lock, to bring it up to date in place. The flag says whether the
+    /// page is resident, i.e. whether the buffer holds its current
+    /// content; otherwise it is the slot the page will occupy (the LRU
+    /// page's when the cache is full) and holds arbitrary bytes. When `f`
+    /// returns `Ok` the page is resident and most recently used; when it
+    /// fails or panics the page is not resident — a half-updated page
+    /// must not be served. Counts neither a hit nor a miss.
+    pub fn fill<E>(
+        &self,
+        ino: Ino,
+        page: u64,
+        f: impl FnOnce(&mut [u8], bool) -> Result<(), E>,
+    ) -> Result<(), E> {
+        /// Settles the slot when the fill ends, however it ends.
+        struct Lent<'a> {
+            lru: &'a mut LruInner,
+            key: Key,
+            idx: usize,
+            resident: bool,
+            filled: bool,
+        }
+        impl Drop for Lent<'_> {
+            fn drop(&mut self) {
+                let (lru, key, idx) = (&mut *self.lru, self.key, self.idx);
+                match (self.filled, self.resident) {
+                    (true, true) => lru.touch(idx),
+                    (true, false) => {
+                        lru.slots[idx].key = key;
+                        lru.map.insert(key, idx);
+                        lru.push_front(idx);
+                        lru.dir.append(DirOp::Add(key.0, key.1));
+                    }
+                    (false, true) => lru.remove(&key),
+                    (false, false) => lru.release(idx),
+                }
+            }
+        }
+        let mut g = self.inner.lock();
+        let key = (ino, page);
+        let resident = g.map.get(&key).copied();
+        let idx = resident.unwrap_or_else(|| g.claim());
+        let mut lent = Lent {
+            lru: &mut g,
+            key,
+            idx,
+            resident: resident.is_some(),
+            filled: false,
+        };
+        let buf = &mut lent.lru.slots[idx].page;
+        if buf.is_empty() {
+            *buf = vec![0u8; PAGE_SIZE].into_boxed_slice();
+        }
+        let out = f(buf, lent.resident);
+        lent.filled = out.is_ok();
+        out
+    }
+
+    /// Inserts (or refreshes) a page from a copy of `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != PAGE_SIZE`.
+    pub fn insert(&self, ino: Ino, page: u64, data: &[u8]) {
+        let filled: Result<(), std::convert::Infallible> = self.fill(ino, page, |buf, _| {
+            buf.copy_from_slice(data);
+            Ok(())
+        });
+        let Ok(()) = filled;
     }
 
     /// Drops one page.
@@ -284,7 +355,7 @@ impl BufferCache {
         // registration point (the log tail) and the key snapshot are the
         // same instant in log order.
         let cursor = g.dir.register();
-        let resident: HashSet<Key> = g.map.keys().copied().collect();
+        let resident: IntSet<Key> = g.map.keys().copied().collect();
         CacheDirReplica {
             log: Arc::clone(&g.dir),
             inner: Mutex::new(DirReplicaState {
@@ -303,7 +374,7 @@ impl BufferCache {
 
     /// Consistent `(log position, resident keys)` snapshot for a replica
     /// rebuild after an overrun.
-    fn dir_snapshot(&self) -> (u64, HashSet<Key>) {
+    fn dir_snapshot(&self) -> (u64, IntSet<Key>) {
         let g = self.inner.lock();
         (g.dir.tail(), g.map.keys().copied().collect())
     }
@@ -311,7 +382,7 @@ impl BufferCache {
 
 struct DirReplicaState {
     cursor: ReplicaCursor,
-    resident: HashSet<Key>,
+    resident: IntSet<Key>,
     rebuilds: u64,
 }
 
@@ -375,15 +446,15 @@ impl CacheDirReplica {
 mod tests {
     use super::*;
 
-    fn page(b: u8) -> Box<[u8]> {
-        vec![b; PAGE_SIZE].into_boxed_slice()
+    fn page(b: u8) -> [u8; PAGE_SIZE] {
+        [b; PAGE_SIZE]
     }
 
     #[test]
     fn hit_miss_accounting() {
         let c = BufferCache::new(4);
         assert!(c.get(1, 0).is_none());
-        c.insert(1, 0, page(1));
+        c.insert(1, 0, &page(1));
         assert_eq!(c.get(1, 0).unwrap()[0], 1);
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.resident), (1, 1, 1));
@@ -392,11 +463,11 @@ mod tests {
     #[test]
     fn lru_evicts_oldest() {
         let c = BufferCache::new(2);
-        c.insert(1, 0, page(10));
-        c.insert(1, 1, page(11));
+        c.insert(1, 0, &page(10));
+        c.insert(1, 1, &page(11));
         // Touch page 0 so page 1 becomes LRU.
         c.get(1, 0);
-        c.insert(1, 2, page(12));
+        c.insert(1, 2, &page(12));
         assert!(c.get(1, 0).is_some(), "recently used survives");
         assert!(c.get(1, 1).is_none(), "LRU evicted");
         assert!(c.get(1, 2).is_some());
@@ -406,8 +477,8 @@ mod tests {
     #[test]
     fn reinsert_updates_in_place() {
         let c = BufferCache::new(2);
-        c.insert(1, 0, page(1));
-        c.insert(1, 0, page(2));
+        c.insert(1, 0, &page(1));
+        c.insert(1, 0, &page(2));
         assert_eq!(c.get(1, 0).unwrap()[0], 2);
         assert_eq!(c.stats().resident, 1);
     }
@@ -416,8 +487,8 @@ mod tests {
     fn invalidate_ino_clears_only_that_inode() {
         let c = BufferCache::new(8);
         for p in 0..3 {
-            c.insert(5, p, page(p as u8));
-            c.insert(6, p, page(p as u8));
+            c.insert(5, p, &page(p as u8));
+            c.insert(6, p, &page(p as u8));
         }
         c.invalidate_ino(5);
         for p in 0..3 {
@@ -429,12 +500,12 @@ mod tests {
     #[test]
     fn invalidate_page_then_slot_reuse() {
         let c = BufferCache::new(4);
-        c.insert(1, 0, page(1));
+        c.insert(1, 0, &page(1));
         c.invalidate_page(1, 0);
         assert!(c.get(1, 0).is_none());
         // Freed slot is reused without growing.
-        c.insert(1, 1, page(2));
-        c.insert(1, 2, page(3));
+        c.insert(1, 1, &page(2));
+        c.insert(1, 2, &page(3));
         assert_eq!(c.stats().resident, 2);
     }
 
@@ -442,7 +513,7 @@ mod tests {
     fn heavy_churn_stays_within_capacity() {
         let c = BufferCache::new(16);
         for i in 0..1000u64 {
-            c.insert(i % 7, i, page((i % 256) as u8));
+            c.insert(i % 7, i, &page((i % 256) as u8));
         }
         let s = c.stats();
         assert!(s.resident <= 16);
@@ -454,12 +525,12 @@ mod tests {
         let c = BufferCache::new(2);
         let r = c.replica();
         assert!(!r.resident(&c, 1, 0));
-        c.insert(1, 0, page(1));
-        c.insert(1, 1, page(2));
+        c.insert(1, 0, &page(1));
+        c.insert(1, 1, &page(2));
         assert!(r.resident(&c, 1, 0) && r.resident(&c, 1, 1));
         // Eviction of (1, 0): it is LRU after the probe order above is
         // irrelevant (probes don't touch LRU order), insert order rules.
-        c.insert(2, 0, page(3));
+        c.insert(2, 0, &page(3));
         assert!(!r.resident(&c, 1, 0), "evicted page left the replica");
         assert!(r.resident(&c, 2, 0));
         c.invalidate_ino(1);
@@ -473,7 +544,7 @@ mod tests {
     #[test]
     fn replica_created_late_starts_from_cache_snapshot() {
         let c = BufferCache::new(8);
-        c.insert(3, 7, page(9));
+        c.insert(3, 7, &page(9));
         let r = c.replica();
         assert!(r.resident(&c, 3, 7), "pre-existing pages visible");
         assert_eq!(r.lag(), 0);
@@ -486,7 +557,7 @@ mod tests {
         // Push far past the lag bound without syncing the replica, so
         // compaction must advance past it.
         for i in 0..(DIR_MAX_LAG + DIR_HIGH_WATER as u64 + 64) {
-            c.insert(i % 7, i, page((i % 251) as u8));
+            c.insert(i % 7, i, &page((i % 251) as u8));
         }
         assert!(
             c.dir_log_stats().overruns > 0,
@@ -507,6 +578,84 @@ mod tests {
         }
     }
 
+    /// The proxy of an `O_BUFFER`-only co-processor never probes its
+    /// replica. It is overrun once and then stops pinning the directory
+    /// log, which stays within its high-water mark instead of sitting at
+    /// `DIR_MAX_LAG` and trimming on every eviction.
+    #[test]
+    fn never_probed_replica_does_not_pin_the_directory_log() {
+        let c = BufferCache::new(64);
+        let r = c.replica();
+        for i in 0..50_000u64 {
+            c.insert(i % 7, i, &page((i % 251) as u8));
+        }
+        let log = c.dir_log_stats();
+        assert!(log.depth <= DIR_HIGH_WATER as u64 + 1, "{log:?}");
+        assert_eq!(log.overruns, 1, "{log:?}");
+        assert!(
+            log.compactions <= log.appends / DIR_HIGH_WATER as u64 + 2,
+            "{log:?}"
+        );
+        for ino in 0..7u64 {
+            for p in 49_900..50_000u64 {
+                assert_eq!(r.resident(&c, ino, p), c.peek(ino, p), "({ino},{p})");
+            }
+        }
+        assert_eq!(r.rebuilds(), 1);
+    }
+
+    #[test]
+    fn a_page_is_lent_in_place_both_ways() {
+        let c = BufferCache::new(2);
+        assert_eq!(c.with_page(1, 0, |p| p[0]), None);
+        // A fill of a page that is not resident is told so, and makes it so.
+        let filled: Result<(), ()> = c.fill(1, 0, |buf, resident| {
+            assert!(!resident);
+            buf.fill(5);
+            Ok(())
+        });
+        assert_eq!(filled, Ok(()));
+        assert_eq!(c.with_page(1, 0, |p| (p[0], p.len())), Some((5, PAGE_SIZE)));
+        // A second fill sees the content and refreshes it where it is.
+        let filled: Result<(), ()> = c.fill(1, 0, |buf, resident| {
+            assert!(resident && buf[9] == 5);
+            buf[9] = 6;
+            Ok(())
+        });
+        assert_eq!(filled, Ok(()));
+        assert_eq!(c.get(1, 0).unwrap()[9], 6);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.resident), (2, 1, 1));
+    }
+
+    #[test]
+    fn a_failed_or_panicking_fill_leaves_no_page_behind() {
+        let c = BufferCache::new(2);
+        let r = c.replica();
+        c.insert(1, 0, &page(1));
+        // Resident page, fill fails half way: the page is dropped.
+        assert_eq!(
+            c.fill(1, 0, |buf, _| {
+                buf[0] = 9;
+                Err("device")
+            }),
+            Err("device")
+        );
+        assert!(!c.peek(1, 0) && !r.resident(&c, 1, 0));
+        // New page, fill panics with the lock held: the slot goes back
+        // to the free list and the cache keeps working.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _: Result<(), ()> = c.fill(1, 1, |_, _| panic!("bad source address"));
+        }));
+        assert!(unwound.is_err());
+        assert!(!c.peek(1, 1));
+        c.insert(1, 2, &page(3));
+        c.insert(1, 3, &page(4));
+        assert_eq!(c.get(1, 2).unwrap()[0], 3);
+        assert_eq!(c.stats().resident, 2);
+        assert!(r.resident(&c, 1, 3));
+    }
+
     #[test]
     fn shared_across_threads() {
         let c = std::sync::Arc::new(BufferCache::new(64));
@@ -515,7 +664,7 @@ mod tests {
                 let c = std::sync::Arc::clone(&c);
                 std::thread::spawn(move || {
                     for i in 0..200 {
-                        c.insert(t, i, page((i % 256) as u8));
+                        c.insert(t, i, &page((i % 256) as u8));
                         let _ = c.get(t, i);
                     }
                 })

@@ -8,14 +8,20 @@
 //! * **Write-through**: the buffer cache is updated alongside the device,
 //!   so P2P reads (which bypass the cache) are coherent with buffered
 //!   writes.
-//! * **Locking**: metadata and writes serialize on one mutex; buffered
-//!   reads drop the lock after extent lookup and proceed concurrently.
+//! * **Locking**: metadata and data I/O serialize on one mutex, which
+//!   is what lets a buffered read or write work from the *borrowed*
+//!   inode — its size and extent list are never copied out.
+//! * **One copy per page**: buffered data moves between the caller and
+//!   the cache page directly ([`FileSystem::read_with`],
+//!   [`FileSystem::write_with`]); a miss is read into, and a write
+//!   written out of, the cache slot the page occupies.
 
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use solros_nvme::{NvmeDevice, BLOCK_SIZE};
 use solros_simkit::sync::Mutex;
+use solros_simkit::{IntMap, IntSet};
 
 use crate::alloc::Bitmap;
 use crate::blockio::BlockIo;
@@ -70,9 +76,18 @@ pub struct OpenFlags {
 struct FsInner {
     sb: Superblock,
     bitmap: Bitmap,
-    inodes: HashMap<Ino, Inode>,
-    dirty: HashSet<Ino>,
-    used_inos: HashSet<Ino>,
+    inodes: IntMap<Ino, Inode>,
+    dirty: IntSet<Ino>,
+    used_inos: IntSet<Ino>,
+}
+
+/// What a hole reads as.
+static ZERO_PAGE: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+
+/// A data source for [`FileSystem::write_with`] that copies out of
+/// `data`.
+fn copy_from(data: &[u8]) -> impl FnMut(usize, &mut [u8]) + '_ {
+    |at, piece| piece.copy_from_slice(&data[at..at + piece.len()])
 }
 
 /// The extent-based file system.
@@ -108,9 +123,9 @@ impl FileSystem {
         let mut inner = FsInner {
             sb,
             bitmap,
-            inodes: HashMap::new(),
-            dirty: HashSet::new(),
-            used_inos: HashSet::new(),
+            inodes: IntMap::default(),
+            dirty: IntSet::default(),
+            used_inos: IntSet::default(),
         };
         // Root directory.
         inner
@@ -147,7 +162,7 @@ impl FileSystem {
         let bitmap = Bitmap::from_bytes(&bytes, sb.total_blocks);
         // Scan the inode table for used slots.
         let per_block = BLOCK_SIZE / INODE_SIZE;
-        let mut used_inos = HashSet::new();
+        let mut used_inos = IntSet::default();
         for bi in 0..sb.itable_blocks {
             io.read_block(sb.itable_start + bi, &mut block)?;
             for s in 0..per_block {
@@ -166,8 +181,8 @@ impl FileSystem {
             inner: Mutex::new(FsInner {
                 sb,
                 bitmap,
-                inodes: HashMap::new(),
-                dirty: HashSet::new(),
+                inodes: IntMap::default(),
+                dirty: IntSet::default(),
                 used_inos,
             }),
             cache: BufferCache::new(cache_pages),
@@ -251,13 +266,21 @@ impl FileSystem {
         Ok(())
     }
 
-    /// Returns the full ordered extent list of an inode (direct +
-    /// overflow).
-    fn all_extents(&self, inner: &mut FsInner, ino: Ino) -> Result<Vec<Extent>, FsError> {
-        let inode = self.inode(inner, ino)?;
+    /// The full ordered extent list of `inode`: its direct extents as
+    /// they stand, unless an overflow block continues them.
+    fn extents_of<'a>(&self, inode: &'a Inode) -> Result<Cow<'a, [Extent]>, FsError> {
+        if inode.overflow_block == 0 {
+            return Ok(Cow::Borrowed(&inode.extents));
+        }
         let mut out = Vec::with_capacity(inode.extents.len() + inode.overflow_count as usize);
         self.for_each_extent(inode, |e| out.push(e))?;
-        Ok(out)
+        Ok(Cow::Owned(out))
+    }
+
+    /// An owned [`Self::extents_of`], for callers that go on to change
+    /// the list.
+    fn all_extents(&self, inner: &mut FsInner, ino: Ino) -> Result<Vec<Extent>, FsError> {
+        Ok(self.extents_of(self.inode(inner, ino)?)?.into_owned())
     }
 
     /// Appends to `out` the disk runs backing file pages `[first, last)`
@@ -336,11 +359,12 @@ impl FileSystem {
 
     /// Ensures the file has at least `blocks` allocated, appending runs.
     fn ensure_blocks(&self, inner: &mut FsInner, ino: Ino, blocks: u64) -> Result<(), FsError> {
-        let mut extents = self.all_extents(inner, ino)?;
+        let extents = self.extents_of(self.inode(inner, ino)?)?;
         let mut have: u64 = extents.iter().map(|e| e.len as u64).sum();
         if have >= blocks {
             return Ok(());
         }
+        let mut extents = extents.into_owned();
         let zero = vec![0u8; BLOCK_SIZE];
         while have < blocks {
             let want = (blocks - have).min(u32::MAX as u64) as u32;
@@ -399,7 +423,7 @@ impl FileSystem {
         let data = encode_dirents(entries);
         // Shrink-then-write keeps the dirent stream exact.
         self.truncate_locked(inner, ino, 0)?;
-        self.write_raw(inner, ino, 0, &data)?;
+        self.write_raw(inner, ino, 0, data.len(), copy_from(&data))?;
         Ok(())
     }
 
@@ -602,53 +626,70 @@ impl FileSystem {
     /// Buffered read through the shared cache. Returns bytes read (short
     /// at EOF).
     pub fn read(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<usize, FsError> {
-        // Snapshot size and extents under the lock, then copy without it.
-        let (size, extents) = {
-            let mut inner = self.inner.lock();
-            let inode = self.inode(&mut inner, ino)?;
-            if inode.kind == InodeKind::Dir {
-                return Err(FsError::IsDir);
-            }
-            (inode.size, self.all_extents(&mut inner, ino)?)
-        };
-        self.read_pages(ino, &extents, size, offset, buf)
+        self.read_with(ino, offset, buf.len(), |at, piece| {
+            buf[at..at + piece.len()].copy_from_slice(piece)
+        })
+    }
+
+    /// [`FileSystem::read`] without the buffer in between: each piece of
+    /// `[offset, offset + len)` is lent to `sink(at, bytes)` — `at`
+    /// counted from `offset` — straight out of its cache page, in file
+    /// order. `sink` runs under the file-system and cache locks and
+    /// should only copy.
+    pub fn read_with(
+        &self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+        sink: impl FnMut(usize, &[u8]),
+    ) -> Result<usize, FsError> {
+        let mut inner = self.inner.lock();
+        let inode = self.inode(&mut inner, ino)?;
+        if inode.kind == InodeKind::Dir {
+            return Err(FsError::IsDir);
+        }
+        self.read_pages(ino, inode, offset, len, sink)
     }
 
     fn read_pages(
         &self,
         ino: Ino,
-        extents: &[Extent],
-        size: u64,
+        inode: &Inode,
         offset: u64,
-        buf: &mut [u8],
+        len: usize,
+        mut sink: impl FnMut(usize, &[u8]),
     ) -> Result<usize, FsError> {
-        if offset >= size {
+        if offset >= inode.size {
             return Ok(0);
         }
-        let want = (buf.len() as u64).min(size - offset) as usize;
+        let want = (len as u64).min(inode.size - offset) as usize;
+        let extents = self.extents_of(inode)?;
         let mut done = 0usize;
         let bs = BLOCK_SIZE as u64;
         while done < want {
             let pos = offset + done as u64;
             let page = pos / bs;
             let in_page = (pos % bs) as usize;
-            let n = (BLOCK_SIZE - in_page).min(want - done);
-            let data = match self.cache.get(ino, page) {
-                Some(d) => d,
-                None => match Self::block_of_page(extents, page) {
-                    Some(lba) => {
-                        let mut block = vec![0u8; BLOCK_SIZE];
-                        self.io.read_block_retry(lba, &mut block, 2)?;
-                        self.cache
-                            .insert(ino, page, block.clone().into_boxed_slice());
-                        block
-                    }
+            let piece = in_page..in_page + (BLOCK_SIZE - in_page).min(want - done);
+            let n = piece.len();
+            let hit = self
+                .cache
+                .with_page(ino, page, |data| sink(done, &data[piece.clone()]));
+            if hit.is_none() {
+                match Self::block_of_page(&extents, page) {
+                    // A miss is read into the cache slot it will occupy.
+                    Some(lba) => self.cache.fill(ino, page, |data, resident| {
+                        if !resident {
+                            self.io.read_block_retry(lba, data, 2)?;
+                        }
+                        sink(done, &data[piece]);
+                        Ok::<(), FsError>(())
+                    })?,
                     // A hole (e.g. truncate grew the size without
                     // allocating): reads as zeroes.
-                    None => vec![0u8; BLOCK_SIZE],
-                },
-            };
-            buf[done..done + n].copy_from_slice(&data[in_page..in_page + n]);
+                    None => sink(done, &ZERO_PAGE[piece]),
+                }
+            }
             done += n;
         }
         Ok(want)
@@ -657,8 +698,23 @@ impl FileSystem {
     /// Buffered write-through. Extends the file as needed; returns bytes
     /// written.
     pub fn write(&self, ino: Ino, offset: u64, data: &[u8]) -> Result<usize, FsError> {
+        self.write_with(ino, offset, data.len(), copy_from(data))
+    }
+
+    /// [`FileSystem::write`] without the buffer in between:
+    /// `source(at, bytes)` fills each piece of `[offset, offset + len)` —
+    /// `at` counted from `offset` — straight into its cache page, in file
+    /// order, and the page is written through from there. `source` runs
+    /// under the file-system and cache locks and should only copy.
+    pub fn write_with(
+        &self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+        source: impl FnMut(usize, &mut [u8]),
+    ) -> Result<usize, FsError> {
         let mut inner = self.inner.lock();
-        self.write_raw(&mut inner, ino, offset, data)
+        self.write_raw(&mut inner, ino, offset, len, source)
     }
 
     fn write_raw(
@@ -666,52 +722,54 @@ impl FileSystem {
         inner: &mut FsInner,
         ino: Ino,
         offset: u64,
-        data: &[u8],
+        len: usize,
+        mut source: impl FnMut(usize, &mut [u8]),
     ) -> Result<usize, FsError> {
-        let inode = self.load_inode(inner, ino)?;
+        let inode = self.inode(inner, ino)?;
         if inode.kind == InodeKind::Free {
             return Err(FsError::NotFound);
         }
-        if data.is_empty() {
+        if len == 0 {
             // POSIX: a zero-length write changes nothing (no extension).
             return Ok(0);
         }
         let old_size = inode.size;
-        let end = offset + data.len() as u64;
+        let end = offset + len as u64;
         let bs = BLOCK_SIZE as u64;
         self.ensure_blocks(inner, ino, end.div_ceil(bs))?;
-        let extents = self.all_extents(inner, ino)?;
+        let extents = self.extents_of(self.inode(inner, ino)?)?;
         let mut done = 0usize;
-        while done < data.len() {
+        while done < len {
             let pos = offset + done as u64;
             let page = pos / bs;
             let in_page = (pos % bs) as usize;
-            let n = (BLOCK_SIZE - in_page).min(data.len() - done);
+            let n = (BLOCK_SIZE - in_page).min(len - done);
             let lba = Self::block_of_page(&extents, page).ok_or(FsError::Corrupt)?;
-            let mut block = vec![0u8; BLOCK_SIZE];
-            if n < BLOCK_SIZE {
-                // Read-modify-write a partial page (prefer the cache).
-                match self.cache.get(ino, page) {
-                    Some(d) => block.copy_from_slice(&d),
-                    None => self.io.read_block_retry(lba, &mut block, 2)?,
+            // The cache slot's own page is the write buffer: refreshed in
+            // place, then written through from there.
+            self.cache.fill(ino, page, |block, resident| {
+                if n < BLOCK_SIZE {
+                    // Read-modify-write a partial page (prefer the cache).
+                    if !resident {
+                        self.io.read_block_retry(lba, block, 2)?;
+                    }
+                    // Bytes past the file's previous size are undefined on
+                    // disk (freshly allocated or recycled blocks): they
+                    // must read as zeroes, so zero them before merging.
+                    let valid = old_size.saturating_sub(page * bs).min(bs) as usize;
+                    block[valid..].fill(0);
                 }
-                // Bytes past the file's previous size are undefined on
-                // disk (freshly allocated or recycled blocks): they must
-                // read as zeroes, so zero them before merging.
-                let valid = old_size.saturating_sub(page * bs).min(bs) as usize;
-                block[valid..].fill(0);
-            }
-            block[in_page..in_page + n].copy_from_slice(&data[done..done + n]);
-            self.io.write_block(lba, &block)?;
-            self.cache.insert(ino, page, block.into_boxed_slice());
+                source(done, &mut block[in_page..in_page + n]);
+                self.io.write_block(lba, block)
+            })?;
             done += n;
         }
-        let mut inode2 = self.load_inode(inner, ino)?;
-        if end > inode2.size {
-            inode2.size = end;
-            self.store_inode(inner, ino, inode2);
+        if end > old_size {
+            let mut inode = self.load_inode(inner, ino)?;
+            inode.size = end;
+            self.store_inode(inner, ino, inode);
         }
-        Ok(data.len())
+        Ok(len)
     }
 
     fn read_raw(
@@ -721,10 +779,11 @@ impl FileSystem {
         offset: u64,
         len: usize,
     ) -> Result<Vec<u8>, FsError> {
-        let inode = self.load_inode(inner, ino)?;
-        let extents = self.all_extents(inner, ino)?;
+        let inode = self.inode(inner, ino)?;
         let mut buf = vec![0u8; len];
-        let n = self.read_pages(ino, &extents, inode.size, offset, &mut buf)?;
+        let n = self.read_pages(ino, inode, offset, len, |at, piece| {
+            buf[at..at + piece.len()].copy_from_slice(piece)
+        })?;
         buf.truncate(n);
         Ok(buf)
     }
@@ -903,17 +962,15 @@ impl FileSystem {
     /// already resident, beyond EOF, or in holes are skipped. Returns the
     /// number of pages actually loaded.
     pub fn prefetch(&self, ino: Ino, offset: u64, pages: u64) -> Result<u64, FsError> {
-        let (size, extents) = {
-            let mut inner = self.inner.lock();
-            let inode = self.load_inode(&mut inner, ino)?;
-            if inode.kind != InodeKind::File {
-                return Err(FsError::IsDir);
-            }
-            (inode.size, self.all_extents(&mut inner, ino)?)
-        };
+        let mut inner = self.inner.lock();
+        let inode = self.inode(&mut inner, ino)?;
+        if inode.kind != InodeKind::File {
+            return Err(FsError::IsDir);
+        }
+        let extents = self.extents_of(inode)?;
         let bs = BLOCK_SIZE as u64;
         let first = offset / bs;
-        let last = size.div_ceil(bs).min(first + pages);
+        let last = inode.size.div_ceil(bs).min(first + pages);
         let mut loaded = 0;
         for page in first..last {
             if self.cache.peek(ino, page) {
@@ -922,9 +979,12 @@ impl FileSystem {
             let Some(lba) = Self::block_of_page(&extents, page) else {
                 continue; // Hole: reads as zeroes; nothing to warm.
             };
-            let mut block = vec![0u8; BLOCK_SIZE];
-            self.io.read_block_retry(lba, &mut block, 2)?;
-            self.cache.insert(ino, page, block.into_boxed_slice());
+            self.cache.fill(ino, page, |block, resident| {
+                if resident {
+                    return Ok(());
+                }
+                self.io.read_block_retry(lba, block, 2)
+            })?;
             loaded += 1;
         }
         Ok(loaded)
@@ -943,8 +1003,8 @@ impl FileSystem {
         let sb = inner.sb;
         // Walk the namespace from the root.
         let mut stack = vec![sb.root_ino];
-        let mut seen_inos = HashSet::new();
-        let mut owned_blocks: HashMap<u64, Ino> = HashMap::new();
+        let mut seen_inos = IntSet::default();
+        let mut owned_blocks: IntMap<u64, Ino> = IntMap::default();
         let mut files = 0u64;
         let mut dirs = 0u64;
         let mut preallocated = 0u64;
@@ -1048,7 +1108,7 @@ impl FileSystem {
         let per_block = (BLOCK_SIZE / INODE_SIZE) as u64;
         let mut dirty: Vec<Ino> = inner.dirty.drain().collect();
         dirty.sort_unstable();
-        let mut by_block: HashMap<u64, Vec<Ino>> = HashMap::new();
+        let mut by_block: IntMap<u64, Vec<Ino>> = IntMap::default();
         for ino in dirty {
             by_block.entry(ino / per_block).or_default().push(ino);
         }

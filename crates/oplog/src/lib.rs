@@ -27,10 +27,15 @@
 //!   past it and the straggler's next [`OpLog::sync`] reports
 //!   [`SyncOutcome::Overrun`], telling it to rebuild from an
 //!   authoritative snapshot and [`OpLog::install_snapshot`] at the
-//!   current tail (the ScaleFS/Corfu checkpoint move). State machines
-//!   that cannot snapshot run with an unbounded lag allowance and gate
-//!   on the `overruns` tripwire staying zero.
+//!   current tail (the ScaleFS/Corfu checkpoint move). A cursor that has
+//!   been overrun stops pinning the floor at all — it rebuilds from a
+//!   snapshot whatever the log still holds — so one dead-slow replica
+//!   costs one overrun, after which the log swings between empty and
+//!   its high-water mark. Storage is a deque: a trim costs what it
+//!   removes. State machines that cannot snapshot run with an unbounded
+//!   lag allowance and gate on the `overruns` tripwire staying zero.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -77,7 +82,8 @@ pub struct LogStats {
     /// Compaction passes run.
     pub compactions: u64,
     /// Times a straggling replica was compacted past (each forces one
-    /// snapshot rebuild). Non-snapshot state machines gate on zero.
+    /// snapshot rebuild, however many appends go by before the replica
+    /// notices). Non-snapshot state machines gate on zero.
     pub overruns: u64,
     /// Largest current replica lag (entries behind the tail).
     pub max_lag_now: u64,
@@ -131,7 +137,7 @@ impl ReplicaCursor {
 struct Store<T> {
     /// Sequence number of `ops[0]`.
     base: u64,
-    ops: Vec<T>,
+    ops: VecDeque<T>,
 }
 
 /// The shared operation log.
@@ -161,7 +167,7 @@ impl<T: Clone> OpLog<T> {
         Arc::new(Self {
             storage: RwLock::new(Store {
                 base: 0,
-                ops: Vec::new(),
+                ops: VecDeque::new(),
             }),
             pending: Mutex::new(Vec::new()),
             enqueued: AtomicU64::new(0),
@@ -252,23 +258,26 @@ impl<T: Clone> OpLog<T> {
 
     /// Trims the applied prefix; advances past stragglers lagging more
     /// than `max_lag` (they rebuild from a snapshot on their next sync).
+    /// Only cursors the log will still serve pin the floor: a retired
+    /// one, or one behind `base` or the lag bound, has nothing left to
+    /// wait for.
     fn compact(&self, store: &mut Store<T>, tail: u64) {
-        let min_cursor = self
-            .cursors
-            .read()
-            .iter()
-            .map(|c| c.load(Ordering::Acquire))
-            .filter(|&at| at != u64::MAX) // retired replicas don't pin
-            .min()
-            .unwrap_or(tail);
-        let forced_floor = tail.saturating_sub(self.cfg.max_lag);
-        let new_head = if min_cursor < forced_floor {
-            self.overruns.fetch_add(1, Ordering::Relaxed);
-            forced_floor
-        } else {
-            min_cursor
-        };
+        let floor = tail.saturating_sub(self.cfg.max_lag).max(store.base);
+        let mut new_head = tail;
+        let mut overrun = 0;
+        for cursor in self.cursors.read().iter() {
+            let at = cursor.load(Ordering::Acquire);
+            if at == u64::MAX || at < store.base {
+                continue; // retired, or overrun by an earlier pass
+            }
+            if at < floor {
+                overrun += 1;
+            } else {
+                new_head = new_head.min(at);
+            }
+        }
         if new_head > store.base {
+            self.overruns.fetch_add(overrun, Ordering::Relaxed);
             store.ops.drain(..(new_head - store.base) as usize);
             store.base = new_head;
             self.head.store(new_head, Ordering::Release);
@@ -292,7 +301,7 @@ impl<T: Clone> OpLog<T> {
             return SyncOutcome::Overrun;
         }
         let upto = store.base + store.ops.len() as u64;
-        for (i, op) in store.ops[(at - store.base) as usize..].iter().enumerate() {
+        for (i, op) in store.ops.range((at - store.base) as usize..).enumerate() {
             apply(at + i as u64, op);
         }
         cursor.at = upto;
@@ -449,6 +458,47 @@ mod tests {
             SyncOutcome::Applied(1)
         );
         assert_eq!(got, vec![(100, 100)]);
+    }
+
+    /// One replica that never syncs costs the log one overrun and then
+    /// nothing: it stops pinning the floor, so the log swings between
+    /// empty and `high_water` instead of sitting at `max_lag` and
+    /// trimming (and counting an overrun) on every append.
+    #[test]
+    fn dead_slow_replica_costs_one_overrun_and_amortised_trims() {
+        let cfg = LogConfig {
+            high_water: 64,
+            max_lag: 256,
+        };
+        let log = OpLog::new(cfg);
+        let mut straggler = log.register();
+        let run = |from: u64, to: u64, overruns_before: u64| {
+            for i in from..to {
+                log.append(i);
+                let st = log.stats();
+                assert!(st.depth <= cfg.max_lag + 1, "depth {} at {i}", st.depth);
+                if st.overruns > overruns_before {
+                    assert!(st.depth <= cfg.high_water as u64 + 1, "{st:?} at {i}");
+                }
+            }
+            log.stats()
+        };
+        let st = run(0, 10_000, 0);
+        assert_eq!(st.overruns, 1, "{st:?}");
+        assert!(
+            st.compactions <= st.appends / cfg.high_water as u64 + 2,
+            "{st:?}"
+        );
+        // Re-installed at the tail it pins again, until it is overrun a
+        // second time — and that is the second event, not the 10 000th.
+        assert_eq!(log.sync(&mut straggler, |_, _| {}), SyncOutcome::Overrun);
+        log.install_snapshot(&mut straggler, log.tail());
+        let st = run(10_000, 20_000, 1);
+        assert_eq!(st.overruns, 2, "{st:?}");
+        assert!(
+            st.compactions <= st.appends / cfg.high_water as u64 + 4,
+            "{st:?}"
+        );
     }
 
     /// A straggler sleeps through `burst` appends on a log that may
