@@ -6,7 +6,7 @@
 //! rings, engines, FS, NVMe model, supervisor ticks — over 10 000+
 //! operations. Each budget is one above what the path measured when it
 //! was set, so the next `Vec` on a hot path fails here, not in a
-//! benchmark. One `#[test]`: the count is process-wide, so the six
+//! benchmark. One `#[test]`: the count is process-wide, so the seven
 //! paths must not overlap (CI also passes `--test-threads=1`).
 
 use std::sync::Arc;
@@ -150,17 +150,38 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
         }
     });
 
+    // (g) One 64-byte echo round trip on the same socket: the client
+    // sends, the stub's reader drains the event and replies, the client
+    // reads the reply back.
+    let mut at_server = [0u8; 64];
+    let per_echo = allocs_per_call(OPS, || {
+        fabric.send(conn, EndKind::Client, &msg).unwrap();
+        let mut have = 0;
+        while have < msg.len() {
+            have += stream.recv(&mut at_server[have..]);
+        }
+        assert_eq!(stream.send(&at_server), Ok(msg.len()));
+        let mut got = 0;
+        while got < msg.len() {
+            got += fabric.recv(conn, EndKind::Client, 64).unwrap().len();
+        }
+    });
+
     sys.shutdown();
     println!(
         "allocations per call: p2p read {per_read:.3}, batch of {WAVE} {per_batch:.2}, \
          leased read {per_leased_read:.3}, wave of {WAVE} sends {per_send_wave:.2}, \
-         buffered read hit {per_buffered_read:.3}, buffered overwrite {per_buffered_overwrite:.3}"
+         buffered read hit {per_buffered_read:.3}, buffered overwrite {per_buffered_overwrite:.3}, \
+         echo {per_echo:.3}"
     );
     // Measured when set, the same on every run: 0, 43 (32 payloads, the
     // builder's four growths, and one each for the wave's arena, offsets,
     // tags, buffers and tokens, the in-flight queue and the results), 0,
     // 33 (32 owned payloads at the proxy, the fabric client's `recv`),
-    // 0 and 0 (before the page was lent in place: 3 and 7).
+    // 0 and 0 (before the page was lent in place: 3 and 7), and 2 (the
+    // proxy's owned `Send` payload and the client's `recv`; 4 while the
+    // proxy read the fabric into a `Vec` and the stub decoded the event
+    // into another).
     assert!(per_read <= 1.0, "P2P read: {per_read:.3} allocations");
     assert!(
         per_batch <= 44.0,
@@ -182,4 +203,5 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
         per_buffered_overwrite <= 1.0,
         "buffered overwrite: {per_buffered_overwrite:.3} allocations"
     );
+    assert!(per_echo <= 3.0, "64 B echo: {per_echo:.3} allocations");
 }

@@ -4,7 +4,7 @@
 //! file system, wires RPC channels per co-processor, and spawns the host
 //! proxy threads (one FS proxy per co-processor and one TCP proxy). Each
 //! [`DataPlane`] is the lean data-plane OS of one co-processor: an FS
-//! stub, a TCP stub, and its single-thread event dispatcher — nothing
+//! stub, a TCP stub, and the TCP stub's idle event backstop — nothing
 //! else, which is the point of the architecture (§4).
 
 use std::sync::atomic::{AtomicBool, Ordering};

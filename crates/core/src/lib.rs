@@ -17,8 +17,8 @@
 //!   co-processor (§4.3.1).
 //! * [`tcp_proxy`] / [`net_api`] — the network service: the host-side TCP
 //!   proxy with shared listening sockets and pluggable load balancing
-//!   (§4.4.3), and the co-processor-side stub with its single-thread
-//!   event dispatcher (§4.4.2).
+//!   (§4.4.3), and the co-processor-side stub, whose waiting readers
+//!   drain the inbound event ring themselves (§4.4.2).
 //! * [`proxy_engine`] — the shared request pipeline behind both proxies:
 //!   admission (one decode per frame), DWRR scheduling with priority
 //!   inheritance, worker dispatch with panic containment, and uniform

@@ -1,82 +1,232 @@
 //! The data-plane network stub and application API (§4.4.1–§4.4.2).
 //!
-//! A single *event dispatcher* thread per co-processor drains the inbound
-//! event ring and distributes events to per-socket queues (the design
-//! that keeps contention off the inbound ring, §4.4.2): `Accepted` events
-//! feed per-listener accept queues, `Data` events append to per-connection
-//! byte streams, `Closed` marks end-of-stream. Application threads block
-//! on their own socket's queue under a condition variable.
+//! Inbound events arrive on one event ring per co-processor and are
+//! distributed to per-socket queues: `Accepted` events feed per-listener
+//! accept queues, `Data` events append to per-connection byte streams,
+//! `Closed` marks end-of-stream. §4.4.2 routes them through one
+//! dispatcher so that only one party touches the inbound ring; here that
+//! party is whoever holds the stub's lock — one drainer at a time: the
+//! waiting reader, or the idle backstop.
 //!
-//! Both kinds of waiter follow [`crate::waitpolicy`]: the dispatcher
-//! parks on the event ring's doorbell as soon as the ring is empty (it
-//! is the third thread in every hand-off, so it takes no turn in the
-//! run queue it was not rung for), and socket waiters escalate spin →
-//! yield → park on the dispatcher's condition variable.
+//! * **The waiting reader.** A thread blocked in `recv` or `accept`
+//!   drains the ring itself, under the lock, before every look at its
+//!   own queue, and waits by [`crate::waitpolicy`]: spin, yield, then arm
+//!   the event ring's doorbell, drain once more, and park on the bell.
+//!   Several readers share the bell the way stub threads share a
+//!   response ring. No thread stands between the proxy engine that
+//!   pushes an event and the reader it is for.
+//! * **The idle backstop.** The `solros-net-dispatch` thread drains a
+//!   stub nobody is reading from: the proxy spins on a full event ring,
+//!   so an unread ring would stall its whole shard. With no reader
+//!   waiting it drains, arms the bell and parks on it
+//!   ([`WaitPolicy::parking`]). While any reader waits it leaves the bell
+//!   alone and sleeps [`PARK_BOUND`] at a time, so no reader's event ever
+//!   wakes it.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use solros_proto::net_msg::{NetEvent, NetRequest, NetResponse, SockId};
 use solros_proto::rpc_error::RpcErr;
 use solros_ringbuf::{Consumer, Doorbell};
-use solros_simkit::sync::{Condvar, Mutex};
+use solros_simkit::sync::Mutex;
 
 use crate::tcp_proxy::SOCKOPT_EVENTED;
 use crate::transport::{RpcClient, Token};
-use crate::waitpolicy::{Sleeper, SpinBudget, Wait, WaitPolicy};
+use crate::waitpolicy::{Sleeper, SpinBudget, WaitPolicy, PARK_BOUND};
 
 #[derive(Default)]
 struct NetInner {
     accept_q: HashMap<SockId, VecDeque<(SockId, u64)>>,
     data_q: HashMap<SockId, VecDeque<u8>>,
     closed: HashSet<SockId>,
-    /// Listeners closed by this stub. An `Accepted` event still in
+    /// Listeners being closed by this stub. An `Accepted` event still in
     /// flight when the close raced it must be refused (its connection
     /// closed back), never queued — a queued orphan would hold its
     /// fabric conn open forever and the peer would hang, not sever.
     dead_listeners: HashSet<SockId>,
+    /// Connections the last drain refused, closed back once the lock
+    /// is dropped.
+    refused: Vec<SockId>,
+}
+
+impl NetInner {
+    /// Applies one event frame; an undecodable one is dropped.
+    fn apply(&mut self, frame: &[u8]) {
+        match NetEvent::decode_borrowed(frame) {
+            Ok(NetEvent::Accepted {
+                listen,
+                conn,
+                peer_addr,
+            }) => {
+                if self.dead_listeners.contains(&listen) {
+                    // The listener closed while this event was on the
+                    // ring: refuse the connection instead of queueing an
+                    // orphan no accept will reach.
+                    self.refused.push(conn);
+                } else {
+                    self.accept_q
+                        .entry(listen)
+                        .or_default()
+                        .push_back((conn, peer_addr));
+                }
+            }
+            Ok(NetEvent::Data { sock, data }) => {
+                self.data_q.entry(sock).or_default().extend(data);
+            }
+            Ok(NetEvent::Closed { sock }) => {
+                self.closed.insert(sock);
+            }
+            Err(_) => {}
+        }
+    }
+
+    /// Moves up to `buf.len()` queued bytes of `sock` into `buf`:
+    /// `Some(0)` at end-of-stream, `None` while there is nothing to read.
+    fn read(&mut self, sock: SockId, buf: &mut [u8]) -> Option<usize> {
+        match self.data_q.get_mut(&sock) {
+            Some(q) if !q.is_empty() => {
+                let n = buf.len().min(q.len());
+                let (front, back) = q.as_slices();
+                let k = n.min(front.len());
+                buf[..k].copy_from_slice(&front[..k]);
+                buf[k..n].copy_from_slice(&back[..n - k]);
+                q.drain(..n);
+                Some(n)
+            }
+            _ => self.closed.contains(&sock).then_some(0),
+        }
+    }
+
+    /// Drops every trace of a closed socket.
+    fn forget(&mut self, sock: SockId) {
+        self.accept_q.remove(&sock);
+        self.data_q.remove(&sock);
+        self.closed.remove(&sock);
+        self.dead_listeners.remove(&sock);
+    }
 }
 
 struct NetShared {
     inner: Mutex<NetInner>,
-    arrived: Condvar,
+    /// The inbound event ring. Only a holder of `inner` receives from it,
+    /// which is what keeps per-socket byte order.
+    evt_rx: Consumer,
+    /// The event ring's doorbell: waiting readers and the idle backstop
+    /// park on it.
+    evt_bell: Arc<Doorbell>,
     /// What spinning on this stub's socket queues has earned.
     spin: SpinBudget,
-    /// The event ring's doorbell (the dispatcher sleeps on it).
-    evt_bell: Arc<Doorbell>,
+    /// Threads inside [`NetShared::wait_for`]; the backstop stands down
+    /// while there are any. A hint only: every drain holds `inner`, so no
+    /// data is published through this count.
+    waiters: AtomicUsize,
+    /// The socket RPC client (refused connections are closed through it).
+    client: Arc<RpcClient>,
+}
+
+/// Counts a thread inside [`NetShared::wait_for`] until it leaves, by
+/// any path.
+struct Waiting<'a>(&'a AtomicUsize);
+
+impl<'a> Waiting<'a> {
+    fn enter(count: &'a AtomicUsize) -> Self {
+        count.fetch_add(1, Ordering::Relaxed);
+        Self(count)
+    }
+}
+
+impl Drop for Waiting<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 impl NetShared {
-    /// Blocks until `take` yields something from the socket queues,
-    /// escalating spin → yield → park on the dispatcher's condvar. The
-    /// dispatcher notifies for *every* socket's events, so a wake-up is
-    /// not progress: only `take` succeeding ends the wait, and a waiter
-    /// woken by someone else's event goes straight back to sleep.
-    fn wait_for<T>(&self, mut take: impl FnMut(&mut NetInner) -> Option<T>) -> T {
-        let mut policy = WaitPolicy::new(&self.spin);
-        loop {
-            let mut g = self.inner.lock();
-            if let Some(v) = take(&mut g) {
-                return v;
-            }
-            match policy.advance() {
-                Wait::Park(d) => {
-                    self.arrived.wait_for(&mut g, d);
-                }
-                // Spin/yield with the lock released so the dispatcher can
-                // deliver.
-                Wait::Spin => {
-                    drop(g);
-                    std::hint::spin_loop();
-                }
-                Wait::Yield => {
-                    drop(g);
-                    std::thread::yield_now();
-                }
-            }
+    fn new(client: Arc<RpcClient>, evt_rx: Consumer) -> Self {
+        Self {
+            inner: Mutex::new(NetInner::default()),
+            evt_bell: evt_rx.doorbell(),
+            evt_rx,
+            spin: SpinBudget::new(),
+            waiters: AtomicUsize::new(0),
+            client,
         }
+    }
+
+    fn call(&self, req: NetRequest) -> NetResponse {
+        self.client
+            .call_with(|tag, frame| req.encode_into(tag, frame), decode_reply)
+    }
+
+    /// Applies every event on the ring, in ring order, each decoded where
+    /// it lies. Holding `inner` is what makes the caller the only
+    /// drainer. Returns whether there was any.
+    fn drain(&self, g: &mut NetInner) -> bool {
+        let mut any = false;
+        while self.evt_rx.recv_with(|frame| g.apply(frame)).is_ok() {
+            any = true;
+        }
+        any
+    }
+
+    /// One look as the drainer: apply every pending event, then `take`.
+    /// Connections the drain refused are closed back after the lock is
+    /// dropped. Returns whether any event was applied, and `take`'s
+    /// result.
+    fn probe<T>(&self, take: impl FnOnce(&mut NetInner) -> T) -> (bool, T) {
+        let mut g = self.inner.lock();
+        let drained = self.drain(&mut g);
+        let got = take(&mut g);
+        let refused = std::mem::take(&mut g.refused);
+        drop(g);
+        for conn in refused {
+            self.close(conn);
+        }
+        (drained, got)
+    }
+
+    /// Blocks until `take` yields something from the socket queues, or
+    /// until `deadline`. Every look drains the event ring first; between
+    /// looks the wait escalates spin → yield → arm the event bell (the
+    /// next look is the re-check) → park on it. A ring is not progress —
+    /// it may have been another socket's event — so a woken waiter that
+    /// still finds nothing goes straight back to sleep.
+    fn wait_for<T>(
+        &self,
+        deadline: Option<Instant>,
+        mut take: impl FnMut(&mut NetInner) -> Option<T>,
+    ) -> Option<T> {
+        let _waiting = Waiting::enter(&self.waiters);
+        let mut sleeper = Sleeper::new(WaitPolicy::new(&self.spin), &self.evt_bell);
+        loop {
+            if let (_, Some(v)) = self.probe(&mut take) {
+                return Some(v);
+            }
+            let bound = match deadline {
+                None => PARK_BOUND,
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    Some(left) if !left.is_zero() => left,
+                    _ => return None,
+                },
+            };
+            sleeper.idle_for(bound);
+        }
+    }
+
+    /// Closes `sock` through the proxy. Once the proxy has executed the
+    /// close, everything it pushed for `sock` is already on the ring: one
+    /// more drain applies the last of it, and the socket's entries go.
+    /// After an error they stay — a dead-listener mark that outlives its
+    /// listener only refuses, an orphan would hang its peer.
+    fn close(&self, sock: SockId) -> NetResponse {
+        let resp = self.call(NetRequest::Close { sock });
+        if resp == NetResponse::Ok {
+            self.probe(|g| g.forget(sock));
+        }
+        resp
     }
 }
 
@@ -88,59 +238,31 @@ fn decode_reply(reply: &[u8]) -> NetResponse {
     }
 }
 
-/// Runs the event dispatcher loop (§4.4.2). One thread per co-processor.
-fn dispatch_loop(
-    evt_rx: Consumer,
-    client: Arc<RpcClient>,
-    shared: Arc<NetShared>,
-    shutdown: Arc<AtomicBool>,
-) {
+/// `Ok` as `Ok(())`, anything else as its error.
+fn expect_ok(resp: NetResponse) -> Result<(), RpcErr> {
+    match resp {
+        NetResponse::Ok => Ok(()),
+        NetResponse::Error { err } => Err(err),
+        _ => Err(RpcErr::Io),
+    }
+}
+
+/// Runs the idle backstop (see the module docs). One thread per
+/// co-processor.
+fn backstop_loop(shared: Arc<NetShared>, shutdown: Arc<AtomicBool>) {
     let bell = Arc::clone(&shared.evt_bell);
     let mut sleeper = Sleeper::new(WaitPolicy::parking(), &bell);
     while !shutdown.load(Ordering::Relaxed) {
-        match evt_rx.recv_with(NetEvent::decode) {
-            Ok(decoded) => {
-                sleeper.progress();
-                let Ok(ev) = decoded else {
-                    continue;
-                };
-                let mut g = shared.inner.lock();
-                match ev {
-                    NetEvent::Accepted {
-                        listen,
-                        conn,
-                        peer_addr,
-                    } => {
-                        if g.dead_listeners.contains(&listen) {
-                            // The listener closed while this event was on
-                            // the ring: refuse the connection instead of
-                            // queueing an orphan no accept will reach.
-                            drop(g);
-                            client.call_with(
-                                |tag, frame| {
-                                    NetRequest::Close { sock: conn }.encode_into(tag, frame)
-                                },
-                                |_| (),
-                            );
-                            continue;
-                        }
-                        g.accept_q
-                            .entry(listen)
-                            .or_default()
-                            .push_back((conn, peer_addr));
-                    }
-                    NetEvent::Data { sock, data } => {
-                        g.data_q.entry(sock).or_default().extend(data);
-                    }
-                    NetEvent::Closed { sock } => {
-                        g.closed.insert(sock);
-                    }
-                }
-                drop(g);
-                shared.arrived.notify_all();
-            }
+        if shared.waiters.load(Ordering::Relaxed) > 0 {
+            // A reader is draining. The bell is its to park on: a thread
+            // that also answered it would be one more hop per event.
+            sleeper.progress();
+            std::thread::sleep(PARK_BOUND);
+        } else if shared.probe(|_| ()).0 {
+            sleeper.progress();
+        } else {
             // Bounded parks keep the shutdown flag checked.
-            Err(_) => sleeper.idle(),
+            sleeper.idle();
         }
     }
 }
@@ -148,73 +270,54 @@ fn dispatch_loop(
 /// The co-processor network API. Clone to share among threads.
 #[derive(Clone)]
 pub struct CoprocNet {
-    client: Arc<RpcClient>,
     shared: Arc<NetShared>,
 }
 
 impl CoprocNet {
-    /// Builds the stub and spawns the event dispatcher thread.
+    /// Builds the stub and spawns its backstop drainer thread.
     pub fn start(
         client: Arc<RpcClient>,
         evt_rx: Consumer,
         shutdown: Arc<AtomicBool>,
     ) -> (Self, std::thread::JoinHandle<()>) {
-        let shared = Arc::new(NetShared {
-            inner: Mutex::new(NetInner::default()),
-            arrived: Condvar::new(),
-            spin: SpinBudget::new(),
-            evt_bell: evt_rx.doorbell(),
-        });
+        let shared = Arc::new(NetShared::new(client, evt_rx));
         let shared2 = Arc::clone(&shared);
-        let client2 = Arc::clone(&client);
         let handle = std::thread::Builder::new()
             .name("solros-net-dispatch".into())
-            .spawn(move || dispatch_loop(evt_rx, client2, shared2, shutdown))
-            .expect("spawn dispatcher");
-        (Self { client, shared }, handle)
-    }
-
-    fn call(&self, req: NetRequest) -> NetResponse {
-        self.client
-            .call_with(|tag, frame| req.encode_into(tag, frame), decode_reply)
+            .spawn(move || backstop_loop(shared2, shutdown))
+            .expect("spawn the event backstop");
+        (Self { shared }, handle)
     }
 
     /// Issues a raw socket RPC — the §5 one-to-one syscall mapping,
     /// exposed for the polling (non-evented) path and for tests.
     pub fn raw_call(&self, req: NetRequest) -> NetResponse {
-        self.call(req)
+        self.shared.call(req)
     }
 
     /// The underlying RPC client (for tenant stamping and credit
     /// inspection in tests and tools).
     pub fn client(&self) -> &Arc<RpcClient> {
-        &self.client
+        &self.shared.client
     }
 
-    /// Doorbell rings delivered to the event dispatcher so far — how
-    /// often an inbound event found it asleep.
+    /// Rings of this stub's event bell so far — how often an inbound
+    /// event found its drainer (a waiting reader or the idle backstop)
+    /// asleep.
     pub fn event_doorbell_rings(&self) -> u64 {
         self.shared.evt_bell.rings()
-    }
-
-    fn expect_ok(&self, req: NetRequest) -> Result<(), RpcErr> {
-        match self.call(req) {
-            NetResponse::Ok => Ok(()),
-            NetResponse::Error { err } => Err(err),
-            _ => Err(RpcErr::Io),
-        }
     }
 
     /// Creates, binds, and listens — a shared listening socket when other
     /// co-processors listen on the same port (§4.4.3).
     pub fn listen(&self, port: u16, backlog: u32) -> Result<TcpListener, RpcErr> {
-        let sock = match self.call(NetRequest::Socket) {
+        let sock = match self.raw_call(NetRequest::Socket) {
             NetResponse::Socket { sock } => sock,
             NetResponse::Error { err } => return Err(err),
             _ => return Err(RpcErr::Io),
         };
-        self.expect_ok(NetRequest::Bind { sock, port })?;
-        self.expect_ok(NetRequest::Listen { sock, backlog })?;
+        expect_ok(self.raw_call(NetRequest::Bind { sock, port }))?;
+        expect_ok(self.raw_call(NetRequest::Listen { sock, backlog }))?;
         Ok(TcpListener {
             net: self.clone(),
             sock,
@@ -223,25 +326,22 @@ impl CoprocNet {
 
     /// Connects outward to `(addr, port)`.
     pub fn connect(&self, addr: u64, port: u16) -> Result<TcpStream, RpcErr> {
-        let sock = match self.call(NetRequest::Socket) {
+        let sock = match self.raw_call(NetRequest::Socket) {
             NetResponse::Socket { sock } => sock,
             NetResponse::Error { err } => return Err(err),
             _ => return Err(RpcErr::Io),
         };
-        self.expect_ok(NetRequest::Connect { sock, addr, port })?;
-        Ok(TcpStream {
-            net: self.clone(),
-            sock,
-        })
+        expect_ok(self.raw_call(NetRequest::Connect { sock, addr, port }))?;
+        Ok(self.stream(sock))
     }
 
     /// Switches a socket between evented and RPC-polled delivery.
     pub fn set_evented(&self, sock: SockId, evented: bool) -> Result<(), RpcErr> {
-        self.expect_ok(NetRequest::Setsockopt {
+        expect_ok(self.raw_call(NetRequest::Setsockopt {
             sock,
             opt: SOCKOPT_EVENTED,
             val: evented as u64,
-        })
+        }))
     }
 
     /// Enqueues a socket RPC without waiting — the submission half of
@@ -251,8 +351,16 @@ impl CoprocNet {
     }
 
     fn submit_encoded(&self, encode: impl FnOnce(u32, &mut Vec<u8>)) -> Result<PendingNet, RpcErr> {
-        let token = self.client.submit_encoded(false, encode)?;
+        let token = self.shared.client.submit_encoded(false, encode)?;
         Ok(PendingNet { token })
+    }
+
+    /// A stream handle for `sock`, which this stub delivers to.
+    fn stream(&self, sock: SockId) -> TcpStream {
+        TcpStream {
+            net: self.clone(),
+            sock,
+        }
     }
 }
 
@@ -271,7 +379,7 @@ impl PendingNet {
 
     /// Blocks until the reply arrives and decodes it.
     pub fn wait(self, net: &CoprocNet) -> NetResponse {
-        net.client.wait_with(self.token, decode_reply)
+        net.shared.client.wait_with(self.token, decode_reply)
     }
 }
 
@@ -316,46 +424,27 @@ impl TcpListener {
         self.sock
     }
 
-    /// Waits for the dispatcher to deliver a new connection, up to
-    /// `timeout`. Returns the stream and the peer address.
+    fn accept_until(&self, deadline: Option<Instant>) -> Option<(TcpStream, u64)> {
+        let (conn, peer) = self.net.shared.wait_for(deadline, |g| {
+            g.accept_q.get_mut(&self.sock).and_then(VecDeque::pop_front)
+        })?;
+        Some((self.net.stream(conn), peer))
+    }
+
+    /// Waits for a new connection, up to `timeout`. Returns the stream
+    /// and the peer address.
     pub fn accept_timeout(&self, timeout: Duration) -> Option<(TcpStream, u64)> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut g = self.net.shared.inner.lock();
-        loop {
-            if let Some((conn, peer)) = g.accept_q.entry(self.sock).or_default().pop_front() {
-                return Some((
-                    TcpStream {
-                        net: self.net.clone(),
-                        sock: conn,
-                    },
-                    peer,
-                ));
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.net.shared.arrived.wait_for(&mut g, deadline - now);
-        }
+        self.accept_until(Some(Instant::now() + timeout))
     }
 
     /// Blocking accept.
     ///
     /// Escalates spin→yield→park via [`WaitPolicy`]: a busy listener takes
     /// connections off the queue without ever sleeping, while an idle one
-    /// parks on the dispatcher's condition variable.
+    /// parks on the event ring's doorbell.
     pub fn accept(&self) -> (TcpStream, u64) {
-        let (conn, peer) = self
-            .net
-            .shared
-            .wait_for(|g| g.accept_q.entry(self.sock).or_default().pop_front());
-        (
-            TcpStream {
-                net: self.net.clone(),
-                sock: conn,
-            },
-            peer,
-        )
+        self.accept_until(None)
+            .expect("an untimed wait returns a value")
     }
 
     /// Closes the listener (leaves the shared port open if other
@@ -363,22 +452,19 @@ impl TcpListener {
     ///
     /// Connections delivered to this listener but never accepted are
     /// refused — their sockets closed back through the proxy so the
-    /// peer observes a severance rather than a hang. The dead-listener
-    /// mark makes the dispatcher do the same for any `Accepted` event
-    /// still in flight on the ring.
+    /// peer observes a severance rather than a hang. Until the proxy has
+    /// closed the listener, a dead-listener mark makes every drain do the
+    /// same for any `Accepted` event still in flight on the ring.
     pub fn close(self) -> Result<(), RpcErr> {
-        let orphans: Vec<SockId> = {
-            let mut g = self.net.shared.inner.lock();
+        let shared = &self.net.shared;
+        let (_, orphans) = shared.probe(|g| {
             g.dead_listeners.insert(self.sock);
-            g.accept_q
-                .remove(&self.sock)
-                .map(|q| q.into_iter().map(|(conn, _)| conn).collect())
-                .unwrap_or_default()
-        };
-        for conn in orphans {
-            let _ = self.net.call(NetRequest::Close { sock: conn });
+            g.accept_q.remove(&self.sock)
+        });
+        for (conn, _) in orphans.into_iter().flatten() {
+            shared.close(conn);
         }
-        self.net.expect_ok(NetRequest::Close { sock: self.sock })
+        expect_ok(shared.close(self.sock))
     }
 }
 
@@ -401,7 +487,7 @@ impl TcpStream {
         let mut sent = 0;
         for chunk in data.chunks(CHUNK.max(1)) {
             // Encoded from the caller's slice: no owned request is built.
-            match self.net.client.call_with(
+            match self.net.shared.client.call_with(
                 |tag, frame| NetRequest::encode_send_into(tag, self.sock, chunk, frame),
                 decode_reply,
             ) {
@@ -413,30 +499,13 @@ impl TcpStream {
         Ok(sent)
     }
 
-    /// Receives up to `buf.len()` bytes from the dispatcher's per-socket
-    /// queue, blocking up to `timeout`. `Ok(0)` after a peer close means
-    /// end-of-stream; `None` means timeout with no data.
+    /// Receives up to `buf.len()` bytes from this socket's queue, blocking
+    /// up to `timeout`. `Ok(0)` after a peer close means end-of-stream;
+    /// `None` means timeout with no data.
     pub fn recv_timeout(&self, buf: &mut [u8], timeout: Duration) -> Option<usize> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut g = self.net.shared.inner.lock();
-        loop {
-            let q = g.data_q.entry(self.sock).or_default();
-            if !q.is_empty() {
-                let n = buf.len().min(q.len());
-                for b in buf[..n].iter_mut() {
-                    *b = q.pop_front().expect("checked non-empty");
-                }
-                return Some(n);
-            }
-            if g.closed.contains(&self.sock) {
-                return Some(0);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.net.shared.arrived.wait_for(&mut g, deadline - now);
-        }
+        self.net
+            .shared
+            .wait_for(Some(Instant::now() + timeout), |g| g.read(self.sock, buf))
     }
 
     /// Blocking receive; `Ok(0)` = end-of-stream.
@@ -444,17 +513,10 @@ impl TcpStream {
     /// Uses the shared [`WaitPolicy`] escalation (spin→yield→park) rather
     /// than re-arming a fixed timeout in a tight loop.
     pub fn recv(&self, buf: &mut [u8]) -> usize {
-        self.net.shared.wait_for(|g| {
-            let q = g.data_q.entry(self.sock).or_default();
-            if !q.is_empty() {
-                let n = buf.len().min(q.len());
-                for b in buf[..n].iter_mut() {
-                    *b = q.pop_front().expect("checked non-empty");
-                }
-                return Some(n);
-            }
-            g.closed.contains(&self.sock).then_some(0)
-        })
+        self.net
+            .shared
+            .wait_for(None, |g| g.read(self.sock, buf))
+            .expect("an untimed wait returns a value")
     }
 
     /// Enqueues a send of all of `data` without waiting: each
@@ -508,38 +570,91 @@ impl TcpStream {
         Some(out)
     }
 
-    /// Closes the connection.
+    /// Closes the connection. Once the proxy has closed it, the stub
+    /// forgets the socket's queue and end-of-stream mark.
     pub fn close(self) -> Result<(), RpcErr> {
-        self.net.expect_ok(NetRequest::Close { sock: self.sock })
+        expect_ok(self.net.shared.close(self.sock))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::{event_ring, Channel};
     use crate::waitpolicy::SPIN_LIMIT;
+    use solros_pcie::PcieCounters;
+    use solros_ringbuf::Producer;
     use std::sync::atomic::AtomicU64;
-    use std::time::Instant;
 
-    /// One busy socket and one idle one on the same stub. The dispatcher
-    /// notifies every waiter for every event, so the idle waiter wakes
-    /// once per event — but a wake-up that is not its own progress must
-    /// not send it back to the spin band (it used to: ~80 probes of the
-    /// shared mutex per unrelated event).
+    /// A stub with no backstop thread and no proxy behind its client:
+    /// only a thread waiting in it can drain the ring `tx` feeds.
+    fn bare_stub() -> (CoprocNet, Producer) {
+        let counters = Arc::new(PcieCounters::new());
+        let ch = Channel::new(Arc::clone(&counters));
+        let (tx, rx) = event_ring(counters);
+        let shared = NetShared::new(RpcClient::new(ch.req_tx, ch.resp_rx), rx);
+        (
+            CoprocNet {
+                shared: Arc::new(shared),
+            },
+            tx,
+        )
+    }
+
+    fn data(tx: &Producer, sock: SockId, bytes: &[u8]) {
+        let ev = NetEvent::Data { sock, data: bytes };
+        tx.send(&ev.encode()).unwrap();
+    }
+
+    /// With nobody else to drain the ring, the reader does: the event
+    /// published once it has armed the bell rings it, and the bytes come
+    /// out in order across two events.
+    #[test]
+    fn a_reader_drains_the_ring_itself() {
+        let (net, tx) = bare_stub();
+        let stream = net.stream(5);
+        let rings = net.event_doorbell_rings();
+        let bell = Arc::clone(&net.shared.evt_bell);
+        let feeder = std::thread::spawn(move || {
+            // The reader has run down its spin and yield bands.
+            while !bell.is_armed() {
+                std::thread::yield_now();
+            }
+            data(&tx, 5, b"hello ");
+            data(&tx, 5, b"world");
+            tx
+        });
+        let mut buf = [0u8; 11];
+        let mut have = 0;
+        while have < buf.len() {
+            have += stream.recv(&mut buf[have..]);
+        }
+        assert_eq!(&buf, b"hello world");
+        assert!(
+            net.event_doorbell_rings() > rings,
+            "the event rang the bell"
+        );
+        let tx = feeder.join().unwrap();
+        assert_eq!(stream.recv_timeout(&mut buf, Duration::ZERO), None);
+        tx.send(&NetEvent::<&[u8]>::Closed { sock: 5 }.encode())
+            .unwrap();
+        assert_eq!(stream.recv_timeout(&mut buf, Duration::ZERO), Some(0));
+    }
+
+    /// One busy socket and one idle one on the same stub. Every event for
+    /// the busy socket can ring the bell the idle waiter is parked on, so
+    /// it may wake once per event — but a wake-up that is not its own
+    /// progress must not send it back to the spin band (it used to: ~80
+    /// probes of the shared mutex per unrelated event).
     #[test]
     fn idle_waiter_is_not_respun_by_another_sockets_events() {
         const EVENTS: u64 = 300;
-        let shared = Arc::new(NetShared {
-            inner: Mutex::new(NetInner::default()),
-            arrived: Condvar::new(),
-            spin: SpinBudget::new(),
-            evt_bell: Doorbell::new(),
-        });
+        let (net, tx) = bare_stub();
         let probes = Arc::new(AtomicU64::new(0));
         let idle = {
-            let (shared, probes) = (Arc::clone(&shared), Arc::clone(&probes));
+            let (shared, probes) = (Arc::clone(&net.shared), Arc::clone(&probes));
             std::thread::spawn(move || {
-                shared.wait_for(|g| {
+                shared.wait_for(None, |g| {
                     probes.fetch_add(1, Ordering::Relaxed);
                     g.closed.contains(&2).then_some(())
                 })
@@ -547,30 +662,70 @@ mod tests {
         };
         let t0 = Instant::now();
         for i in 0..EVENTS {
-            // The dispatcher's half of a `Data` event for socket 1 ...
-            shared
-                .inner
-                .lock()
-                .data_q
-                .entry(1)
-                .or_default()
-                .push_back(i as u8);
-            shared.arrived.notify_all();
+            // The proxy's half of a `Data` event for socket 1 ...
+            data(&tx, 1, &[i as u8]);
             // ... and its reader's.
-            let got = shared.wait_for(|g| g.data_q.get_mut(&1)?.pop_front());
-            assert_eq!(got, i as u8);
+            let mut got = [0u8; 1];
+            assert_eq!(net.stream(1).recv(&mut got), 1);
+            assert_eq!(got[0], i as u8);
             // Time for the idle waiter to do whatever a wake-up makes it do.
             std::thread::sleep(Duration::from_micros(100));
         }
         let seen = probes.load(Ordering::Relaxed);
         let elapsed_ms = t0.elapsed().as_millis() as u64;
-        shared.inner.lock().closed.insert(2);
-        shared.arrived.notify_all();
+        tx.send(&NetEvent::<&[u8]>::Closed { sock: 2 }.encode())
+            .unwrap();
         idle.join().unwrap();
         // One escalation to get parked (the yield band is 50 µs of probes
         // that each take the mutex: well under 2000), then a probe needs a
         // wake-up: one per event or one per expired park bound (1 ms).
         let bound = u64::from(SPIN_LIMIT) + 2_000 + EVENTS + elapsed_ms;
         assert!(seen <= bound, "idle waiter probed {seen} times (> {bound})");
+    }
+
+    /// A long-running server accepts, echoes and closes connection after
+    /// connection: none of them may stay behind in the stub's maps.
+    #[test]
+    fn closed_sockets_leave_no_state_behind() {
+        use solros_netdev::EndKind;
+        const CYCLES: u64 = 10_000;
+        let sys = crate::control::Solros::boot(solros_machine::MachineConfig::small());
+        let net = sys.data_plane(0).net().clone();
+        let fabric = Arc::clone(sys.network());
+        let sizes = |net: &CoprocNet| {
+            let g = net.shared.inner.lock();
+            [
+                g.accept_q.len(),
+                g.data_q.len(),
+                g.closed.len(),
+                g.dead_listeners.len(),
+                g.refused.len(),
+            ]
+        };
+        let before = sizes(&net);
+        let listener = net.listen(7400, 16).unwrap();
+        let mut buf = [0u8; 4];
+        for i in 0..CYCLES {
+            let conn = fabric.client_connect(7400, i).unwrap();
+            let (stream, peer) = listener.accept();
+            assert_eq!(peer, i);
+            fabric.send(conn, EndKind::Client, b"ping").unwrap();
+            assert_eq!(stream.recv(&mut buf), 4);
+            assert_eq!(stream.send(&buf), Ok(4));
+            let mut back = Vec::new();
+            while back.len() < 4 {
+                back.extend(fabric.recv(conn, EndKind::Client, 4).unwrap());
+            }
+            assert_eq!(back, b"ping");
+            // Half the peers hang up first, so `Closed` events are
+            // drained on both sides of the stub's close.
+            if i % 2 == 0 {
+                fabric.close(conn, EndKind::Client).unwrap();
+            }
+            stream.close().unwrap();
+        }
+        listener.close().unwrap();
+        assert_eq!(sizes(&net), before);
+        sys.shutdown();
     }
 }

@@ -1362,11 +1362,20 @@ impl TcpProxy {
                 continue;
             };
             let coproc = rec.coproc;
-            match self.network.recv(id, end, RECV_CHUNK) {
-                Ok(data) if data.is_empty() => {}
-                Ok(data) => {
+            // The event is encoded straight from the fabric's bytes.
+            let frame = &mut st.evt_frame;
+            let got = self.network.recv_with(id, end, RECV_CHUNK, |data| {
+                if !data.is_empty() {
+                    frame.clear();
+                    NetEvent::Data { sock, data }.encode_into(frame);
+                }
+                data.len()
+            });
+            match got {
+                Ok(0) => {}
+                Ok(_) => {
                     worked = true;
-                    self.push_event(&mut st.evt_frame, coproc, &NetEvent::Data { sock, data });
+                    self.push_frame(&st.evt_frame, coproc);
                 }
                 Err(NetworkError::Closed) => {
                     let mut closed_slot = None;
@@ -1397,14 +1406,19 @@ impl TcpProxy {
     }
 
     fn push_event(&self, frame: &mut Vec<u8>, coproc: usize, ev: &NetEvent) {
+        frame.clear();
+        ev.encode_into(frame);
+        self.push_frame(frame, coproc);
+    }
+
+    /// Publishes one encoded event on `coproc`'s event ring.
+    fn push_frame(&self, frame: &[u8], coproc: usize) {
         self.stats.events.fetch_add(1, Ordering::Relaxed);
         let lane = self
             .coprocs
             .iter()
             .position(|&c| c == coproc)
             .unwrap_or(coproc.min(self.evt_tx.len().saturating_sub(1)));
-        frame.clear();
-        ev.encode_into(frame);
         if self.evt_tx[lane].send_blocking(frame).is_err() {
             // The only enqueue failure left after the blocking retry is
             // an event larger than the ring accepts; the co-processor

@@ -1,8 +1,9 @@
 //! The one wait discipline: earned spinning, then yield, then a doorbell.
 //!
 //! Every consumer of a ring in this system — a stub thread waiting for
-//! its reply, the proxy engines waiting for requests, the event
-//! dispatcher, a socket reader — waits the same way:
+//! its reply, the proxy engines waiting for requests, a socket reader
+//! draining the event ring, the event ring's idle backstop — waits the
+//! same way:
 //!
 //! 1. **Spin only while spinning has been paying.** A probe of an empty
 //!    ring is not free (a lock, a combiner pass, a remote refresh of the
@@ -30,14 +31,14 @@
 //!    recall budget, QoS epoch upkeep, the shutdown flag — keep running,
 //!    and so that no missed ring can hold a request longer than that.
 //!
-//! A requester and the engine serving it go through all three steps. A
-//! poller further down the chain, which no one spins or yields at (the
-//! event dispatcher), skips to step 3: see [`WaitPolicy::parking`].
+//! A requester and the engine serving it go through all three steps —
+//! a socket reader is a requester too: it drains the event ring itself.
+//! A poller nobody waits on by spinning or yielding (the event ring's
+//! idle backstop, which only drains a stub no one reads) skips to step
+//! 3: see [`WaitPolicy::parking`].
 //!
 //! [`WaitPolicy`] is the escalation; [`Sleeper`] adds the doorbell half
-//! for waiters whose work arrives on rings. Waiters whose predicate sits
-//! under a mutex (the socket queues) drive [`WaitPolicy::advance`]
-//! themselves and park on their condition variable for the same bound.
+//! for waiters whose work arrives on rings.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -60,14 +61,14 @@ pub const YIELD_FOR: Duration = Duration::from_micros(50);
 /// Longest a waiter sleeps without looking again.
 pub const PARK_BOUND: Duration = Duration::from_millis(1);
 
-/// What the caller should do next.
+/// What a waiter should do next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wait {
+enum Wait {
     /// Issue a spin-loop hint and retry.
     Spin,
     /// Yield the CPU and retry.
     Yield,
-    /// Park (doorbell or condvar) for up to this long, then retry.
+    /// Park on a doorbell for up to this long, then retry.
     Park(Duration),
 }
 
@@ -128,7 +129,7 @@ impl SpinBudget {
 
 /// The escalation for one blocking wait.
 ///
-/// Create one per wait, call [`WaitPolicy::advance`] each time the
+/// Create one per wait, call [`WaitPolicy::pause`] each time the
 /// awaited condition is still false, and [`WaitPolicy::reset`] whenever
 /// progress is observed. Dropping the policy ends the wait; a wait that
 /// ends (or makes progress) inside its spin band counts as a hit for the
@@ -172,12 +173,13 @@ impl<'a> WaitPolicy<'a> {
     }
 
     /// A policy with neither band: arm and park at once. For a poller
-    /// nobody waits on by spinning or yielding *at* it — the event
-    /// dispatcher, which sits behind the engine in every hand-off. A
-    /// yielding thread holds a run-queue slot, and with three of them on
-    /// one CPU the number of turns a request takes depends on the order
-    /// the scheduler happens to rotate them in (a 64 B echo took two,
-    /// three or five rounds of the same three threads, run to run). A
+    /// nobody waits on by spinning or yielding *at* it — the event ring's
+    /// idle backstop, which drains only while no reader does. A yielding
+    /// thread holds a run-queue slot, and with three of them on one CPU
+    /// the number of turns a request takes depends on the order the
+    /// scheduler happens to rotate them in (a 64 B echo took two, three
+    /// or five rounds of the same three threads, run to run, while a
+    /// dispatcher thread stood between the engine and the reader). A
     /// parked poller enters the queue only when its producer has rung.
     pub fn parking() -> Self {
         Self {
@@ -199,7 +201,7 @@ impl<'a> WaitPolicy<'a> {
     }
 
     /// Advances the policy and returns the next action.
-    pub fn advance(&mut self) -> Wait {
+    fn advance(&mut self) -> Wait {
         if self.attempts == 0 {
             self.limit = self.budget.map_or(0, SpinBudget::begin);
         }

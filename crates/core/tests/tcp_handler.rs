@@ -1,17 +1,22 @@
 //! TCP proxy handler semantics: the socket state machine, the shared
 //! listening socket, and fault containment through the shared proxy
-//! engine.
+//! engine; and the stub's hand-off of inbound events when nobody, or
+//! somebody else, is reading.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use solros::proxy_engine::OpHandler;
 use solros::tcp_proxy::{NetChannelHost, TcpProxy, TcpProxyStats, SOCKOPT_EVENTED};
-use solros::transport::{event_ring, Channel, RpcClient};
-use solros::RoundRobin;
+use solros::transport::{event_ring, Channel, RpcClient, EVENT_RING_BYTES};
+use solros::{CoprocNet, RoundRobin, Solros};
+use solros_machine::MachineConfig;
+use solros_netdev::{EndKind, NetworkError};
 use solros_pcie::PcieCounters;
 use solros_proto::net_msg::{NetRequest, NetResponse, SockId};
 use solros_proto::rpc_error::RpcErr;
+use solros_ringbuf::Consumer;
 
 /// Accepts the pending fabric connection on `port`, reporting which
 /// listener died instead of unwrapping blind.
@@ -28,16 +33,20 @@ struct Rig {
     stats: Arc<TcpProxyStats>,
     network: Arc<solros_netdev::Network>,
     clients: Vec<Arc<RpcClient>>,
+    /// Each co-processor's end of its event ring.
+    events: Vec<Consumer>,
 }
 
 fn proxy_with(n: usize) -> Rig {
     let network = solros_netdev::Network::new();
     let mut channels = Vec::new();
     let mut clients = Vec::new();
+    let mut events = Vec::new();
     for _ in 0..n {
         let counters = Arc::new(PcieCounters::new());
         let ch = Channel::new(Arc::clone(&counters));
-        let (evt_tx, _evt_rx) = event_ring(counters);
+        let (evt_tx, evt_rx) = event_ring(counters);
+        events.push(evt_rx);
         channels.push(NetChannelHost {
             req_rx: ch.req_rx,
             resp_tx: ch.resp_tx,
@@ -55,6 +64,7 @@ fn proxy_with(n: usize) -> Rig {
         stats,
         network,
         clients,
+        events,
     }
 }
 
@@ -329,4 +339,141 @@ fn connect_send_recv_shutdown_via_rpc() {
         net.recv(conn, solros_netdev::EndKind::Server, 16),
         Err(solros_netdev::NetworkError::Closed)
     ));
+}
+
+/// Every step of the stub hand-off tests below must finish within this:
+/// a wedged stub or shard hangs rather than erroring.
+const WATCHDOG: Duration = Duration::from_secs(2);
+
+/// Runs `f` on a thread of its own and returns its result, failing the
+/// test if it does not finish within [`WATCHDOG`].
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    let out = rx
+        .recv_timeout(WATCHDOG)
+        .unwrap_or_else(|_| panic!("{what}: failed or not done within {WATCHDOG:?}"));
+    worker.join().expect("the step's thread finished");
+    out
+}
+
+/// Polls `done` until it holds, failing the test after [`WATCHDOG`].
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + WATCHDOG;
+    while !done() {
+        assert!(Instant::now() < deadline, "{what}: not within {WATCHDOG:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// One accepted socket is never read while its peer sends four event
+/// rings' worth of bytes. The proxy shard spins on a full event ring, so
+/// unless somebody drains it — a reader of another socket, or the idle
+/// backstop when no one reads — the shard and every socket on the stub
+/// would stall.
+#[test]
+fn an_unread_socket_stalls_neither_its_stub_nor_its_shard() {
+    const FLOOD: usize = 4 * EVENT_RING_BYTES;
+    const CHUNK: usize = 64 * 1024;
+    let byte = |k: usize| (k % 251) as u8;
+    let sys = Solros::boot(MachineConfig::small());
+    let net = sys.data_plane(0).net().clone();
+    let fabric = Arc::clone(sys.network());
+    let listener = net.listen(7600, 16).expect("listen");
+    let flood_conn = fabric.client_connect(7600, 1).expect("connect");
+    let (unread, _) = listener.accept_timeout(WATCHDOG).expect("accept");
+    for start in (0..FLOOD).step_by(CHUNK) {
+        let chunk: Vec<u8> = (start..start + CHUNK).map(byte).collect();
+        fabric.send(flood_conn, EndKind::Client, &chunk).unwrap();
+    }
+
+    let echoed = within("a second connection's echo", {
+        let fabric = Arc::clone(&fabric);
+        move || {
+            let conn = fabric.client_connect(7600, 2).unwrap();
+            let (stream, _) = listener.accept();
+            fabric.send(conn, EndKind::Client, b"ping").unwrap();
+            let mut buf = [0u8; 4];
+            let mut have = 0;
+            while have < buf.len() {
+                have += stream.recv(&mut buf[have..]);
+            }
+            assert_eq!(stream.send(&buf), Ok(4));
+            let mut back = Vec::new();
+            while back.len() < 4 {
+                back.extend(fabric.recv(conn, EndKind::Client, 4).unwrap());
+            }
+            back
+        }
+    });
+    assert_eq!(echoed, b"ping");
+    within("a fresh listen", {
+        let net = net.clone();
+        move || net.listen(7601, 16).map(|_| ())
+    })
+    .expect("listen");
+
+    let got = within("the unread socket's bytes", move || {
+        unread.recv_exact(FLOOD).expect("no end-of-stream")
+    });
+    assert!(
+        got.iter().enumerate().all(|(k, &b)| b == byte(k)),
+        "the unread socket's bytes came out of order"
+    );
+    sys.shutdown();
+}
+
+/// The orphan race with no reader waiting: a connection the proxy
+/// delivers after the stub began closing its listener, but before the
+/// proxy executed that close, arrives as an `Accepted` event for a dead
+/// listener. The idle backstop must refuse it — close it back — so the
+/// fabric peer observes a severance, not a hang.
+#[test]
+fn the_backstop_refuses_a_connection_accepted_by_a_closing_listener() {
+    fn serve(proxy: &Arc<TcpProxy>) -> (Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+        let stop = Arc::new(AtomicBool::new(false));
+        let (p, s) = (Arc::clone(proxy), Arc::clone(&stop));
+        (stop, std::thread::spawn(move || p.run_shared(s)))
+    }
+    let mut rig = proxy_with(1);
+    let proxy = Arc::new(rig.proxy);
+    let client = Arc::clone(&rig.clients[0]);
+    let stub_stop = Arc::new(AtomicBool::new(false));
+    let (net, backstop) = CoprocNet::start(
+        Arc::clone(&client),
+        rig.events.remove(0),
+        Arc::clone(&stub_stop),
+    );
+    let (stop, engine) = serve(&proxy);
+    let listener = net.listen(96, 4).expect("listen");
+    // Park the engine: the listener's close is submitted and waits.
+    stop.store(true, Ordering::Relaxed);
+    engine.join().unwrap();
+    let closer = std::thread::spawn(move || listener.close());
+    // The close marks the listener dead before it submits its RPC.
+    wait_until("the listener close is submitted", || {
+        client.pending_len() == 1
+    });
+
+    // The proxy, driven here, delivers a connection to the listener it
+    // still has open: an `Accepted` event for a dead listener.
+    let conn = rig.network.client_connect(96, 7).expect("connect");
+    assert!(proxy.poll(), "the connection was delivered");
+    // Nobody reads: the backstop drains the event, refuses the
+    // connection and submits its close.
+    wait_until("the backstop refuses the connection", || {
+        client.pending_len() == 2
+    });
+
+    let (stop, engine) = serve(&proxy);
+    assert_eq!(closer.join().unwrap(), Ok(()));
+    wait_until("the peer observes the severance", || {
+        rig.network.recv(conn, EndKind::Client, 16) == Err(NetworkError::Closed)
+    });
+    stop.store(true, Ordering::Relaxed);
+    engine.join().unwrap();
+    stub_stop.store(true, Ordering::Relaxed);
+    backstop.join().unwrap();
 }

@@ -230,6 +230,20 @@ impl Network {
     /// Receives up to `max` bytes at one end. Empty result means "no data
     /// yet"; `Err(Closed)` means the peer closed and the stream drained.
     pub fn recv(&self, id: ConnId, at: EndKind, max: usize) -> Result<Vec<u8>, NetworkError> {
+        self.recv_with(id, at, max, <[u8]>::to_vec)
+    }
+
+    /// [`Network::recv`] lending the bytes to `f` where they lie in the
+    /// stream, then consuming them: a caller that encodes them onward
+    /// needs no buffer of its own. `f` runs under the fabric's lock, so
+    /// it must be quick and must not call back into the fabric.
+    pub fn recv_with<R>(
+        &self,
+        id: ConnId,
+        at: EndKind,
+        max: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, NetworkError> {
         let mut g = self.inner.lock();
         let conn = g.conns.get_mut(&id).ok_or(NetworkError::NotConnected)?;
         let s = Self::stream_mut(conn, at.peer());
@@ -244,10 +258,12 @@ impl Network {
                 }
                 return Err(NetworkError::Closed);
             }
-            return Ok(Vec::new());
+            return Ok(f(&[]));
         }
         let n = max.min(s.bytes.len());
-        Ok(s.bytes.drain(..n).collect())
+        let out = f(&s.bytes.make_contiguous()[..n]);
+        s.bytes.drain(..n);
+        Ok(out)
     }
 
     /// Bytes currently queued toward `at`.

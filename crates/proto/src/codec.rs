@@ -248,10 +248,15 @@ impl<'a> Reader<'a> {
         Ok(s.to_string())
     }
 
-    /// Reads a length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
+    /// Reads a length-prefixed byte blob where it lies in the body.
+    pub fn bytes_borrowed(&mut self) -> Result<&'a [u8], ProtoError> {
         let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
+        self.take(len)
+    }
+
+    /// Reads a length-prefixed byte blob into a fresh vector.
+    pub fn bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
+        self.bytes_borrowed().map(<[u8]>::to_vec)
     }
 
     /// Asserts the body is fully consumed.

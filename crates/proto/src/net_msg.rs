@@ -286,9 +286,13 @@ impl NetResponse {
 }
 
 /// Inbound events delivered on the event channel (§4.4.2). Tag is unused
-/// (events are unsolicited); the dispatcher routes by socket id.
+/// (events are unsolicited); the stub routes by socket id.
+///
+/// `D` is the `Data` payload: owned by default, `&[u8]` for an event
+/// encoded from, or decoded into, bytes that stay where they lie
+/// ([`NetEvent::decode_borrowed`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetEvent {
+pub enum NetEvent<D = Vec<u8>> {
     /// A new client connected to a listening socket.
     Accepted {
         /// The listening socket.
@@ -304,7 +308,7 @@ pub enum NetEvent {
         /// Connection socket.
         sock: SockId,
         /// Payload.
-        data: Vec<u8>,
+        data: D,
     },
     /// The remote side closed the connection.
     Closed {
@@ -317,7 +321,7 @@ const E_ACCEPTED: u8 = 200;
 const E_DATA: u8 = 201;
 const E_CLOSED: u8 = 202;
 
-impl NetEvent {
+impl<D: AsRef<[u8]>> NetEvent<D> {
     /// Encodes the event.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -336,14 +340,19 @@ impl NetEvent {
                 .u64(*listen)
                 .u64(*conn)
                 .u64(*peer_addr),
-            NetEvent::Data { sock, data } => Writer::frame(out, E_DATA, 0).u64(*sock).bytes(data),
+            NetEvent::Data { sock, data } => Writer::frame(out, E_DATA, 0)
+                .u64(*sock)
+                .bytes(data.as_ref()),
             NetEvent::Closed { sock } => Writer::frame(out, E_CLOSED, 0).u64(*sock),
         }
         .finish()
     }
+}
 
-    /// Decodes an event frame.
-    pub fn decode(buf: &[u8]) -> Result<NetEvent, ProtoError> {
+impl<'a> NetEvent<&'a [u8]> {
+    /// Decodes an event frame in place: a `Data` payload is lent from
+    /// `buf`, not copied.
+    pub fn decode_borrowed(buf: &'a [u8]) -> Result<Self, ProtoError> {
         let f = decode_frame(buf)?;
         let mut r = Reader::new(f.body);
         let ev = match f.msg_type {
@@ -354,13 +363,35 @@ impl NetEvent {
             },
             E_DATA => NetEvent::Data {
                 sock: r.u64()?,
-                data: r.bytes()?,
+                data: r.bytes_borrowed()?,
             },
             E_CLOSED => NetEvent::Closed { sock: r.u64()? },
             _ => return Err(ProtoError::BadType),
         };
         r.finish()?;
         Ok(ev)
+    }
+}
+
+impl NetEvent {
+    /// Decodes an event frame, copying a `Data` payload out.
+    pub fn decode(buf: &[u8]) -> Result<NetEvent, ProtoError> {
+        Ok(match NetEvent::decode_borrowed(buf)? {
+            NetEvent::Accepted {
+                listen,
+                conn,
+                peer_addr,
+            } => NetEvent::Accepted {
+                listen,
+                conn,
+                peer_addr,
+            },
+            NetEvent::Data { sock, data } => NetEvent::Data {
+                sock,
+                data: data.to_vec(),
+            },
+            NetEvent::Closed { sock } => NetEvent::Closed { sock },
+        })
     }
 }
 
@@ -475,6 +506,27 @@ mod tests {
         let mut borrowed = Vec::new();
         NetRequest::encode_send_into(4, 9, &[7; 200], &mut borrowed);
         assert_eq!(borrowed, owned.encode(4));
+    }
+
+    #[test]
+    fn borrowed_data_event_is_the_owned_one_in_place() {
+        let owned = NetEvent::Data {
+            sock: 5,
+            data: vec![3; 64],
+        };
+        let borrowed = NetEvent::Data {
+            sock: 5,
+            data: &[3u8; 64][..],
+        };
+        let frame = borrowed.encode();
+        assert_eq!(frame, owned.encode());
+        assert_eq!(NetEvent::decode_borrowed(&frame), Ok(borrowed));
+        let accepted = NetEvent::<&[u8]>::Accepted {
+            listen: 1,
+            conn: 2,
+            peer_addr: 3,
+        };
+        assert_eq!(NetEvent::decode_borrowed(&accepted.encode()), Ok(accepted));
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() {
             .load(std::sync::atomic::Ordering::Relaxed),
     );
 
-    // --- Network service (TCP proxy + event dispatcher) ---
+    // --- Network service (TCP proxy + event ring) ---
     let net = sys.data_plane(0).net().clone();
     let listener = net.listen(8080, 64).unwrap();
     let fabric = Arc::clone(sys.network());
