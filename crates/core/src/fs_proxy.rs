@@ -3,10 +3,11 @@
 //! One proxy server runs per co-processor on a host thread, driven by the
 //! shared [`crate::proxy_engine`]: the engine pulls file-system RPCs from
 //! the request ring, decodes each frame once, runs the QoS gate, and
-//! serves the call start to finish on that thread — only the few calls
-//! that can wait on a lease holder go to a worker pool
-//! ([`OpHandler::may_wait`]); this module supplies the FS semantics
-//! through the [`OpHandler`] trait. For data transfers it chooses between:
+//! serves every call start to finish on that thread. A call that meets a
+//! conflicting extent lease starts the recall and is handed back to the
+//! engine, which parks it until the lease settles ([`OpHandler::exec`]);
+//! this module supplies the FS semantics through the [`OpHandler`]
+//! trait. For data transfers it chooses between:
 //!
 //! * **Peer-to-peer**: translate the file range to disk extents
 //!   (`fiemap`), translate the co-processor buffer address to its
@@ -24,9 +25,9 @@
 //! [`OpHandler::stage`]) into one combined vectored submission — a single
 //! doorbell and a single interrupt across ops *from different calls*, the
 //! cross-call generalisation of the §5 batching — while the remaining ops
-//! run where they were admitted, or on the pool if they may wait, and
-//! complete out of order (the stub's tag table reorders). A frame flagged
-//! `FLAG_BARRIER` quiesces both before it runs.
+//! run where they were admitted, and a call parked on a lease completes
+//! out of order (the stub's tag table reorders). A frame flagged
+//! `FLAG_BARRIER` runs after the wave and every parked call before it.
 
 use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,10 +54,6 @@ use crate::proxy_engine::{
 use crate::retry::RetryPolicy;
 
 pub use crate::proxy_engine::DRAIN_BURST;
-
-/// Worker threads per proxy, for the operations that may wait on a
-/// lease holder ([`OpHandler::may_wait`]).
-pub const PROXY_WORKERS: usize = 3;
 
 /// NVMe MDTS in blocks (mirrors `solros_nvme::device::MDTS_BLOCKS`).
 const MDTS_BLOCKS: u64 = solros_nvme::device::MDTS_BLOCKS as u64;
@@ -131,9 +128,8 @@ fn classify(req: &FsRequest) -> (usize, u64) {
 
 /// One co-processor's proxy server.
 ///
-/// Shared-state fields are lock-protected so the engine thread and its
-/// worker pool can execute independent operations concurrently through
-/// [`FsProxy::handle`].
+/// Shared-state fields are lock-protected: [`FsProxy::handle`] takes
+/// `&self`, and the engine shares the proxy behind an `Arc`.
 pub struct FsProxy {
     fs: Arc<FileSystem>,
     coproc_window: Arc<Window>,
@@ -254,8 +250,9 @@ impl FsProxy {
 
     /// Serves requests until `shutdown` is set, through the shared proxy
     /// engine: wave-coalesced P2P reads, everything else run to
-    /// completion on the engine thread, and a [`PROXY_WORKERS`]-wide
-    /// pool for what may wait. Without a `gate`, admission is FIFO.
+    /// completion on the engine thread, and a call that meets a lease
+    /// parked until the lease settles. Without a `gate`, admission is
+    /// FIFO.
     ///
     /// With one, ring arrivals are admitted into per-class queues
     /// (metadata ops are [`QosClass::High`]; small data ops
@@ -292,9 +289,22 @@ impl FsProxy {
         eng.serve(shutdown)
     }
 
-    /// Executes one RPC.
+    /// Executes one RPC. A call that meets a conflicting extent lease
+    /// starts its recall and answers [`RpcErr::WouldBlock`]; served by
+    /// the engine, the same call parks until the lease settles instead.
     pub fn handle(&self, req: FsRequest) -> FsResponse {
-        match req {
+        self.try_handle(&req).unwrap_or(FsResponse::Error {
+            err: RpcErr::WouldBlock,
+        })
+    }
+
+    /// Executes one RPC, or returns the inode whose leases it must wait
+    /// for: every lease that conflicts with the call has been recalled,
+    /// and the call runs again once they settle. The check is made on
+    /// every attempt — under the call's grant bar where it takes one —
+    /// so a lease granted since the engine routed the call is caught too.
+    fn try_handle(&self, req: &FsRequest) -> Result<FsResponse, u64> {
+        Ok(match req {
             FsRequest::Open {
                 path,
                 create,
@@ -302,13 +312,13 @@ impl FsProxy {
                 buffered,
             } => {
                 let flags = solros_fs::OpenFlags {
-                    create,
-                    truncate,
-                    buffered,
+                    create: *create,
+                    truncate: *truncate,
+                    buffered: *buffered,
                 };
-                match self.fs.open(&path, flags) {
+                match self.fs.open(path, flags) {
                     Ok(ino) => {
-                        if buffered {
+                        if *buffered {
                             self.buffered_open.lock().insert(ino);
                         } else {
                             self.buffered_open.lock().remove(&ino);
@@ -319,29 +329,51 @@ impl FsProxy {
                     Err(e) => FsResponse::Error { err: rpc_err(e) },
                 }
             }
-            FsRequest::Create { path } => match self.fs.create(&path) {
+            FsRequest::Create { path } => match self.fs.create(path) {
                 Ok(ino) => FsResponse::Create { ino },
                 Err(e) => FsResponse::Error { err: rpc_err(e) },
             },
-            FsRequest::Read {
+            &FsRequest::Read {
                 ino,
                 offset,
                 count,
                 buf_addr,
-            } => match self.do_read(ino, offset, count, buf_addr) {
-                Ok(n) => FsResponse::Read { count: n },
-                Err(e) => FsResponse::Error { err: e },
-            },
-            FsRequest::Write {
+            } => {
+                // A buffered fallback on a leased inode: count it (the E6
+                // bypass ratio) and settle any *write* lease covering the
+                // range first, so this read cannot observe pre-lease bytes.
+                if self.lease_mgr.has_lease(ino) {
+                    self.stats
+                        .lease_fallback_reads
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.recall_conflicts(ino, offset, count, false)?;
+                }
+                match self.do_read(ino, offset, count, buf_addr) {
+                    Ok(n) => FsResponse::Read { count: n },
+                    Err(e) => FsResponse::Error { err: e },
+                }
+            }
+            &FsRequest::Write {
                 ino,
                 offset,
                 count,
                 buf_addr,
-            } => match self.do_write(ino, offset, count, buf_addr) {
-                Ok(n) => FsResponse::Write { count: n },
-                Err(e) => FsResponse::Error { err: e },
-            },
-            FsRequest::Stat { path } => match self.fs.stat(&path) {
+            } => {
+                // An RPC write is conflicting access for every lease kind:
+                // settle them all before the bytes land, so no leased
+                // mapping ever reads around this write.
+                if count > 0 && self.lease_mgr.has_lease(ino) {
+                    self.stats
+                        .lease_fallback_writes
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.recall_conflicts(ino, 0, u64::MAX, true)?;
+                }
+                match self.do_write(ino, offset, count, buf_addr) {
+                    Ok(n) => FsResponse::Write { count: n },
+                    Err(e) => FsResponse::Error { err: e },
+                }
+            }
+            FsRequest::Stat { path } => match self.fs.stat(path) {
                 Ok(st) => FsResponse::Stat {
                     ino: st.ino,
                     is_dir: st.is_dir,
@@ -349,7 +381,7 @@ impl FsProxy {
                 },
                 Err(e) => FsResponse::Error { err: rpc_err(e) },
             },
-            FsRequest::Fstat { ino } => match self.fs.stat_ino(ino) {
+            FsRequest::Fstat { ino } => match self.fs.stat_ino(*ino) {
                 Ok(st) => FsResponse::Stat {
                     ino: st.ino,
                     is_dir: st.is_dir,
@@ -360,65 +392,76 @@ impl FsProxy {
             FsRequest::Unlink { path } => {
                 // Unlink names the file by path: bar new grants on the
                 // victim, then settle every outstanding lease before its
-                // blocks go back to the allocator. Without the bar a
-                // LeaseAcquire racing through another proxy between the
-                // recall and the unlink would leave a holder doing P2P
-                // I/O against reused blocks.
-                let _bar = self.fs.stat(&path).ok().map(|st| {
-                    let bar = self.lease_mgr.bar_grants(st.ino);
-                    while self.lease_mgr.has_lease(st.ino) {
-                        self.recall_all_sync(st.ino);
-                    }
-                    bar
-                });
-                match self.fs.unlink(&path) {
+                // blocks go back to the allocator. The bar spans the
+                // check and the unlink, so no LeaseAcquire racing through
+                // another proxy can leave a holder doing P2P I/O against
+                // reused blocks.
+                let victim = self.fs.stat(path).ok().map(|st| st.ino);
+                let _bar = victim.map(|ino| self.lease_mgr.bar_grants(ino));
+                if let Some(ino) = victim {
+                    self.recall_conflicts(ino, 0, u64::MAX, true)?;
+                }
+                match self.fs.unlink(path) {
                     Ok(()) => FsResponse::Ok,
                     Err(e) => FsResponse::Error { err: rpc_err(e) },
                 }
             }
-            FsRequest::Mkdir { path } => match self.fs.mkdir(&path) {
+            FsRequest::Mkdir { path } => match self.fs.mkdir(path) {
                 Ok(ino) => FsResponse::Mkdir { ino },
                 Err(e) => FsResponse::Error { err: rpc_err(e) },
             },
-            FsRequest::Readdir { path } => match self.fs.readdir(&path) {
+            FsRequest::Readdir { path } => match self.fs.readdir(path) {
                 Ok(names) => FsResponse::Readdir { names },
                 Err(e) => FsResponse::Error { err: rpc_err(e) },
             },
-            FsRequest::Rename { from, to } => match self.fs.rename(&from, &to) {
+            FsRequest::Rename { from, to } => match self.fs.rename(from, to) {
                 Ok(()) => FsResponse::Ok,
                 Err(e) => FsResponse::Error { err: rpc_err(e) },
             },
-            FsRequest::Truncate { ino, size } => {
-                // The engine parks truncates behind leased inodes, but
-                // direct callers get the same coherence: bar new grants
-                // and settle everything outstanding, so no stale extent
-                // map outlives the shrink and no fresh grant maps blocks
-                // the shrink is about to free.
+            &FsRequest::Truncate { ino, size } => {
+                // Bar new grants and settle everything outstanding, so no
+                // stale extent map outlives the shrink and no fresh grant
+                // maps blocks the shrink is about to free.
                 let _bar = self.lease_mgr.bar_grants(ino);
-                while self.lease_mgr.has_lease(ino) {
-                    self.recall_all_sync(ino);
-                }
+                self.recall_conflicts(ino, 0, u64::MAX, true)?;
                 match self.fs.truncate(ino, size) {
                     Ok(()) => FsResponse::Ok,
                     Err(e) => FsResponse::Error { err: rpc_err(e) },
                 }
             }
-            FsRequest::Fsync { ino } => match self.fs.fsync(ino) {
+            FsRequest::Fsync { ino } => match self.fs.fsync(*ino) {
                 Ok(()) => FsResponse::Ok,
                 Err(e) => FsResponse::Error { err: rpc_err(e) },
             },
-            FsRequest::LeaseAcquire {
+            &FsRequest::LeaseAcquire {
                 ino,
                 offset,
                 len,
                 write,
-            } => self.do_lease_acquire(ino, offset, len, write),
-            FsRequest::LeaseRelease { id, written_end } => {
+            } => self.do_lease_acquire(ino, offset, len, write)?,
+            &FsRequest::LeaseRelease { id, written_end } => {
                 self.do_lease_settle(id, written_end, true)
             }
-            FsRequest::LeaseRecallAck { id, written_end } => {
+            &FsRequest::LeaseRecallAck { id, written_end } => {
                 self.do_lease_settle(id, written_end, false)
             }
+        })
+    }
+
+    /// Recalls every lease on `ino` that conflicts with an access to
+    /// `[offset, offset + len)` — any lease for an `exclusive` access,
+    /// write leases only for a shared one. `Err(ino)` while any such
+    /// lease is still outstanding: the call must wait for it to settle.
+    fn recall_conflicts(
+        &self,
+        ino: u64,
+        offset: u64,
+        len: u64,
+        exclusive: bool,
+    ) -> Result<(), u64> {
+        match self.lease_mgr.recall_range(ino, offset, len, exclusive) {
+            0 => Ok(()),
+            _ => Err(ino),
         }
     }
 
@@ -427,30 +470,35 @@ impl FsProxy {
     /// Placement comes first: when this proxy's P2P path crosses a NUMA
     /// boundary the whole point of the lease (direct NVMe DMA) is lost,
     /// so the grant is refused and the stub stays on the RPC path.
-    /// Conflicting leases held elsewhere are recalled synchronously —
-    /// the acquire is itself the "conflicting access" of the recall
-    /// protocol — and the range is pre-resolved (write leases:
-    /// preallocated) so the holder never needs another RPC.
-    fn do_lease_acquire(&self, ino: u64, offset: u64, len: u64, write: bool) -> FsResponse {
+    /// Conflicting leases held elsewhere are recalled first — the
+    /// acquire is itself the "conflicting access" of the recall protocol,
+    /// and waits for them as `Err(ino)` — and the range is pre-resolved
+    /// (write leases: preallocated) so the holder never needs another
+    /// RPC.
+    fn do_lease_acquire(
+        &self,
+        ino: u64,
+        offset: u64,
+        len: u64,
+        write: bool,
+    ) -> Result<FsResponse, u64> {
         let bs = BLOCK_SIZE as u64;
         if self.crosses_numa {
             self.lease_mgr.note_placement_denied();
-            return FsResponse::Error {
+            return Ok(FsResponse::Error {
                 err: RpcErr::WouldBlock,
-            };
+            });
         }
         if len == 0 || !offset.is_multiple_of(bs) {
-            return FsResponse::Error {
+            return Ok(FsResponse::Error {
                 err: RpcErr::Invalid,
-            };
+            });
         }
         let len = len.div_ceil(bs) * bs;
-        for s in self.lease_mgr.recall_range_sync(ino, offset, len, write) {
-            self.apply_settled(&s);
-        }
+        self.recall_conflicts(ino, offset, len, write)?;
         let (extents, data_end) = match self.fs.resolve_lease_extents(ino, offset, len, write) {
             Ok(r) => r,
-            Err(e) => return FsResponse::Error { err: rpc_err(e) },
+            Err(e) => return Ok(FsResponse::Error { err: rpc_err(e) }),
         };
         let kind = if write {
             LeaseKind::Write
@@ -458,7 +506,7 @@ impl FsProxy {
             LeaseKind::Read
         };
         let charge = self.lease_charge.clone();
-        match self.lease_mgr.grant(
+        let granted = self.lease_mgr.grant(
             self.coproc,
             ino,
             offset,
@@ -467,7 +515,8 @@ impl FsProxy {
             extents,
             data_end,
             charge,
-        ) {
+        );
+        Ok(match granted {
             Ok(st) => FsResponse::LeaseGrant {
                 id: st.id(),
                 generation: st.generation(),
@@ -480,7 +529,7 @@ impl FsProxy {
             Err(_) => FsResponse::Error {
                 err: RpcErr::Invalid,
             },
-        }
+        })
     }
 
     /// Settles a lease the holder gave back — voluntarily
@@ -508,14 +557,6 @@ impl FsProxy {
         self.lease_mgr.free_holds(s.ino, s.kind);
     }
 
-    /// Synchronously recalls every lease on `ino` and applies the
-    /// settlements (barrier, truncate, and unlink coherence).
-    fn recall_all_sync(&self, ino: u64) {
-        for s in self.lease_mgr.recall_range_sync(ino, 0, u64::MAX, true) {
-            self.apply_settled(&s);
-        }
-    }
-
     /// Chooses the data path for a read (§4.3.2).
     fn read_path_is_p2p(&self, ino: u64, offset: u64, count: u64) -> bool {
         if self.crosses_numa || self.buffered_open.lock().contains(&ino) {
@@ -536,17 +577,6 @@ impl FsProxy {
     }
 
     fn do_read(&self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<u64, RpcErr> {
-        if self.lease_mgr.has_lease(ino) {
-            // A buffered fallback on a leased inode: count it (the E6
-            // bypass ratio) and settle any *write* lease covering the
-            // range so this read cannot observe pre-lease bytes.
-            self.stats
-                .lease_fallback_reads
-                .fetch_add(1, Ordering::Relaxed);
-            for s in self.lease_mgr.recall_range_sync(ino, offset, count, false) {
-                self.apply_settled(&s);
-            }
-        }
         let size = self.fs.size_of(ino).map_err(rpc_err)?;
         if offset >= size {
             return Ok(0);
@@ -604,17 +634,6 @@ impl FsProxy {
     fn do_write(&self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<u64, RpcErr> {
         if count == 0 {
             return Ok(0);
-        }
-        if self.lease_mgr.has_lease(ino) {
-            // An RPC write is conflicting access for every lease kind:
-            // settle them all before the bytes land, so no leased
-            // mapping ever reads around this write.
-            self.stats
-                .lease_fallback_writes
-                .fetch_add(1, Ordering::Relaxed);
-            for s in self.lease_mgr.recall_range_sync(ino, 0, u64::MAX, true) {
-                self.apply_settled(&s);
-            }
         }
         let size = self.fs.size_of(ino).map_err(rpc_err)?;
         let bs = BLOCK_SIZE as u64;
@@ -794,32 +813,23 @@ impl OpHandler for FsProxy {
         classify(req)
     }
 
-    fn exec(&self, _lane: usize, tag: u32, req: FsRequest, reply: &mut Vec<u8>) {
-        self.handle(req).encode_into(tag, reply)
-    }
-
-    fn workers(&self) -> usize {
-        PROXY_WORKERS
-    }
-
-    /// The calls that settle leases before they run: they sit in
-    /// [`LeaseManager::recall_range_sync`] until the holder's
-    /// `LeaseRecallAck` arrives — through this engine, if the holder is
-    /// this proxy's co-processor. Those take a pool thread; everything
-    /// else (buffered and P2P data on an unleased inode, metadata, lease
-    /// settlement itself) runs to completion on the engine thread. A
-    /// lease granted between this check and the call makes the call
-    /// settle it from the engine thread after all, which costs at most
-    /// the recall budget: the manager force-revokes an unanswered recall.
-    fn may_wait(&self, req: &FsRequest) -> bool {
-        match req {
-            FsRequest::Unlink { .. }
-            | FsRequest::Truncate { .. }
-            | FsRequest::LeaseAcquire { .. } => true,
-            FsRequest::Read { ino, .. } | FsRequest::Write { ino, .. } => {
-                self.lease_mgr.has_lease(*ino)
+    /// Hands a call that meets a conflicting lease back to the engine,
+    /// parked on its inode: the recall is under way, and the holder's
+    /// `LeaseRecallAck` — through this engine, if the holder is this
+    /// proxy's co-processor — or the sweep's forced revoke frees it.
+    fn exec(
+        &self,
+        _lane: usize,
+        tag: u32,
+        req: FsRequest,
+        reply: &mut Vec<u8>,
+    ) -> Result<(), (FsRequest, u64)> {
+        match self.try_handle(&req) {
+            Ok(resp) => {
+                resp.encode_into(tag, reply);
+                Ok(())
             }
-            _ => false,
+            Err(ino) => Err((req, ino)),
         }
     }
 
@@ -873,12 +883,6 @@ impl OpHandler for FsProxy {
     /// parked RPC job (fire-and-forget; the freed queue unparks it).
     fn recall(&self, res: u64, exclusive: bool) {
         self.lease_mgr.recall_range(res, 0, u64::MAX, exclusive);
-    }
-
-    /// Barrier/shutdown override: blocks until every lease on `res` is
-    /// settled (ack or forced revoke) and applied.
-    fn recall_sync(&self, res: u64) {
-        self.recall_all_sync(res);
     }
 
     fn stage(

@@ -21,7 +21,7 @@
 //!   drain the inbound event ring themselves (§4.4.2).
 //! * [`proxy_engine`] — the shared request pipeline behind both proxies:
 //!   admission (one decode per frame), DWRR scheduling with priority
-//!   inheritance, worker dispatch with panic containment, and uniform
+//!   inheritance, execution with panic containment, and uniform
 //!   credit/shed/fault reply settlement.
 //! * [`lease`] — the extent-lease data plane: generation-stamped leases
 //!   over pre-resolved NVMe extents let a co-processor read and write

@@ -1,4 +1,4 @@
-//! Admission-time job types carried through the scheduler and pool.
+//! Admission-time job types carried through the scheduler to execution.
 
 /// How a request touches a named resource (an inode, today).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +33,8 @@ pub struct GateJob<R> {
 }
 
 /// One request cleared for execution: past the gate (or FIFO-admitted),
-/// past the inheritance lock check, headed to a worker or inline run.
+/// past the inheritance lock check, headed for the engine thread — or
+/// parked there until a lease it meets settles.
 #[derive(Debug)]
 pub struct ReadyJob<R> {
     /// Lane whose response ring receives the reply.

@@ -12,7 +12,6 @@ use solros_proto::rpc_error::RpcErr;
 use solros_proto::{AdmitRequest, AdmittedFrame};
 use solros_qos::{Dispatch, HostGate, TenantLedger, Verdict};
 use solros_ringbuf::{Consumer, Doorbell, Producer};
-use solros_simkit::sync::{Condvar, Mutex};
 use solros_simkit::IntMap;
 
 use crate::waitpolicy::{Sleeper, WaitPolicy};
@@ -33,11 +32,13 @@ const DISPATCH_BURST: usize = 64;
 /// The operations a proxy plugs into the engine.
 ///
 /// The engine owns the request lifecycle — draining rings, decoding each
-/// frame exactly once, QoS scheduling, priority inheritance, worker
-/// dispatch with panic containment, and reply settlement. A handler
-/// supplies only the service semantics: how to execute, classify, and
-/// (optionally) coalesce requests. Handlers use interior mutability;
-/// every method takes `&self` so a worker pool can execute concurrently.
+/// frame exactly once, QoS scheduling, priority inheritance, execution
+/// with panic containment, and reply settlement. A handler supplies only
+/// the service semantics: how to execute, classify, and (optionally)
+/// coalesce requests. Every request executes on the engine thread; one
+/// that would have to wait for another party is handed back and parked
+/// instead ([`OpHandler::exec`]). Handlers use interior mutability, so
+/// every method takes `&self`.
 pub trait OpHandler: Send + Sync {
     /// The request family served (decoded once at admission).
     type Req: AdmitRequest + Send + 'static;
@@ -52,23 +53,21 @@ pub trait OpHandler: Send + Sync {
 
     /// Executes one request, appending the encoded reply frame to
     /// `reply` — a buffer its caller reuses from request to request.
-    fn exec(&self, lane: usize, tag: u32, req: Self::Req, reply: &mut Vec<u8>);
-
-    /// Worker-pool width; 0 executes inline on the engine thread.
-    fn workers(&self) -> usize {
-        0
-    }
-
-    /// Whether executing `req` can wait on another party — in
-    /// particular one whose answer arrives *through this engine*, which
-    /// an engine thread blocked in `exec` would never admit. Such a
-    /// request goes to the worker pool; every other one runs to
-    /// completion on the engine thread, with no hand-off. The default
-    /// keeps a pooled handler's every request on its pool.
-    fn may_wait(&self, req: &Self::Req) -> bool {
-        let _ = req;
-        true
-    }
+    ///
+    /// A request that cannot run until an external holder gives up
+    /// resource `res` (a lease whose recall the handler has already
+    /// started) comes back as `Err((req, res))`, with nothing written to
+    /// `reply`. The engine parks it and executes it again once
+    /// [`ExternalHolds`] reports `res` freed — by the holder's ack or by
+    /// the forced revoke at the recall deadline — so no handler ever
+    /// waits on an answer that only this engine could admit.
+    fn exec(
+        &self,
+        lane: usize,
+        tag: u32,
+        req: Self::Req,
+        reply: &mut Vec<u8>,
+    ) -> Result<(), (Self::Req, u64)>;
 
     /// Names the resource a request touches, for priority inheritance.
     /// Exclusive touches hold the resource from admission to completion;
@@ -78,7 +77,7 @@ pub trait OpHandler: Send + Sync {
         None
     }
 
-    /// Offers a request for wave coalescing before it reaches a worker.
+    /// Offers a request for wave coalescing before it executes.
     /// Returning `None` means the handler staged it (the reply arrives at
     /// the next [`OpHandler::flush`]); returning the request back sends
     /// it down the normal execution path.
@@ -137,14 +136,6 @@ pub trait OpHandler: Send + Sync {
     fn recall(&self, res: u64, exclusive: bool) {
         let _ = (res, exclusive);
     }
-
-    /// Synchronously recalls every lease on `res` (barrier/shutdown
-    /// override). Must not return until the leases settled — by ack or
-    /// by the manager's forced revoke — so flushed jobs run against
-    /// settled data.
-    fn recall_sync(&self, res: u64) {
-        let _ = res;
-    }
 }
 
 /// One co-processor channel served by the engine.
@@ -168,15 +159,17 @@ struct HolderRec {
 
 /// The request pipeline behind every control-plane proxy.
 ///
-/// Each cycle: settle completions (releasing exclusive holds), route
-/// freed waiters, admit a burst from each request ring (one decode per
+/// Each cycle: route waiters whose leases settled and waiters freed by
+/// released exclusive holds, run a pending barrier once nothing before
+/// it is parked, admit a burst from each request ring (one decode per
 /// frame), dispatch through the optional DWRR gate with priority
-/// inheritance, flush the handler's coalescing wave, and poll.
+/// inheritance, flush the handler's coalescing wave, poll, and settle
+/// the cycle's replies. Every request executes on the engine thread.
 ///
 /// Between productive cycles the serve loop follows
 /// [`crate::waitpolicy`]: it yields while its peers were recently
 /// active, then arms its doorbell — attached to every lane's request
-/// ring, rung too by worker completions and by whatever the handler
+/// ring, rung too by [`ExternalHolds`] frees and by whatever the handler
 /// passed it to — re-checks with one more cycle, and parks. Parks are
 /// bounded, so the per-cycle clocks (heartbeat, lease sweep, QoS epoch,
 /// shutdown flag) keep ticking on an idle engine.
@@ -197,8 +190,9 @@ pub struct ProxyEngine<H: OpHandler> {
     holders: IntMap<u64, HolderRec>,
     waiting: IntMap<u64, Vec<ReadyJob<H::Req>>>,
     ready_backlog: Vec<ReadyJob<H::Req>>,
-    /// Completed exclusive holds, pushed by workers, drained per cycle.
-    releases: Arc<Mutex<Vec<(u64, usize)>>>,
+    /// A barrier admitted but not yet run: it waits for every job parked
+    /// before it, and admission pauses until it has run.
+    pending_barrier: Option<ReadyJob<H::Req>>,
     /// The engine thread's reply frame, rebuilt in place per request and
     /// copied once, into its lane's settlement wave.
     reply: Vec<u8>,
@@ -243,7 +237,7 @@ impl<H: OpHandler> ProxyEngine<H> {
             holders: IntMap::default(),
             waiting: IntMap::default(),
             ready_backlog: Vec::new(),
-            releases: Arc::new(Mutex::new(Vec::new())),
+            pending_barrier: None,
             reply: Vec::new(),
             ledger: None,
             health: None,
@@ -268,63 +262,42 @@ impl<H: OpHandler> ProxyEngine<H> {
         self.health = Some(health);
     }
 
-    /// Runs one engine cycle at `now_ns` on a virtual clock, executing
-    /// everything inline. Returns true when any work happened. This is
-    /// the deterministic-test entry point; production uses
-    /// [`ProxyEngine::serve`].
+    /// Runs one engine cycle at `now_ns` on a virtual clock. Returns true
+    /// when any work happened. This is the deterministic-test entry
+    /// point; production uses [`ProxyEngine::serve`], which runs the
+    /// same cycle.
     pub fn step(&mut self, now_ns: u64) -> bool {
-        self.cycle(None, now_ns)
+        self.cycle(now_ns)
     }
 
-    /// Serves until `shutdown` is set, spawning the handler's worker pool
-    /// when it asks for one.
+    /// Serves until `shutdown` is set, then goes on cycling — settling,
+    /// polling, sweeping — until no admitted job is still parked: a
+    /// lease wait ends at the holder's ack or at the sweep's forced
+    /// revoke, within the recall budget. A shard that died dumped its
+    /// wreck instead and serves nothing more.
     pub fn serve(mut self, shutdown: Arc<AtomicBool>) {
-        let workers = self.handler.workers();
-        if workers == 0 {
-            if !self.serve_loop(None, &shutdown) {
-                self.drain_for_shutdown(None);
-            }
-            return;
+        if !self.serve_loop(&shutdown, |_| shutdown.load(Ordering::Relaxed)) {
+            self.serve_loop(&shutdown, Self::unparked);
         }
-        let jobs: JobQueue<ReadyJob<H::Req>> = JobQueue::new();
-        let settler = Arc::clone(&self.settler);
-        let handler = Arc::clone(&self.handler);
-        let stats = Arc::clone(&self.stats);
-        let faults = Arc::clone(&self.faults);
-        let releases = Arc::clone(&self.releases);
-        let bell = Arc::clone(&self.bell);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let (jobs, settler) = (&jobs, Arc::clone(&settler));
-                let (handler, stats) = (Arc::clone(&handler), Arc::clone(&stats));
-                let (faults, releases) = (Arc::clone(&faults), Arc::clone(&releases));
-                let bell = Arc::clone(&bell);
-                s.spawn(move || {
-                    worker_loop(&*handler, jobs, &settler, &stats, &faults, &releases, &bell)
-                });
-            }
-            if !self.serve_loop(Some(&jobs), &shutdown) {
-                self.drain_for_shutdown(Some(&jobs));
-            }
-            jobs.close();
-        });
     }
 
-    /// Cycles until `shutdown` is set or the shard dies; returns true
-    /// when it died (wreck dumped: the caller must not drain).
-    fn serve_loop(
-        &mut self,
-        pool: Option<&JobQueue<ReadyJob<H::Req>>>,
-        shutdown: &AtomicBool,
-    ) -> bool {
+    /// True when no admitted job waits: nothing parked, nothing in the
+    /// ready backlog, no pending barrier.
+    fn unparked(&self) -> bool {
+        self.waiting.is_empty() && self.ready_backlog.is_empty() && self.pending_barrier.is_none()
+    }
+
+    /// Cycles until `done` or the shard dies; returns true when it died
+    /// (wreck dumped: the caller must not drain).
+    fn serve_loop(&mut self, shutdown: &AtomicBool, done: impl Fn(&Self) -> bool) -> bool {
         let bell = Arc::clone(&self.bell);
         let mut sleeper = Sleeper::new(WaitPolicy::yielding(), &bell);
-        while !shutdown.load(Ordering::Relaxed) {
-            if self.check_vitals(pool, shutdown) {
+        while !done(self) {
+            if self.check_vitals(shutdown) {
                 return true;
             }
             let now = self.epoch.elapsed().as_nanos() as u64;
-            if self.cycle(pool, now) {
+            if self.cycle(now) {
                 sleeper.progress();
                 continue;
             }
@@ -355,17 +328,12 @@ impl<H: OpHandler> ProxyEngine<H> {
     /// charges to refund — is parked on the health cell for the
     /// supervisor, and the serve loop must return without draining.
     ///
-    /// On a pooled engine the queue quiesces first (in-flight worker
-    /// replies reach the settler and join the wreck verbatim); on the
-    /// workerless engines that shard the TCP plane, a cycle boundary is
-    /// already a complete snapshot. A wedge parks the wreck too, then
-    /// freezes: the heartbeat stops, nothing is served, and the loop
-    /// spins until the supervisor notices the stall and fences it.
-    fn check_vitals(
-        &mut self,
-        pool: Option<&JobQueue<ReadyJob<H::Req>>>,
-        shutdown: &AtomicBool,
-    ) -> bool {
+    /// A cycle boundary is a complete snapshot: every admitted job is
+    /// queued, parked, pending or staged here, never running elsewhere.
+    /// A wedge parks the wreck too, then freezes: the heartbeat stops,
+    /// nothing is served, and the loop spins until the supervisor
+    /// notices the stall and fences it.
+    fn check_vitals(&mut self, shutdown: &AtomicBool) -> bool {
         let Some(health) = self.health.clone() else {
             return false;
         };
@@ -375,25 +343,16 @@ impl<H: OpHandler> ProxyEngine<H> {
             // (e.g. a stall misjudged as a wedge). Exit at this cycle
             // boundary with a complete wreck so failover stays
             // exactly-once even when the suspicion was false.
-            if let Some(p) = pool {
-                p.quiesce();
-            }
             let wreck = self.dump_wreck();
             health.park_wreck(wreck);
             return true;
         }
         if self.faults.take_domain_crash() {
-            if let Some(p) = pool {
-                p.quiesce();
-            }
             let wreck = self.dump_wreck();
             health.crash(wreck);
             return true;
         }
         if self.faults.take_domain_wedge() {
-            if let Some(p) = pool {
-                p.quiesce();
-            }
             let wreck = self.dump_wreck();
             health.wedge_hold(wreck, shutdown);
             return true;
@@ -403,8 +362,9 @@ impl<H: OpHandler> ProxyEngine<H> {
 
     /// Enumerates everything this engine admitted but will never serve,
     /// at a cycle boundary where the pipeline's state is complete: gate
-    /// queues, parked waiters, the ready backlog, the handler's staged
-    /// wave, and replies already computed but not yet published.
+    /// queues, parked waiters, the ready backlog, a pending barrier, the
+    /// handler's staged wave, and replies already computed but not yet
+    /// published.
     fn dump_wreck(&mut self) -> Wreck {
         // Order matters: abandon unexecuted staged runs first, then let
         // the handler flush replies it already *executed* (e.g. a
@@ -434,7 +394,8 @@ impl<H: OpHandler> ProxyEngine<H> {
                 owed.push((job.lane, job.tag, job.credit, job.tenant, bytes));
             }
         }
-        for job in std::mem::take(&mut self.ready_backlog) {
+        let backlog = std::mem::take(&mut self.ready_backlog);
+        for job in backlog.into_iter().chain(self.pending_barrier.take()) {
             let bytes = self.handler.classify(job.lane, &job.req).1;
             owed.push((job.lane, job.tag, job.credit, job.tenant, bytes));
         }
@@ -464,18 +425,14 @@ impl<H: OpHandler> ProxyEngine<H> {
     }
 
     /// One pipeline cycle; returns true when any work happened.
-    fn cycle(&mut self, pool: Option<&JobQueue<ReadyJob<H::Req>>>, now_ns: u64) -> bool {
+    fn cycle(&mut self, now_ns: u64) -> bool {
         let mut progressed = false;
-        // 1. Settle completions: every finished exclusive hold releases.
-        let done = std::mem::take(&mut *self.releases.lock());
-        for (res, flow) in done {
-            progressed = true;
-            self.release_one(res, flow);
-        }
-        // 2. Unpark waiters whose external (lease) holds settled. A
+        // 1. Unpark waiters whose external (lease) holds settled. A
         //    shared job re-defers if an engine-admitted exclusive is
-        //    still in flight on the resource; everything else re-routes
-        //    (and re-parks there if a new lease beat it to the grant).
+        //    still in flight on the resource — unless a barrier is
+        //    pending, which overrides the lock model; everything else
+        //    re-routes (and re-parks if a new lease beat it to the
+        //    grant).
         let freed = match self.handler.external_holds() {
             Some(ext) => ext.take_freed(),
             None => Vec::new(),
@@ -486,7 +443,8 @@ impl<H: OpHandler> ProxyEngine<H> {
             };
             progressed = true;
             for job in jobs {
-                let shared_blocked = job.release.is_none()
+                let shared_blocked = self.pending_barrier.is_none()
+                    && job.release.is_none()
                     && self.holders.get(&res).is_some_and(|r| r.total > 0)
                     && matches!(
                         self.handler.touches(&job.req),
@@ -495,24 +453,26 @@ impl<H: OpHandler> ProxyEngine<H> {
                 if shared_blocked {
                     self.waiting.entry(res).or_default().push(job);
                 } else {
-                    self.route(pool, job);
+                    self.route(job);
                 }
             }
         }
-        // 3. Route waiters freed by those releases.
+        // 2. Route waiters freed by released exclusive holds.
         for job in std::mem::take(&mut self.ready_backlog) {
             progressed = true;
-            self.route(pool, job);
+            self.route(job);
         }
-        // 4. Admit and dispatch.
+        // 3. A pending barrier runs once nothing before it is parked.
+        progressed |= self.run_barrier();
+        // 4. Admit and dispatch; both pause while a barrier is pending.
         if self.gate.is_some() {
             // Epoch upkeep first: GC idle flow-table entries and let the
             // host scheduler rebalance tenant budgets off the ledger.
             self.gate.as_mut().expect("gated").maintain(now_ns);
             progressed |= self.admit_gated(now_ns);
-            progressed |= self.dispatch_gated(pool, now_ns);
+            progressed |= self.dispatch_gated(now_ns);
         } else {
-            progressed |= self.admit_fifo(pool);
+            progressed |= self.admit_fifo();
         }
         // 5. Flush the handler's coalescing wave.
         self.flush_handler();
@@ -527,6 +487,9 @@ impl<H: OpHandler> ProxyEngine<H> {
     /// Drains a burst from each lane into the gate's class queues; every
     /// frame is decoded exactly once, here.
     fn admit_gated(&mut self, now_ns: u64) -> bool {
+        if self.pending_barrier.is_some() {
+            return false;
+        }
         let mut progressed = false;
         // Batched tenant charges: one ledger append per tenant per burst,
         // not one per frame, so the log never sees per-op traffic.
@@ -589,9 +552,12 @@ impl<H: OpHandler> ProxyEngine<H> {
     /// Dispatches a burst in DWRR order, applying the inheritance lock
     /// model: shared touches wait behind exclusive holders, promoting
     /// them while they wait.
-    fn dispatch_gated(&mut self, pool: Option<&JobQueue<ReadyJob<H::Req>>>, now_ns: u64) -> bool {
+    fn dispatch_gated(&mut self, now_ns: u64) -> bool {
         let mut progressed = false;
         for _ in 0..DISPATCH_BURST {
+            if self.pending_barrier.is_some() {
+                break;
+            }
             let decision = {
                 let Some(gate) = self.gate.as_mut() else {
                     break;
@@ -632,7 +598,7 @@ impl<H: OpHandler> ProxyEngine<H> {
                 tenant: job.tenant,
             };
             if job.flags & FLAG_BARRIER != 0 {
-                self.barrier(pool, ready);
+                self.barrier(ready);
                 continue;
             }
             match job.touch {
@@ -641,17 +607,20 @@ impl<H: OpHandler> ProxyEngine<H> {
                 {
                     self.defer(res, flow, ready);
                 }
-                _ => self.route(pool, ready),
+                _ => self.route(ready),
             }
         }
         progressed
     }
 
     /// FIFO admission (no gate): decode once, route straight through.
-    fn admit_fifo(&mut self, pool: Option<&JobQueue<ReadyJob<H::Req>>>) -> bool {
+    fn admit_fifo(&mut self) -> bool {
         let mut progressed = false;
         for lane in 0..self.lanes.len() {
             for _ in 0..DRAIN_BURST {
+                if self.pending_barrier.is_some() {
+                    return progressed;
+                }
                 let Some(admitted) = self.admit_one(lane) else {
                     break;
                 };
@@ -668,9 +637,9 @@ impl<H: OpHandler> ProxyEngine<H> {
                     tenant: a.tenant,
                 };
                 if a.flags & FLAG_BARRIER != 0 {
-                    self.barrier(pool, job);
+                    self.barrier(job);
                 } else {
-                    self.route(pool, job);
+                    self.route(job);
                 }
             }
         }
@@ -743,11 +712,11 @@ impl<H: OpHandler> ProxyEngine<H> {
     }
 
     /// Routes one ready job: offer it to the handler's wave, else run it
-    /// inline — or hand it to the pool, if there is one and the handler
-    /// says the job may wait. A job touching a resource held by an
+    /// on the engine thread. A job touching a resource held by an
     /// external lease holder parks here instead, and the handler starts
-    /// the recall; the freed queue re-routes it once the lease settles.
-    fn route(&mut self, pool: Option<&JobQueue<ReadyJob<H::Req>>>, job: ReadyJob<H::Req>) {
+    /// the recall; so does a job the handler hands back from `exec`. The
+    /// freed queue re-routes either once the lease settles.
+    fn route(&mut self, job: ReadyJob<H::Req>) {
         if let Some((res, access)) = self.handler.touches(&job.req) {
             let excl = access == Access::Exclusive;
             if self
@@ -755,9 +724,8 @@ impl<H: OpHandler> ProxyEngine<H> {
                 .external_holds()
                 .is_some_and(|ext| ext.blocks(res, excl))
             {
-                self.stats.lease_deferred.fetch_add(1, Ordering::Relaxed);
                 self.handler.recall(res, excl);
-                self.waiting.entry(res).or_default().push(job);
+                self.park(res, job);
                 return;
             }
         }
@@ -790,32 +758,61 @@ impl<H: OpHandler> ProxyEngine<H> {
             release,
             tenant,
         };
-        match pool {
-            Some(p) if self.handler.may_wait(&job.req) => p.push(job),
-            _ => self.exec_inline(job),
+        if let Some((job, res)) = self.exec_inline(job) {
+            self.park(res, job);
         }
     }
 
-    /// Executes one job on the engine thread and settles it.
-    fn exec_inline(&mut self, job: ReadyJob<H::Req>) {
+    /// Parks a job until the external holds on `res` free.
+    fn park(&mut self, res: u64, job: ReadyJob<H::Req>) {
+        self.stats.lease_deferred.fetch_add(1, Ordering::Relaxed);
+        self.waiting.entry(res).or_default().push(job);
+    }
+
+    /// Executes one job on the engine thread and settles it, with panic
+    /// containment: a panicking handler (a proxy bug or an armed
+    /// [`EngineFaults`] charge) yields an `Io` error reply instead of
+    /// taking down the serve loop. A job the handler hands back blocked
+    /// on a lease comes back out, with the resource it waits for.
+    fn exec_inline(&mut self, job: ReadyJob<H::Req>) -> Option<(ReadyJob<H::Req>, u64)> {
         let ReadyJob {
             lane,
             tag,
             credit,
             req,
             release,
-            ..
+            tenant,
         } = job;
-        self.reply.clear();
-        exec_contained(
-            &*self.handler,
-            &self.faults,
-            &self.stats,
-            lane,
-            tag,
-            req,
-            &mut self.reply,
-        );
+        let armed = self.faults.take_worker_panic();
+        let (handler, reply) = (&*self.handler, &mut self.reply);
+        reply.clear();
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if armed {
+                panic!("injected proxy worker panic");
+            }
+            handler.exec(lane, tag, req, reply)
+        }));
+        match out {
+            Ok(Ok(())) => {}
+            Ok(Err((req, res))) => {
+                let job = ReadyJob {
+                    lane,
+                    tag,
+                    credit,
+                    req,
+                    release,
+                    tenant,
+                };
+                return Some((job, res));
+            }
+            Err(_) => {
+                self.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+                // Whatever the handler wrote before it died is not a reply.
+                self.reply.clear();
+                self.handler.encode_err(tag, RpcErr::Io, &mut self.reply);
+            }
+        }
+        self.stats.rpcs.fetch_add(1, Ordering::Relaxed);
         if let Some(c) = credit {
             stamp_credit(&mut self.reply, c);
         }
@@ -823,46 +820,16 @@ impl<H: OpHandler> ProxyEngine<H> {
         if let Some((res, flow)) = release {
             self.release_one(res, flow);
         }
+        None
     }
 
-    /// Runs a barrier frame: everything dispatched before it — deferred
-    /// waiters, staged reads, pooled work — completes first, then the
-    /// barrier executes inline.
-    fn barrier(&mut self, pool: Option<&JobQueue<ReadyJob<H::Req>>>, job: ReadyJob<H::Req>) {
-        self.flush_waiting(pool);
-        for j in std::mem::take(&mut self.ready_backlog) {
-            self.route(pool, j);
-        }
-        self.flush_handler();
-        if let Some(p) = pool {
-            p.quiesce();
-        }
-        // Settle the releases those completions produced before running
-        // the barrier itself.
-        let done = std::mem::take(&mut *self.releases.lock());
-        for (res, flow) in done {
-            self.release_one(res, flow);
-        }
-        self.exec_inline(job);
-    }
-
-    /// Force-runs every deferred waiter (barriers and shutdown override
-    /// the lock model), demoting the promotions they caused. Resources
-    /// still pinned by external lease holders are recalled synchronously
-    /// first, so the flushed jobs observe settled data.
-    fn flush_waiting(&mut self, pool: Option<&JobQueue<ReadyJob<H::Req>>>) {
-        let held: Vec<u64> = match self.handler.external_holds() {
-            Some(ext) => self
-                .waiting
-                .keys()
-                .copied()
-                .filter(|r| ext.is_held(*r))
-                .collect(),
-            None => Vec::new(),
-        };
-        for res in held {
-            self.handler.recall_sync(res);
-        }
+    /// Takes in a barrier frame. Everything dispatched before it —
+    /// deferred waiters (a barrier overrides the lock model), the ready
+    /// backlog, the staged wave, calls parked on a lease — runs first:
+    /// the barrier becomes the engine's one pending barrier, admission
+    /// pauses, and it runs once nothing before it is parked (here and
+    /// now, when nothing is).
+    fn barrier(&mut self, job: ReadyJob<H::Req>) {
         let waiting: Vec<(u64, Vec<ReadyJob<H::Req>>)> = self.waiting.drain().collect();
         for (res, jobs) in waiting {
             if let (Some(gate), Some(rec)) = (self.gate.as_mut(), self.holders.get_mut(&res)) {
@@ -870,10 +837,33 @@ impl<H: OpHandler> ProxyEngine<H> {
                     gate.demote_flow(f);
                 }
             }
+            // A job still pinned by a lease holder parks again here.
             for job in jobs {
-                self.route(pool, job);
+                self.route(job);
             }
         }
+        for job in std::mem::take(&mut self.ready_backlog) {
+            self.route(job);
+        }
+        self.pending_barrier = Some(job);
+        self.run_barrier();
+    }
+
+    /// Runs the pending barrier, after the staged wave, once no job
+    /// admitted before it waits; returns true when it ran. A barrier
+    /// that is itself blocked on a lease stays pending, its recall under
+    /// way, and is tried again next cycle.
+    fn run_barrier(&mut self) -> bool {
+        if self.pending_barrier.is_none()
+            || !self.waiting.is_empty()
+            || !self.ready_backlog.is_empty()
+        {
+            return false;
+        }
+        self.flush_handler();
+        let job = self.pending_barrier.take().expect("pending barrier");
+        self.pending_barrier = self.exec_inline(job).map(|(job, _)| job);
+        self.pending_barrier.is_none()
     }
 
     /// Flushes the handler's coalescing wave into the reply settler.
@@ -881,23 +871,6 @@ impl<H: OpHandler> ProxyEngine<H> {
         let handler = Arc::clone(&self.handler);
         let settler = Arc::clone(&self.settler);
         handler.flush(&mut |lane, frame| settler.post_slice(lane, frame));
-    }
-
-    /// Completes in-flight work at shutdown so nothing is left parked.
-    fn drain_for_shutdown(&mut self, pool: Option<&JobQueue<ReadyJob<H::Req>>>) {
-        let done = std::mem::take(&mut *self.releases.lock());
-        for (res, flow) in done {
-            self.release_one(res, flow);
-        }
-        self.flush_waiting(pool);
-        for job in std::mem::take(&mut self.ready_backlog) {
-            self.route(pool, job);
-        }
-        if let Some(p) = pool {
-            p.quiesce();
-        }
-        self.flush_handler();
-        self.settler.settle();
     }
 
     /// Buffers an error reply for the lane's next settlement wave.
@@ -911,154 +884,15 @@ impl<H: OpHandler> ProxyEngine<H> {
     }
 }
 
-/// Executes one request into `reply` with panic containment: a panicking
-/// handler (a proxy bug or an armed [`EngineFaults`] charge) yields an
-/// `Io` error reply instead of taking down the serve loop.
-fn exec_contained<H: OpHandler>(
-    handler: &H,
-    faults: &EngineFaults,
-    stats: &ProxyStats,
-    lane: usize,
-    tag: u32,
-    req: H::Req,
-    reply: &mut Vec<u8>,
-) {
-    stats.rpcs.fetch_add(1, Ordering::Relaxed);
-    let armed = faults.take_worker_panic();
-    let start = reply.len();
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if armed {
-            panic!("injected proxy worker panic");
-        }
-        handler.exec(lane, tag, req, reply)
-    }));
-    if out.is_err() {
-        stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-        // Whatever the handler wrote before it died is not a reply.
-        reply.truncate(start);
-        handler.encode_err(tag, RpcErr::Io, reply);
-    }
-}
-
-/// Worker-pool loop: executes ready jobs out of order until the queue
-/// closes, buffering replies into the shared settler (the engine thread
-/// settles them in its cycle's batched wave) and pushing completed
-/// exclusive holds back to the engine.
-fn worker_loop<H: OpHandler>(
-    handler: &H,
-    jobs: &JobQueue<ReadyJob<H::Req>>,
-    settler: &ReplySettler,
-    stats: &ProxyStats,
-    faults: &EngineFaults,
-    releases: &Mutex<Vec<(u64, usize)>>,
-    bell: &Doorbell,
-) {
-    // This worker's reply frame, rebuilt in place per job.
-    let mut reply = Vec::new();
-    while let Some(job) = jobs.pop() {
-        let ReadyJob {
-            lane,
-            tag,
-            credit,
-            req,
-            release,
-            ..
-        } = job;
-        reply.clear();
-        exec_contained(handler, faults, stats, lane, tag, req, &mut reply);
-        if let Some(c) = credit {
-            stamp_credit(&mut reply, c);
-        }
-        settler.post_slice(lane, &reply);
-        if let Some(r) = release {
-            releases.lock().push(r);
-        }
-        jobs.done();
-        // The engine thread settles what was just posted; it may have
-        // parked while this job ran.
-        bell.ring();
-    }
-}
-
-struct JobQueueInner<J> {
-    q: std::collections::VecDeque<J>,
-    /// Jobs popped but not yet `done()`.
-    active: usize,
-    closed: bool,
-}
-
-/// The engine's work queue: a mutex-protected deque with a condvar pair —
-/// `work` wakes workers, `idle` wakes a barrier waiting for quiescence.
-pub(crate) struct JobQueue<J> {
-    inner: Mutex<JobQueueInner<J>>,
-    work: Condvar,
-    idle: Condvar,
-}
-
-impl<J> JobQueue<J> {
-    fn new() -> Self {
-        Self {
-            inner: Mutex::new(JobQueueInner {
-                q: std::collections::VecDeque::new(),
-                active: 0,
-                closed: false,
-            }),
-            work: Condvar::new(),
-            idle: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: J) {
-        self.inner.lock().q.push_back(job);
-        self.work.notify_one();
-    }
-
-    /// Blocks for the next job; `None` once closed and drained.
-    fn pop(&self) -> Option<J> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(job) = g.q.pop_front() {
-                g.active += 1;
-                return Some(job);
-            }
-            if g.closed {
-                return None;
-            }
-            self.work.wait(&mut g);
-        }
-    }
-
-    /// Marks a popped job complete.
-    fn done(&self) {
-        let mut g = self.inner.lock();
-        g.active -= 1;
-        if g.active == 0 && g.q.is_empty() {
-            self.idle.notify_all();
-        }
-    }
-
-    /// Blocks until no job is queued or executing (the barrier).
-    fn quiesce(&self) {
-        let mut g = self.inner.lock();
-        while g.active > 0 || !g.q.is_empty() {
-            self.idle.wait(&mut g);
-        }
-    }
-
-    /// Wakes every worker to exit once the queue drains.
-    fn close(&self) {
-        self.inner.lock().closed = true;
-        self.work.notify_all();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::Channel;
+    use solros_lease::RecallSink;
     use solros_pcie::PcieCounters;
     use solros_proto::fs_msg::{FsRequest, FsResponse};
     use solros_qos::{FlowSpec, HostConfig, HostScheduler, QosClass, Service};
+    use solros_simkit::sync::Mutex;
 
     /// A minimal handler: Fsync acks, Fstat echoes the ino as the size;
     /// Fstat takes a shared touch on the ino, Write an exclusive one.
@@ -1078,7 +912,13 @@ mod tests {
             }
         }
 
-        fn exec(&self, _lane: usize, tag: u32, req: FsRequest, reply: &mut Vec<u8>) {
+        fn exec(
+            &self,
+            _lane: usize,
+            tag: u32,
+            req: FsRequest,
+            reply: &mut Vec<u8>,
+        ) -> Result<(), (FsRequest, u64)> {
             match req {
                 FsRequest::Fstat { ino } => FsResponse::Stat {
                     ino,
@@ -1087,7 +927,8 @@ mod tests {
                 },
                 _ => FsResponse::Ok,
             }
-            .encode_into(tag, reply)
+            .encode_into(tag, reply);
+            Ok(())
         }
 
         fn touches(&self, req: &FsRequest) -> Option<(u64, Access)> {
@@ -1207,28 +1048,29 @@ mod tests {
         assert_eq!(stats.dropped_replies.load(Ordering::Relaxed), 1);
     }
 
-    /// A pooled handler in which only `Fstat` never waits: every other
-    /// request blocks in `exec` until the test opens the gate. Records
-    /// which thread executed each tag; `Fstat` replies with the number of
-    /// requests executed so far, itself included.
+    /// A handler over a lease model: an `Fstat` on an inode `leases`
+    /// holds comes back from `exec` parked on it, as `FsProxy` hands back
+    /// a call that meets a lease. Records every attempt's thread, and the
+    /// tags that completed, in order.
     struct Gated {
-        open: Mutex<bool>,
-        opened: Condvar,
-        ran: Mutex<Vec<(u32, std::thread::ThreadId)>>,
+        leases: ExternalHolds,
+        bell: Arc<Doorbell>,
+        attempts: Mutex<Vec<(u32, std::thread::ThreadId)>>,
+        completed: Mutex<Vec<u32>>,
     }
 
     impl Gated {
-        fn new(open: bool) -> Arc<Self> {
+        /// A handler whose `leases` hold inode 1 exclusively.
+        fn new() -> Arc<Self> {
+            let bell = Doorbell::new();
+            let leases = ExternalHolds::with_doorbell(Arc::clone(&bell));
+            leases.hold(1, true);
             Arc::new(Gated {
-                open: Mutex::new(open),
-                opened: Condvar::new(),
-                ran: Mutex::new(Vec::new()),
+                leases,
+                bell,
+                attempts: Mutex::new(Vec::new()),
+                completed: Mutex::new(Vec::new()),
             })
-        }
-
-        fn open(&self) {
-            *self.open.lock() = true;
-            self.opened.notify_all();
         }
     }
 
@@ -1243,32 +1085,34 @@ mod tests {
             (0, 0)
         }
 
-        fn exec(&self, _lane: usize, tag: u32, req: FsRequest, reply: &mut Vec<u8>) {
-            if self.may_wait(&req) {
-                let mut open = self.open.lock();
-                while !*open {
-                    self.opened.wait(&mut open);
-                }
+        fn exec(
+            &self,
+            _lane: usize,
+            tag: u32,
+            req: FsRequest,
+            reply: &mut Vec<u8>,
+        ) -> Result<(), (FsRequest, u64)> {
+            self.attempts
+                .lock()
+                .push((tag, std::thread::current().id()));
+            let FsRequest::Fstat { ino } = &req else {
+                unreachable!("the lease model serves Fstat only");
+            };
+            if self.leases.blocks(*ino, true) {
+                let ino = *ino;
+                return Err((req, ino));
             }
-            let mut ran = self.ran.lock();
-            ran.push((tag, std::thread::current().id()));
-            match req {
-                FsRequest::Fstat { ino } => FsResponse::Stat {
-                    ino,
-                    is_dir: false,
-                    size: ran.len() as u64,
-                },
-                _ => FsResponse::Ok,
-            }
-            .encode_into(tag, reply)
+            self.completed.lock().push(tag);
+            FsResponse::Ok.encode_into(tag, reply);
+            Ok(())
         }
 
-        fn workers(&self) -> usize {
-            2
+        fn doorbell(&self) -> Option<Arc<Doorbell>> {
+            Some(Arc::clone(&self.bell))
         }
 
-        fn may_wait(&self, req: &FsRequest) -> bool {
-            !matches!(req, FsRequest::Fstat { .. })
+        fn external_holds(&self) -> Option<&ExternalHolds> {
+            Some(&self.leases)
         }
     }
 
@@ -1312,87 +1156,118 @@ mod tests {
         }
     }
 
-    #[test]
-    fn worker_completion_rings_a_parked_engine() {
-        let handler = Gated::new(false);
-        let (req_tx, resp_rx, stats, bell, shutdown, server) = serve_gated(&handler);
+    /// Sends an `Fstat` of `ino` under `tag`, stamped with `flags`.
+    fn send_fstat(req_tx: &solros_ringbuf::Producer, tag: u32, ino: u64, flags: u8) {
+        let mut frame = FsRequest::Fstat { ino }.encode(tag);
+        solros_proto::codec::stamp_flags(&mut frame, flags);
+        req_tx.send_blocking(&frame).unwrap();
+    }
 
-        req_tx
-            .send_blocking(&FsRequest::Fsync { ino: 1 }.encode(7))
-            .unwrap();
-        // The worker is inside `exec` and the engine, with nothing left
-        // to do, has gone through its yield band and armed the bell.
-        while stats.rpcs.load(Ordering::Relaxed) == 0 || !bell.is_armed() {
+    #[test]
+    fn a_lease_free_rings_a_parked_engine() {
+        let handler = Gated::new();
+        let (req_tx, resp_rx, stats, bell, shutdown, server) = serve_gated(&handler);
+        send_fstat(&req_tx, 7, 1, 0);
+        // The call came back parked on the lease and the engine, with
+        // nothing left to do, has gone through its yield band and armed
+        // the bell.
+        while stats.lease_deferred.load(Ordering::Relaxed) == 0 || !bell.is_armed() {
             std::thread::yield_now();
         }
         let before = bell.rings();
-        handler.open();
+        handler.leases.free(1, true);
         assert_eq!(recv_reply(&resp_rx), (7, FsResponse::Ok));
         assert!(
             bell.rings() > before,
-            "the completion must ring the engine, not wait out its park"
+            "the free must ring the engine, not wait out its park"
         );
         shutdown.store(true, Ordering::Relaxed);
         server.join().unwrap();
     }
 
     #[test]
-    fn only_an_op_that_may_wait_leaves_the_serve_thread() {
-        let handler = Gated::new(true);
+    fn every_op_parked_or_not_executes_on_the_serve_thread() {
+        let handler = Gated::new();
         let (req_tx, resp_rx, _, _, shutdown, server) = serve_gated(&handler);
-        req_tx
-            .send_blocking(&FsRequest::Fstat { ino: 1 }.encode(1))
-            .unwrap();
-        req_tx
-            .send_blocking(&FsRequest::Fsync { ino: 1 }.encode(2))
-            .unwrap();
-        let mut tags = [recv_reply(&resp_rx).0, recv_reply(&resp_rx).0];
-        tags.sort_unstable();
-        assert_eq!(tags, [1, 2]);
-        let ran = handler.ran.lock().clone();
-        let thread_of = |tag| ran.iter().find(|(t, _)| *t == tag).unwrap().1;
-        assert_eq!(thread_of(1), server.thread().id(), "inline op left home");
-        assert_ne!(thread_of(2), server.thread().id(), "waiting op ran inline");
+        send_fstat(&req_tx, 1, 1, 0);
+        send_fstat(&req_tx, 2, 2, 0);
+        assert_eq!(
+            recv_reply(&resp_rx).0,
+            2,
+            "the parked call held up the next"
+        );
+        handler.leases.free(1, true);
+        assert_eq!(recv_reply(&resp_rx).0, 1);
+        let attempts = handler.attempts.lock().clone();
+        let tags: Vec<u32> = attempts.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(
+            tags,
+            [1, 2, 1],
+            "parked, the next call, then the resumed one"
+        );
+        assert!(
+            attempts.iter().all(|(_, t)| *t == server.thread().id()),
+            "an op left the serve thread"
+        );
         shutdown.store(true, Ordering::Relaxed);
         server.join().unwrap();
     }
 
     #[test]
-    fn a_barrier_observes_inline_and_pooled_work_alike() {
-        const INLINE: u32 = 5;
-        const POOLED: u32 = 3;
-        let handler = Gated::new(false);
-        let (req_tx, resp_rx, stats, _, shutdown, server) = serve_gated(&handler);
-        for tag in 0..INLINE + POOLED {
-            let req = if tag % 2 == 0 && tag / 2 < POOLED {
-                FsRequest::Fsync { ino: 1 }
-            } else {
-                FsRequest::Fstat { ino: 1 }
-            };
-            req_tx.send_blocking(&req.encode(tag)).unwrap();
-        }
-        let mut barrier = FsRequest::Fstat { ino: 2 }.encode(99);
-        solros_proto::codec::stamp_flags(&mut barrier, FLAG_BARRIER);
-        req_tx.send_blocking(&barrier).unwrap();
-        // Every inline op has run and the pool is stuck behind the gate
-        // (a third pooled job may still be queued): the barrier is next.
-        while stats.rpcs.load(Ordering::Relaxed) < u64::from(INLINE) + 2 {
-            std::thread::yield_now();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(
-            handler.ran.lock().iter().all(|(tag, _)| *tag != 99),
-            "the barrier overtook pooled work"
+    fn a_barrier_behind_a_parked_job_runs_after_it_and_before_later_frames() {
+        let handler = Gated::new();
+        let (lane, req_tx, resp_rx) = lane();
+        let mut eng = ProxyEngine::new(
+            Arc::clone(&handler),
+            vec![lane],
+            Arc::new(ProxyStats::default()),
+            Arc::new(EngineFaults::new()),
+            None,
         );
-        handler.open();
-        let seen = loop {
-            if let (99, FsResponse::Stat { size, .. }) = recv_reply(&resp_rx) {
-                break size;
-            }
-        };
-        assert_eq!(seen, u64::from(INLINE + POOLED) + 1);
-        shutdown.store(true, Ordering::Relaxed);
-        server.join().unwrap();
+        send_fstat(&req_tx, 0, 1, 0); // parks on the lease
+        send_fstat(&req_tx, 1, 2, 0);
+        send_fstat(&req_tx, 99, 3, FLAG_BARRIER);
+        send_fstat(&req_tx, 100, 4, 0);
+        send_fstat(&req_tx, 101, 5, 0);
+        for now in 0..4 {
+            eng.step(now);
+        }
+        assert_eq!(
+            *handler.completed.lock(),
+            [1],
+            "something overtook the parked call"
+        );
+        handler.leases.free(1, true);
+        eng.step(4);
+        assert_eq!(*handler.completed.lock(), [1, 0, 99, 100, 101]);
+        let replies = std::iter::from_fn(|| resp_rx.recv().ok()).count();
+        assert_eq!(replies, 5);
+    }
+
+    #[test]
+    fn a_wreck_settles_a_pending_barrier_as_gone() {
+        let handler = Gated::new();
+        let (lane, req_tx, _resp_rx) = lane();
+        let mut eng = ProxyEngine::new(
+            Arc::clone(&handler),
+            vec![lane],
+            Arc::new(ProxyStats::default()),
+            Arc::new(EngineFaults::new()),
+            None,
+        );
+        send_fstat(&req_tx, 0, 1, 0);
+        send_fstat(&req_tx, 99, 3, FLAG_BARRIER);
+        eng.step(0);
+        let mut owed: Vec<(u32, FsResponse)> = eng
+            .dump_wreck()
+            .replies
+            .iter()
+            .map(|(_, frame)| FsResponse::decode(frame).unwrap())
+            .collect();
+        owed.sort_by_key(|(tag, _)| *tag);
+        let gone = FsResponse::Error { err: RpcErr::Gone };
+        assert_eq!(owed, [(0, gone.clone()), (99, gone)]);
+        assert!(eng.unparked());
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl ExternalHolds {
         }
     }
 
-    /// True when `res` carries any external hold.
-    pub fn is_held(&self, res: u64) -> bool {
-        self.held.lock().get(&res).is_some_and(|(w, r)| *w + *r > 0)
-    }
-
     /// Whether a job with the given access would conflict with the
     /// external holds on `res`: writers block everything, readers block
     /// only exclusive jobs.
@@ -109,14 +104,12 @@ mod tests {
     fn write_holds_block_everything_read_holds_block_exclusives() {
         let h = ExternalHolds::new();
         h.hold(7, false);
-        assert!(h.is_held(7));
         assert!(!h.blocks(7, false), "read lease admits shared jobs");
         assert!(h.blocks(7, true), "read lease defers exclusive jobs");
         h.hold(7, true);
         assert!(h.blocks(7, false), "write lease defers shared jobs");
         h.free(7, true);
         h.free(7, false);
-        assert!(!h.is_held(7));
         assert!(!h.blocks(7, true));
         assert_eq!(h.take_freed(), vec![7, 7], "every free queues a wakeup");
         assert!(h.take_freed().is_empty());

@@ -3,7 +3,7 @@
 //! Historically each control-plane proxy ([`crate::fs_proxy::FsProxy`],
 //! [`crate::tcp_proxy::TcpProxy`]) carried a private copy of the same
 //! request lifecycle: drain a burst from the request ring, decode, run
-//! the QoS gate, dispatch to workers, settle credits and sheds. The two
+//! the QoS gate, dispatch for execution, settle credits and sheds. The two
 //! copies had drifted (the TCP path decoded every frame twice; the FS
 //! path owned the only panic-containment code) and every lifecycle fix
 //! had to land twice.
@@ -15,9 +15,10 @@
 //!   req ring ─► admission (decode once) ─► DWRR gate ─► dispatch
 //!                   │                         │            │
 //!                   └─ malformed ► error      └─ shed ►    ├─► stage (wave)
-//!                                     credit-stamped reply ├─► worker pool
-//!                                                          └─► inline exec
-//!                                             flush ◄──────────┘
+//!                                     credit-stamped reply ├─► exec ──► park
+//!                                                          │     ▲  (lease)
+//!                                                          │     └─ freed ┘
+//!                                             flush ◄──────┘
 //!                                               └─► resp ring (credit, faults)
 //! ```
 //!

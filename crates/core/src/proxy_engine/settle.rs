@@ -4,7 +4,7 @@
 //! submissions — but every reply still paid a full `send_blocking`
 //! (enqueue + combiner pass + control-variable publish) per completion.
 //! The settler mirrors the request-side wave on the reply ring: every
-//! reply producer in the engine — worker-pool results, handler `flush`
+//! reply producer in the engine — executed requests, handler `flush`
 //! output, shed/malformed/credit replies alike — accumulates frames
 //! here, and the engine settles each lane's accumulation with **one**
 //! [`Producer::send_batch_blocking`] per `(lane, cycle)`. On a lazy ring
@@ -32,8 +32,8 @@ use solros_simkit::sync::Mutex;
 
 use super::stats::ProxyStats;
 
-/// Per-lane reply accumulator shared by the engine thread, the worker
-/// pool, and the handler's flush path.
+/// Per-lane reply accumulator shared by the engine thread and the
+/// handler's flush path.
 pub struct ReplySettler {
     lanes: Vec<Producer>,
     faults: Arc<EngineFaults>,

@@ -24,13 +24,14 @@ pub struct ProxyStats {
     /// Shared-access requests deferred behind an exclusively-held
     /// resource (the priority-inheritance wait path).
     pub inherit_deferred: AtomicU64,
-    /// Requests parked behind an external lease holder while the recall
-    /// protocol ran (the extent-lease coherence path).
+    /// Times a request parked behind an external lease holder while the
+    /// recall protocol ran (the extent-lease coherence path): at routing,
+    /// or handed back by the handler.
     pub lease_deferred: AtomicU64,
     /// Replies discarded by an armed fault hook (crashed-stub model).
     pub dropped_replies: AtomicU64,
-    /// Replies settled onto response rings (all producers: worker pool,
-    /// handler flush, shed/malformed/credit paths).
+    /// Replies settled onto response rings (all producers: executed
+    /// requests, handler flush, shed/malformed/credit paths).
     pub replies: AtomicU64,
     /// Batched settlement waves issued — one per `(lane, cycle)` with
     /// pending replies.

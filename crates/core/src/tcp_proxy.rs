@@ -1515,8 +1515,15 @@ impl OpHandler for TcpProxy {
         (lane * 2 + off, bytes)
     }
 
-    fn exec(&self, lane: usize, tag: u32, req: NetRequest, reply: &mut Vec<u8>) {
-        self.handle(lane, req).encode_into(tag, reply)
+    fn exec(
+        &self,
+        lane: usize,
+        tag: u32,
+        req: NetRequest,
+        reply: &mut Vec<u8>,
+    ) -> Result<(), (NetRequest, u64)> {
+        self.handle(lane, req).encode_into(tag, reply);
+        Ok(())
     }
 
     /// Coalesces small `Send`s: consecutive sub-[`STAGE_SEND_MAX`] sends

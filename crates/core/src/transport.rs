@@ -527,10 +527,11 @@ impl RpcClient {
     /// Enqueues an encoded frame (which must carry `tag`) without waiting
     /// for the reply.
     ///
-    /// Acquires a flow-control credit when QoS is enabled (pumping the
-    /// completion ring while the window is closed). Fails with
-    /// [`RpcErr::WouldBlock`] if the request ring stays full through the
-    /// retry policy — in that case the tag and credit are fully released.
+    /// Takes a flow-control credit when QoS is enabled, and refuses at
+    /// once with [`RpcErr::Overloaded`] when the window is shut. Fails
+    /// with [`RpcErr::WouldBlock`] if the request ring stays full through
+    /// the retry policy — in that case the tag and credit are fully
+    /// released.
     pub fn submit(&self, tag: u32, mut frame: Vec<u8>) -> Result<Token, RpcErr> {
         self.do_submit(tag, &mut frame, 0, false)
     }
@@ -555,17 +556,6 @@ impl RpcClient {
         submitted
     }
 
-    /// As [`RpcClient::submit`], stamping submission `flags`
-    /// (e.g. [`solros_proto::codec::FLAG_BARRIER`]) into the frame.
-    pub fn submit_with_flags(
-        &self,
-        tag: u32,
-        mut frame: Vec<u8>,
-        flags: u8,
-    ) -> Result<Token, RpcErr> {
-        self.do_submit(tag, &mut frame, flags, false)
-    }
-
     /// As [`RpcClient::submit`], stamping a per-request deadline into the
     /// flags byte (§[`solros_proto::codec::deadline_class`]) so the proxy
     /// can shed the request once it is already too late to matter. Pair
@@ -579,21 +569,6 @@ impl RpcClient {
     ) -> Result<Token, RpcErr> {
         let flags = flags_with_deadline(0, deadline_class(deadline));
         self.do_submit(tag, &mut frame, flags, false)
-    }
-
-    /// As [`RpcClient::submit`], but refuses immediately with
-    /// [`RpcErr::Overloaded`] when no flow-control credit is available
-    /// instead of waiting for the window to open.
-    pub fn try_submit(&self, tag: u32, mut frame: Vec<u8>) -> Result<Token, RpcErr> {
-        if let Some(pool) = &self.shared.credits {
-            if !pool.try_acquire() {
-                return Err(RpcErr::Overloaded);
-            }
-            // Hand the acquired credit to the common path by releasing it
-            // and re-acquiring: cheaper to inline the send here.
-            pool.complete(0);
-        }
-        self.do_submit(tag, &mut frame, 0, false)
     }
 
     /// As [`RpcClient::submit`], spinning until ring space frees up; only
@@ -1329,7 +1304,7 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_without_credit_is_overloaded() {
+    fn submit_without_credit_is_overloaded() {
         let counters = Arc::new(PcieCounters::new());
         let ch = Channel::new(counters);
         let pool = Arc::new(CreditPool::new(1));
@@ -1337,12 +1312,12 @@ mod tests {
 
         let tag = client.tag();
         let t = client
-            .try_submit(tag, FsRequest::Fsync { ino: 1 }.encode(tag))
+            .submit(tag, FsRequest::Fsync { ino: 1 }.encode(tag))
             .unwrap();
-        // Window of 1 is spent; the next try_submit is refused cleanly.
+        // Window of 1 is spent; the next submit is refused cleanly.
         let tag2 = client.tag();
         let err = client
-            .try_submit(tag2, FsRequest::Fsync { ino: 2 }.encode(tag2))
+            .submit(tag2, FsRequest::Fsync { ino: 2 }.encode(tag2))
             .unwrap_err();
         assert_eq!(err, RpcErr::Overloaded);
         assert_eq!(client.pending_len(), 1);

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 use solros::fs_proxy::{FsProxy, FsProxyStats};
 use solros::transport::{Channel, RpcClient};
 use solros_fs::FileSystem;
+use solros_lease::LeaseKind;
 use solros_nvme::{NvmeDevice, BLOCK_SIZE};
 use solros_pcie::window::Window;
 use solros_pcie::{PcieCounters, Side};
@@ -404,8 +405,8 @@ fn injected_panic_on_an_inline_buffered_read_is_contained() {
 }
 
 /// An op that settles leases before it runs waits for the holder's ack
-/// on a pool thread — `Unlink` inside `recall_range_sync`, `Truncate`
-/// parked by the engine behind the external hold — and the ack comes in
+/// parked in the engine — `Unlink` handed back by the proxy, `Truncate`
+/// parked at routing behind the external hold — and the ack comes in
 /// through the same engine, which must still admit and execute it.
 #[test]
 fn a_call_waiting_on_a_lease_does_not_keep_the_engine_from_the_ack() {
@@ -461,6 +462,97 @@ fn a_call_waiting_on_a_lease_does_not_keep_the_engine_from_the_ack() {
         shutdown.store(true, Ordering::Relaxed);
         server.join().unwrap();
     }
+}
+
+/// A call that meets a lease the engine never saw at routing — granted
+/// straight through the manager, to another co-processor — starts the
+/// recall and answers `WouldBlock` where the engine would park it, rather
+/// than waiting for the holder from the thread that serves the call. Once
+/// the holder's ack settles the lease, the same call goes through.
+#[test]
+fn a_call_meeting_an_unrouted_lease_recalls_it_without_waiting() {
+    let (proxy, fs, _window, _stats) = setup(false);
+    let proxy = Arc::new(proxy);
+    let leases = proxy.lease_manager();
+    // Far beyond the watchdog: only an ack can settle a recall.
+    leases.set_recall_budget(Duration::from_secs(60));
+    let len = 4 * BLOCK_SIZE as u64;
+    // Runs one call on a thread of its own, so a call that waits for the
+    // holder fails the test instead of hanging it.
+    let call = |req: FsRequest| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let proxy = Arc::clone(&proxy);
+        let caller = std::thread::spawn(move || tx.send(proxy.handle(req)).unwrap());
+        let resp = rx
+            .recv_timeout(Duration::from_secs(2))
+            .expect("the call waited for the lease holder");
+        caller.join().unwrap();
+        resp
+    };
+    // A read meets a write lease; every other call, a read lease.
+    for (path, write_lease) in [
+        ("/read", true),
+        ("/write", false),
+        ("/truncate", false),
+        ("/unlink", false),
+        ("/acquire", false),
+    ] {
+        let ino = fs.create(path).unwrap();
+        fs.write(ino, 0, &vec![1u8; 4 * BLOCK_SIZE]).unwrap();
+        let request = match path {
+            "/read" => FsRequest::Read {
+                ino,
+                offset: 0,
+                count: len,
+                buf_addr: 0,
+            },
+            "/write" => FsRequest::Write {
+                ino,
+                offset: 0,
+                count: len,
+                buf_addr: 0,
+            },
+            "/truncate" => FsRequest::Truncate { ino, size: 0 },
+            "/unlink" => FsRequest::Unlink { path: path.into() },
+            _ => FsRequest::LeaseAcquire {
+                ino,
+                offset: 0,
+                len,
+                write: true,
+            },
+        };
+        let (extents, data_end) = fs.resolve_lease_extents(ino, 0, len, write_lease).unwrap();
+        let kind = if write_lease {
+            LeaseKind::Write
+        } else {
+            LeaseKind::Read
+        };
+        let lease = leases
+            .grant(1, ino, 0, len, kind, extents, data_end, None)
+            .expect("conflicting lease");
+        assert_eq!(
+            call(request.clone()),
+            FsResponse::Error {
+                err: RpcErr::WouldBlock
+            },
+            "{path}"
+        );
+        assert!(lease.is_recalled(), "{path}: the call did not recall");
+        leases.settle_wire(lease.id(), 0, false).expect("ack");
+        let resp = call(request);
+        assert!(
+            matches!(
+                resp,
+                FsResponse::Read { .. }
+                    | FsResponse::Write { .. }
+                    | FsResponse::Ok
+                    | FsResponse::LeaseGrant { .. }
+            ),
+            "{path}: {resp:?}"
+        );
+    }
+    let ledger = leases.ledger();
+    assert_eq!((ledger.recalls_acked, ledger.forced_revokes), (5, 0));
 }
 
 #[test]

@@ -45,6 +45,18 @@ const IDLE_WAKEUPS_PER_200MS: f64 = 1200.0;
 /// bell, the backstop sleeps 1 ms at a time while it waits).
 const READER_WAKEUPS_PER_200MS: f64 = 1410.0;
 
+/// Threads a booted two-co-processor system adds to its process: per
+/// co-processor an FS engine, a TCP shard and an event backstop, plus the
+/// supervisor. Every FS call runs to completion on its engine thread —
+/// one that meets a lease parks in the engine — so there is no worker
+/// pool; three workers per FS engine would make it 13.
+const BOOTED_THREADS: usize = 7;
+
+/// Threads of this process, or `None` where there is no procfs.
+fn threads() -> Option<usize> {
+    Some(std::fs::read_dir("/proc/self/task").ok()?.count())
+}
+
 /// Voluntary context switches of every thread of this process so far —
 /// each one a thread that blocked and will be woken — or `None` where
 /// there is no procfs.
@@ -72,8 +84,9 @@ fn wakeups_per_200ms() -> Option<f64> {
 
 #[test]
 fn idle_boot_sleeps_and_the_first_requests_wake_it_by_doorbell() {
-    // Two co-processors on two sockets: two FS engines (with their worker
-    // pools), two TCP shards, two event backstops, one supervisor.
+    // Two co-processors on two sockets: two FS engines, two TCP shards,
+    // two event backstops, one supervisor.
+    let before = threads();
     let sys = Solros::boot(MachineConfig::small());
     let fs = Arc::clone(sys.data_plane(0).fs());
     let net = sys.data_plane(0).net().clone();
@@ -82,6 +95,9 @@ fn idle_boot_sleeps_and_the_first_requests_wake_it_by_doorbell() {
 
     // Let every poller run down its yield band and park, then watch.
     std::thread::sleep(Duration::from_millis(50));
+    if let (Some(t0), Some(t1)) = (before, threads()) {
+        assert_eq!(t1 - t0, BOOTED_THREADS, "the booted system's threads");
+    }
     let cpu0 = cpu_seconds();
     let t0 = Instant::now();
     if let Some(woken) = wakeups_per_200ms() {
@@ -104,8 +120,7 @@ fn idle_boot_sleeps_and_the_first_requests_wake_it_by_doorbell() {
         "a parked shard must still beat"
     );
 
-    // First FS call: a buffered write, so it also crosses the worker
-    // pool (`worker_completion_rings_a_parked_engine` pins that half).
+    // First FS call: a buffered write, served on the FS engine's thread.
     let (fs_req0, _) = fs.client().doorbell_rings();
     assert_eq!(fs.write_at(file, 0, b"wake up").expect("write"), 7);
     let (fs_req1, _) = fs.client().doorbell_rings();

@@ -273,9 +273,11 @@ impl LeaseManager {
     }
 
     /// Marks every lease on `ino` conflicting with the given access as
-    /// recalled (non-blocking). Returns the number newly marked. Used
-    /// by the proxy engine when an RPC job defers behind an external
-    /// hold: the job parks, the recall races ahead.
+    /// recalled (non-blocking; one already recalled keeps its deadline).
+    /// Returns the number of conflicting leases still outstanding, so 0
+    /// means the access may proceed. The caller parks until each settles
+    /// — acked by its holder or force-revoked by [`LeaseManager::sweep`]
+    /// once the recall budget expires — and then asks again.
     pub fn recall_range(&self, ino: u64, offset: u64, len: u64, exclusive: bool) -> u64 {
         let budget = *self.recall_budget.lock();
         let mut inner = self.inner.lock();
@@ -294,87 +296,22 @@ impl LeaseManager {
                     .collect()
             })
             .unwrap_or_default();
-        let mut marked = 0;
-        for id in ids {
-            if self.mark_recall(&mut inner, id, budget) {
-                marked += 1;
-            }
+        for &id in &ids {
+            self.mark_recall(&mut inner, id, budget);
         }
-        marked
-    }
-
-    /// Marks conflicting leases recalled and blocks until each settles:
-    /// acked by the holder (on its own proxy thread) or force-revoked
-    /// once the budget expires. Returns the settled leases so the
-    /// caller can apply them to the fs. This is the grant path's
-    /// "recall then re-check" step and the barrier's coherence hook.
-    pub fn recall_range_sync(
-        &self,
-        ino: u64,
-        offset: u64,
-        len: u64,
-        exclusive: bool,
-    ) -> Vec<SettledLease> {
-        let budget = *self.recall_budget.lock();
-        let ids: Vec<u64> = {
-            let mut inner = self.inner.lock();
-            let ids: Vec<u64> = inner
-                .by_ino
-                .get(&ino)
-                .map(|ids| {
-                    ids.iter()
-                        .filter(|id| {
-                            inner
-                                .leases
-                                .get(id)
-                                .is_some_and(|l| Self::conflicts(l, offset, len, exclusive))
-                        })
-                        .copied()
-                        .collect()
-                })
-                .unwrap_or_default();
-            for &id in &ids {
-                self.mark_recall(&mut inner, id, budget);
-            }
-            ids
-        };
-        let mut settled = Vec::new();
-        let mut waiting = ids;
-        while !waiting.is_empty() {
-            let now = Instant::now();
-            let mut overdue = Vec::new();
-            {
-                let inner = self.inner.lock();
-                // A lease or deadline entry that vanished was settled
-                // concurrently (ack or sweep) — stop waiting on it.
-                waiting
-                    .retain(|id| inner.leases.contains_key(id) && inner.deadlines.contains_key(id));
-                for &id in &waiting {
-                    if inner.deadlines.get(&id).is_some_and(|dl| *dl <= now) {
-                        overdue.push(id);
-                    }
-                }
-            }
-            for id in overdue {
-                if let Some(s) = self.force_revoke(id) {
-                    settled.push(s);
-                }
-            }
-            std::thread::yield_now();
-        }
-        settled
+        ids.len() as u64
     }
 
     /// Marks one lease recalled and charges the ledger. Consumes the
     /// lost-recall fault: when armed, the holder-visible flag is *not*
     /// set (the notification vanished in flight) but the deadline still
     /// starts, so the sweep must force-revoke.
-    fn mark_recall(&self, inner: &mut Inner, id: u64, budget: Duration) -> bool {
+    fn mark_recall(&self, inner: &mut Inner, id: u64, budget: Duration) {
         if inner.deadlines.contains_key(&id) {
-            return false; // recall already pending
+            return; // recall already pending
         }
         let Some(st) = inner.leases.get(&id).cloned() else {
-            return false;
+            return;
         };
         inner.deadlines.insert(id, Instant::now() + budget);
         self.recalls_issued.fetch_add(1, Ordering::Relaxed);
@@ -382,7 +319,6 @@ impl LeaseManager {
         if !self.faults.take_lost_recall() {
             st.mark_recalled();
         }
-        true
     }
 
     /// Settles a lease from the wire: a voluntary `LeaseRelease`
@@ -694,8 +630,13 @@ mod tests {
         let st = grant_read(&m, 1, 0);
         assert_eq!(m.recall_range(1, 0, u64::MAX, true), 1);
         assert!(st.is_recalled());
+        // Asked again, the lease is still outstanding but not recalled
+        // twice.
+        assert_eq!(m.recall_range(1, 0, u64::MAX, true), 1);
+        assert_eq!(m.ledger().recalls_issued, 1);
         let s = m.settle_wire(st.id(), 0, false).expect("settle");
         assert!(!s.forced);
+        assert_eq!(m.recall_range(1, 0, u64::MAX, true), 0);
         let ledger = m.ledger();
         assert!(ledger.clean(), "{ledger:?}");
         assert_eq!(ledger.recalls_acked, 1);
@@ -734,14 +675,15 @@ mod tests {
     }
 
     #[test]
-    fn recall_range_sync_returns_settled_writes() {
+    fn a_swept_recall_returns_settled_writes() {
         let m = LeaseManager::new();
         m.set_recall_budget(Duration::from_millis(0));
         let st = m
             .grant(0, 5, 0, 8192, LeaseKind::Write, vec![ext(20, 2)], 0, None)
             .expect("writer");
         st.note_write(8000);
-        let settled = m.recall_range_sync(5, 0, 8192, false);
+        assert_eq!(m.recall_range(5, 0, 8192, false), 1);
+        let settled = m.sweep();
         assert_eq!(settled.len(), 1);
         assert_eq!(settled[0].written_end, 8000);
         assert!(m.ledger().clean());

@@ -120,11 +120,19 @@ fn lease_protocol_invariants() {
                         settle_model(&mut live, &mut settled_gen, s.id);
                     }
                 }
-                // Blocking recall settles conflicting leases in place.
+                // Recall, then the sweep at the (zero) deadline: the
+                // conflicting leases settle, and the range is free.
                 _ => {
-                    for s in m.recall_range_sync(ino, block * BS, blocks * BS, write) {
+                    let (offset, len) = (block * BS, blocks * BS);
+                    m.recall_range(ino, offset, len, write);
+                    for s in m.sweep() {
                         settle_model(&mut live, &mut settled_gen, s.id);
                     }
+                    assert_eq!(
+                        m.recall_range(ino, offset, len, write),
+                        0,
+                        "a conflicting lease outlived its recall deadline"
+                    );
                 }
             }
 

@@ -12,7 +12,7 @@ use solros_simkit::time::SimTime;
 const STAT_SHARDS: usize = 8;
 
 /// Returns this thread's distribution shard, assigned round-robin on
-/// first use so a proxy's worker pool spreads evenly across shards.
+/// first use so the recording threads spread evenly across shards.
 fn stat_shard() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
