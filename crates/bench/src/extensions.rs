@@ -2371,10 +2371,13 @@ fn failover_storm() -> FailoverOutcome {
         .filter(|(ph, d, _)| *ph == 2 && !survives(*d))
         .count() as u64;
 
-    let fingerprints = supervisor.replica_fingerprints();
-    let converged = fingerprints.len() == DOMAINS && fingerprints.windows(2).all(|w| w[0] == w[1]);
     let report = sys.recovery_report();
     let usage = sys.tenant_usage(0);
+    // The shards hand their proxies back at shutdown; the replicas are
+    // read there.
+    sys.shutdown();
+    let fingerprints = supervisor.replica_fingerprints();
+    let converged = fingerprints.len() == DOMAINS && fingerprints.windows(2).all(|w| w[0] == w[1]);
 
     let p99_before = p99_us(&mut before);
     let p99_after = p99_us(&mut after);

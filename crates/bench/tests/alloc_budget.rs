@@ -6,7 +6,7 @@
 //! rings, engines, FS, NVMe model, supervisor ticks — over 10 000+
 //! operations. Each budget is one above what the path measured when it
 //! was set, so the next `Vec` on a hot path fails here, not in a
-//! benchmark. One `#[test]`: the count is process-wide, so the seven
+//! benchmark. One `#[test]`: the count is process-wide, so the nine
 //! paths must not overlap (CI also passes `--test-threads=1`).
 
 use std::sync::Arc;
@@ -18,6 +18,7 @@ use solros_bench::alloc_probe::allocs;
 use solros_machine::MachineConfig;
 use solros_netdev::EndKind;
 use solros_nvme::BLOCK_SIZE;
+use solros_qos::QosConfig;
 use solros_simkit::DetRng;
 
 const FILE_BLOCKS: u64 = 4096;
@@ -27,6 +28,22 @@ const OPS: u64 = 12_800;
 const WAVE: usize = 32;
 /// Pages of the `O_BUFFER` file: all of them fit in the host cache.
 const HOT_BLOCKS: u64 = 128;
+/// Pages of the `O_BUFFER` file that does not fit: four caches' worth.
+const COLD_BLOCKS: u64 = 1024;
+/// Pages between two reads of the cold file: coprime with its length, so
+/// a read comes back to a page only after all the others.
+const COLD_STRIDE: u64 = 7;
+
+/// One co-processor on one socket, with a 256-page host cache.
+fn machine() -> MachineConfig {
+    MachineConfig {
+        sockets: 1,
+        coprocs: 1,
+        ssd_blocks: 16_384,
+        coproc_window_bytes: 8 << 20,
+        host_cache_pages: 256,
+    }
+}
 
 /// Allocations per call of `call`, over `calls` calls after a warm-up
 /// that lets every reusable buffer reach its working size.
@@ -50,13 +67,7 @@ fn populate(fs: &CoprocFs, path: &str) -> FileHandle {
 
 #[test]
 fn steady_state_requests_stay_within_their_allocation_budgets() {
-    let sys = Solros::boot(MachineConfig {
-        sockets: 1,
-        coprocs: 1,
-        ssd_blocks: 16_384,
-        coproc_window_bytes: 8 << 20,
-        host_cache_pages: 256,
-    });
+    let sys = Solros::boot(machine());
     let fs = Arc::clone(sys.data_plane(0).fs());
     let mut rng = DetRng::seed(0xA110C);
     let mut buf = vec![0u8; BLOCK_SIZE];
@@ -125,6 +136,34 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
         "every access in (e) and (f) found its page resident"
     );
 
+    // (h) One 4 KiB buffered read that misses: striding through a file
+    // four times the cache, every read refills a slot from the SSD and
+    // evicts a page, and the cache directory logs both. The stride is not
+    // sequential, so nothing is read ahead.
+    let (cold, _) = fs.open("/cold", true, false, true).unwrap();
+    for page in 0..COLD_BLOCKS {
+        assert_eq!(fs.write_at(cold, page * BS, &block), Ok(BLOCK_SIZE));
+    }
+    let mut page = 0;
+    let mut read_cold = || {
+        page = (page + COLD_STRIDE) % COLD_BLOCKS;
+        assert_eq!(fs.read_at(cold, page * BS, &mut buf), Ok(BLOCK_SIZE));
+    };
+    // One lap leaves only pages the stride reaches a lap from now.
+    (0..COLD_BLOCKS).for_each(|_| read_cold());
+    let before = cache.stats();
+    let per_buffered_miss = allocs_per_call(OPS, read_cold);
+    let stats = cache.stats();
+    let reads = OPS + OPS / 4;
+    assert_eq!(
+        (
+            stats.misses - before.misses,
+            stats.evictions - before.evictions
+        ),
+        (reads, reads),
+        "every read in (h) missed and evicted"
+    );
+
     // (d) A wave of 32 pipelined 64-byte sends on one socket, which the
     // proxy coalesces into one backend write and one reply wave; the
     // fabric client then drains it (its `recv` returns a fresh `Vec`).
@@ -168,11 +207,25 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     });
 
     sys.shutdown();
+
+    // (i) One 4 KiB P2P read, as (a), through the QoS gate: admission
+    // charges the tenant ledger once per burst.
+    let sys = Solros::boot_qos(machine(), QosConfig::enforcing());
+    let fs = Arc::clone(sys.data_plane(0).fs());
+    let f = populate(&fs, "/gated");
+    let per_gated_read = allocs_per_call(OPS, || {
+        let off = rng.below(FILE_BLOCKS) * BS;
+        let pending = fs.submit_read_at(f, off, BLOCK_SIZE).unwrap();
+        assert_eq!(pending.wait_into(&fs, &mut buf), Ok(BLOCK_SIZE));
+    });
+    sys.shutdown();
+
     println!(
         "allocations per call: p2p read {per_read:.3}, batch of {WAVE} {per_batch:.2}, \
          leased read {per_leased_read:.3}, wave of {WAVE} sends {per_send_wave:.2}, \
          buffered read hit {per_buffered_read:.3}, buffered overwrite {per_buffered_overwrite:.3}, \
-         echo {per_echo:.3}"
+         echo {per_echo:.3}, buffered read miss {per_buffered_miss:.3}, \
+         gated p2p read {per_gated_read:.3}"
     );
     // Measured when set, the same on every run: 0, 43 (32 payloads, the
     // builder's four growths, and one each for the wave's arena, offsets,
@@ -181,7 +234,9 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     // 0 and 0 (before the page was lent in place: 3 and 7), and 2 (the
     // proxy's owned `Send` payload and the client's `recv`; 4 while the
     // proxy read the fabric into a `Vec` and the stub decoded the event
-    // into another).
+    // into another), 0 (2 while the cache directory's log rebuilt its
+    // append buffer after every combine) and 0 (2: that, and the engine
+    // rebuilding its per-burst map of tenant charges).
     assert!(per_read <= 1.0, "P2P read: {per_read:.3} allocations");
     assert!(
         per_batch <= 44.0,
@@ -204,4 +259,12 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
         "buffered overwrite: {per_buffered_overwrite:.3} allocations"
     );
     assert!(per_echo <= 3.0, "64 B echo: {per_echo:.3} allocations");
+    assert!(
+        per_buffered_miss <= 1.0,
+        "buffered read miss: {per_buffered_miss:.3} allocations"
+    );
+    assert!(
+        per_gated_read <= 1.0,
+        "gated P2P read: {per_gated_read:.3} allocations"
+    );
 }

@@ -26,7 +26,6 @@ use solros_pcie::topo::DeviceId;
 use crate::fs_api::CoprocFs;
 use crate::fs_proxy::{FsProxy, FsProxyStats};
 use crate::net_api::CoprocNet;
-use crate::proxy_engine::ShardHealth;
 use crate::supervisor::ShardSupervisor;
 use crate::tcp_proxy::{
     LoadBalancer, NetChannelHost, RoundRobin, TcpControl, TcpProxy, TcpProxyStats,
@@ -312,16 +311,7 @@ impl Solros {
             if qos.enabled {
                 tcp_qos_stats.push(shard.enable_qos(&qos, &host_qos));
             }
-            let health = Arc::new(ShardHealth::new());
-            shard.set_health(Arc::clone(&health));
-            let shard = Arc::new(shard);
-            let sd = Arc::clone(&shutdown);
-            let runner = Arc::clone(&shard);
-            let handle = std::thread::Builder::new()
-                .name(format!("solros-tcp-proxy-{d}"))
-                .spawn(move || runner.run_shared(sd))
-                .expect("spawn tcp proxy");
-            supervisor.adopt(shard, health, handle, stats, channels);
+            supervisor.adopt(shard, stats, channels);
         }
         {
             let sup = Arc::clone(&supervisor);

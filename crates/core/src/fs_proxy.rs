@@ -7,7 +7,10 @@
 //! conflicting extent lease starts the recall and is handed back to the
 //! engine, which parks it until the lease settles ([`OpHandler::exec`]);
 //! this module supplies the FS semantics through the [`OpHandler`]
-//! trait. For data transfers it chooses between:
+//! trait. The engine owns the proxy and is the only thread that touches
+//! it, so its side tables — the `O_BUFFER` set, the readahead cursors,
+//! the coalescing wave — are plain fields. For data transfers it chooses
+//! between:
 //!
 //! * **Peer-to-peer**: translate the file range to disk extents
 //!   (`fiemap`), translate the co-processor buffer address to its
@@ -34,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use solros_faults::EngineFaults;
-use solros_fs::{CacheDirReplica, FileSystem, FsError};
+use solros_fs::{CacheDirReplica, Extent, FileSystem, FsError};
 use solros_lease::{LeaseError, LeaseKind, LeaseManager, SettledLease};
 use solros_nvme::{DmaPtr, NvmeCommand, NvmeError, BLOCK_SIZE};
 use solros_pcie::cost::CostModel;
@@ -45,7 +48,6 @@ use solros_proto::fs_msg::{FsRequest, FsResponse};
 use solros_proto::rpc_error::RpcErr;
 use solros_qos::{HostGate, QosClass, QosStats, TenantLedger};
 use solros_ringbuf::{Consumer, Doorbell, Producer};
-use solros_simkit::sync::Mutex;
 use solros_simkit::{IntMap, IntSet};
 
 use crate::proxy_engine::{
@@ -126,10 +128,7 @@ fn classify(req: &FsRequest) -> (usize, u64) {
     }
 }
 
-/// One co-processor's proxy server.
-///
-/// Shared-state fields are lock-protected: [`FsProxy::handle`] takes
-/// `&self`, and the engine shares the proxy behind an `Arc`.
+/// One co-processor's proxy server, owned by the engine that serves it.
 pub struct FsProxy {
     fs: Arc<FileSystem>,
     coproc_window: Arc<Window>,
@@ -138,16 +137,16 @@ pub struct FsProxy {
     /// Engine-level fault hooks (worker panics, dropped replies).
     faults: Arc<EngineFaults>,
     /// Inodes opened with `O_BUFFER` by this co-processor.
-    buffered_open: Mutex<IntSet<u64>>,
+    buffered_open: IntSet<u64>,
     /// Per-inode end offset of the last read, for sequential detection.
-    last_read_end: Mutex<IntMap<u64, u64>>,
+    last_read_end: IntMap<u64, u64>,
     /// Prices the buffered path's adaptive host-to-window copies.
     cost_model: CostModel,
     /// Pages to read ahead on a sequential buffered stream (0 disables).
     readahead_pages: u64,
     /// The current wave of coalesced P2P reads, staged via
     /// [`OpHandler::stage`] and settled at [`OpHandler::flush`].
-    wave: Mutex<ReadWave>,
+    wave: ReadWave,
     /// The extent-lease control plane, shared across every proxy when
     /// the boot path wires one system (each proxy grants and recalls
     /// against the same books).
@@ -191,11 +190,11 @@ impl FsProxy {
             crosses_numa,
             stats,
             faults: Arc::new(EngineFaults::new()),
-            buffered_open: Mutex::default(),
-            last_read_end: Mutex::default(),
+            buffered_open: IntSet::default(),
+            last_read_end: IntMap::default(),
             cost_model: CostModel::paper_default(),
             readahead_pages: 8,
-            wave: Mutex::default(),
+            wave: ReadWave::default(),
             lease_mgr,
             holds,
             bell,
@@ -277,7 +276,7 @@ impl FsProxy {
         let faults = Arc::clone(&self.faults);
         let ledger = self.tenant_ledger.clone();
         let mut eng = ProxyEngine::new(
-            Arc::new(self),
+            self,
             vec![EngineLane { req_rx, resp_tx }],
             stats,
             faults,
@@ -286,13 +285,13 @@ impl FsProxy {
         if let Some(l) = ledger {
             eng.set_tenant_ledger(l);
         }
-        eng.serve(shutdown)
+        eng.serve(shutdown);
     }
 
     /// Executes one RPC. A call that meets a conflicting extent lease
     /// starts its recall and answers [`RpcErr::WouldBlock`]; served by
     /// the engine, the same call parks until the lease settles instead.
-    pub fn handle(&self, req: FsRequest) -> FsResponse {
+    pub fn handle(&mut self, req: FsRequest) -> FsResponse {
         self.try_handle(&req).unwrap_or(FsResponse::Error {
             err: RpcErr::WouldBlock,
         })
@@ -303,7 +302,7 @@ impl FsProxy {
     /// and the call runs again once they settle. The check is made on
     /// every attempt — under the call's grant bar where it takes one —
     /// so a lease granted since the engine routed the call is caught too.
-    fn try_handle(&self, req: &FsRequest) -> Result<FsResponse, u64> {
+    fn try_handle(&mut self, req: &FsRequest) -> Result<FsResponse, u64> {
         Ok(match req {
             FsRequest::Open {
                 path,
@@ -319,9 +318,9 @@ impl FsProxy {
                 match self.fs.open(path, flags) {
                     Ok(ino) => {
                         if *buffered {
-                            self.buffered_open.lock().insert(ino);
+                            self.buffered_open.insert(ino);
                         } else {
-                            self.buffered_open.lock().remove(&ino);
+                            self.buffered_open.remove(&ino);
                         }
                         let size = self.fs.size_of(ino).unwrap_or(0);
                         FsResponse::Open { ino, size }
@@ -559,7 +558,7 @@ impl FsProxy {
 
     /// Chooses the data path for a read (§4.3.2).
     fn read_path_is_p2p(&self, ino: u64, offset: u64, count: u64) -> bool {
-        if self.crosses_numa || self.buffered_open.lock().contains(&ino) {
+        if self.crosses_numa || self.buffered_open.contains(&ino) {
             return false;
         }
         if !offset.is_multiple_of(BLOCK_SIZE as u64) {
@@ -576,18 +575,13 @@ impl FsProxy {
         count > 0
     }
 
-    fn do_read(&self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<u64, RpcErr> {
+    fn do_read(&mut self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<u64, RpcErr> {
         let size = self.fs.size_of(ino).map_err(rpc_err)?;
         if offset >= size {
             return Ok(0);
         }
         let count = count.min(size - offset);
-        let sequential = {
-            let mut ends = self.last_read_end.lock();
-            let sequential = ends.get(&ino) == Some(&offset);
-            ends.insert(ino, offset + count);
-            sequential
-        };
+        let sequential = self.last_read_end.insert(ino, offset + count) == Some(offset);
         if self.read_path_is_p2p(ino, offset, count) {
             self.stats.p2p_reads.fetch_add(1, Ordering::Relaxed);
             self.p2p_read(ino, offset, count, buf_addr)?;
@@ -620,18 +614,23 @@ impl FsProxy {
     }
 
     /// Builds and submits the vectored NVMe batch for a P2P read.
-    fn p2p_read(&self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<(), RpcErr> {
-        let mut wave = self.wave.lock();
-        let ReadWave { extents, cmds, .. } = &mut *wave;
+    fn p2p_read(&mut self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<(), RpcErr> {
+        let ReadWave { extents, cmds, .. } = &mut self.wave;
         self.fs
             .fiemap_into(ino, offset, count, extents)
             .map_err(rpc_err)?;
         let start = cmds.len();
         Self::extent_cmds(extents, &self.coproc_window, buf_addr, true, cmds);
-        self.submit_with_retry(&mut wave, start)
+        self.wave.submit_from(&self.fs, start)
     }
 
-    fn do_write(&self, ino: u64, offset: u64, count: u64, buf_addr: u64) -> Result<u64, RpcErr> {
+    fn do_write(
+        &mut self,
+        ino: u64,
+        offset: u64,
+        count: u64,
+        buf_addr: u64,
+    ) -> Result<u64, RpcErr> {
         if count == 0 {
             return Ok(0);
         }
@@ -641,8 +640,7 @@ impl FsProxy {
         // A partial tail block is only safe P2P when it extends the file
         // (padding lands beyond EOF and is never read back).
         let tail_ok = count.is_multiple_of(bs) || offset + count >= size;
-        let p2p =
-            !self.crosses_numa && !self.buffered_open.lock().contains(&ino) && aligned && tail_ok;
+        let p2p = !self.crosses_numa && !self.buffered_open.contains(&ino) && aligned && tail_ok;
         if p2p {
             self.stats.p2p_writes.fetch_add(1, Ordering::Relaxed);
             self.fs
@@ -653,17 +651,15 @@ impl FsProxy {
                 .fs
                 .fiemap_allocated(ino, offset, map_len)
                 .map_err(rpc_err)?;
-            let mut wave = self.wave.lock();
-            let start = wave.cmds.len();
+            let start = self.wave.cmds.len();
             Self::extent_cmds(
                 &extents,
                 &self.coproc_window,
                 buf_addr,
                 false,
-                &mut wave.cmds,
+                &mut self.wave.cmds,
             );
-            self.submit_with_retry(&mut wave, start)?;
-            drop(wave);
+            self.wave.submit_from(&self.fs, start)?;
             self.fs.extend_size(ino, offset + count).map_err(rpc_err)?;
             // Coherence: drop any cached pages the DMA just bypassed.
             for page in offset / bs..(offset + count).div_ceil(bs) {
@@ -690,7 +686,7 @@ impl FsProxy {
     /// Splits extents into MDTS-sized NVMe commands targeting consecutive
     /// window offsets, appended to `cmds`.
     fn extent_cmds(
-        extents: &[solros_fs::Extent],
+        extents: &[Extent],
         window: &Arc<Window>,
         buf_addr: u64,
         is_read: bool,
@@ -723,59 +719,15 @@ impl FsProxy {
         }
     }
 
-    /// Submits `wave.cmds[start..]` — a P2P transfer served outside the
-    /// wave, borrowing its vectors — as one vectored batch, retries
-    /// individual transient failures, and takes the commands back off.
-    fn submit_with_retry(&self, wave: &mut ReadWave, start: usize) -> Result<(), RpcErr> {
-        let ReadWave { cmds, results, .. } = wave;
-        let own = &cmds[start..];
-        self.fs.device().submit_vectored_into(own, results);
-        let settled = self.settle_span(own, results, 0..own.len());
-        cmds.truncate(start);
-        settled
-    }
-
-    /// Checks one operation's slice of a combined batch's results,
-    /// retrying individual transient failures through the shared
-    /// exponential-backoff [`RetryPolicy`] so media/timeout/queue-full
-    /// bursts are absorbed instead of surfacing after two blind retries.
-    fn settle_span(
-        &self,
-        cmds: &[NvmeCommand],
-        results: &[Result<(), NvmeError>],
-        span: Range<usize>,
-    ) -> Result<(), RpcErr> {
-        for i in span {
-            if results[i].is_err() {
-                let settled = RetryPolicy::new().run(
-                    |e: &NvmeError| e.is_transient(),
-                    |_| {
-                        self.fs
-                            .device()
-                            .submit_vectored(std::slice::from_ref(&cmds[i]))[0]
-                    },
-                );
-                if let Err(e) = settled {
-                    return Err(match e {
-                        NvmeError::OutOfRange => RpcErr::Invalid,
-                        _ => RpcErr::Io,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Stages a read into the wave's combined command list if it takes
     /// the P2P path; `None` falls the request through to `do_read`
     /// (buffered path, EOF handling, and errors all live there).
     fn stage_p2p_read(
-        &self,
+        &mut self,
         ino: u64,
         offset: u64,
         count: u64,
         buf_addr: u64,
-        wave: &mut ReadWave,
     ) -> Option<(u64, Range<usize>)> {
         let size = self.fs.size_of(ino).ok()?;
         if offset >= size {
@@ -785,20 +737,13 @@ impl FsProxy {
         if !self.read_path_is_p2p(ino, offset, count) {
             return None;
         }
-        self.fs
-            .fiemap_into(ino, offset, count, &mut wave.extents)
-            .ok()?;
-        self.last_read_end.lock().insert(ino, offset + count);
+        let ReadWave { extents, cmds, .. } = &mut self.wave;
+        self.fs.fiemap_into(ino, offset, count, extents).ok()?;
+        self.last_read_end.insert(ino, offset + count);
         self.stats.p2p_reads.fetch_add(1, Ordering::Relaxed);
-        let start = wave.cmds.len();
-        Self::extent_cmds(
-            &wave.extents,
-            &self.coproc_window,
-            buf_addr,
-            true,
-            &mut wave.cmds,
-        );
-        Some((count, start..wave.cmds.len()))
+        let start = cmds.len();
+        Self::extent_cmds(extents, &self.coproc_window, buf_addr, true, cmds);
+        Some((count, start..cmds.len()))
     }
 }
 
@@ -818,7 +763,7 @@ impl OpHandler for FsProxy {
     /// `LeaseRecallAck` — through this engine, if the holder is this
     /// proxy's co-processor — or the sweep's forced revoke frees it.
     fn exec(
-        &self,
+        &mut self,
         _lane: usize,
         tag: u32,
         req: FsRequest,
@@ -862,7 +807,7 @@ impl OpHandler for FsProxy {
     /// (crashed stub, lost recall) is force-revoked once the recall
     /// budget expires, and the settlement is applied exactly as an ack
     /// would have been.
-    fn poll(&self) -> bool {
+    fn poll(&mut self) -> bool {
         let swept = self.lease_mgr.sweep();
         let progressed = !swept.is_empty();
         for s in &swept {
@@ -886,7 +831,7 @@ impl OpHandler for FsProxy {
     }
 
     fn stage(
-        &self,
+        &mut self,
         _lane: usize,
         tag: u32,
         credit: Option<u8>,
@@ -901,11 +846,8 @@ impl OpHandler for FsProxy {
         } = &req
         {
             let charged = *count;
-            let mut wave = self.wave.lock();
-            if let Some((count, span)) =
-                self.stage_p2p_read(*ino, *offset, *count, *buf_addr, &mut wave)
-            {
-                wave.reads.push(StagedRead {
+            if let Some((count, span)) = self.stage_p2p_read(*ino, *offset, *count, *buf_addr) {
+                self.wave.reads.push(StagedRead {
                     tag,
                     count,
                     span,
@@ -927,19 +869,18 @@ impl OpHandler for FsProxy {
     /// two halves of the same symmetric pipeline (DESIGN.md §12).
     ///
     /// [`ReplySettler`]: crate::proxy_engine::ReplySettler
-    fn flush(&self, reply: &mut dyn FnMut(usize, &[u8])) {
-        let mut wave = self.wave.lock();
+    fn flush(&mut self, reply: &mut dyn FnMut(usize, &[u8])) {
         let ReadWave {
             cmds,
             reads,
             results,
             frame,
             ..
-        } = &mut *wave;
+        } = &mut self.wave;
         if !reads.is_empty() {
             self.fs.device().submit_vectored_into(cmds, results);
             for r in reads.drain(..) {
-                let resp = match self.settle_span(cmds, results, r.span) {
+                let resp = match settle_span(&self.fs, cmds, results, r.span) {
                     Ok(()) => FsResponse::Read { count: r.count },
                     Err(e) => FsResponse::Error { err: e },
                 };
@@ -957,10 +898,10 @@ impl OpHandler for FsProxy {
     /// Failover wreck dump: staged reads that will never be submitted
     /// surrender their tags (settled `Gone` by the supervisor) and
     /// their admission charges (refunded).
-    fn abort_staged(&self) -> Vec<crate::proxy_engine::StagedPart> {
-        let mut wave = self.wave.lock();
-        wave.cmds.clear();
-        wave.reads
+    fn abort_staged(&mut self) -> Vec<crate::proxy_engine::StagedPart> {
+        self.wave.cmds.clear();
+        self.wave
+            .reads
             .drain(..)
             .map(|r| crate::proxy_engine::StagedPart {
                 lane: 0,
@@ -998,9 +939,49 @@ struct ReadWave {
     cmds: Vec<NvmeCommand>,
     reads: Vec<StagedRead>,
     /// The extent map of the read being staged.
-    extents: Vec<solros_fs::Extent>,
+    extents: Vec<Extent>,
     /// Per-command statuses of the wave's one vectored submission.
     results: Vec<Result<(), NvmeError>>,
     /// The reply frame being encoded.
     frame: Vec<u8>,
+}
+
+impl ReadWave {
+    /// Submits `cmds[start..]` — a P2P transfer served outside the wave,
+    /// borrowing its vectors — as one vectored batch, retries individual
+    /// transient failures, and takes the commands back off.
+    fn submit_from(&mut self, fs: &FileSystem, start: usize) -> Result<(), RpcErr> {
+        let own = &self.cmds[start..];
+        fs.device().submit_vectored_into(own, &mut self.results);
+        let settled = settle_span(fs, own, &self.results, 0..own.len());
+        self.cmds.truncate(start);
+        settled
+    }
+}
+
+/// Checks one operation's slice of a combined batch's results, retrying
+/// individual transient failures through the shared exponential-backoff
+/// [`RetryPolicy`] so media/timeout/queue-full bursts are absorbed instead
+/// of surfacing after two blind retries.
+fn settle_span(
+    fs: &FileSystem,
+    cmds: &[NvmeCommand],
+    results: &[Result<(), NvmeError>],
+    span: Range<usize>,
+) -> Result<(), RpcErr> {
+    for i in span {
+        if results[i].is_err() {
+            let settled = RetryPolicy::new().run(
+                |e: &NvmeError| e.is_transient(),
+                |_| fs.device().submit_vectored(std::slice::from_ref(&cmds[i]))[0],
+            );
+            if let Err(e) = settled {
+                return Err(match e {
+                    NvmeError::OutOfRange => RpcErr::Invalid,
+                    _ => RpcErr::Io,
+                });
+            }
+        }
+    }
+    Ok(())
 }

@@ -37,9 +37,10 @@ const DISPATCH_BURST: usize = 64;
 /// the service semantics: how to execute, classify, and (optionally)
 /// coalesce requests. Every request executes on the engine thread; one
 /// that would have to wait for another party is handed back and parked
-/// instead ([`OpHandler::exec`]). Handlers use interior mutability, so
-/// every method takes `&self`.
-pub trait OpHandler: Send + Sync {
+/// instead ([`OpHandler::exec`]). The engine owns its handler by value
+/// and is its one caller, so the hooks that change the handler's state
+/// take `&mut self` and that state needs no lock.
+pub trait OpHandler: Send {
     /// The request family served (decoded once at admission).
     type Req: AdmitRequest + Send + 'static;
 
@@ -62,7 +63,7 @@ pub trait OpHandler: Send + Sync {
     /// the forced revoke at the recall deadline — so no handler ever
     /// waits on an answer that only this engine could admit.
     fn exec(
-        &self,
+        &mut self,
         lane: usize,
         tag: u32,
         req: Self::Req,
@@ -82,7 +83,7 @@ pub trait OpHandler: Send + Sync {
     /// the next [`OpHandler::flush`]); returning the request back sends
     /// it down the normal execution path.
     fn stage(
-        &self,
+        &mut self,
         lane: usize,
         tag: u32,
         credit: Option<u8>,
@@ -94,7 +95,7 @@ pub trait OpHandler: Send + Sync {
     }
 
     /// Flushes staged work, emitting `(lane, reply frame)` per completion.
-    fn flush(&self, reply: &mut dyn FnMut(usize, &[u8])) {
+    fn flush(&mut self, reply: &mut dyn FnMut(usize, &[u8])) {
         let _ = reply;
     }
 
@@ -103,13 +104,13 @@ pub trait OpHandler: Send + Sync {
     /// dying shard's wreck dump; the staged requests will never execute,
     /// so the supervisor settles their tags as `Gone` and refunds their
     /// admission charges.
-    fn abort_staged(&self) -> Vec<StagedPart> {
+    fn abort_staged(&mut self) -> Vec<StagedPart> {
         Vec::new()
     }
 
     /// Handler-specific polling (NIC events, accepts). Returns true when
     /// any work happened.
-    fn poll(&self) -> bool {
+    fn poll(&mut self) -> bool {
         false
     }
 
@@ -139,6 +140,7 @@ pub trait OpHandler: Send + Sync {
 }
 
 /// One co-processor channel served by the engine.
+#[derive(Clone)]
 pub struct EngineLane {
     /// Drains the co-processor's requests.
     pub req_rx: Consumer,
@@ -174,13 +176,13 @@ struct HolderRec {
 /// bounded, so the per-cycle clocks (heartbeat, lease sweep, QoS epoch,
 /// shutdown flag) keep ticking on an idle engine.
 pub struct ProxyEngine<H: OpHandler> {
-    handler: Arc<H>,
+    handler: H,
     lanes: Vec<EngineLane>,
     stats: Arc<ProxyStats>,
     faults: Arc<EngineFaults>,
     /// Per-lane reply accumulator; every reply producer posts here and
     /// the engine settles one batched enqueue per `(lane, cycle)`.
-    settler: Arc<ReplySettler>,
+    settler: ReplySettler,
     gate: Option<HostGate<GateJob<H::Req>>>,
     epoch: Instant,
     /// Promote lock-holding flows to their waiter's effective weight.
@@ -199,6 +201,9 @@ pub struct ProxyEngine<H: OpHandler> {
     /// Replicated tenant ledger; admitted work is charged here, batched
     /// to one log append per (tenant, admission burst).
     ledger: Option<Arc<TenantLedger>>,
+    /// One gated admission burst's `(ops, bytes)` per tenant, emptied
+    /// into `ledger` at the burst's end and kept for the next.
+    charges: HashMap<u8, (u64, u64)>,
     /// Failover handshake with the domain supervisor: heartbeat per
     /// cycle, crash/wedge fault checks, wreck dump on death.
     health: Option<Arc<ShardHealth>>,
@@ -209,7 +214,7 @@ pub struct ProxyEngine<H: OpHandler> {
 impl<H: OpHandler> ProxyEngine<H> {
     /// Builds an engine over `lanes`; `gate` switches QoS scheduling on.
     pub fn new(
-        handler: Arc<H>,
+        handler: H,
         lanes: Vec<EngineLane>,
         stats: Arc<ProxyStats>,
         faults: Arc<EngineFaults>,
@@ -240,6 +245,7 @@ impl<H: OpHandler> ProxyEngine<H> {
             pending_barrier: None,
             reply: Vec::new(),
             ledger: None,
+            charges: HashMap::new(),
             health: None,
         }
     }
@@ -275,10 +281,18 @@ impl<H: OpHandler> ProxyEngine<H> {
     /// lease wait ends at the holder's ack or at the sweep's forced
     /// revoke, within the recall budget. A shard that died dumped its
     /// wreck instead and serves nothing more.
-    pub fn serve(mut self, shutdown: Arc<AtomicBool>) {
-        if !self.serve_loop(&shutdown, |_| shutdown.load(Ordering::Relaxed)) {
-            self.serve_loop(&shutdown, Self::unparked);
-        }
+    ///
+    /// Hands the handler back when the loop ends, for its owner's
+    /// post-mortem — also when a hook unwound out of the loop: `exec` is
+    /// contained per request, a panic in `poll` or `flush` ends the loop
+    /// but not the thread.
+    pub fn serve(mut self, shutdown: Arc<AtomicBool>) -> H {
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            if !self.serve_loop(&shutdown, |_| shutdown.load(Ordering::Relaxed)) {
+                self.serve_loop(&shutdown, Self::unparked);
+            }
+        }));
+        self.handler
     }
 
     /// True when no admitted job waits: nothing parked, nothing in the
@@ -493,7 +507,6 @@ impl<H: OpHandler> ProxyEngine<H> {
         let mut progressed = false;
         // Batched tenant charges: one ledger append per tenant per burst,
         // not one per frame, so the log never sees per-op traffic.
-        let mut charges: HashMap<u8, (u64, u64)> = HashMap::new();
         for lane in 0..self.lanes.len() {
             for _ in 0..ADMIT_BURST {
                 let Some(admitted) = self.admit_one(lane) else {
@@ -519,7 +532,7 @@ impl<H: OpHandler> ProxyEngine<H> {
                 match gate.submit(flow, bytes, now_ns, job) {
                     Verdict::Admitted => {
                         if self.ledger.is_some() {
-                            let c = charges.entry(tenant).or_insert((0, 0));
+                            let c = self.charges.entry(tenant).or_insert((0, 0));
                             c.0 += 1;
                             c.1 += bytes;
                         }
@@ -542,7 +555,7 @@ impl<H: OpHandler> ProxyEngine<H> {
             }
         }
         if let Some(ledger) = &self.ledger {
-            for (tenant, (ops, bytes)) in charges {
+            for (tenant, (ops, bytes)) in self.charges.drain() {
                 ledger.charge(tenant, ops, bytes);
             }
         }
@@ -784,7 +797,7 @@ impl<H: OpHandler> ProxyEngine<H> {
             tenant,
         } = job;
         let armed = self.faults.take_worker_panic();
-        let (handler, reply) = (&*self.handler, &mut self.reply);
+        let (handler, reply) = (&mut self.handler, &mut self.reply);
         reply.clear();
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if armed {
@@ -868,9 +881,9 @@ impl<H: OpHandler> ProxyEngine<H> {
 
     /// Flushes the handler's coalescing wave into the reply settler.
     fn flush_handler(&mut self) {
-        let handler = Arc::clone(&self.handler);
-        let settler = Arc::clone(&self.settler);
-        handler.flush(&mut |lane, frame| settler.post_slice(lane, frame));
+        let settler = &self.settler;
+        self.handler
+            .flush(&mut |lane, frame| settler.post_slice(lane, frame));
     }
 
     /// Buffers an error reply for the lane's next settlement wave.
@@ -892,11 +905,15 @@ mod tests {
     use solros_pcie::PcieCounters;
     use solros_proto::fs_msg::{FsRequest, FsResponse};
     use solros_qos::{FlowSpec, HostConfig, HostScheduler, QosClass, Service};
-    use solros_simkit::sync::Mutex;
 
     /// A minimal handler: Fsync acks, Fstat echoes the ino as the size;
-    /// Fstat takes a shared touch on the ino, Write an exclusive one.
-    struct Echo;
+    /// Fstat takes a shared touch on the ino, Write an exclusive one. It
+    /// counts its polls, and panics on poll `panic_at` when that is set.
+    #[derive(Default)]
+    struct Echo {
+        polls: u64,
+        panic_at: Option<u64>,
+    }
 
     impl OpHandler for Echo {
         type Req = FsRequest;
@@ -913,7 +930,7 @@ mod tests {
         }
 
         fn exec(
-            &self,
+            &mut self,
             _lane: usize,
             tag: u32,
             req: FsRequest,
@@ -937,6 +954,14 @@ mod tests {
                 FsRequest::Fstat { ino } => Some((*ino, Access::Shared)),
                 _ => None,
             }
+        }
+
+        fn poll(&mut self) -> bool {
+            self.polls += 1;
+            if self.panic_at == Some(self.polls) {
+                panic!("poll {} panics", self.polls);
+            }
+            false
         }
     }
 
@@ -969,7 +994,7 @@ mod tests {
         let stats = Arc::new(ProxyStats::default());
         let faults = Arc::new(EngineFaults::new());
         let eng = ProxyEngine::new(
-            Arc::new(Echo),
+            Echo::default(),
             vec![lane],
             Arc::clone(&stats),
             Arc::clone(&faults),
@@ -1051,26 +1076,27 @@ mod tests {
     /// A handler over a lease model: an `Fstat` on an inode `leases`
     /// holds comes back from `exec` parked on it, as `FsProxy` hands back
     /// a call that meets a lease. Records every attempt's thread, and the
-    /// tags that completed, in order.
+    /// tags that completed, in order. Only `leases` is shared: a test
+    /// frees a hold while the engine serves.
     struct Gated {
-        leases: ExternalHolds,
+        leases: Arc<ExternalHolds>,
         bell: Arc<Doorbell>,
-        attempts: Mutex<Vec<(u32, std::thread::ThreadId)>>,
-        completed: Mutex<Vec<u32>>,
+        attempts: Vec<(u32, std::thread::ThreadId)>,
+        completed: Vec<u32>,
     }
 
     impl Gated {
         /// A handler whose `leases` hold inode 1 exclusively.
-        fn new() -> Arc<Self> {
+        fn new() -> Self {
             let bell = Doorbell::new();
-            let leases = ExternalHolds::with_doorbell(Arc::clone(&bell));
+            let leases = Arc::new(ExternalHolds::with_doorbell(Arc::clone(&bell)));
             leases.hold(1, true);
-            Arc::new(Gated {
+            Gated {
                 leases,
                 bell,
-                attempts: Mutex::new(Vec::new()),
-                completed: Mutex::new(Vec::new()),
-            })
+                attempts: Vec::new(),
+                completed: Vec::new(),
+            }
         }
     }
 
@@ -1086,15 +1112,13 @@ mod tests {
         }
 
         fn exec(
-            &self,
+            &mut self,
             _lane: usize,
             tag: u32,
             req: FsRequest,
             reply: &mut Vec<u8>,
         ) -> Result<(), (FsRequest, u64)> {
-            self.attempts
-                .lock()
-                .push((tag, std::thread::current().id()));
+            self.attempts.push((tag, std::thread::current().id()));
             let FsRequest::Fstat { ino } = &req else {
                 unreachable!("the lease model serves Fstat only");
             };
@@ -1102,7 +1126,7 @@ mod tests {
                 let ino = *ino;
                 return Err((req, ino));
             }
-            self.completed.lock().push(tag);
+            self.completed.push(tag);
             FsResponse::Ok.encode_into(tag, reply);
             Ok(())
         }
@@ -1112,27 +1136,28 @@ mod tests {
         }
 
         fn external_holds(&self) -> Option<&ExternalHolds> {
-            Some(&self.leases)
+            Some(&*self.leases)
         }
     }
 
-    /// Serves `handler` on a thread of its own; returns what a test needs
-    /// to talk to it and to stop it.
+    /// Serves `handler` on a thread of its own, which hands it back when
+    /// the engine stops; returns what a test needs to talk to it and to
+    /// stop it.
     #[allow(clippy::type_complexity)]
     fn serve_gated(
-        handler: &Arc<Gated>,
+        handler: Gated,
     ) -> (
         solros_ringbuf::Producer,
         solros_ringbuf::Consumer,
         Arc<ProxyStats>,
         Arc<Doorbell>,
         Arc<AtomicBool>,
-        std::thread::JoinHandle<()>,
+        std::thread::JoinHandle<Gated>,
     ) {
         let (lane, req_tx, resp_rx) = lane();
         let stats = Arc::new(ProxyStats::default());
         let eng = ProxyEngine::new(
-            Arc::clone(handler),
+            handler,
             vec![lane],
             Arc::clone(&stats),
             Arc::new(EngineFaults::new()),
@@ -1166,7 +1191,8 @@ mod tests {
     #[test]
     fn a_lease_free_rings_a_parked_engine() {
         let handler = Gated::new();
-        let (req_tx, resp_rx, stats, bell, shutdown, server) = serve_gated(&handler);
+        let leases = Arc::clone(&handler.leases);
+        let (req_tx, resp_rx, stats, bell, shutdown, server) = serve_gated(handler);
         send_fstat(&req_tx, 7, 1, 0);
         // The call came back parked on the lease and the engine, with
         // nothing left to do, has gone through its yield band and armed
@@ -1175,7 +1201,7 @@ mod tests {
             std::thread::yield_now();
         }
         let before = bell.rings();
-        handler.leases.free(1, true);
+        leases.free(1, true);
         assert_eq!(recv_reply(&resp_rx), (7, FsResponse::Ok));
         assert!(
             bell.rings() > before,
@@ -1188,7 +1214,8 @@ mod tests {
     #[test]
     fn every_op_parked_or_not_executes_on_the_serve_thread() {
         let handler = Gated::new();
-        let (req_tx, resp_rx, _, _, shutdown, server) = serve_gated(&handler);
+        let leases = Arc::clone(&handler.leases);
+        let (req_tx, resp_rx, _, _, shutdown, server) = serve_gated(handler);
         send_fstat(&req_tx, 1, 1, 0);
         send_fstat(&req_tx, 2, 2, 0);
         assert_eq!(
@@ -1196,9 +1223,11 @@ mod tests {
             2,
             "the parked call held up the next"
         );
-        handler.leases.free(1, true);
+        leases.free(1, true);
         assert_eq!(recv_reply(&resp_rx).0, 1);
-        let attempts = handler.attempts.lock().clone();
+        let serve_thread = server.thread().id();
+        shutdown.store(true, Ordering::Relaxed);
+        let attempts = server.join().unwrap().attempts;
         let tags: Vec<u32> = attempts.iter().map(|(tag, _)| *tag).collect();
         assert_eq!(
             tags,
@@ -1206,19 +1235,39 @@ mod tests {
             "parked, the next call, then the resumed one"
         );
         assert!(
-            attempts.iter().all(|(_, t)| *t == server.thread().id()),
+            attempts.iter().all(|(_, t)| *t == serve_thread),
             "an op left the serve thread"
         );
-        shutdown.store(true, Ordering::Relaxed);
-        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_hook_unwinding_out_of_serve_still_hands_the_handler_back() {
+        let (lane, _req_tx, _resp_rx) = lane();
+        let eng = ProxyEngine::new(
+            Echo {
+                polls: 0,
+                panic_at: Some(3),
+            },
+            vec![lane],
+            Arc::new(ProxyStats::default()),
+            Arc::new(EngineFaults::new()),
+            None,
+        );
+        // Never shut down: only the panic on the third poll ends serve.
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let server = std::thread::spawn(move || eng.serve(shutdown));
+        let handler = server.join().expect("the serve thread exits normally");
+        assert_eq!(
+            handler.polls, 3,
+            "the handler comes back as the panic left it"
+        );
     }
 
     #[test]
     fn a_barrier_behind_a_parked_job_runs_after_it_and_before_later_frames() {
-        let handler = Gated::new();
         let (lane, req_tx, resp_rx) = lane();
         let mut eng = ProxyEngine::new(
-            Arc::clone(&handler),
+            Gated::new(),
             vec![lane],
             Arc::new(ProxyStats::default()),
             Arc::new(EngineFaults::new()),
@@ -1233,23 +1282,22 @@ mod tests {
             eng.step(now);
         }
         assert_eq!(
-            *handler.completed.lock(),
+            eng.handler.completed,
             [1],
             "something overtook the parked call"
         );
-        handler.leases.free(1, true);
+        eng.handler.leases.free(1, true);
         eng.step(4);
-        assert_eq!(*handler.completed.lock(), [1, 0, 99, 100, 101]);
+        assert_eq!(eng.handler.completed, [1, 0, 99, 100, 101]);
         let replies = std::iter::from_fn(|| resp_rx.recv().ok()).count();
         assert_eq!(replies, 5);
     }
 
     #[test]
     fn a_wreck_settles_a_pending_barrier_as_gone() {
-        let handler = Gated::new();
         let (lane, req_tx, _resp_rx) = lane();
         let mut eng = ProxyEngine::new(
-            Arc::clone(&handler),
+            Gated::new(),
             vec![lane],
             Arc::new(ProxyStats::default()),
             Arc::new(EngineFaults::new()),

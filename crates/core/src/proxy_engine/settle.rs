@@ -18,10 +18,11 @@
 //! to block the posting thread.
 //!
 //! Each lane accumulates into one [`Wave`] — a byte arena plus frame
-//! offsets — and owns a second one that is in flight while the first
-//! fills: settlement swaps the two under the lane's lock and publishes
-//! outside it, so posting a reply is one append and neither wave is ever
-//! reallocated once it has grown to the lane's working depth.
+//! offsets — that settlement publishes in place and clears, so posting a
+//! reply is one append and the wave is never reallocated once it has
+//! grown to the lane's working depth. Only the engine thread posts and
+//! settles; the lane lock it takes is never contended, and is there
+//! because the settler's methods take `&self`.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -32,34 +33,24 @@ use solros_simkit::sync::Mutex;
 
 use super::stats::ProxyStats;
 
-/// Per-lane reply accumulator shared by the engine thread and the
-/// handler's flush path.
+/// Per-lane reply accumulator, owned by the engine.
 pub struct ReplySettler {
     lanes: Vec<Producer>,
     faults: Arc<EngineFaults>,
     stats: Arc<ProxyStats>,
     /// What each lane has been posted since its last settlement.
     pending: Vec<Mutex<Wave>>,
-    /// Each lane's other wave: empty between settlements, on its way to
-    /// the ring during one. Only the settling thread takes this lock.
-    in_flight: Mutex<Vec<Wave>>,
 }
 
 impl ReplySettler {
     /// Builds a settler over one response-ring producer per lane.
-    pub fn new(
-        lanes: Vec<Producer>,
-        faults: Arc<EngineFaults>,
-        stats: Arc<ProxyStats>,
-    ) -> Arc<Self> {
-        let waves = || (0..lanes.len()).map(|_| Wave::new());
-        Arc::new(Self {
-            pending: waves().map(Mutex::new).collect(),
-            in_flight: Mutex::new(waves().collect()),
+    pub fn new(lanes: Vec<Producer>, faults: Arc<EngineFaults>, stats: Arc<ProxyStats>) -> Self {
+        Self {
+            pending: lanes.iter().map(|_| Mutex::new(Wave::new())).collect(),
             lanes,
             faults,
             stats,
-        })
+        }
     }
 
     /// Buffers one reply for the lane's next settlement wave, honouring
@@ -104,19 +95,14 @@ impl ReplySettler {
     /// `send_blocking` did. Returns true when anything was flushed.
     pub fn settle(&self) -> bool {
         let mut flushed = false;
-        let mut in_flight = self.in_flight.lock();
-        for (lane, wave) in in_flight.iter_mut().enumerate() {
-            {
-                let mut pending = self.pending[lane].lock();
-                if pending.is_empty() {
-                    continue;
-                }
-                std::mem::swap(&mut *pending, wave);
+        for (tx, wave) in self.lanes.iter().zip(&self.pending) {
+            let mut wave = wave.lock();
+            if wave.is_empty() {
+                continue;
             }
             flushed = true;
-            let tx = &self.lanes[lane];
             let before = tx.publishes();
-            let _ = tx.send_wave_blocking(wave);
+            let _ = tx.send_wave_blocking(&mut wave);
             self.stats
                 .reply_publishes
                 .fetch_add(tx.publishes() - before, Ordering::Relaxed);
@@ -142,7 +128,7 @@ mod tests {
     fn rig(
         lanes: usize,
     ) -> (
-        Arc<ReplySettler>,
+        ReplySettler,
         Vec<Consumer>,
         Arc<EngineFaults>,
         Arc<ProxyStats>,
@@ -170,7 +156,7 @@ mod tests {
         let (settler, rx, _, stats) = rig(2);
         assert!(!settler.settle(), "nothing posted, nothing flushed");
         for cycle in 0..4u8 {
-            // Cycles of different depth, so the swapped waves differ.
+            // Cycles of different depth, so the wave shrinks and grows.
             let depth = 3 + cycle * 5;
             for i in 0..depth {
                 settler.post_slice(0, &[cycle, i, 0]);

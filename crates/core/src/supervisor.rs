@@ -16,19 +16,21 @@
 //! guarantee (every admitted tag resolves exactly once, no credit or
 //! tenant charge leaks):
 //!
-//! 1. **Fence** the cell and join the shard thread. A wedged loop exits
-//!    on seeing the fence; a live-but-suspected loop complies at its
-//!    next cycle boundary with a complete wreck (forcible fence), so a
-//!    false positive costs churn, never correctness. After the join, no
-//!    further appends from the dead shard can race the scrub.
+//! 1. **Fence** the cell and join the shard thread, which hands back the
+//!    proxy its engine owned. A wedged loop exits on seeing the fence; a
+//!    live-but-suspected loop complies at its next cycle boundary with a
+//!    complete wreck (forcible fence), so a false positive costs churn,
+//!    never correctness. After the join, no further appends from the
+//!    dead shard can race the scrub.
 //! 2. **Publish the wreck** verbatim on the very response rings the
 //!    shard served: already-computed replies first-class, one `Gone`
 //!    per admitted-but-unserved tag. Tags queued in the request rings
 //!    but never admitted are *left in place* — the replacement serves
 //!    them — so nothing is answered twice and nothing is lost.
-//! 3. **Scrub**: close every connection the dead shard owned, refuse
-//!    the handoffs parked in its inbox, retire its log cursor so the
-//!    corpse neither pins compaction nor counts as a laggard.
+//! 3. **Scrub** the proxy the join handed back: close every connection
+//!    the dead shard owned, refuse the handoffs parked in its inbox,
+//!    retire its log cursor so the corpse neither pins compaction nor
+//!    counts as a laggard.
 //! 4. **Re-steer** through the control log: one `ShardFenced` append
 //!    strips the dead shard's listeners, re-homes its ports to an heir,
 //!    and releases its balancer charges — applied exactly once by every
@@ -36,11 +38,16 @@
 //! 5. **Reclaim leases** anchored on the dead shard's co-processors
 //!    (force-recall; holders fall back to the RPC path) and append
 //!    tenant-ledger refunds for the wreck's never-served admissions.
-//! 6. **Replace**: spawn a fresh shard over the same rings, its replica
-//!    seeded from the observer snapshot under live traffic
-//!    ([`TcpProxy::rebuild_from_observer`]), its sock-id stride resumed
-//!    past the dead incarnation's allocations, its rejoin appended
-//!    before the seed so it never sees itself fenced.
+//! 6. **Replace**: build a fresh shard over the same rings, seed its
+//!    replica from the observer snapshot under live traffic
+//!    ([`TcpProxy::rebuild_from_observer`]), resume its sock-id stride
+//!    past the dead incarnation's allocations — all through `&mut`
+//!    before it is spawned — with its rejoin appended before the seed so
+//!    it never sees itself fenced.
+//!
+//! At shutdown the supervisor joins every shard and keeps the proxies
+//! they hand back; [`ShardSupervisor::replica_fingerprints`] reads them
+//! there.
 //!
 //! The blackout window — fence to replacement serving — is bounded by
 //! detection (≤ `WEDGE_TICKS`·tick for a wedge, ≤ 1 tick for a crash)
@@ -70,11 +77,14 @@ pub const TICK: Duration = Duration::from_millis(2);
 pub const WEDGE_TICKS: u32 = 8;
 
 /// Everything the supervisor needs to watch, kill, and resurrect one
-/// engine shard.
+/// engine shard. The shard's engine owns its proxy; joining the thread
+/// hands the proxy back.
 struct ShardSlot {
-    proxy: Arc<TcpProxy>,
+    faults: Arc<EngineFaults>,
     health: Arc<ShardHealth>,
-    handle: Option<JoinHandle<()>>,
+    handle: Option<JoinHandle<TcpProxy>>,
+    /// The proxy `join_all` took back at shutdown.
+    joined: Option<TcpProxy>,
     stats: Arc<TcpProxyStats>,
     /// Global co-processor ids this slot serves (lease anchors).
     coprocs: Vec<usize>,
@@ -139,26 +149,42 @@ impl ShardSupervisor {
         self.lb_proto.fork()
     }
 
-    /// Registers a booted shard (slot index == domain id == shard id).
+    /// Starts a booted shard and supervises it (slot index == domain id
+    /// == shard id).
     pub(crate) fn adopt(
         &self,
-        proxy: Arc<TcpProxy>,
-        health: Arc<ShardHealth>,
-        handle: JoinHandle<()>,
+        proxy: TcpProxy,
         stats: Arc<TcpProxyStats>,
         channels: Vec<NetChannelHost>,
     ) {
+        let mut slots = self.slots.lock();
         let coprocs = proxy.served_coprocs().to_vec();
-        self.slots.lock().push(ShardSlot {
-            proxy,
+        let faults = proxy.faults();
+        let (health, handle) = self.launch(slots.len(), proxy);
+        slots.push(ShardSlot {
+            faults,
             health,
             handle: Some(handle),
+            joined: None,
             stats,
             coprocs,
             channels,
             last_beats: 0,
             stalled_ticks: 0,
         });
+    }
+
+    /// Gives shard `d`'s proxy a fresh health cell and starts it serving
+    /// on a thread of its own, which hands the proxy back when it ends.
+    fn launch(&self, d: usize, mut proxy: TcpProxy) -> (Arc<ShardHealth>, JoinHandle<TcpProxy>) {
+        let health = Arc::new(ShardHealth::new());
+        proxy.set_health(Arc::clone(&health));
+        let sd = Arc::clone(&self.shutdown);
+        let handle = std::thread::Builder::new()
+            .name(format!("solros-tcp-proxy-{d}"))
+            .spawn(move || proxy.run(sd))
+            .expect("spawn tcp proxy shard");
+        (health, handle)
     }
 
     /// One health-check pass over every shard: crash detection by the
@@ -197,19 +223,22 @@ impl ShardSupervisor {
     /// replacement serving the same rings.
     fn fail_over(&self, d: usize, slot: &mut ShardSlot) {
         let t0 = Instant::now();
-        // 1. Fence and join: after this, the dead shard appends nothing.
+        // 1. Fence and join: after this, the dead shard appends nothing,
+        //    and its engine has handed its proxy back.
         slot.health.fence();
-        if let Some(handle) = slot.handle.take() {
-            let _ = handle.join();
-        }
+        let mut dead = slot
+            .handle
+            .take()
+            .expect("a supervised shard is running")
+            .join()
+            .expect("a shard's engine hands its proxy back");
         let wreck = slot.health.take_wreck().unwrap_or_default();
 
         // 2. Publish the wreck on the shard's own response rings.
-        let lanes = slot.proxy.lane_endpoints();
         for (lane, frame) in wreck.replies {
-            if let Some((_, resp_tx)) = lanes.get(lane) {
-                if frame.len() <= resp_tx.max_element() {
-                    let _ = resp_tx.send_blocking(&frame);
+            if let Some(ch) = slot.channels.get(lane) {
+                if frame.len() <= ch.resp_tx.max_element() {
+                    let _ = ch.resp_tx.send_blocking(&frame);
                 }
             }
         }
@@ -217,7 +246,7 @@ impl ShardSupervisor {
         // 3. Scrub the corpse: close its connections, refuse its parked
         //    handoffs, retire its cursor. The sock-id stride resumes in
         //    the replacement so no id is ever reused.
-        let next_sock = slot.proxy.scrub_after_fence();
+        let next_sock = dead.scrub_after_fence();
         self.control.drain_dead_inbox(d, &self.network);
 
         // 4. Re-steer listeners through the log, exactly once per
@@ -251,20 +280,12 @@ impl ShardSupervisor {
         if self.qos.enabled {
             let _ = repl.enable_qos(&self.qos, &self.host_qos);
         }
-        let health = Arc::new(ShardHealth::new());
-        repl.set_health(Arc::clone(&health));
-        let repl = Arc::new(repl);
         self.control.append_rejoin(d);
         repl.rebuild_from_observer();
         repl.set_next_sock(next_sock);
-        let sd = Arc::clone(&self.shutdown);
-        let runner = Arc::clone(&repl);
-        let handle = std::thread::Builder::new()
-            .name(format!("solros-tcp-proxy-{d}"))
-            .spawn(move || runner.run_shared(sd))
-            .expect("spawn replacement shard");
+        slot.faults = repl.faults();
+        let (health, handle) = self.launch(d, repl);
 
-        slot.proxy = repl;
         slot.health = health;
         slot.handle = Some(handle);
         slot.stats = stats;
@@ -284,13 +305,13 @@ impl ShardSupervisor {
         }
     }
 
-    /// Joins every shard thread (shutdown path; the flag must already be
-    /// set so wedge-held loops exit).
+    /// Joins every shard thread and keeps the proxy each hands back
+    /// (shutdown path; the flag must already be set so wedge-held loops
+    /// exit).
     pub(crate) fn join_all(&self) {
-        let mut slots = self.slots.lock();
-        for slot in slots.iter_mut() {
+        for slot in self.slots.lock().iter_mut() {
             if let Some(handle) = slot.handle.take() {
-                let _ = handle.join();
+                slot.joined = handle.join().ok();
             }
         }
     }
@@ -305,7 +326,7 @@ impl ShardSupervisor {
     /// [`solros_faults::FaultKind::DomainWedge`] /
     /// [`solros_faults::FaultKind::OplogReplicaLag`]).
     pub fn shard_faults(&self, d: usize) -> Arc<EngineFaults> {
-        self.slots.lock()[d].proxy.faults()
+        Arc::clone(&self.slots.lock()[d].faults)
     }
 
     /// Statistics handle of shard `d`'s current incarnation (the boot
@@ -315,14 +336,17 @@ impl ShardSupervisor {
     }
 
     /// Control-replica fingerprint of every live shard, each synced to
-    /// the log tail first. Convergence (all equal) is the replicated
-    /// control plane's correctness gate after a failover storm.
+    /// the log tail first. Read off the proxies the shards handed back,
+    /// so it is empty until the system has shut down. Convergence (all
+    /// equal) is the replicated control plane's correctness gate after a
+    /// failover storm.
     pub fn replica_fingerprints(&self) -> Vec<u64> {
         self.slots
             .lock()
-            .iter()
-            .filter(|s| s.handle.is_some() && s.health.is_live())
-            .map(|s| s.proxy.replica_fingerprint())
+            .iter_mut()
+            .filter(|s| s.health.is_live())
+            .filter_map(|s| s.joined.as_mut())
+            .map(|p| p.replica_fingerprint())
             .collect()
     }
 

@@ -17,6 +17,12 @@
 //! balancer pick for a port is made by one policy replica in arrival
 //! order. Connections routed to a listener owned by another shard are
 //! handed off through that shard's inbox queue.
+//!
+//! A shard's engine owns its proxy and is the only thread that touches
+//! it ([`TcpProxy::run`] hands it back when the engine stops), so the
+//! socket table, the replica and the send-staging table are plain
+//! fields. The only locks left are the cross-shard ones in
+//! [`TcpControl`]: the handoff inboxes and the observer replica.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Deref;
@@ -488,34 +494,6 @@ struct PortRec {
     home: usize,
 }
 
-/// Socket-table state, lock-protected so the engine can drive the proxy
-/// through `&self` ([`OpHandler`] methods take shared references). The
-/// `registry` + `lb` pair is this shard's replica of the log-driven
-/// state machine; everything else is shard-local.
-struct TcpState {
-    lb: Box<dyn LoadBalancer>,
-    registry: HashMap<u16, PortRec>,
-    cursor: ReplicaCursor,
-    /// Outstanding connections per `(owning shard, balancer slot)`,
-    /// replicated so a `ShardFenced` can release a dead shard's charges
-    /// wholesale and count-guard its straggling closes.
-    conn_counts: HashMap<(usize, usize), u64>,
-    /// Shards fenced and not yet rejoined; their assignments are void.
-    fenced: HashSet<usize>,
-    socks: HashMap<SockId, SockRec>,
-    /// Live connections owned by evented sockets, polled for data.
-    evented_conns: Vec<SockId>,
-    /// Pending accepts for non-evented (RPC-polling) listeners.
-    pending_accepts: HashMap<SockId, VecDeque<(SockId, u64)>>,
-    next_sock: SockId,
-    /// The event frame being encoded for an event ring.
-    evt_frame: Vec<u8>,
-    /// Home ports, copied out for one poll round's NIC scan.
-    scan_ports: Vec<u16>,
-    /// Evented connections, copied out for one poll round's data scan.
-    scan_conns: Vec<SockId>,
-}
-
 /// One staged small `Send` awaiting its run's coalesced backend write.
 struct StagedSend {
     tag: u32,
@@ -548,16 +526,15 @@ struct SendStage {
 }
 
 impl SendStage {
-    /// The staged run for `key`, started if there is none.
-    fn run_mut(&mut self, key: (usize, SockId)) -> &mut SendRun {
-        let i = match self.runs.iter().position(|(k, _)| *k == key) {
+    /// The index of the staged run for `key`, started if there is none.
+    fn run_index(&mut self, key: (usize, SockId)) -> usize {
+        match self.runs.iter().position(|(k, _)| *k == key) {
             Some(i) => i,
             None => {
                 self.runs.push((key, self.spare.pop().unwrap_or_default()));
                 self.runs.len() - 1
             }
-        };
-        &mut self.runs[i].1
+        }
     }
 
     /// Keeps a settled run's buffers for the next run.
@@ -568,7 +545,41 @@ impl SendStage {
     }
 }
 
-/// One NUMA domain's TCP proxy shard.
+impl SendRun {
+    /// Emits the run's reply wave: each part answered with `outcome`, its
+    /// backend write's, exactly as the unbatched `Send` arm of
+    /// [`TcpProxy::handle`] would have answered it (the fabric accepts
+    /// whole writes, so per-part `Sent` counts are byte-identical to
+    /// one-at-a-time).
+    fn answer(
+        &self,
+        lane: usize,
+        outcome: Result<(), RpcErr>,
+        frame: &mut Vec<u8>,
+        reply: &mut dyn FnMut(usize, &[u8]),
+    ) {
+        for p in &self.parts {
+            frame.clear();
+            match outcome {
+                Ok(()) => NetResponse::Sent {
+                    count: p.len as u64,
+                },
+                Err(err) => NetResponse::Error { err },
+            }
+            .encode_into(p.tag, frame);
+            if let Some(c) = p.credit {
+                stamp_credit(frame, c);
+            }
+            reply(lane, frame);
+        }
+    }
+}
+
+/// One NUMA domain's TCP proxy shard, owned by the engine that serves
+/// it: only the engine thread touches its tables, so none is locked.
+/// `lb`, `registry`, `cursor`, `conn_counts` and `fenced` are this
+/// shard's replica of the log-driven state machine; everything else is
+/// shard-local.
 pub struct TcpProxy {
     network: Arc<Network>,
     control: Arc<TcpControl>,
@@ -580,16 +591,33 @@ pub struct TcpProxy {
     faults: Arc<EngineFaults>,
     /// Inbound event producers, indexed by lane.
     evt_tx: Vec<Producer>,
-    /// Request/response lanes, taken by [`TcpProxy::run`].
+    /// Request/response lanes, handed to the engine by [`TcpProxy::run`].
     lanes: Vec<EngineLane>,
-    state: Mutex<TcpState>,
-    /// Small-`Send` coalescing table (see [`SendStage`]). Lock order:
-    /// `send_stage` before `state`; no path takes them in reverse.
-    send_stage: Mutex<SendStage>,
+    lb: Box<dyn LoadBalancer>,
+    registry: HashMap<u16, PortRec>,
+    cursor: ReplicaCursor,
+    /// Outstanding connections per `(owning shard, balancer slot)`,
+    /// replicated so a `ShardFenced` can release a dead shard's charges
+    /// wholesale and count-guard its straggling closes.
+    conn_counts: HashMap<(usize, usize), u64>,
+    /// Shards fenced and not yet rejoined; their assignments are void.
+    fenced: HashSet<usize>,
+    socks: HashMap<SockId, SockRec>,
+    /// Live connections owned by evented sockets, polled for data.
+    evented_conns: Vec<SockId>,
+    /// Pending accepts for non-evented (RPC-polling) listeners.
+    pending_accepts: HashMap<SockId, VecDeque<(SockId, u64)>>,
+    next_sock: SockId,
+    /// The event frame being encoded for an event ring.
+    evt_frame: Vec<u8>,
+    /// Home ports, copied out for one poll round's NIC scan.
+    scan_ports: Vec<u16>,
+    /// Evented connections, copied out for one poll round's data scan.
+    scan_conns: Vec<SockId>,
+    /// Small-`Send` coalescing table (see [`SendStage`]).
+    send_stage: SendStage,
     /// QoS gate over per-(co-processor, class) flows; None = FIFO.
-    /// Behind a lock only so the engine can take it through the shared
-    /// handle at [`TcpProxy::run_shared`] time.
-    qos: Mutex<Option<HostGate<GateJob<NetRequest>>>>,
+    qos: Option<HostGate<GateJob<NetRequest>>>,
     /// Replicated per-tenant ledger the engine charges gated admissions
     /// to (shared log, domain-local replicas).
     tenant_ledger: Option<Arc<TenantLedger>>,
@@ -684,24 +712,22 @@ impl TcpProxy {
                 faults: Arc::new(EngineFaults::new()),
                 evt_tx,
                 lanes,
-                state: Mutex::new(TcpState {
-                    lb,
-                    registry: HashMap::new(),
-                    cursor,
-                    conn_counts: HashMap::new(),
-                    fenced: HashSet::new(),
-                    socks: HashMap::new(),
-                    evented_conns: Vec::new(),
-                    pending_accepts: HashMap::new(),
-                    // Stride allocation keeps sock ids globally unique
-                    // without cross-shard coordination.
-                    next_sock: shard as SockId + 1,
-                    evt_frame: Vec::new(),
-                    scan_ports: Vec::new(),
-                    scan_conns: Vec::new(),
-                }),
-                send_stage: Mutex::new(SendStage::default()),
-                qos: Mutex::new(None),
+                lb,
+                registry: HashMap::new(),
+                cursor,
+                conn_counts: HashMap::new(),
+                fenced: HashSet::new(),
+                socks: HashMap::new(),
+                evented_conns: Vec::new(),
+                pending_accepts: HashMap::new(),
+                // Stride allocation keeps sock ids globally unique
+                // without cross-shard coordination.
+                next_sock: shard as SockId + 1,
+                evt_frame: Vec::new(),
+                scan_ports: Vec::new(),
+                scan_conns: Vec::new(),
+                send_stage: SendStage::default(),
+                qos: None,
                 tenant_ledger: None,
                 health: None,
             },
@@ -740,7 +766,7 @@ impl TcpProxy {
             self.shard,
         );
         let stats = gate.stats();
-        *self.qos.get_mut() = Some(gate);
+        self.qos = Some(gate);
         stats
     }
 
@@ -761,16 +787,6 @@ impl TcpProxy {
         &self.coprocs
     }
 
-    /// Cloned per-lane ring endpoints `(request consumer, response
-    /// producer)`, used by the supervisor to publish a dead shard's
-    /// wreck on the same rings the shard served.
-    pub(crate) fn lane_endpoints(&self) -> Vec<(Consumer, Producer)> {
-        self.lanes
-            .iter()
-            .map(|l| (l.req_rx.clone(), l.resp_tx.clone()))
-            .collect()
-    }
-
     /// Fault injection: makes the next `n` handled requests panic inside
     /// the handler, exercising the engine's containment path.
     pub fn inject_worker_panics(&self, n: u64) {
@@ -782,27 +798,16 @@ impl TcpProxy {
     /// [`TcpProxy::enable_qos`] was called. Each admitted frame is
     /// decoded exactly once; the scheduler item carries the parsed
     /// request through to execution.
-    pub fn run(self, shutdown: Arc<AtomicBool>) {
-        Arc::new(self).run_shared(shutdown)
-    }
-
-    /// Like [`TcpProxy::run`], but through a shared handle: the caller
-    /// (the shard supervisor) keeps a clone of the `Arc`, so when an
-    /// armed domain fault kills the serve loop it can still perform the
-    /// post-mortem — take the wreck, scrub the socket table, retire the
-    /// log cursor. Lane endpoints are cloned, not consumed, so the
-    /// supervisor can publish the wreck on the very rings the shard
-    /// served, and a replacement can serve the same rings afterwards.
-    pub fn run_shared(self: Arc<Self>, shutdown: Arc<AtomicBool>) {
-        let lanes: Vec<EngineLane> = self
-            .lanes
-            .iter()
-            .map(|l| EngineLane {
-                req_rx: l.req_rx.clone(),
-                resp_tx: l.resp_tx.clone(),
-            })
-            .collect();
-        let gate = self.qos.lock().take();
+    ///
+    /// Returns the proxy when the engine stops — at shutdown, or dead
+    /// with its wreck dumped — for the shard supervisor's post-mortem:
+    /// scrub the socket table, retire the log cursor, read the replica.
+    /// The engine serves clones of the lane endpoints, so the proxy can
+    /// be run again over the same rings (its QoS gate, if any, went to
+    /// the first run).
+    pub fn run(mut self, shutdown: Arc<AtomicBool>) -> TcpProxy {
+        let lanes = self.lanes.clone();
+        let gate = self.qos.take();
         let stats = Arc::clone(&self.stats.engine);
         let faults = Arc::clone(&self.faults);
         let ledger = self.tenant_ledger.clone();
@@ -821,7 +826,7 @@ impl TcpProxy {
     /// (registry + balancer + charge counts). Cheap when already at the
     /// tail. An overrun (possible since `max_lag` went finite) rebuilds
     /// the replica from the observer snapshot, under live traffic.
-    fn apply_log(&self, st: &mut TcpState) {
+    fn apply_log(&mut self) {
         if self.faults.take_sync_stall() {
             // Injected replica lag (OplogReplicaLag): skip this sync
             // pass. Enough consecutive skips and the lag-bounded
@@ -829,26 +834,18 @@ impl TcpProxy {
             // rebuild below on the next real sync.
             return;
         }
-        let TcpState {
-            lb,
-            registry,
-            cursor,
-            conn_counts,
-            fenced,
-            ..
-        } = st;
-        let outcome = self.control.log.sync(cursor, |_, op| {
+        let outcome = self.control.log.sync(&mut self.cursor, |_, op| {
             apply_ctrl_op(
                 op,
-                registry,
-                conn_counts,
-                fenced,
-                Some(&**lb),
+                &mut self.registry,
+                &mut self.conn_counts,
+                &mut self.fenced,
+                Some(&*self.lb),
                 Some((self.shard, &self.network)),
             );
         });
         if outcome == SyncOutcome::Overrun {
-            self.rebuild_replica(st);
+            self.rebuild_from_observer();
             self.control
                 .overruns_recovered
                 .fetch_add(1, Ordering::Relaxed);
@@ -858,8 +855,11 @@ impl TcpProxy {
     /// Rebuilds this shard's replica (registry, charge counts, fenced
     /// set, balancer load view) from the shared observer snapshot, then
     /// points the cursor at the snapshot position so syncs resume
-    /// in-order from there — the ScaleFS/Corfu checkpoint move.
-    fn rebuild_replica(&self, st: &mut TcpState) {
+    /// in-order from there — the ScaleFS/Corfu checkpoint move. Runs
+    /// under live traffic: the log keeps appending while the clone is
+    /// taken. A replica that overran the log rebuilds this way, and so
+    /// is a replacement shard seeded.
+    pub fn rebuild_from_observer(&mut self) {
         let (registry, conn_counts, fenced, at) = {
             let mut obs = self.control.observer.lock();
             self.control.sync_observer_locked(&mut obs);
@@ -873,33 +873,25 @@ impl TcpProxy {
         // NIC-side releases this shard owed during the missed window
         // (best effort): any port it was home to that no longer exists
         // in the authoritative view is unlistened now.
-        for (port, rec) in &st.registry {
+        for (port, rec) in &self.registry {
             if rec.home == self.shard && !registry.contains_key(port) {
                 self.network.unlisten(*port);
             }
         }
-        st.registry = registry;
-        st.conn_counts = conn_counts;
-        st.fenced = fenced;
+        self.registry = registry;
+        self.conn_counts = conn_counts;
+        self.fenced = fenced;
         // The balancer replica restarts zeroed; replaying the surviving
         // charge counts converges its load view (tie-break cursors are
         // shard-local by design and may reset).
-        let lb = st.lb.fork();
-        for (&(_, slot), &n) in &st.conn_counts {
+        let lb = self.lb.fork();
+        for (&(_, slot), &n) in &self.conn_counts {
             for _ in 0..n {
                 lb.conn_assigned(slot);
             }
         }
-        st.lb = lb;
-        self.control.log.install_snapshot(&mut st.cursor, at);
-    }
-
-    /// Seeds a replacement shard's replica from the observer snapshot.
-    /// Runs under live traffic: the log keeps appending while the clone
-    /// is taken, and syncs resume from the snapshot position.
-    pub fn rebuild_from_observer(&self) {
-        let mut st = self.state.lock();
-        self.rebuild_replica(&mut st);
+        self.lb = lb;
+        self.control.log.install_snapshot(&mut self.cursor, at);
     }
 
     /// Deterministic digest of this shard's replicated control view
@@ -907,60 +899,53 @@ impl TcpProxy {
     /// first. Replicas that applied the same log prefix produce the same
     /// digest; the failover property test gates on survivors converging
     /// to one value.
-    pub fn replica_fingerprint(&self) -> u64 {
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        self.apply_log(st);
-        fingerprint(&st.registry, &st.conn_counts, &st.fenced)
+    pub fn replica_fingerprint(&mut self) -> u64 {
+        self.apply_log();
+        fingerprint(&self.registry, &self.conn_counts, &self.fenced)
     }
 
-    /// Supervisor-side post-mortem of a fenced shard: closes every
-    /// connection it owned (peers observe the close on the fabric),
-    /// clears its event/accept queues, retires its log cursor so the
-    /// dead replica neither pins compaction nor counts as lag, and —
-    /// when no heir exists — releases its NIC listeners directly.
-    /// Returns the shard's sock-id allocation point; the replacement
-    /// must resume the stride from there so ids are never reused.
-    pub fn scrub_after_fence(&self) -> SockId {
-        let mut st = self.state.lock();
-        let socks: Vec<SockId> = st.socks.keys().copied().collect();
-        for sock in socks {
-            if let Some(rec) = st.socks.get_mut(&sock) {
-                if let SockState::Conn { id, end } = rec.state {
-                    let _ = self.network.close(id, end);
-                    rec.state = SockState::Closed;
-                }
+    /// Supervisor-side post-mortem of a fenced shard, on the proxy its
+    /// engine handed back: closes every connection it owned (peers
+    /// observe the close on the fabric), clears its event/accept queues,
+    /// retires its log cursor so the dead replica neither pins
+    /// compaction nor counts as lag, and — when no heir exists —
+    /// releases its NIC listeners directly. Returns the shard's sock-id
+    /// allocation point; the replacement must resume the stride from
+    /// there so ids are never reused.
+    pub fn scrub_after_fence(&mut self) -> SockId {
+        for rec in self.socks.values_mut() {
+            if let SockState::Conn { id, end } = rec.state {
+                let _ = self.network.close(id, end);
+                rec.state = SockState::Closed;
             }
         }
-        st.evented_conns.clear();
-        st.pending_accepts.clear();
+        self.evented_conns.clear();
+        self.pending_accepts.clear();
         if self.control.nshards == 1 {
             // Solo-shard machine: `ShardFenced` has no live replica to
             // perform the emptied-port unlisten side effect.
-            for port in st.registry.keys() {
+            for port in self.registry.keys() {
                 self.network.unlisten(*port);
             }
         }
-        self.control.log.retire(&st.cursor);
-        st.next_sock
+        self.control.log.retire(&self.cursor);
+        self.next_sock
     }
 
     /// Seeds the sock-id allocator (replacements resume the fenced
     /// incarnation's stride; see [`TcpProxy::scrub_after_fence`]).
-    pub fn set_next_sock(&self, next: SockId) {
-        self.state.lock().next_sock = next;
+    pub fn set_next_sock(&mut self, next: SockId) {
+        self.next_sock = next;
     }
 
     /// Executes one RPC from lane `lane`.
-    pub fn handle(&self, lane: usize, req: NetRequest) -> NetResponse {
+    pub fn handle(&mut self, lane: usize, req: NetRequest) -> NetResponse {
         let coproc = self.coprocs.get(lane).copied().unwrap_or(lane);
-        let mut st = self.state.lock();
-        let st = &mut *st;
         match req {
             NetRequest::Socket => {
-                let id = st.next_sock;
-                st.next_sock += self.control.nshards as SockId;
-                st.socks.insert(
+                let id = self.next_sock;
+                self.next_sock += self.control.nshards as SockId;
+                self.socks.insert(
                     id,
                     SockRec {
                         coproc,
@@ -972,7 +957,7 @@ impl TcpProxy {
                 );
                 NetResponse::Socket { sock: id }
             }
-            NetRequest::Bind { sock, port } => match st.socks.get_mut(&sock) {
+            NetRequest::Bind { sock, port } => match self.socks.get_mut(&sock) {
                 Some(rec) if matches!(rec.state, SockState::Fresh) => {
                     rec.state = SockState::Bound(port);
                     NetResponse::Ok
@@ -985,7 +970,7 @@ impl TcpProxy {
                 },
             },
             NetRequest::Listen { sock, backlog } => {
-                let port = match st.socks.get(&sock) {
+                let port = match self.socks.get(&sock) {
                     Some(SockRec {
                         state: SockState::Bound(p),
                         ..
@@ -1001,8 +986,8 @@ impl TcpProxy {
                         }
                     }
                 };
-                self.apply_log(st);
-                if !st.registry.contains_key(&port) {
+                self.apply_log();
+                if !self.registry.contains_key(&port) {
                     // First listener (as far as this replica can see):
                     // register the NIC-side listener before publishing
                     // the add, so the port is live when the RPC returns.
@@ -1020,8 +1005,8 @@ impl TcpProxy {
                             ok = true;
                             break;
                         }
-                        self.apply_log(st);
-                        if st.registry.contains_key(&port) {
+                        self.apply_log();
+                        if self.registry.contains_key(&port) {
                             // Someone else became home; join their port.
                             ok = true;
                             break;
@@ -1039,8 +1024,8 @@ impl TcpProxy {
                     sock,
                     shard: self.shard,
                 });
-                self.apply_log(st);
-                let Some(rec) = st.socks.get_mut(&sock) else {
+                self.apply_log();
+                let Some(rec) = self.socks.get_mut(&sock) else {
                     return NetResponse::Error {
                         err: RpcErr::NotFound,
                     };
@@ -1049,7 +1034,7 @@ impl TcpProxy {
                 NetResponse::Ok
             }
             NetRequest::Accept { sock } => {
-                match st
+                match self
                     .pending_accepts
                     .get_mut(&sock)
                     .and_then(|q| q.pop_front())
@@ -1058,7 +1043,7 @@ impl TcpProxy {
                         conn: conn_sock,
                         peer_addr,
                     },
-                    None => match st.socks.get(&sock) {
+                    None => match self.socks.get(&sock) {
                         Some(SockRec {
                             state: SockState::Listening(_),
                             ..
@@ -1075,7 +1060,7 @@ impl TcpProxy {
                 }
             }
             NetRequest::Connect { sock, addr, port } => {
-                let Some(rec) = st.socks.get_mut(&sock) else {
+                let Some(rec) = self.socks.get_mut(&sock) else {
                     return NetResponse::Error {
                         err: RpcErr::NotFound,
                     };
@@ -1092,7 +1077,7 @@ impl TcpProxy {
                             end: EndKind::Client,
                         };
                         if rec.evented {
-                            st.evented_conns.push(sock);
+                            self.evented_conns.push(sock);
                         }
                         NetResponse::Ok
                     }
@@ -1102,7 +1087,7 @@ impl TcpProxy {
                 }
             }
             NetRequest::Send { sock, data } => {
-                let Some(rec) = st.socks.get(&sock) else {
+                let Some(rec) = self.socks.get(&sock) else {
                     return NetResponse::Error {
                         err: RpcErr::NotFound,
                     };
@@ -1121,7 +1106,7 @@ impl TcpProxy {
                 }
             }
             NetRequest::Recv { sock, max } => {
-                let Some(rec) = st.socks.get(&sock) else {
+                let Some(rec) = self.socks.get(&sock) else {
                     return NetResponse::Error {
                         err: RpcErr::NotFound,
                     };
@@ -1139,9 +1124,9 @@ impl TcpProxy {
                     },
                 }
             }
-            NetRequest::Close { sock } => self.close_sock(st, sock),
+            NetRequest::Close { sock } => self.close_sock(sock),
             NetRequest::Setsockopt { sock, opt, val } => {
-                let Some(rec) = st.socks.get_mut(&sock) else {
+                let Some(rec) = self.socks.get_mut(&sock) else {
                     return NetResponse::Error {
                         err: RpcErr::NotFound,
                     };
@@ -1156,7 +1141,7 @@ impl TcpProxy {
                 }
             }
             NetRequest::Shutdown { sock, how } => {
-                let Some(rec) = st.socks.get(&sock) else {
+                let Some(rec) = self.socks.get(&sock) else {
                     return NetResponse::Error {
                         err: RpcErr::NotFound,
                     };
@@ -1174,8 +1159,8 @@ impl TcpProxy {
         }
     }
 
-    fn close_sock(&self, st: &mut TcpState, sock: SockId) -> NetResponse {
-        let Some(rec) = st.socks.get_mut(&sock) else {
+    fn close_sock(&mut self, sock: SockId) -> NetResponse {
+        let Some(rec) = self.socks.get_mut(&sock) else {
             return NetResponse::Error {
                 err: RpcErr::NotFound,
             };
@@ -1189,21 +1174,21 @@ impl TcpProxy {
                         slot,
                         shard: self.shard,
                     });
-                    self.apply_log(st);
+                    self.apply_log();
                 }
-                st.evented_conns.retain(|s| *s != sock);
+                self.evented_conns.retain(|s| *s != sock);
             }
             SockState::Listening(port) => {
                 rec.state = SockState::Closed;
                 self.control.append(TcpCtrlOp::ListenerDel { port, sock });
-                self.apply_log(st);
+                self.apply_log();
                 // Refuse the un-accepted backlog: each queued connection
                 // already holds an open fabric conn and a balancer slot,
                 // and no accept will ever reach it through the closed
                 // listener. Close the fabric side (the peer observes a
                 // severance, never a hang) and release the slot.
-                for (conn_sock, _) in st.pending_accepts.remove(&sock).unwrap_or_default() {
-                    let Some(crec) = st.socks.get_mut(&conn_sock) else {
+                for (conn_sock, _) in self.pending_accepts.remove(&sock).unwrap_or_default() {
+                    let Some(crec) = self.socks.get_mut(&conn_sock) else {
                         continue;
                     };
                     if let SockState::Conn { id, end } = crec.state {
@@ -1215,7 +1200,7 @@ impl TcpProxy {
                             slot,
                             shard: self.shard,
                         });
-                        self.apply_log(st);
+                        self.apply_log();
                     }
                 }
             }
@@ -1227,13 +1212,13 @@ impl TcpProxy {
     /// Accepts incoming connections on ports this shard is home to and
     /// routes them via the balancer replica. Returns true when any work
     /// happened.
-    fn poll_accepts(&self, st: &mut TcpState) -> bool {
+    fn poll_accepts(&mut self) -> bool {
         // Routing mutates the registry, so the scan runs over a copy — in
         // a vector kept from round to round.
-        let mut ports = std::mem::take(&mut st.scan_ports);
+        let mut ports = std::mem::take(&mut self.scan_ports);
         ports.clear();
         ports.extend(
-            st.registry
+            self.registry
                 .iter()
                 .filter(|(_, rec)| rec.home == self.shard)
                 .map(|(p, _)| *p),
@@ -1246,7 +1231,7 @@ impl TcpProxy {
                 // NIC accept and routing; refuse the orphan connection
                 // instead of panicking on an empty listener set.
                 let (listener, owner, slot) = {
-                    let listeners = match st.registry.get(&port) {
+                    let listeners = match self.registry.get(&port) {
                         Some(p) if !p.listeners.is_empty() => &p.listeners,
                         _ => {
                             let _ = self.network.close(conn, EndKind::Server);
@@ -1254,13 +1239,13 @@ impl TcpProxy {
                         }
                     };
                     let meta = ConnMeta { client_addr, port };
-                    let idx = st.lb.pick(listeners.len(), &meta) % listeners.len();
+                    let idx = self.lb.pick(listeners.len(), &meta) % listeners.len();
                     let (sock, owner) = listeners[idx];
                     (sock, owner, idx)
                 };
                 self.control
                     .append(TcpCtrlOp::ConnAssigned { slot, shard: owner });
-                self.apply_log(st);
+                self.apply_log();
                 let h = Handoff {
                     conn,
                     client_addr,
@@ -1268,43 +1253,41 @@ impl TcpProxy {
                     slot,
                 };
                 if owner == self.shard {
-                    self.deliver(st, h);
+                    self.deliver(h);
                 } else {
                     self.control.hand_off(owner, h);
                 }
             }
         }
-        st.scan_ports = ports;
+        self.scan_ports = ports;
         worked
     }
 
     /// Installs one routed connection under its local listener (the
     /// delivery half of an accept: inline when this shard is both home
     /// and owner, via the inbox otherwise).
-    fn deliver(&self, st: &mut TcpState, h: Handoff) {
+    fn deliver(&mut self, h: Handoff) {
         // The listener may have closed while the handoff was in flight —
         // either its record is gone entirely (a replaced shard's fresh
         // state) or it lingers in `Closed` state (a normal close; the
         // stub still holds the handle). Both ways no accept can ever
         // reach the connection: refuse it and release its balancer slot.
-        let lrec = match st.socks.get(&h.listener) {
-            Some(rec) if matches!(rec.state, SockState::Listening(_)) => rec,
+        let (coproc, evented) = match self.socks.get(&h.listener) {
+            Some(rec) if matches!(rec.state, SockState::Listening(_)) => (rec.coproc, rec.evented),
             _ => {
                 let _ = self.network.close(h.conn, EndKind::Server);
                 self.control.append(TcpCtrlOp::ConnClosed {
                     slot: h.slot,
                     shard: self.shard,
                 });
-                self.apply_log(st);
+                self.apply_log();
                 return;
             }
         };
-        let coproc = lrec.coproc;
-        let evented = lrec.evented;
         // Create the connection socket owned by the same coproc.
-        let conn_sock = st.next_sock;
-        st.next_sock += self.control.nshards as SockId;
-        st.socks.insert(
+        let conn_sock = self.next_sock;
+        self.next_sock += self.control.nshards as SockId;
+        self.socks.insert(
             conn_sock,
             SockRec {
                 coproc,
@@ -1319,15 +1302,15 @@ impl TcpProxy {
         );
         self.stats.accepted[coproc].fetch_add(1, Ordering::Relaxed);
         if evented {
-            st.evented_conns.push(conn_sock);
+            self.evented_conns.push(conn_sock);
             let ev = NetEvent::Accepted {
                 listen: h.listener,
                 conn: conn_sock,
                 peer_addr: h.client_addr,
             };
-            self.push_event(&mut st.evt_frame, coproc, &ev);
+            self.push_event(coproc, &ev);
         } else {
-            st.pending_accepts
+            self.pending_accepts
                 .entry(h.listener)
                 .or_default()
                 .push_back((conn_sock, h.client_addr));
@@ -1335,27 +1318,27 @@ impl TcpProxy {
     }
 
     /// Drains connections other shards routed to this shard's listeners.
-    fn drain_inbox(&self, st: &mut TcpState) -> bool {
+    fn drain_inbox(&mut self) -> bool {
         let mut worked = false;
         loop {
             let h = self.control.inboxes[self.shard].lock().pop_front();
             let Some(h) = h else { break };
             worked = true;
-            self.deliver(st, h);
+            self.deliver(h);
         }
         worked
     }
 
     /// Pulls inbound data for evented connections into event rings.
-    fn poll_data(&self, st: &mut TcpState) -> bool {
+    fn poll_data(&mut self) -> bool {
         let mut worked = false;
         // Closes edit `evented_conns`, so the scan runs over a copy — in
         // a vector kept from round to round.
-        let mut conns = std::mem::take(&mut st.scan_conns);
+        let mut conns = std::mem::take(&mut self.scan_conns);
         conns.clear();
-        conns.extend_from_slice(&st.evented_conns);
+        conns.extend_from_slice(&self.evented_conns);
         for &sock in &conns {
-            let Some(rec) = st.socks.get(&sock) else {
+            let Some(rec) = self.socks.get(&sock) else {
                 continue;
             };
             let SockState::Conn { id, end } = rec.state else {
@@ -1363,7 +1346,7 @@ impl TcpProxy {
             };
             let coproc = rec.coproc;
             // The event is encoded straight from the fabric's bytes.
-            let frame = &mut st.evt_frame;
+            let frame = &mut self.evt_frame;
             let got = self.network.recv_with(id, end, RECV_CHUNK, |data| {
                 if !data.is_empty() {
                     frame.clear();
@@ -1375,16 +1358,16 @@ impl TcpProxy {
                 Ok(0) => {}
                 Ok(_) => {
                     worked = true;
-                    self.push_frame(&st.evt_frame, coproc);
+                    self.push_frame(&self.evt_frame, coproc);
                 }
                 Err(NetworkError::Closed) => {
                     let mut closed_slot = None;
-                    if let Some(rec) = st.socks.get_mut(&sock) {
+                    if let Some(rec) = self.socks.get_mut(&sock) {
                         closed_slot = rec.lb_slot.take();
                         if !rec.close_sent {
                             rec.close_sent = true;
                             worked = true;
-                            self.push_event(&mut st.evt_frame, coproc, &NetEvent::Closed { sock });
+                            self.push_event(coproc, &NetEvent::Closed { sock });
                         }
                     }
                     if let Some(slot) = closed_slot {
@@ -1392,23 +1375,23 @@ impl TcpProxy {
                             slot,
                             shard: self.shard,
                         });
-                        self.apply_log(st);
+                        self.apply_log();
                     }
-                    st.evented_conns.retain(|s| *s != sock);
+                    self.evented_conns.retain(|s| *s != sock);
                 }
                 Err(_) => {
-                    st.evented_conns.retain(|s| *s != sock);
+                    self.evented_conns.retain(|s| *s != sock);
                 }
             }
         }
-        st.scan_conns = conns;
+        self.scan_conns = conns;
         worked
     }
 
-    fn push_event(&self, frame: &mut Vec<u8>, coproc: usize, ev: &NetEvent) {
-        frame.clear();
-        ev.encode_into(frame);
-        self.push_frame(frame, coproc);
+    fn push_event(&mut self, coproc: usize, ev: &NetEvent) {
+        self.evt_frame.clear();
+        ev.encode_into(&mut self.evt_frame);
+        self.push_frame(&self.evt_frame, coproc);
     }
 
     /// Publishes one encoded event on `coproc`'s event ring.
@@ -1428,72 +1411,41 @@ impl TcpProxy {
         }
     }
 
-    /// Executes one coalesced run's backend write and emits its reply
-    /// wave — each part answered exactly as the unbatched `Send` arm of
-    /// [`TcpProxy::handle`] would have (the fabric accepts whole writes,
-    /// so per-part `Sent` counts are byte-identical to one-at-a-time).
-    fn run_out(
-        &self,
-        lane: usize,
-        sock: SockId,
-        run: &SendRun,
-        frame: &mut Vec<u8>,
-        reply: &mut dyn FnMut(usize, &[u8]),
-    ) {
-        let outcome = {
-            let mut st = self.state.lock();
-            match st.socks.get_mut(&sock) {
-                None => Err(RpcErr::NotFound),
-                Some(rec) => match rec.state {
-                    SockState::Conn { id, end } => match self.network.send(id, end, &run.data) {
-                        Ok(_) => Ok(()),
-                        Err(NetworkError::Closed) => Err(RpcErr::Reset),
-                        Err(_) => Err(RpcErr::NotConnected),
-                    },
-                    _ => Err(RpcErr::NotConnected),
-                },
-            }
-        };
+    /// Executes one coalesced run's backend write, returning how it went.
+    fn send_run(&self, sock: SockId, run: &SendRun) -> Result<(), RpcErr> {
         self.stats.send_waves.fetch_add(1, Ordering::Relaxed);
         self.stats
             .staged_sends
             .fetch_add(run.parts.len() as u64, Ordering::Relaxed);
-        for p in &run.parts {
-            frame.clear();
-            match outcome {
-                Ok(()) => NetResponse::Sent {
-                    count: p.len as u64,
-                },
-                Err(err) => NetResponse::Error { err },
-            }
-            .encode_into(p.tag, frame);
-            if let Some(c) = p.credit {
-                stamp_credit(frame, c);
-            }
-            reply(lane, frame);
+        match self.socks.get(&sock).map(|rec| &rec.state) {
+            None => Err(RpcErr::NotFound),
+            Some(&SockState::Conn { id, end }) => match self.network.send(id, end, &run.data) {
+                Ok(_) => Ok(()),
+                Err(NetworkError::Closed) => Err(RpcErr::Reset),
+                Err(_) => Err(RpcErr::NotConnected),
+            },
+            Some(_) => Err(RpcErr::NotConnected),
         }
     }
 
     /// Settles the staged run at `i` right now, ahead of the cycle flush:
     /// its replies park in `done` and ride the next wave flush.
-    fn run_out_early(&self, stage: &mut SendStage, i: usize) {
-        let ((lane, sock), run) = stage.runs.remove(i);
-        let SendStage { done, frame, .. } = stage;
-        self.run_out(lane, sock, &run, frame, &mut |l, f| {
-            done.push((l, f.to_vec()))
-        });
-        stage.recycle(run);
+    fn run_out_early(&mut self, i: usize) {
+        let ((lane, sock), run) = self.send_stage.runs.remove(i);
+        let outcome = self.send_run(sock, &run);
+        let SendStage { done, frame, .. } = &mut self.send_stage;
+        run.answer(lane, outcome, frame, &mut |l, f| done.push((l, f.to_vec())));
+        self.send_stage.recycle(run);
     }
 
     /// Settles every staged run touching `sock` right now, preserving
     /// program order ahead of an about-to-execute large send, `Close`,
     /// or `Shutdown` on the same socket.
-    fn flush_sock(&self, sock: SockId) {
-        let mut stage = self.send_stage.lock();
+    fn flush_sock(&mut self, sock: SockId) {
         let mut i = 0;
-        while i < stage.runs.len() {
-            if stage.runs[i].0 .1 == sock {
-                self.run_out_early(&mut stage, i);
+        while i < self.send_stage.runs.len() {
+            if self.send_stage.runs[i].0 .1 == sock {
+                self.run_out_early(i);
             } else {
                 i += 1;
             }
@@ -1516,7 +1468,7 @@ impl OpHandler for TcpProxy {
     }
 
     fn exec(
-        &self,
+        &mut self,
         lane: usize,
         tag: u32,
         req: NetRequest,
@@ -1535,7 +1487,7 @@ impl OpHandler for TcpProxy {
     /// workerless, so staging sees each lane's requests in admission
     /// order. Barrier frames flush ahead of execution in the engine.
     fn stage(
-        &self,
+        &mut self,
         lane: usize,
         tag: u32,
         credit: Option<u8>,
@@ -1544,9 +1496,8 @@ impl OpHandler for TcpProxy {
     ) -> Option<NetRequest> {
         match req {
             NetRequest::Send { sock, data } if data.len() <= STAGE_SEND_MAX => {
-                let mut stage = self.send_stage.lock();
-                let key = (lane, sock);
-                let run = stage.run_mut(key);
+                let i = self.send_stage.run_index((lane, sock));
+                let run = &mut self.send_stage.runs[i].1;
                 run.parts.push(StagedSend {
                     tag,
                     credit,
@@ -1555,12 +1506,7 @@ impl OpHandler for TcpProxy {
                 });
                 run.data.extend_from_slice(&data);
                 if run.data.len() >= STAGE_BYTES_CAP {
-                    let i = stage
-                        .runs
-                        .iter()
-                        .position(|(k, _)| *k == key)
-                        .expect("run present");
-                    self.run_out_early(&mut stage, i);
+                    self.run_out_early(i);
                 }
                 None
             }
@@ -1576,18 +1522,18 @@ impl OpHandler for TcpProxy {
 
     /// Settles the staging table: cap-flushed replies first, then one
     /// coalesced backend write + reply wave per remaining run.
-    fn flush(&self, reply: &mut dyn FnMut(usize, &[u8])) {
-        let mut stage = self.send_stage.lock();
-        for (lane, frame) in stage.done.drain(..) {
+    fn flush(&mut self, reply: &mut dyn FnMut(usize, &[u8])) {
+        for (lane, frame) in self.send_stage.done.drain(..) {
             reply(lane, &frame);
         }
-        let mut runs = std::mem::take(&mut stage.runs);
+        let mut runs = std::mem::take(&mut self.send_stage.runs);
         for ((lane, sock), run) in runs.drain(..) {
-            self.run_out(lane, sock, &run, &mut stage.frame, reply);
-            stage.recycle(run);
+            let outcome = self.send_run(sock, &run);
+            run.answer(lane, outcome, &mut self.send_stage.frame, reply);
+            self.send_stage.recycle(run);
         }
         // Emptied, with its capacity.
-        stage.runs = runs;
+        self.send_stage.runs = runs;
     }
 
     /// Abandons staged-but-unexecuted send runs for the failover wreck:
@@ -1595,9 +1541,8 @@ impl OpHandler for TcpProxy {
     /// `Gone` and refunds. Already-executed cap-flush replies in
     /// `stage.done` are left in place — the engine's wreck dump flushes
     /// them into the settler so they ship verbatim (the sends happened).
-    fn abort_staged(&self) -> Vec<StagedPart> {
-        let mut stage = self.send_stage.lock();
-        let runs = std::mem::take(&mut stage.runs);
+    fn abort_staged(&mut self) -> Vec<StagedPart> {
+        let runs = std::mem::take(&mut self.send_stage.runs);
         runs.into_iter()
             .flat_map(|((lane, _), run)| {
                 run.parts.into_iter().map(move |p| StagedPart {
@@ -1618,22 +1563,17 @@ impl OpHandler for TcpProxy {
         Some(Arc::clone(&self.control.bells[self.shard]))
     }
 
-    fn poll(&self) -> bool {
-        let worked = {
-            let mut st = self.state.lock();
-            let st = &mut *st;
-            self.apply_log(st);
-            let drained = self.drain_inbox(st);
-            let accepted = self.poll_accepts(st);
-            let data = self.poll_data(st);
-            drained || accepted || data
-        };
+    fn poll(&mut self) -> bool {
+        self.apply_log();
+        let drained = self.drain_inbox();
+        let accepted = self.poll_accepts();
+        let data = self.poll_data();
         // Keep the shared observer fresh so an overrun rebuild (or a
         // replacement shard seeding itself) snapshots near the tail.
         // try_lock: never stall the data path on a contended observer.
         if let Some(mut obs) = self.control.observer.try_lock() {
             self.control.sync_observer_locked(&mut obs);
         }
-        worked
+        drained || accepted || data
     }
 }

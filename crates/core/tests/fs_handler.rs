@@ -44,7 +44,7 @@ fn window_read(w: &Arc<Window>, off: usize, len: usize) -> Vec<u8> {
 
 #[test]
 fn aligned_read_goes_p2p_and_coalesces() {
-    let (proxy, fs, window, stats) = setup(false);
+    let (mut proxy, fs, window, stats) = setup(false);
     let ino = fs.create("/f").unwrap();
     let data: Vec<u8> = (0..4 * BLOCK_SIZE).map(|i| (i % 253) as u8).collect();
     fs.write(ino, 0, &data).unwrap();
@@ -73,7 +73,7 @@ fn aligned_read_goes_p2p_and_coalesces() {
 
 #[test]
 fn cross_numa_demotes_to_buffered() {
-    let (proxy, fs, window, stats) = setup(true);
+    let (mut proxy, fs, window, stats) = setup(true);
     let ino = fs.create("/f").unwrap();
     let data = vec![7u8; 2 * BLOCK_SIZE];
     fs.write(ino, 0, &data).unwrap();
@@ -97,7 +97,7 @@ fn cross_numa_demotes_to_buffered() {
 
 #[test]
 fn cache_hit_prefers_buffered() {
-    let (proxy, fs, _window, stats) = setup(false);
+    let (mut proxy, fs, _window, stats) = setup(false);
     let ino = fs.create("/f").unwrap();
     let data = vec![9u8; BLOCK_SIZE];
     fs.write(ino, 0, &data).unwrap(); // Write-through warms the cache.
@@ -119,7 +119,7 @@ fn cache_hit_prefers_buffered() {
 
 #[test]
 fn unaligned_read_demotes() {
-    let (proxy, fs, window, stats) = setup(false);
+    let (mut proxy, fs, window, stats) = setup(false);
     let ino = fs.create("/f").unwrap();
     let data: Vec<u8> = (0..2 * BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
     fs.write(ino, 0, &data).unwrap();
@@ -137,7 +137,7 @@ fn unaligned_read_demotes() {
 
 #[test]
 fn p2p_write_roundtrips_and_invalidates_cache() {
-    let (proxy, fs, window, stats) = setup(false);
+    let (mut proxy, fs, window, stats) = setup(false);
     let ino = fs.create("/f").unwrap();
     // Seed stale data through the cache.
     fs.write(ino, 0, &vec![1u8; 2 * BLOCK_SIZE]).unwrap();
@@ -165,7 +165,7 @@ fn p2p_write_roundtrips_and_invalidates_cache() {
 
 #[test]
 fn p2p_write_extends_file() {
-    let (proxy, fs, window, _stats) = setup(false);
+    let (mut proxy, fs, window, _stats) = setup(false);
     let ino = fs.create("/f").unwrap();
     let data = vec![5u8; 1000]; // Partial tail, extending: P2P-safe.
     window_write(&window, 0, &data);
@@ -184,7 +184,7 @@ fn p2p_write_extends_file() {
 
 #[test]
 fn unaligned_overwrite_demotes_to_buffered() {
-    let (proxy, fs, window, stats) = setup(false);
+    let (mut proxy, fs, window, stats) = setup(false);
     let ino = fs.create("/f").unwrap();
     fs.write(ino, 0, &vec![1u8; 2 * BLOCK_SIZE]).unwrap();
     // Overwrite 10 bytes mid-file: partial tail NOT extending => buffered.
@@ -205,7 +205,7 @@ fn unaligned_overwrite_demotes_to_buffered() {
 
 #[test]
 fn o_buffer_forces_buffered_io() {
-    let (proxy, fs, _window, stats) = setup(false);
+    let (mut proxy, fs, _window, stats) = setup(false);
     let resp = proxy.handle(FsRequest::Open {
         path: "/b".into(),
         create: true,
@@ -230,7 +230,7 @@ fn o_buffer_forces_buffered_io() {
 
 #[test]
 fn read_beyond_eof_returns_zero() {
-    let (proxy, fs, _window, _stats) = setup(false);
+    let (mut proxy, fs, _window, _stats) = setup(false);
     let ino = fs.create("/f").unwrap();
     fs.write(ino, 0, b"xy").unwrap();
     let resp = proxy.handle(FsRequest::Read {
@@ -244,7 +244,7 @@ fn read_beyond_eof_returns_zero() {
 
 #[test]
 fn metadata_rpcs_roundtrip() {
-    let (proxy, _fs, _window, _stats) = setup(false);
+    let (mut proxy, _fs, _window, _stats) = setup(false);
     assert!(matches!(
         proxy.handle(FsRequest::Mkdir { path: "/d".into() }),
         FsResponse::Mkdir { .. }
@@ -295,7 +295,7 @@ fn metadata_rpcs_roundtrip() {
 fn sequential_buffered_reads_trigger_readahead() {
     // Cross-NUMA proxy: everything is buffered, so the readahead path
     // is exercised by a sequential scan.
-    let (proxy, fs, _window, stats) = setup(true);
+    let (mut proxy, fs, _window, stats) = setup(true);
     let ino = fs.create("/seq").unwrap();
     fs.write(ino, 0, &vec![7u8; 32 * BLOCK_SIZE]).unwrap();
     fs.cache().invalidate_ino(ino);
@@ -365,7 +365,7 @@ fn injected_worker_panic_is_contained() {
 
 #[test]
 fn injected_panic_on_an_inline_buffered_read_is_contained() {
-    let (proxy, fs, window, stats) = setup(false);
+    let (mut proxy, fs, window, stats) = setup(false);
     let data = vec![3u8; BLOCK_SIZE];
     let ino = match proxy.handle(FsRequest::Open {
         path: "/f".into(),
@@ -472,21 +472,25 @@ fn a_call_waiting_on_a_lease_does_not_keep_the_engine_from_the_ack() {
 #[test]
 fn a_call_meeting_an_unrouted_lease_recalls_it_without_waiting() {
     let (proxy, fs, _window, _stats) = setup(false);
-    let proxy = Arc::new(proxy);
     let leases = proxy.lease_manager();
     // Far beyond the watchdog: only an ack can settle a recall.
     leases.set_recall_budget(Duration::from_secs(60));
     let len = 4 * BLOCK_SIZE as u64;
-    // Runs one call on a thread of its own, so a call that waits for the
-    // holder fails the test instead of hanging it.
-    let call = |req: FsRequest| {
+    // Runs one call on a thread of its own, the proxy moved there and
+    // back, so a call that waits for the holder fails the test instead of
+    // hanging it.
+    let mut proxy = Some(proxy);
+    let mut call = |req: FsRequest| {
         let (tx, rx) = std::sync::mpsc::channel();
-        let proxy = Arc::clone(&proxy);
-        let caller = std::thread::spawn(move || tx.send(proxy.handle(req)).unwrap());
+        let mut p = proxy.take().expect("the last call handed the proxy back");
+        let caller = std::thread::spawn(move || {
+            tx.send(p.handle(req)).unwrap();
+            p
+        });
         let resp = rx
             .recv_timeout(Duration::from_secs(2))
             .expect("the call waited for the lease holder");
-        caller.join().unwrap();
+        proxy = Some(caller.join().unwrap());
         resp
     };
     // A read meets a write lease; every other call, a read lease.
@@ -557,7 +561,7 @@ fn a_call_meeting_an_unrouted_lease_recalls_it_without_waiting() {
 
 #[test]
 fn device_fault_recovery() {
-    let (proxy, fs, _window, _stats) = setup(false);
+    let (mut proxy, fs, _window, _stats) = setup(false);
     let ino = fs.create("/f").unwrap();
     fs.write(ino, 0, &vec![1u8; BLOCK_SIZE]).unwrap();
     fs.cache().invalidate_ino(ino);

@@ -118,7 +118,7 @@ fn run(inherit: bool) -> Outcome {
 
     let faults = proxy.faults();
     let mut engine = ProxyEngine::new(
-        Arc::new(proxy),
+        proxy,
         vec![EngineLane {
             req_rx: ch.req_rx,
             resp_tx: ch.resp_tx,

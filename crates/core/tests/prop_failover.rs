@@ -235,17 +235,18 @@ fn run_overload_failover(wedge: bool, victim: usize) {
         );
     }
 
+    let report = sys.recovery_report();
+    assert_eq!(report.domains_failed_over, 1);
+    assert!(report.clean(), "recovery report must be clean: {report:?}");
+
+    // The shards hand their proxies back at shutdown: read the replicas.
+    sys.shutdown();
     let fps = supervisor.replica_fingerprints();
     assert_eq!(fps.len(), DOMAINS, "every domain must end live");
     assert!(
         fps.windows(2).all(|w| w[0] == w[1]),
         "surviving replicas diverged: {fps:x?}"
     );
-    let report = sys.recovery_report();
-    assert_eq!(report.domains_failed_over, 1);
-    assert!(report.clean(), "recovery report must be clean: {report:?}");
-
-    sys.shutdown();
 }
 
 fn run_storm(events: Vec<KillEvent>) {
@@ -391,18 +392,18 @@ fn run_storm(events: Vec<KillEvent>) {
         );
     }
 
-    // Replicated control plane: every live shard ends on one fingerprint.
+    let report = sys.recovery_report();
+    assert_eq!(report.domains_failed_over, killed);
+    assert_eq!(report.event_drops, 0, "no TCP event may be dropped");
+    assert!(report.clean(), "recovery report must be clean: {report:?}");
+
+    // Replicated control plane: every live shard ends on one fingerprint,
+    // read off the proxies the shards hand back at shutdown.
+    sys.shutdown();
     let fps = supervisor.replica_fingerprints();
     assert_eq!(fps.len(), DOMAINS, "every domain must end live");
     assert!(
         fps.windows(2).all(|w| w[0] == w[1]),
         "surviving replicas diverged: {fps:x?}"
     );
-
-    let report = sys.recovery_report();
-    assert_eq!(report.domains_failed_over, killed);
-    assert_eq!(report.event_drops, 0, "no TCP event may be dropped");
-    assert!(report.clean(), "recovery report must be clean: {report:?}");
-
-    sys.shutdown();
 }

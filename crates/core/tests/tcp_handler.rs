@@ -68,7 +68,7 @@ fn proxy_with(n: usize) -> Rig {
     }
 }
 
-fn new_sock(p: &TcpProxy) -> SockId {
+fn new_sock(p: &mut TcpProxy) -> SockId {
     match p.handle(0, NetRequest::Socket) {
         NetResponse::Socket { sock } => sock,
         other => panic!("unexpected {other:?}"),
@@ -107,8 +107,8 @@ fn injected_handler_panic_is_contained() {
 
 #[test]
 fn socket_state_machine_rejects_bad_transitions() {
-    let rig = proxy_with(1);
-    let p = &rig.proxy;
+    let mut rig = proxy_with(1);
+    let p = &mut rig.proxy;
     let s = new_sock(p);
     // Listen before bind.
     assert!(matches!(
@@ -179,8 +179,8 @@ fn socket_state_machine_rejects_bad_transitions() {
 
 #[test]
 fn shared_port_closes_cleanly() {
-    let rig = proxy_with(2);
-    let p = &rig.proxy;
+    let mut rig = proxy_with(2);
+    let p = &mut rig.proxy;
     let net = &rig.network;
     // Two co-processors listen on the same port (shared socket).
     let a = new_sock(p);
@@ -236,8 +236,8 @@ fn closing_a_listener_refuses_its_unaccepted_backlog() {
     // refused when the listener closes — the peer observes a severance,
     // never a hang, and the fabric conn is reaped once the peer closes
     // its own end.
-    let rig = proxy_with(1);
-    let p = &rig.proxy;
+    let mut rig = proxy_with(1);
+    let p = &mut rig.proxy;
     let net = &rig.network;
     let s = new_sock(p);
     assert!(matches!(
@@ -289,8 +289,8 @@ fn closing_a_listener_refuses_its_unaccepted_backlog() {
 
 #[test]
 fn connect_send_recv_shutdown_via_rpc() {
-    let rig = proxy_with(1);
-    let p = &rig.proxy;
+    let mut rig = proxy_with(1);
+    let p = &mut rig.proxy;
     let net = &rig.network;
     // An "external server" listens on the fabric.
     net.listen(7000, 4).unwrap();
@@ -432,13 +432,12 @@ fn an_unread_socket_stalls_neither_its_stub_nor_its_shard() {
 /// fabric peer observes a severance, not a hang.
 #[test]
 fn the_backstop_refuses_a_connection_accepted_by_a_closing_listener() {
-    fn serve(proxy: &Arc<TcpProxy>) -> (Arc<AtomicBool>, std::thread::JoinHandle<()>) {
+    fn serve(proxy: TcpProxy) -> (Arc<AtomicBool>, std::thread::JoinHandle<TcpProxy>) {
         let stop = Arc::new(AtomicBool::new(false));
-        let (p, s) = (Arc::clone(proxy), Arc::clone(&stop));
-        (stop, std::thread::spawn(move || p.run_shared(s)))
+        let s = Arc::clone(&stop);
+        (stop, std::thread::spawn(move || proxy.run(s)))
     }
     let mut rig = proxy_with(1);
-    let proxy = Arc::new(rig.proxy);
     let client = Arc::clone(&rig.clients[0]);
     let stub_stop = Arc::new(AtomicBool::new(false));
     let (net, backstop) = CoprocNet::start(
@@ -446,11 +445,11 @@ fn the_backstop_refuses_a_connection_accepted_by_a_closing_listener() {
         rig.events.remove(0),
         Arc::clone(&stub_stop),
     );
-    let (stop, engine) = serve(&proxy);
+    let (stop, engine) = serve(rig.proxy);
     let listener = net.listen(96, 4).expect("listen");
     // Park the engine: the listener's close is submitted and waits.
     stop.store(true, Ordering::Relaxed);
-    engine.join().unwrap();
+    let mut proxy = engine.join().unwrap();
     let closer = std::thread::spawn(move || listener.close());
     // The close marks the listener dead before it submits its RPC.
     wait_until("the listener close is submitted", || {
@@ -467,7 +466,7 @@ fn the_backstop_refuses_a_connection_accepted_by_a_closing_listener() {
         client.pending_len() == 2
     });
 
-    let (stop, engine) = serve(&proxy);
+    let (stop, engine) = serve(proxy);
     assert_eq!(closer.join().unwrap(), Ok(()));
     wait_until("the peer observes the severance", || {
         rig.network.recv(conn, EndKind::Client, 16) == Err(NetworkError::Closed)

@@ -145,6 +145,10 @@ pub struct OpLog<T> {
     storage: RwLock<Store<T>>,
     /// Flat-combining publication buffer; ticket order == vec order.
     pending: Mutex<Vec<T>>,
+    /// The combiner's other buffer, empty between combines: swapped
+    /// with `pending` and drained into the store, so neither buffer is
+    /// rebuilt and an append does not allocate once both have grown.
+    spare: Mutex<Vec<T>>,
     /// Next ticket to hand out (assigned under the `pending` lock).
     enqueued: AtomicU64,
     /// Published tail: every sequence below this is readable.
@@ -170,6 +174,7 @@ impl<T: Clone> OpLog<T> {
                 ops: VecDeque::new(),
             }),
             pending: Mutex::new(Vec::new()),
+            spare: Mutex::new(Vec::new()),
             enqueued: AtomicU64::new(0),
             tail: AtomicU64::new(0),
             head: AtomicU64::new(0),
@@ -238,14 +243,15 @@ impl<T: Clone> OpLog<T> {
     /// Sequences every published operation (combiner role). Runs with
     /// the `combining` flag held.
     fn combine(&self) {
+        let mut batch = self.spare.lock();
         loop {
-            let batch = std::mem::take(&mut *self.pending.lock());
+            std::mem::swap(&mut *self.pending.lock(), &mut *batch);
             if batch.is_empty() {
                 return;
             }
             let n = batch.len() as u64;
             let mut store = self.storage.write();
-            store.ops.extend(batch);
+            store.ops.extend(batch.drain(..));
             let new_tail = self.tail.load(Ordering::Relaxed) + n;
             self.tail.store(new_tail, Ordering::Release);
             self.batches.fetch_add(1, Ordering::Relaxed);

@@ -4,7 +4,7 @@
 # the nine extension gates (e8 five times: each wave is one publish, so it is
 # deterministic; e6 three times: its recall storm drives calls parked on a
 # lease across two engines). Needs no registry; exits nonzero on the first
-# failure.
+# failure. Ends with the per-crate line counts of scripts/loc.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,3 +18,4 @@ for gate in e3 e3-engine e4 e5 e6 e6 e6 e7 e8 e8 e8 e8 e8 e9 e10; do
         { cat "target/$gate.out"; echo "FAIL: extensions $gate"; exit 1; }
 done
 echo "offline-check: tests and all nine extension gates passed (e8 five times, e6 three times)"
+scripts/loc.sh
