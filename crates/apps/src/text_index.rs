@@ -1,18 +1,32 @@
 //! Inverted-index construction (the paper's text-indexing workload).
 //!
-//! Worker threads claim documents from a shared queue, read them through
+//! Worker threads claim documents from a shared counter, read them through
 //! the stack under test ([`solros_baseline::FileStore`]), tokenize, and
-//! build per-thread partial indexes that are merged at the end — the
-//! classic map/reduce indexing shape the Phi's many threads are good at,
-//! as long as the I/O path can feed them.
+//! build per-thread term tables that are merged at the end — the classic
+//! map/reduce indexing shape the Phi's many threads are good at, as long
+//! as the I/O path can feed them.
+//!
+//! A worker never hashes a string on the way. One pass over a document's
+//! bytes splits it at ASCII whitespace and packs each token of up to seven
+//! bytes, with its length, into a `u64` key that maps to a dense term id;
+//! the document's counts are a `Vec` indexed by id. Each term's `String`
+//! and postings `Vec` are made once, when the merged tables build the
+//! [`Index`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use solros_baseline::FileStore;
 use solros_proto::rpc_error::RpcErr;
-use solros_simkit::sync::Mutex;
+use solros_simkit::KeyedMap;
+
+/// Read granularity: one stack request per chunk.
+const CHUNK: usize = 256 * 1024;
+
+/// Longest token a term key holds: its bytes fill the key's low seven
+/// bytes and its length the top one.
+const PACKED_MAX: usize = 7;
 
 /// Index construction results.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,8 +48,6 @@ pub type Index = HashMap<String, Vec<(usize, u32)>>;
 pub struct TextIndexer<S: FileStore + ?Sized> {
     store: Arc<S>,
     threads: usize,
-    /// Read granularity (one stack request per chunk).
-    chunk: usize,
 }
 
 impl<S: FileStore + ?Sized + 'static> TextIndexer<S> {
@@ -46,112 +58,223 @@ impl<S: FileStore + ?Sized + 'static> TextIndexer<S> {
     /// Panics if `threads == 0`.
     pub fn new(store: Arc<S>, threads: usize) -> Self {
         assert!(threads > 0, "need at least one worker");
-        Self {
-            store,
-            threads,
-            chunk: 256 * 1024,
-        }
+        Self { store, threads }
     }
 
     /// Indexes every file under `dir`; returns the index and statistics.
     pub fn run(&self, dir: &str) -> Result<(Index, IndexStats), RpcErr> {
-        let names = self.store.readdir(dir)?;
-        let paths: Vec<String> = names.iter().map(|n| format!("{dir}/{n}")).collect();
-        let next = Arc::new(AtomicUsize::new(0));
-        let bytes_read = Arc::new(AtomicU64::new(0));
-        let tokens = Arc::new(AtomicU64::new(0));
-        let merged: Arc<Mutex<Index>> = Arc::new(Mutex::new(HashMap::new()));
-        let first_err: Arc<Mutex<Option<RpcErr>>> = Arc::new(Mutex::new(None));
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads {
-                let store = Arc::clone(&self.store);
-                let paths = &paths;
-                let next = Arc::clone(&next);
-                let bytes_read = Arc::clone(&bytes_read);
-                let tokens = Arc::clone(&tokens);
-                let merged = Arc::clone(&merged);
-                let first_err = Arc::clone(&first_err);
-                let chunk = self.chunk;
-                scope.spawn(move || {
-                    let mut local: Index = HashMap::new();
-                    loop {
-                        let doc = next.fetch_add(1, Ordering::Relaxed);
-                        if doc >= paths.len() || first_err.lock().is_some() {
-                            break;
-                        }
-                        match Self::index_one(&*store, &paths[doc], doc, chunk, &mut local) {
-                            Ok((b, t)) => {
-                                bytes_read.fetch_add(b, Ordering::Relaxed);
-                                tokens.fetch_add(t, Ordering::Relaxed);
-                            }
-                            Err(e) => {
-                                first_err.lock().get_or_insert(e);
-                                break;
-                            }
-                        }
-                    }
-                    // Merge the partial index.
-                    let mut g = merged.lock();
-                    for (term, postings) in local {
-                        g.entry(term).or_default().extend(postings);
-                    }
-                });
-            }
-        });
-
-        if let Some(e) = *first_err.lock() {
-            return Err(e);
-        }
-        let mut index = Arc::try_unwrap(merged)
-            .map_err(|_| RpcErr::Io)?
-            .into_inner();
-        for postings in index.values_mut() {
-            postings.sort_unstable();
-        }
-        let stats = IndexStats {
-            docs: paths.len(),
-            tokens: tokens.load(Ordering::Relaxed),
-            unique_terms: index.len(),
-            bytes_read: bytes_read.load(Ordering::Relaxed),
-        };
-        Ok((index, stats))
+        index_shards(&[&*self.store], self.threads, dir)
     }
+}
 
-    /// Reads and tokenizes one document into `local`.
-    pub(crate) fn index_one(
+/// Indexes every file under `dir` with `threads` workers per store. The
+/// documents are dealt round-robin over `stores`: document `d` is read
+/// through `stores[d % stores.len()]`, by whichever of that store's
+/// workers claims it first. The first error stops every worker.
+fn index_shards<S: FileStore + ?Sized>(
+    stores: &[&S],
+    threads: usize,
+    dir: &str,
+) -> Result<(Index, IndexStats), RpcErr> {
+    let names = stores[0].readdir(dir)?;
+    let paths: Vec<String> = names.iter().map(|n| format!("{dir}/{n}")).collect();
+    let claimed: Vec<AtomicUsize> = stores.iter().map(|_| AtomicUsize::new(0)).collect();
+    let failed = AtomicBool::new(false);
+    let tables = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..stores.len() * threads)
+            .map(|w| {
+                let shard = w % stores.len();
+                let (store, claimed, paths, failed) =
+                    (stores[shard], &claimed[shard], &paths, &failed);
+                scope.spawn(move || {
+                    let mut table = TermTable::default();
+                    loop {
+                        let doc = shard + claimed.fetch_add(1, Ordering::Relaxed) * stores.len();
+                        if doc >= paths.len() || failed.load(Ordering::Relaxed) {
+                            return Ok(table);
+                        }
+                        if let Err(e) = table.read_doc(store, &paths[doc], doc) {
+                            failed.store(true, Ordering::Relaxed);
+                            return Err(e);
+                        }
+                    }
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("indexing worker panicked"))
+            .collect::<Result<Vec<_>, _>>()
+    })?;
+    Ok(TermTable::merge(tables, paths.len()))
+}
+
+/// The `(offset, len)` reads that cover a file of `size` bytes.
+fn chunks(size: u64) -> Vec<(u64, usize)> {
+    (0..size)
+        .step_by(CHUNK)
+        .map(|off| (off, CHUNK.min((size - off) as usize)))
+        .collect()
+}
+
+/// One worker's terms under dense ids, and the postings it has found.
+#[derive(Default)]
+struct TermTable {
+    /// Packed key → id, for tokens of at most [`PACKED_MAX`] bytes. The
+    /// keys come from file contents, so the table's hash is keyed.
+    packed: KeyedMap<u64, u32>,
+    /// Longer tokens → id, in the same id space.
+    long: HashMap<Box<str>, u32>,
+    /// Per id, its count in the current document (0 between documents).
+    counts: Vec<u32>,
+    /// The ids the current document has counted.
+    touched: Vec<u32>,
+    /// `(id, doc, count)` for each distinct term of each document.
+    postings: Vec<(u32, usize, u32)>,
+    /// Tokens counted and bytes read, over every document.
+    tokens: u64,
+    bytes_read: u64,
+}
+
+impl TermTable {
+    /// Reads document `doc` through `store` and counts its terms.
+    fn read_doc<S: FileStore + ?Sized>(
+        &mut self,
         store: &S,
         path: &str,
         doc: usize,
-        chunk: usize,
-        local: &mut Index,
-    ) -> Result<(u64, u64), RpcErr> {
+    ) -> Result<(), RpcErr> {
         let (handle, size) = store.open(path, false)?;
         // The size is known from open, so the whole document's chunk
         // reads are issued as one pipelined batch (a queue-depth the
         // Solros proxy coalesces; other stacks walk them sequentially).
-        let reqs: Vec<(u64, usize)> = (0..size)
-            .step_by(chunk.max(1))
-            .map(|off| (off, chunk.min((size - off) as usize)))
+        let mut pieces = store.read_at_batch(handle, &chunks(size))?;
+        let text = if pieces.len() == 1 {
+            pieces.swap_remove(0)
+        } else {
+            pieces.concat()
+        };
+        self.bytes_read += text.len() as u64;
+        self.add_doc(doc, std::str::from_utf8(&text).map_err(|_| RpcErr::Io)?);
+        Ok(())
+    }
+
+    /// Counts the terms of document `doc` in one pass over its bytes. The
+    /// tokens are `split_ascii_whitespace`'s: an ASCII byte never sits
+    /// inside a multi-byte character.
+    fn add_doc(&mut self, doc: usize, text: &str) {
+        let bytes = text.as_bytes();
+        let mut at = 0;
+        while at < bytes.len() {
+            if bytes[at].is_ascii_whitespace() {
+                at += 1;
+                continue;
+            }
+            let start = at;
+            let mut key = 0u64;
+            while at < bytes.len() && !bytes[at].is_ascii_whitespace() {
+                if at - start < PACKED_MAX {
+                    key |= u64::from(bytes[at]) << (8 * (at - start));
+                }
+                at += 1;
+            }
+            let len = at - start;
+            let id = if len <= PACKED_MAX {
+                self.packed_id(key | (len as u64) << 56)
+            } else {
+                self.long_id(&text[start..at])
+            };
+            let count = &mut self.counts[id as usize];
+            if *count == 0 {
+                self.touched.push(id);
+            }
+            *count += 1;
+            self.tokens += 1;
+        }
+        for id in self.touched.drain(..) {
+            let count = std::mem::take(&mut self.counts[id as usize]);
+            self.postings.push((id, doc, count));
+        }
+    }
+
+    /// The id of a packed term, minted on first sight.
+    fn packed_id(&mut self, key: u64) -> u32 {
+        let next = self.counts.len() as u32;
+        let id = *self.packed.entry(key).or_insert(next);
+        if id == next {
+            self.counts.push(0);
+        }
+        id
+    }
+
+    /// The id of a term too long to pack, minted on first sight.
+    fn long_id(&mut self, term: &str) -> u32 {
+        if let Some(&id) = self.long.get(term) {
+            return id;
+        }
+        let id = self.counts.len() as u32;
+        self.long.insert(term.into(), id);
+        self.counts.push(0);
+        id
+    }
+
+    /// Merges the workers' tables by key and builds the index of `docs`
+    /// documents from the result: one `String` and one postings `Vec` per
+    /// term.
+    fn merge(tables: Vec<TermTable>, docs: usize) -> (Index, IndexStats) {
+        let mut tables = tables.into_iter();
+        let mut all = tables.next().unwrap_or_default();
+        for table in tables {
+            let mut ids = vec![0u32; table.counts.len()];
+            for (key, id) in table.packed {
+                ids[id as usize] = all.packed_id(key);
+            }
+            for (term, id) in table.long {
+                ids[id as usize] = all.long_id(&term);
+            }
+            all.postings.extend(
+                table
+                    .postings
+                    .into_iter()
+                    .map(|(id, doc, count)| (ids[id as usize], doc, count)),
+            );
+            all.tokens += table.tokens;
+            all.bytes_read += table.bytes_read;
+        }
+
+        let mut lens = vec![0usize; all.counts.len()];
+        for &(id, _, _) in &all.postings {
+            lens[id as usize] += 1;
+        }
+        let mut terms: Vec<(String, Vec<(usize, u32)>)> = lens
+            .into_iter()
+            .map(|n| (String::new(), Vec::with_capacity(n)))
             .collect();
-        let mut text = Vec::with_capacity(size as usize);
-        for piece in store.read_at_batch(handle, &reqs)? {
-            text.extend_from_slice(&piece);
+        for (key, id) in all.packed {
+            let len = (key >> 56) as usize;
+            terms[id as usize].0 = String::from_utf8(key.to_le_bytes()[..len].to_vec())
+                .expect("a UTF-8 text splits at ASCII bytes into UTF-8 tokens");
         }
-        let mut counts: HashMap<&str, u32> = HashMap::new();
-        let text_str = std::str::from_utf8(&text).map_err(|_| RpcErr::Io)?;
-        let mut tokens = 0u64;
-        for tok in text_str.split_ascii_whitespace() {
-            *counts.entry(tok).or_insert(0) += 1;
-            tokens += 1;
+        for (term, id) in all.long {
+            terms[id as usize].0 = term.into_string();
         }
-        for (term, count) in counts {
-            local
-                .entry(term.to_string())
-                .or_default()
-                .push((doc, count));
+        for (id, doc, count) in all.postings {
+            terms[id as usize].1.push((doc, count));
         }
-        Ok((text.len() as u64, tokens))
+        let index: Index = terms
+            .into_iter()
+            .map(|(term, mut postings)| {
+                postings.sort_unstable();
+                (term, postings)
+            })
+            .collect();
+        let stats = IndexStats {
+            docs,
+            tokens: all.tokens,
+            unique_terms: index.len(),
+            bytes_read: all.bytes_read,
+        };
+        (index, stats)
     }
 }
 
@@ -179,7 +302,7 @@ pub fn write_index<S: FileStore + ?Sized>(
     }
     let handle = store.create(path)?;
     let mut off = 0u64;
-    for chunk in buf.chunks(256 * 1024) {
+    for chunk in buf.chunks(CHUNK) {
         store.write_at(handle, off, chunk)?;
         off += chunk.len() as u64;
     }
@@ -189,11 +312,7 @@ pub fn write_index<S: FileStore + ?Sized>(
 /// Loads an index previously written by [`write_index`].
 pub fn read_index<S: FileStore + ?Sized>(store: &S, path: &str) -> Result<Index, RpcErr> {
     let (handle, size) = store.open(path, false)?;
-    const CHUNK: usize = 256 * 1024;
-    let reqs: Vec<(u64, usize)> = (0..size)
-        .step_by(CHUNK)
-        .map(|off| (off, CHUNK.min((size - off) as usize)))
-        .collect();
+    let reqs = chunks(size);
     let mut buf = Vec::with_capacity(size as usize);
     for (piece, &(_, want)) in store.read_at_batch(handle, &reqs)?.iter().zip(&reqs) {
         if piece.len() != want {
@@ -242,74 +361,23 @@ pub fn read_index<S: FileStore + ?Sized>(store: &S, path: &str) -> Result<Index,
 
 /// Builds one inverted index with the documents sharded across several
 /// stacks (e.g. one [`FileStore`] per co-processor over the shared Solros
-/// file system), merging the partial indexes — the multi-card scaling
-/// shape of §6.2/§6.3.
+/// file system), each shard indexed by `threads_per_store` workers of the
+/// same loop as [`TextIndexer::run`] — the multi-card scaling shape of
+/// §6.2/§6.3. Documents keep their global ids, so the result is identical
+/// to a single-store run.
+///
+/// # Panics
+///
+/// Panics if `stores` is empty or `threads_per_store == 0`.
 pub fn distributed_index<S: FileStore + ?Sized + 'static>(
     stores: &[Arc<S>],
     dir: &str,
     threads_per_store: usize,
 ) -> Result<(Index, IndexStats), RpcErr> {
     assert!(!stores.is_empty(), "need at least one store");
-    let names = stores[0].readdir(dir)?;
-    let mut merged: Index = HashMap::new();
-    let mut stats = IndexStats {
-        docs: 0,
-        tokens: 0,
-        unique_terms: 0,
-        bytes_read: 0,
-    };
-    // Shard by document index modulo the number of stores. Each shard is
-    // indexed with global document ids, so the merged result is identical
-    // to a single-store run.
-    let results: Vec<Result<(Index, u64, u64, usize), RpcErr>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = stores
-            .iter()
-            .enumerate()
-            .map(|(shard, store)| {
-                let names = &names;
-                let store = Arc::clone(store);
-                let n_shards = stores.len();
-                scope.spawn(move || {
-                    let mut local: Index = HashMap::new();
-                    let mut bytes = 0u64;
-                    let mut tokens = 0u64;
-                    let mut docs = 0usize;
-                    for (doc, name) in names.iter().enumerate() {
-                        if doc % n_shards != shard {
-                            continue;
-                        }
-                        let path = format!("{dir}/{name}");
-                        let (b, t) =
-                            TextIndexer::index_one(&*store, &path, doc, 256 * 1024, &mut local)?;
-                        bytes += b;
-                        tokens += t;
-                        docs += 1;
-                    }
-                    // Suppress the unused warning for single-threaded shards.
-                    let _ = threads_per_store;
-                    Ok((local, bytes, tokens, docs))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard panicked"))
-            .collect()
-    });
-    for r in results {
-        let (local, bytes, tokens, docs) = r?;
-        stats.bytes_read += bytes;
-        stats.tokens += tokens;
-        stats.docs += docs;
-        for (term, postings) in local {
-            merged.entry(term).or_default().extend(postings);
-        }
-    }
-    for postings in merged.values_mut() {
-        postings.sort_unstable();
-    }
-    stats.unique_terms = merged.len();
-    Ok((merged, stats))
+    assert!(threads_per_store > 0, "need at least one worker per store");
+    let stores: Vec<&S> = stores.iter().map(|s| &**s).collect();
+    index_shards(&stores, threads_per_store, dir)
 }
 
 #[cfg(test)]
@@ -319,6 +387,7 @@ mod tests {
     use solros_baseline::VirtioFs;
     use solros_fs::FileSystem;
     use solros_nvme::NvmeDevice;
+    use solros_simkit::{check, DetRng};
 
     fn store() -> Arc<VirtioFs> {
         Arc::new(VirtioFs::new(Arc::new(
@@ -385,12 +454,103 @@ mod tests {
         let loaded = crate::text_index::read_index(&*s, "/index.bin").unwrap();
         assert_eq!(loaded, index);
         // A truncated index file is rejected, not misparsed.
-        let (h, size) = s.open("/index.bin", false).unwrap();
-        let _ = (h, size);
         let s2 = store();
         let hh = s2.create("/short").unwrap();
         s2.write_at(hh, 0, &1000u32.to_le_bytes()).unwrap();
         assert!(crate::text_index::read_index(&*s2, "/short").is_err());
+    }
+
+    /// A random document: tokens drawn from a small vocabulary (so terms
+    /// repeat within and across documents), around the packed-key boundary
+    /// of 7 bytes, holding NUL, `\x0B` (not ASCII whitespace) and
+    /// multi-byte characters, between runs of all five whitespace bytes.
+    fn random_doc(rng: &mut DetRng, vocab: &[String]) -> String {
+        const SPACE: &[u8] = b" \t\n\x0C\r";
+        let space = |rng: &mut DetRng| check::string(rng, SPACE, 1..4);
+        let mut text = String::new();
+        if vocab.is_empty() || rng.chance(0.1) {
+            // An empty document, or one of nothing but whitespace.
+            return if rng.chance(0.5) { space(rng) } else { text };
+        }
+        if rng.chance(0.5) {
+            text += &space(rng);
+        }
+        for i in 0..rng.index(40) + 1 {
+            if i > 0 {
+                text += &space(rng);
+            }
+            text += &vocab[rng.index(vocab.len())];
+        }
+        if rng.chance(0.5) {
+            text += &space(rng);
+        }
+        text
+    }
+
+    /// A token of about `6..=9` bytes (or any length up to 12), some of
+    /// them multi-byte.
+    fn random_token(rng: &mut DetRng) -> String {
+        const PIECES: &[&str] = &["a", "b", "z", "\0", "\x0B", "é", "日", "日本語"];
+        let want = if rng.chance(0.7) {
+            rng.range(6..10)
+        } else {
+            rng.range(1..13)
+        } as usize;
+        let mut tok = String::new();
+        while tok.len() < want {
+            tok += PIECES[rng.index(PIECES.len())];
+        }
+        tok
+    }
+
+    #[test]
+    fn term_table_matches_split_ascii_whitespace() {
+        check::cases(300, |rng| {
+            let vocab = check::vec(rng, 0..30, random_token);
+            let docs = check::vec(rng, 1..12, |r| random_doc(r, &vocab));
+            // Reference: the standard splitter into a string-keyed map.
+            let mut want: Index = HashMap::new();
+            let mut want_tokens = 0u64;
+            for (doc, text) in docs.iter().enumerate() {
+                let mut counts: HashMap<String, u32> = HashMap::new();
+                for tok in text.split_ascii_whitespace() {
+                    *counts.entry(tok.to_string()).or_default() += 1;
+                    want_tokens += 1;
+                }
+                for (term, count) in counts {
+                    want.entry(term).or_default().push((doc, count));
+                }
+            }
+            // The tables: documents dealt at random over up to three
+            // workers' tables, then merged.
+            let mut tables: Vec<TermTable> =
+                (0..rng.range(1..4)).map(|_| TermTable::default()).collect();
+            for (doc, text) in docs.iter().enumerate() {
+                let w = rng.index(tables.len());
+                tables[w].add_doc(doc, text);
+            }
+            let (got, stats) = TermTable::merge(tables, docs.len());
+            assert_eq!(got, want, "docs: {docs:?}");
+            assert_eq!(stats.tokens, want_tokens);
+            assert_eq!(stats.unique_terms, want.len());
+        });
+    }
+
+    #[test]
+    fn a_document_that_is_not_utf8_fails_the_run() {
+        let s = store();
+        generate_corpus(&*s, "/c", &CorpusSpec::small()).unwrap();
+        let bad = s.create("/c/doc-bad").unwrap();
+        s.write_at(bad, 0, b"valid words, then \xFF\xFE").unwrap();
+        // Run on a thread of its own, so a worker left waiting fails the
+        // test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || tx.send(TextIndexer::new(s, 4).run("/c")).unwrap());
+        let r = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("every worker returns");
+        run.join().unwrap();
+        assert_eq!(r.unwrap_err(), RpcErr::Io);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! rings, engines, FS, NVMe model, supervisor ticks — over 10 000+
 //! operations. Each budget is one above what the path measured when it
 //! was set, so the next `Vec` on a hot path fails here, not in a
-//! benchmark. One `#[test]`: the count is process-wide, so the nine
+//! benchmark. One `#[test]`: the count is process-wide, so the ten
 //! paths must not overlap (CI also passes `--test-threads=1`).
 
 use std::sync::Arc;
@@ -14,10 +14,13 @@ use std::time::Duration;
 
 use solros::fs_api::{CoprocFs, FileHandle};
 use solros::Solros;
+use solros_apps::{generate_corpus, CorpusSpec, TextIndexer};
+use solros_baseline::VirtioFs;
 use solros_bench::alloc_probe::allocs;
+use solros_fs::FileSystem;
 use solros_machine::MachineConfig;
 use solros_netdev::EndKind;
-use solros_nvme::BLOCK_SIZE;
+use solros_nvme::{NvmeDevice, BLOCK_SIZE};
 use solros_qos::QosConfig;
 use solros_simkit::DetRng;
 
@@ -33,6 +36,11 @@ const COLD_BLOCKS: u64 = 1024;
 /// Pages between two reads of the cold file: coprime with its length, so
 /// a read comes back to a page only after all the others.
 const COLD_STRIDE: u64 = 7;
+/// Allocations one warm text-index run may make: it measured 3 142–3 161
+/// when set (the spread is how the two workers split the documents). One
+/// `String` per (document, term) is ≈ 14 700 more; the indexer that made
+/// one, and hashed every token as a string, made 22 341.
+const INDEX_RUN_BUDGET: f64 = 3_500.0;
 
 /// One co-processor on one socket, with a 256-page host cache.
 fn machine() -> MachineConfig {
@@ -220,12 +228,34 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     });
     sys.shutdown();
 
+    // (j) One warm run of the text indexer, as the benchmark's
+    // `app_text_index` runs it (24 documents of 6 000 B over a 1 000-word
+    // vocabulary, two workers), on the in-process virtio stack. What
+    // remains is one `String` and one postings `Vec` per term, the
+    // workers' tables and threads, and each document's read buffers.
+    let virtio = Arc::new(VirtioFs::new(Arc::new(
+        FileSystem::mkfs(NvmeDevice::new(32_768), 512).unwrap(),
+    )));
+    let spec = CorpusSpec {
+        docs: 24,
+        doc_bytes: 6_000,
+        vocab: 1_000,
+        skew: 0.8,
+        seed: 0x501705,
+    };
+    generate_corpus(&*virtio, "/corpus", &spec).unwrap();
+    let indexer = TextIndexer::new(virtio, 2);
+    let per_index_run = allocs_per_call(40, || {
+        let (_, stats) = indexer.run("/corpus").unwrap();
+        assert_eq!(stats.docs, spec.docs);
+    });
+
     println!(
         "allocations per call: p2p read {per_read:.3}, batch of {WAVE} {per_batch:.2}, \
          leased read {per_leased_read:.3}, wave of {WAVE} sends {per_send_wave:.2}, \
          buffered read hit {per_buffered_read:.3}, buffered overwrite {per_buffered_overwrite:.3}, \
          echo {per_echo:.3}, buffered read miss {per_buffered_miss:.3}, \
-         gated p2p read {per_gated_read:.3}"
+         gated p2p read {per_gated_read:.3}, text index run {per_index_run:.0}"
     );
     // Measured when set, the same on every run: 0, 43 (32 payloads, the
     // builder's four growths, and one each for the wave's arena, offsets,
@@ -266,5 +296,9 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     assert!(
         per_gated_read <= 1.0,
         "gated P2P read: {per_gated_read:.3} allocations"
+    );
+    assert!(
+        per_index_run <= INDEX_RUN_BUDGET,
+        "text index run: {per_index_run:.0} allocations"
     );
 }
