@@ -6,11 +6,9 @@
 //! map/reduce indexing shape the Phi's many threads are good at, as long
 //! as the I/O path can feed them.
 //!
-//! A worker never hashes a string on the way. One pass over a document's
-//! bytes splits it at ASCII whitespace and packs each token of up to seven
-//! bytes, with its length, into a `u64` key that maps to a dense term id;
-//! the document's counts are a `Vec` indexed by id. Each term's `String`
-//! and postings `Vec` are made once, when the merged tables build the
+//! Each worker hashes a token once, to find its dense term id; the
+//! document's counts are a `Vec` indexed by id. Each term's `String` and
+//! postings `Vec` are made once, when the merged tables build the
 //! [`Index`].
 
 use std::collections::HashMap;
@@ -19,14 +17,9 @@ use std::sync::Arc;
 
 use solros_baseline::FileStore;
 use solros_proto::rpc_error::RpcErr;
-use solros_simkit::KeyedMap;
 
 /// Read granularity: one stack request per chunk.
 const CHUNK: usize = 256 * 1024;
-
-/// Longest token a term key holds: its bytes fill the key's low seven
-/// bytes and its length the top one.
-const PACKED_MAX: usize = 7;
 
 /// Index construction results.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,11 +113,9 @@ fn chunks(size: u64) -> Vec<(u64, usize)> {
 /// One worker's terms under dense ids, and the postings it has found.
 #[derive(Default)]
 struct TermTable {
-    /// Packed key → id, for tokens of at most [`PACKED_MAX`] bytes. The
-    /// keys come from file contents, so the table's hash is keyed.
-    packed: KeyedMap<u64, u32>,
-    /// Longer tokens → id, in the same id space.
-    long: HashMap<Box<str>, u32>,
+    /// Term → id. The terms come from file contents, so the map keeps the
+    /// standard library's keyed hasher.
+    ids: HashMap<Box<str>, u32>,
     /// Per id, its count in the current document (0 between documents).
     counts: Vec<u32>,
     /// The ids the current document has counted.
@@ -159,30 +150,12 @@ impl TermTable {
         Ok(())
     }
 
-    /// Counts the terms of document `doc` in one pass over its bytes. The
-    /// tokens are `split_ascii_whitespace`'s: an ASCII byte never sits
-    /// inside a multi-byte character.
+    /// Counts the terms of document `doc`.
     fn add_doc(&mut self, doc: usize, text: &str) {
-        let bytes = text.as_bytes();
-        let mut at = 0;
-        while at < bytes.len() {
-            if bytes[at].is_ascii_whitespace() {
-                at += 1;
-                continue;
-            }
-            let start = at;
-            let mut key = 0u64;
-            while at < bytes.len() && !bytes[at].is_ascii_whitespace() {
-                if at - start < PACKED_MAX {
-                    key |= u64::from(bytes[at]) << (8 * (at - start));
-                }
-                at += 1;
-            }
-            let len = at - start;
-            let id = if len <= PACKED_MAX {
-                self.packed_id(key | (len as u64) << 56)
-            } else {
-                self.long_id(&text[start..at])
+        for term in text.split_ascii_whitespace() {
+            let id = match self.ids.get(term) {
+                Some(&id) => id,
+                None => self.mint(term.into()),
             };
             let count = &mut self.counts[id as usize];
             if *count == 0 {
@@ -197,28 +170,17 @@ impl TermTable {
         }
     }
 
-    /// The id of a packed term, minted on first sight.
-    fn packed_id(&mut self, key: u64) -> u32 {
+    /// The id of `term`, minted on first sight.
+    fn mint(&mut self, term: Box<str>) -> u32 {
         let next = self.counts.len() as u32;
-        let id = *self.packed.entry(key).or_insert(next);
+        let id = *self.ids.entry(term).or_insert(next);
         if id == next {
             self.counts.push(0);
         }
         id
     }
 
-    /// The id of a term too long to pack, minted on first sight.
-    fn long_id(&mut self, term: &str) -> u32 {
-        if let Some(&id) = self.long.get(term) {
-            return id;
-        }
-        let id = self.counts.len() as u32;
-        self.long.insert(term.into(), id);
-        self.counts.push(0);
-        id
-    }
-
-    /// Merges the workers' tables by key and builds the index of `docs`
+    /// Merges the workers' tables by term and builds the index of `docs`
     /// documents from the result: one `String` and one postings `Vec` per
     /// term.
     fn merge(tables: Vec<TermTable>, docs: usize) -> (Index, IndexStats) {
@@ -226,11 +188,8 @@ impl TermTable {
         let mut all = tables.next().unwrap_or_default();
         for table in tables {
             let mut ids = vec![0u32; table.counts.len()];
-            for (key, id) in table.packed {
-                ids[id as usize] = all.packed_id(key);
-            }
-            for (term, id) in table.long {
-                ids[id as usize] = all.long_id(&term);
+            for (term, id) in table.ids {
+                ids[id as usize] = all.mint(term);
             }
             all.postings.extend(
                 table
@@ -250,12 +209,7 @@ impl TermTable {
             .into_iter()
             .map(|n| (String::new(), Vec::with_capacity(n)))
             .collect();
-        for (key, id) in all.packed {
-            let len = (key >> 56) as usize;
-            terms[id as usize].0 = String::from_utf8(key.to_le_bytes()[..len].to_vec())
-                .expect("a UTF-8 text splits at ASCII bytes into UTF-8 tokens");
-        }
-        for (term, id) in all.long {
+        for (term, id) in all.ids {
             terms[id as usize].0 = term.into_string();
         }
         for (id, doc, count) in all.postings {
@@ -461,9 +415,9 @@ mod tests {
     }
 
     /// A random document: tokens drawn from a small vocabulary (so terms
-    /// repeat within and across documents), around the packed-key boundary
-    /// of 7 bytes, holding NUL, `\x0B` (not ASCII whitespace) and
-    /// multi-byte characters, between runs of all five whitespace bytes.
+    /// repeat within and across documents), holding NUL, `\x0B` (not ASCII
+    /// whitespace) and multi-byte characters, between runs of all five
+    /// whitespace bytes.
     fn random_doc(rng: &mut DetRng, vocab: &[String]) -> String {
         const SPACE: &[u8] = b" \t\n\x0C\r";
         let space = |rng: &mut DetRng| check::string(rng, SPACE, 1..4);
@@ -487,15 +441,10 @@ mod tests {
         text
     }
 
-    /// A token of about `6..=9` bytes (or any length up to 12), some of
-    /// them multi-byte.
+    /// A token of 1 to 20 bytes, some of them multi-byte.
     fn random_token(rng: &mut DetRng) -> String {
         const PIECES: &[&str] = &["a", "b", "z", "\0", "\x0B", "é", "日", "日本語"];
-        let want = if rng.chance(0.7) {
-            rng.range(6..10)
-        } else {
-            rng.range(1..13)
-        } as usize;
+        let want = rng.range(1..13) as usize;
         let mut tok = String::new();
         while tok.len() < want {
             tok += PIECES[rng.index(PIECES.len())];

@@ -36,11 +36,6 @@ const COLD_BLOCKS: u64 = 1024;
 /// Pages between two reads of the cold file: coprime with its length, so
 /// a read comes back to a page only after all the others.
 const COLD_STRIDE: u64 = 7;
-/// Allocations one warm text-index run may make: it measured 3 142–3 161
-/// when set (the spread is how the two workers split the documents). One
-/// `String` per (document, term) is ≈ 14 700 more; the indexer that made
-/// one, and hashed every token as a string, made 22 341.
-const INDEX_RUN_BUDGET: f64 = 3_500.0;
 
 /// One co-processor on one socket, with a 256-page host cache.
 fn machine() -> MachineConfig {
@@ -230,9 +225,10 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
 
     // (j) One warm run of the text indexer, as the benchmark's
     // `app_text_index` runs it (24 documents of 6 000 B over a 1 000-word
-    // vocabulary, two workers), on the in-process virtio stack. What
-    // remains is one `String` and one postings `Vec` per term, the
-    // workers' tables and threads, and each document's read buffers.
+    // vocabulary), on the in-process virtio stack, with one worker so that
+    // the count is the same every run. What remains is one `String` and
+    // one postings `Vec` per term, the worker's table and thread, and each
+    // document's read buffers.
     let virtio = Arc::new(VirtioFs::new(Arc::new(
         FileSystem::mkfs(NvmeDevice::new(32_768), 512).unwrap(),
     )));
@@ -244,7 +240,7 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
         seed: 0x501705,
     };
     generate_corpus(&*virtio, "/corpus", &spec).unwrap();
-    let indexer = TextIndexer::new(virtio, 2);
+    let indexer = TextIndexer::new(virtio, 1);
     let per_index_run = allocs_per_call(40, || {
         let (_, stats) = indexer.run("/corpus").unwrap();
         assert_eq!(stats.docs, spec.docs);
@@ -255,7 +251,7 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
          leased read {per_leased_read:.3}, wave of {WAVE} sends {per_send_wave:.2}, \
          buffered read hit {per_buffered_read:.3}, buffered overwrite {per_buffered_overwrite:.3}, \
          echo {per_echo:.3}, buffered read miss {per_buffered_miss:.3}, \
-         gated p2p read {per_gated_read:.3}, text index run {per_index_run:.0}"
+         gated p2p read {per_gated_read:.3}, text index run {per_index_run:.3}"
     );
     // Measured when set, the same on every run: 0, 43 (32 payloads, the
     // builder's four growths, and one each for the wave's arena, offsets,
@@ -265,8 +261,11 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     // proxy's owned `Send` payload and the client's `recv`; 4 while the
     // proxy read the fabric into a `Vec` and the stub decoded the event
     // into another), 0 (2 while the cache directory's log rebuilt its
-    // append buffer after every combine) and 0 (2: that, and the engine
-    // rebuilding its per-burst map of tenant charges).
+    // append buffer after every combine), 0 (2: that, and the engine
+    // rebuilding its per-burst map of tenant charges) and 3 123 (3 121
+    // under `--nocapture`: the harness's output capture costs the worker's
+    // spawn two allocations; about 20 300 while each document counted into
+    // a map of its own and each of its terms became a `String`).
     assert!(per_read <= 1.0, "P2P read: {per_read:.3} allocations");
     assert!(
         per_batch <= 44.0,
@@ -298,7 +297,7 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
         "gated P2P read: {per_gated_read:.3} allocations"
     );
     assert!(
-        per_index_run <= INDEX_RUN_BUDGET,
-        "text index run: {per_index_run:.0} allocations"
+        per_index_run <= 3_124.0,
+        "text index run: {per_index_run:.3} allocations"
     );
 }

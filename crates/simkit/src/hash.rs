@@ -5,19 +5,10 @@
 //! standard library's default hasher (SipHash) defends against keys an
 //! adversary crafts to collide, which these are not, and costs tens of
 //! nanoseconds per lookup; [`IntHasher`] is one multiply and one shift.
-//!
-//! Keys that arrive from outside the program (a term packed from a file's
-//! bytes) must not meet a fixed multiplier, which whoever writes the file
-//! could aim collisions at. One-word integer keys of that kind go in a
-//! [`KeyedMap`]: the same single multiply, by an odd multiplier each table
-//! draws from the standard library's random keys, and the product's top
-//! bits pick the bucket — multiply-shift, a universal family, so no input
-//! can target a table it cannot see. Other outside keys (strings) keep the
-//! default hasher.
+//! Keys that arrive from outside the program keep the default hasher.
 
-use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// 2^64 / φ: the multiplier of Fibonacci (multiply-shift) hashing.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -66,64 +57,10 @@ pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 /// A `HashSet` of program-minted integers.
 pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
 
-/// Multiply-shift hasher for one-word integer keys from outside the
-/// program, with a per-table random multiplier (see [`KeyedState`]).
-#[derive(Debug, Clone, Copy)]
-pub struct KeyedHasher {
-    mul: u64,
-    state: u64,
-}
-
-impl Hasher for KeyedHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.state = (self.state ^ n).wrapping_mul(self.mul);
-    }
-
-    fn finish(&self) -> u64 {
-        // Multiply-shift takes the bucket from the product's top bits and
-        // the table takes it from the hash's low bits: reverse them.
-        self.state.reverse_bits()
-    }
-}
-
-/// Builds [`KeyedHasher`]s for one table; its odd multiplier is drawn once,
-/// when the table is made.
-#[derive(Debug, Clone, Copy)]
-pub struct KeyedState {
-    mul: u64,
-}
-
-impl Default for KeyedState {
-    fn default() -> Self {
-        Self {
-            mul: RandomState::new().hash_one(GOLDEN) | 1,
-        }
-    }
-}
-
-impl BuildHasher for KeyedState {
-    type Hasher = KeyedHasher;
-
-    fn build_hasher(&self) -> KeyedHasher {
-        KeyedHasher {
-            mul: self.mul,
-            state: 0,
-        }
-    }
-}
-
-/// A `HashMap` keyed by integers that arrive from outside the program.
-pub type KeyedMap<K, V> = HashMap<K, V, KeyedState>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::BuildHasher;
 
     #[test]
     fn sequential_and_strided_keys_spread_over_buckets() {
@@ -149,33 +86,5 @@ mod tests {
         assert!(s.insert((1, 2)));
         assert!(!s.insert((1, 2)));
         assert!(s.insert((2, 1)));
-    }
-
-    #[test]
-    fn keyed_tables_draw_their_own_odd_multipliers() {
-        let tables: Vec<KeyedState> = (0..8).map(|_| KeyedState::default()).collect();
-        assert!(tables.iter().all(|t| t.mul & 1 == 1));
-        let first = tables[0].hash_one(42u64);
-        assert!(tables[1..].iter().any(|t| t.hash_one(42u64) != first));
-        // One table hashes a key the same way every time.
-        assert_eq!(tables[0].hash_one(42u64), first);
-    }
-
-    #[test]
-    fn keyed_buckets_come_from_the_products_top_bits() {
-        // Keys that differ only in their top byte (packed terms that differ
-        // only in their length) fill all 256 buckets of a 256-bucket table:
-        // an odd multiplier permutes the product's top byte. Folding the
-        // product's high half down, as `IntHasher` does, would put them
-        // all in one.
-        let build = KeyedState::default();
-        let buckets: HashSet<u64> = (0..256u64)
-            .map(|top| build.hash_one(top << 56 | 0x61) & 255)
-            .collect();
-        assert_eq!(buckets.len(), 256);
-        let mut m: KeyedMap<u64, u32> = KeyedMap::default();
-        m.insert(7 << 56, 1);
-        m.insert(8 << 56, 2);
-        assert_eq!((m.get(&(7 << 56)), m.get(&(8 << 56))), (Some(&1), Some(&2)));
     }
 }

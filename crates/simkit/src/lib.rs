@@ -8,7 +8,7 @@
 //! DMA channels, SSD internals), bandwidth-shaping helpers, deterministic
 //! random number generation, statistics collection (streaming moments
 //! and log-scaled histograms with percentile queries), and the integer
-//! hashers the lookup tables share.
+//! hasher the per-request lookup tables share.
 //!
 //! Everything here is single-threaded and deterministic: running the same
 //! simulation twice produces bit-identical results, which is what lets the
@@ -45,7 +45,7 @@ pub mod sync;
 pub mod time;
 
 pub use engine::Engine;
-pub use hash::{IntHasher, IntMap, IntSet, KeyedMap};
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use resource::{FifoResource, Link, MultiChannel};
 pub use rng::DetRng;
 pub use stats::{Histogram, Summary};
