@@ -2,8 +2,7 @@
 //!
 //! Each function isolates one Solros design choice, runs the real
 //! implementation (or the calibrated model) with the choice flipped or
-//! swept, and reports the consequence. `run_all()` renders every ablation
-//! as markdown.
+//! swept, and reports the consequence as markdown.
 
 use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
@@ -351,30 +350,6 @@ pub fn readahead() -> String {
         "\nWith readahead the scan's device reads happen off the request path: the \
          foreground reads become cache hits (§4.3.2's host-side prefetch).\n",
     );
-    out
-}
-
-/// Renders every ablation.
-pub fn run_all() -> String {
-    let mut out = String::from("# Solros-rs — design ablations\n");
-    for (title, body) in [
-        ("D1 — combining threshold", combining_threshold()),
-        ("D3 — adaptive copy threshold", adaptive_threshold()),
-        ("D4 — master ring placement", master_placement()),
-        ("D5 — P2P vs buffered path decision", path_decision()),
-        ("D6 — NVMe command coalescing", nvme_coalescing()),
-        (
-            "D7 — buffered-path readahead (§4.3.2 prefetch)",
-            readahead(),
-        ),
-        (
-            "D8 — one drainer at a time for inbound events",
-            event_drain_saturation(),
-        ),
-    ] {
-        out.push_str(&format!("\n## {title}\n\n"));
-        out.push_str(&body);
-    }
     out
 }
 

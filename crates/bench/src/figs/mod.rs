@@ -15,43 +15,3 @@ pub mod fig16;
 pub mod fig17;
 pub mod fig18;
 pub mod tab01;
-
-/// A figure/table regenerator.
-pub type Regenerator = fn() -> String;
-
-/// Every experiment, in paper order: `(title, regenerator)`.
-pub const ALL: &[(&str, Regenerator)] = &[
-    (
-        "Figure 1a — file random read throughput vs block size",
-        fig01a::run,
-    ),
-    ("Figure 1b — TCP latency, 64-byte messages", fig01b::run),
-    (
-        "Figure 4 — PCIe transfer bandwidth (DMA vs load/store)",
-        fig04::run,
-    ),
-    (
-        "Figure 8 — ring buffer scalability (measured, this machine)",
-        fig08::run,
-    ),
-    (
-        "Figure 9 — lazy vs eager control-variable updates over PCIe",
-        fig09::run,
-    ),
-    (
-        "Figure 10 — copy mechanism vs element size (8 threads)",
-        fig10::run,
-    ),
-    ("Figure 11 — NVMe random read throughput", fig11::run),
-    ("Figure 12 — NVMe random write throughput", fig12::run),
-    ("Figure 13 — I/O latency breakdown", fig13::run),
-    ("Table 1 — lines of code (this reproduction)", tab01::run),
-    (
-        "Figure 14* — network stream throughput vs message size",
-        fig14::run,
-    ),
-    ("Figure 15* — shared listening socket scaling", fig15::run),
-    ("Figure 16* — text indexing", fig16::run),
-    ("Figure 17* — image search", fig17::run),
-    ("Figure 18* — control-plane scalability", fig18::run),
-];
