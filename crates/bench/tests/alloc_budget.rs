@@ -141,8 +141,8 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
 
     // (h) One 4 KiB buffered read that misses: striding through a file
     // four times the cache, every read refills a slot from the SSD and
-    // evicts a page, and the cache directory logs both. The stride is not
-    // sequential, so nothing is read ahead.
+    // evicts a page. The stride is not sequential, so nothing is read
+    // ahead.
     let (cold, _) = fs.open("/cold", true, false, true).unwrap();
     for page in 0..COLD_BLOCKS {
         assert_eq!(fs.write_at(cold, page * BS, &block), Ok(BLOCK_SIZE));

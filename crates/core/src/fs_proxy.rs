@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use solros_faults::EngineFaults;
-use solros_fs::{CacheDirReplica, Extent, FileSystem, FsError};
+use solros_fs::{Extent, FileSystem, FsError};
 use solros_lease::{LeaseError, LeaseKind, LeaseManager, SettledLease};
 use solros_nvme::{DmaPtr, NvmeCommand, NvmeError, BLOCK_SIZE};
 use solros_pcie::cost::CostModel;
@@ -164,10 +164,6 @@ pub struct FsProxy {
     /// Replicated per-tenant ledger this proxy's engine charges gated
     /// admissions to (shared log, domain-local replicas).
     tenant_ledger: Option<Arc<TenantLedger>>,
-    /// This proxy's replica of the shared cache's residency directory:
-    /// the P2P path decision probes it instead of the cache lock, so the
-    /// decision stays domain-local as proxies multiply (§4.3.2).
-    cache_dir: CacheDirReplica,
 }
 
 impl FsProxy {
@@ -182,10 +178,8 @@ impl FsProxy {
         let bell = Doorbell::new();
         let holds = Arc::new(ExternalHolds::with_doorbell(Arc::clone(&bell)));
         lease_mgr.attach_sink(Arc::clone(&holds) as Arc<dyn solros_lease::RecallSink>);
-        let cache_dir = fs.cache().replica();
         Self {
             fs,
-            cache_dir,
             coproc_window,
             crosses_numa,
             stats,
@@ -565,11 +559,8 @@ impl FsProxy {
             return false;
         }
         // Cache hit on the leading page: serve from the shared cache.
-        // Probed through this proxy's directory replica, not the cache
-        // lock — the residency answer is as of the replica's log
-        // position, which the probe first syncs to the published tail.
         let first_page = offset / BLOCK_SIZE as u64;
-        if self.cache_dir.resident(self.fs.cache(), ino, first_page) {
+        if self.fs.cache().peek(ino, first_page) {
             return false;
         }
         count > 0

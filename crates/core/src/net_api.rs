@@ -431,10 +431,11 @@ impl TcpListener {
         Some((self.net.stream(conn), peer))
     }
 
-    /// Waits for a new connection, up to `timeout`. Returns the stream
-    /// and the peer address.
+    /// Waits for a new connection, up to `timeout` (a timeout past the
+    /// clock's range waits as [`TcpListener::accept`] does). Returns the
+    /// stream and the peer address.
     pub fn accept_timeout(&self, timeout: Duration) -> Option<(TcpStream, u64)> {
-        self.accept_until(Some(Instant::now() + timeout))
+        self.accept_until(Instant::now().checked_add(timeout))
     }
 
     /// Blocking accept.
@@ -500,12 +501,15 @@ impl TcpStream {
     }
 
     /// Receives up to `buf.len()` bytes from this socket's queue, blocking
-    /// up to `timeout`. `Ok(0)` after a peer close means end-of-stream;
-    /// `None` means timeout with no data.
+    /// up to `timeout` (a timeout past the clock's range waits as
+    /// [`TcpStream::recv`] does). `Ok(0)` after a peer close means
+    /// end-of-stream; `None` means timeout with no data.
     pub fn recv_timeout(&self, buf: &mut [u8], timeout: Duration) -> Option<usize> {
         self.net
             .shared
-            .wait_for(Some(Instant::now() + timeout), |g| g.read(self.sock, buf))
+            .wait_for(Instant::now().checked_add(timeout), |g| {
+                g.read(self.sock, buf)
+            })
     }
 
     /// Blocking receive; `Ok(0)` = end-of-stream.
@@ -585,6 +589,7 @@ mod tests {
     use solros_pcie::PcieCounters;
     use solros_ringbuf::Producer;
     use std::sync::atomic::AtomicU64;
+    use std::thread::JoinHandle;
 
     /// A stub with no backstop thread and no proxy behind its client:
     /// only a thread waiting in it can drain the ring `tx` feeds.
@@ -639,6 +644,50 @@ mod tests {
         tx.send(&NetEvent::<&[u8]>::Closed { sock: 5 }.encode())
             .unwrap();
         assert_eq!(stream.recv_timeout(&mut buf, Duration::ZERO), Some(0));
+    }
+
+    /// Feeds `frame` to the ring once `bell` is armed: the waiter has
+    /// passed its first deadline check and parks.
+    fn feed_when_parked(tx: Producer, bell: Arc<Doorbell>, frame: Vec<u8>) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            while !bell.is_armed() {
+                std::thread::yield_now();
+            }
+            tx.send(&frame).unwrap();
+        })
+    }
+
+    #[test]
+    fn recv_timeout_of_duration_max_waits_for_the_bytes() {
+        let (net, tx) = bare_stub();
+        let ev = NetEvent::Data {
+            sock: 5,
+            data: &b"late"[..],
+        };
+        let feeder = feed_when_parked(tx, Arc::clone(&net.shared.evt_bell), ev.encode());
+        let mut buf = [0u8; 8];
+        let got = net.stream(5).recv_timeout(&mut buf, Duration::MAX);
+        assert_eq!(got, Some(4));
+        assert_eq!(&buf[..4], b"late");
+        feeder.join().unwrap();
+    }
+
+    #[test]
+    fn accept_timeout_of_duration_max_waits_for_the_connection() {
+        let (net, tx) = bare_stub();
+        let ev = NetEvent::<&[u8]>::Accepted {
+            listen: 3,
+            conn: 9,
+            peer_addr: 42,
+        };
+        let feeder = feed_when_parked(tx, Arc::clone(&net.shared.evt_bell), ev.encode());
+        let listener = TcpListener {
+            net: net.clone(),
+            sock: 3,
+        };
+        let (stream, peer) = listener.accept_timeout(Duration::MAX).unwrap();
+        assert_eq!((stream.id(), peer), (9, 42));
+        feeder.join().unwrap();
     }
 
     /// One busy socket and one idle one on the same stub. Every event for

@@ -20,7 +20,7 @@ pub struct GateJob<R> {
     pub lane: usize,
     /// Wire tag echoed in the reply.
     pub tag: u32,
-    /// Submission flags (barrier bit, deadline nibble).
+    /// Submission flags (the barrier bit).
     pub flags: u8,
     /// The decoded request.
     pub req: R,

@@ -33,9 +33,7 @@ use std::time::{Duration, Instant};
 
 use solros_pcie::counter::PcieCounters;
 use solros_pcie::Side;
-use solros_proto::codec::{
-    deadline_class, decode_frame, encode_frame, flags_with_deadline, stamp_flags, stamp_tenant,
-};
+use solros_proto::codec::{decode_frame, encode_frame, stamp_tenant};
 use solros_proto::rpc_error::RpcErr;
 use solros_qos::CreditPool;
 use solros_ringbuf::ring::{RingBuf, RingConfig};
@@ -458,10 +456,7 @@ impl RpcClient {
         }
     }
 
-    fn prep_frame(&self, frame: &mut [u8], flags: u8) {
-        if flags != 0 {
-            stamp_flags(frame, flags);
-        }
+    fn prep_frame(&self, frame: &mut [u8]) {
         let tenant = self.tenant.load(Ordering::Relaxed);
         if tenant != 0 {
             stamp_tenant(frame, tenant);
@@ -479,13 +474,7 @@ impl RpcClient {
     }
 
     /// Stamps `frame` where it lies and copies it into ring memory.
-    fn do_submit(
-        &self,
-        tag: u32,
-        frame: &mut [u8],
-        flags: u8,
-        block: bool,
-    ) -> Result<Token, RpcErr> {
+    fn do_submit(&self, tag: u32, frame: &mut [u8], block: bool) -> Result<Token, RpcErr> {
         if let Some(pool) = &self.shared.credits {
             if block {
                 self.acquire_credit_pumping(pool);
@@ -493,7 +482,7 @@ impl RpcClient {
                 return Err(RpcErr::Overloaded);
             }
         }
-        self.prep_frame(frame, flags);
+        self.prep_frame(frame);
         self.shared.pending.lock().insert(tag, Slot::Waiting);
         let sent = {
             let tx = self.tx.read();
@@ -533,7 +522,7 @@ impl RpcClient {
     /// the retry policy — in that case the tag and credit are fully
     /// released.
     pub fn submit(&self, tag: u32, mut frame: Vec<u8>) -> Result<Token, RpcErr> {
-        self.do_submit(tag, &mut frame, 0, false)
+        self.do_submit(tag, &mut frame, false)
     }
 
     /// Mints a tag, has `encode` build that tag's frame in this thread's
@@ -551,24 +540,9 @@ impl RpcClient {
         let mut frame = FRAME.take();
         frame.clear();
         encode(tag, &mut frame);
-        let submitted = self.do_submit(tag, &mut frame, 0, block);
+        let submitted = self.do_submit(tag, &mut frame, block);
         FRAME.set(frame);
         submitted
-    }
-
-    /// As [`RpcClient::submit`], stamping a per-request deadline into the
-    /// flags byte (§[`solros_proto::codec::deadline_class`]) so the proxy
-    /// can shed the request once it is already too late to matter. Pair
-    /// with [`RpcClient::wait_timeout`] using the same duration for
-    /// end-to-end deadline enforcement.
-    pub fn submit_with_deadline(
-        &self,
-        tag: u32,
-        mut frame: Vec<u8>,
-        deadline: Duration,
-    ) -> Result<Token, RpcErr> {
-        let flags = flags_with_deadline(0, deadline_class(deadline));
-        self.do_submit(tag, &mut frame, flags, false)
     }
 
     /// As [`RpcClient::submit`], spinning until ring space frees up; only
@@ -576,7 +550,7 @@ impl RpcClient {
     ///
     /// [`call`]: RpcClient::call
     pub fn submit_blocking(&self, tag: u32, mut frame: Vec<u8>) -> Result<Token, RpcErr> {
-        self.do_submit(tag, &mut frame, 0, true)
+        self.do_submit(tag, &mut frame, true)
     }
 
     /// Enqueues a whole wave of submissions — frame `i` of `wave` must
@@ -607,7 +581,7 @@ impl RpcClient {
                         break;
                     }
                 }
-                self.prep_frame(wave.frame_mut(i), 0);
+                self.prep_frame(wave.frame_mut(i));
                 g.insert(tag, Slot::Waiting);
                 offered += 1;
             }
@@ -697,7 +671,8 @@ impl RpcClient {
         }
     }
 
-    /// As [`RpcClient::wait`], but gives up once `timeout` elapses.
+    /// As [`RpcClient::wait`], but gives up once `timeout` elapses — never,
+    /// for a timeout past the clock's range such as `Duration::MAX`.
     ///
     /// On expiry the token is consumed and its tag abandoned: the late
     /// reply (if one ever arrives) is discarded by whichever waiter
@@ -710,13 +685,15 @@ impl RpcClient {
         assert!(!token.done.get(), "token redeemed twice");
         let tag = token.tag;
         token.done.set(true);
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut sleeper = self.sleeper();
         loop {
             if let Some(reply) = self.take_ready(tag) {
                 return Ok(reply);
             }
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
             if left.is_zero() {
                 self.shared.abandon(tag);
                 return Err(RpcErr::Timeout);
@@ -1527,7 +1504,7 @@ mod tests {
     }
 
     #[test]
-    fn deadline_class_rides_submission_flags() {
+    fn wait_timeout_of_duration_max_waits_for_the_reply() {
         let counters = Arc::new(PcieCounters::new());
         let ch = Channel::new(counters);
         let client = RpcClient::new(ch.req_tx, ch.resp_rx);
@@ -1541,27 +1518,16 @@ mod tests {
                     Err(_) => std::thread::yield_now(),
                 }
             };
-            let frame = decode_frame(&f).unwrap();
-            // 1.7 ms rounds up to the 2 ms deadline class.
-            assert_eq!(
-                solros_proto::codec::flags_deadline(frame.flags),
-                Some(Duration::from_micros(2_000))
-            );
+            std::thread::sleep(Duration::from_millis(20));
             let (rtag, _) = FsRequest::decode(&f).unwrap();
             resp_tx.send_blocking(&FsResponse::Ok.encode(rtag)).unwrap();
         });
 
         let tag = client.tag();
         let token = client
-            .submit_with_deadline(
-                tag,
-                FsRequest::Fsync { ino: 1 }.encode(tag),
-                Duration::from_micros(1_700),
-            )
+            .submit(tag, FsRequest::Fsync { ino: 1 }.encode(tag))
             .unwrap();
-        let reply = client
-            .wait_timeout(token, Duration::from_secs(5))
-            .expect("proxy replies well within the deadline");
+        let reply = client.wait_timeout(token, Duration::MAX).unwrap();
         let (_, resp) = FsResponse::decode(&reply).unwrap();
         assert_eq!(resp, FsResponse::Ok);
         proxy.join().unwrap();

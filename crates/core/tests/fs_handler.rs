@@ -117,6 +117,47 @@ fn cache_hit_prefers_buffered() {
     assert_eq!(stats.p2p_reads.load(Ordering::Relaxed), 0);
 }
 
+/// The path decision asks the cache as it is now: a page evicted by
+/// other writes sends the same read P2P, and a write that re-warms it
+/// sends it back to the buffered path.
+#[test]
+fn the_path_decision_follows_the_cache_through_an_eviction() {
+    let (mut proxy, fs, window, stats) = setup(false);
+    let ino = fs.create("/f").unwrap();
+    let read_page = |proxy: &mut FsProxy| {
+        let resp = proxy.handle(FsRequest::Read {
+            ino,
+            offset: 0,
+            count: BLOCK_SIZE as u64,
+            buf_addr: 0,
+        });
+        assert_eq!(
+            resp,
+            FsResponse::Read {
+                count: BLOCK_SIZE as u64
+            }
+        );
+        (
+            stats.p2p_reads.load(Ordering::Relaxed),
+            stats.buffered_reads.load(Ordering::Relaxed),
+        )
+    };
+    fs.write(ino, 0, &[1u8; BLOCK_SIZE]).unwrap();
+    assert_eq!(read_page(&mut proxy), (0, 1), "resident: buffered");
+    assert_eq!(window_read(&window, 0, BLOCK_SIZE), [1u8; BLOCK_SIZE]);
+
+    // A full cache's worth of other pages evicts it.
+    let other = fs.create("/g").unwrap();
+    fs.write(other, 0, &vec![2u8; 256 * BLOCK_SIZE]).unwrap();
+    assert!(!fs.cache().peek(ino, 0));
+    assert_eq!(read_page(&mut proxy), (1, 1), "evicted: P2P");
+    assert_eq!(window_read(&window, 0, BLOCK_SIZE), [1u8; BLOCK_SIZE]);
+
+    fs.write(ino, 0, &[3u8; BLOCK_SIZE]).unwrap();
+    assert_eq!(read_page(&mut proxy), (1, 2), "re-warmed: buffered");
+    assert_eq!(window_read(&window, 0, BLOCK_SIZE), [3u8; BLOCK_SIZE]);
+}
+
 #[test]
 fn unaligned_read_demotes() {
     let (mut proxy, fs, window, stats) = setup(false);

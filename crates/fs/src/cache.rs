@@ -7,13 +7,9 @@
 //! the device authoritative, so concurrent P2P reads (which bypass the
 //! cache) never observe stale blocks.
 //!
-//! The cache also publishes a *residency directory* through an operation
-//! log: every insert/evict/invalidate appends a `DirOp` under the cache
-//! lock, and each proxy shard holds a [`CacheDirReplica`] — a local set
-//! of resident `(inode, page)` keys it can probe for the P2P-vs-buffered
-//! path decision (§4.3.2) without ever taking the shared cache lock. A
-//! replica that falls behind the log's lag bound is compacted past and
-//! rebuilds itself from an authoritative snapshot on its next probe.
+//! The FS proxy's P2P-vs-buffered path decision (§4.3.2) asks the cache
+//! directly: [`BufferCache::peek`] says whether a page is resident
+//! without touching LRU order or the hit/miss counters.
 //!
 //! Pages never leave the cache by value on the data path: a reader is
 //! lent the resident page ([`BufferCache::with_page`]) and a writer or a
@@ -21,11 +17,9 @@
 //! under the cache lock, so a page moves once — cache to destination or
 //! source to cache — and nothing is allocated per access.
 
-use std::sync::Arc;
-
-use solros_oplog::{LogConfig, LogStats, OpLog, ReplicaCursor, SyncOutcome};
+use solros_oplog::LogStats;
 use solros_simkit::sync::Mutex;
-use solros_simkit::{IntMap, IntSet};
+use solros_simkit::IntMap;
 
 use crate::fs::Ino;
 
@@ -33,25 +27,6 @@ use crate::fs::Ino;
 pub const PAGE_SIZE: usize = solros_nvme::BLOCK_SIZE;
 
 type Key = (Ino, u64);
-
-/// One mutation of the residency directory, as published to replicas.
-#[derive(Clone, Debug)]
-enum DirOp {
-    /// `(ino, page)` became resident.
-    Add(Ino, u64),
-    /// `(ino, page)` left the cache (eviction or invalidation).
-    Del(Ino, u64),
-    /// Every page of `ino` left the cache (truncate/unlink path) — one
-    /// log entry instead of one per page.
-    DelIno(Ino),
-}
-
-/// Directory-log tuning: compaction starts once this many entries are
-/// resident, and a replica may fall at most [`DIR_MAX_LAG`] entries
-/// behind before compaction advances past it (forcing it to rebuild from
-/// a cache snapshot). Bounds log memory even if a replica never syncs.
-const DIR_HIGH_WATER: usize = 4096;
-const DIR_MAX_LAG: u64 = 16_384;
 
 struct Entry {
     key: Key,
@@ -73,9 +48,6 @@ struct LruInner {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// Residency-directory log; appended under the cache lock, so the
-    /// log order is exactly the order mutations took effect.
-    dir: Arc<OpLog<DirOp>>,
 }
 
 impl LruInner {
@@ -123,7 +95,6 @@ impl LruInner {
             let vkey = self.slots[victim].key;
             self.map.remove(&vkey);
             self.evictions += 1;
-            self.dir.append(DirOp::Del(vkey.0, vkey.1));
             victim
         } else if let Some(free) = self.free.pop() {
             free
@@ -138,15 +109,10 @@ impl LruInner {
         }
     }
 
-    /// Removes without logging — the caller appends a coarser op (e.g.
-    /// one `DelIno` covering every page of an inode).
-    fn remove_quiet(&mut self, key: &Key) -> bool {
+    fn remove(&mut self, key: &Key) {
         if let Some(idx) = self.map.remove(key) {
             self.unlink(idx);
             self.release(idx);
-            true
-        } else {
-            false
         }
     }
 
@@ -154,12 +120,6 @@ impl LruInner {
     fn release(&mut self, idx: usize) {
         self.slots[idx].page = Box::default();
         self.free.push(idx);
-    }
-
-    fn remove(&mut self, key: &Key) {
-        if self.remove_quiet(key) {
-            self.dir.append(DirOp::Del(key.0, key.1));
-        }
     }
 }
 
@@ -211,10 +171,6 @@ impl BufferCache {
                 hits: 0,
                 misses: 0,
                 evictions: 0,
-                dir: OpLog::new(LogConfig {
-                    high_water: DIR_HIGH_WATER,
-                    max_lag: DIR_MAX_LAG,
-                }),
             }),
         }
     }
@@ -278,7 +234,6 @@ impl BufferCache {
                         lru.slots[idx].key = key;
                         lru.map.insert(key, idx);
                         lru.push_front(idx);
-                        lru.dir.append(DirOp::Add(key.0, key.1));
                     }
                     (false, true) => lru.remove(&key),
                     (false, false) => lru.release(idx),
@@ -327,12 +282,8 @@ impl BufferCache {
     pub fn invalidate_ino(&self, ino: Ino) {
         let mut g = self.inner.lock();
         let keys: Vec<Key> = g.map.keys().filter(|(i, _)| *i == ino).copied().collect();
-        let mut dropped = false;
         for k in keys {
-            dropped |= g.remove_quiet(&k);
-        }
-        if dropped {
-            g.dir.append(DirOp::DelIno(ino));
+            g.remove(&k);
         }
     }
 
@@ -347,98 +298,11 @@ impl BufferCache {
         }
     }
 
-    /// Creates a replica of the residency directory, initialised from
-    /// the cache's current content. Give each proxy shard its own.
-    pub fn replica(&self) -> CacheDirReplica {
-        let g = self.inner.lock();
-        // Appends happen only under the cache lock we hold, so the
-        // registration point (the log tail) and the key snapshot are the
-        // same instant in log order.
-        let cursor = g.dir.register();
-        let resident: IntSet<Key> = g.map.keys().copied().collect();
-        CacheDirReplica {
-            log: Arc::clone(&g.dir),
-            inner: Mutex::new(DirReplicaState {
-                cursor,
-                resident,
-                rebuilds: 0,
-            }),
-        }
-    }
-
-    /// Counters of the residency-directory log (depth, combine factor,
-    /// straggler overruns).
+    /// Always [`LogStats::default`]: the cache keeps no log. Kept only
+    /// because the benchmark package's `oplog` layer still reads it;
+    /// ROADMAP direction 6 deletes it together with that caller.
     pub fn dir_log_stats(&self) -> LogStats {
-        self.inner.lock().dir.stats()
-    }
-
-    /// Consistent `(log position, resident keys)` snapshot for a replica
-    /// rebuild after an overrun.
-    fn dir_snapshot(&self) -> (u64, IntSet<Key>) {
-        let g = self.inner.lock();
-        (g.dir.tail(), g.map.keys().copied().collect())
-    }
-}
-
-struct DirReplicaState {
-    cursor: ReplicaCursor,
-    resident: IntSet<Key>,
-    rebuilds: u64,
-}
-
-/// One proxy shard's local view of which pages are resident in the
-/// shared buffer cache, kept convergent by replaying the directory log.
-/// Probing it never touches the cache lock (the log's storage is only
-/// read-locked when new entries exist), which is what keeps the P2P
-/// path decision off the shared-state bottleneck as shards multiply.
-pub struct CacheDirReplica {
-    log: Arc<OpLog<DirOp>>,
-    inner: Mutex<DirReplicaState>,
-}
-
-impl CacheDirReplica {
-    /// Returns whether `(ino, page)` is resident, as of this replica's
-    /// position in the directory log (synced to the tail on entry).
-    /// `cache` must be the cache this replica was created from; it is
-    /// consulted only to rebuild after a straggler overrun.
-    pub fn resident(&self, cache: &BufferCache, ino: Ino, page: u64) -> bool {
-        let mut g = self.inner.lock();
-        let DirReplicaState {
-            cursor,
-            resident,
-            rebuilds,
-        } = &mut *g;
-        let outcome = self.log.sync(cursor, |_, op| match op {
-            DirOp::Add(i, p) => {
-                resident.insert((*i, *p));
-            }
-            DirOp::Del(i, p) => {
-                resident.remove(&(*i, *p));
-            }
-            DirOp::DelIno(i) => {
-                resident.retain(|(j, _)| j != i);
-            }
-        });
-        if outcome == SyncOutcome::Overrun {
-            // Compaction advanced past us; the in-order prefix is gone.
-            // Rebuild from the authoritative cache (ScaleFS/Corfu-style
-            // checkpoint recovery) and resume from the snapshot point.
-            let (seq, snapshot) = cache.dir_snapshot();
-            *resident = snapshot;
-            self.log.install_snapshot(cursor, seq);
-            *rebuilds += 1;
-        }
-        resident.contains(&(ino, page))
-    }
-
-    /// Entries this replica is behind the directory log.
-    pub fn lag(&self) -> u64 {
-        self.log.lag(&self.inner.lock().cursor)
-    }
-
-    /// Snapshot rebuilds forced by compaction overruns.
-    pub fn rebuilds(&self) -> u64 {
-        self.inner.lock().rebuilds
+        LogStats::default()
     }
 }
 
@@ -521,90 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_tracks_inserts_evictions_and_invalidations() {
-        let c = BufferCache::new(2);
-        let r = c.replica();
-        assert!(!r.resident(&c, 1, 0));
-        c.insert(1, 0, &page(1));
-        c.insert(1, 1, &page(2));
-        assert!(r.resident(&c, 1, 0) && r.resident(&c, 1, 1));
-        // Eviction of (1, 0): it is LRU after the probe order above is
-        // irrelevant (probes don't touch LRU order), insert order rules.
-        c.insert(2, 0, &page(3));
-        assert!(!r.resident(&c, 1, 0), "evicted page left the replica");
-        assert!(r.resident(&c, 2, 0));
-        c.invalidate_ino(1);
-        assert!(!r.resident(&c, 1, 1), "DelIno clears the inode's pages");
-        assert!(r.resident(&c, 2, 0));
-        c.invalidate_page(2, 0);
-        assert!(!r.resident(&c, 2, 0));
-        assert_eq!(r.rebuilds(), 0);
-    }
-
-    #[test]
-    fn replica_created_late_starts_from_cache_snapshot() {
-        let c = BufferCache::new(8);
-        c.insert(3, 7, &page(9));
-        let r = c.replica();
-        assert!(r.resident(&c, 3, 7), "pre-existing pages visible");
-        assert_eq!(r.lag(), 0);
-    }
-
-    #[test]
-    fn straggler_replica_rebuilds_after_overrun() {
-        let c = BufferCache::new(64);
-        let r = c.replica();
-        // Push far past the lag bound without syncing the replica, so
-        // compaction must advance past it.
-        for i in 0..(DIR_MAX_LAG + DIR_HIGH_WATER as u64 + 64) {
-            c.insert(i % 7, i, &page((i % 251) as u8));
-        }
-        assert!(
-            c.dir_log_stats().overruns > 0,
-            "straggler must get overrun: {:?}",
-            c.dir_log_stats()
-        );
-        // The next probe rebuilds from the cache and answers correctly.
-        let s = c.stats();
-        assert!(s.resident == 64);
-        let probe_hit = (0..7u64).any(|i| r.resident(&c, i, DIR_MAX_LAG + DIR_HIGH_WATER as u64));
-        let _ = probe_hit;
-        assert_eq!(r.rebuilds(), 1);
-        // Spot-check agreement with the authoritative cache.
-        for ino in 0..7u64 {
-            for p in 0..32u64 {
-                assert_eq!(r.resident(&c, ino, p), c.peek(ino, p), "({ino},{p})");
-            }
-        }
-    }
-
-    /// The proxy of an `O_BUFFER`-only co-processor never probes its
-    /// replica. It is overrun once and then stops pinning the directory
-    /// log, which stays within its high-water mark instead of sitting at
-    /// `DIR_MAX_LAG` and trimming on every eviction.
-    #[test]
-    fn never_probed_replica_does_not_pin_the_directory_log() {
-        let c = BufferCache::new(64);
-        let r = c.replica();
-        for i in 0..50_000u64 {
-            c.insert(i % 7, i, &page((i % 251) as u8));
-        }
-        let log = c.dir_log_stats();
-        assert!(log.depth <= DIR_HIGH_WATER as u64 + 1, "{log:?}");
-        assert_eq!(log.overruns, 1, "{log:?}");
-        assert!(
-            log.compactions <= log.appends / DIR_HIGH_WATER as u64 + 2,
-            "{log:?}"
-        );
-        for ino in 0..7u64 {
-            for p in 49_900..50_000u64 {
-                assert_eq!(r.resident(&c, ino, p), c.peek(ino, p), "({ino},{p})");
-            }
-        }
-        assert_eq!(r.rebuilds(), 1);
-    }
-
-    #[test]
     fn a_page_is_lent_in_place_both_ways() {
         let c = BufferCache::new(2);
         assert_eq!(c.with_page(1, 0, |p| p[0]), None);
@@ -631,7 +411,6 @@ mod tests {
     #[test]
     fn a_failed_or_panicking_fill_leaves_no_page_behind() {
         let c = BufferCache::new(2);
-        let r = c.replica();
         c.insert(1, 0, &page(1));
         // Resident page, fill fails half way: the page is dropped.
         assert_eq!(
@@ -641,7 +420,7 @@ mod tests {
             }),
             Err("device")
         );
-        assert!(!c.peek(1, 0) && !r.resident(&c, 1, 0));
+        assert!(!c.peek(1, 0));
         // New page, fill panics with the lock held: the slot goes back
         // to the free list and the cache keeps working.
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -653,7 +432,7 @@ mod tests {
         c.insert(1, 3, &page(4));
         assert_eq!(c.get(1, 2).unwrap()[0], 3);
         assert_eq!(c.stats().resident, 2);
-        assert!(r.resident(&c, 1, 3));
+        assert!(c.peek(1, 3));
     }
 
     #[test]

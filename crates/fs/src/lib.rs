@@ -34,7 +34,7 @@ pub mod fs;
 pub mod layout;
 
 pub use blockio::BlockIo;
-pub use cache::{BufferCache, CacheDirReplica};
+pub use cache::BufferCache;
 pub use error::FsError;
 pub use fs::{FileSystem, FsckReport, Ino, OpenFlags, Stat};
 pub use layout::Extent;

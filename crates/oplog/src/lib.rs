@@ -2,8 +2,8 @@
 
 //! An NRK-style operation log for node-replicated control-plane state.
 //!
-//! The control plane keeps one *logical* state machine (balancer tables,
-//! the buffer-cache directory, per-tenant QoS ledgers) but every
+//! The control plane keeps one *logical* state machine (the listener
+//! registry and balancer tables, per-tenant QoS ledgers) but every
 //! co-processor/NUMA domain holds its own *replica* of it. Mutations are
 //! appended to a shared [`OpLog`]; each replica applies the log in order
 //! through its private read cursor, so reads are always domain-local and

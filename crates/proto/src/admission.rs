@@ -35,7 +35,7 @@ impl AdmitRequest for NetRequest {
 pub struct AdmittedFrame<R> {
     /// Caller-chosen tag echoed in the reply.
     pub tag: u32,
-    /// Submission flags ([`crate::codec::FLAG_BARRIER`], deadline nibble).
+    /// Submission flags ([`crate::codec::FLAG_BARRIER`]).
     pub flags: u8,
     /// Tenant id of the submitting data plane.
     pub tenant: u8,

@@ -36,63 +36,6 @@ const TENANT_OFFSET: usize = 11;
 /// and must not start later requests until it completes.
 pub const FLAG_BARRIER: u8 = 1 << 0;
 
-/// Shift of the deadline-class nibble inside the flags byte.
-///
-/// Bits 4–7 of the flags byte carry a 4-bit *deadline class*: 0 means "no
-/// deadline", class `k` (1–15) means the submitter expects a reply within
-/// [`DEADLINE_BASE_US`]` << (k - 1)` microseconds. Packing the deadline
-/// into the existing flags path keeps the wire format and header length
-/// unchanged: peers that ignore deadlines see only a nonzero flags byte,
-/// which they already pass through untouched.
-pub const DEADLINE_SHIFT: u8 = 4;
-
-/// Mask of the deadline-class nibble inside the flags byte.
-pub const DEADLINE_MASK: u8 = 0xF0;
-
-/// Deadline of class 1 in microseconds; each class doubles it.
-pub const DEADLINE_BASE_US: u64 = 250;
-
-/// Maps a requested deadline to the smallest class covering it (the
-/// on-wire deadline rounds *up*, so a peer honoring the class never fires
-/// earlier than the submitter asked). Durations beyond class 15
-/// (~4.1 s) clamp to class 15; zero means "no deadline" (class 0).
-pub fn deadline_class(deadline: std::time::Duration) -> u8 {
-    let us = deadline.as_micros() as u64;
-    if us == 0 {
-        return 0;
-    }
-    let mut class = 1u8;
-    let mut cover = DEADLINE_BASE_US;
-    while cover < us && class < 15 {
-        cover *= 2;
-        class += 1;
-    }
-    class
-}
-
-/// Inverse of [`deadline_class`]: the duration a class encodes, or `None`
-/// for class 0 / a flags byte with no deadline nibble set.
-pub fn deadline_duration(class: u8) -> Option<std::time::Duration> {
-    let class = class & 0xF;
-    if class == 0 {
-        None
-    } else {
-        Some(std::time::Duration::from_micros(
-            DEADLINE_BASE_US << (class - 1),
-        ))
-    }
-}
-
-/// Extracts the deadline carried by a frame's flags byte, if any.
-pub fn flags_deadline(flags: u8) -> Option<std::time::Duration> {
-    deadline_duration(flags >> DEADLINE_SHIFT)
-}
-
-/// Packs a deadline class into a flags byte, preserving the low bits.
-pub fn flags_with_deadline(flags: u8, class: u8) -> u8 {
-    (flags & !DEADLINE_MASK) | ((class & 0xF) << DEADLINE_SHIFT)
-}
-
 /// Maximum accepted string length (paths, names) on the wire.
 pub const MAX_STR: usize = 4096;
 
@@ -380,37 +323,15 @@ mod tests {
     }
 
     #[test]
-    fn deadline_class_roundtrip() {
-        use std::time::Duration;
-        assert_eq!(deadline_class(Duration::ZERO), 0);
-        assert_eq!(deadline_duration(0), None);
-        // Exact powers land on their own class.
-        assert_eq!(deadline_class(Duration::from_micros(250)), 1);
-        assert_eq!(deadline_class(Duration::from_micros(500)), 2);
-        // In-between durations round *up* to the covering class.
-        assert_eq!(deadline_class(Duration::from_micros(300)), 2);
-        for class in 1u8..=15 {
-            let d = deadline_duration(class).unwrap();
-            assert_eq!(deadline_class(d), class);
-            assert!(deadline_duration(class - 1).is_none_or(|p| p < d));
-        }
-        // Beyond the top class: clamp.
-        assert_eq!(deadline_class(Duration::from_secs(3600)), 15);
-    }
-
-    #[test]
-    fn deadline_rides_the_flags_byte() {
+    fn barrier_flag_rides_the_flags_byte() {
         let mut f = encode_frame(3, 9, b"op");
-        let flags = flags_with_deadline(FLAG_BARRIER, 4);
-        stamp_flags(&mut f, flags);
+        assert_eq!(decode_frame(&f).unwrap().flags, 0, "unflagged by default");
+        stamp_flags(&mut f, FLAG_BARRIER);
         let d = decode_frame(&f).unwrap();
-        assert_eq!(d.flags & FLAG_BARRIER, FLAG_BARRIER, "low bits preserved");
-        assert_eq!(
-            flags_deadline(d.flags),
-            Some(std::time::Duration::from_micros(2_000))
-        );
-        // No deadline nibble: nothing decoded.
-        assert_eq!(flags_deadline(FLAG_BARRIER), None);
+        assert_eq!(d.flags, FLAG_BARRIER);
+        assert_eq!((d.msg_type, d.tag, d.body), (3, 9, &b"op"[..]));
+        stamp_flags(&mut f, 0);
+        assert_eq!(decode_frame(&f).unwrap().flags, 0, "restamp clears it");
     }
 
     #[test]

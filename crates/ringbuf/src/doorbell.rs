@@ -88,13 +88,21 @@ impl Doorbell {
     }
 
     /// Sleeps until the bell rings after `ticket` was taken, or `bound`
-    /// elapses. Returns true when it was rung.
+    /// elapses (a bound past the clock's range waits for the ring alone).
+    /// Returns true when it was rung.
     pub fn park(&self, ticket: u64, bound: Duration) -> bool {
-        let deadline = std::time::Instant::now() + bound;
+        let deadline = std::time::Instant::now().checked_add(bound);
         let mut g = self.lock.lock();
-        while self.seq.load(Ordering::SeqCst) == ticket
-            && !self.cv.wait_until(&mut g, deadline).timed_out()
-        {}
+        while self.seq.load(Ordering::SeqCst) == ticket {
+            match deadline {
+                Some(d) => {
+                    if self.cv.wait_until(&mut g, d).timed_out() {
+                        break;
+                    }
+                }
+                None => self.cv.wait(&mut g),
+            }
+        }
         self.seq.load(Ordering::SeqCst) != ticket
     }
 
@@ -216,6 +224,21 @@ mod tests {
         bell.ring();
         assert!(!bell.is_armed());
         assert!(bell.park(ticket, LONG));
+    }
+
+    #[test]
+    fn an_unbounded_park_waits_for_the_ring() {
+        let bell = Doorbell::new();
+        let ticket = bell.arm();
+        let ringer = {
+            let bell = Arc::clone(&bell);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                bell.ring();
+            })
+        };
+        assert!(bell.park(ticket, Duration::MAX));
+        ringer.join().unwrap();
     }
 
     /// Ping-pong over two rings, every hand-off a [`recv_parked`]. A

@@ -301,8 +301,6 @@ impl RingBuf {
                 ready_flags: flags,
                 corrupt_budget: AtomicU64::new(0),
                 publishes: AtomicU64::new(0),
-                wave_submits: AtomicU64::new(0),
-                wave_frames: AtomicU64::new(0),
                 wave_resubmits: AtomicU64::new(0),
                 combiner: Combiner::new(
                     ProdState {
@@ -413,9 +411,6 @@ struct ProdState {
 enum ProdOp {
     /// Reserve `size` bytes; `0` is a publish-only pass (from `kick`).
     Reserve(u32),
-    /// Reserve a prefix of the listed sizes (as many as fit) in one
-    /// combiner pass.
-    ReserveBatch(Vec<u32>),
     /// Reserve, copy, and mark ready the given frames of a wave; on a
     /// lazy ring they pay a single control-variable publish at batch end.
     /// The wave is lent to the combiner, not consumed.
@@ -425,7 +420,6 @@ enum ProdOp {
 /// Result of a [`ProdOp`].
 enum ProdRes {
     Reserved(Result<RbBuf, RingError>),
-    Bufs(Vec<RbBuf>),
     /// The wave, handed back, and how many of its frames were accepted
     /// (fewer than offered when the ring filled mid-wave).
     Waved(Wave, usize),
@@ -448,11 +442,6 @@ struct ProdInner {
     /// Authoritative-tail stores actually issued — the ring's
     /// doorbell-equivalent count (control-variable publishes).
     publishes: AtomicU64,
-    /// Batched waves submitted through [`Producer::send_batch`] /
-    /// [`Producer::enqueue_batch`].
-    wave_submits: AtomicU64,
-    /// Frames accepted via batched waves.
-    wave_frames: AtomicU64,
     /// Waves whose unsent tail had to be resubmitted after a backoff
     /// because the ring filled mid-wave ([`Producer::send_batch_blocking`]).
     wave_resubmits: AtomicU64,
@@ -482,40 +471,6 @@ impl Producer {
             ProdRes::Reserved(r) => r,
             _ => unreachable!("Reserve yields Reserved"),
         }
-    }
-
-    /// Vectored reservation: reserves as many of the listed element sizes
-    /// as currently fit, front to back, in **one** combiner pass. Returns
-    /// the reserved buffers (possibly fewer than requested — possibly
-    /// none — when the ring fills mid-wave); the caller copies payloads
-    /// and calls [`Producer::set_ready`] per buffer, then
-    /// [`Producer::kick`] once for the wave, so a lazy ring pays a single
-    /// control-variable publish for the whole wave.
-    ///
-    /// Returns [`RingError::TooBig`] (reserving nothing) if any size is
-    /// zero or exceeds [`RingBuf::max_element`].
-    pub fn enqueue_batch(&self, sizes: &[usize]) -> Result<Vec<RbBuf>, RingError> {
-        let inner = &self.inner;
-        if sizes
-            .iter()
-            .any(|&s| s == 0 || s as u64 > inner.sh.max_elem)
-        {
-            return Err(RingError::TooBig);
-        }
-        let op = ProdOp::ReserveBatch(sizes.iter().map(|&s| s as u32).collect());
-        let bufs =
-            match inner
-                .combiner
-                .submit(op, |st, op| inner.apply(st, op), |st| inner.publish(st))
-            {
-                ProdRes::Bufs(bufs) => bufs,
-                _ => unreachable!("ReserveBatch yields Bufs"),
-            };
-        inner.wave_submits.fetch_add(1, Ordering::Relaxed);
-        inner
-            .wave_frames
-            .fetch_add(bufs.len() as u64, Ordering::Relaxed);
-        Ok(bufs)
     }
 
     /// Vectored send: reserves, copies, and readies frames `range` of
@@ -562,8 +517,6 @@ impl Producer {
             }
             _ => unreachable!("SendWave yields Waved"),
         };
-        inner.wave_submits.fetch_add(1, Ordering::Relaxed);
-        inner.wave_frames.fetch_add(sent as u64, Ordering::Relaxed);
         Ok(sent)
     }
 
@@ -673,15 +626,6 @@ impl Producer {
         self.inner.publishes.load(Ordering::Relaxed)
     }
 
-    /// `(waves submitted, frames accepted via waves)` through the batched
-    /// entry points.
-    pub fn wave_stats(&self) -> (u64, u64) {
-        (
-            self.inner.wave_submits.load(Ordering::Relaxed),
-            self.inner.wave_frames.load(Ordering::Relaxed),
-        )
-    }
-
     /// Waves whose unsent tail was resubmitted after a backoff because
     /// the ring filled mid-wave — reply-side backpressure, not loss
     /// (surfaced in the recovery ledger as `reply_wave_resubmits`).
@@ -696,16 +640,6 @@ impl ProdInner {
     fn apply(&self, st: &mut ProdState, op: ProdOp) -> ProdRes {
         match op {
             ProdOp::Reserve(size) => ProdRes::Reserved(self.try_reserve(st, size)),
-            ProdOp::ReserveBatch(sizes) => {
-                let mut bufs = Vec::with_capacity(sizes.len());
-                for size in sizes {
-                    match self.try_reserve(st, size) {
-                        Ok(rb) => bufs.push(rb),
-                        Err(_) => break,
-                    }
-                }
-                ProdRes::Bufs(bufs)
-            }
             ProdOp::SendWave(wave, range) => {
                 let mut sent = 0;
                 for frame in range.map(|i| wave.frame(i)) {
@@ -1550,7 +1484,6 @@ mod tests {
         assert!(rest.is_empty());
         // The whole wave rode one combiner pass and one tail store.
         assert_eq!(tx.publishes() - before, 1, "lazy wave pays one doorbell");
-        assert_eq!(tx.wave_stats(), (1, 32));
         for want in &wave {
             assert_eq!(&rx.recv_blocking(), want);
         }
@@ -1716,24 +1649,6 @@ mod tests {
         let wave = vec![vec![1u8; 8], vec![2u8; 4096]];
         assert!(matches!(tx.send_batch(wave), Err(RingError::TooBig)));
         assert!(rx.recv().is_err(), "nothing was enqueued");
-    }
-
-    #[test]
-    fn enqueue_batch_reserves_prefix_in_one_pass() {
-        let (tx, rx) = local_ring(1 << 13);
-        let bufs = tx.enqueue_batch(&[16, 16, 16, 16]).unwrap();
-        assert_eq!(bufs.len(), 4);
-        let before = tx.publishes();
-        for (i, rb) in bufs.into_iter().enumerate() {
-            tx.copy_to(&rb, &[i as u8; 16]);
-            tx.set_ready(rb);
-        }
-        tx.kick();
-        assert_eq!(tx.publishes() - before, 1);
-        for i in 0..4u8 {
-            assert_eq!(rx.recv_blocking(), [i; 16]);
-        }
-        assert!(matches!(tx.enqueue_batch(&[8, 0]), Err(RingError::TooBig)));
     }
 
     #[test]
