@@ -219,10 +219,6 @@ pub fn simulate_overload(qos_on: bool, aggr_window: usize) -> OverloadOutcome {
         name: name.to_string(),
         class,
         weight,
-        ops_per_sec: 0,
-        bytes_per_sec: 0,
-        burst_ops: 0,
-        burst_bytes: 0,
         queue_cap: usize::MAX,
         deadline_ns: 0,
         sheddable: false,
@@ -323,10 +319,6 @@ pub fn simulate_weighted_shares(weights: &[u32]) -> Vec<f64> {
             name: format!("tenant{i}"),
             class: QosClass::Normal,
             weight: w,
-            ops_per_sec: 0,
-            bytes_per_sec: 0,
-            burst_ops: 0,
-            burst_bytes: 0,
             queue_cap: usize::MAX,
             deadline_ns: 0,
             sheddable: false,
@@ -2371,7 +2363,7 @@ pub fn domain_failover() -> Run {
         .count() as u64;
 
     let report = sys.recovery_report();
-    let usage = sys.tenant_usage(0);
+    let usage = sys.host_qos().usage(0);
     // The shards hand their proxies back at shutdown; the replicas are
     // read there.
     sys.shutdown();
@@ -2433,7 +2425,7 @@ pub fn domain_failover() -> Run {
     ]);
     t.row(vec!["event drops".into(), report.event_drops.to_string()]);
     t.row(vec![
-        "tenant 0 ledger".into(),
+        "tenant 0 charged".into(),
         format!("{} ops, {} bytes", usage.ops, usage.bytes),
     ]);
     out.push_str(
@@ -2686,7 +2678,7 @@ pub fn hierarchical_qos() -> Run {
     let mut active_now = 0usize;
     let mut peak_active = 0usize;
 
-    // Drains one gate until idle-or-rate-limited, advancing the virtual
+    // Drains one gate until it answers Idle, advancing the virtual
     // clock by the service time (1 byte/ns) of everything it runs.
     // Returns false once the gate yields nothing.
     fn drain_one<T: Copy>(

@@ -212,7 +212,7 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     sys.shutdown();
 
     // (i) One 4 KiB P2P read, as (a), through the QoS gate: admission
-    // charges the tenant ledger once per burst.
+    // charges the tenant's entry in the host QoS directory.
     let sys = Solros::boot_qos(machine(), QosConfig::enforcing());
     let fs = Arc::clone(sys.data_plane(0).fs());
     let f = populate(&fs, "/gated");

@@ -17,7 +17,6 @@ use solros_machine::{Machine, MachineConfig};
 use solros_netdev::Network;
 use solros_qos::{
     CreditPool, HostConfig, HostGate, HostScheduler, QosClass, QosConfig, QosStats, Service,
-    TenantLedger, TenantLedgerReplica, TenantUsage,
 };
 
 use solros_oplog::LogStats;
@@ -65,13 +64,8 @@ pub struct Solros {
     lease_mgr: Arc<LeaseManager>,
     /// Health-checks the engine shards and fails dead ones over.
     supervisor: Arc<ShardSupervisor>,
-    /// System-wide tenant ledger log every engine shard charges into.
-    tenant_ledger: Arc<TenantLedger>,
-    /// The host's observer replica of the tenant ledger, registered
-    /// before boot completes so it sees every charge.
-    tenant_view: TenantLedgerReplica,
     /// Host-global tenant→service→flow hierarchy every QoS gate shard
-    /// (FS and TCP, every domain) reports to.
+    /// (FS and TCP, every domain) reports to and charges tenants in.
     host_qos: Arc<HostScheduler>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
@@ -154,17 +148,11 @@ impl Solros {
         // one co-processor defers conflicting RPCs arriving at another.
         let lease_mgr = Arc::new(LeaseManager::new());
 
-        // One tenant ledger log for the whole system; each engine shard
-        // charges admitted work into it and the host keeps an observer
-        // replica (registered now, before any charge can be appended).
-        let tenant_ledger = TenantLedger::new();
-        let tenant_view = tenant_ledger.replica();
-
-        // The host-global QoS hierarchy: level 1 (tenants against host
-        // budgets, rebalanced off the replicated ledger) and level 2
-        // (fs-vs-tcp service shares) are shared state; each proxy below
-        // registers its own per-domain level-3 flow-table shard.
-        let host_qos = HostScheduler::with_ledger(HostConfig::default(), tenant_ledger.replica());
+        // The host-global QoS hierarchy: level 1 (tenants, charged at
+        // admission against host budgets) and level 2 (fs-vs-tcp
+        // service shares) are shared state; each proxy below registers
+        // its own per-domain level-3 flow-table shard.
+        let host_qos = HostScheduler::new(HostConfig::default());
 
         for coproc in &machine.coprocs {
             // ---- File-system service ----
@@ -178,7 +166,6 @@ impl Solros {
                 stats,
             );
             proxy.set_lease_manager(Arc::clone(&lease_mgr), coproc.id);
-            proxy.set_tenant_ledger(Arc::clone(&tenant_ledger));
             let sd = Arc::clone(&shutdown);
             let (req_rx, resp_tx) = (fs_ch.req_rx, fs_ch.resp_tx);
             let builder =
@@ -287,7 +274,6 @@ impl Solros {
             Arc::clone(&machine.network),
             Arc::clone(&tcp_control),
             Arc::clone(&lease_mgr),
-            Arc::clone(&tenant_ledger),
             qos.clone(),
             Arc::clone(&host_qos),
             lb,
@@ -307,7 +293,6 @@ impl Solros {
                 supervisor.fork_lb(),
             );
             tcp_stats.push(Arc::clone(&stats));
-            shard.set_tenant_ledger(Arc::clone(&tenant_ledger));
             if qos.enabled {
                 tcp_qos_stats.push(shard.enable_qos(&qos, &host_qos));
             }
@@ -334,8 +319,6 @@ impl Solros {
             tcp_qos_stats,
             lease_mgr,
             supervisor,
-            tenant_ledger,
-            tenant_view,
             host_qos,
             shutdown,
             threads,
@@ -410,8 +393,9 @@ impl Solros {
     }
 
     /// The host-global tenant→service→flow QoS hierarchy: tenant
-    /// weights/budgets, and the flow-table occupancy/GC ledger
-    /// aggregated across every gate shard.
+    /// weights, budgets and charges ([`HostScheduler::usage`]), and the
+    /// flow-table occupancy/GC ledger aggregated across every gate
+    /// shard.
     pub fn host_qos(&self) -> &Arc<HostScheduler> {
         &self.host_qos
     }
@@ -434,23 +418,12 @@ impl Solros {
         self.supervisor.report()
     }
 
-    /// The system-wide tenant ledger log (budget setting, extra
-    /// replicas). Charges accrue only on QoS-gated admission paths.
-    pub fn tenant_ledger(&self) -> &Arc<TenantLedger> {
-        &self.tenant_ledger
-    }
-
-    /// The host observer's view of `tenant`'s usage, synced to the log
-    /// tail at the call.
-    pub fn tenant_usage(&self, tenant: u8) -> TenantUsage {
-        self.tenant_view.usage(tenant)
-    }
-
-    /// Counters of the tenant-ledger operation log; `appends` stays far
-    /// below admitted ops because engines batch one charge per
-    /// (tenant, admission burst).
+    /// Always [`LogStats::default`]: tenants are charged in the host
+    /// QoS directory ([`Solros::host_qos`]), which keeps no log. Kept
+    /// only because the benchmark package's `oplog` layer still reads
+    /// it; ROADMAP direction 6 deletes it together with that caller.
     pub fn tenant_ledger_log_stats(&self) -> LogStats {
-        self.tenant_ledger.log_stats()
+        LogStats::default()
     }
 
     /// Stops all proxy threads and joins them.
@@ -606,14 +579,11 @@ mod tests {
         );
 
         // Every gated admission above ran as the default tenant (0);
-        // the replicated tenant ledger must have charged it — at least
-        // the write+read payloads in bytes — and the engines batch, so
-        // appends stay at or below ops charged.
-        let usage = sys.tenant_usage(0);
+        // the host directory must have charged it — at least the
+        // write+read payloads in bytes.
+        let usage = sys.host_qos().usage(0);
         assert!(usage.ops >= 4, "fs + net admissions charged: {usage:?}");
         assert!(usage.bytes >= 40_000, "payload bytes charged: {usage:?}");
-        let log = sys.tenant_ledger_log_stats();
-        assert!(log.appends <= usage.ops);
         sys.shutdown();
     }
 

@@ -46,7 +46,7 @@ use solros_pcie::Side;
 use solros_proto::codec::stamp_credit;
 use solros_proto::fs_msg::{FsRequest, FsResponse};
 use solros_proto::rpc_error::RpcErr;
-use solros_qos::{HostGate, QosClass, QosStats, TenantLedger};
+use solros_qos::{HostGate, QosClass, QosStats};
 use solros_ringbuf::{Consumer, Doorbell, Producer};
 use solros_simkit::{IntMap, IntSet};
 
@@ -161,9 +161,6 @@ pub struct FsProxy {
     coproc: u8,
     /// QoS ledger and flow leased bypass bytes are charged to.
     lease_charge: Option<(Arc<QosStats>, usize)>,
-    /// Replicated per-tenant ledger this proxy's engine charges gated
-    /// admissions to (shared log, domain-local replicas).
-    tenant_ledger: Option<Arc<TenantLedger>>,
 }
 
 impl FsProxy {
@@ -194,14 +191,7 @@ impl FsProxy {
             bell,
             coproc: 0,
             lease_charge: None,
-            tenant_ledger: None,
         }
-    }
-
-    /// Attaches the system-wide tenant ledger; the proxy's engine will
-    /// charge every gated admission to the submitting frame's tenant.
-    pub fn set_tenant_ledger(&mut self, ledger: Arc<TenantLedger>) {
-        self.tenant_ledger = Some(ledger);
     }
 
     /// Overrides the sequential readahead depth (pages; 0 disables).
@@ -268,18 +258,14 @@ impl FsProxy {
     ) {
         let stats = Arc::clone(&self.stats.engine);
         let faults = Arc::clone(&self.faults);
-        let ledger = self.tenant_ledger.clone();
-        let mut eng = ProxyEngine::new(
+        ProxyEngine::new(
             self,
             vec![EngineLane { req_rx, resp_tx }],
             stats,
             faults,
             gate,
-        );
-        if let Some(l) = ledger {
-            eng.set_tenant_ledger(l);
-        }
-        eng.serve(shutdown);
+        )
+        .serve(shutdown);
     }
 
     /// Executes one RPC. A call that meets a conflicting extent lease

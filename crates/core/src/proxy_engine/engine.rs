@@ -10,7 +10,7 @@ use solros_faults::EngineFaults;
 use solros_proto::codec::{peek_tag, stamp_credit, FLAG_BARRIER};
 use solros_proto::rpc_error::RpcErr;
 use solros_proto::{AdmitRequest, AdmittedFrame};
-use solros_qos::{Dispatch, HostGate, TenantLedger, Verdict};
+use solros_qos::{Dispatch, HostGate, Verdict};
 use solros_ringbuf::{Consumer, Doorbell, Producer};
 use solros_simkit::IntMap;
 
@@ -198,12 +198,6 @@ pub struct ProxyEngine<H: OpHandler> {
     /// The engine thread's reply frame, rebuilt in place per request and
     /// copied once, into its lane's settlement wave.
     reply: Vec<u8>,
-    /// Replicated tenant ledger; admitted work is charged here, batched
-    /// to one log append per (tenant, admission burst).
-    ledger: Option<Arc<TenantLedger>>,
-    /// One gated admission burst's `(ops, bytes)` per tenant, emptied
-    /// into `ledger` at the burst's end and kept for the next.
-    charges: HashMap<u8, (u64, u64)>,
     /// Failover handshake with the domain supervisor: heartbeat per
     /// cycle, crash/wedge fault checks, wreck dump on death.
     health: Option<Arc<ShardHealth>>,
@@ -244,8 +238,6 @@ impl<H: OpHandler> ProxyEngine<H> {
             ready_backlog: Vec::new(),
             pending_barrier: None,
             reply: Vec::new(),
-            ledger: None,
-            charges: HashMap::new(),
             health: None,
         }
     }
@@ -253,12 +245,6 @@ impl<H: OpHandler> ProxyEngine<H> {
     /// Enables or disables priority inheritance (deferral still applies).
     pub fn set_inherit(&mut self, on: bool) {
         self.inherit = on;
-    }
-
-    /// Attaches the replicated tenant ledger; every gated admission is
-    /// charged to the submitting frame's tenant.
-    pub fn set_tenant_ledger(&mut self, ledger: Arc<TenantLedger>) {
-        self.ledger = Some(ledger);
     }
 
     /// Attaches the supervisor's health cell. The serve loop beats it
@@ -316,9 +302,11 @@ impl<H: OpHandler> ProxyEngine<H> {
                 continue;
             }
             if self.gate.as_ref().is_some_and(|g| g.queued_total() > 0) {
-                // Admitted work the gate is pacing waits on the clock
-                // (a token refill), which rings nothing: stay in the
-                // yield band rather than sleep through its release.
+                // Admitted work the gate has not released yet: a head
+                // request larger than one DWRR turn's credit makes
+                // `dispatch` answer `Idle` until enough turns accrue,
+                // and nothing rings for that. Stay in the yield band
+                // rather than sleep through its release.
                 sleeper.progress();
             }
             // Once armed, the next cycle is the re-check of every source;
@@ -423,7 +411,7 @@ impl<H: OpHandler> ProxyEngine<H> {
                 stamp_credit(&mut frame, c);
             }
             replies.push((lane, frame));
-            if self.ledger.is_some() {
+            if self.gate.is_some() {
                 let r = refunds.entry(tenant).or_insert((0, 0));
                 r.0 += 1;
                 r.1 += bytes;
@@ -481,7 +469,7 @@ impl<H: OpHandler> ProxyEngine<H> {
         // 4. Admit and dispatch; both pause while a barrier is pending.
         if self.gate.is_some() {
             // Epoch upkeep first: GC idle flow-table entries and let the
-            // host scheduler rebalance tenant budgets off the ledger.
+            // host scheduler sweep tenants left without flows.
             self.gate.as_mut().expect("gated").maintain(now_ns);
             progressed |= self.admit_gated(now_ns);
             progressed |= self.dispatch_gated(now_ns);
@@ -505,8 +493,6 @@ impl<H: OpHandler> ProxyEngine<H> {
             return false;
         }
         let mut progressed = false;
-        // Batched tenant charges: one ledger append per tenant per burst,
-        // not one per frame, so the log never sees per-op traffic.
         for lane in 0..self.lanes.len() {
             for _ in 0..ADMIT_BURST {
                 let Some(admitted) = self.admit_one(lane) else {
@@ -531,11 +517,6 @@ impl<H: OpHandler> ProxyEngine<H> {
                 };
                 match gate.submit(flow, bytes, now_ns, job) {
                     Verdict::Admitted => {
-                        if self.ledger.is_some() {
-                            let c = self.charges.entry(tenant).or_insert((0, 0));
-                            c.0 += 1;
-                            c.1 += bytes;
-                        }
                         if let Some((res, Access::Exclusive)) = touch {
                             // The hold records this flow index until the
                             // release; pin it so the GC cannot reclaim
@@ -552,11 +533,6 @@ impl<H: OpHandler> ProxyEngine<H> {
                         self.post_err(lane, item.tag, RpcErr::Overloaded, Some(credit));
                     }
                 }
-            }
-        }
-        if let Some(ledger) = &self.ledger {
-            for (tenant, (ops, bytes)) in self.charges.drain() {
-                ledger.charge(tenant, ops, bytes);
             }
         }
         progressed
@@ -1008,10 +984,6 @@ mod tests {
             name: name.into(),
             class,
             weight,
-            ops_per_sec: 0,
-            bytes_per_sec: 0,
-            burst_ops: 0,
-            burst_bytes: 0,
             queue_cap: 1024,
             deadline_ns: 0,
             sheddable: false,

@@ -42,7 +42,8 @@ pub struct Wreck {
     /// admitted-but-unserved tag (credit-stamped where one was granted).
     pub replies: Vec<(usize, Vec<u8>)>,
     /// Per-tenant `(ops, bytes)` charged at admission for work that was
-    /// never served; the supervisor appends matching ledger refunds.
+    /// never served; the supervisor refunds them in the host QoS
+    /// directory.
     pub refunds: Vec<(u8, u64, u64)>,
 }
 

@@ -36,8 +36,9 @@
 //!    and releases its balancer charges — applied exactly once by every
 //!    surviving replica at one log position.
 //! 5. **Reclaim leases** anchored on the dead shard's co-processors
-//!    (force-recall; holders fall back to the RPC path) and append
-//!    tenant-ledger refunds for the wreck's never-served admissions.
+//!    (force-recall; holders fall back to the RPC path) and refund the
+//!    wreck's never-served admissions to their tenants in the host QoS
+//!    directory.
 //! 6. **Replace**: build a fresh shard over the same rings, seed its
 //!    replica from the observer snapshot under live traffic
 //!    ([`TcpProxy::rebuild_from_observer`]), resume its sock-id stride
@@ -61,7 +62,7 @@ use std::time::{Duration, Instant};
 use solros_faults::{EngineFaults, RecoveryReport};
 use solros_lease::LeaseManager;
 use solros_netdev::Network;
-use solros_qos::{HostScheduler, QosConfig, TenantLedger};
+use solros_qos::{HostScheduler, QosConfig};
 use solros_simkit::sync::Mutex;
 
 use crate::proxy_engine::ShardHealth;
@@ -102,9 +103,9 @@ pub struct ShardSupervisor {
     network: Arc<Network>,
     control: Arc<TcpControl>,
     lease_mgr: Arc<LeaseManager>,
-    tenant_ledger: Arc<TenantLedger>,
     qos: QosConfig,
-    /// Host-global QoS hierarchy replacement shards re-register under.
+    /// Host-global QoS hierarchy replacement shards re-register under,
+    /// and the tenant directory a wreck's refunds go back to.
     host_qos: Arc<HostScheduler>,
     /// Prototype the replacement shards' balancer replicas fork from.
     lb_proto: Box<dyn LoadBalancer>,
@@ -117,12 +118,10 @@ pub struct ShardSupervisor {
 impl ShardSupervisor {
     /// A supervisor over no shards yet; [`ShardSupervisor::adopt`] each
     /// spawned shard during boot.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         network: Arc<Network>,
         control: Arc<TcpControl>,
         lease_mgr: Arc<LeaseManager>,
-        tenant_ledger: Arc<TenantLedger>,
         qos: QosConfig,
         host_qos: Arc<HostScheduler>,
         lb_proto: Box<dyn LoadBalancer>,
@@ -132,7 +131,6 @@ impl ShardSupervisor {
             network,
             control,
             lease_mgr,
-            tenant_ledger,
             qos,
             host_qos,
             lb_proto,
@@ -262,7 +260,7 @@ impl ShardSupervisor {
             let _ = self.lease_mgr.revoke_coproc(c as u8);
         }
         for (tenant, ops, bytes) in wreck.refunds {
-            self.tenant_ledger.refund(tenant, ops, bytes);
+            self.host_qos.refund(u64::from(tenant), ops, bytes);
         }
 
         // 6. Replacement: same rings, fresh replica seeded from the
@@ -276,7 +274,6 @@ impl ShardSupervisor {
             slot.channels.clone(),
             self.lb_proto.fork(),
         );
-        repl.set_tenant_ledger(Arc::clone(&self.tenant_ledger));
         if self.qos.enabled {
             let _ = repl.enable_qos(&self.qos, &self.host_qos);
         }

@@ -35,9 +35,7 @@ use solros_oplog::{LogConfig, LogStats, OpLog, ReplicaCursor, SyncOutcome};
 use solros_proto::codec::stamp_credit;
 use solros_proto::net_msg::{NetEvent, NetRequest, NetResponse, SockId};
 use solros_proto::rpc_error::RpcErr;
-use solros_qos::{
-    FlowSpec, HostGate, HostScheduler, QosClass, QosConfig, QosStats, Service, TenantLedger,
-};
+use solros_qos::{FlowSpec, HostGate, HostScheduler, QosClass, QosConfig, QosStats, Service};
 use solros_ringbuf::{Consumer, Doorbell, Producer};
 use solros_simkit::sync::Mutex;
 
@@ -618,9 +616,6 @@ pub struct TcpProxy {
     send_stage: SendStage,
     /// QoS gate over per-(co-processor, class) flows; None = FIFO.
     qos: Option<HostGate<GateJob<NetRequest>>>,
-    /// Replicated per-tenant ledger the engine charges gated admissions
-    /// to (shared log, domain-local replicas).
-    tenant_ledger: Option<Arc<TenantLedger>>,
     /// Failover handshake cell installed by the shard supervisor.
     health: Option<Arc<ShardHealth>>,
 }
@@ -728,17 +723,10 @@ impl TcpProxy {
                 scan_conns: Vec::new(),
                 send_stage: SendStage::default(),
                 qos: None,
-                tenant_ledger: None,
                 health: None,
             },
             stats,
         )
-    }
-
-    /// Attaches the system-wide tenant ledger; this shard's engine will
-    /// charge every gated admission to the submitting frame's tenant.
-    pub fn set_tenant_ledger(&mut self, ledger: Arc<TenantLedger>) {
-        self.tenant_ledger = Some(ledger);
     }
 
     /// Installs a QoS gate with one (high, normal) flow pair per lane,
@@ -810,12 +798,8 @@ impl TcpProxy {
         let gate = self.qos.take();
         let stats = Arc::clone(&self.stats.engine);
         let faults = Arc::clone(&self.faults);
-        let ledger = self.tenant_ledger.clone();
         let health = self.health.clone();
         let mut eng = ProxyEngine::new(self, lanes, stats, faults, gate);
-        if let Some(l) = ledger {
-            eng.set_tenant_ledger(l);
-        }
         if let Some(h) = health {
             eng.set_health(h);
         }

@@ -61,10 +61,6 @@ fn run(inherit: bool) -> Outcome {
         name: name.into(),
         class,
         weight,
-        ops_per_sec: 0,
-        bytes_per_sec: 0,
-        burst_ops: 0,
-        burst_bytes: 0,
         queue_cap: 1024,
         deadline_ns: 0,
         sheddable: false,

@@ -108,6 +108,13 @@ fn run_overload_failover(wedge: bool, victim: usize) {
     );
     let supervisor = Arc::clone(sys.supervisor());
     let host = Arc::clone(sys.host_qos());
+    // Pin the flood tenants (at the default weight, so scheduling is
+    // unchanged): the epoch sweep would otherwise drop their directory
+    // entries, charges included, once their flows drain, and the charge
+    // check below would read zero.
+    for t in 1..=TENANTS {
+        host.set_tenant_weight(u64::from(t), 1);
+    }
 
     // Tenant-churning TCP flood from every stub: each round stamps a
     // different wire tenant, so the gates populate dynamic per-tenant
@@ -192,11 +199,13 @@ fn run_overload_failover(wedge: bool, victim: usize) {
         host.snapshot()
     );
 
-    // Charge sanity: a tenant's replicated usage can never exceed what
-    // the stubs actually submitted — the wreck refunded charges for
-    // admitted-but-never-served work instead of leaking them.
+    // Charge sanity: a tenant's usage can never exceed what the stubs
+    // actually submitted — the wreck refunded charges for
+    // admitted-but-never-served work instead of leaking them — and the
+    // flood did charge every tenant.
     for tenant in 1..=TENANTS {
-        let usage = sys.tenant_usage(tenant);
+        let usage = host.usage(u64::from(tenant));
+        assert!(usage.ops > 0, "tenant {tenant} was never charged");
         assert!(
             usage.ops <= submitted[tenant as usize],
             "tenant {tenant} charged {} ops but submitted {}: wreck charges leaked",

@@ -2,7 +2,7 @@
 //! contract: every replica of an operation log applies every entry
 //! exactly once and in order, regardless of how appends from concurrent
 //! mutators interleave with syncs — so balancer connection counts never
-//! go negative and tenant-ledger charges are never double-counted.
+//! go negative.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -10,7 +10,6 @@ use std::thread;
 
 use solros::balancer::{ConnMeta, LeastLoaded, LoadBalancer};
 use solros_oplog::{LogConfig, OpLog, SyncOutcome};
-use solros_qos::TenantLedger;
 use solros_simkit::check::{self, vec};
 
 /// A replica's materialized view for the generic convergence property:
@@ -224,42 +223,6 @@ fn run_balancer_replay(interleave: Vec<(u8, bool)>, slots: usize) {
     }
 }
 
-/// The tenant ledger never double-applies a charge: with mutator
-/// threads charging concurrently and replicas syncing mid-storm, every
-/// replica's totals equal the exact generated sums.
-fn run_ledger_storm(charges: Vec<(u8, u8, u16)>, mutators: usize) {
-    let ledger = TenantLedger::new();
-    let observer = ledger.replica();
-    let chunks: Vec<&[(u8, u8, u16)]> = charges.chunks(charges.len() / mutators + 1).collect();
-    thread::scope(|s| {
-        for chunk in &chunks {
-            let ledger = Arc::clone(&ledger);
-            s.spawn(move || {
-                for &(tenant, ops, bytes) in *chunk {
-                    ledger.charge(tenant % 4, u64::from(ops), u64::from(bytes));
-                }
-            });
-        }
-        // Observer races the mutators; partial sums only ever grow.
-        let mut last = (0, 0);
-        for _ in 0..32 {
-            let now = observer.total();
-            assert!(now.0 >= last.0 && now.1 >= last.1, "totals regressed");
-            last = now;
-            thread::yield_now();
-        }
-    });
-
-    // The scope joined every mutator, so `late` registers at the final
-    // tail and owns only future charges.
-    let late = ledger.replica();
-    let want_ops: u64 = charges.iter().map(|&(_, o, _)| u64::from(o)).sum();
-    let want_bytes: u64 = charges.iter().map(|&(_, _, b)| u64::from(b)).sum();
-    assert_eq!(observer.total(), (want_ops, want_bytes));
-    assert_eq!(late.total(), (0, 0), "late replica starts at the tail");
-    assert_eq!(observer.lag(), 0);
-}
-
 const CASES: u64 = 24;
 
 #[test]
@@ -284,16 +247,5 @@ fn balancer_counts_never_negative_across_replicas() {
         let interleave = vec(rng, 0..100, |r| (r.next_u64() as u8, r.chance(0.5)));
         let slots = rng.range(1..6) as usize;
         run_balancer_replay(interleave, slots);
-    });
-}
-
-#[test]
-fn ledger_charges_apply_exactly_once_per_replica() {
-    check::cases(CASES, |rng| {
-        let charges = vec(rng, 0..120, |r| {
-            (r.next_u64() as u8, r.next_u64() as u8, r.next_u64() as u16)
-        });
-        let mutators = rng.range(1..4) as usize;
-        run_ledger_storm(charges, mutators);
     });
 }

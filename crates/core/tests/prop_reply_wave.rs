@@ -106,10 +106,6 @@ fn run_fs_case(waves: Vec<Vec<FsOp>>) {
             name: name.into(),
             class,
             weight: 4,
-            ops_per_sec: 0,
-            bytes_per_sec: 0,
-            burst_ops: 0,
-            burst_bytes: 0,
             queue_cap: cap,
             deadline_ns: 0,
             sheddable: true,

@@ -116,10 +116,6 @@ fn fs_rig(gated: bool) -> FsRig {
                 name: name.into(),
                 class,
                 weight: 4,
-                ops_per_sec: 0,
-                bytes_per_sec: 0,
-                burst_ops: 0,
-                burst_bytes: 0,
                 queue_cap: 1024,
                 deadline_ns: 0,
                 sheddable: false,

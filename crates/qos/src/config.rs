@@ -34,19 +34,11 @@ impl QosClass {
     }
 }
 
-/// Per-class knobs. Zero rates/deadlines mean "unlimited"/"none".
+/// Per-class knobs. A zero deadline means "none".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassConfig {
     /// DWRR weight; throughput shares converge to the weight ratio.
     pub weight: u32,
-    /// Operations per second admitted; 0 = unlimited.
-    pub ops_per_sec: u64,
-    /// Payload bytes per second admitted; 0 = unlimited.
-    pub bytes_per_sec: u64,
-    /// Token-bucket burst in operations.
-    pub burst_ops: u64,
-    /// Token-bucket burst in bytes.
-    pub burst_bytes: u64,
     /// Queue slots before submissions to this class are shed.
     pub queue_cap: usize,
     /// Shed queued requests older than this at dispatch; 0 = no deadline.
@@ -56,14 +48,10 @@ pub struct ClassConfig {
 }
 
 impl ClassConfig {
-    /// Pass-through: unlimited rate, effectively unbounded queue, never shed.
+    /// Pass-through: effectively unbounded queue, no deadline, never shed.
     pub fn pass_through(weight: u32) -> Self {
         Self {
             weight,
-            ops_per_sec: 0,
-            bytes_per_sec: 0,
-            burst_ops: 0,
-            burst_bytes: 0,
             queue_cap: usize::MAX,
             deadline_us: 0,
             sheddable: false,
@@ -111,12 +99,8 @@ impl QosConfig {
     /// 8:4:1 weights, bounded queues, a 2 ms best-effort deadline, and
     /// best-effort shedding under overload.
     pub fn enforcing() -> Self {
-        let base = ClassConfig {
+        let normal = ClassConfig {
             weight: 4,
-            ops_per_sec: 0,
-            bytes_per_sec: 0,
-            burst_ops: 0,
-            burst_bytes: 0,
             queue_cap: 256,
             deadline_us: 0,
             sheddable: false,
@@ -128,16 +112,14 @@ impl QosConfig {
             classes: [
                 ClassConfig {
                     weight: 8,
-                    queue_cap: 256,
-                    ..base
+                    ..normal
                 },
-                ClassConfig { weight: 4, ..base },
+                normal,
                 ClassConfig {
                     weight: 1,
                     queue_cap: 128,
                     deadline_us: 2_000,
                     sheddable: true,
-                    ..base
                 },
             ],
             credit_window: 64,
@@ -178,8 +160,6 @@ mod tests {
         assert_eq!(cfg.credit_window, 0);
         for c in QosClass::ALL {
             let cc = cfg.class(c);
-            assert_eq!(cc.ops_per_sec, 0);
-            assert_eq!(cc.bytes_per_sec, 0);
             assert_eq!(cc.queue_cap, usize::MAX);
             assert!(!cc.sheddable);
         }

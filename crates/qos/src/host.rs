@@ -4,23 +4,24 @@
 //! The gate is a three-level hierarchy that stays O(active tenants):
 //!
 //! * **Level 1 — tenants.** A host-wide [`HostScheduler`] directory
-//!   arbitrates tenants against host budgets. Budgets and charges for
-//!   wire tenants ride the replicated [`TenantLedger`](crate::TenantLedger) operation log,
-//!   so every domain's gate reads the *host-global* usage from its
-//!   socket-local replica and the budget decision rebalances across
-//!   domains without any cross-shard locking. An over-budget tenant's
-//!   flows become sheddable under overload (promoted flows stay
-//!   immune: priority inheritance outranks tenant gating by design —
-//!   a paced waiter must not starve behind its own budget gate).
+//!   arbitrates tenants against host budgets. Each tenant's entry is a
+//!   row of atomics shared by every gate shard on every domain: a
+//!   shard charges admitted ops and bytes to it at submit, so one
+//!   domain's flood counts against the same tenant's budget on every
+//!   other domain at once, with no replica and no epoch lag. An
+//!   over-budget tenant's flows become sheddable under overload
+//!   (promoted flows stay immune: priority inheritance outranks tenant
+//!   gating by design — a paced waiter must not starve behind its own
+//!   budget gate).
 //! * **Level 2 — services.** Each tenant's host budget splits between
 //!   the control-plane services (FS vs TCP) by configured share. A
 //!   tenant backlogged on *both* services has each gate's deficit
 //!   credit scaled to the service's share, so flooding one service
 //!   cannot double a tenant's host-wide throughput; a tenant active on
 //!   one service keeps its full credit.
-//! * **Level 3 — flows.** Per-flow deficit round robin, token buckets,
-//!   deadlines, explicit shedding, credit-byte backpressure, and the
-//!   promote/demote hooks the proxy engine's priority inheritance uses.
+//! * **Level 3 — flows.** Per-flow deficit round robin, deadlines,
+//!   explicit shedding, credit-byte backpressure, and the promote/demote
+//!   hooks the proxy engine's priority inheritance uses.
 //!
 //! Flow state lives in per-domain [`HostGate`] shards (one per engine
 //! shard, matching the control plane's NUMA sharding) keyed
@@ -38,11 +39,9 @@ use std::sync::Arc;
 
 use solros_simkit::sync::Mutex;
 
-use crate::bucket::TokenBucket;
 use crate::config::{QosClass, QosConfig};
 use crate::sched::{Dispatch, FlowSpec, ShedReason, Verdict};
 use crate::stats::QosStats;
-use crate::tenant::{TenantLedgerReplica, TENANT_SLOTS};
 
 /// Number of control-plane services arbitrated at level 2.
 pub const SERVICE_COUNT: usize = 2;
@@ -87,11 +86,9 @@ pub struct HostConfig {
     /// Default level-1 weight for lazily admitted tenants.
     pub tenant_weight: u32,
     /// Default host-wide byte budget per tenant; `None` = unlimited.
-    /// Ledger-backed (wire) tenants take their budget from the
-    /// replicated [`crate::TenantLedger`] when one is set there.
     pub tenant_budget_bytes: Option<u64>,
-    /// Epoch length driving GC and budget rebalance, in nanoseconds of
-    /// whatever clock the owning gate is driven by.
+    /// Epoch length driving flow GC and the directory sweep, in
+    /// nanoseconds of whatever clock the owning gate is driven by.
     pub epoch_ns: u64,
     /// Idle epochs before a dynamic flow-table entry is reclaimed.
     pub gc_idle_epochs: u64,
@@ -113,36 +110,34 @@ impl Default for HostConfig {
 const NO_BUDGET: u64 = u64::MAX;
 
 /// Per-tenant directory entry shared by every gate shard. All hot-path
-/// reads are plain atomics; the directory mutex is only taken on lazy
-/// admission and at epoch rebalance.
+/// reads and charges are plain atomics; the directory mutex is only
+/// taken on lazy admission, usage reads, refunds and the epoch sweep.
 struct TenantEntry {
     /// Level-1 DWRR weight multiplier.
     weight: AtomicU32,
     /// Host-wide byte budget ([`NO_BUDGET`] = unlimited).
     budget_bytes: AtomicU64,
-    /// Host-wide bytes charged. For ledger-backed tenants this mirrors
-    /// the replicated ledger at the last rebalance; for wide (sim)
-    /// tenants the gates add directly at admission.
+    /// Host-wide requests charged, added by every gate at admission.
+    charged_ops: AtomicU64,
+    /// Host-wide payload bytes charged, added by every gate at admission.
     charged_bytes: AtomicU64,
     /// Bytes currently queued per service, across every gate shard.
     /// Exact (incremented at admit, decremented at dispatch/shed/
     /// drain), so level 2 needs no decay heuristics.
     backlog: [AtomicU64; SERVICE_COUNT],
-    /// Charged/budgeted from the replicated ledger at rebalance.
-    ledger_backed: bool,
     /// Explicitly configured (weight/budget set by an operator):
     /// survives directory GC even with no live flows.
     pinned: std::sync::atomic::AtomicBool,
 }
 
 impl TenantEntry {
-    fn new(weight: u32, budget: Option<u64>, ledger_backed: bool) -> Self {
+    fn new(weight: u32, budget: Option<u64>) -> Self {
         Self {
             weight: AtomicU32::new(weight.max(1)),
             budget_bytes: AtomicU64::new(budget.unwrap_or(NO_BUDGET)),
+            charged_ops: AtomicU64::new(0),
             charged_bytes: AtomicU64::new(0),
             backlog: [AtomicU64::new(0), AtomicU64::new(0)],
-            ledger_backed,
             pinned: std::sync::atomic::AtomicBool::new(false),
         }
     }
@@ -166,6 +161,17 @@ impl TenantEntry {
     }
 }
 
+/// Point-in-time charges of one tenant in the host directory.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TenantUsage {
+    /// Requests charged so far.
+    pub ops: u64,
+    /// Payload bytes charged so far.
+    pub bytes: u64,
+    /// Byte budget, if capped.
+    pub budget_bytes: Option<u64>,
+}
+
 /// Point-in-time counters for the host directory and every gate shard
 /// registered under it — the occupancy/GC ledger the bench surfaces.
 #[derive(Debug, Default, Clone)]
@@ -187,7 +193,7 @@ pub struct HostQosSnapshot {
     pub admitted_tenants: u64,
     /// Tenants dropped from the directory after their flows were GC'd.
     pub reclaimed_tenants: u64,
-    /// Budget rebalances run (ledger sync + directory sweep).
+    /// Epoch directory sweeps run.
     pub rebalances: u64,
     /// Submissions shed at level 1 (tenant over host budget) that the
     /// flow's class alone would have admitted.
@@ -195,15 +201,12 @@ pub struct HostQosSnapshot {
 }
 
 /// Host-wide level-1/level-2 state shared by every [`HostGate`] shard:
-/// the lazily-populated tenant directory, the replicated-ledger budget
-/// view, and the occupancy/GC counters.
+/// the lazily-populated tenant directory (weights, budgets and
+/// charges) and the occupancy/GC counters.
 pub struct HostScheduler {
     cfg: HostConfig,
-    /// The only lock in here. The replica synchronises itself, and
-    /// whether one is attached is fixed at construction, so admission
-    /// and rebalance never hold two locks of this struct at once.
+    /// The only lock in here.
     tenants: Mutex<HashMap<u64, Arc<TenantEntry>>>,
-    ledger: Option<TenantLedgerReplica>,
     live_flows: AtomicUsize,
     peak_live_flows: AtomicUsize,
     admitted_flows: AtomicU64,
@@ -216,24 +219,11 @@ pub struct HostScheduler {
 }
 
 impl HostScheduler {
-    /// Builds a host scheduler with no ledger attachment (budgets come
-    /// only from [`HostScheduler::set_tenant_budget`]).
+    /// Builds a host scheduler with an empty tenant directory.
     pub fn new(cfg: HostConfig) -> Arc<Self> {
-        Self::build(cfg, None)
-    }
-
-    /// Builds a host scheduler whose wire-tenant (< [`TENANT_SLOTS`])
-    /// budgets and charges rebalance from the replicated tenant ledger
-    /// every epoch.
-    pub fn with_ledger(cfg: HostConfig, replica: TenantLedgerReplica) -> Arc<Self> {
-        Self::build(cfg, Some(replica))
-    }
-
-    fn build(cfg: HostConfig, replica: Option<TenantLedgerReplica>) -> Arc<Self> {
         Arc::new(Self {
             cfg,
             tenants: Mutex::new(HashMap::new()),
-            ledger: replica,
             live_flows: AtomicUsize::new(0),
             peak_live_flows: AtomicUsize::new(0),
             admitted_flows: AtomicU64::new(0),
@@ -276,6 +266,35 @@ impl HostScheduler {
             .is_some_and(|e| e.over_budget())
     }
 
+    /// What `tenant` has been charged so far; zero for a tenant not in
+    /// the directory (never admitted, or swept after its flows idled).
+    pub fn usage(&self, tenant: u64) -> TenantUsage {
+        self.tenants
+            .lock()
+            .get(&tenant)
+            .map_or_else(TenantUsage::default, |e| {
+                let budget = e.budget_bytes.load(Ordering::Relaxed);
+                TenantUsage {
+                    ops: e.charged_ops.load(Ordering::Relaxed),
+                    bytes: e.charged_bytes.load(Ordering::Relaxed),
+                    budget_bytes: (budget != NO_BUDGET).then_some(budget),
+                }
+            })
+    }
+
+    /// Returns `ops`/`bytes` charged to `tenant` for admitted work that
+    /// will never be served (a fenced domain's wreck), saturating at
+    /// zero. A tenant not in the directory has nothing to refund.
+    pub fn refund(&self, tenant: u64, ops: u64, bytes: u64) {
+        if let Some(e) = self.tenants.lock().get(&tenant) {
+            for (charged, n) in [(&e.charged_ops, ops), (&e.charged_bytes, bytes)] {
+                let _ = charged.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                    Some(v.saturating_sub(n))
+                });
+            }
+        }
+    }
+
     /// Snapshot of the occupancy/GC ledger.
     pub fn snapshot(&self) -> HostQosSnapshot {
         let live_tenants = self.tenants.lock().len();
@@ -299,11 +318,9 @@ impl HostScheduler {
         if let Some(e) = g.get(&id) {
             return Arc::clone(e);
         }
-        let ledger_backed = id < TENANT_SLOTS as u64 && self.ledger.is_some();
         let e = Arc::new(TenantEntry::new(
             self.cfg.tenant_weight,
             self.cfg.tenant_budget_bytes,
-            ledger_backed,
         ));
         g.insert(id, Arc::clone(&e));
         self.admitted_tenants.fetch_add(1, Ordering::Relaxed);
@@ -311,30 +328,13 @@ impl HostScheduler {
         e
     }
 
-    /// Epoch rebalance, run by whichever gate shard crosses an epoch
-    /// boundary: syncs the ledger replica, copies the host-global
-    /// charges and budgets into the wire tenants' directory entries
-    /// (this is how one domain's flood, charged on its local shard,
-    /// gates the same tenant on every *other* domain), and sweeps
-    /// directory entries whose flows were all reclaimed.
+    /// Epoch sweep, run by whichever gate shard crosses an epoch
+    /// boundary: drops directory entries whose flows were all reclaimed
+    /// and that were never pinned. A dropped tenant's charges go with
+    /// it; its usage reads zero until it is admitted again.
     pub fn rebalance(&self) {
         self.rebalances.fetch_add(1, Ordering::Relaxed);
-        if let Some(rep) = &self.ledger {
-            rep.sync();
-        }
         let mut g = self.tenants.lock();
-        if let Some(rep) = &self.ledger {
-            for (&id, e) in g.iter() {
-                if !e.ledger_backed || id >= TENANT_SLOTS as u64 {
-                    continue;
-                }
-                let u = rep.usage(id as u8);
-                e.charged_bytes.store(u.bytes, Ordering::Relaxed);
-                if let Some(b) = u.budget_bytes {
-                    e.budget_bytes.store(b, Ordering::Relaxed);
-                }
-            }
-        }
         let before = g.len();
         g.retain(|_, e| Arc::strong_count(e) > 1 || e.pinned.load(Ordering::Relaxed));
         self.reclaimed_tenants
@@ -367,8 +367,6 @@ struct HostFlow<T> {
     /// is never GC'd.
     key: Option<(u64, usize)>,
     tenant: Arc<TenantEntry>,
-    ops: TokenBucket,
-    bytes: TokenBucket,
     queue: VecDeque<HostQueued<T>>,
     deficit: u64,
     inherited: Vec<u32>,
@@ -456,8 +454,6 @@ impl<T> HostGate<T> {
         let tenant0 = gate.host.tenant(0);
         for (i, spec) in specs.into_iter().enumerate() {
             gate.flows.push(Some(HostFlow {
-                ops: TokenBucket::new(spec.ops_per_sec, spec.burst_ops.max(1)),
-                bytes: TokenBucket::new(spec.bytes_per_sec, spec.burst_bytes.max(1)),
                 queue: VecDeque::new(),
                 deficit: 0,
                 inherited: Vec::new(),
@@ -561,8 +557,8 @@ impl<T> HostGate<T> {
     }
 
     /// Lazily admits a per-tenant variant of the static flow
-    /// `fallback`: same class config, its own queue, buckets, and
-    /// deficit, charged to the tenant's level-1 entry.
+    /// `fallback`: same class config, its own queue and deficit,
+    /// charged to the tenant's level-1 entry.
     fn admit_flow(&mut self, tenant: u64, fallback: usize) -> usize {
         let spec = self.flows[fallback]
             .as_ref()
@@ -571,8 +567,6 @@ impl<T> HostGate<T> {
             .clone();
         let entry = self.host.tenant(tenant);
         let flow = HostFlow {
-            ops: TokenBucket::new(spec.ops_per_sec, spec.burst_ops.max(1)),
-            bytes: TokenBucket::new(spec.bytes_per_sec, spec.burst_bytes.max(1)),
             queue: VecDeque::new(),
             deficit: 0,
             inherited: Vec::new(),
@@ -673,6 +667,8 @@ impl<T> HostGate<T> {
     /// over-budget tenant's flows shed exactly like sheddable classes
     /// (High stays exempt — metadata is cheap and starving it deadlocks
     /// more than it saves). Promoted flows are immune at every level.
+    /// An admitted request charges one op and `bytes` to its tenant's
+    /// directory entry: this is the only place a tenant is charged.
     pub fn submit(&mut self, flow: usize, bytes: u64, now_ns: u64, item: T) -> Verdict<T> {
         let overloaded = self.queued_total >= self.overload_threshold;
         let epoch = self.epoch;
@@ -710,9 +706,8 @@ impl<T> HostGate<T> {
             item,
         });
         f.last_busy_epoch = epoch;
-        if !f.tenant.ledger_backed {
-            f.tenant.charged_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
+        f.tenant.charged_ops.fetch_add(1, Ordering::Relaxed);
+        f.tenant.charged_bytes.fetch_add(bytes, Ordering::Relaxed);
         f.tenant.backlog[svc].fetch_add(bytes, Ordering::Relaxed);
         self.queued_total += 1;
         let depth = f.queue.len();
@@ -751,7 +746,7 @@ impl<T> HostGate<T> {
                 self.fresh_turn = false;
             }
             // Deadline check happens before cost accounting: expired work
-            // is shed, not served, and consumes no deficit or tokens.
+            // is shed, not served, and consumes no deficit.
             let head = f.queue.front().expect("non-empty");
             if f.spec.deadline_ns > 0 && now_ns.saturating_sub(head.submit_ns) > f.spec.deadline_ns
             {
@@ -767,10 +762,7 @@ impl<T> HostGate<T> {
                 };
             }
             let cost = head.bytes.max(1);
-            let within_deficit = f.deficit >= cost;
-            if within_deficit && f.ops.check(1, now_ns) && f.bytes.check(cost, now_ns) {
-                f.ops.try_take(1, now_ns);
-                f.bytes.try_take(cost, now_ns);
+            if f.deficit >= cost {
                 f.deficit -= cost;
                 let q = f.queue.pop_front().expect("non-empty");
                 f.last_busy_epoch = epoch;
@@ -783,12 +775,6 @@ impl<T> HostGate<T> {
                     item: q.item,
                     wait_ns,
                 };
-            }
-            if within_deficit {
-                // Rate-limited: yield with at most one turn's credit
-                // banked so an idle flow cannot later burst past its
-                // share.
-                f.deficit = f.deficit.min(turn_credit.max(1));
             }
             // Deficit exhausted: carry it over so a large head request
             // eventually accumulates enough.
@@ -937,10 +923,6 @@ mod tests {
             name: name.into(),
             class,
             weight,
-            ops_per_sec: 0,
-            bytes_per_sec: 0,
-            burst_ops: 0,
-            burst_bytes: 0,
             queue_cap: 1024,
             deadline_ns: 0,
             sheddable: false,
@@ -1048,24 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_limit_defers_but_does_not_drop() {
-        let mut sp = spec("a", QosClass::Normal, 1);
-        sp.ops_per_sec = 1_000;
-        sp.burst_ops = 1;
-        let mut s = flat(vec![sp], usize::MAX);
-        assert!(matches!(s.submit(0, 1, 0, 1), Verdict::Admitted));
-        assert!(matches!(s.submit(0, 1, 0, 2), Verdict::Admitted));
-        assert!(matches!(s.dispatch(0), Dispatch::Run { item: 1, .. }));
-        // Bucket empty: idle, not shed.
-        assert!(matches!(s.dispatch(1), Dispatch::Idle));
-        // One ms later a token is back.
-        assert!(matches!(
-            s.dispatch(1_000_000),
-            Dispatch::Run { item: 2, .. }
-        ));
-    }
-
-    #[test]
     fn promotion_shifts_dispatch_shares() {
         // Weight 1 vs 3: unpromoted, flow 0 gets ~1/4 of the service.
         let mut s = flat(
@@ -1166,17 +1130,16 @@ mod tests {
         assert_eq!(s.credit(0), 1);
     }
 
-    /// Admission (`tenant()`) and the epoch rebalance both lock the
-    /// tenant directory. When `ledger` was a second mutex they took the
-    /// two in opposite orders, and this hung before the first round.
+    /// Admission (`tenant()`) and the epoch sweep both lock the tenant
+    /// directory; when the sweep also took a second lock, the two ran
+    /// in opposite orders and this hung before the first round.
     #[test]
     fn admission_and_rebalance_do_not_deadlock() {
         use std::sync::atomic::AtomicBool;
         use std::sync::{mpsc, Barrier};
         use std::time::Duration;
 
-        let host =
-            HostScheduler::with_ledger(HostConfig::default(), crate::TenantLedger::new().replica());
+        let host = HostScheduler::new(HostConfig::default());
         let start = Arc::new(Barrier::new(2));
         let stop = Arc::new(AtomicBool::new(false));
         let (done_tx, done_rx) = mpsc::channel();
@@ -1185,7 +1148,7 @@ mod tests {
             std::thread::spawn(move || {
                 start.wait();
                 for _ in 0..5_000 {
-                    // Dropping the gate lets the sweep reclaim its wire
+                    // Dropping the gate lets the sweep reclaim its
                     // tenants, so every round admits them afresh.
                     let mut g: HostGate<u32> =
                         HostGate::per_class("fs0", &QosConfig::enforcing(), &host, Service::Fs, 0);
@@ -1304,8 +1267,12 @@ mod tests {
         );
         let aggr = g.flow_for_tenant(7, 1);
         let victim = g.flow_for_tenant(8, 1);
+        // Charged exactly its budget, a tenant is not over it yet.
+        assert!(matches!(g.submit(aggr, 1_000, 0, 0), Verdict::Admitted));
+        assert!(!host.tenant_over_budget(7));
         // Blow tenant 7's budget, then fill the gate to overload.
-        assert!(matches!(g.submit(aggr, 4_000, 0, 0), Verdict::Admitted));
+        assert!(matches!(g.submit(aggr, 3_000, 0, 0), Verdict::Admitted));
+        assert!(host.tenant_over_budget(7));
         for i in 0..4 {
             assert!(matches!(g.submit(victim, 1, 0, i), Verdict::Admitted));
         }
@@ -1328,6 +1295,29 @@ mod tests {
         assert!(matches!(g.submit(aggr, 1, 0, 102), Verdict::Admitted));
         g.demote_flow(aggr);
         assert!(host.snapshot().budget_sheds >= 1);
+    }
+
+    #[test]
+    fn refund_saturates_and_skips_unknown_tenants() {
+        let host = HostScheduler::new(HostConfig::default());
+        let mut g = gate(&host, Service::Fs);
+        let f = g.flow_for_tenant(4, 1);
+        for i in 0..3 {
+            assert!(matches!(g.submit(f, 1_000, 0, i), Verdict::Admitted));
+        }
+        host.refund(4, 1, 1_000);
+        let usage = host.usage(4);
+        assert_eq!(
+            (usage.ops, usage.bytes, usage.budget_bytes),
+            (2, 2_000, None)
+        );
+        // An over-refund clamps at zero rather than wrapping.
+        host.refund(4, 10, 10_000);
+        assert_eq!(host.usage(4), TenantUsage::default());
+        // A tenant the directory never saw stays absent and reads zero.
+        host.refund(5, 1, 1);
+        assert_eq!(host.usage(5), TenantUsage::default());
+        assert_eq!(host.snapshot().live_tenants, 2, "tenants 0 and 4 only");
     }
 
     #[test]

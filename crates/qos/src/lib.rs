@@ -9,9 +9,6 @@
 //! * **Per-(tenant, priority-class) queues** drained by deficit-weighted
 //!   round robin ([`HostGate`], one shard per engine domain) so
 //!   configured weights translate into throughput shares.
-//! * **Token-bucket rate limiting** ([`TokenBucket`]) on both ops/s and
-//!   bytes/s per flow, following the shaper idiom of
-//!   `solros_simkit::resource`.
 //! * **Deadline-aware dispatch with overload shedding**: an overload
 //!   detector sheds best-effort work *before* it queues, and requests that
 //!   outlive their deadline are shed at dispatch. Shedding is never silent —
@@ -22,13 +19,11 @@
 //! * **A stats ledger** ([`QosStats`]) with per-class admitted/shed/queued
 //!   counters plus queue-depth and wait-time distributions built on
 //!   `solros_simkit::stats`.
-//! * **A replicated per-tenant ledger** ([`TenantLedger`]) driven by the
-//!   shared operation log, so every control-plane shard charges and
-//!   reads tenant budgets from a socket-local replica.
 //! * **A host-global tenant→service→flow hierarchy** ([`HostScheduler`]
-//!   above the gate shards): tenants are arbitrated against host-wide
-//!   budgets rebalanced over the tenant ledger, service shares split
-//!   each tenant's credit between FS and TCP, and flow state lives in
+//!   above the gate shards): one host-wide tenant directory that every
+//!   gate shard charges at admission and checks budgets against
+//!   ([`HostScheduler::usage`]), service shares that split each
+//!   tenant's credit between FS and TCP, and flow state in
 //!   hash-indexed, epoch-GC'd tables that stay O(active tenants).
 //!
 //! All scheduler state is driven by an explicit `now_ns` clock parameter,
@@ -37,18 +32,16 @@
 
 #![warn(missing_docs)]
 
-mod bucket;
 mod config;
 mod credit;
 mod host;
 mod sched;
 mod stats;
-mod tenant;
 
-pub use bucket::TokenBucket;
 pub use config::{ClassConfig, QosClass, QosConfig};
 pub use credit::CreditPool;
-pub use host::{HostConfig, HostGate, HostQosSnapshot, HostScheduler, Service, SERVICE_COUNT};
+pub use host::{
+    HostConfig, HostGate, HostQosSnapshot, HostScheduler, Service, TenantUsage, SERVICE_COUNT,
+};
 pub use sched::{Dispatch, FlowSpec, ShedReason, Verdict};
 pub use stats::{FlowSnapshot, QosStats};
-pub use tenant::{TenantLedger, TenantLedgerReplica, TenantOp, TenantUsage, TENANT_SLOTS};

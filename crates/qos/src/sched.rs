@@ -12,14 +12,6 @@ pub struct FlowSpec {
     pub class: QosClass,
     /// DWRR weight; bytes served converge to the weight ratio.
     pub weight: u32,
-    /// Ops/s admission rate; 0 = unlimited.
-    pub ops_per_sec: u64,
-    /// Bytes/s admission rate; 0 = unlimited.
-    pub bytes_per_sec: u64,
-    /// Ops burst capacity.
-    pub burst_ops: u64,
-    /// Bytes burst capacity.
-    pub burst_bytes: u64,
     /// Queue slots before submissions are shed with `QueueFull`.
     pub queue_cap: usize,
     /// Queued requests older than this are shed at dispatch; 0 = none.
@@ -35,10 +27,6 @@ impl FlowSpec {
             name: name.into(),
             class,
             weight: cc.weight.max(1),
-            ops_per_sec: cc.ops_per_sec,
-            bytes_per_sec: cc.bytes_per_sec,
-            burst_ops: cc.burst_ops,
-            burst_bytes: cc.burst_bytes,
             queue_cap: cc.queue_cap,
             deadline_ns: cc.deadline_us.saturating_mul(1_000),
             sheddable: cc.sheddable,
@@ -92,6 +80,7 @@ pub enum Dispatch<T> {
         /// Always [`ShedReason::DeadlineExpired`] today.
         reason: ShedReason,
     },
-    /// Nothing is eligible: queues are empty or rate limits are in force.
+    /// Nothing is eligible: queues are empty, or no flow's head request
+    /// fits its deficit yet.
     Idle,
 }

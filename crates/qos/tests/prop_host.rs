@@ -1,28 +1,25 @@
 //! Property-based tests for the tenant→service→flow hierarchy:
 //! weighted fairness at every level under random tenant churn, GC
 //! safety (never reclaim queued work, live pins, or promotions, and
-//! the occupancy ledger stays exact), and the precedence of priority
+//! the occupancy ledger stays exact), exact tenant charges from gate
+//! shards admitting concurrently, and the precedence of priority
 //! inheritance over tenant-budget gating.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use solros_qos::{
-    Dispatch, FlowSpec, HostConfig, HostGate, HostScheduler, QosClass, Service, Verdict,
+    Dispatch, FlowSpec, HostConfig, HostGate, HostScheduler, QosClass, QosConfig, Service, Verdict,
 };
 use solros_simkit::check;
 
-/// An unshaped, unbounded Normal-class spec: fairness comes from the
-/// hierarchy alone, not caps or buckets.
+/// An unbounded Normal-class spec: fairness comes from the hierarchy
+/// alone, not caps.
 fn open_spec(name: &str, weight: u32) -> FlowSpec {
     FlowSpec {
         name: name.into(),
         class: QosClass::Normal,
         weight,
-        ops_per_sec: 0,
-        bytes_per_sec: 0,
-        burst_ops: 0,
-        burst_bytes: 0,
         queue_cap: usize::MAX,
         deadline_ns: 0,
         sheddable: false,
@@ -300,6 +297,62 @@ fn gc_never_reclaims_guarded_flows_and_ledger_stays_exact() {
         let snap = host.snapshot();
         assert_eq!(snap.live_flows, 0, "idle dynamic flows not reclaimed");
         assert_eq!(snap.admitted_flows, snap.reclaimed_flows);
+    });
+}
+
+/// Tenant charges are exact under concurrent admission: one gate
+/// shard per thread, each on its own domain, submits a share of the
+/// generated requests over one host directory while an observer reads
+/// usage mid-storm. Pass-through classes shed nothing, so every
+/// request is admitted and charged once; totals never decrease
+/// mid-storm and end at the exact per-tenant sums.
+#[test]
+fn concurrent_gate_charges_are_exact_per_tenant() {
+    const TENANTS: u64 = 4;
+    check::cases(24, |rng| {
+        let reqs = check::vec(rng, 0..120, |r| {
+            (1 + r.range(0..TENANTS), r.range(0..65_536))
+        });
+        let shards = rng.range(1..4) as usize;
+        let host = HostScheduler::new(HostConfig::default());
+        // Pinned (at the default weight), so the entries outlive the
+        // gates whatever the epoch sweep does.
+        for t in 1..=TENANTS {
+            host.set_tenant_weight(t, 1);
+        }
+        let cfg = QosConfig::default();
+        let normal = QosClass::Normal.index();
+        std::thread::scope(|s| {
+            for (domain, chunk) in reqs.chunks(reqs.len() / shards + 1).enumerate() {
+                let (host, cfg) = (&host, &cfg);
+                s.spawn(move || {
+                    let mut g: HostGate<u32> =
+                        HostGate::per_class("storm", cfg, host, Service::Fs, domain);
+                    for &(tenant, bytes) in chunk {
+                        let f = g.flow_for_tenant(tenant, normal);
+                        assert!(matches!(g.submit(f, bytes, 0, 0), Verdict::Admitted));
+                        let _ = g.dispatch(0);
+                    }
+                });
+            }
+            // The observer races the shards; partial sums only grow.
+            let mut last = [(0, 0); TENANTS as usize];
+            for _ in 0..32 {
+                for (t, seen) in (1..=TENANTS).zip(last.iter_mut()) {
+                    let u = host.usage(t);
+                    assert!(u.ops >= seen.0 && u.bytes >= seen.1, "tenant {t} regressed");
+                    *seen = (u.ops, u.bytes);
+                }
+                std::thread::yield_now();
+            }
+        });
+        for t in 1..=TENANTS {
+            let mine = reqs.iter().filter(|&&(rt, _)| rt == t);
+            let want_ops = mine.clone().count() as u64;
+            let want_bytes: u64 = mine.map(|&(_, b)| b).sum();
+            let u = host.usage(t);
+            assert_eq!((u.ops, u.bytes), (want_ops, want_bytes), "tenant {t}");
+        }
     });
 }
 
