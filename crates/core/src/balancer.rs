@@ -5,13 +5,10 @@
 //! paper implements connection-based round-robin; a content/address-hash
 //! policy and a least-loaded policy are provided as pluggable examples).
 //!
-//! Every method takes `&self`: policies keep their counters in atomics so
-//! the accept path never serializes on a policy-wide lock, and so each
-//! engine shard can hold its own replica ([`LoadBalancer::fork`]) whose
-//! load view is kept convergent by replaying `conn_assigned`/`conn_closed`
-//! notifications from the shared control-plane operation log.
-
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+//! The machine has one policy instance. It lives in the TCP control
+//! table (`TcpControl`), and every pick, charge and release happens
+//! under that table's lock, so the methods take `&mut self` and the
+//! counters are plain integers.
 
 /// Metadata about an incoming connection, fed to the balancer.
 #[derive(Debug, Clone, Copy)]
@@ -23,43 +20,35 @@ pub struct ConnMeta {
 }
 
 /// A pluggable forwarding policy for shared listening sockets (§4.4.3).
-pub trait LoadBalancer: Send + Sync {
+pub trait LoadBalancer: Send {
     /// Picks the index of the listener (among `n` candidates, in
     /// registration order) that receives this connection.
-    fn pick(&self, n: usize, meta: &ConnMeta) -> usize;
+    fn pick(&mut self, n: usize, meta: &ConnMeta) -> usize;
 
     /// Informs the policy that the connection went to listener `idx`
     /// (the value returned by [`LoadBalancer::pick`]). Default: ignored.
-    fn conn_assigned(&self, idx: usize) {
+    fn conn_assigned(&mut self, idx: usize) {
         let _ = idx;
     }
 
     /// Informs the policy that a connection previously assigned to
     /// listener `idx` has closed. Default: ignored.
-    fn conn_closed(&self, idx: usize) {
+    fn conn_closed(&mut self, idx: usize) {
         let _ = idx;
     }
-
-    /// Creates a fresh replica of this policy with zeroed counters, used
-    /// by the sharded control plane to give every NUMA domain a local
-    /// copy. Replicas converge by applying the same notification stream
-    /// from the operation log, so they start from the same (empty) state.
-    fn fork(&self) -> Box<dyn LoadBalancer>;
 }
 
 /// The paper's connection-based round-robin policy.
 #[derive(Default)]
 pub struct RoundRobin {
-    next: AtomicUsize,
+    next: usize,
 }
 
 impl LoadBalancer for RoundRobin {
-    fn pick(&self, n: usize, _meta: &ConnMeta) -> usize {
-        self.next.fetch_add(1, Ordering::Relaxed) % n
-    }
-
-    fn fork(&self) -> Box<dyn LoadBalancer> {
-        Box::new(RoundRobin::default())
+    fn pick(&mut self, n: usize, _meta: &ConnMeta) -> usize {
+        let idx = self.next % n;
+        self.next = self.next.wrapping_add(1);
+        idx
     }
 }
 
@@ -69,12 +58,8 @@ impl LoadBalancer for RoundRobin {
 pub struct AddrHash;
 
 impl LoadBalancer for AddrHash {
-    fn pick(&self, n: usize, meta: &ConnMeta) -> usize {
+    fn pick(&mut self, n: usize, meta: &ConnMeta) -> usize {
         (meta.client_addr as usize).wrapping_mul(0x9E37_79B9) % n
-    }
-
-    fn fork(&self) -> Box<dyn LoadBalancer> {
-        Box::new(AddrHash)
     }
 }
 
@@ -88,23 +73,22 @@ const LL_SLOTS: usize = 64;
 /// receiving new work while its siblings stay busy. Ties break with a
 /// rotating cursor, which degrades to round-robin under uniform load.
 ///
-/// Counters are signed: a close notification racing ahead of its assign
-/// (possible when replicas replay the log out of lock-step with local
-/// picks) must not wrap to `u64::MAX` and poison the policy. The
-/// [`LeastLoaded::negative_excursions`] tripwire counts such transients;
-/// a steady-state nonzero reading means lost assign notifications.
+/// Counters are signed, so a close that arrives without its assign
+/// cannot wrap to `u64::MAX` and poison the policy. The
+/// [`LeastLoaded::negative_excursions`] tripwire counts such closes; the
+/// control table's count guard keeps it at zero.
 pub struct LeastLoaded {
-    in_flight: [AtomicI64; LL_SLOTS],
-    next: AtomicUsize,
-    negative_excursions: AtomicI64,
+    in_flight: [i64; LL_SLOTS],
+    next: usize,
+    negative_excursions: i64,
 }
 
 impl Default for LeastLoaded {
     fn default() -> Self {
         LeastLoaded {
-            in_flight: [const { AtomicI64::new(0) }; LL_SLOTS],
-            next: AtomicUsize::new(0),
-            negative_excursions: AtomicI64::new(0),
+            in_flight: [0; LL_SLOTS],
+            next: 0,
+            negative_excursions: 0,
         }
     }
 }
@@ -112,41 +96,38 @@ impl Default for LeastLoaded {
 impl LeastLoaded {
     /// Current in-flight count for listener `idx` (testing/observability).
     pub fn in_flight(&self, idx: usize) -> i64 {
-        self.in_flight[idx % LL_SLOTS].load(Ordering::Relaxed)
+        self.in_flight[idx % LL_SLOTS]
     }
 
     /// Times a counter dipped below zero (close observed before its
-    /// assign). Must read 0 whenever notification delivery is in-order.
+    /// assign). Must read 0.
     pub fn negative_excursions(&self) -> i64 {
-        self.negative_excursions.load(Ordering::Relaxed)
+        self.negative_excursions
     }
 }
 
 impl LoadBalancer for LeastLoaded {
-    fn pick(&self, n: usize, _meta: &ConnMeta) -> usize {
+    fn pick(&mut self, n: usize, _meta: &ConnMeta) -> usize {
         let n = n.clamp(1, LL_SLOTS);
-        let start = self.next.load(Ordering::Relaxed);
+        let start = self.next;
         let winner = (0..n)
             .map(|k| (start + k) % n)
-            .min_by_key(|&i| self.in_flight[i].load(Ordering::Relaxed))
+            .min_by_key(|&i| self.in_flight[i])
             .unwrap_or(0);
-        self.next.store((winner + 1) % n, Ordering::Relaxed);
+        self.next = (winner + 1) % n;
         winner
     }
 
-    fn conn_assigned(&self, idx: usize) {
-        self.in_flight[idx % LL_SLOTS].fetch_add(1, Ordering::Relaxed);
+    fn conn_assigned(&mut self, idx: usize) {
+        self.in_flight[idx % LL_SLOTS] += 1;
     }
 
-    fn conn_closed(&self, idx: usize) {
-        let prev = self.in_flight[idx % LL_SLOTS].fetch_sub(1, Ordering::Relaxed);
-        if prev <= 0 {
-            self.negative_excursions.fetch_add(1, Ordering::Relaxed);
+    fn conn_closed(&mut self, idx: usize) {
+        let slot = &mut self.in_flight[idx % LL_SLOTS];
+        if *slot <= 0 {
+            self.negative_excursions += 1;
         }
-    }
-
-    fn fork(&self) -> Box<dyn LoadBalancer> {
-        Box::new(LeastLoaded::default())
+        *slot -= 1;
     }
 }
 
@@ -156,7 +137,7 @@ mod tests {
 
     #[test]
     fn round_robin_cycles() {
-        let rr = RoundRobin::default();
+        let mut rr = RoundRobin::default();
         let meta = ConnMeta {
             client_addr: 1,
             port: 80,
@@ -167,7 +148,7 @@ mod tests {
 
     #[test]
     fn addr_hash_is_sticky() {
-        let h = AddrHash;
+        let mut h = AddrHash;
         for addr in 0..50u64 {
             let meta = ConnMeta {
                 client_addr: addr,
@@ -186,7 +167,7 @@ mod tests {
         // close); everywhere else they close immediately. Round-robin
         // keeps feeding the overloaded co-processor; least-loaded must
         // divert new work away from it.
-        let run = |lb: &dyn LoadBalancer, n: usize, arrivals: u64| -> Vec<u64> {
+        let run = |lb: &mut dyn LoadBalancer, n: usize, arrivals: u64| -> Vec<u64> {
             let mut assigned = vec![0u64; n];
             for addr in 0..arrivals {
                 let meta = ConnMeta {
@@ -203,8 +184,8 @@ mod tests {
             assigned
         };
 
-        let ll = LeastLoaded::default();
-        let fair = run(&ll, 3, 300);
+        let mut ll = LeastLoaded::default();
+        let fair = run(&mut ll, 3, 300);
         // Co-processor 0 accumulates in-flight connections, so it should
         // receive almost nothing beyond its first few picks while the
         // siblings absorb the rest of the skewed arrival stream.
@@ -218,8 +199,8 @@ mod tests {
         );
         assert_eq!(ll.negative_excursions(), 0);
 
-        let rr = RoundRobin::default();
-        let skewed = run(&rr, 3, 300);
+        let mut rr = RoundRobin::default();
+        let skewed = run(&mut rr, 3, 300);
         assert_eq!(
             skewed[0], 100,
             "round-robin should ignore load, proving the contrast: {skewed:?}"
@@ -227,36 +208,8 @@ mod tests {
     }
 
     #[test]
-    fn forked_replicas_start_clean_and_converge_under_same_stream() {
-        let a = LeastLoaded::default();
-        a.conn_assigned(2);
-        let b = a.fork();
-        // Fork starts from zeroed counters...
-        let meta = ConnMeta {
-            client_addr: 7,
-            port: 80,
-        };
-        assert_eq!(b.pick(3, &meta), 0);
-        // ...and converges with the original once it replays the same
-        // notification stream. Leave listener 1 strictly least-loaded so
-        // the expected pick is independent of each replica's rotating
-        // tie-break cursor (cursor state is shard-local by design).
-        b.conn_assigned(2);
-        for idx in [0usize, 0, 2] {
-            a.conn_assigned(idx);
-            b.conn_assigned(idx);
-        }
-        a.conn_closed(2);
-        b.conn_closed(2);
-        let a_view: Vec<i64> = (0..3).map(|i| a.in_flight(i)).collect();
-        assert_eq!(a_view, vec![2, 0, 1]);
-        assert_eq!(a.pick(3, &meta), 1, "a={a_view:?}");
-        assert_eq!(b.pick(3, &meta), 1, "replica diverged from {a_view:?}");
-    }
-
-    #[test]
     fn close_before_assign_trips_the_negative_tripwire_without_wrapping() {
-        let ll = LeastLoaded::default();
+        let mut ll = LeastLoaded::default();
         ll.conn_closed(1);
         assert_eq!(ll.in_flight(1), -1);
         assert_eq!(ll.negative_excursions(), 1);

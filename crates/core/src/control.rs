@@ -57,7 +57,6 @@ pub struct Solros {
     fs_stats: Vec<Arc<FsProxyStats>>,
     /// One TCP proxy shard per NUMA domain hosting co-processors.
     tcp_stats: Vec<Arc<TcpProxyStats>>,
-    tcp_control: Arc<TcpControl>,
     fs_qos_stats: Vec<Arc<QosStats>>,
     /// Per-domain TCP QoS ledgers (empty when QoS is pass-through).
     tcp_qos_stats: Vec<Arc<QosStats>>,
@@ -244,9 +243,8 @@ impl Solros {
         // ---- TCP proxy (one engine shard per NUMA domain) ----
         //
         // Co-processors are grouped by the socket they attach to; each
-        // group gets its own proxy thread with a local replica of the
-        // shared listener/balancer state, kept convergent through the
-        // TcpControl operation log (NRK-style node replication).
+        // group gets its own proxy thread, and the groups share one
+        // listener/balancer table in TcpControl.
         let mut domains: Vec<Vec<usize>> = Vec::new();
         let mut domain_of_socket: Vec<Option<usize>> =
             vec![None; machine.topology.sockets() as usize];
@@ -261,22 +259,21 @@ impl Solros {
             });
             domains[d].push(coproc.id as usize);
         }
-        let tcp_control = TcpControl::new(domains.len().max(1), machine.coprocs.len());
+        let tcp_control = TcpControl::new(domains.len().max(1), machine.coprocs.len(), lb);
         let mut net_host_channels: Vec<Option<NetChannelHost>> =
             net_host_channels.into_iter().map(Some).collect();
         let mut tcp_stats = Vec::new();
         let mut tcp_qos_stats = Vec::new();
         // The supervisor keeps the pieces needed to resurrect any shard:
         // the control spine, the lease/tenant planes to reconcile, the
-        // QoS config and balancer prototype to rebuild from, and a clone
-        // of each shard's ring endpoints.
+        // QoS config to rebuild from, and a clone of each shard's ring
+        // endpoints.
         let supervisor = Arc::new(ShardSupervisor::new(
             Arc::clone(&machine.network),
             Arc::clone(&tcp_control),
             Arc::clone(&lease_mgr),
             qos.clone(),
             Arc::clone(&host_qos),
-            lb,
             Arc::clone(&shutdown),
         ));
         for (d, coprocs) in domains.into_iter().enumerate() {
@@ -290,7 +287,6 @@ impl Solros {
                 d,
                 coprocs,
                 channels.clone(),
-                supervisor.fork_lb(),
             );
             tcp_stats.push(Arc::clone(&stats));
             if qos.enabled {
@@ -314,7 +310,6 @@ impl Solros {
             data_planes,
             fs_stats,
             tcp_stats,
-            tcp_control,
             fs_qos_stats,
             tcp_qos_stats,
             lease_mgr,
@@ -374,10 +369,12 @@ impl Solros {
         &self.tcp_stats[d]
     }
 
-    /// Counters of the TCP control-plane operation log: depth, combine
-    /// factor, and the replica-overrun tripwire (must stay 0).
+    /// Always [`LogStats::default`]: the TCP control plane is one table
+    /// in [`TcpControl`], which keeps no log. Kept only because the
+    /// benchmark package's `oplog` layer still reads it; ROADMAP
+    /// direction 6 deletes it together with that caller.
     pub fn tcp_control_log_stats(&self) -> LogStats {
-        self.tcp_control.log_stats()
+        LogStats::default()
     }
 
     /// QoS ledger for co-processor `i`'s FS gate, or `None` when the
@@ -413,7 +410,7 @@ impl Solros {
     }
 
     /// The supervisor's merged recovery bookkeeping (failovers, blackout
-    /// time, overrun rebuilds, wave resubmits, event drops).
+    /// time, wave resubmits, event drops).
     pub fn recovery_report(&self) -> solros_faults::RecoveryReport {
         self.supervisor.report()
     }
@@ -626,14 +623,14 @@ mod tests {
         }
         assert_eq!((got0, got1), (5, 5));
         // MachineConfig::small has two sockets, so the shared listening
-        // socket spans two proxy shards coordinated through the op log.
+        // socket spans two proxy shards over one control table.
         assert_eq!(sys.tcp_domains(), 2);
         let s = sys.tcp_proxy_stats(0);
         assert_eq!(s.accepted[0].load(Ordering::Relaxed), 5);
         assert_eq!(s.accepted[1].load(Ordering::Relaxed), 5);
-        let log = sys.tcp_control_log_stats();
-        assert_eq!(log.overruns, 0, "replica divergence tripwire");
-        assert!(log.appends >= 12, "2 listens + 10 assigns: {log:?}");
+        let supervisor = Arc::clone(sys.supervisor());
         sys.shutdown();
+        let faults = supervisor.control_audit();
+        assert!(faults.is_empty(), "control table audit: {faults:?}");
     }
 }

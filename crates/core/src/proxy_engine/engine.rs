@@ -336,25 +336,30 @@ impl<H: OpHandler> ProxyEngine<H> {
     /// nothing is served, and the loop spins until the supervisor
     /// notices the stall and fences it.
     fn check_vitals(&mut self, shutdown: &AtomicBool) -> bool {
-        let Some(health) = self.health.clone() else {
+        let Some(health) = &self.health else {
             return false;
         };
         health.beat();
+        // The cell is cloned only on the way out: `dump_wreck` needs the
+        // engine itself.
         if health.is_fenced() {
             // Forcible fence: the supervisor declared this shard dead
             // (e.g. a stall misjudged as a wedge). Exit at this cycle
             // boundary with a complete wreck so failover stays
             // exactly-once even when the suspicion was false.
+            let health = Arc::clone(health);
             let wreck = self.dump_wreck();
             health.park_wreck(wreck);
             return true;
         }
         if self.faults.take_domain_crash() {
+            let health = Arc::clone(health);
             let wreck = self.dump_wreck();
             health.crash(wreck);
             return true;
         }
         if self.faults.take_domain_wedge() {
+            let health = Arc::clone(health);
             let wreck = self.dump_wreck();
             health.wedge_hold(wreck, shutdown);
             return true;

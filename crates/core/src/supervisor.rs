@@ -20,35 +20,30 @@
 //!    proxy its engine owned. A wedged loop exits on seeing the fence; a
 //!    live-but-suspected loop complies at its next cycle boundary with a
 //!    complete wreck (forcible fence), so a false positive costs churn,
-//!    never correctness. After the join, no further appends from the
-//!    dead shard can race the scrub.
+//!    never correctness. After the join, nothing the dead shard does can
+//!    race the scrub.
 //! 2. **Publish the wreck** verbatim on the very response rings the
 //!    shard served: already-computed replies first-class, one `Gone`
 //!    per admitted-but-unserved tag. Tags queued in the request rings
 //!    but never admitted are *left in place* — the replacement serves
 //!    them — so nothing is answered twice and nothing is lost.
 //! 3. **Scrub** the proxy the join handed back: close every connection
-//!    the dead shard owned, refuse the handoffs parked in its inbox,
-//!    retire its log cursor so the corpse neither pins compaction nor
-//!    counts as a laggard.
-//! 4. **Re-steer** through the control log: one `ShardFenced` append
-//!    strips the dead shard's listeners, re-homes its ports to an heir,
-//!    and releases its balancer charges — applied exactly once by every
-//!    surviving replica at one log position.
+//!    the dead shard owned and clear its accept and event queues.
+//! 4. **Re-steer** in the control table, under its lock: strip the dead
+//!    shard's listeners, re-home its ports to an heir, unlisten the
+//!    ports left empty, release its balancer charges wholesale and
+//!    refuse the handoffs parked in its inbox.
 //! 5. **Reclaim leases** anchored on the dead shard's co-processors
 //!    (force-recall; holders fall back to the RPC path) and refund the
 //!    wreck's never-served admissions to their tenants in the host QoS
 //!    directory.
-//! 6. **Replace**: build a fresh shard over the same rings, seed its
-//!    replica from the observer snapshot under live traffic
-//!    ([`TcpProxy::rebuild_from_observer`]), resume its sock-id stride
-//!    past the dead incarnation's allocations — all through `&mut`
-//!    before it is spawned — with its rejoin appended before the seed so
-//!    it never sees itself fenced.
+//! 6. **Replace**: build a fresh shard over the same rings and the same
+//!    control table, resume its sock-id stride past the dead
+//!    incarnation's allocations, and spawn it.
 //!
 //! At shutdown the supervisor joins every shard and keeps the proxies
-//! they hand back; [`ShardSupervisor::replica_fingerprints`] reads them
-//! there.
+//! they hand back; [`ShardSupervisor::control_audit`] checks the control
+//! table against them there.
 //!
 //! The blackout window — fence to replacement serving — is bounded by
 //! detection (≤ `WEDGE_TICKS`·tick for a wedge, ≤ 1 tick for a crash)
@@ -66,7 +61,7 @@ use solros_qos::{HostScheduler, QosConfig};
 use solros_simkit::sync::Mutex;
 
 use crate::proxy_engine::ShardHealth;
-use crate::tcp_proxy::{LoadBalancer, NetChannelHost, TcpControl, TcpProxy, TcpProxyStats};
+use crate::tcp_proxy::{NetChannelHost, TcpControl, TcpProxy, TcpProxyStats};
 
 /// Supervisor sampling period.
 pub const TICK: Duration = Duration::from_millis(2);
@@ -98,7 +93,7 @@ struct ShardSlot {
 }
 
 /// Health-checks every engine shard and fails crashed/wedged ones over
-/// to replacements rebuilt from the control log (see module docs).
+/// to replacements over the same rings (see module docs).
 pub struct ShardSupervisor {
     network: Arc<Network>,
     control: Arc<TcpControl>,
@@ -107,8 +102,6 @@ pub struct ShardSupervisor {
     /// Host-global QoS hierarchy replacement shards re-register under,
     /// and the tenant directory a wreck's refunds go back to.
     host_qos: Arc<HostScheduler>,
-    /// Prototype the replacement shards' balancer replicas fork from.
-    lb_proto: Box<dyn LoadBalancer>,
     shutdown: Arc<AtomicBool>,
     slots: Mutex<Vec<ShardSlot>>,
     /// Accumulated failover bookkeeping (merged into [`Self::report`]).
@@ -124,7 +117,6 @@ impl ShardSupervisor {
         lease_mgr: Arc<LeaseManager>,
         qos: QosConfig,
         host_qos: Arc<HostScheduler>,
-        lb_proto: Box<dyn LoadBalancer>,
         shutdown: Arc<AtomicBool>,
     ) -> Self {
         Self {
@@ -133,18 +125,10 @@ impl ShardSupervisor {
             lease_mgr,
             qos,
             host_qos,
-            lb_proto,
             shutdown,
             slots: Mutex::new(Vec::new()),
             tally: Mutex::new(RecoveryReport::default()),
         }
-    }
-
-    /// Forks a fresh balancer replica from the boot prototype (used for
-    /// the initial shards as well as replacements, so every incarnation
-    /// descends from the same policy).
-    pub(crate) fn fork_lb(&self) -> Box<dyn LoadBalancer> {
-        self.lb_proto.fork()
     }
 
     /// Starts a booted shard and supervises it (slot index == domain id
@@ -241,18 +225,16 @@ impl ShardSupervisor {
             }
         }
 
-        // 3. Scrub the corpse: close its connections, refuse its parked
-        //    handoffs, retire its cursor. The sock-id stride resumes in
-        //    the replacement so no id is ever reused.
+        // 3. Scrub the corpse: close its connections. The sock-id
+        //    stride resumes in the replacement so no id is ever reused.
         let next_sock = dead.scrub_after_fence();
-        self.control.drain_dead_inbox(d, &self.network);
 
-        // 4. Re-steer listeners through the log, exactly once per
-        //    replica. The heir is the next slot cyclically; with no
-        //    other shard the scrub already released the NIC listeners.
+        // 4. Re-steer in the control table. The heir is the next slot
+        //    cyclically; with no other shard, the fence empties every
+        //    port the shard held and unlistens it.
         let nshards = self.control.shards();
         let heir = if nshards > 1 { (d + 1) % nshards } else { d };
-        self.control.append_fence(d, heir);
+        self.control.fence(d, heir, &self.network);
 
         // 5. Reclaim leases anchored on the dead domain's co-processors
         //    and refund the wreck's never-served admission charges.
@@ -263,22 +245,17 @@ impl ShardSupervisor {
             self.host_qos.refund(u64::from(tenant), ops, bytes);
         }
 
-        // 6. Replacement: same rings, fresh replica seeded from the
-        //    observer snapshot. Rejoin is appended *before* the seed so
-        //    the replacement never observes itself fenced.
+        // 6. Replacement: same rings, same control table.
         let (mut repl, stats) = TcpProxy::shard(
             Arc::clone(&self.network),
             Arc::clone(&self.control),
             d,
             slot.coprocs.clone(),
             slot.channels.clone(),
-            self.lb_proto.fork(),
         );
         if self.qos.enabled {
             let _ = repl.enable_qos(&self.qos, &self.host_qos);
         }
-        self.control.append_rejoin(d);
-        repl.rebuild_from_observer();
         repl.set_next_sock(next_sock);
         slot.faults = repl.faults();
         let (health, handle) = self.launch(d, repl);
@@ -320,8 +297,7 @@ impl ShardSupervisor {
 
     /// Engine fault hooks of shard `d`'s *current* incarnation (arming
     /// point for [`solros_faults::FaultKind::DomainCrash`] /
-    /// [`solros_faults::FaultKind::DomainWedge`] /
-    /// [`solros_faults::FaultKind::OplogReplicaLag`]).
+    /// [`solros_faults::FaultKind::DomainWedge`]).
     pub fn shard_faults(&self, d: usize) -> Arc<EngineFaults> {
         Arc::clone(&self.slots.lock()[d].faults)
     }
@@ -332,19 +308,26 @@ impl ShardSupervisor {
         Arc::clone(&self.slots.lock()[d].stats)
     }
 
-    /// Control-replica fingerprint of every live shard, each synced to
-    /// the log tail first. Read off the proxies the shards handed back,
-    /// so it is empty until the system has shut down. Convergence (all
-    /// equal) is the replicated control plane's correctness gate after a
-    /// failover storm.
-    pub fn replica_fingerprints(&self) -> Vec<u64> {
-        self.slots
-            .lock()
-            .iter_mut()
-            .filter(|s| s.health.is_live())
-            .filter_map(|s| s.joined.as_mut())
-            .map(|p| p.replica_fingerprint())
-            .collect()
+    /// Audits the TCP control table against the socket tables of the
+    /// proxies the shards handed back, one line per fault; empty when
+    /// clean. It checks that every listener is a listening socket of its
+    /// shard, that every port's home shard is live, and that every
+    /// `(shard, balancer slot)` charge equals that shard's open accepted
+    /// sockets on the slot plus the handoffs parked in its inbox. Read
+    /// after the system has shut down: until then no proxy is back, and
+    /// every shard reads as missing.
+    pub fn control_audit(&self) -> Vec<String> {
+        let slots = self.slots.lock();
+        let mut live = Vec::new();
+        let mut faults = Vec::new();
+        for (d, slot) in slots.iter().enumerate() {
+            match slot.joined.as_ref().filter(|_| slot.health.is_live()) {
+                Some(proxy) => live.push(proxy),
+                None => faults.push(format!("shard {d}: no live proxy handed back")),
+            }
+        }
+        faults.extend(self.control.audit(&live));
+        faults
     }
 
     /// Failovers completed so far.
@@ -353,11 +336,10 @@ impl ShardSupervisor {
     }
 
     /// The supervisor's accumulated recovery bookkeeping, merged with
-    /// the control plane's counters: overrun rebuilds, reply-wave
-    /// resubmits across every lane, and dropped TCP events.
+    /// the control plane's counters: reply-wave resubmits across every
+    /// lane, and dropped TCP events.
     pub fn report(&self) -> RecoveryReport {
         let mut r = *self.tally.lock();
-        r.oplog_overruns_recovered = self.control.overruns_recovered();
         r.event_drops = self.control.event_drops();
         let slots = self.slots.lock();
         r.reply_wave_resubmits = slots

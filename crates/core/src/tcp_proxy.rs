@@ -3,27 +3,27 @@
 //! One [`TcpProxy`] engine shard runs per NUMA domain, serving the ten
 //! socket RPCs for the co-processors attached to that domain (one engine
 //! lane per co-processor) and polling the NIC fabric for the ports it is
-//! *home* to. What the shards genuinely share — the shared-listening-
-//! socket registry (§4.4.3) and the balancer's load view — is a single
-//! logical state machine replicated per shard and driven by a
-//! [`TcpControl`] operation log (NRK-style): mutations append, each
-//! shard's replica applies the log through its private cursor, and reads
-//! (routing a new connection, looking up a port's listeners) stay
-//! domain-local with no cross-shard lock.
+//! *home* to. What the shards share — the shared-listening-socket
+//! registry (§4.4.3), the per-listener connection charges and the one
+//! load balancer — is one table in [`TcpControl`] behind one lock. It
+//! changes only on listen, accept and close, never per byte: each
+//! mutator changes it in place under the lock and does its own NIC side
+//! effect (listen or unlisten) there.
 //!
 //! Determinism of the paper's connection-based round-robin is preserved
-//! by *home-shard polling*: the shard whose `ListenerAdd` created a port
+//! by *home-shard polling*: the shard whose listen created a port's
 //! record is the only one that polls the NIC for that port, so every
-//! balancer pick for a port is made by one policy replica in arrival
-//! order. Connections routed to a listener owned by another shard are
-//! handed off through that shard's inbox queue.
+//! balancer pick for a port is made by one shard in arrival order.
+//! Connections routed to a listener owned by another shard are handed
+//! off through that shard's inbox queue.
 //!
 //! A shard's engine owns its proxy and is the only thread that touches
 //! it ([`TcpProxy::run`] hands it back when the engine stops), so the
-//! socket table, the replica and the send-staging table are plain
-//! fields. The only locks left are the cross-shard ones in
-//! [`TcpControl`]: the handoff inboxes and the observer replica.
+//! socket table and the send-staging table are plain fields. The only
+//! locks are the cross-shard ones in [`TcpControl`]: the table and the
+//! handoff inboxes.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use solros_faults::EngineFaults;
 use solros_netdev::{ConnId, EndKind, Network, NetworkError};
-use solros_oplog::{LogConfig, LogStats, OpLog, ReplicaCursor, SyncOutcome};
 use solros_proto::codec::stamp_credit;
 use solros_proto::net_msg::{NetEvent, NetRequest, NetResponse, SockId};
 use solros_proto::rpc_error::RpcErr;
@@ -93,189 +92,6 @@ impl Deref for TcpProxyStats {
     }
 }
 
-/// One mutation of the shared TCP control state. Everything a shard must
-/// agree on with its peers goes through the log; socket tables and
-/// pending-accept queues stay shard-local.
-#[derive(Clone, Debug)]
-enum TcpCtrlOp {
-    /// `sock` (owned by `shard`) joined the shared listening socket on
-    /// `port`. The first add for a port makes `shard` the port's home.
-    ListenerAdd {
-        port: u16,
-        sock: SockId,
-        shard: usize,
-    },
-    /// `sock` left `port`'s shared listening socket.
-    ListenerDel { port: u16, sock: SockId },
-    /// The home shard routed a connection to balancer slot `slot`; the
-    /// connection socket lives on `shard` (the listener's owner), so a
-    /// fence of that shard can release the charge wholesale.
-    ConnAssigned { slot: usize, shard: usize },
-    /// A connection counted against balancer slot `slot` (charged to
-    /// `shard`) closed.
-    ConnClosed { slot: usize, shard: usize },
-    /// The supervisor fenced `shard`: every replica removes its
-    /// listeners, re-homes its ports to `heir`, and releases its
-    /// outstanding balancer charges — exactly once, at one log position.
-    ShardFenced { shard: usize, heir: usize },
-    /// `shard`'s replacement is live; its id leaves the fenced set.
-    ShardRejoined { shard: usize },
-}
-
-/// Applies one control operation to a replica's state. `lb` is absent on
-/// the pure observer replica; `local` carries `(this shard, fabric)` for
-/// the NIC-side effects exactly one replica performs per operation.
-fn apply_ctrl_op(
-    op: &TcpCtrlOp,
-    registry: &mut HashMap<u16, PortRec>,
-    conn_counts: &mut HashMap<(usize, usize), u64>,
-    fenced: &mut HashSet<usize>,
-    lb: Option<&dyn LoadBalancer>,
-    local: Option<(usize, &Network)>,
-) {
-    match op {
-        TcpCtrlOp::ListenerAdd { port, sock, shard } => {
-            registry
-                .entry(*port)
-                .or_insert_with(|| PortRec {
-                    listeners: Vec::new(),
-                    home: *shard,
-                })
-                .listeners
-                .push((*sock, *shard));
-        }
-        TcpCtrlOp::ListenerDel { port, sock } => {
-            if let Some(rec) = registry.get_mut(port) {
-                rec.listeners.retain(|(s, _)| s != sock);
-                if rec.listeners.is_empty() {
-                    // Exactly one shard releases the NIC listener: the
-                    // record's home (every replica removes its local
-                    // record at the same log position).
-                    if let Some((me, network)) = local {
-                        if rec.home == me {
-                            network.unlisten(*port);
-                        }
-                    }
-                    registry.remove(port);
-                }
-            }
-        }
-        TcpCtrlOp::ConnAssigned { slot, shard } => {
-            // An assignment to an already-fenced shard (a lagging home
-            // shard routed to its listeners before applying the fence)
-            // is void: the handoff will be refused at delivery, and its
-            // matching close is void by the count guard below.
-            if fenced.contains(shard) {
-                return;
-            }
-            if let Some(lb) = lb {
-                lb.conn_assigned(*slot);
-            }
-            *conn_counts.entry((*shard, *slot)).or_insert(0) += 1;
-        }
-        TcpCtrlOp::ConnClosed { slot, shard } => {
-            // Count-guarded: a close whose charge was already released
-            // wholesale by a `ShardFenced` must not release it twice.
-            match conn_counts.get_mut(&(*shard, *slot)) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    if *n == 0 {
-                        conn_counts.remove(&(*shard, *slot));
-                    }
-                    if let Some(lb) = lb {
-                        lb.conn_closed(*slot);
-                    }
-                }
-                _ => {}
-            }
-        }
-        TcpCtrlOp::ShardFenced { shard: dead, heir } => {
-            fenced.insert(*dead);
-            let mut emptied = Vec::new();
-            for (port, rec) in registry.iter_mut() {
-                rec.listeners.retain(|(_, s)| s != dead);
-                if rec.listeners.is_empty() {
-                    emptied.push(*port);
-                } else if rec.home == *dead {
-                    // Listener ownership moves: the heir polls the NIC
-                    // for this port from here on.
-                    rec.home = *heir;
-                }
-            }
-            for port in emptied {
-                let rec = registry.remove(&port).expect("emptied port present");
-                let releaser = if rec.home == *dead { *heir } else { rec.home };
-                if let Some((me, network)) = local {
-                    if releaser == me {
-                        network.unlisten(port);
-                    }
-                }
-            }
-            let dead_keys: Vec<(usize, usize)> = conn_counts
-                .keys()
-                .filter(|(s, _)| s == dead)
-                .copied()
-                .collect();
-            for key in dead_keys {
-                let n = conn_counts.remove(&key).unwrap_or(0);
-                if let Some(lb) = lb {
-                    for _ in 0..n {
-                        lb.conn_closed(key.1);
-                    }
-                }
-            }
-        }
-        TcpCtrlOp::ShardRejoined { shard } => {
-            fenced.remove(shard);
-        }
-    }
-}
-
-/// FNV-1a digest of a replica's control view, order-normalised so any
-/// two replicas holding equal state hash equal regardless of map
-/// iteration order. Balancer tie-break cursors are deliberately excluded
-/// (shard-local by design; see [`TcpProxy::rebuild_replica`]).
-fn fingerprint(
-    registry: &HashMap<u16, PortRec>,
-    conn_counts: &HashMap<(usize, usize), u64>,
-    fenced: &HashSet<usize>,
-) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            h = (h ^ byte as u64).wrapping_mul(FNV_PRIME);
-        }
-    };
-    let mut ports: Vec<&u16> = registry.keys().collect();
-    ports.sort_unstable();
-    for port in ports {
-        let rec = &registry[port];
-        mix(*port as u64);
-        mix(rec.home as u64);
-        // Listener order is semantic (balancer slots index into it), so
-        // it is hashed as-is: an order divergence is a real divergence.
-        for &(sock, shard) in &rec.listeners {
-            mix(sock);
-            mix(shard as u64);
-        }
-    }
-    let mut counts: Vec<(&(usize, usize), &u64)> = conn_counts.iter().collect();
-    counts.sort_unstable();
-    for (&(shard, slot), &n) in counts {
-        mix(shard as u64);
-        mix(slot as u64);
-        mix(n);
-    }
-    let mut dead: Vec<&usize> = fenced.iter().collect();
-    dead.sort_unstable();
-    for shard in dead {
-        mix(*shard as u64);
-    }
-    h
-}
-
 /// A connection routed by a port's home shard to a listener owned by
 /// another shard, waiting in the owner's inbox.
 struct Handoff {
@@ -286,42 +102,132 @@ struct Handoff {
     slot: usize,
 }
 
-/// Entries a control-log replica may lag before compaction advances
-/// past it. Finite since the failover PR: a replica *can* now rebuild —
-/// from the shared observer snapshot — so a stalled shard no longer
-/// holds the log hostage. Generous enough that an overrun is an
-/// injected-fault ([`solros_faults::FaultKind::OplogReplicaLag`]) path,
-/// never a steady-state event.
-pub const CTRL_MAX_LAG: u64 = 8192;
-
-/// The control plane's snapshot source: a pure replica (no balancer, no
-/// NIC side effects) of the log-driven state, synced opportunistically
-/// by every shard's poll. Replicas that overrun the log, and replacement
-/// shards born mid-stream, rebuild by cloning this state and resuming
-/// from its cursor position.
-struct CtrlObserver {
-    cursor: ReplicaCursor,
-    registry: HashMap<u16, PortRec>,
-    conn_counts: HashMap<(usize, usize), u64>,
-    fenced: HashSet<usize>,
+/// One shared listening socket.
+struct PortRec {
+    /// `(sock, owning shard)` in registration order; balancer slots
+    /// index into it.
+    listeners: Vec<(SockId, usize)>,
+    /// The shard that polls the NIC for this port: the shard of the
+    /// first listener, or the heir of a fenced home.
+    home: usize,
 }
 
-/// The shared spine of the sharded TCP control plane: the operation log
-/// plus the machine-global counters and cross-shard handoff inboxes.
+/// What the shards share, as one table under [`TcpControl`]'s lock.
+struct CtrlTable {
+    registry: HashMap<u16, PortRec>,
+    /// Outstanding connections per `(owning shard, balancer slot)`, so
+    /// a fence can release a dead shard's charges wholesale.
+    conn_counts: HashMap<(usize, usize), u64>,
+    /// The one policy instance for every port.
+    lb: Box<dyn LoadBalancer>,
+}
+
+impl CtrlTable {
+    /// Joins `sock` (owned by `shard`) to `port`'s shared listening
+    /// socket. The first listener registers the port on the NIC and
+    /// makes `shard` its home; the NIC refusing the port fails the call.
+    fn listen(
+        &mut self,
+        port: u16,
+        sock: SockId,
+        shard: usize,
+        network: &Network,
+        backlog: usize,
+    ) -> Result<(), NetworkError> {
+        let rec = match self.registry.entry(port) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                network.listen(port, backlog)?;
+                e.insert(PortRec {
+                    listeners: Vec::new(),
+                    home: shard,
+                })
+            }
+        };
+        rec.listeners.push((sock, shard));
+        Ok(())
+    }
+
+    /// Removes `sock` from `port`'s listeners. The close that empties
+    /// the port releases it on the NIC, whichever shard is its home.
+    fn unlisten(&mut self, port: u16, sock: SockId, network: &Network) {
+        if let Some(rec) = self.registry.get_mut(&port) {
+            rec.listeners.retain(|(s, _)| *s != sock);
+            if rec.listeners.is_empty() {
+                self.registry.remove(&port);
+                network.unlisten(port);
+            }
+        }
+    }
+
+    /// Picks the listener for a new connection on `port` and charges
+    /// it: `(listener, owning shard, slot)`, or `None` when the port has
+    /// no listener left (a record leaves the registry with its last
+    /// listener, so a present one is never empty).
+    fn route(&mut self, port: u16, client_addr: u64) -> Option<(SockId, usize, usize)> {
+        let listeners = &self.registry.get(&port)?.listeners;
+        let meta = ConnMeta { client_addr, port };
+        let slot = self.lb.pick(listeners.len(), &meta) % listeners.len();
+        let (sock, owner) = listeners[slot];
+        self.lb.conn_assigned(slot);
+        *self.conn_counts.entry((owner, slot)).or_insert(0) += 1;
+        Some((sock, owner, slot))
+    }
+
+    /// Releases one connection charged to `(shard, slot)`. Count-guarded:
+    /// a close whose charge a fence already released wholesale releases
+    /// nothing.
+    fn release(&mut self, shard: usize, slot: usize) {
+        if let Some(n) = self.conn_counts.get_mut(&(shard, slot)) {
+            *n -= 1;
+            if *n == 0 {
+                self.conn_counts.remove(&(shard, slot));
+            }
+            self.lb.conn_closed(slot);
+        }
+    }
+
+    /// Fences `dead`: removes its listeners, re-homes its ports to
+    /// `heir`, unlistens the ports it leaves empty and releases its
+    /// charges wholesale.
+    fn fence(&mut self, dead: usize, heir: usize, network: &Network) {
+        self.registry.retain(|&port, rec| {
+            rec.listeners.retain(|(_, s)| *s != dead);
+            if rec.listeners.is_empty() {
+                network.unlisten(port);
+                return false;
+            }
+            if rec.home == dead {
+                rec.home = heir;
+            }
+            true
+        });
+        self.conn_counts.retain(|&(shard, slot), n| {
+            if shard != dead {
+                return true;
+            }
+            for _ in 0..*n {
+                self.lb.conn_closed(slot);
+            }
+            false
+        });
+    }
+}
+
+/// The shared spine of the sharded TCP control plane: the control
+/// table, the cross-shard handoff inboxes and doorbells, and the
+/// machine-global counters.
 pub struct TcpControl {
-    log: Arc<OpLog<TcpCtrlOp>>,
+    table: Mutex<CtrlTable>,
     inboxes: Vec<Mutex<VecDeque<Handoff>>>,
     /// One doorbell per shard slot: the shard's engine sleeps on it, and
     /// whatever gives that shard work it cannot see on its own rings —
-    /// a handoff into its inbox, a control-log append, NIC ingress —
-    /// rings it. Owned here so it outlives a shard's incarnations.
+    /// a handoff into its inbox, a fence re-homing ports to it, NIC
+    /// ingress — rings it. Owned here so it outlives a shard's
+    /// incarnations.
     bells: Vec<Arc<Doorbell>>,
     /// Set once the NIC ingress hook for this control plane is in place.
     nic_hooked: AtomicBool,
-    observer: Mutex<CtrlObserver>,
-    /// Replica overruns recovered by an `install_snapshot` rebuild from
-    /// the observer (the OplogReplicaLag recovery path).
-    overruns_recovered: AtomicU64,
     events: Arc<AtomicU64>,
     event_drops: Arc<AtomicU64>,
     accepted: Arc<Vec<AtomicU64>>,
@@ -330,34 +236,18 @@ pub struct TcpControl {
 
 impl TcpControl {
     /// Creates the control spine for `nshards` proxy shards serving
-    /// `ncoprocs` co-processors in total.
-    pub fn new(nshards: usize, ncoprocs: usize) -> Arc<Self> {
-        Self::with_max_lag(nshards, ncoprocs, CTRL_MAX_LAG)
-    }
-
-    /// [`TcpControl::new`] with an explicit replica lag bound. A tiny
-    /// bound lets tests and the E9 lag rig force the overrun → rebuild
-    /// path with realistic traffic volumes.
-    pub fn with_max_lag(nshards: usize, ncoprocs: usize, max_lag: u64) -> Arc<Self> {
-        let log = OpLog::new(LogConfig {
-            high_water: 4096,
-            max_lag,
-        });
-        // The observer registers before any shard, so it sees every
-        // operation from sequence zero.
-        let observer = Mutex::new(CtrlObserver {
-            cursor: log.register(),
-            registry: HashMap::new(),
-            conn_counts: HashMap::new(),
-            fenced: HashSet::new(),
-        });
+    /// `ncoprocs` co-processors in total, balancing shared listening
+    /// sockets with `lb`.
+    pub fn new(nshards: usize, ncoprocs: usize, lb: Box<dyn LoadBalancer>) -> Arc<Self> {
         Arc::new(Self {
-            log,
+            table: Mutex::new(CtrlTable {
+                registry: HashMap::new(),
+                conn_counts: HashMap::new(),
+                lb,
+            }),
             inboxes: (0..nshards).map(|_| Mutex::new(VecDeque::new())).collect(),
             bells: (0..nshards).map(|_| Doorbell::new()).collect(),
             nic_hooked: AtomicBool::new(false),
-            observer,
-            overruns_recovered: AtomicU64::new(0),
             events: Arc::new(AtomicU64::new(0)),
             event_drops: Arc::new(AtomicU64::new(0)),
             accepted: Arc::new((0..ncoprocs).map(|_| AtomicU64::new(0)).collect()),
@@ -370,52 +260,14 @@ impl TcpControl {
         self.nshards
     }
 
-    /// Operation-log counters (depth, combine factor, overrun tripwire).
-    pub fn log_stats(&self) -> LogStats {
-        self.log.stats()
-    }
-
     /// Events discarded because an event ring was full. Must stay zero;
     /// E8/E9 trip on any drop.
     pub fn event_drops(&self) -> u64 {
         self.event_drops.load(Ordering::Relaxed)
     }
 
-    /// Replica overruns recovered via an observer-snapshot rebuild.
-    pub fn overruns_recovered(&self) -> u64 {
-        self.overruns_recovered.load(Ordering::Relaxed)
-    }
-
-    /// Applies every outstanding operation to the observer replica.
-    /// Called opportunistically (try-lock) from each shard's poll and
-    /// authoritatively (locked) when a replica rebuilds from it.
-    fn sync_observer_locked(&self, obs: &mut CtrlObserver) {
-        let CtrlObserver {
-            cursor,
-            registry,
-            conn_counts,
-            fenced,
-        } = obs;
-        let outcome = self.log.sync(cursor, |_, op| {
-            apply_ctrl_op(op, registry, conn_counts, fenced, None, None);
-        });
-        debug_assert_ne!(
-            outcome,
-            SyncOutcome::Overrun,
-            "the observer is synced on every shard poll and must never lag past max_lag"
-        );
-    }
-
-    /// Appends one control operation and rings every shard: each
-    /// replica has something to apply (and the appender's own bell is
-    /// unarmed, so that one is a load).
-    fn append(&self, op: TcpCtrlOp) {
-        self.log.append(op);
-        self.ring_all();
-    }
-
-    /// Rings every shard's doorbell (a control-log append, or NIC
-    /// ingress whose owning shard the fabric does not know).
+    /// Rings every shard's doorbell (NIC ingress, whose owning shard
+    /// the fabric does not know, or a fence).
     fn ring_all(&self) {
         for bell in &self.bells {
             bell.ring();
@@ -428,6 +280,11 @@ impl TcpControl {
         self.bells[owner].ring();
     }
 
+    /// Releases one connection charged to `(shard, slot)`.
+    fn release(&self, shard: usize, slot: usize) {
+        self.table.lock().release(shard, slot);
+    }
+
     /// Has the fabric ring this control plane's shards on ingress. Once
     /// per control plane, however many shard incarnations it sees.
     fn hook_nic(self: &Arc<Self>, network: &Network) {
@@ -437,28 +294,78 @@ impl TcpControl {
         }
     }
 
-    /// Publishes the fencing of `shard` (listener removal, port
-    /// re-homing to `heir`, wholesale balancer-charge release).
-    pub(crate) fn append_fence(&self, shard: usize, heir: usize) {
-        self.append(TcpCtrlOp::ShardFenced { shard, heir });
-    }
-
-    /// Publishes that `shard`'s replacement is live again.
-    pub(crate) fn append_rejoin(&self, shard: usize) {
-        self.append(TcpCtrlOp::ShardRejoined { shard });
-    }
-
-    /// Refuses every handoff still parked in a dead shard's inbox: the
-    /// connections close on the fabric; their balancer charges are
-    /// released wholesale by the `ShardFenced` operation. Returns how
-    /// many were refused.
-    pub(crate) fn drain_dead_inbox(&self, shard: usize, network: &Network) -> usize {
-        let mut n = 0;
-        while let Some(h) = self.inboxes[shard].lock().pop_front() {
+    /// Fences `shard` in the table (its listeners go, its ports move to
+    /// `heir`, emptied ports are unlistened, its charges are released
+    /// wholesale) and refuses every handoff parked in its inbox: those
+    /// connections close on the fabric. Routing parks a handoff under
+    /// the same lock, so none routed before the fence outlives it, and
+    /// none after can name `shard`.
+    pub(crate) fn fence(&self, shard: usize, heir: usize, network: &Network) {
+        let mut table = self.table.lock();
+        table.fence(shard, heir, network);
+        for h in self.inboxes[shard].lock().drain(..) {
             let _ = network.close(h.conn, EndKind::Server);
-            n += 1;
         }
-        n
+        drop(table);
+        // The heir polls the NIC for the re-homed ports from now on.
+        self.ring_all();
+    }
+
+    /// Checks the table against the socket tables of `shards`, the
+    /// proxies of every live shard; a shard not among them is not
+    /// live. Returns one line per fault, sorted, and none when clean:
+    ///
+    /// * every listener is a `Listening` socket on its port in its
+    ///   shard's socket table;
+    /// * every port's home is a live shard;
+    /// * every `(shard, slot)` charge equals that shard's accepted
+    ///   sockets charged to `slot`, counting the handoffs still parked
+    ///   in its inbox — so a charge no close will ever release shows up
+    ///   here.
+    pub(crate) fn audit(&self, shards: &[&TcpProxy]) -> Vec<String> {
+        let table = self.table.lock();
+        let live = |d: usize| shards.iter().find(|p| p.shard == d);
+        let mut faults = Vec::new();
+        for (&port, rec) in &table.registry {
+            if live(rec.home).is_none() {
+                faults.push(format!("port {port}: home shard {} is not live", rec.home));
+            }
+            for &(sock, d) in &rec.listeners {
+                let listening = live(d)
+                    .and_then(|p| p.socks.get(&sock))
+                    .is_some_and(|r| matches!(r.state, SockState::Listening(q) if q == port));
+                if !listening {
+                    faults.push(format!(
+                        "port {port}: listener {sock} is not listening on shard {d}"
+                    ));
+                }
+            }
+        }
+        let mut open: HashMap<(usize, usize), u64> = HashMap::new();
+        for p in shards {
+            let inbox = self.inboxes[p.shard].lock();
+            let socks = p.socks.values().filter_map(|r| r.lb_slot);
+            for slot in socks.chain(inbox.iter().map(|h| h.slot)) {
+                *open.entry((p.shard, slot)).or_insert(0) += 1;
+            }
+        }
+        let keys: HashSet<(usize, usize)> = table
+            .conn_counts
+            .keys()
+            .chain(open.keys())
+            .copied()
+            .collect();
+        for (shard, slot) in keys {
+            let charged = table.conn_counts.get(&(shard, slot)).copied().unwrap_or(0);
+            let held = open.get(&(shard, slot)).copied().unwrap_or(0);
+            if charged != held {
+                faults.push(format!(
+                    "shard {shard} slot {slot}: {charged} charged, {held} open connections"
+                ));
+            }
+        }
+        faults.sort();
+        faults
     }
 }
 
@@ -478,18 +385,9 @@ struct SockRec {
     /// For evented conns: a Closed event has been delivered.
     close_sent: bool,
     /// For accepted conns: the balancer slot this connection counts
-    /// against, so a `ConnClosed` is logged exactly once.
+    /// against, taken when the charge is released so it is released
+    /// once.
     lb_slot: Option<usize>,
-}
-
-/// Replicated view of one shared listening socket.
-#[derive(Clone)]
-struct PortRec {
-    /// `(sock, owning shard)` in registration (log) order.
-    listeners: Vec<(SockId, usize)>,
-    /// The shard that polls the NIC for this port: the shard of the
-    /// first `ListenerAdd`, fixed for the record's lifetime.
-    home: usize,
 }
 
 /// One staged small `Send` awaiting its run's coalesced backend write.
@@ -575,9 +473,6 @@ impl SendRun {
 
 /// One NUMA domain's TCP proxy shard, owned by the engine that serves
 /// it: only the engine thread touches its tables, so none is locked.
-/// `lb`, `registry`, `cursor`, `conn_counts` and `fenced` are this
-/// shard's replica of the log-driven state machine; everything else is
-/// shard-local.
 pub struct TcpProxy {
     network: Arc<Network>,
     control: Arc<TcpControl>,
@@ -591,15 +486,6 @@ pub struct TcpProxy {
     evt_tx: Vec<Producer>,
     /// Request/response lanes, handed to the engine by [`TcpProxy::run`].
     lanes: Vec<EngineLane>,
-    lb: Box<dyn LoadBalancer>,
-    registry: HashMap<u16, PortRec>,
-    cursor: ReplicaCursor,
-    /// Outstanding connections per `(owning shard, balancer slot)`,
-    /// replicated so a `ShardFenced` can release a dead shard's charges
-    /// wholesale and count-guard its straggling closes.
-    conn_counts: HashMap<(usize, usize), u64>,
-    /// Shards fenced and not yet rejoined; their assignments are void.
-    fenced: HashSet<usize>,
     socks: HashMap<SockId, SockRec>,
     /// Live connections owned by evented sockets, polled for data.
     evented_conns: Vec<SockId>,
@@ -633,10 +519,6 @@ pub const STAGE_SEND_MAX: usize = 4096;
 /// the cycle flush, bounding both memory and added latency.
 pub const STAGE_BYTES_CAP: usize = 64 * 1024;
 
-/// Bounded wait for a previous home shard to apply a pending unlisten
-/// before a fresh `listen` on the same port is declared AddrInUse.
-const LISTEN_RETRIES: usize = 1024;
-
 /// Maps a net request to (class offset within a co-processor's flow
 /// pair, payload bytes): data movement is normal class (offset 1),
 /// connection management is high (offset 0).
@@ -660,22 +542,20 @@ impl TcpProxy {
         channels: Vec<NetChannelHost>,
         lb: Box<dyn LoadBalancer>,
     ) -> (Self, Arc<TcpProxyStats>) {
-        let control = TcpControl::new(1, channels.len());
+        let control = TcpControl::new(1, channels.len(), lb);
         let coprocs = (0..channels.len()).collect();
-        Self::shard(network, control, 0, coprocs, channels, lb)
+        Self::shard(network, control, 0, coprocs, channels)
     }
 
-    /// Creates shard `shard` of a sharded proxy: it serves `channels`
-    /// (one lane per entry, owned by the global co-processor ids in
-    /// `coprocs`, same order) and holds its own balancer replica `lb`
-    /// (see [`LoadBalancer::fork`]).
+    /// Creates shard `shard` of a sharded proxy over `control`: it
+    /// serves `channels` (one lane per entry, owned by the global
+    /// co-processor ids in `coprocs`, same order).
     pub fn shard(
         network: Arc<Network>,
         control: Arc<TcpControl>,
         shard: usize,
         coprocs: Vec<usize>,
         channels: Vec<NetChannelHost>,
-        lb: Box<dyn LoadBalancer>,
     ) -> (Self, Arc<TcpProxyStats>) {
         assert_eq!(coprocs.len(), channels.len());
         control.hook_nic(&network);
@@ -687,7 +567,6 @@ impl TcpProxy {
             staged_sends: AtomicU64::new(0),
             send_waves: AtomicU64::new(0),
         });
-        let cursor = control.log.register();
         let mut evt_tx = Vec::new();
         let mut lanes = Vec::new();
         for ch in channels {
@@ -707,11 +586,6 @@ impl TcpProxy {
                 faults: Arc::new(EngineFaults::new()),
                 evt_tx,
                 lanes,
-                lb,
-                registry: HashMap::new(),
-                cursor,
-                conn_counts: HashMap::new(),
-                fenced: HashSet::new(),
                 socks: HashMap::new(),
                 evented_conns: Vec::new(),
                 pending_accepts: HashMap::new(),
@@ -789,7 +663,7 @@ impl TcpProxy {
     ///
     /// Returns the proxy when the engine stops — at shutdown, or dead
     /// with its wreck dumped — for the shard supervisor's post-mortem:
-    /// scrub the socket table, retire the log cursor, read the replica.
+    /// scrub the socket table, audit the control table.
     /// The engine serves clones of the lane endpoints, so the proxy can
     /// be run again over the same rings (its QoS gate, if any, went to
     /// the first run).
@@ -806,96 +680,13 @@ impl TcpProxy {
         eng.serve(shutdown)
     }
 
-    /// Applies every outstanding log operation to this shard's replica
-    /// (registry + balancer + charge counts). Cheap when already at the
-    /// tail. An overrun (possible since `max_lag` went finite) rebuilds
-    /// the replica from the observer snapshot, under live traffic.
-    fn apply_log(&mut self) {
-        if self.faults.take_sync_stall() {
-            // Injected replica lag (OplogReplicaLag): skip this sync
-            // pass. Enough consecutive skips and the lag-bounded
-            // compactor advances past this cursor, forcing the snapshot
-            // rebuild below on the next real sync.
-            return;
-        }
-        let outcome = self.control.log.sync(&mut self.cursor, |_, op| {
-            apply_ctrl_op(
-                op,
-                &mut self.registry,
-                &mut self.conn_counts,
-                &mut self.fenced,
-                Some(&*self.lb),
-                Some((self.shard, &self.network)),
-            );
-        });
-        if outcome == SyncOutcome::Overrun {
-            self.rebuild_from_observer();
-            self.control
-                .overruns_recovered
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Rebuilds this shard's replica (registry, charge counts, fenced
-    /// set, balancer load view) from the shared observer snapshot, then
-    /// points the cursor at the snapshot position so syncs resume
-    /// in-order from there — the ScaleFS/Corfu checkpoint move. Runs
-    /// under live traffic: the log keeps appending while the clone is
-    /// taken. A replica that overran the log rebuilds this way, and so
-    /// is a replacement shard seeded.
-    pub fn rebuild_from_observer(&mut self) {
-        let (registry, conn_counts, fenced, at) = {
-            let mut obs = self.control.observer.lock();
-            self.control.sync_observer_locked(&mut obs);
-            (
-                obs.registry.clone(),
-                obs.conn_counts.clone(),
-                obs.fenced.clone(),
-                obs.cursor.position(),
-            )
-        };
-        // NIC-side releases this shard owed during the missed window
-        // (best effort): any port it was home to that no longer exists
-        // in the authoritative view is unlistened now.
-        for (port, rec) in &self.registry {
-            if rec.home == self.shard && !registry.contains_key(port) {
-                self.network.unlisten(*port);
-            }
-        }
-        self.registry = registry;
-        self.conn_counts = conn_counts;
-        self.fenced = fenced;
-        // The balancer replica restarts zeroed; replaying the surviving
-        // charge counts converges its load view (tie-break cursors are
-        // shard-local by design and may reset).
-        let lb = self.lb.fork();
-        for (&(_, slot), &n) in &self.conn_counts {
-            for _ in 0..n {
-                lb.conn_assigned(slot);
-            }
-        }
-        self.lb = lb;
-        self.control.log.install_snapshot(&mut self.cursor, at);
-    }
-
-    /// Deterministic digest of this shard's replicated control view
-    /// (registry, charge counts, fenced set), synced to the log tail
-    /// first. Replicas that applied the same log prefix produce the same
-    /// digest; the failover property test gates on survivors converging
-    /// to one value.
-    pub fn replica_fingerprint(&mut self) -> u64 {
-        self.apply_log();
-        fingerprint(&self.registry, &self.conn_counts, &self.fenced)
-    }
-
     /// Supervisor-side post-mortem of a fenced shard, on the proxy its
     /// engine handed back: closes every connection it owned (peers
-    /// observe the close on the fabric), clears its event/accept queues,
-    /// retires its log cursor so the dead replica neither pins
-    /// compaction nor counts as lag, and — when no heir exists —
-    /// releases its NIC listeners directly. Returns the shard's sock-id
-    /// allocation point; the replacement must resume the stride from
-    /// there so ids are never reused.
+    /// observe the close on the fabric) and clears its event/accept
+    /// queues. Its listeners and charges leave the control table with
+    /// the fence. Returns the shard's sock-id allocation point; the
+    /// replacement must resume the stride from there so ids are never
+    /// reused.
     pub fn scrub_after_fence(&mut self) -> SockId {
         for rec in self.socks.values_mut() {
             if let SockState::Conn { id, end } = rec.state {
@@ -905,14 +696,6 @@ impl TcpProxy {
         }
         self.evented_conns.clear();
         self.pending_accepts.clear();
-        if self.control.nshards == 1 {
-            // Solo-shard machine: `ShardFenced` has no live replica to
-            // perform the emptied-port unlisten side effect.
-            for port in self.registry.keys() {
-                self.network.unlisten(*port);
-            }
-        }
-        self.control.log.retire(&self.cursor);
         self.next_sock
     }
 
@@ -954,66 +737,28 @@ impl TcpProxy {
                 },
             },
             NetRequest::Listen { sock, backlog } => {
-                let port = match self.socks.get(&sock) {
-                    Some(SockRec {
-                        state: SockState::Bound(p),
-                        ..
-                    }) => *p,
-                    Some(_) => {
-                        return NetResponse::Error {
-                            err: RpcErr::Invalid,
-                        }
-                    }
-                    None => {
-                        return NetResponse::Error {
-                            err: RpcErr::NotFound,
-                        }
-                    }
-                };
-                self.apply_log();
-                if !self.registry.contains_key(&port) {
-                    // First listener (as far as this replica can see):
-                    // register the NIC-side listener before publishing
-                    // the add, so the port is live when the RPC returns.
-                    // A previous home may still owe the fabric an
-                    // unlisten (it runs during that shard's own sync),
-                    // and a racing shard may have just become home —
-                    // re-sync and retry before giving up.
-                    let mut ok = false;
-                    for _ in 0..LISTEN_RETRIES {
-                        if self
-                            .network
-                            .listen(port, (backlog as usize).max(64))
-                            .is_ok()
-                        {
-                            ok = true;
-                            break;
-                        }
-                        self.apply_log();
-                        if self.registry.contains_key(&port) {
-                            // Someone else became home; join their port.
-                            ok = true;
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                    if !ok {
-                        return NetResponse::Error {
-                            err: RpcErr::AddrInUse,
-                        };
-                    }
-                }
-                self.control.append(TcpCtrlOp::ListenerAdd {
-                    port,
-                    sock,
-                    shard: self.shard,
-                });
-                self.apply_log();
                 let Some(rec) = self.socks.get_mut(&sock) else {
                     return NetResponse::Error {
                         err: RpcErr::NotFound,
                     };
                 };
+                let SockState::Bound(port) = rec.state else {
+                    return NetResponse::Error {
+                        err: RpcErr::Invalid,
+                    };
+                };
+                let listened = self.control.table.lock().listen(
+                    port,
+                    sock,
+                    self.shard,
+                    &self.network,
+                    (backlog as usize).max(64),
+                );
+                if listened.is_err() {
+                    return NetResponse::Error {
+                        err: RpcErr::AddrInUse,
+                    };
+                }
                 rec.state = SockState::Listening(port);
                 NetResponse::Ok
             }
@@ -1154,18 +899,16 @@ impl TcpProxy {
                 let _ = self.network.close(id, end);
                 rec.state = SockState::Closed;
                 if let Some(slot) = rec.lb_slot.take() {
-                    self.control.append(TcpCtrlOp::ConnClosed {
-                        slot,
-                        shard: self.shard,
-                    });
-                    self.apply_log();
+                    self.control.release(self.shard, slot);
                 }
                 self.evented_conns.retain(|s| *s != sock);
             }
             SockState::Listening(port) => {
                 rec.state = SockState::Closed;
-                self.control.append(TcpCtrlOp::ListenerDel { port, sock });
-                self.apply_log();
+                self.control
+                    .table
+                    .lock()
+                    .unlisten(port, sock, &self.network);
                 // Refuse the un-accepted backlog: each queued connection
                 // already holds an open fabric conn and a balancer slot,
                 // and no accept will ever reach it through the closed
@@ -1180,11 +923,7 @@ impl TcpProxy {
                         crec.state = SockState::Closed;
                     }
                     if let Some(slot) = crec.lb_slot.take() {
-                        self.control.append(TcpCtrlOp::ConnClosed {
-                            slot,
-                            shard: self.shard,
-                        });
-                        self.apply_log();
+                        self.control.release(self.shard, slot);
                     }
                 }
             }
@@ -1194,15 +933,18 @@ impl TcpProxy {
     }
 
     /// Accepts incoming connections on ports this shard is home to and
-    /// routes them via the balancer replica. Returns true when any work
-    /// happened.
+    /// routes them through the control table. Returns true when any
+    /// work happened.
     fn poll_accepts(&mut self) -> bool {
-        // Routing mutates the registry, so the scan runs over a copy — in
-        // a vector kept from round to round.
+        // The home ports, read under the lock once per round into a
+        // vector kept from round to round.
         let mut ports = std::mem::take(&mut self.scan_ports);
         ports.clear();
         ports.extend(
-            self.registry
+            self.control
+                .table
+                .lock()
+                .registry
                 .iter()
                 .filter(|(_, rec)| rec.home == self.shard)
                 .map(|(p, _)| *p),
@@ -1211,25 +953,14 @@ impl TcpProxy {
         for &port in &ports {
             while let Ok(Some((conn, client_addr))) = self.network.poll_accept(port) {
                 worked = true;
-                // A port can lose its last proxy-side listener between the
-                // NIC accept and routing; refuse the orphan connection
-                // instead of panicking on an empty listener set.
-                let (listener, owner, slot) = {
-                    let listeners = match self.registry.get(&port) {
-                        Some(p) if !p.listeners.is_empty() => &p.listeners,
-                        _ => {
-                            let _ = self.network.close(conn, EndKind::Server);
-                            continue;
-                        }
-                    };
-                    let meta = ConnMeta { client_addr, port };
-                    let idx = self.lb.pick(listeners.len(), &meta) % listeners.len();
-                    let (sock, owner) = listeners[idx];
-                    (sock, owner, idx)
+                let mut table = self.control.table.lock();
+                let Some((listener, owner, slot)) = table.route(port, client_addr) else {
+                    // The port lost its last proxy-side listener between
+                    // the NIC accept and routing: refuse the orphan.
+                    drop(table);
+                    let _ = self.network.close(conn, EndKind::Server);
+                    continue;
                 };
-                self.control
-                    .append(TcpCtrlOp::ConnAssigned { slot, shard: owner });
-                self.apply_log();
                 let h = Handoff {
                     conn,
                     client_addr,
@@ -1237,8 +968,11 @@ impl TcpProxy {
                     slot,
                 };
                 if owner == self.shard {
+                    drop(table);
                     self.deliver(h);
                 } else {
+                    // Parked before the lock is released, so a fence of
+                    // `owner` finds it (see [`TcpControl::fence`]).
                     self.control.hand_off(owner, h);
                 }
             }
@@ -1260,11 +994,7 @@ impl TcpProxy {
             Some(rec) if matches!(rec.state, SockState::Listening(_)) => (rec.coproc, rec.evented),
             _ => {
                 let _ = self.network.close(h.conn, EndKind::Server);
-                self.control.append(TcpCtrlOp::ConnClosed {
-                    slot: h.slot,
-                    shard: self.shard,
-                });
-                self.apply_log();
+                self.control.release(self.shard, h.slot);
                 return;
             }
         };
@@ -1355,11 +1085,7 @@ impl TcpProxy {
                         }
                     }
                     if let Some(slot) = closed_slot {
-                        self.control.append(TcpCtrlOp::ConnClosed {
-                            slot,
-                            shard: self.shard,
-                        });
-                        self.apply_log();
+                        self.control.release(self.shard, slot);
                     }
                     self.evented_conns.retain(|s| *s != sock);
                 }
@@ -1548,16 +1274,63 @@ impl OpHandler for TcpProxy {
     }
 
     fn poll(&mut self) -> bool {
-        self.apply_log();
         let drained = self.drain_inbox();
         let accepted = self.poll_accepts();
         let data = self.poll_data();
-        // Keep the shared observer fresh so an overrun rebuild (or a
-        // replacement shard seeding itself) snapshots near the tail.
-        // try_lock: never stall the data path on a contended observer.
-        if let Some(mut obs) = self.control.observer.try_lock() {
-            self.control.sync_observer_locked(&mut obs);
-        }
         drained || accepted || data
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::{event_ring, Channel};
+    use solros_pcie::PcieCounters;
+
+    #[test]
+    fn audit_reports_a_charge_whose_close_was_skipped() {
+        let network = Network::new();
+        let counters = Arc::new(PcieCounters::new());
+        let ch = Channel::new(Arc::clone(&counters));
+        let (evt_tx, _evt_rx) = event_ring(counters);
+        let host = NetChannelHost {
+            req_rx: ch.req_rx,
+            resp_tx: ch.resp_tx,
+            evt_tx,
+        };
+        let (mut proxy, _) = TcpProxy::new(
+            Arc::clone(&network),
+            vec![host],
+            Box::new(RoundRobin::default()),
+        );
+        let NetResponse::Socket { sock } = proxy.handle(0, NetRequest::Socket) else {
+            panic!("socket");
+        };
+        assert!(matches!(
+            proxy.handle(0, NetRequest::Bind { sock, port: 80 }),
+            NetResponse::Ok
+        ));
+        assert!(matches!(
+            proxy.handle(0, NetRequest::Listen { sock, backlog: 4 }),
+            NetResponse::Ok
+        ));
+        network.client_connect(80, 7).expect("connect");
+        assert!(proxy.poll(), "the connection is routed");
+        let control = Arc::clone(&proxy.control);
+        assert_eq!(control.audit(&[&proxy]), Vec::<String>::new());
+
+        // Close the accepted connection as `close_sock` does, minus the
+        // release of its charge.
+        let conn = proxy
+            .socks
+            .values_mut()
+            .find(|r| r.lb_slot.is_some())
+            .expect("an accepted connection");
+        conn.lb_slot = None;
+        conn.state = SockState::Closed;
+        assert_eq!(
+            control.audit(&[&proxy]),
+            vec!["shard 0 slot 0: 1 charged, 0 open connections".to_string()]
+        );
     }
 }

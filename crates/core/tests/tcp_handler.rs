@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use solros::proxy_engine::OpHandler;
-use solros::tcp_proxy::{NetChannelHost, TcpProxy, TcpProxyStats, SOCKOPT_EVENTED};
+use solros::tcp_proxy::{NetChannelHost, TcpControl, TcpProxy, TcpProxyStats, SOCKOPT_EVENTED};
 use solros::transport::{event_ring, Channel, RpcClient, EVENT_RING_BYTES};
 use solros::{CoprocNet, RoundRobin, Solros};
 use solros_machine::MachineConfig;
@@ -228,6 +228,67 @@ fn shared_port_closes_cleanly() {
         NetResponse::Ok
     ));
     assert!(net.client_connect(90, 2).is_err(), "port released");
+}
+
+/// Shard `d` of a two-shard control plane over `network`, serving one
+/// co-processor. Only `handle` is driven, so the rings go unread.
+fn shard_of(
+    network: &Arc<solros_netdev::Network>,
+    control: &Arc<TcpControl>,
+    d: usize,
+) -> TcpProxy {
+    let counters = Arc::new(PcieCounters::new());
+    let ch = Channel::new(Arc::clone(&counters));
+    let (evt_tx, _evt_rx) = event_ring(counters);
+    let host = NetChannelHost {
+        req_rx: ch.req_rx,
+        resp_tx: ch.resp_tx,
+        evt_tx,
+    };
+    TcpProxy::shard(
+        Arc::clone(network),
+        Arc::clone(control),
+        d,
+        vec![d],
+        vec![host],
+    )
+    .0
+}
+
+#[test]
+fn relisten_right_after_another_shards_last_close() {
+    // The port's home is shard 0, but shard 1 closes its last listener.
+    // That close must release the port on the NIC itself: shard 0 never
+    // runs here, and shard 1's next listen must get the port at once.
+    const PORT: u16 = 4_100;
+    let network = solros_netdev::Network::new();
+    let control = TcpControl::new(2, 2, Box::new(RoundRobin::default()));
+    let mut shards: Vec<TcpProxy> = (0..2).map(|d| shard_of(&network, &control, d)).collect();
+    let listen = |p: &mut TcpProxy| -> (SockId, NetResponse) {
+        let sock = new_sock(p);
+        assert!(matches!(
+            p.handle(0, NetRequest::Bind { sock, port: PORT }),
+            NetResponse::Ok
+        ));
+        (sock, p.handle(0, NetRequest::Listen { sock, backlog: 4 }))
+    };
+    let (home, first) = listen(&mut shards[0]);
+    assert!(matches!(first, NetResponse::Ok), "{first:?}");
+    let (joined, second) = listen(&mut shards[1]);
+    assert!(matches!(second, NetResponse::Ok), "{second:?}");
+    assert!(matches!(
+        shards[0].handle(0, NetRequest::Close { sock: home }),
+        NetResponse::Ok
+    ));
+    assert!(matches!(
+        shards[1].handle(0, NetRequest::Close { sock: joined }),
+        NetResponse::Ok
+    ));
+    let (_, again) = listen(&mut shards[1]);
+    assert!(
+        matches!(again, NetResponse::Ok),
+        "re-listen after the last close: {again:?}"
+    );
 }
 
 #[test]

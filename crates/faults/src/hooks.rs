@@ -17,7 +17,6 @@ pub struct EngineFaults {
     dropped_replies: AtomicU64,
     domain_crashes: AtomicU64,
     domain_wedges: AtomicU64,
-    sync_stalls: AtomicU64,
 }
 
 impl EngineFaults {
@@ -78,20 +77,6 @@ impl EngineFaults {
         take_one(&self.domain_wedges)
     }
 
-    /// Arms the next `n` control-log sync opportunities to stall — the
-    /// shard skips advancing its replica cursor, eventually forcing a
-    /// compaction overrun ([`crate::FaultKind::OplogReplicaLag`]) that
-    /// the shard must recover from via a snapshot rebuild.
-    pub fn arm_sync_stalls(&self, n: u64) {
-        self.sync_stalls.fetch_add(n, Ordering::SeqCst);
-    }
-
-    /// Consumes one armed sync stall; true when this sync should be
-    /// skipped.
-    pub fn take_sync_stall(&self) -> bool {
-        take_one(&self.sync_stalls)
-    }
-
     /// Remaining armed worker panics (visible for test assertions).
     pub fn armed_worker_panics(&self) -> u64 {
         self.worker_panics.load(Ordering::SeqCst)
@@ -110,11 +95,6 @@ impl EngineFaults {
     /// Remaining armed domain wedges.
     pub fn armed_domain_wedges(&self) -> u64 {
         self.domain_wedges.load(Ordering::SeqCst)
-    }
-
-    /// Remaining armed sync stalls.
-    pub fn armed_sync_stalls(&self) -> u64 {
-        self.sync_stalls.load(Ordering::SeqCst)
     }
 }
 
@@ -203,17 +183,12 @@ mod tests {
         let f = EngineFaults::new();
         assert!(!f.take_domain_crash(), "disarmed");
         assert!(!f.take_domain_wedge(), "disarmed");
-        assert!(!f.take_sync_stall(), "disarmed");
         f.arm_domain_crashes(1);
         f.arm_domain_wedges(2);
-        f.arm_sync_stalls(3);
         assert!(f.take_domain_crash());
         assert!(!f.take_domain_crash(), "charge spent");
         assert!(f.take_domain_wedge());
         assert_eq!(f.armed_domain_wedges(), 1);
-        assert!(f.take_sync_stall());
-        assert!(f.take_sync_stall());
-        assert_eq!(f.armed_sync_stalls(), 1);
         assert_eq!(f.armed_domain_crashes(), 0);
     }
 

@@ -80,23 +80,18 @@ pub enum FaultKind {
     /// An entire engine shard (one NUMA domain's proxy) dies mid-cycle
     /// ([`EngineFaults::arm_domain_crashes`]); the shard supervisor must
     /// fence it, settle its in-flight tags as `Gone`, re-steer its
-    /// listeners, and rebuild a replacement from a log snapshot.
+    /// listeners, and start a replacement over the same rings.
     DomainCrash,
     /// An engine shard stops making progress without exiting — its
     /// heartbeat epoch freezes ([`EngineFaults::arm_domain_wedges`]);
     /// detection is by heartbeat stall, recovery identical to a crash.
     DomainWedge,
-    /// A shard stops syncing its control-log replica cursor
-    /// ([`EngineFaults::arm_sync_stalls`]) until the lag-bounded
-    /// compactor overruns it; the shard must rebuild via
-    /// `install_snapshot` under live traffic.
-    OplogReplicaLag,
 }
 
 impl FaultKind {
     /// Every kind, in a stable order (used to spread a schedule across
     /// the whole taxonomy).
-    pub const ALL: [FaultKind; 14] = [
+    pub const ALL: [FaultKind; 13] = [
         FaultKind::RingCorrupt,
         FaultKind::RingWedge,
         FaultKind::PcieStall,
@@ -110,7 +105,6 @@ impl FaultKind {
         FaultKind::LeaseStaleGeneration,
         FaultKind::DomainCrash,
         FaultKind::DomainWedge,
-        FaultKind::OplogReplicaLag,
     ];
 
     /// True when recovery requires a transport link reset (drain → scrub
@@ -139,7 +133,6 @@ impl fmt::Display for FaultKind {
             FaultKind::LeaseStaleGeneration => "lease-stale-generation",
             FaultKind::DomainCrash => "domain-crash",
             FaultKind::DomainWedge => "domain-wedge",
-            FaultKind::OplogReplicaLag => "oplog-replica-lag",
         };
         write!(f, "{s}")
     }
@@ -243,9 +236,6 @@ pub struct RecoveryReport {
     pub detect_ns: u64,
     /// Wall-clock nanoseconds from detection to a usable link, summed.
     pub recover_ns: u64,
-    /// Control-log replica overruns recovered via `install_snapshot`
-    /// rebuilds (the [`FaultKind::OplogReplicaLag`] recovery path).
-    pub oplog_overruns_recovered: u64,
     /// Reply waves that had their unsent tail resubmitted because a
     /// response ring filled mid-wave (backpressure, not loss).
     pub reply_wave_resubmits: u64,

@@ -1,14 +1,13 @@
-//! Property-based tests for the sharded control plane's replication
-//! contract: every replica of an operation log applies every entry
-//! exactly once and in order, regardless of how appends from concurrent
-//! mutators interleave with syncs — so balancer connection counts never
-//! go negative.
+//! Property-based tests for the operation log's replication contract:
+//! every replica applies every entry exactly once and in order,
+//! regardless of how appends from concurrent mutators interleave with
+//! syncs, and a straggler that overruns the log recovers exactly once
+//! through a snapshot.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread;
 
-use solros::balancer::{ConnMeta, LeastLoaded, LoadBalancer};
 use solros_oplog::{LogConfig, OpLog, SyncOutcome};
 use solros_simkit::check::{self, vec};
 
@@ -140,89 +139,6 @@ fn run_overrun_recovery(burst: u32, max_lag: u64) {
     assert_eq!(rounds == 0, log.stats().overruns == 0);
 }
 
-/// Balancer ops as they ride the TCP control log.
-#[derive(Debug, Clone, Copy)]
-enum LbOp {
-    Assign(usize),
-    Close(usize),
-}
-
-/// Replays a valid assign/close workload (every close matches a prior
-/// assign, as the TCP proxy guarantees: `ConnClosed` is only appended
-/// for a sock that was accepted) through two forked LeastLoaded
-/// replicas via a shared log. Counts must never go negative on either
-/// replica, the negative-excursion tripwire must stay zero, and both
-/// replicas converge to assigned-minus-closed.
-fn run_balancer_replay(interleave: Vec<(u8, bool)>, slots: usize) {
-    // Turn the generated schedule into a valid op stream: `bool` picks
-    // assign vs close; closes with nothing open become assigns.
-    let mut open: Vec<usize> = Vec::new();
-    let mut ops: Vec<LbOp> = Vec::new();
-    let mut expected = vec![0i64; slots];
-    for (slot_seed, close) in interleave {
-        let slot = slot_seed as usize % slots;
-        if close && !open.is_empty() {
-            let victim = open.swap_remove(slot_seed as usize % open.len());
-            ops.push(LbOp::Close(victim));
-            expected[victim] -= 1;
-        } else {
-            open.push(slot);
-            ops.push(LbOp::Assign(slot));
-            expected[slot] += 1;
-        }
-    }
-
-    let log: Arc<OpLog<LbOp>> = OpLog::new(LogConfig {
-        high_water: 16,
-        max_lag: u64::MAX,
-    });
-    // `LoadBalancer::fork` hands each shard a clean replica; concrete
-    // `LeastLoaded` values model the same thing while keeping the
-    // inspection methods (`in_flight`, `negative_excursions`) reachable.
-    let shards: Vec<LeastLoaded> = vec![LeastLoaded::default(), LeastLoaded::default()];
-    let mut cursors: Vec<_> = (0..shards.len()).map(|_| log.register()).collect();
-
-    for chunk in ops.chunks(3) {
-        for &op in chunk {
-            log.append(op);
-        }
-        // Shards sync at different cadences; each must stay non-negative
-        // at every intermediate step because closes follow assigns in
-        // log order.
-        for (shard, cursor) in shards.iter().zip(cursors.iter_mut()) {
-            log.sync(cursor, |_, op| match *op {
-                LbOp::Assign(s) => shard.conn_assigned(s),
-                LbOp::Close(s) => shard.conn_closed(s),
-            });
-        }
-    }
-    for (shard, cursor) in shards.iter().zip(cursors.iter_mut()) {
-        log.sync(cursor, |_, op| match *op {
-            LbOp::Assign(s) => shard.conn_assigned(s),
-            LbOp::Close(s) => shard.conn_closed(s),
-        });
-    }
-
-    for ll in &shards {
-        assert_eq!(ll.negative_excursions(), 0, "count went negative");
-        for (slot, &want) in expected.iter().enumerate() {
-            assert!(want >= 0);
-            assert_eq!(ll.in_flight(slot), want, "slot {slot} diverged");
-        }
-        // With identical replicated state, every replica makes the same
-        // load-based decision: it must prefer a minimum-load slot.
-        let pick = ll.pick(
-            slots,
-            &ConnMeta {
-                client_addr: 1,
-                port: 80,
-            },
-        );
-        let min = (0..slots).map(|s| ll.in_flight(s)).min().unwrap();
-        assert_eq!(ll.in_flight(pick), min, "picked a non-minimum slot");
-    }
-}
-
 const CASES: u64 = 24;
 
 #[test]
@@ -238,14 +154,5 @@ fn stragglers_recover_from_overrun_exactly_once() {
         let burst = rng.range(1..200) as u32;
         let max_lag = rng.range(1..32);
         run_overrun_recovery(burst, max_lag);
-    });
-}
-
-#[test]
-fn balancer_counts_never_negative_across_replicas() {
-    check::cases(CASES, |rng| {
-        let interleave = vec(rng, 0..100, |r| (r.next_u64() as u8, r.chance(0.5)));
-        let slots = rng.range(1..6) as usize;
-        run_balancer_replay(interleave, slots);
     });
 }
