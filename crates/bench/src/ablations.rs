@@ -288,7 +288,7 @@ pub fn event_drain_saturation() -> String {
     let events = sys.tcp_proxy_stats(0).events.load(AtomicOrdering::Relaxed);
     sys.shutdown();
     format!(
-        "One drainer at a time (the waiting reader, or the idle backstop) routed {events} \
+        "One drainer at a time (whichever reader is waiting) routed {events} \
          events / {total} bytes to {socks} sockets in {:.1} ms with no loss or reordering \
          ({:.0}k events/s wall-clock; the paper reports no dispatcher bottleneck even at 244 \
          hardware threads).\n",

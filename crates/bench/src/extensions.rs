@@ -1667,7 +1667,19 @@ pub fn sweep_reply_wave(depths: &[usize], ops: usize) -> Vec<ReplyDepthPoint> {
                 assert_eq!(r.into_read().len(), READ);
             }
 
+            // The engine counts a reply after the publish that wakes its
+            // client, so a wave's counts can land after the wave returns:
+            // read the counters only once every executed request's reply
+            // is counted, or the warm-up leaks into the window.
             let s = sys.fs_proxy_stats(0);
+            let settled = || {
+                let caught_up = || s.replies.load(Relaxed) >= s.rpcs.load(Relaxed);
+                assert!(
+                    wait_until(Duration::from_secs(10), caught_up),
+                    "the engine's reply counts never caught up with its requests"
+                );
+            };
+            settled();
             let r0 = s.replies.load(Relaxed);
             let w0 = s.reply_waves.load(Relaxed);
             let p0 = s.reply_publishes.load(Relaxed);
@@ -1683,6 +1695,7 @@ pub fn sweep_reply_wave(depths: &[usize], ops: usize) -> Vec<ReplyDepthPoint> {
                 }
                 done += wave;
             }
+            settled();
             let point = ReplyDepthPoint {
                 depth,
                 replies: s.replies.load(Relaxed) - r0,

@@ -4,8 +4,9 @@
 //! file system, wires RPC channels per co-processor, and spawns the host
 //! proxy threads (one FS proxy per co-processor and one TCP proxy). Each
 //! [`DataPlane`] is the lean data-plane OS of one co-processor: an FS
-//! stub, a TCP stub, and the TCP stub's idle event backstop — nothing
-//! else, which is the point of the architecture (§4).
+//! stub and a TCP stub, which run on the application's threads and own
+//! none of their own — nothing else, which is the point of the
+//! architecture (§4).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -58,8 +59,6 @@ pub struct Solros {
     /// One TCP proxy shard per NUMA domain hosting co-processors.
     tcp_stats: Vec<Arc<TcpProxyStats>>,
     fs_qos_stats: Vec<Arc<QosStats>>,
-    /// Per-domain TCP QoS ledgers (empty when QoS is pass-through).
-    tcp_qos_stats: Vec<Arc<QosStats>>,
     lease_mgr: Arc<LeaseManager>,
     /// Health-checks the engine shards and fails dead ones over.
     supervisor: Arc<ShardSupervisor>,
@@ -230,13 +229,9 @@ impl Solros {
             net_client.set_error_encoder(|tag, err| {
                 solros_proto::net_msg::NetResponse::Error { err }.encode(tag)
             });
-            let (coproc_net, dispatcher) =
-                CoprocNet::start(net_client, evt_rx, Arc::clone(&shutdown));
-            threads.push(dispatcher);
-
             data_planes.push(DataPlane {
                 fs: coproc_fs,
-                net: coproc_net,
+                net: CoprocNet::new(net_client, evt_rx),
             });
         }
 
@@ -263,7 +258,6 @@ impl Solros {
         let mut net_host_channels: Vec<Option<NetChannelHost>> =
             net_host_channels.into_iter().map(Some).collect();
         let mut tcp_stats = Vec::new();
-        let mut tcp_qos_stats = Vec::new();
         // The supervisor keeps the pieces needed to resurrect any shard:
         // the control spine, the lease/tenant planes to reconcile, the
         // QoS config to rebuild from, and a clone of each shard's ring
@@ -290,9 +284,9 @@ impl Solros {
             );
             tcp_stats.push(Arc::clone(&stats));
             if qos.enabled {
-                tcp_qos_stats.push(shard.enable_qos(&qos, &host_qos));
+                shard.enable_qos(&qos, &host_qos);
             }
-            supervisor.adopt(shard, stats, channels);
+            supervisor.adopt(shard, channels);
         }
         {
             let sup = Arc::clone(&supervisor);
@@ -311,7 +305,6 @@ impl Solros {
             fs_stats,
             tcp_stats,
             fs_qos_stats,
-            tcp_qos_stats,
             lease_mgr,
             supervisor,
             host_qos,
@@ -381,12 +374,6 @@ impl Solros {
     /// system was booted pass-through (QoS disabled).
     pub fn fs_qos_stats(&self, i: usize) -> Option<&Arc<QosStats>> {
         self.fs_qos_stats.get(i)
-    }
-
-    /// QoS ledger for NUMA domain `d`'s TCP gate, or `None` when
-    /// pass-through.
-    pub fn tcp_qos_stats(&self, d: usize) -> Option<&Arc<QosStats>> {
-        self.tcp_qos_stats.get(d)
     }
 
     /// The host-global tenant→service→flow QoS hierarchy: tenant
@@ -526,6 +513,7 @@ mod tests {
         assert_eq!(fs.read_to_vec(f, 0, payload.len()).unwrap(), payload);
 
         // Network echo still works through the gated TCP proxy.
+        let fs_ops = sys.host_qos().usage(0).ops;
         let net = sys.data_plane(0).net().clone();
         let listener = net.listen(7788, 16).unwrap();
         let fabric = Arc::clone(sys.network());
@@ -565,14 +553,9 @@ mod tests {
         assert!(snaps.iter().map(|s| s.dispatched).sum::<u64>() > 0);
         assert_eq!(ledger.total_shed(), 0);
         assert!(snaps.iter().all(|s| s.accounted()));
-        let net_ledger = sys.tcp_qos_stats(0).expect("qos enabled");
         assert!(
-            net_ledger
-                .snapshot()
-                .iter()
-                .map(|s| s.dispatched)
-                .sum::<u64>()
-                > 0
+            sys.host_qos().usage(0).ops > fs_ops,
+            "the TCP gate admitted and charged the socket RPCs"
         );
 
         // Every gated admission above ran as the default tenant (0);
@@ -588,7 +571,6 @@ mod tests {
     fn default_qos_config_is_pass_through() {
         let sys = Solros::boot_qos(MachineConfig::small(), QosConfig::default());
         assert!(sys.fs_qos_stats(0).is_none());
-        assert!(sys.tcp_qos_stats(0).is_none());
         let fs = sys.data_plane(0).fs();
         let f = fs.create("/plain").unwrap();
         assert_eq!(fs.write_at(f, 0, b"abc").unwrap(), 3);

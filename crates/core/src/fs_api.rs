@@ -8,11 +8,10 @@
 //! and the caller's slice is an ordinary local `memcpy`.
 //!
 //! Besides the synchronous API, the stub exposes the submission half of
-//! the RPC pipeline: [`CoprocFs::submit_read_at`] /
-//! [`CoprocFs::submit_write_at`] enqueue an operation and return a
-//! pending handle, and the [`Batch`] builder keeps N operations in flight
-//! at once — the queue depth the host proxy converts into coalesced NVMe
-//! doorbells (Fig 11 of the paper).
+//! the RPC pipeline: [`CoprocFs::submit_read_at`] enqueues a read and
+//! returns a pending handle, and the [`Batch`] builder keeps N operations
+//! in flight at once — the queue depth the host proxy converts into
+//! coalesced NVMe doorbells (Fig 11 of the paper).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -462,23 +461,6 @@ impl CoprocFs {
             want: len,
         })
     }
-
-    /// Enqueues a write of `data` at `offset` without waiting. The payload
-    /// is staged into a window buffer up front, so `data` need not outlive
-    /// the returned [`PendingWrite`].
-    pub fn submit_write_at(
-        &self,
-        f: FileHandle,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<PendingWrite, RpcErr> {
-        let (req, off, alloc_len) = self.stage_write(f, offset, data)?;
-        Ok(PendingWrite {
-            token: self.submit_staged(req, off, alloc_len)?,
-            off,
-            alloc_len,
-        })
-    }
 }
 
 /// An in-flight read submitted with [`CoprocFs::submit_read_at`].
@@ -539,7 +521,7 @@ impl PendingRead {
     }
 }
 
-/// An in-flight write submitted with [`CoprocFs::submit_write_at`].
+/// An in-flight write of a [`Batch`].
 ///
 /// Owns the window buffer holding the staged payload until completion;
 /// the same drop semantics as [`PendingRead`] apply.

@@ -5,26 +5,19 @@
 //! accept queues, `Data` events append to per-connection byte streams,
 //! `Closed` marks end-of-stream. §4.4.2 routes them through one
 //! dispatcher so that only one party touches the inbound ring; here that
-//! party is whoever holds the stub's lock — one drainer at a time: the
-//! waiting reader, or the idle backstop.
+//! party is whichever reader holds the stub's lock.
 //!
-//! * **The waiting reader.** A thread blocked in `recv` or `accept`
-//!   drains the ring itself, under the lock, before every look at its
-//!   own queue, and waits by [`crate::waitpolicy`]: spin, yield, then arm
-//!   the event ring's doorbell, drain once more, and park on the bell.
-//!   Several readers share the bell the way stub threads share a
-//!   response ring. No thread stands between the proxy engine that
-//!   pushes an event and the reader it is for.
-//! * **The idle backstop.** The `solros-net-dispatch` thread drains a
-//!   stub nobody is reading from: the proxy spins on a full event ring,
-//!   so an unread ring would stall its whole shard. With no reader
-//!   waiting it drains, arms the bell and parks on it
-//!   ([`WaitPolicy::parking`]). While any reader waits it leaves the bell
-//!   alone and sleeps [`PARK_BOUND`] at a time, so no reader's event ever
-//!   wakes it.
+//! A thread blocked in `recv` or `accept` drains the ring itself, under
+//! the lock, before every look at its own queue, and waits by
+//! [`crate::waitpolicy`]: spin, yield, then arm the event ring's
+//! doorbell, drain once more, and park on the bell. Several readers
+//! share the bell the way stub threads share a response ring. No thread
+//! stands between the proxy engine that pushes an event and the reader
+//! it is for, and none drains a ring nobody reads: the proxy never waits
+//! on a full event ring — it holds the co-processor's later events back
+//! and leaves its inbound bytes in the NIC until a reader drains.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -35,7 +28,7 @@ use solros_simkit::sync::Mutex;
 
 use crate::tcp_proxy::SOCKOPT_EVENTED;
 use crate::transport::{RpcClient, Token};
-use crate::waitpolicy::{Sleeper, SpinBudget, WaitPolicy, PARK_BOUND};
+use crate::waitpolicy::{Probe, Sleeper, SpinBudget, WaitPolicy};
 
 #[derive(Default)]
 struct NetInner {
@@ -114,34 +107,12 @@ struct NetShared {
     /// The inbound event ring. Only a holder of `inner` receives from it,
     /// which is what keeps per-socket byte order.
     evt_rx: Consumer,
-    /// The event ring's doorbell: waiting readers and the idle backstop
-    /// park on it.
+    /// The event ring's doorbell: waiting readers park on it.
     evt_bell: Arc<Doorbell>,
     /// What spinning on this stub's socket queues has earned.
     spin: SpinBudget,
-    /// Threads inside [`NetShared::wait_for`]; the backstop stands down
-    /// while there are any. A hint only: every drain holds `inner`, so no
-    /// data is published through this count.
-    waiters: AtomicUsize,
     /// The socket RPC client (refused connections are closed through it).
     client: Arc<RpcClient>,
-}
-
-/// Counts a thread inside [`NetShared::wait_for`] until it leaves, by
-/// any path.
-struct Waiting<'a>(&'a AtomicUsize);
-
-impl<'a> Waiting<'a> {
-    fn enter(count: &'a AtomicUsize) -> Self {
-        count.fetch_add(1, Ordering::Relaxed);
-        Self(count)
-    }
-}
-
-impl Drop for Waiting<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 impl NetShared {
@@ -151,7 +122,6 @@ impl NetShared {
             evt_bell: evt_rx.doorbell(),
             evt_rx,
             spin: SpinBudget::new(),
-            waiters: AtomicUsize::new(0),
             client,
         }
     }
@@ -161,59 +131,36 @@ impl NetShared {
             .call_with(|tag, frame| req.encode_into(tag, frame), decode_reply)
     }
 
-    /// Applies every event on the ring, in ring order, each decoded where
-    /// it lies. Holding `inner` is what makes the caller the only
-    /// drainer. Returns whether there was any.
-    fn drain(&self, g: &mut NetInner) -> bool {
-        let mut any = false;
-        while self.evt_rx.recv_with(|frame| g.apply(frame)).is_ok() {
-            any = true;
-        }
-        any
-    }
-
-    /// One look as the drainer: apply every pending event, then `take`.
-    /// Connections the drain refused are closed back after the lock is
-    /// dropped. Returns whether any event was applied, and `take`'s
-    /// result.
-    fn probe<T>(&self, take: impl FnOnce(&mut NetInner) -> T) -> (bool, T) {
+    /// One look as the drainer: apply every event on the ring, in ring
+    /// order, each decoded where it lies, then `take`. Holding `inner` is
+    /// what makes the caller the only drainer. Connections the drain
+    /// refused are closed back after the lock is dropped.
+    fn probe<T>(&self, take: impl FnOnce(&mut NetInner) -> T) -> T {
         let mut g = self.inner.lock();
-        let drained = self.drain(&mut g);
+        while self.evt_rx.recv_with(|frame| g.apply(frame)).is_ok() {}
         let got = take(&mut g);
         let refused = std::mem::take(&mut g.refused);
         drop(g);
         for conn in refused {
             self.close(conn);
         }
-        (drained, got)
+        got
     }
 
     /// Blocks until `take` yields something from the socket queues, or
-    /// until `deadline`. Every look drains the event ring first; between
-    /// looks the wait escalates spin → yield → arm the event bell (the
-    /// next look is the re-check) → park on it. A ring is not progress —
-    /// it may have been another socket's event — so a woken waiter that
-    /// still finds nothing goes straight back to sleep.
+    /// until `deadline`. Every look drains the event ring first. A ring
+    /// is not progress — it may have been another socket's event — so a
+    /// woken waiter that still finds nothing goes straight back to sleep.
     fn wait_for<T>(
         &self,
         deadline: Option<Instant>,
         mut take: impl FnMut(&mut NetInner) -> Option<T>,
     ) -> Option<T> {
-        let _waiting = Waiting::enter(&self.waiters);
-        let mut sleeper = Sleeper::new(WaitPolicy::new(&self.spin), &self.evt_bell);
-        loop {
-            if let (_, Some(v)) = self.probe(&mut take) {
-                return Some(v);
-            }
-            let bound = match deadline {
-                None => PARK_BOUND,
-                Some(d) => match d.checked_duration_since(Instant::now()) {
-                    Some(left) if !left.is_zero() => left,
-                    _ => return None,
-                },
-            };
-            sleeper.idle_for(bound);
-        }
+        let sleeper = Sleeper::new(WaitPolicy::new(&self.spin), &self.evt_bell);
+        sleeper.wait_until(deadline, || match self.probe(&mut take) {
+            Some(v) => Probe::Got(v),
+            None => Probe::Empty,
+        })
     }
 
     /// Closes `sock` through the proxy. Once the proxy has executed the
@@ -247,26 +194,6 @@ fn expect_ok(resp: NetResponse) -> Result<(), RpcErr> {
     }
 }
 
-/// Runs the idle backstop (see the module docs). One thread per
-/// co-processor.
-fn backstop_loop(shared: Arc<NetShared>, shutdown: Arc<AtomicBool>) {
-    let bell = Arc::clone(&shared.evt_bell);
-    let mut sleeper = Sleeper::new(WaitPolicy::parking(), &bell);
-    while !shutdown.load(Ordering::Relaxed) {
-        if shared.waiters.load(Ordering::Relaxed) > 0 {
-            // A reader is draining. The bell is its to park on: a thread
-            // that also answered it would be one more hop per event.
-            sleeper.progress();
-            std::thread::sleep(PARK_BOUND);
-        } else if shared.probe(|_| ()).0 {
-            sleeper.progress();
-        } else {
-            // Bounded parks keep the shutdown flag checked.
-            sleeper.idle();
-        }
-    }
-}
-
 /// The co-processor network API. Clone to share among threads.
 #[derive(Clone)]
 pub struct CoprocNet {
@@ -274,19 +201,12 @@ pub struct CoprocNet {
 }
 
 impl CoprocNet {
-    /// Builds the stub and spawns its backstop drainer thread.
-    pub fn start(
-        client: Arc<RpcClient>,
-        evt_rx: Consumer,
-        shutdown: Arc<AtomicBool>,
-    ) -> (Self, std::thread::JoinHandle<()>) {
-        let shared = Arc::new(NetShared::new(client, evt_rx));
-        let shared2 = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("solros-net-dispatch".into())
-            .spawn(move || backstop_loop(shared2, shutdown))
-            .expect("spawn the event backstop");
-        (Self { shared }, handle)
+    /// Builds the stub over its socket RPC client and the co-processor's
+    /// end of the event ring.
+    pub fn new(client: Arc<RpcClient>, evt_rx: Consumer) -> Self {
+        Self {
+            shared: Arc::new(NetShared::new(client, evt_rx)),
+        }
     }
 
     /// Issues a raw socket RPC — the §5 one-to-one syscall mapping,
@@ -302,8 +222,7 @@ impl CoprocNet {
     }
 
     /// Rings of this stub's event bell so far — how often an inbound
-    /// event found its drainer (a waiting reader or the idle backstop)
-    /// asleep.
+    /// event found a waiting reader asleep.
     pub fn event_doorbell_rings(&self) -> u64 {
         self.shared.evt_bell.rings()
     }
@@ -458,7 +377,7 @@ impl TcpListener {
     /// same for any `Accepted` event still in flight on the ring.
     pub fn close(self) -> Result<(), RpcErr> {
         let shared = &self.net.shared;
-        let (_, orphans) = shared.probe(|g| {
+        let orphans = shared.probe(|g| {
             g.dead_listeners.insert(self.sock);
             g.accept_q.remove(&self.sock)
         });
@@ -588,22 +507,17 @@ mod tests {
     use crate::waitpolicy::SPIN_LIMIT;
     use solros_pcie::PcieCounters;
     use solros_ringbuf::Producer;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread::JoinHandle;
 
-    /// A stub with no backstop thread and no proxy behind its client:
-    /// only a thread waiting in it can drain the ring `tx` feeds.
+    /// A stub with no proxy behind its client: only a thread waiting in
+    /// it can drain the ring `tx` feeds.
     fn bare_stub() -> (CoprocNet, Producer) {
         let counters = Arc::new(PcieCounters::new());
         let ch = Channel::new(Arc::clone(&counters));
         let (tx, rx) = event_ring(counters);
-        let shared = NetShared::new(RpcClient::new(ch.req_tx, ch.resp_rx), rx);
-        (
-            CoprocNet {
-                shared: Arc::new(shared),
-            },
-            tx,
-        )
+        let client = RpcClient::new(ch.req_tx, ch.resp_rx);
+        (CoprocNet::new(client, rx), tx)
     }
 
     fn data(tx: &Producer, sock: SockId, bytes: &[u8]) {

@@ -61,7 +61,7 @@ use solros_qos::{HostScheduler, QosConfig};
 use solros_simkit::sync::Mutex;
 
 use crate::proxy_engine::ShardHealth;
-use crate::tcp_proxy::{NetChannelHost, TcpControl, TcpProxy, TcpProxyStats};
+use crate::tcp_proxy::{NetChannelHost, TcpControl, TcpProxy};
 
 /// Supervisor sampling period.
 pub const TICK: Duration = Duration::from_millis(2);
@@ -81,7 +81,6 @@ struct ShardSlot {
     handle: Option<JoinHandle<TcpProxy>>,
     /// The proxy `join_all` took back at shutdown.
     joined: Option<TcpProxy>,
-    stats: Arc<TcpProxyStats>,
     /// Global co-processor ids this slot serves (lease anchors).
     coprocs: Vec<usize>,
     /// Ring endpoints to hand a replacement (shared handles).
@@ -133,12 +132,7 @@ impl ShardSupervisor {
 
     /// Starts a booted shard and supervises it (slot index == domain id
     /// == shard id).
-    pub(crate) fn adopt(
-        &self,
-        proxy: TcpProxy,
-        stats: Arc<TcpProxyStats>,
-        channels: Vec<NetChannelHost>,
-    ) {
+    pub(crate) fn adopt(&self, proxy: TcpProxy, channels: Vec<NetChannelHost>) {
         let mut slots = self.slots.lock();
         let coprocs = proxy.served_coprocs().to_vec();
         let faults = proxy.faults();
@@ -148,7 +142,6 @@ impl ShardSupervisor {
             health,
             handle: Some(handle),
             joined: None,
-            stats,
             coprocs,
             channels,
             last_beats: 0,
@@ -246,7 +239,7 @@ impl ShardSupervisor {
         }
 
         // 6. Replacement: same rings, same control table.
-        let (mut repl, stats) = TcpProxy::shard(
+        let (mut repl, _) = TcpProxy::shard(
             Arc::clone(&self.network),
             Arc::clone(&self.control),
             d,
@@ -254,7 +247,7 @@ impl ShardSupervisor {
             slot.channels.clone(),
         );
         if self.qos.enabled {
-            let _ = repl.enable_qos(&self.qos, &self.host_qos);
+            repl.enable_qos(&self.qos, &self.host_qos);
         }
         repl.set_next_sock(next_sock);
         slot.faults = repl.faults();
@@ -262,7 +255,6 @@ impl ShardSupervisor {
 
         slot.health = health;
         slot.handle = Some(handle);
-        slot.stats = stats;
         slot.last_beats = 0;
         slot.stalled_ticks = 0;
 
@@ -300,12 +292,6 @@ impl ShardSupervisor {
     /// [`solros_faults::FaultKind::DomainWedge`]).
     pub fn shard_faults(&self, d: usize) -> Arc<EngineFaults> {
         Arc::clone(&self.slots.lock()[d].faults)
-    }
-
-    /// Statistics handle of shard `d`'s current incarnation (the boot
-    /// handle goes stale after a failover).
-    pub fn shard_stats(&self, d: usize) -> Arc<TcpProxyStats> {
-        Arc::clone(&self.slots.lock()[d].stats)
     }
 
     /// Audits the TCP control table against the socket tables of the

@@ -34,8 +34,8 @@ use solros_netdev::{ConnId, EndKind, Network, NetworkError};
 use solros_proto::codec::stamp_credit;
 use solros_proto::net_msg::{NetEvent, NetRequest, NetResponse, SockId};
 use solros_proto::rpc_error::RpcErr;
-use solros_qos::{FlowSpec, HostGate, HostScheduler, QosClass, QosConfig, QosStats, Service};
-use solros_ringbuf::{Consumer, Doorbell, Producer};
+use solros_qos::{FlowSpec, HostGate, HostScheduler, QosClass, QosConfig, Service};
+use solros_ringbuf::{Consumer, Doorbell, Producer, RingError};
 use solros_simkit::sync::Mutex;
 
 use crate::proxy_engine::{
@@ -484,6 +484,9 @@ pub struct TcpProxy {
     faults: Arc<EngineFaults>,
     /// Inbound event producers, indexed by lane.
     evt_tx: Vec<Producer>,
+    /// Events each lane's ring refused, in order, with every later event
+    /// for that lane behind them (see [`TcpProxy::push_frame`]).
+    backlog: Vec<VecDeque<Vec<u8>>>,
     /// Request/response lanes, handed to the engine by [`TcpProxy::run`].
     lanes: Vec<EngineLane>,
     socks: HashMap<SockId, SockRec>,
@@ -518,6 +521,35 @@ pub const STAGE_SEND_MAX: usize = 4096;
 /// much, its backend write happens immediately rather than waiting for
 /// the cycle flush, bounding both memory and added latency.
 pub const STAGE_BYTES_CAP: usize = 64 * 1024;
+
+/// The lane serving global co-processor `coproc`.
+fn lane_of(coprocs: &[usize], coproc: usize) -> usize {
+    let last = coprocs.len().saturating_sub(1);
+    coprocs
+        .iter()
+        .position(|&c| c == coproc)
+        .unwrap_or(coproc.min(last))
+}
+
+/// Drops the frames `backlog` holds for `sock`, which is closing: its
+/// stub forgets the socket once the close is answered, so a late frame
+/// would leave state behind there. Returns the connections backlogged as
+/// accepted by `sock` — a closing listener — whose frames go too: no
+/// accept will reach them, and the caller refuses them.
+fn purge(backlog: &mut VecDeque<Vec<u8>>, sock: SockId) -> Vec<SockId> {
+    let mut refused = Vec::new();
+    backlog.retain(|frame| match NetEvent::decode_borrowed(frame) {
+        Ok(NetEvent::Accepted { listen, conn, .. }) if listen == sock => {
+            refused.push(conn);
+            false
+        }
+        Ok(NetEvent::Data { sock: s, .. } | NetEvent::Closed { sock: s }) => {
+            s != sock && !refused.contains(&s)
+        }
+        _ => true,
+    });
+    refused
+}
 
 /// Maps a net request to (class offset within a co-processor's flow
 /// pair, payload bytes): data movement is normal class (offset 1),
@@ -569,6 +601,7 @@ impl TcpProxy {
         });
         let mut evt_tx = Vec::new();
         let mut lanes = Vec::new();
+        let backlog = channels.iter().map(|_| VecDeque::new()).collect();
         for ch in channels {
             lanes.push(EngineLane {
                 req_rx: ch.req_rx,
@@ -585,6 +618,7 @@ impl TcpProxy {
                 stats: Arc::clone(&stats),
                 faults: Arc::new(EngineFaults::new()),
                 evt_tx,
+                backlog,
                 lanes,
                 socks: HashMap::new(),
                 evented_conns: Vec::new(),
@@ -605,10 +639,9 @@ impl TcpProxy {
 
     /// Installs a QoS gate with one (high, normal) flow pair per lane,
     /// built from `cfg` (flow names carry the global co-processor id) as
-    /// this domain's TCP shard of the host tenant hierarchy.
-    /// Returns the gate's stats ledger. Must be called before
-    /// [`TcpProxy::run`].
-    pub fn enable_qos(&mut self, cfg: &QosConfig, host: &Arc<HostScheduler>) -> Arc<QosStats> {
+    /// this domain's TCP shard of the host tenant hierarchy. Must be
+    /// called before [`TcpProxy::run`].
+    pub fn enable_qos(&mut self, cfg: &QosConfig, host: &Arc<HostScheduler>) {
         let mut specs = Vec::new();
         for &c in &self.coprocs {
             for class in [QosClass::High, QosClass::Normal] {
@@ -619,17 +652,14 @@ impl TcpProxy {
                 ));
             }
         }
-        let gate = HostGate::new(
+        self.qos = Some(HostGate::new(
             specs,
             cfg.quantum_bytes,
             cfg.overload_threshold,
             host,
             Service::Tcp,
             self.shard,
-        );
-        let stats = gate.stats();
-        self.qos = Some(gate);
-        stats
+        ));
     }
 
     /// Installs the supervisor's health cell: the engine beats it every
@@ -683,10 +713,12 @@ impl TcpProxy {
     /// Supervisor-side post-mortem of a fenced shard, on the proxy its
     /// engine handed back: closes every connection it owned (peers
     /// observe the close on the fabric) and clears its event/accept
-    /// queues. Its listeners and charges leave the control table with
-    /// the fence. Returns the shard's sock-id allocation point; the
-    /// replacement must resume the stride from there so ids are never
-    /// reused.
+    /// queues. The events its full rings held back are dropped with the
+    /// connections they belong to, never pushed — as a shard that waited
+    /// on a full ring would never have pushed them either. Its listeners
+    /// and charges leave the control table with the fence. Returns the
+    /// shard's sock-id allocation point; the replacement must resume the
+    /// stride from there so ids are never reused.
     pub fn scrub_after_fence(&mut self) -> SockId {
         for rec in self.socks.values_mut() {
             if let SockState::Conn { id, end } = rec.state {
@@ -696,6 +728,7 @@ impl TcpProxy {
         }
         self.evented_conns.clear();
         self.pending_accepts.clear();
+        self.backlog.iter_mut().for_each(VecDeque::clear);
         self.next_sock
     }
 
@@ -894,6 +927,8 @@ impl TcpProxy {
                 err: RpcErr::NotFound,
             };
         };
+        let lane = lane_of(&self.coprocs, rec.coproc);
+        let refused = purge(&mut self.backlog[lane], sock);
         match rec.state {
             SockState::Conn { id, end } => {
                 let _ = self.network.close(id, end);
@@ -928,6 +963,9 @@ impl TcpProxy {
                 }
             }
             _ => rec.state = SockState::Closed,
+        }
+        for conn in refused {
+            self.close_sock(conn);
         }
         NetResponse::Ok
     }
@@ -1059,6 +1097,10 @@ impl TcpProxy {
                 continue;
             };
             let coproc = rec.coproc;
+            if !self.backlog[lane_of(&self.coprocs, coproc)].is_empty() {
+                // Its reader is behind: the bytes wait in the NIC.
+                continue;
+            }
             // The event is encoded straight from the fabric's bytes.
             let frame = &mut self.evt_frame;
             let got = self.network.recv_with(id, end, RECV_CHUNK, |data| {
@@ -1072,7 +1114,7 @@ impl TcpProxy {
                 Ok(0) => {}
                 Ok(_) => {
                     worked = true;
-                    self.push_frame(&self.evt_frame, coproc);
+                    self.push_frame(coproc);
                 }
                 Err(NetworkError::Closed) => {
                     let mut closed_slot = None;
@@ -1101,24 +1143,53 @@ impl TcpProxy {
     fn push_event(&mut self, coproc: usize, ev: &NetEvent) {
         self.evt_frame.clear();
         ev.encode_into(&mut self.evt_frame);
-        self.push_frame(&self.evt_frame, coproc);
+        self.push_frame(coproc);
     }
 
-    /// Publishes one encoded event on `coproc`'s event ring.
-    fn push_frame(&self, frame: &[u8], coproc: usize) {
+    /// Publishes the encoded `evt_frame` on `coproc`'s event ring without
+    /// waiting for its reader: a frame the ring refuses, and every later
+    /// one for the same lane, waits in the lane's backlog until
+    /// [`TcpProxy::offer_backlogs`] gets it onto the ring, so per-lane
+    /// event order holds and one unread ring stalls nothing else.
+    fn push_frame(&mut self, coproc: usize) {
         self.stats.events.fetch_add(1, Ordering::Relaxed);
-        let lane = self
-            .coprocs
-            .iter()
-            .position(|&c| c == coproc)
-            .unwrap_or(coproc.min(self.evt_tx.len().saturating_sub(1)));
-        if self.evt_tx[lane].send_blocking(frame).is_err() {
-            // The only enqueue failure left after the blocking retry is
-            // an event larger than the ring accepts; the co-processor
-            // never sees it. Count the loss instead of hiding it — E8
-            // trips on any nonzero drop count.
-            self.stats.event_drops.fetch_add(1, Ordering::Relaxed);
+        let lane = lane_of(&self.coprocs, coproc);
+        let backlog = &mut self.backlog[lane];
+        let sent = if backlog.is_empty() {
+            self.evt_tx[lane].send(&self.evt_frame)
+        } else {
+            Err(RingError::WouldBlock)
+        };
+        match sent {
+            Ok(()) => {}
+            Err(RingError::WouldBlock) => backlog.push_back(self.evt_frame.clone()),
+            // Larger than the ring accepts: the co-processor never sees
+            // it. Count the loss instead of hiding it — E8 trips on any
+            // nonzero drop count.
+            Err(_) => {
+                self.stats.event_drops.fetch_add(1, Ordering::Relaxed);
+            }
         }
+    }
+
+    /// Re-offers each lane's backlog, oldest first, until its ring
+    /// refuses again. Returns whether any frame left a backlog.
+    fn offer_backlogs(&mut self) -> bool {
+        let mut moved = false;
+        for (tx, backlog) in self.evt_tx.iter().zip(&mut self.backlog) {
+            while let Some(frame) = backlog.front() {
+                match tx.send(frame) {
+                    Err(RingError::WouldBlock) => break,
+                    Err(_) => {
+                        self.stats.event_drops.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(()) => {}
+                }
+                backlog.pop_front();
+                moved = true;
+            }
+        }
+        moved
     }
 
     /// Executes one coalesced run's backend write, returning how it went.
@@ -1273,47 +1344,62 @@ impl OpHandler for TcpProxy {
         Some(Arc::clone(&self.control.bells[self.shard]))
     }
 
+    /// Backlogged events first, so nothing new overtakes them. A
+    /// backlog its ring still refuses is not work: the engine parks, and
+    /// its bounded park is the retry.
     fn poll(&mut self) -> bool {
+        let offered = self.offer_backlogs();
         let drained = self.drain_inbox();
         let accepted = self.poll_accepts();
         let data = self.poll_data();
-        drained || accepted || data
+        offered || drained || accepted || data
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{event_ring, Channel};
+    use crate::transport::{event_ring, Channel, EVENT_RING_BYTES};
     use solros_pcie::PcieCounters;
 
-    #[test]
-    fn audit_reports_a_charge_whose_close_was_skipped() {
+    /// A one-lane proxy and the co-processor's end of its event ring,
+    /// which nobody reads unless the test does.
+    fn one_lane() -> (TcpProxy, Arc<Network>, Consumer) {
         let network = Network::new();
         let counters = Arc::new(PcieCounters::new());
         let ch = Channel::new(Arc::clone(&counters));
-        let (evt_tx, _evt_rx) = event_ring(counters);
+        let (evt_tx, evt_rx) = event_ring(counters);
         let host = NetChannelHost {
             req_rx: ch.req_rx,
             resp_tx: ch.resp_tx,
             evt_tx,
         };
-        let (mut proxy, _) = TcpProxy::new(
+        let (proxy, _) = TcpProxy::new(
             Arc::clone(&network),
             vec![host],
             Box::new(RoundRobin::default()),
         );
+        (proxy, network, evt_rx)
+    }
+
+    /// Opens a listener on `port`; returns its socket.
+    fn listen(proxy: &mut TcpProxy, port: u16) -> SockId {
         let NetResponse::Socket { sock } = proxy.handle(0, NetRequest::Socket) else {
             panic!("socket");
         };
-        assert!(matches!(
-            proxy.handle(0, NetRequest::Bind { sock, port: 80 }),
+        assert_eq!(
+            proxy.handle(0, NetRequest::Bind { sock, port }),
             NetResponse::Ok
-        ));
-        assert!(matches!(
-            proxy.handle(0, NetRequest::Listen { sock, backlog: 4 }),
-            NetResponse::Ok
-        ));
+        );
+        let listen = NetRequest::Listen { sock, backlog: 4 };
+        assert_eq!(proxy.handle(0, listen), NetResponse::Ok);
+        sock
+    }
+
+    #[test]
+    fn audit_reports_a_charge_whose_close_was_skipped() {
+        let (mut proxy, network, _evt_rx) = one_lane();
+        listen(&mut proxy, 80);
         network.client_connect(80, 7).expect("connect");
         assert!(proxy.poll(), "the connection is routed");
         let control = Arc::clone(&proxy.control);
@@ -1332,5 +1418,47 @@ mod tests {
             control.audit(&[&proxy]),
             vec!["shard 0 slot 0: 1 charged, 0 open connections".to_string()]
         );
+    }
+
+    /// With its event ring full and unread, a lane holds back one frame
+    /// and leaves the rest of its inbound bytes in the NIC. A close
+    /// drops what the backlog holds for the closed socket: the frames of
+    /// a closed connection, and the `Accepted` event of a connection that
+    /// reached a closing listener — refused, so its peer sees the close.
+    #[test]
+    fn a_full_ring_holds_back_one_frame_and_a_close_drops_its_own() {
+        let (mut proxy, network, _evt_rx) = one_lane();
+        let listener = listen(&mut proxy, 80);
+        let flooder = network.client_connect(80, 1).expect("connect");
+        assert!(proxy.poll(), "the connection is routed");
+        let flooded = proxy.evented_conns[0];
+        let flood = vec![7u8; 2 * EVENT_RING_BYTES];
+        network.send(flooder, EndKind::Client, &flood).unwrap();
+        for _ in 0..flood.len() / RECV_CHUNK {
+            proxy.poll();
+        }
+        assert_eq!(proxy.backlog[0].len(), 1, "one frame held back");
+        assert!(!proxy.poll(), "a backlog its ring refuses is no work");
+
+        let late = network.client_connect(80, 2).expect("connect");
+        assert!(proxy.poll(), "the connection is routed");
+        assert_eq!(proxy.backlog[0].len(), 2, "its `Accepted` waits its turn");
+        assert_eq!(
+            proxy.handle(0, NetRequest::Close { sock: listener }),
+            NetResponse::Ok
+        );
+        assert_eq!(proxy.backlog[0].len(), 1);
+        assert_eq!(
+            network.recv(late, EndKind::Client, 16),
+            Err(NetworkError::Closed),
+            "the refused peer sees the close"
+        );
+        assert_eq!(
+            proxy.handle(0, NetRequest::Close { sock: flooded }),
+            NetResponse::Ok
+        );
+        assert!(proxy.backlog[0].is_empty());
+        let control = Arc::clone(&proxy.control);
+        assert_eq!(control.audit(&[&proxy]), Vec::<String>::new());
     }
 }

@@ -41,7 +41,7 @@ use solros_ringbuf::{Consumer, Doorbell, Producer, RingError, Wave};
 use solros_simkit::sync::{Mutex, RwLock};
 use solros_simkit::IntMap;
 
-use crate::waitpolicy::{Sleeper, SpinBudget, WaitPolicy};
+use crate::waitpolicy::{Probe, Sleeper, SpinBudget, WaitPolicy};
 
 /// Default request/response ring capacity (64 KiB each).
 pub const RPC_RING_BYTES: usize = 64 * 1024;
@@ -443,17 +443,18 @@ impl RpcClient {
 
     /// Acquires one in-flight credit, pumping the completion ring while
     /// the window is closed so a single thread with a deep queue cannot
-    /// deadlock against its own unharvested completions.
+    /// deadlock against its own unharvested completions. Credits come
+    /// back on replies, so the response ring's doorbell ends this wait.
     fn acquire_credit_pumping(&self, pool: &CreditPool) {
-        let mut sleeper = self.sleeper();
-        while !pool.try_acquire() {
-            match self.pump(None, |_| ()) {
-                Ok(_) => sleeper.progress(),
-                // Credits come back on replies, so the response ring's
-                // doorbell is what ends this wait.
-                Err(_) => sleeper.idle(),
+        self.sleeper().wait_until(None, || {
+            if pool.try_acquire() {
+                return Probe::Got(());
             }
-        }
+            match self.pump(None, |_| ()) {
+                Ok(_) => Probe::Moved,
+                Err(_) => Probe::Empty,
+            }
+        });
     }
 
     fn prep_frame(&self, frame: &mut [u8]) {
@@ -649,26 +650,8 @@ impl RpcClient {
     ///
     /// Panics if the token was already redeemed.
     pub fn wait_with<R>(&self, token: Token, decode: impl FnOnce(&[u8]) -> R) -> R {
-        assert!(!token.done.get(), "token redeemed twice");
-        let tag = token.tag;
-        token.done.set(true);
-        let mut decode = Some(decode);
-        let mut sleeper = self.sleeper();
-        loop {
-            let mut lend = |reply: &[u8]| decode.take().expect("one reply per tag")(reply);
-            if let Some(reply) = self.take_ready(tag) {
-                return lend(&reply);
-            }
-            match self.pump(Some(tag), lend) {
-                Ok(Some(decoded)) => return decoded,
-                Ok(None) => sleeper.progress(),
-                // Past the spin and yield bands this arms the response
-                // ring's doorbell, comes round once more (the re-check of
-                // slot and ring), then parks until the proxy's publish or
-                // a sibling routing our reply rings it.
-                Err(_) => sleeper.idle(),
-            }
-        }
+        self.redeem(token, None, decode)
+            .expect("an untimed wait returns a reply")
     }
 
     /// As [`RpcClient::wait`], but gives up once `timeout` elapses — never,
@@ -682,28 +665,43 @@ impl RpcClient {
     /// deadline expiring on a quiet link is the signal to escalate to
     /// [`RpcClient::link_reset`].
     pub fn wait_timeout(&self, token: Token, timeout: Duration) -> Result<Vec<u8>, RpcErr> {
+        let deadline = Instant::now().checked_add(timeout);
+        self.redeem(token, deadline, <[u8]>::to_vec)
+            .ok_or(RpcErr::Timeout)
+    }
+
+    /// Redeems `token`, waiting for its reply until `deadline` (`None`:
+    /// for ever) and lending it to `decode`. Each look takes a reply a
+    /// sibling routed to the tag, then pumps the ring once: a reply for
+    /// another tag is routed to its slot and counts as progress. Past the
+    /// spin and yield bands the wait parks on the response ring's
+    /// doorbell, rung by the proxy's publish or by a sibling routing this
+    /// tag's reply. On expiry the tag is abandoned.
+    fn redeem<R>(
+        &self,
+        token: Token,
+        deadline: Option<Instant>,
+        decode: impl FnOnce(&[u8]) -> R,
+    ) -> Option<R> {
         assert!(!token.done.get(), "token redeemed twice");
         let tag = token.tag;
         token.done.set(true);
-        let deadline = Instant::now().checked_add(timeout);
-        let mut sleeper = self.sleeper();
-        loop {
+        let mut decode = Some(decode);
+        let got = self.sleeper().wait_until(deadline, || {
+            let mut lend = |reply: &[u8]| decode.take().expect("one reply per tag")(reply);
             if let Some(reply) = self.take_ready(tag) {
-                return Ok(reply);
+                return Probe::Got(lend(&reply));
             }
-            let left = deadline.map_or(Duration::MAX, |d| {
-                d.saturating_duration_since(Instant::now())
-            });
-            if left.is_zero() {
-                self.shared.abandon(tag);
-                return Err(RpcErr::Timeout);
+            match self.pump(Some(tag), lend) {
+                Ok(Some(decoded)) => Probe::Got(decoded),
+                Ok(None) => Probe::Moved,
+                Err(_) => Probe::Empty,
             }
-            match self.pump(Some(tag), <[u8]>::to_vec) {
-                Ok(Some(reply)) => return Ok(reply),
-                Ok(None) => sleeper.progress(),
-                Err(_) => sleeper.idle_for(left),
-            }
+        });
+        if got.is_none() {
+            self.shared.abandon(tag);
         }
+        got
     }
 
     /// Blocks until any of `tokens` completes; returns the index of the
@@ -718,22 +716,23 @@ impl RpcClient {
             tokens.iter().any(|t| !t.done.get()),
             "wait_any needs at least one unredeemed token"
         );
-        let mut sleeper = self.sleeper();
-        loop {
-            for (i, t) in tokens.iter().enumerate() {
-                if t.done.get() {
-                    continue;
-                }
-                if let Some(reply) = self.take_ready(t.tag) {
-                    t.done.set(true);
-                    return (i, reply);
-                }
-            }
-            match self.pump(None, |_| ()) {
-                Ok(_) => sleeper.progress(),
-                Err(_) => sleeper.idle(),
-            }
-        }
+        let ready = || {
+            let mut live = tokens.iter().enumerate().filter(|(_, t)| !t.done.get());
+            live.find_map(|(i, t)| {
+                let reply = self.take_ready(t.tag)?;
+                t.done.set(true);
+                Some((i, reply))
+            })
+        };
+        self.sleeper()
+            .wait_until(None, || match ready() {
+                Some(got) => Probe::Got(got),
+                None => match self.pump(None, |_| ()) {
+                    Ok(_) => Probe::Moved,
+                    Err(_) => Probe::Empty,
+                },
+            })
+            .expect("an untimed wait returns a reply")
     }
 
     /// Non-blocking completion check: drains whatever the ring has and

@@ -2,8 +2,7 @@
 //!
 //! Every consumer of a ring in this system — a stub thread waiting for
 //! its reply, the proxy engines waiting for requests, a socket reader
-//! draining the event ring, the event ring's idle backstop — waits the
-//! same way:
+//! draining the event ring — waits the same way:
 //!
 //! 1. **Spin only while spinning has been paying.** A probe of an empty
 //!    ring is not free (a lock, a combiner pass, a remote refresh of the
@@ -28,17 +27,17 @@
 //!    Parks are bounded by [`PARK_BOUND`] so duties that are clocks, not
 //!    events — the shard heartbeat (a parked shard must not look wedged
 //!    to the supervisor: 8 × 2 ms), the lease sweep against its 5 ms
-//!    recall budget, QoS epoch upkeep, the shutdown flag — keep running,
-//!    and so that no missed ring can hold a request longer than that.
+//!    recall budget, QoS epoch upkeep, re-offering a TCP shard's event
+//!    backlog to a ring its reader has drained, the shutdown flag — keep
+//!    running, and so that no missed ring can hold a request longer than
+//!    that.
 //!
 //! A requester and the engine serving it go through all three steps —
 //! a socket reader is a requester too: it drains the event ring itself.
-//! A poller nobody waits on by spinning or yielding (the event ring's
-//! idle backstop, which only drains a stub no one reads) skips to step
-//! 3: see [`WaitPolicy::parking`].
 //!
 //! [`WaitPolicy`] is the escalation; [`Sleeper`] adds the doorbell half
-//! for waiters whose work arrives on rings.
+//! for waiters whose work arrives on rings, and [`Sleeper::wait_until`]
+//! is the one loop every stub wait runs through.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -143,8 +142,6 @@ pub struct WaitPolicy<'a> {
     attempts: u32,
     /// When this wait left its spin band.
     yielding_since: Option<Instant>,
-    /// False for a waiter that parks as soon as it has nothing to do.
-    yields: bool,
 }
 
 impl<'a> WaitPolicy<'a> {
@@ -155,7 +152,6 @@ impl<'a> WaitPolicy<'a> {
             limit: 0,
             attempts: 0,
             yielding_since: None,
-            yields: true,
         }
     }
 
@@ -168,23 +164,6 @@ impl<'a> WaitPolicy<'a> {
             limit: 0,
             attempts: 0,
             yielding_since: None,
-            yields: true,
-        }
-    }
-
-    /// A policy with neither band: arm and park at once. For a poller
-    /// nobody waits on by spinning or yielding *at* it — the event ring's
-    /// idle backstop, which drains only while no reader does. A yielding
-    /// thread holds a run-queue slot, and with three of them on one CPU
-    /// the number of turns a request takes depends on the order the
-    /// scheduler happens to rotate them in (a 64 B echo took two, three
-    /// or five rounds of the same three threads, run to run, while a
-    /// dispatcher thread stood between the engine and the reader). A
-    /// parked poller enters the queue only when its producer has rung.
-    pub fn parking() -> Self {
-        Self {
-            yields: false,
-            ..Self::yielding()
         }
     }
 
@@ -213,9 +192,6 @@ impl<'a> WaitPolicy<'a> {
             if let Some(b) = self.budget {
                 b.miss();
             }
-        }
-        if !self.yields {
-            return Wait::Park(PARK_BOUND);
         }
         let since = *self.yielding_since.get_or_insert_with(Instant::now);
         if self.attempts <= self.limit + YIELD_LIMIT || since.elapsed() < YIELD_FOR {
@@ -248,12 +224,24 @@ impl Drop for WaitPolicy<'_> {
     }
 }
 
+/// What one look at a waiter's sources found (see [`Sleeper::wait_until`]).
+pub enum Probe<T> {
+    /// What the waiter waits for.
+    Got(T),
+    /// Not this waiter's, but something moved (a sibling's reply routed,
+    /// a credit returned): back to the cheap band.
+    Moved,
+    /// Nothing.
+    Empty,
+}
+
 /// A [`WaitPolicy`] plus the doorbell half of the discipline, for
 /// waiters whose work arrives on rings: call [`Sleeper::idle`] each time
 /// every source came up empty and [`Sleeper::progress`] when one did
 /// not. Past the yield band, one `idle` arms the bell and returns — so
 /// the caller's next pass over its sources is the re-check — and the
-/// next `idle` parks.
+/// next `idle` parks. A stub wait, which has one thing to wait for, is
+/// [`Sleeper::wait_until`].
 pub struct Sleeper<'a> {
     policy: WaitPolicy<'a>,
     bell: &'a Doorbell,
@@ -277,9 +265,9 @@ impl<'a> Sleeper<'a> {
         self.policy.reset();
     }
 
-    /// Every source was empty: spin, yield, arm, or park — whichever is
-    /// next — sleeping at most `bound` (and never past [`PARK_BOUND`]).
-    pub fn idle_for(&mut self, bound: Duration) {
+    /// [`Sleeper::idle`], sleeping at most `bound` (and never past
+    /// [`PARK_BOUND`]).
+    fn idle_for(&mut self, bound: Duration) {
         if let Some(ticket) = self.armed.take() {
             self.bell.park(ticket, bound.min(PARK_BOUND));
         } else if self.policy.pause().is_some() {
@@ -292,9 +280,38 @@ impl<'a> Sleeper<'a> {
         self.armed.is_some()
     }
 
-    /// [`Sleeper::idle_for`] with the full [`PARK_BOUND`].
+    /// Every source was empty: spin, yield, arm, or park for at most
+    /// [`PARK_BOUND`] — whichever is next.
     pub fn idle(&mut self) {
         self.idle_for(PARK_BOUND);
+    }
+
+    /// Looks with `probe` until it yields [`Probe::Got`], or until
+    /// `deadline` (never, for `None`): a [`Probe::Moved`] look is
+    /// progress, an empty one spins, yields, arms (the next look is the
+    /// re-check) or parks, never past the deadline. Returns `None` once
+    /// the deadline has passed with nothing got.
+    pub fn wait_until<T>(
+        mut self,
+        deadline: Option<Instant>,
+        mut probe: impl FnMut() -> Probe<T>,
+    ) -> Option<T> {
+        loop {
+            match probe() {
+                Probe::Got(v) => return Some(v),
+                Probe::Moved => self.progress(),
+                Probe::Empty => {
+                    let left = match deadline {
+                        None => PARK_BOUND,
+                        Some(d) => d.saturating_duration_since(Instant::now()),
+                    };
+                    if left.is_zero() {
+                        return None;
+                    }
+                    self.idle_for(left);
+                }
+            }
+        }
     }
 }
 
@@ -338,23 +355,6 @@ mod tests {
         assert_eq!(yields_until_park(&mut p), Wait::Park(PARK_BOUND));
         p.reset();
         assert_eq!(p.advance(), Wait::Yield);
-    }
-
-    #[test]
-    fn parking_policy_arms_on_its_first_idle_and_parks_on_its_second() {
-        let mut p = WaitPolicy::parking();
-        assert_eq!(p.advance(), Wait::Park(PARK_BOUND));
-        p.reset();
-        assert_eq!(p.advance(), Wait::Park(PARK_BOUND));
-
-        let bell = Doorbell::new();
-        let mut s = Sleeper::new(WaitPolicy::parking(), &bell);
-        s.idle(); // arms and returns: the caller's next pass is the re-check
-        assert!(bell.is_armed() && s.will_park());
-        bell.ring();
-        let t0 = Instant::now();
-        s.idle_for(Duration::from_secs(5)); // the ring landed before the park
-        assert!(t0.elapsed() < Duration::from_millis(500));
     }
 
     #[test]
@@ -497,6 +497,40 @@ mod tests {
         while p.advance() == Wait::Spin {}
         drop(p);
         assert_eq!(budget.current(), SPIN_FLOOR);
+    }
+
+    #[test]
+    fn a_moved_look_rewinds_and_an_empty_wait_ends_at_its_deadline() {
+        let bell = Doorbell::new();
+        let budget = SpinBudget::new();
+        // However long something else keeps moving, the waiter never
+        // leaves its spin band.
+        let mut looks = 0;
+        let sleeper = Sleeper::new(WaitPolicy::new(&budget), &bell);
+        let got = sleeper.wait_until(None, || {
+            assert!(!bell.is_armed(), "armed after a moved look");
+            looks += 1;
+            match looks {
+                1000 => Probe::Got(looks),
+                _ => Probe::Moved,
+            }
+        });
+        assert_eq!(got, Some(1000));
+
+        let bound = Duration::from_millis(5);
+        let t0 = Instant::now();
+        let sleeper = Sleeper::new(WaitPolicy::new(&budget), &bell);
+        assert_eq!(
+            sleeper.wait_until(Some(t0 + bound), || Probe::<()>::Empty),
+            None
+        );
+        assert!(t0.elapsed() >= bound && t0.elapsed() < Duration::from_millis(500));
+        let sleeper = Sleeper::new(WaitPolicy::new(&budget), &bell);
+        assert_eq!(
+            sleeper.wait_until(Some(t0), || Probe::Got(1)),
+            Some(1),
+            "a look first"
+        );
     }
 
     #[test]

@@ -29,28 +29,32 @@ fn cpu_seconds() -> Option<f64> {
 }
 
 /// How often the threads of an idle boot wake up in the 200 ms window:
-/// 1 183–1 199 over six runs at PR 21 and unchanged by ISSUE 22 (two FS
-/// engines, two TCP shards and two event backstops parking for at most 1 ms,
-/// the supervisor's 2 ms tick). Every one of them can pre-empt a request
-/// in flight: `fs_lease_read_4k` serves a read in about a microsecond, so
-/// its p99 is one pre-emption away from doubling, and a change that made
-/// the idle system wake more often was refused for exactly that. A new
-/// timed wait has to fit under this figure × 1.25.
-const IDLE_WAKEUPS_PER_200MS: f64 = 1200.0;
+/// 660–801 over six runs on a 2-vCPU host (two FS engines and two TCP
+/// shards parking for at most 1 ms, the supervisor's 2 ms tick), against
+/// 918–1 186 run back to back with an event-ring drainer thread per
+/// co-processor as well (1 183–1 199 when first measured). Every one of them
+/// can pre-empt a request in flight: `fs_lease_read_4k` serves a read in
+/// about a microsecond, so its p99 is one pre-emption away from
+/// doubling, and a change that made the idle system wake more often was
+/// refused for exactly that. A new timed wait has to fit under this
+/// figure × 1.25.
+const IDLE_WAKEUPS_PER_200MS: f64 = 800.0;
 
-/// The same window with one thread blocked in `recv` on a silent socket:
-/// 1 403–1 412 over six runs before the reader drained the event ring
-/// itself (it parked on a condition variable for at most 1 ms, the
-/// dispatcher on the bell), 1 401–1 410 after (the reader parks on the
-/// bell, the backstop sleeps 1 ms at a time while it waits).
-const READER_WAKEUPS_PER_200MS: f64 = 1410.0;
+/// The same window with one thread blocked in `recv` on a silent socket,
+/// parked on the stub's event bell for at most 1 ms at a time: 837–1 010
+/// over six runs, against 1 110–1 330 back to back while the drainer
+/// threads also slept 1 ms at a time as long as a reader waited
+/// (1 401–1 410 when first measured).
+const READER_WAKEUPS_PER_200MS: f64 = 1000.0;
 
 /// Threads a booted two-co-processor system adds to its process: per
-/// co-processor an FS engine, a TCP shard and an event backstop, plus the
-/// supervisor. Every FS call runs to completion on its engine thread —
-/// one that meets a lease parks in the engine — so there is no worker
-/// pool; three workers per FS engine would make it 13.
-const BOOTED_THREADS: usize = 7;
+/// co-processor an FS engine and a TCP shard, plus the supervisor. The
+/// stubs own no thread: a reader drains its event ring itself, and a
+/// ring nobody reads backs up into the NIC, not into a thread. Every FS
+/// call runs to completion on its engine thread — one that meets a
+/// lease parks in the engine — so there is no worker pool; three
+/// workers per FS engine would make it 11.
+const BOOTED_THREADS: usize = 5;
 
 /// Threads of this process, or `None` where there is no procfs.
 fn threads() -> Option<usize> {
@@ -85,7 +89,7 @@ fn wakeups_per_200ms() -> Option<f64> {
 #[test]
 fn idle_boot_sleeps_and_the_first_requests_wake_it_by_doorbell() {
     // Two co-processors on two sockets: two FS engines, two TCP shards,
-    // two event backstops, one supervisor.
+    // one supervisor.
     let before = threads();
     let sys = Solros::boot(MachineConfig::small());
     let fs = Arc::clone(sys.data_plane(0).fs());
@@ -128,16 +132,17 @@ fn idle_boot_sleeps_and_the_first_requests_wake_it_by_doorbell() {
     assert_eq!(fs.read_to_vec(file, 0, 7).expect("read"), b"wake up");
 
     // First accept: the fabric's ingress hook rings the TCP shard, whose
-    // `Accepted` event rings the stub's event bell (the backstop parks on
-    // it while no one reads, a waiting reader while one does).
+    // `Accepted` event rings the stub's event bell, which the thread
+    // waiting in `accept` parks on. (An event nobody waits for rings
+    // nothing: the next reader finds it on the ring.)
     std::thread::sleep(Duration::from_millis(20));
     let (net_req0, _) = net.client().doorbell_rings();
     let evt0 = net.event_doorbell_rings();
+    let acceptor = std::thread::spawn(move || listener.accept_timeout(Duration::from_secs(5)));
+    std::thread::sleep(Duration::from_millis(20));
     let fabric = Arc::clone(sys.network());
     let conn = fabric.client_connect(7070, 9).expect("connect");
-    let (stream, peer) = listener
-        .accept_timeout(Duration::from_secs(5))
-        .expect("accept");
+    let (stream, peer) = acceptor.join().expect("acceptor").expect("accept");
     assert_eq!(peer, 9);
     let (net_req1, _) = net.client().doorbell_rings();
     assert!(
@@ -149,14 +154,19 @@ fn idle_boot_sleeps_and_the_first_requests_wake_it_by_doorbell() {
         "the event did not ring the stub's bell"
     );
 
-    // First echo, again from idle.
+    // First echo, again from idle, to a reader parked in `recv`.
     std::thread::sleep(Duration::from_millis(20));
     let (net_req0, _) = net.client().doorbell_rings();
     let evt0 = net.event_doorbell_rings();
+    let reader = std::thread::spawn(move || {
+        let mut buf = [0u8; 8];
+        let n = stream.recv(&mut buf);
+        (stream, buf[..n].to_vec())
+    });
+    std::thread::sleep(Duration::from_millis(20));
     fabric.send(conn, EndKind::Client, b"ping").expect("send");
-    let mut buf = [0u8; 8];
-    let n = stream.recv(&mut buf);
-    assert_eq!(&buf[..n], b"ping");
+    let (stream, got) = reader.join().expect("reader");
+    assert_eq!(got, b"ping");
     assert!(net.client().doorbell_rings().0 > net_req0);
     assert!(
         net.event_doorbell_rings() > evt0,
@@ -178,8 +188,7 @@ fn idle_boot_sleeps_and_the_first_requests_wake_it_by_doorbell() {
     client_recv(b"pong");
 
     // One reader blocked on a silent socket: it drains the event ring
-    // itself and parks on the stub's bell, and the backstop stands down
-    // to timed sleeps while it waits.
+    // itself and parks on the stub's bell.
     let reader = std::thread::spawn(move || {
         let mut buf = [0u8; 8];
         let n = stream.recv(&mut buf);

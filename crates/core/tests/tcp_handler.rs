@@ -14,7 +14,7 @@ use solros::{CoprocNet, RoundRobin, Solros};
 use solros_machine::MachineConfig;
 use solros_netdev::{EndKind, NetworkError};
 use solros_pcie::PcieCounters;
-use solros_proto::net_msg::{NetRequest, NetResponse, SockId};
+use solros_proto::net_msg::{NetEvent, NetRequest, NetResponse, SockId};
 use solros_proto::rpc_error::RpcErr;
 use solros_ringbuf::Consumer;
 
@@ -430,10 +430,9 @@ fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
 }
 
 /// One accepted socket is never read while its peer sends four event
-/// rings' worth of bytes. The proxy shard spins on a full event ring, so
-/// unless somebody drains it — a reader of another socket, or the idle
-/// backstop when no one reads — the shard and every socket on the stub
-/// would stall.
+/// rings' worth of bytes. A reader of another socket on the same stub
+/// drains the event ring as it waits, so neither that reader nor the
+/// shard stalls behind the unread bytes.
 #[test]
 fn an_unread_socket_stalls_neither_its_stub_nor_its_shard() {
     const FLOOD: usize = 4 * EVENT_RING_BYTES;
@@ -489,10 +488,11 @@ fn an_unread_socket_stalls_neither_its_stub_nor_its_shard() {
 /// The orphan race with no reader waiting: a connection the proxy
 /// delivers after the stub began closing its listener, but before the
 /// proxy executed that close, arrives as an `Accepted` event for a dead
-/// listener. The idle backstop must refuse it — close it back — so the
-/// fabric peer observes a severance, not a hang.
+/// listener. Nobody reads, so the listener close's final drain must
+/// refuse it — close it back — so the fabric peer observes a severance,
+/// not a hang, and no tag stays behind.
 #[test]
-fn the_backstop_refuses_a_connection_accepted_by_a_closing_listener() {
+fn a_closing_listener_refuses_a_connection_accepted_behind_its_close() {
     fn serve(proxy: TcpProxy) -> (Arc<AtomicBool>, std::thread::JoinHandle<TcpProxy>) {
         let stop = Arc::new(AtomicBool::new(false));
         let s = Arc::clone(&stop);
@@ -500,12 +500,7 @@ fn the_backstop_refuses_a_connection_accepted_by_a_closing_listener() {
     }
     let mut rig = proxy_with(1);
     let client = Arc::clone(&rig.clients[0]);
-    let stub_stop = Arc::new(AtomicBool::new(false));
-    let (net, backstop) = CoprocNet::start(
-        Arc::clone(&client),
-        rig.events.remove(0),
-        Arc::clone(&stub_stop),
-    );
+    let net = CoprocNet::new(Arc::clone(&client), rig.events.remove(0));
     let (stop, engine) = serve(rig.proxy);
     let listener = net.listen(96, 4).expect("listen");
     // Park the engine: the listener's close is submitted and waits.
@@ -521,19 +516,112 @@ fn the_backstop_refuses_a_connection_accepted_by_a_closing_listener() {
     // still has open: an `Accepted` event for a dead listener.
     let conn = rig.network.client_connect(96, 7).expect("connect");
     assert!(proxy.poll(), "the connection was delivered");
-    // Nobody reads: the backstop drains the event, refuses the
-    // connection and submits its close.
-    wait_until("the backstop refuses the connection", || {
-        client.pending_len() == 2
-    });
 
     let (stop, engine) = serve(proxy);
     assert_eq!(closer.join().unwrap(), Ok(()));
     wait_until("the peer observes the severance", || {
         rig.network.recv(conn, EndKind::Client, 16) == Err(NetworkError::Closed)
     });
+    assert_eq!(client.pending_len(), 0, "every tag was redeemed");
     stop.store(true, Ordering::Relaxed);
     engine.join().unwrap();
-    stub_stop.store(true, Ordering::Relaxed);
-    backstop.join().unwrap();
+}
+
+/// The next event on `rx`, if any.
+fn next_event(rx: &Consumer) -> Option<NetEvent> {
+    rx.recv()
+        .ok()
+        .map(|f| NetEvent::decode(&f).expect("an event"))
+}
+
+/// Opens a listener on `port` for lane `lane`.
+fn listen_on(p: &mut TcpProxy, lane: usize, port: u16) {
+    let NetResponse::Socket { sock } = p.handle(lane, NetRequest::Socket) else {
+        panic!("socket");
+    };
+    assert_eq!(
+        p.handle(lane, NetRequest::Bind { sock, port }),
+        NetResponse::Ok
+    );
+    let listen = NetRequest::Listen { sock, backlog: 4 };
+    assert_eq!(p.handle(lane, listen), NetResponse::Ok);
+}
+
+/// Nobody reads one co-processor's event ring while the peer of an
+/// accepted socket sends two rings' worth of bytes. The shard must not
+/// wait for a reader: every poll returns, and meanwhile it serves
+/// another lane's listen and echo. Once a reader drains, the bytes come
+/// out whole and in order, and no event was dropped.
+#[test]
+fn a_full_event_ring_with_no_reader_stalls_no_poll() {
+    const FLOOD: usize = 2 * EVENT_RING_BYTES;
+    const CHUNK: usize = 64 * 1024;
+    let byte = |k: usize| (k % 251) as u8;
+    let Rig {
+        mut proxy,
+        stats,
+        network,
+        events,
+        ..
+    } = proxy_with(2);
+    let mut events = events.into_iter();
+    let (unread_rx, other_rx) = (events.next().unwrap(), events.next().unwrap());
+    listen_on(&mut proxy, 0, 7700);
+    let flooder = network.client_connect(7700, 1).expect("connect");
+    assert!(proxy.poll(), "the connection is routed");
+    let Some(NetEvent::Accepted { conn: unread, .. }) = next_event(&unread_rx) else {
+        panic!("lane 0's accept");
+    };
+    for start in (0..FLOOD).step_by(CHUNK) {
+        let chunk: Vec<u8> = (start..start + CHUNK).map(byte).collect();
+        network.send(flooder, EndKind::Client, &chunk).unwrap();
+    }
+
+    let mut proxy = within("polls over a full event ring", {
+        let network = Arc::clone(&network);
+        move || {
+            for _ in 0..2 * FLOOD / CHUNK {
+                proxy.poll();
+            }
+            listen_on(&mut proxy, 1, 7701);
+            let peer = network.client_connect(7701, 2).expect("connect");
+            assert!(proxy.poll(), "lane 1's connection is routed");
+            let Some(NetEvent::Accepted { conn, .. }) = next_event(&other_rx) else {
+                panic!("lane 1's accept");
+            };
+            network.send(peer, EndKind::Client, b"ping").unwrap();
+            assert!(proxy.poll(), "lane 1's bytes are pulled");
+            let ping = NetEvent::Data {
+                sock: conn,
+                data: b"ping".to_vec(),
+            };
+            assert_eq!(next_event(&other_rx), Some(ping));
+            let pong = NetRequest::Send {
+                sock: conn,
+                data: b"pong".to_vec(),
+            };
+            assert_eq!(proxy.handle(1, pong), NetResponse::Sent { count: 4 });
+            assert_eq!(network.recv(peer, EndKind::Client, 16).unwrap(), b"pong");
+            proxy
+        }
+    });
+
+    let got = within("the unread socket's bytes", move || {
+        let mut got = Vec::with_capacity(FLOOD);
+        while got.len() < FLOOD {
+            match next_event(&unread_rx) {
+                Some(NetEvent::Data { sock, data }) if sock == unread => got.extend(data),
+                Some(other) => panic!("unexpected {other:?}"),
+                None => {
+                    proxy.poll();
+                }
+            }
+        }
+        got
+    });
+    assert!(
+        got.iter().enumerate().all(|(k, &b)| b == byte(k)),
+        "the unread socket's bytes came out of order"
+    );
+    assert_eq!(stats.event_drops.load(Ordering::Relaxed), 0);
 }

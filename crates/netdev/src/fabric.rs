@@ -266,13 +266,6 @@ impl Network {
         Ok(out)
     }
 
-    /// Bytes currently queued toward `at`.
-    pub fn pending_bytes(&self, id: ConnId, at: EndKind) -> Result<usize, NetworkError> {
-        let mut g = self.inner.lock();
-        let conn = g.conns.get_mut(&id).ok_or(NetworkError::NotConnected)?;
-        Ok(Self::stream_mut(conn, at.peer()).bytes.len())
-    }
-
     /// Closes one end's write direction (TCP FIN). When both ends have
     /// closed, the connection is reaped.
     pub fn close(&self, id: ConnId, from: EndKind) -> Result<(), NetworkError> {

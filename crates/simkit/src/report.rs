@@ -97,11 +97,6 @@ pub fn fmt_mbps(bytes_per_sec: f64) -> String {
     format!("{:.1}", bytes_per_sec / 1e6)
 }
 
-/// Prints a section banner for a harness binary.
-pub fn banner(title: &str) {
-    println!("\n## {title}\n");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
