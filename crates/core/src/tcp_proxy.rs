@@ -22,6 +22,12 @@
 //! socket table and the send-staging table are plain fields. The only
 //! locks are the cross-shard ones in [`TcpControl`]: the table and the
 //! handoff inboxes.
+//!
+//! The socket table holds live sockets only. A close removes the
+//! socket's record with everything that was its — a listener's accept
+//! queue is part of its record — and closes its fabric end for good. A
+//! request naming an id the table does not hold gets `NotConnected` if
+//! the shard issued it and `NotFound` if it never did.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -304,7 +310,7 @@ impl TcpControl {
         let mut table = self.table.lock();
         table.fence(shard, heir, network);
         for h in self.inboxes[shard].lock().drain(..) {
-            let _ = network.close(h.conn, EndKind::Server);
+            let _ = network.close_for_good(h.conn, EndKind::Server);
         }
         drop(table);
         // The heir polls the NIC for the re-homed ports from now on.
@@ -331,9 +337,9 @@ impl TcpControl {
                 faults.push(format!("port {port}: home shard {} is not live", rec.home));
             }
             for &(sock, d) in &rec.listeners {
-                let listening = live(d)
-                    .and_then(|p| p.socks.get(&sock))
-                    .is_some_and(|r| matches!(r.state, SockState::Listening(q) if q == port));
+                let listening = live(d).and_then(|p| p.socks.get(&sock)).is_some_and(
+                    |r| matches!(r.state, SockState::Listening { port: q, .. } if q == port),
+                );
                 if !listening {
                     faults.push(format!(
                         "port {port}: listener {sock} is not listening on shard {d}"
@@ -372,9 +378,17 @@ impl TcpControl {
 enum SockState {
     Fresh,
     Bound(u16),
-    Listening(u16),
-    Conn { id: ConnId, end: EndKind },
-    Closed,
+    /// A listener and its accept queue: the connections delivered to it
+    /// while it polls (not evented), each `(conn sock, peer addr)`,
+    /// waiting for an `Accept`. The queue leaves with the record.
+    Listening {
+        port: u16,
+        pending: VecDeque<(SockId, u64)>,
+    },
+    Conn {
+        id: ConnId,
+        end: EndKind,
+    },
 }
 
 struct SockRec {
@@ -382,8 +396,6 @@ struct SockRec {
     coproc: usize,
     state: SockState,
     evented: bool,
-    /// For evented conns: a Closed event has been delivered.
-    close_sent: bool,
     /// For accepted conns: the balancer slot this connection counts
     /// against, taken when the charge is released so it is released
     /// once.
@@ -489,11 +501,12 @@ pub struct TcpProxy {
     backlog: Vec<VecDeque<Vec<u8>>>,
     /// Request/response lanes, handed to the engine by [`TcpProxy::run`].
     lanes: Vec<EngineLane>,
+    /// Live sockets only: a close removes its socket's record.
     socks: HashMap<SockId, SockRec>,
     /// Live connections owned by evented sockets, polled for data.
     evented_conns: Vec<SockId>,
-    /// Pending accepts for non-evented (RPC-polling) listeners.
-    pending_accepts: HashMap<SockId, VecDeque<(SockId, u64)>>,
+    /// The next id this shard issues. Ids below it were issued (see
+    /// [`missing`]).
     next_sock: SockId,
     /// The event frame being encoded for an event ring.
     evt_frame: Vec<u8>,
@@ -549,6 +562,28 @@ fn purge(backlog: &mut VecDeque<Vec<u8>>, sock: SockId) -> Vec<SockId> {
         _ => true,
     });
     refused
+}
+
+/// The error for a request naming `sock`, which the socket table does
+/// not hold: `NotConnected` for an id below the shard's allocation point
+/// `next_sock` — issued, and closed since (or fenced: the replacement
+/// resumes the stride, so ids are never reused) — and `NotFound` for one
+/// never issued.
+fn missing(next_sock: SockId, sock: SockId) -> RpcErr {
+    if sock < next_sock {
+        RpcErr::NotConnected
+    } else {
+        RpcErr::NotFound
+    }
+}
+
+/// A fabric error as a socket RPC reports it: the peer's close is a
+/// reset.
+fn net_err(e: NetworkError) -> RpcErr {
+    match e {
+        NetworkError::Closed => RpcErr::Reset,
+        _ => RpcErr::NotConnected,
+    }
 }
 
 /// Maps a net request to (class offset within a co-processor's flow
@@ -622,7 +657,6 @@ impl TcpProxy {
                 lanes,
                 socks: HashMap::new(),
                 evented_conns: Vec::new(),
-                pending_accepts: HashMap::new(),
                 // Stride allocation keeps sock ids globally unique
                 // without cross-shard coordination.
                 next_sock: shard as SockId + 1,
@@ -711,23 +745,22 @@ impl TcpProxy {
     }
 
     /// Supervisor-side post-mortem of a fenced shard, on the proxy its
-    /// engine handed back: closes every connection it owned (peers
-    /// observe the close on the fabric) and clears its event/accept
-    /// queues. The events its full rings held back are dropped with the
-    /// connections they belong to, never pushed — as a shard that waited
-    /// on a full ring would never have pushed them either. Its listeners
+    /// engine handed back: empties its socket table, closing every
+    /// connection it owned (peers observe the close on the fabric), and
+    /// clears its event queues. The events its full rings held back are
+    /// dropped with the connections they belong to, never pushed — as a
+    /// shard that waited on a full ring would never have pushed them
+    /// either. Its listeners
     /// and charges leave the control table with the fence. Returns the
     /// shard's sock-id allocation point; the replacement must resume the
     /// stride from there so ids are never reused.
     pub fn scrub_after_fence(&mut self) -> SockId {
-        for rec in self.socks.values_mut() {
+        for (_, rec) in self.socks.drain() {
             if let SockState::Conn { id, end } = rec.state {
-                let _ = self.network.close(id, end);
-                rec.state = SockState::Closed;
+                let _ = self.network.close_for_good(id, end);
             }
         }
         self.evented_conns.clear();
-        self.pending_accepts.clear();
         self.backlog.iter_mut().for_each(VecDeque::clear);
         self.next_sock
     }
@@ -740,234 +773,148 @@ impl TcpProxy {
 
     /// Executes one RPC from lane `lane`.
     pub fn handle(&mut self, lane: usize, req: NetRequest) -> NetResponse {
+        self.try_handle(lane, req)
+            .unwrap_or_else(|err| NetResponse::Error { err })
+    }
+
+    fn try_handle(&mut self, lane: usize, req: NetRequest) -> Result<NetResponse, RpcErr> {
         let coproc = self.coprocs.get(lane).copied().unwrap_or(lane);
+        let next = self.next_sock;
         match req {
             NetRequest::Socket => {
-                let id = self.next_sock;
                 self.next_sock += self.control.nshards as SockId;
                 self.socks.insert(
-                    id,
+                    next,
                     SockRec {
                         coproc,
                         state: SockState::Fresh,
                         evented: true,
-                        close_sent: false,
                         lb_slot: None,
                     },
                 );
-                NetResponse::Socket { sock: id }
+                Ok(NetResponse::Socket { sock: next })
             }
-            NetRequest::Bind { sock, port } => match self.socks.get_mut(&sock) {
-                Some(rec) if matches!(rec.state, SockState::Fresh) => {
-                    rec.state = SockState::Bound(port);
-                    NetResponse::Ok
+            NetRequest::Bind { sock, port } => {
+                let rec = self.socks.get_mut(&sock).ok_or(missing(next, sock))?;
+                if !matches!(rec.state, SockState::Fresh) {
+                    return Err(RpcErr::Invalid);
                 }
-                Some(_) => NetResponse::Error {
-                    err: RpcErr::Invalid,
-                },
-                None => NetResponse::Error {
-                    err: RpcErr::NotFound,
-                },
-            },
+                rec.state = SockState::Bound(port);
+                Ok(NetResponse::Ok)
+            }
             NetRequest::Listen { sock, backlog } => {
-                let Some(rec) = self.socks.get_mut(&sock) else {
-                    return NetResponse::Error {
-                        err: RpcErr::NotFound,
-                    };
-                };
+                let rec = self.socks.get_mut(&sock).ok_or(missing(next, sock))?;
                 let SockState::Bound(port) = rec.state else {
-                    return NetResponse::Error {
-                        err: RpcErr::Invalid,
-                    };
+                    return Err(RpcErr::Invalid);
                 };
-                let listened = self.control.table.lock().listen(
-                    port,
-                    sock,
-                    self.shard,
-                    &self.network,
-                    (backlog as usize).max(64),
-                );
-                if listened.is_err() {
-                    return NetResponse::Error {
-                        err: RpcErr::AddrInUse,
-                    };
-                }
-                rec.state = SockState::Listening(port);
-                NetResponse::Ok
+                let backlog = (backlog as usize).max(64);
+                self.control
+                    .table
+                    .lock()
+                    .listen(port, sock, self.shard, &self.network, backlog)
+                    .map_err(|_| RpcErr::AddrInUse)?;
+                let pending = VecDeque::new();
+                rec.state = SockState::Listening { port, pending };
+                Ok(NetResponse::Ok)
             }
             NetRequest::Accept { sock } => {
-                match self
-                    .pending_accepts
-                    .get_mut(&sock)
-                    .and_then(|q| q.pop_front())
-                {
-                    Some((conn_sock, peer_addr)) => NetResponse::Accepted {
-                        conn: conn_sock,
-                        peer_addr,
-                    },
-                    None => match self.socks.get(&sock) {
-                        Some(SockRec {
-                            state: SockState::Listening(_),
-                            ..
-                        }) => NetResponse::Error {
-                            err: RpcErr::WouldBlock,
-                        },
-                        Some(_) => NetResponse::Error {
-                            err: RpcErr::NotListening,
-                        },
-                        None => NetResponse::Error {
-                            err: RpcErr::NotFound,
-                        },
-                    },
-                }
+                let rec = self.socks.get_mut(&sock).ok_or(missing(next, sock))?;
+                let SockState::Listening { pending, .. } = &mut rec.state else {
+                    return Err(RpcErr::NotListening);
+                };
+                let (conn, peer_addr) = pending.pop_front().ok_or(RpcErr::WouldBlock)?;
+                Ok(NetResponse::Accepted { conn, peer_addr })
             }
             NetRequest::Connect { sock, addr, port } => {
-                let Some(rec) = self.socks.get_mut(&sock) else {
-                    return NetResponse::Error {
-                        err: RpcErr::NotFound,
-                    };
-                };
+                let rec = self.socks.get_mut(&sock).ok_or(missing(next, sock))?;
                 if !matches!(rec.state, SockState::Fresh) {
-                    return NetResponse::Error {
-                        err: RpcErr::Invalid,
-                    };
+                    return Err(RpcErr::Invalid);
                 }
-                match self.network.client_connect(port, addr) {
-                    Ok(id) => {
-                        rec.state = SockState::Conn {
-                            id,
-                            end: EndKind::Client,
-                        };
-                        if rec.evented {
-                            self.evented_conns.push(sock);
-                        }
-                        NetResponse::Ok
-                    }
-                    Err(_) => NetResponse::Error {
-                        err: RpcErr::ConnRefused,
-                    },
+                let id = self
+                    .network
+                    .client_connect(port, addr)
+                    .map_err(|_| RpcErr::ConnRefused)?;
+                let end = EndKind::Client;
+                rec.state = SockState::Conn { id, end };
+                if rec.evented {
+                    self.evented_conns.push(sock);
                 }
+                Ok(NetResponse::Ok)
             }
             NetRequest::Send { sock, data } => {
-                let Some(rec) = self.socks.get(&sock) else {
-                    return NetResponse::Error {
-                        err: RpcErr::NotFound,
-                    };
-                };
-                let SockState::Conn { id, end } = rec.state else {
-                    return NetResponse::Error {
-                        err: RpcErr::NotConnected,
-                    };
-                };
-                match self.network.send(id, end, &data) {
-                    Ok(n) => NetResponse::Sent { count: n as u64 },
-                    Err(NetworkError::Closed) => NetResponse::Error { err: RpcErr::Reset },
-                    Err(_) => NetResponse::Error {
-                        err: RpcErr::NotConnected,
-                    },
-                }
+                let (id, end) = self.conn(sock)?;
+                let n = self.network.send(id, end, &data).map_err(net_err)?;
+                Ok(NetResponse::Sent { count: n as u64 })
             }
             NetRequest::Recv { sock, max } => {
-                let Some(rec) = self.socks.get(&sock) else {
-                    return NetResponse::Error {
-                        err: RpcErr::NotFound,
-                    };
-                };
-                let SockState::Conn { id, end } = rec.state else {
-                    return NetResponse::Error {
-                        err: RpcErr::NotConnected,
-                    };
-                };
-                match self.network.recv(id, end, max as usize) {
-                    Ok(data) => NetResponse::Data { data },
-                    Err(NetworkError::Closed) => NetResponse::Error { err: RpcErr::Reset },
-                    Err(_) => NetResponse::Error {
-                        err: RpcErr::NotConnected,
-                    },
-                }
+                let (id, end) = self.conn(sock)?;
+                let data = self.network.recv(id, end, max as usize).map_err(net_err)?;
+                Ok(NetResponse::Data { data })
             }
             NetRequest::Close { sock } => self.close_sock(sock),
             NetRequest::Setsockopt { sock, opt, val } => {
-                let Some(rec) = self.socks.get_mut(&sock) else {
-                    return NetResponse::Error {
-                        err: RpcErr::NotFound,
-                    };
-                };
-                if opt == SOCKOPT_EVENTED {
-                    rec.evented = val != 0;
-                    NetResponse::Ok
-                } else {
-                    NetResponse::Error {
-                        err: RpcErr::Invalid,
-                    }
+                let rec = self.socks.get_mut(&sock).ok_or(missing(next, sock))?;
+                if opt != SOCKOPT_EVENTED {
+                    return Err(RpcErr::Invalid);
                 }
+                rec.evented = val != 0;
+                Ok(NetResponse::Ok)
             }
             NetRequest::Shutdown { sock, how } => {
-                let Some(rec) = self.socks.get(&sock) else {
-                    return NetResponse::Error {
-                        err: RpcErr::NotFound,
-                    };
-                };
-                let SockState::Conn { id, end } = rec.state else {
-                    return NetResponse::Error {
-                        err: RpcErr::NotConnected,
-                    };
-                };
+                let (id, end) = self.conn(sock)?;
                 if how >= 1 {
                     let _ = self.network.close(id, end);
                 }
-                NetResponse::Ok
+                Ok(NetResponse::Ok)
             }
         }
     }
 
-    fn close_sock(&mut self, sock: SockId) -> NetResponse {
-        let Some(rec) = self.socks.get_mut(&sock) else {
-            return NetResponse::Error {
-                err: RpcErr::NotFound,
-            };
-        };
+    /// The fabric end of `sock`, which must be a connection.
+    fn conn(&self, sock: SockId) -> Result<(ConnId, EndKind), RpcErr> {
+        match self.socks.get(&sock) {
+            None => Err(missing(self.next_sock, sock)),
+            Some(SockRec {
+                state: SockState::Conn { id, end },
+                ..
+            }) => Ok((*id, *end)),
+            Some(_) => Err(RpcErr::NotConnected),
+        }
+    }
+
+    /// Closes `sock` and removes its record, with everything that was
+    /// its: its fabric end, its balancer charge, its frames in the lane's
+    /// backlog and, for a listener, its port and its un-accepted
+    /// connections — each refused the same way, so its peer sees a
+    /// severance, never a hang.
+    fn close_sock(&mut self, sock: SockId) -> Result<NetResponse, RpcErr> {
+        let rec = self
+            .socks
+            .remove(&sock)
+            .ok_or(missing(self.next_sock, sock))?;
         let lane = lane_of(&self.coprocs, rec.coproc);
-        let refused = purge(&mut self.backlog[lane], sock);
+        let mut refused = purge(&mut self.backlog[lane], sock);
         match rec.state {
             SockState::Conn { id, end } => {
-                let _ = self.network.close(id, end);
-                rec.state = SockState::Closed;
-                if let Some(slot) = rec.lb_slot.take() {
-                    self.control.release(self.shard, slot);
-                }
+                let _ = self.network.close_for_good(id, end);
                 self.evented_conns.retain(|s| *s != sock);
             }
-            SockState::Listening(port) => {
-                rec.state = SockState::Closed;
+            SockState::Listening { port, pending } => {
                 self.control
                     .table
                     .lock()
                     .unlisten(port, sock, &self.network);
-                // Refuse the un-accepted backlog: each queued connection
-                // already holds an open fabric conn and a balancer slot,
-                // and no accept will ever reach it through the closed
-                // listener. Close the fabric side (the peer observes a
-                // severance, never a hang) and release the slot.
-                for (conn_sock, _) in self.pending_accepts.remove(&sock).unwrap_or_default() {
-                    let Some(crec) = self.socks.get_mut(&conn_sock) else {
-                        continue;
-                    };
-                    if let SockState::Conn { id, end } = crec.state {
-                        let _ = self.network.close(id, end);
-                        crec.state = SockState::Closed;
-                    }
-                    if let Some(slot) = crec.lb_slot.take() {
-                        self.control.release(self.shard, slot);
-                    }
-                }
+                refused.extend(pending.into_iter().map(|(conn, _)| conn));
             }
-            _ => rec.state = SockState::Closed,
+            SockState::Fresh | SockState::Bound(_) => {}
+        }
+        if let Some(slot) = rec.lb_slot {
+            self.control.release(self.shard, slot);
         }
         for conn in refused {
-            self.close_sock(conn);
+            let _ = self.close_sock(conn);
         }
-        NetResponse::Ok
+        Ok(NetResponse::Ok)
     }
 
     /// Accepts incoming connections on ports this shard is home to and
@@ -996,7 +943,7 @@ impl TcpProxy {
                     // The port lost its last proxy-side listener between
                     // the NIC accept and routing: refuse the orphan.
                     drop(table);
-                    let _ = self.network.close(conn, EndKind::Server);
+                    let _ = self.network.close_for_good(conn, EndKind::Server);
                     continue;
                 };
                 let h = Handoff {
@@ -1023,21 +970,30 @@ impl TcpProxy {
     /// delivery half of an accept: inline when this shard is both home
     /// and owner, via the inbox otherwise).
     fn deliver(&mut self, h: Handoff) {
-        // The listener may have closed while the handoff was in flight —
-        // either its record is gone entirely (a replaced shard's fresh
-        // state) or it lingers in `Closed` state (a normal close; the
-        // stub still holds the handle). Both ways no accept can ever
-        // reach the connection: refuse it and release its balancer slot.
-        let (coproc, evented) = match self.socks.get(&h.listener) {
-            Some(rec) if matches!(rec.state, SockState::Listening(_)) => (rec.coproc, rec.evented),
+        // The connection socket, owned by the listener's co-processor.
+        let conn_sock = self.next_sock;
+        let (coproc, evented) = match self.socks.get_mut(&h.listener) {
+            Some(SockRec {
+                coproc,
+                evented,
+                state: SockState::Listening { pending, .. },
+                ..
+            }) => {
+                if !*evented {
+                    pending.push_back((conn_sock, h.client_addr));
+                }
+                (*coproc, *evented)
+            }
+            // The listener closed while the handoff was in flight (its
+            // record left with the close, or with a fence: a replacement
+            // starts empty). No accept can reach the connection: refuse
+            // it and release its balancer slot.
             _ => {
-                let _ = self.network.close(h.conn, EndKind::Server);
+                let _ = self.network.close_for_good(h.conn, EndKind::Server);
                 self.control.release(self.shard, h.slot);
                 return;
             }
         };
-        // Create the connection socket owned by the same coproc.
-        let conn_sock = self.next_sock;
         self.next_sock += self.control.nshards as SockId;
         self.socks.insert(
             conn_sock,
@@ -1048,7 +1004,6 @@ impl TcpProxy {
                     end: EndKind::Server,
                 },
                 evented,
-                close_sent: false,
                 lb_slot: Some(h.slot),
             },
         );
@@ -1061,11 +1016,6 @@ impl TcpProxy {
                 peer_addr: h.client_addr,
             };
             self.push_event(coproc, &ev);
-        } else {
-            self.pending_accepts
-                .entry(h.listener)
-                .or_default()
-                .push_back((conn_sock, h.client_addr));
         }
     }
 
@@ -1116,22 +1066,15 @@ impl TcpProxy {
                     worked = true;
                     self.push_frame(coproc);
                 }
-                Err(NetworkError::Closed) => {
-                    let mut closed_slot = None;
-                    if let Some(rec) = self.socks.get_mut(&sock) {
-                        closed_slot = rec.lb_slot.take();
-                        if !rec.close_sent {
-                            rec.close_sent = true;
-                            worked = true;
-                            self.push_event(coproc, &NetEvent::Closed { sock });
-                        }
-                    }
-                    if let Some(slot) = closed_slot {
+                // The peer closed and the stream drained (reached once: the
+                // socket leaves the scan here).
+                Err(_) => {
+                    worked = true;
+                    self.push_event(coproc, &NetEvent::Closed { sock });
+                    let rec = self.socks.get_mut(&sock);
+                    if let Some(slot) = rec.and_then(|r| r.lb_slot.take()) {
                         self.control.release(self.shard, slot);
                     }
-                    self.evented_conns.retain(|s| *s != sock);
-                }
-                Err(_) => {
                     self.evented_conns.retain(|s| *s != sock);
                 }
             }
@@ -1198,15 +1141,9 @@ impl TcpProxy {
         self.stats
             .staged_sends
             .fetch_add(run.parts.len() as u64, Ordering::Relaxed);
-        match self.socks.get(&sock).map(|rec| &rec.state) {
-            None => Err(RpcErr::NotFound),
-            Some(&SockState::Conn { id, end }) => match self.network.send(id, end, &run.data) {
-                Ok(_) => Ok(()),
-                Err(NetworkError::Closed) => Err(RpcErr::Reset),
-                Err(_) => Err(RpcErr::NotConnected),
-            },
-            Some(_) => Err(RpcErr::NotConnected),
-        }
+        let (id, end) = self.conn(sock)?;
+        self.network.send(id, end, &run.data).map_err(net_err)?;
+        Ok(())
     }
 
     /// Settles the staged run at `i` right now, ahead of the cycle flush:
@@ -1359,16 +1296,19 @@ impl OpHandler for TcpProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{event_ring, Channel, EVENT_RING_BYTES};
-    use solros_pcie::PcieCounters;
+    use crate::transport::{Channel, EVENT_RING_BYTES};
+    use solros_pcie::{PcieCounters, Side};
+    use solros_ringbuf::{RingBuf, RingConfig};
+    use solros_simkit::check;
 
-    /// A one-lane proxy and the co-processor's end of its event ring,
-    /// which nobody reads unless the test does.
-    fn one_lane() -> (TcpProxy, Arc<Network>, Consumer) {
+    /// A one-lane proxy and the co-processor's end of its event ring of
+    /// `evt_bytes`, which nobody reads unless the test does.
+    fn one_lane(evt_bytes: usize) -> (TcpProxy, Arc<Network>, Consumer) {
         let network = Network::new();
         let counters = Arc::new(PcieCounters::new());
         let ch = Channel::new(Arc::clone(&counters));
-        let (evt_tx, evt_rx) = event_ring(counters);
+        let ring = RingConfig::over_pcie(evt_bytes, Side::Host, Side::Host, Side::Coproc);
+        let (evt_tx, evt_rx) = RingBuf::new(ring, counters).endpoints();
         let host = NetChannelHost {
             req_rx: ch.req_rx,
             resp_tx: ch.resp_tx,
@@ -1382,11 +1322,17 @@ mod tests {
         (proxy, network, evt_rx)
     }
 
-    /// Opens a listener on `port`; returns its socket.
-    fn listen(proxy: &mut TcpProxy, port: u16) -> SockId {
+    /// Opens a socket; returns it.
+    fn socket(proxy: &mut TcpProxy) -> SockId {
         let NetResponse::Socket { sock } = proxy.handle(0, NetRequest::Socket) else {
             panic!("socket");
         };
+        sock
+    }
+
+    /// Opens a listener on `port`; returns its socket.
+    fn listen(proxy: &mut TcpProxy, port: u16) -> SockId {
+        let sock = socket(proxy);
         assert_eq!(
             proxy.handle(0, NetRequest::Bind { sock, port }),
             NetResponse::Ok
@@ -1398,7 +1344,7 @@ mod tests {
 
     #[test]
     fn audit_reports_a_charge_whose_close_was_skipped() {
-        let (mut proxy, network, _evt_rx) = one_lane();
+        let (mut proxy, network, _evt_rx) = one_lane(EVENT_RING_BYTES);
         listen(&mut proxy, 80);
         network.client_connect(80, 7).expect("connect");
         assert!(proxy.poll(), "the connection is routed");
@@ -1407,13 +1353,7 @@ mod tests {
 
         // Close the accepted connection as `close_sock` does, minus the
         // release of its charge.
-        let conn = proxy
-            .socks
-            .values_mut()
-            .find(|r| r.lb_slot.is_some())
-            .expect("an accepted connection");
-        conn.lb_slot = None;
-        conn.state = SockState::Closed;
+        proxy.socks.retain(|_, r| r.lb_slot.is_none());
         assert_eq!(
             control.audit(&[&proxy]),
             vec!["shard 0 slot 0: 1 charged, 0 open connections".to_string()]
@@ -1427,7 +1367,7 @@ mod tests {
     /// reached a closing listener — refused, so its peer sees the close.
     #[test]
     fn a_full_ring_holds_back_one_frame_and_a_close_drops_its_own() {
-        let (mut proxy, network, _evt_rx) = one_lane();
+        let (mut proxy, network, _evt_rx) = one_lane(EVENT_RING_BYTES);
         let listener = listen(&mut proxy, 80);
         let flooder = network.client_connect(80, 1).expect("connect");
         assert!(proxy.poll(), "the connection is routed");
@@ -1460,5 +1400,166 @@ mod tests {
         assert!(proxy.backlog[0].is_empty());
         let control = Arc::clone(&proxy.control);
         assert_eq!(control.audit(&[&proxy]), Vec::<String>::new());
+    }
+
+    /// A socket's record lives as long as the socket: a thousand refused
+    /// connects leave no record behind. A request naming a closed socket
+    /// is answered `NotConnected`, one naming an id never issued
+    /// `NotFound`.
+    #[test]
+    fn closed_sockets_leave_the_proxy_table() {
+        let (mut proxy, _network, _evt_rx) = one_lane(EVENT_RING_BYTES);
+        let refused = NetResponse::Error {
+            err: RpcErr::ConnRefused,
+        };
+        let mut sock = 0;
+        for _ in 0..1_000 {
+            sock = socket(&mut proxy);
+            let connect = NetRequest::Connect {
+                sock,
+                addr: 1,
+                port: 9,
+            };
+            assert_eq!(proxy.handle(0, connect), refused);
+            assert_eq!(proxy.handle(0, NetRequest::Close { sock }), NetResponse::Ok);
+        }
+        assert!(proxy.socks.is_empty(), "{} records left", proxy.socks.len());
+        let missing = |err| NetResponse::Error { err };
+        let again = proxy.handle(0, NetRequest::Close { sock });
+        assert_eq!(again, missing(RpcErr::NotConnected));
+        let unissued = proxy.handle(0, NetRequest::Close { sock: sock + 1 });
+        assert_eq!(unissued, missing(RpcErr::NotFound));
+    }
+
+    /// Applies every event on the co-processor's ring: the connections
+    /// accepted for it join `conns`.
+    fn read_events(rx: &Consumer, conns: &mut Vec<SockId>) {
+        while let Ok(frame) = rx.recv() {
+            if let Ok(NetEvent::Accepted { conn, .. }) = NetEvent::decode_borrowed(&frame) {
+                conns.push(conn);
+            }
+        }
+    }
+
+    /// Random socket churn, with the NIC as the peer: listeners (some
+    /// polled, not evented) come and go on shared ports, peers connect,
+    /// send and hang up, the co-processor accepts, reads, shuts down and
+    /// closes — or leaves its small event ring unread until the lane
+    /// backs up into the NIC. Once both sides have closed everything,
+    /// every table of the shard and of the control plane is empty, and
+    /// the NIC holds no connection.
+    #[test]
+    fn tcp_churn_returns_every_table_to_empty() {
+        const PORTS: [u16; 3] = [80, 81, 82];
+        check::cases(200, |rng| {
+            // The smallest ring whose largest frame (a quarter of it)
+            // takes a full `RECV_CHUNK` event: a few unread sends fill it.
+            let (mut proxy, network, evt_rx) = one_lane(8 * RECV_CHUNK);
+            // What the co-processor holds: listeners and connections.
+            let mut listeners: Vec<SockId> = Vec::new();
+            let mut conns: Vec<SockId> = Vec::new();
+            // The peers' ends, and those not yet hung up.
+            let mut peers = Vec::new();
+            let mut open = Vec::new();
+            // Half the co-processors leave their ring unread until the end.
+            let reads = rng.chance(0.5);
+            for _ in 0..rng.range(1..120) {
+                match check::pick(rng, &[3, 4, 6, 3, 5, 3, 3, 1, 2, 2, 2]) {
+                    0 => {
+                        let sock = listen(&mut proxy, PORTS[rng.index(PORTS.len())]);
+                        if rng.chance(0.3) {
+                            let (opt, val) = (SOCKOPT_EVENTED, 0);
+                            let polled = NetRequest::Setsockopt { sock, opt, val };
+                            assert_eq!(proxy.handle(0, polled), NetResponse::Ok);
+                        }
+                        listeners.push(sock);
+                    }
+                    1 => {
+                        let port = PORTS[rng.index(PORTS.len())];
+                        if let Ok(conn) = network.client_connect(port, rng.below(8)) {
+                            peers.push(conn);
+                            open.push(conn);
+                        }
+                    }
+                    2 => {
+                        proxy.poll();
+                    }
+                    3 if !listeners.is_empty() => {
+                        let sock = listeners[rng.index(listeners.len())];
+                        if let NetResponse::Accepted { conn, .. } =
+                            proxy.handle(0, NetRequest::Accept { sock })
+                        {
+                            conns.push(conn);
+                        }
+                    }
+                    4 if !open.is_empty() => {
+                        let data = vec![7u8; rng.range(1..256 * 1024) as usize];
+                        let _ = network.send(open[rng.index(open.len())], EndKind::Client, &data);
+                    }
+                    5 if !open.is_empty() => {
+                        let conn = open.swap_remove(rng.index(open.len()));
+                        let _ = network.close(conn, EndKind::Client);
+                    }
+                    6 if !conns.is_empty() => {
+                        let sock = conns.swap_remove(rng.index(conns.len()));
+                        let close = proxy.handle(0, NetRequest::Close { sock });
+                        assert_eq!(close, NetResponse::Ok);
+                    }
+                    7 if !listeners.is_empty() => {
+                        let sock = listeners.swap_remove(rng.index(listeners.len()));
+                        let close = proxy.handle(0, NetRequest::Close { sock });
+                        assert_eq!(close, NetResponse::Ok);
+                    }
+                    8 if !conns.is_empty() => {
+                        let sock = conns[rng.index(conns.len())];
+                        proxy.handle(0, NetRequest::Shutdown { sock, how: 1 });
+                    }
+                    9 if !conns.is_empty() => {
+                        let sock = conns[rng.index(conns.len())];
+                        let max = RECV_CHUNK as u32;
+                        proxy.handle(0, NetRequest::Recv { sock, max });
+                    }
+                    10 if reads => read_events(&evt_rx, &mut conns),
+                    _ => {}
+                }
+            }
+            // The co-processor drains its ring and closes what it holds
+            // until the shard has nothing more to hand it.
+            loop {
+                read_events(&evt_rx, &mut conns);
+                let worked = proxy.poll();
+                read_events(&evt_rx, &mut conns);
+                let held = conns.len() + listeners.len();
+                for sock in conns.drain(..).chain(listeners.drain(..)) {
+                    let close = proxy.handle(0, NetRequest::Close { sock });
+                    assert_eq!(close, NetResponse::Ok);
+                }
+                if !worked && held == 0 {
+                    break;
+                }
+            }
+            // The peers hang up and read to the end: the rest of the
+            // bytes, then the FIN.
+            for &conn in &open {
+                let _ = network.close(conn, EndKind::Client);
+            }
+            for &conn in &peers {
+                for _ in 0..2 {
+                    let _ = network.recv(conn, EndKind::Client, usize::MAX);
+                }
+            }
+            assert!(proxy.socks.is_empty(), "{} sockets left", proxy.socks.len());
+            assert!(proxy.evented_conns.is_empty());
+            assert!(proxy.backlog.iter().all(VecDeque::is_empty));
+            let control = Arc::clone(&proxy.control);
+            {
+                let table = control.table.lock();
+                assert!(table.registry.is_empty(), "ports left registered");
+                assert!(table.conn_counts.is_empty(), "charges left");
+            }
+            assert_eq!(control.audit(&[&proxy]), Vec::<String>::new());
+            assert_eq!(control.event_drops(), 0);
+            assert_eq!(network.live_connections(), 0, "connections left in the NIC");
+        });
     }
 }

@@ -1252,6 +1252,8 @@ mod tests {
         let pool = Arc::new(CreditPool::new(u32::MAX));
         let client = RpcClient::with_credits(ch.req_tx, ch.resp_rx, Some(Arc::clone(&pool)));
         let mut accepted = 0usize;
+        // Held, not dropped, so the tags stay in flight.
+        let mut tokens_held = Vec::new();
         let err = loop {
             let frames: Vec<(u32, Vec<u8>)> = (0..32u64)
                 .map(|ino| {
@@ -1262,8 +1264,7 @@ mod tests {
             match client.submit_batch(frames) {
                 Ok(tokens) => {
                     accepted += tokens.len();
-                    // Keep the tags in flight: forget the tokens.
-                    tokens.into_iter().for_each(std::mem::forget);
+                    tokens_held.extend(tokens);
                 }
                 Err(e) => break e,
             }
@@ -1277,6 +1278,7 @@ mod tests {
             queued += 1;
         }
         assert_eq!(queued, accepted, "exactly the accepted frames were sent");
+        drop(tokens_held);
     }
 
     #[test]

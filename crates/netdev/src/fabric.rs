@@ -58,19 +58,13 @@ impl fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
+#[derive(Default)]
 struct Stream {
     bytes: VecDeque<u8>,
     /// Writer closed: once drained, reads return `Closed`.
     fin: bool,
-}
-
-impl Stream {
-    fn new() -> Self {
-        Self {
-            bytes: VecDeque::new(),
-            fin: false,
-        }
-    }
+    /// Reader closed for good: sends into the stream fail with `Closed`.
+    reader_gone: bool,
 }
 
 struct Conn {
@@ -92,6 +86,21 @@ struct Inner {
     listeners: HashMap<u16, Listener>,
     conns: HashMap<ConnId, Conn>,
     next_conn: ConnId,
+}
+
+impl Inner {
+    /// Reaps `id` once both directions have a FIN and both streams are
+    /// drained (TIME_WAIT collapses instantly in simulation).
+    fn reap_if_done(&mut self, id: ConnId) {
+        let done = self.conns.get(&id).is_some_and(|c| {
+            [&c.to_server, &c.to_client]
+                .iter()
+                .all(|s| s.fin && s.bytes.is_empty())
+        });
+        if done {
+            self.conns.remove(&id);
+        }
+    }
 }
 
 /// The simulated network: NIC + remote clients.
@@ -180,8 +189,8 @@ impl Network {
         g.conns.insert(
             id,
             Conn {
-                to_server: Stream::new(),
-                to_client: Stream::new(),
+                to_server: Stream::default(),
+                to_client: Stream::default(),
                 client_addr,
             },
         );
@@ -218,7 +227,7 @@ impl Network {
         let mut g = self.inner.lock();
         let conn = g.conns.get_mut(&id).ok_or(NetworkError::NotConnected)?;
         let s = Self::stream_mut(conn, from);
-        if s.fin {
+        if s.fin || s.reader_gone {
             return Err(NetworkError::Closed);
         }
         s.bytes.extend(data.iter().copied());
@@ -245,17 +254,18 @@ impl Network {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R, NetworkError> {
         let mut g = self.inner.lock();
-        let conn = g.conns.get_mut(&id).ok_or(NetworkError::NotConnected)?;
+        let Some(conn) = g.conns.get_mut(&id) else {
+            // Ids are never reused: one issued and gone was reaped.
+            return Err(if id < g.next_conn {
+                NetworkError::Closed
+            } else {
+                NetworkError::NotConnected
+            });
+        };
         let s = Self::stream_mut(conn, at.peer());
         if s.bytes.is_empty() {
             if s.fin {
-                // FIN observed; reap once both directions are closed and
-                // drained (TIME_WAIT collapses instantly in simulation).
-                let both = conn.to_server.fin && conn.to_client.fin;
-                let drained = conn.to_server.bytes.is_empty() && conn.to_client.bytes.is_empty();
-                if both && drained {
-                    g.conns.remove(&id);
-                }
+                g.reap_if_done(id);
                 return Err(NetworkError::Closed);
             }
             return Ok(f(&[]));
@@ -266,18 +276,39 @@ impl Network {
         Ok(out)
     }
 
-    /// Closes one end's write direction (TCP FIN). When both ends have
-    /// closed, the connection is reaped.
+    /// Closes one end's write direction (TCP FIN). Once both ends have
+    /// closed and both streams are drained — by this close, or by the
+    /// read that drains the last bytes — the connection is reaped.
     pub fn close(&self, id: ConnId, from: EndKind) -> Result<(), NetworkError> {
+        self.shut(id, from, false)
+    }
+
+    /// Closes `at`'s end for good, as closing a socket does: a FIN (see
+    /// [`Network::close`]), and the end reads no more. The bytes waiting
+    /// for it are dropped and its peer's later sends fail with `Closed`,
+    /// as TCP resets a peer that sends to a closed socket; so the
+    /// connection is reaped once the peer has closed and drained too.
+    pub fn close_for_good(&self, id: ConnId, at: EndKind) -> Result<(), NetworkError> {
+        self.shut(id, at, true)
+    }
+
+    fn shut(&self, id: ConnId, end: EndKind, for_good: bool) -> Result<(), NetworkError> {
         let mut g = self.inner.lock();
         let conn = g.conns.get_mut(&id).ok_or(NetworkError::NotConnected)?;
-        Self::stream_mut(conn, from).fin = true;
+        Self::stream_mut(conn, end).fin = true;
+        if for_good {
+            let inbound = Self::stream_mut(conn, end.peer());
+            inbound.bytes.clear();
+            inbound.reader_gone = true;
+        }
+        g.reap_if_done(id);
         drop(g);
         self.notify_ingress();
         Ok(())
     }
 
-    /// Number of live connections (tests and leak checks).
+    /// Connections not yet reaped: pending, open, or with a direction
+    /// still open or undrained (tests and leak checks).
     pub fn live_connections(&self) -> usize {
         self.inner.lock().conns.len()
     }
@@ -354,6 +385,49 @@ mod tests {
         net.close(c, EndKind::Server).unwrap();
         assert_eq!(net.recv(c, EndKind::Client, 64), Err(NetworkError::Closed));
         assert_eq!(net.live_connections(), 0, "fully closed connections reaped");
+    }
+
+    /// The usual server close: the client hangs up first, the server
+    /// drains to the FIN and closes without another read. Its close is
+    /// the last, so it reaps; a late read still sees the severance.
+    #[test]
+    fn the_last_close_reaps_a_drained_connection() {
+        let net = Network::new();
+        net.listen(80, 4).unwrap();
+        let c = net.client_connect(80, 1).unwrap();
+        net.poll_accept(80).unwrap().unwrap();
+        net.send(c, EndKind::Client, b"bye").unwrap();
+        net.close(c, EndKind::Client).unwrap();
+        assert_eq!(net.recv(c, EndKind::Server, 64).unwrap(), b"bye");
+        assert_eq!(net.recv(c, EndKind::Server, 64), Err(NetworkError::Closed));
+        net.close(c, EndKind::Server).unwrap();
+        assert_eq!(net.live_connections(), 0, "the last close reaps");
+        assert_eq!(net.recv(c, EndKind::Client, 64), Err(NetworkError::Closed));
+        assert_eq!(
+            net.send(c, EndKind::Server, b"x"),
+            Err(NetworkError::NotConnected)
+        );
+    }
+
+    /// A socket's close: what its end would have read is dropped, and
+    /// the peer sees a reset on send and the FIN on read. The connection
+    /// goes once the peer closes too.
+    #[test]
+    fn closing_for_good_drops_what_the_end_would_read() {
+        let net = Network::new();
+        net.listen(80, 4).unwrap();
+        let c = net.client_connect(80, 1).unwrap();
+        net.poll_accept(80).unwrap().unwrap();
+        net.send(c, EndKind::Client, b"unread").unwrap();
+        net.close_for_good(c, EndKind::Server).unwrap();
+        assert_eq!(
+            net.send(c, EndKind::Client, b"x"),
+            Err(NetworkError::Closed)
+        );
+        assert_eq!(net.recv(c, EndKind::Client, 64), Err(NetworkError::Closed));
+        assert_eq!(net.live_connections(), 1, "the peer has not closed");
+        net.close(c, EndKind::Client).unwrap();
+        assert_eq!(net.live_connections(), 0);
     }
 
     #[test]
