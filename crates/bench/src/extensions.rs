@@ -59,10 +59,10 @@ pub fn simulate_loaded(stack: StackKind, rate: f64, n: usize, seed: u64) -> Hist
 /// Extension E1: p99 latency vs offered load for the three stacks.
 pub fn latency_under_load() -> String {
     let mut t = Table::new(vec![
-        "offered load (kreq/s)",
-        "Host p99 (us)",
-        "Phi-Solros p99 (us)",
-        "Phi-Linux p99 (us)",
+        "offered load kreq/s (model)",
+        "Host p99 us (model)",
+        "Phi-Solros p99 us (model)",
+        "Phi-Linux p99 us (model)",
     ]);
     let n = 8_000;
     for rate_k in [1.0f64, 5.0, 10.0, 13.0, 25.0, 50.0] {
@@ -410,15 +410,11 @@ pub fn simulate_multi_tenant() -> Vec<FlowSnapshot> {
     gate.stats().snapshot()
 }
 
-/// Renders a per-tenant shed/latency table from a gate's flow snapshots.
-fn tenant_table(flows: &[FlowSnapshot]) -> Table {
-    let mut t = Table::new(vec![
-        "flow",
-        "submitted",
-        "shed",
-        "p99 wait (us)",
-        "MB served",
-    ]);
+/// Renders a per-tenant shed/latency table from a gate's flow snapshots,
+/// whose waits were read on `clock` (`"virtual"` or `"wall"`).
+fn tenant_table(flows: &[FlowSnapshot], clock: &str) -> Table {
+    let wait = format!("p99 wait us ({clock})");
+    let mut t = Table::new(vec!["flow", "submitted", "shed", &wait, "MB served"]);
     for f in flows {
         t.row(vec![
             f.name.clone(),
@@ -436,20 +432,33 @@ fn tenant_table(flows: &[FlowSnapshot]) -> Table {
 }
 
 /// Extension E3: QoS gate under overload — the victim's tail and
-/// goodput with the gate on vs. off, swept over flood intensity.
-pub fn qos_overload() -> String {
+/// goodput with the gate on vs. off, swept over flood intensity, DWRR
+/// byte shares (gated within 10 % of the weights) and the multi-tenant
+/// ledger (every request accounted, only the bulk tenant shed).
+pub fn qos_overload() -> Run {
     let mut t = Table::new(vec![
         "aggressor window",
-        "off: victim p99 (us)",
-        "off: victim MB/s",
-        "on: victim p99 (us)",
-        "on: victim MB/s",
-        "on: aggressor MB/s",
+        "off: victim p99 us (virtual)",
+        "off: victim MB/s (virtual)",
+        "on: victim p99 us (virtual)",
+        "on: victim MB/s (virtual)",
+        "on: aggressor MB/s (virtual)",
         "on: shed",
     ]);
+    let mut run = Run::from(String::new());
     for window in [4usize, 16, 64, 256] {
         let off = simulate_overload(false, window);
         let on = simulate_overload(true, window);
+        if window == 64 {
+            // FIFO queues the victim behind tens of MB; the gate bounds
+            // it by a few quanta, serves its paced ~82 MB/s and leaves
+            // the aggressor the rest.
+            run.check(off.victim_p99_us > 4_000.0, "FIFO victim p99 <= 4 ms");
+            run.check(on.victim_p99_us < 1_000.0, "gated victim p99 >= 1 ms");
+            run.check(on.victim_mbps > 78.0, "gated victim <= 78 MB/s");
+            run.check(on.aggr_mbps > 500.0, "gated aggressor <= 500 MB/s");
+        }
+        run.check(window < 256 || on.shed > 0, "no shed at window 256");
         t.row(vec![
             window.to_string(),
             format!("{:.0}", off.victim_p99_us),
@@ -467,10 +476,13 @@ pub fn qos_overload() -> String {
     let total: u32 = weights.iter().sum();
     let mut st = Table::new(vec!["tenant", "weight", "target share", "achieved share"]);
     for (i, (&w, &s)) in weights.iter().zip(shares.iter()).enumerate() {
+        let target = w as f64 / total as f64;
+        let fair = (s - target).abs() / target < 0.10;
+        run.check(fair, format!("weight {w}: share {s:.3} vs {target:.3}"));
         st.row(vec![
             format!("tenant{i}"),
             w.to_string(),
-            format!("{:.1}%", 100.0 * w as f64 / total as f64),
+            format!("{:.1}%", 100.0 * target),
             format!("{:.1}%", 100.0 * s),
         ]);
     }
@@ -490,7 +502,8 @@ pub fn qos_overload() -> String {
         "\nPer-tenant ledger under the canned multi-tenant profile \
          (`QosConfig::multi_tenant`, one class per tenant):\n\n",
     );
-    out.push_str(&tenant_table(&simulate_multi_tenant()).to_markdown());
+    let flows = simulate_multi_tenant();
+    out.push_str(&tenant_table(&flows, "virtual").to_markdown());
     out.push_str(
         "\nThree tenants share one gate: paced metadata (t0, High) and \
          paced 4 KiB reads (t1, Normal) ride ahead of a closed-loop bulk \
@@ -500,7 +513,19 @@ pub fn qos_overload() -> String {
          its 2 ms deadline converts backlog into explicit `Overloaded` \
          replies instead of unbounded queueing.\n",
     );
-    out
+
+    run.report = out;
+    for f in &flows {
+        run.check(f.accounted(), format!("flow {} leaks requests", f.name));
+    }
+    let [high, normal, bulk] = &flows[..] else {
+        panic!("{} flows, one per class expected", flows.len());
+    };
+    run.check(high.shed + normal.shed == 0, "a paced tenant shed");
+    run.check(bulk.shed > 0, "bulk best-effort absorbed no shedding");
+    let tail = |f: &FlowSnapshot| f.wait.percentile(99.0);
+    run.check(tail(high) <= tail(bulk), "High's tail above bulk's");
+    run
 }
 
 /// E3-engine smoke: the same overload story as [`qos_overload`], but
@@ -580,9 +605,9 @@ pub fn engine_overload_smoke() -> Run {
         .filter(|s| !s.name.ends_with(&best))
         .map(|s| s.shed)
         .sum();
-    let mut out = tenant_table(&snaps).to_markdown();
+    let mut out = tenant_table(&snaps, "wall").to_markdown();
     out.push_str(&format!(
-        "\nVictim fstat+read pair p99: {:.0} us over {VICTIM_OPS} pairs \
+        "\nVictim fstat+read pair p99 (wall): {:.0} us over {VICTIM_OPS} pairs \
          against {AGGRESSORS} closed-loop {} KiB bulk writers.\n\
          Sheds charged to paced (non-best-effort) flows: {paced_shed}.\n",
         victim_wait.percentile(99.0).as_us_f64(),
@@ -620,85 +645,97 @@ pub struct DepthPoint {
 ///
 /// [`Batch`]: solros::fs_api::Batch
 pub fn sweep_queue_depth(depths: &[usize], ops: usize) -> Vec<DepthPoint> {
-    use solros::control::Solros;
-    use solros_machine::MachineConfig;
-
-    const READ: usize = 4096;
-    const FILE_BYTES: u64 = 8 << 20;
-
     depths
         .iter()
         .map(|&depth| {
-            let sys = Solros::boot(MachineConfig {
-                sockets: 1,
-                coprocs: 1,
-                ssd_blocks: 16_384,
-                coproc_window_bytes: 8 << 20,
-                host_cache_pages: 64,
-            });
-            // Populate via the host view, then drop the cached pages so
-            // every measured read really crosses to the device.
-            let host = sys.host_fs();
-            let ino = host.create("/data").unwrap();
-            let chunk = vec![0xa5u8; 256 * 1024];
-            let mut off = 0u64;
-            while off < FILE_BYTES {
-                host.write(ino, off, &chunk).unwrap();
-                off += chunk.len() as u64;
-            }
-            host.cache().invalidate_ino(ino);
-
-            let fs = Arc::clone(sys.data_plane(0).fs());
-            let (h, size) = fs.open("/data", false, false, false).unwrap();
-            assert_eq!(size, FILE_BYTES);
-            let blocks = FILE_BYTES / READ as u64;
-            let mut rng = DetRng::seed(0xE4);
-
+            let mut rig = ReadRig::boot(0xE4);
             // One warm-up wave absorbs first-touch costs (thread wakeups,
             // allocator) outside the measured window.
-            let mut warm = fs.batch();
-            for _ in 0..depth {
-                warm = warm.read(h, rng.below(blocks) * READ as u64, READ);
-            }
-            for r in warm.run() {
-                assert_eq!(r.into_read().len(), READ);
-            }
-
-            let d0 = sys.machine().nvme.stats();
+            rig.wave(depth);
+            let d0 = rig.sys.machine().nvme.stats();
             let mut lat = Histogram::new();
-            let t0 = std::time::Instant::now();
-            let mut done = 0usize;
-            while done < ops {
-                let wave = depth.min(ops - done);
-                let w0 = std::time::Instant::now();
-                let mut b = fs.batch();
-                for _ in 0..wave {
-                    b = b.read(h, rng.below(blocks) * READ as u64, READ);
-                }
-                for r in b.run() {
-                    assert_eq!(r.into_read().len(), READ);
-                }
+            let t0 = Instant::now();
+            for wave in waves(ops, depth) {
+                let w0 = Instant::now();
+                rig.wave(wave);
                 // Every op in the wave completes by the wave's end; its
                 // per-op latency is the wave's wall time.
                 let dt = SimTime::from_ns(w0.elapsed().as_nanos() as u64);
                 for _ in 0..wave {
                     lat.record(dt);
                 }
-                done += wave;
             }
             let elapsed = t0.elapsed().as_secs_f64();
-            let d1 = sys.machine().nvme.stats();
-            sys.shutdown();
+            let d1 = rig.sys.machine().nvme.stats();
+            rig.sys.shutdown();
 
             DepthPoint {
                 depth,
-                mbps: (ops * READ) as f64 / elapsed / 1e6,
+                mbps: (ops * ReadRig::READ) as f64 / elapsed / 1e6,
                 p99_us: lat.percentile(99.0).as_us_f64(),
                 doorbells_per_op: (d1.doorbells - d0.doorbells) as f64 / ops as f64,
                 interrupts_per_op: (d1.interrupts - d0.interrupts) as f64 / ops as f64,
             }
         })
         .collect()
+}
+
+/// The wave sizes that issue `ops` reads `depth` at a time.
+fn waves(ops: usize, depth: usize) -> impl Iterator<Item = usize> {
+    (0..ops)
+        .step_by(depth)
+        .map(move |done| depth.min(ops - done))
+}
+
+/// A booted one-card system and an 8 MiB file whose pages were dropped
+/// from the host cache, so every 4 KiB read crosses to the device: the
+/// rig of E4's and E8's depth sweeps.
+struct ReadRig {
+    sys: solros::control::Solros,
+    fs: Arc<solros::CoprocFs>,
+    file: solros::fs_api::FileHandle,
+    rng: DetRng,
+}
+
+impl ReadRig {
+    const READ: usize = 4096;
+    const BLOCKS: u64 = 2_048;
+
+    fn boot(seed: u64) -> Self {
+        let sys = solros::control::Solros::boot(solros_machine::MachineConfig {
+            sockets: 1,
+            coprocs: 1,
+            ssd_blocks: 16_384,
+            coproc_window_bytes: 8 << 20,
+            host_cache_pages: 64,
+        });
+        let bytes = Self::BLOCKS * Self::READ as u64;
+        let host = sys.host_fs();
+        let ino = host.create("/data").unwrap();
+        let chunk = vec![0xa5u8; 256 * 1024];
+        for off in (0..bytes).step_by(chunk.len()) {
+            host.write(ino, off, &chunk).unwrap();
+        }
+        host.cache().invalidate_ino(ino);
+        let fs = Arc::clone(sys.data_plane(0).fs());
+        let (file, size) = fs.open("/data", false, false, false).unwrap();
+        assert_eq!(size, bytes);
+        let rng = DetRng::seed(seed);
+        ReadRig { sys, fs, file, rng }
+    }
+
+    /// Reads `n` random blocks as one [`Batch`](solros::fs_api::Batch):
+    /// one request-ring publish.
+    fn wave(&mut self, n: usize) {
+        let mut b = self.fs.batch();
+        for _ in 0..n {
+            let off = self.rng.below(Self::BLOCKS) * Self::READ as u64;
+            b = b.read(self.file, off, Self::READ);
+        }
+        for r in b.run() {
+            assert_eq!(r.into_read().len(), Self::READ);
+        }
+    }
 }
 
 /// Per-tenant queue waits as the shared submission depth grows: three
@@ -738,15 +775,17 @@ pub fn simulate_tenant_depth(depth: usize) -> Vec<FlowSnapshot> {
     gate.stats().snapshot()
 }
 
-/// E4 — submission-pipeline scaling: throughput and tail vs queue depth.
-pub fn queue_depth() -> String {
+/// E4 — submission-pipeline scaling: throughput and tail vs queue depth,
+/// gated on doorbells and interrupts per op (MB/s is wall clock and
+/// ungated), and per-tenant waits and sheds as the shared depth grows.
+pub fn queue_depth() -> Run {
     let points = sweep_queue_depth(&[1, 2, 4, 8, 16, 32, 64], 384);
     let base = points[0].mbps;
     let mut t = Table::new(vec![
         "queue depth",
-        "MB/s",
-        "speedup",
-        "p99 (us)",
+        "MB/s (wall)",
+        "speedup (wall)",
+        "p99 us (wall)",
         "doorbells/op",
         "interrupts/op",
     ]);
@@ -769,43 +808,39 @@ pub fn queue_depth() -> String {
          the cross-call generalization of the paper's Fig. 11 batching.\n",
     );
 
-    let mut tt = Table::new(vec![
-        "shared depth",
-        "flow",
-        "submitted",
-        "shed",
-        "p99 wait (us)",
-        "MB served",
-    ]);
-    for depth in [4usize, 16, 64] {
-        for f in simulate_tenant_depth(depth) {
-            tt.row(vec![
-                depth.to_string(),
-                f.name.clone(),
-                f.submitted.to_string(),
-                f.shed.to_string(),
-                if f.dispatched == 0 {
-                    "-".into()
-                } else {
-                    format!("{:.0}", f.wait.percentile(99.0).as_us_f64())
-                },
-                format!("{:.1}", f.dispatched_bytes as f64 / 1e6),
-            ]);
-        }
-    }
+    let mut run = Run::from(String::new());
+    let at = |depth| points.iter().find(|p| p.depth == depth).expect("swept");
+    let halved = |per_op: fn(&DepthPoint) -> f64| per_op(at(32)) < 0.5 * per_op(at(1));
+    run.check(halved(|p| p.doorbells_per_op), "doorbells/op not halved");
+    run.check(halved(|p| p.interrupts_per_op), "interrupts/op not halved");
+
     out.push_str(
         "\nPer-tenant waits when three tenants share the pipeline \
          (`QosConfig::multi_tenant`, one class per tenant, each keeping \
-         `depth` 4 KiB ops outstanding):\n\n",
+         `depth` 4 KiB ops outstanding):\n",
     );
-    out.push_str(&tt.to_markdown());
+    let mut sheds = Vec::new();
+    for depth in [4usize, 16, 64] {
+        let flows = simulate_tenant_depth(depth);
+        for f in &flows {
+            run.check(f.accounted(), format!("flow {} leaks requests", f.name));
+        }
+        sheds.push(flows.iter().map(|f| f.shed).sum::<u64>());
+        let tail = |f: &FlowSnapshot| f.wait.percentile(99.0);
+        let high_first = tail(&flows[0]) < tail(&flows[2]);
+        run.check(depth < 64 || high_first, "High waits >= BestEffort at 64");
+        let table = tenant_table(&flows, "virtual").to_markdown();
+        out.push_str(&format!("\nShared depth {depth}:\n\n{table}"));
+    }
     out.push_str(
         "\nDeeper shared queues trade tail for throughput unevenly across \
          tenants: the weighted gate keeps the High tenant's wait nearly \
          flat while the BestEffort tenant absorbs the depth — first as \
          queueing, then past its 2 ms deadline as explicit sheds.\n",
     );
-    out
+    run.check(sheds[2] > sheds[0], "64-deep sheds <= 4-deep");
+    run.report = out;
+    run
 }
 
 /// Outcome of one end-to-end E5 recovery scenario.
@@ -1116,8 +1151,8 @@ pub fn fault_recovery() -> Run {
         "retried",
         "resets",
         "goodput",
-        "detect (us)",
-        "recover (us)",
+        "detect us (wall)",
+        "recover us (wall)",
         "clean",
     ]);
     for s in bursts.iter().chain(&resets) {
@@ -1439,75 +1474,88 @@ pub fn lease_data_plane() -> Run {
     run
 }
 
-/// One point of the E7 virtual-time control-plane sweep.
-pub struct E7Point {
-    /// Engine shards (NUMA domains) sharing the control table.
-    pub domains: usize,
-    /// Control ops executed across all shards.
-    pub ops: u64,
-    /// Virtual-time throughput, thousand ops per second.
-    pub kops: f64,
-    /// Share of the run the table was held, 0–1.
-    pub table_busy: f64,
-}
+/// Control-table acquisitions per phase of a TCP connection's life on a
+/// real boot with two cards on two sockets (two TCP shards), both
+/// listening on one shared port: the shard count and `(phase, ops,
+/// acquisitions)` rows.
+fn table_acquisitions_by_phase() -> (usize, Vec<(&'static str, u64, u64)>) {
+    use solros::control::Solros;
+    use solros_machine::MachineConfig;
+    use solros_netdev::EndKind;
 
-/// Per-op local work on a shard (decode, classify, socket table), ns.
-const E7_LOCAL_NS: u64 = 1_000;
-/// One table mutation under its lock (lock, route-and-charge or a
-/// count-guarded close, unlock), ns: the median of 95.4 and 99.7 ns
-/// measured on a 2-vCPU, one-socket host over a table shaped like
-/// `TcpControl`'s (16 ports × 4 listeners and a least-loaded slot array).
-const E7_TABLE_HOLD_NS: u64 = 100;
-/// Extra cost when the table's lock and lines were last held by another
-/// domain, ns: twice the 120.7 ns median one-way cache-line transfer
-/// between two cores of that host (it has no second socket to measure).
-const E7_LINE_XFER_NS: u64 = 240;
-/// Ops each shard executes per round of the sweep.
-const E7_ROUND_OPS: usize = 32;
-/// Rounds per sweep point.
-const E7_ROUNDS: usize = 192;
+    const PORT: u16 = 9_200;
+    const CONNS: usize = 16;
+    const ECHOES: usize = 64;
+    const MSG: usize = 64;
 
-/// One point of the sweep: `domains` shards each run `E7_ROUND_OPS`
-/// ops per round, each op `E7_LOCAL_NS` of local work followed by one
-/// acquisition of the shared control table. The table is one serial
-/// resource: an acquisition starts when both the domain and the table
-/// are free, holds it `E7_TABLE_HOLD_NS`, and pays `E7_LINE_XFER_NS`
-/// more when the previous holder was another domain. Acquisitions
-/// interleave op by op across domains. Single-threaded and
-/// deterministic, so a point reads the same on any host.
-pub fn sweep_table_point(domains: usize) -> E7Point {
-    let mut clock = vec![0u64; domains];
-    let mut table_free = 0u64;
-    let mut last_holder = None;
-    let mut busy = 0u64;
-    let mut ops = 0u64;
-    for _ in 0..E7_ROUNDS * E7_ROUND_OPS {
-        for (d, domain_clock) in clock.iter_mut().enumerate() {
-            let start = (*domain_clock + E7_LOCAL_NS).max(table_free);
-            let hold = E7_TABLE_HOLD_NS
-                + if last_holder.is_some_and(|h| h != d) {
-                    E7_LINE_XFER_NS
-                } else {
-                    0
-                };
-            *domain_clock = start + hold;
-            table_free = start + hold;
-            last_holder = Some(d);
-            busy += hold;
-            ops += 1;
+    let sys = Solros::boot(MachineConfig {
+        sockets: 2,
+        coprocs: 2,
+        ssd_blocks: 4_096,
+        coproc_window_bytes: 4 << 20,
+        host_cache_pages: 64,
+    });
+    let network = Arc::clone(sys.network());
+    let supervisor = Arc::clone(sys.supervisor());
+    let mut phases = Vec::new();
+    let mut mark = supervisor.control_table_acquisitions();
+    let mut phase = |name, ops: usize| {
+        let now = supervisor.control_table_acquisitions();
+        phases.push((name, ops as u64, now - mark));
+        mark = now;
+    };
+
+    let listeners: Vec<_> = (0..2)
+        .map(|i| sys.data_plane(i).net().listen(PORT, 64).expect("listen"))
+        .collect();
+    phase("listen", listeners.len());
+
+    // Round-robin over the port's listeners in registration order.
+    let conns: Vec<_> = (0..CONNS)
+        .map(|i| {
+            let peer = network.client_connect(PORT, i as u64 + 1).expect("connect");
+            let (stream, _) = listeners[i % 2]
+                .accept_timeout(Duration::from_secs(2))
+                .unwrap_or_else(|| panic!("connection {i} never reached listener {}", i % 2));
+            (peer, stream)
+        })
+        .collect();
+    phase("accept", CONNS);
+
+    let msg = [0x7e_u8; MSG];
+    for (peer, stream) in &conns {
+        for _ in 0..ECHOES {
+            network.send(*peer, EndKind::Client, &msg).unwrap();
+            let data = stream.recv_exact(MSG).expect("echo request");
+            // `Sent` comes back once the bytes are on the fabric.
+            stream.send(&data).unwrap();
+            let back = network.recv(*peer, EndKind::Client, MSG).unwrap();
+            assert_eq!(back, msg, "echo reply");
         }
     }
-    let wall = clock.iter().copied().max().unwrap_or(1).max(1);
-    E7Point {
-        domains,
-        ops,
-        kops: ops as f64 / (wall as f64 / 1e9) / 1e3,
-        table_busy: busy as f64 / wall as f64,
+    phase("echo", CONNS * ECHOES);
+
+    // Idle with every listener and connection still open.
+    std::thread::sleep(Duration::from_millis(50));
+    phase("idle 50 ms", 1);
+
+    for (peer, stream) in conns {
+        network.close(peer, EndKind::Client).unwrap();
+        stream.close().unwrap();
     }
+    phase("close accepted connection", CONNS);
+
+    for l in listeners {
+        l.close().unwrap();
+    }
+    phase("close listener", 2);
+
+    let shards = sys.tcp_domains();
+    sys.shutdown();
+    (shards, phases)
 }
 
-/// Extension E7 — control-plane scalability of the sharded design over
-/// one control table.
+/// Extension E7 — the sharded control plane over one shared table.
 ///
 /// Part 1 boots real systems with 1→8 co-processors and drives mixed
 /// fs+tcp metadata traffic from every card at once
@@ -1515,10 +1563,11 @@ pub fn sweep_table_point(domains: usize) -> E7Point {
 /// per NUMA domain, and every listener churns a port of its own through
 /// the shared table. After each storm every churned port must be free
 /// on the NIC again — an unlisten that never happened leaves it held.
-/// Part 2 sweeps shard counts under a deterministic virtual clock over
-/// the table as one serial resource ([`sweep_table_point`]), reporting
-/// ops/s and table occupancy. Fails unless 8 domains deliver ≥ 3× the
-/// 1-domain throughput and the storms left no churned port held.
+/// Part 2 counts the table's acquisitions in each phase of a
+/// connection's life (`ShardSupervisor::control_table_acquisitions`).
+/// Fails if a storm left a churned port held, or unless per op an echo
+/// and an idle round take the table 0 times, a close 1, an accept at
+/// most 1 + shards.
 pub fn control_plane_scaling() -> Run {
     let mut out = String::new();
 
@@ -1543,52 +1592,46 @@ pub fn control_plane_scaling() -> Run {
     out.push_str("Real boots, every card mixing fs reads with TCP listener churn:\n\n");
     out.push_str(&t.to_markdown());
 
-    // ---- Part 2: virtual-time shard sweep over one table ----
-    let points: Vec<E7Point> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&d| sweep_table_point(d))
-        .collect();
-    let base = points[0].kops;
-    let mut t = Table::new(vec![
-        "domains",
-        "ops",
-        "kops/s (virtual)",
-        "speedup",
-        "table busy",
-    ]);
-    for p in &points {
-        t.row(vec![
-            p.domains.to_string(),
-            p.ops.to_string(),
-            format!("{:.1}", p.kops),
-            format!("{:.2}x", p.kops / base),
-            format!("{:.0}%", p.table_busy * 100.0),
-        ]);
+    // ---- Part 2: table acquisitions per phase of a connection ----
+    let (shards, phases) = table_acquisitions_by_phase();
+    let mut run = Run::from(String::new());
+    run.check(shards == 2, format!("{shards} TCP shards (want 2)"));
+    let mut t = Table::new(vec!["phase", "ops", "table acquisitions", "per op"]);
+    for (name, ops, n) in phases {
+        let per_op = n as f64 / ops as f64;
+        // Acquisitions per op a gated phase may take: a close takes the
+        // table exactly once (fewer skipped a release).
+        let allowed = match name {
+            "accept" => 0.0..=1.0 + shards as f64,
+            "close accepted connection" => 1.0..=1.0,
+            "echo" | "idle 50 ms" => 0.0..=0.0,
+            _ => 0.0..=f64::INFINITY,
+        };
+        let msg = format!("{name}: {per_op:.2} table acquisitions per op (want {allowed:?})");
+        run.check(allowed.contains(&per_op), msg);
+        let row = [
+            name.into(),
+            ops.to_string(),
+            n.to_string(),
+            format!("{per_op:.2}"),
+        ];
+        t.row(row.into());
     }
     out.push_str(&format!(
-        "\nVirtual-time sweep (single-threaded, deterministic): each op is {E7_LOCAL_NS} ns of \
-         local work and one table acquisition of {E7_TABLE_HOLD_NS} ns, plus {E7_LINE_XFER_NS} ns \
-         when another domain held it last:\n\n"
+        "\nControl-table acquisitions over a connection's life, {shards} TCP shards sharing \
+         the table (two cards on two sockets, both listening on one port):\n\n"
     ));
     out.push_str(&t.to_markdown());
-    out.push_str(&format!(
-        "\nLocal work scales with shards; the one table saturates at 1 / (hold + transfer) ≈ \
-         {:.0} kops/s once domains alternate on every acquisition. The table changes only on \
-         listen, accept and close, so that ceiling is far above any connection rate the proxies \
-         see.\n",
-        1e6 / (E7_TABLE_HOLD_NS + E7_LINE_XFER_NS) as f64
-    ));
-
-    let speedup8 = points[3].kops / base;
-    let mut run = Run::from(out);
-    run.check(
-        speedup8 >= 3.0,
-        format!("8-domain speedup {speedup8:.2}x (want >= 3x)"),
+    out.push_str(
+        "\nA poll round takes the table only when its shard is home to a port and the NIC holds \
+         a connection not yet accepted. Gates per op: echo and idle 0, a close of an accepted \
+         connection exactly 1, an accept at most 1 + shards.\n",
     );
     run.check(
         held == 0,
         format!("{held} churned ports still held on the NIC after the storms (must be 0)"),
     );
+    run.report = out;
     run
 }
 
@@ -1625,53 +1668,20 @@ impl ReplyDepthPoint {
 /// the lazy ring — per `(lane, cycle)`, so publishes/op collapse toward
 /// `1/depth` exactly as the submission-side doorbells did in E4.
 pub fn sweep_reply_wave(depths: &[usize], ops: usize) -> Vec<ReplyDepthPoint> {
-    use solros::control::Solros;
-    use solros_machine::MachineConfig;
     use std::sync::atomic::Ordering::Relaxed;
-
-    const READ: usize = 4096;
-    const FILE_BYTES: u64 = 8 << 20;
 
     depths
         .iter()
         .map(|&depth| {
-            let sys = Solros::boot(MachineConfig {
-                sockets: 1,
-                coprocs: 1,
-                ssd_blocks: 16_384,
-                coproc_window_bytes: 8 << 20,
-                host_cache_pages: 64,
-            });
-            let host = sys.host_fs();
-            let ino = host.create("/data").unwrap();
-            let chunk = vec![0xa5u8; 256 * 1024];
-            let mut off = 0u64;
-            while off < FILE_BYTES {
-                host.write(ino, off, &chunk).unwrap();
-                off += chunk.len() as u64;
-            }
-            host.cache().invalidate_ino(ino);
-
-            let fs = Arc::clone(sys.data_plane(0).fs());
-            let (h, size) = fs.open("/data", false, false, false).unwrap();
-            assert_eq!(size, FILE_BYTES);
-            let blocks = FILE_BYTES / READ as u64;
-            let mut rng = DetRng::seed(0xE8);
-
+            let mut rig = ReadRig::boot(0xE8);
             // Warm-up wave outside the measured window.
-            let mut warm = fs.batch();
-            for _ in 0..depth {
-                warm = warm.read(h, rng.below(blocks) * READ as u64, READ);
-            }
-            for r in warm.run() {
-                assert_eq!(r.into_read().len(), READ);
-            }
+            rig.wave(depth);
 
             // The engine counts a reply after the publish that wakes its
             // client, so a wave's counts can land after the wave returns:
             // read the counters only once every executed request's reply
             // is counted, or the warm-up leaks into the window.
-            let s = sys.fs_proxy_stats(0);
+            let s = Arc::clone(rig.sys.fs_proxy_stats(0));
             let settled = || {
                 let caught_up = || s.replies.load(Relaxed) >= s.rpcs.load(Relaxed);
                 assert!(
@@ -1683,17 +1693,8 @@ pub fn sweep_reply_wave(depths: &[usize], ops: usize) -> Vec<ReplyDepthPoint> {
             let r0 = s.replies.load(Relaxed);
             let w0 = s.reply_waves.load(Relaxed);
             let p0 = s.reply_publishes.load(Relaxed);
-            let mut done = 0usize;
-            while done < ops {
-                let wave = depth.min(ops - done);
-                let mut b = fs.batch();
-                for _ in 0..wave {
-                    b = b.read(h, rng.below(blocks) * READ as u64, READ);
-                }
-                for r in b.run() {
-                    assert_eq!(r.into_read().len(), READ);
-                }
-                done += wave;
+            for wave in waves(ops, depth) {
+                rig.wave(wave);
             }
             settled();
             let point = ReplyDepthPoint {
@@ -1702,20 +1703,10 @@ pub fn sweep_reply_wave(depths: &[usize], ops: usize) -> Vec<ReplyDepthPoint> {
                 reply_waves: s.reply_waves.load(Relaxed) - w0,
                 reply_publishes: s.reply_publishes.load(Relaxed) - p0,
             };
-            sys.shutdown();
+            rig.sys.shutdown();
             point
         })
         .collect()
-}
-
-/// Accepts the pending fabric connection on `port`, reporting which
-/// listener died instead of unwrapping blind.
-fn accept_on(network: &solros_netdev::Network, port: u16) -> (solros_netdev::ConnId, u64) {
-    match network.poll_accept(port) {
-        Ok(Some(pending)) => pending,
-        Ok(None) => panic!("accept on port {port}: connect never reached the listener"),
-        Err(e) => panic!("accept on port {port} failed: {e:?}"),
-    }
 }
 
 /// One point of E8's TCP small-send sweep (self-contained rig: real
@@ -1819,7 +1810,10 @@ pub fn tcp_send_coalescing(depths: &[usize], ops: usize) -> TcpWaveOutcome {
         .encode(tag),
     );
     assert_eq!(reply[4], R_NOK, "connect must succeed");
-    let (conn, _peer) = accept_on(&network, PORT);
+    let (conn, _peer) = network
+        .poll_accept(PORT)
+        .unwrap()
+        .expect("connect reached PORT");
 
     let msg = vec![0x5au8; MSG];
     // The counters repeat exactly from round to round; the clock does
@@ -1964,8 +1958,8 @@ pub fn reply_wave() -> Run {
         "backend writes",
         "coalesce factor",
         "reply publishes/op",
-        "kops/s",
-        "speedup",
+        "kops/s (wall)",
+        "speedup (wall)",
     ]);
     for p in &tcp.points {
         let kops = p.ops as f64 / p.elapsed_s;
@@ -2286,58 +2280,53 @@ pub fn domain_failover() -> Run {
     let blackout_ms = report.blackout_ns as f64 / 1e6;
 
     let mut out = String::new();
+    let control_table = match audit.first() {
+        None => "clean".to_string(),
+        Some(first) => format!("{} faults, first: {first}", audit.len()),
+    };
+    let (severed, stuck, corrupted) = (
+        severed.load(Relaxed),
+        stuck.load(Relaxed),
+        mismatches.load(Relaxed),
+    );
     let mut t = Table::new(vec!["metric", "value"]);
-    t.row(vec!["domains".into(), DOMAINS.to_string()]);
-    t.row(vec![
-        "killed".into(),
-        format!("domain {CRASH_DOMAIN} (crash), domain {WEDGE_DOMAIN} (wedge)"),
-    ]);
-    t.row(vec![
-        "failovers completed".into(),
-        format!("{failovers} (crash detected: {crash_ok}, wedge detected: {wedge_ok})"),
-    ]);
-    t.row(vec![
-        "blackout total".into(),
-        format!("{blackout_ms:.2} ms"),
-    ]);
-    t.row(vec![
-        "echoes before / after".into(),
-        format!("{ok_before} / {ok_after}"),
-    ]);
-    t.row(vec![
-        "echoes served by revived domains after".into(),
-        revived_after.to_string(),
-    ]);
-    t.row(vec![
-        "surviving-domain p99 before / after".into(),
-        format!("{p99_before:.0} µs / {p99_after:.0} µs"),
-    ]);
-    t.row(vec![
-        "severed / stuck / corrupted".into(),
-        format!(
-            "{} / {} / {}",
-            severed.load(Relaxed),
-            stuck.load(Relaxed),
-            mismatches.load(Relaxed)
+    for (k, v) in [
+        ("domains", DOMAINS.to_string()),
+        (
+            "killed",
+            format!("domain {CRASH_DOMAIN} (crash), domain {WEDGE_DOMAIN} (wedge)"),
         ),
-    ]);
-    t.row(vec![
-        "control table".into(),
-        if audit.is_empty() {
-            "clean".into()
-        } else {
-            format!("{} faults, first: {}", audit.len(), audit[0])
-        },
-    ]);
-    t.row(vec![
-        "reply-wave resubmits".into(),
-        report.reply_wave_resubmits.to_string(),
-    ]);
-    t.row(vec!["event drops".into(), report.event_drops.to_string()]);
-    t.row(vec![
-        "tenant 0 charged".into(),
-        format!("{} ops, {} bytes", usage.ops, usage.bytes),
-    ]);
+        (
+            "failovers completed",
+            format!("{failovers} (crash detected: {crash_ok}, wedge detected: {wedge_ok})"),
+        ),
+        ("blackout total (wall)", format!("{blackout_ms:.2} ms")),
+        ("echoes before / after", format!("{ok_before} / {ok_after}")),
+        (
+            "echoes served by revived domains after",
+            revived_after.to_string(),
+        ),
+        (
+            "surviving-domain p99 before / after (wall)",
+            format!("{p99_before:.0} µs / {p99_after:.0} µs"),
+        ),
+        (
+            "severed / stuck / corrupted",
+            format!("{severed} / {stuck} / {corrupted}"),
+        ),
+        ("control table", control_table),
+        (
+            "reply-wave resubmits",
+            report.reply_wave_resubmits.to_string(),
+        ),
+        ("event drops", report.event_drops.to_string()),
+        (
+            "tenant 0 charged",
+            format!("{} ops, {} bytes", usage.ops, usage.bytes),
+        ),
+    ] {
+        t.row(vec![k.into(), v]);
+    }
     out.push_str(
         "Fault storm on a real 8-domain boot (one engine shard per card, QoS \
          enforcing): external clients echo through the shared listening port \
@@ -2355,7 +2344,6 @@ pub fn domain_failover() -> Run {
          through their re-joined listeners.\n",
     );
 
-    let (stuck, mismatches) = (stuck.load(Relaxed), mismatches.load(Relaxed));
     let mut run = Run::from(out);
     run.check(
         failovers == 2,
@@ -2366,9 +2354,9 @@ pub fn domain_failover() -> Run {
         format!("blackout {blackout_ms:.1} ms (bound {BLACKOUT_BOUND_MS} ms)"),
     );
     run.check(
-        stuck == 0 && mismatches == 0,
+        stuck == 0 && corrupted == 0,
         format!(
-            "{stuck} roundtrips stuck, {mismatches} echoes corrupted (both must be 0 \
+            "{stuck} roundtrips stuck, {corrupted} echoes corrupted (both must be 0 \
              — a blackout severs, it never loses or duplicates)"
         ),
     );
@@ -2416,10 +2404,7 @@ pub fn domain_failover() -> Run {
 ///
 /// Entirely deterministic: virtual clock, no RNG.
 pub fn hierarchical_qos() -> Run {
-    use solros_qos::{
-        Dispatch, FlowSpec, HostConfig, HostGate, HostScheduler, QosClass, QosConfig, Service,
-        Verdict,
-    };
+    use solros_qos::{Dispatch, HostConfig, HostGate, HostScheduler, QosConfig, Service, Verdict};
 
     const VICTIM_FS_BYTES: u64 = 4 * 1024;
     const VICTIM_TCP_BYTES: u64 = 1024;
@@ -2446,47 +2431,14 @@ pub fn hierarchical_qos() -> Run {
         gc_idle_epochs: 2,
         ..HostConfig::default()
     });
-    let specs = |svc: &str| {
-        vec![
-            FlowSpec::from_class(
-                format!("{svc}/high"),
-                QosClass::High,
-                cfg.class(QosClass::High),
-            ),
-            FlowSpec::from_class(
-                format!("{svc}/normal"),
-                QosClass::Normal,
-                cfg.class(QosClass::Normal),
-            ),
-            FlowSpec::from_class(
-                format!("{svc}/best-effort"),
-                QosClass::BestEffort,
-                cfg.class(QosClass::BestEffort),
-            ),
-        ]
-    };
     // Churn floods the sheddable best-effort class; victims pace the
     // non-sheddable normal class. One gate shard per service, both
     // reporting to the one host directory.
     const NORMAL: usize = 1;
     const BEST: usize = 2;
     let mut gates = [
-        HostGate::new(
-            specs("fs"),
-            cfg.quantum_bytes,
-            cfg.overload_threshold,
-            &host,
-            Service::Fs,
-            0,
-        ),
-        HostGate::new(
-            specs("tcp"),
-            cfg.quantum_bytes,
-            cfg.overload_threshold,
-            &host,
-            Service::Tcp,
-            0,
-        ),
+        HostGate::per_class("fs", &cfg, &host, Service::Fs, 0),
+        HostGate::per_class("tcp", &cfg, &host, Service::Tcp, 0),
     ];
     let victim_tenant = [2u64, 3u64];
     let victim_bytes = [VICTIM_FS_BYTES, VICTIM_TCP_BYTES];
@@ -2682,10 +2634,10 @@ pub fn hierarchical_qos() -> Run {
 
     let mut t = Table::new(vec![
         "service",
-        "victim p99 (us)",
+        "victim p99 us (virtual)",
         "victim dispatched",
         "victim sheds",
-        "SLO (us)",
+        "SLO us (virtual)",
     ]);
     t.row(vec![
         "fs".into(),
@@ -2814,51 +2766,25 @@ mod tests {
         assert_eq!(a.mean(), b.mean());
     }
 
-    #[test]
-    fn qos_bounds_victim_tail_under_flood() {
-        let off = simulate_overload(false, 64);
-        let on = simulate_overload(true, 64);
-        // FIFO: the victim waits behind tens of MB of backlog.
+    /// Runs registry entry `id` and asserts that it passed its gates.
+    fn passes(id: &str) {
+        let run = (crate::find(id).expect("registered").run)();
         assert!(
-            off.victim_p99_us > 4_000.0,
-            "fifo should collapse: {:.0}us",
-            off.victim_p99_us
+            run.failures.is_empty(),
+            "{:?}\n{}",
+            run.failures,
+            run.report
         );
-        // Gate: bounded by a few quanta of interleaving.
-        assert!(
-            on.victim_p99_us < 1_000.0,
-            "gated p99 {:.0}us not bounded",
-            on.victim_p99_us
-        );
-        // The victim's paced demand (~82 MB/s) is fully served.
-        assert!(
-            on.victim_mbps > 78.0,
-            "victim goodput {:.1}",
-            on.victim_mbps
-        );
-        // The aggressor still gets the leftover capacity, and overload
-        // was shed explicitly rather than silently queued forever.
-        assert!(
-            on.aggr_mbps > 500.0,
-            "aggressor starved: {:.1}",
-            on.aggr_mbps
-        );
-        let heavy = simulate_overload(true, 256);
-        assert!(heavy.shed > 0, "overload shedding never triggered");
     }
 
     #[test]
-    fn dwrr_shares_track_weights_within_10_percent() {
-        let weights = [8u32, 4, 1];
-        let total: u32 = weights.iter().sum();
-        for (&w, &s) in weights
-            .iter()
-            .zip(simulate_weighted_shares(&weights).iter())
-        {
-            let target = w as f64 / total as f64;
-            let err = (s - target).abs() / target;
-            assert!(err < 0.10, "weight {w}: share {s:.3} vs target {target:.3}");
-        }
+    fn qos_bounds_victim_tail_under_flood() {
+        passes("e3");
+    }
+
+    #[test]
+    fn queue_depth_collapses_doorbells_and_sheds_best_effort_at_depth() {
+        passes("e4");
     }
 
     #[test]
@@ -2867,29 +2793,6 @@ mod tests {
         let b = simulate_overload(true, 64);
         assert_eq!(a.victim_p99_us, b.victim_p99_us);
         assert_eq!(a.shed, b.shed);
-    }
-
-    #[test]
-    fn queue_depth_pipelining_scales_throughput() {
-        let pts = sweep_queue_depth(&[1, 32], 256);
-        let (qd1, qd32) = (&pts[0], &pts[1]);
-        // The proxy coalesces each wave into one vectored submission, so
-        // doorbells and interrupts per op must collapse with depth. The
-        // wall-clock side of depth scaling is `fs_read_4k_qd1` against
-        // `fs_read_4k_qd32` in BENCHMARK.json; MB/s over 256 ops beside
-        // other tests' threads is noise.
-        assert!(
-            qd32.doorbells_per_op < 0.5 * qd1.doorbells_per_op,
-            "doorbells/op {:.3} vs {:.3}",
-            qd32.doorbells_per_op,
-            qd1.doorbells_per_op
-        );
-        assert!(
-            qd32.interrupts_per_op < 0.5 * qd1.interrupts_per_op,
-            "interrupts/op {:.3} vs {:.3}",
-            qd32.interrupts_per_op,
-            qd1.interrupts_per_op
-        );
     }
 
     #[test]
@@ -2909,56 +2812,6 @@ mod tests {
         assert!(
             rate("4") > rate("1"),
             "sharing should raise the hit rate: {report}"
-        );
-    }
-
-    #[test]
-    fn multi_tenant_ledger_accounts_and_sheds_bulk_only() {
-        let flows = simulate_multi_tenant();
-        assert_eq!(flows.len(), 3);
-        for f in &flows {
-            assert!(f.accounted(), "flow {} leaks requests", f.name);
-        }
-        assert_eq!(
-            flows[0].shed + flows[1].shed,
-            0,
-            "paced tenants must never shed"
-        );
-        assert!(flows[2].shed > 0, "bulk best-effort must absorb shedding");
-        assert!(
-            flows[0].wait.percentile(99.0) <= flows[2].wait.percentile(99.0),
-            "the weighted gate must keep the High tenant's tail below bulk's"
-        );
-    }
-
-    #[test]
-    fn tenant_depth_sweep_sheds_best_effort_at_depth() {
-        let shallow = simulate_tenant_depth(4);
-        let deep = simulate_tenant_depth(64);
-        for f in shallow.iter().chain(deep.iter()) {
-            assert!(f.accounted(), "flow {} leaks requests", f.name);
-        }
-        let shed = |flows: &[FlowSnapshot]| flows.iter().map(|f| f.shed).sum::<u64>();
-        assert!(
-            shed(&deep) > shed(&shallow),
-            "deeper shared queues must shed more: {} vs {}",
-            shed(&deep),
-            shed(&shallow)
-        );
-        assert!(
-            deep[0].wait.percentile(99.0) < deep[2].wait.percentile(99.0),
-            "High must wait less than BestEffort at depth"
-        );
-    }
-
-    /// Runs registry entry `id` and asserts that it passed its gates.
-    fn passes(id: &str) {
-        let run = (crate::find(id).expect("registered").run)();
-        assert!(
-            run.failures.is_empty(),
-            "{:?}\n{}",
-            run.failures,
-            run.report
         );
     }
 
@@ -3010,18 +2863,7 @@ mod tests {
     }
 
     #[test]
-    fn table_model_is_pinned() {
-        // A change to an E7 cost constant shows up here as a test diff.
-        let one = sweep_table_point(1);
-        let eight = sweep_table_point(8);
-        assert_eq!((one.ops, eight.ops), (6_144, 49_152));
-        assert!((one.kops - 909.1).abs() < 1.0, "{}", one.kops);
-        let speedup = eight.kops / one.kops;
-        assert!((speedup - 3.235).abs() < 0.01, "{speedup}");
-    }
-
-    #[test]
-    fn control_table_scales_and_storms_leave_no_port_held() {
+    fn control_table_stays_off_the_data_path_and_storms_leave_no_port_held() {
         passes("e7");
     }
 }

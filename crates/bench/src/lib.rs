@@ -140,11 +140,11 @@ pub const EXPERIMENTS: &[Experiment] = {
         exp("d8", "D8 — one drainer at a time for inbound events", || d::event_drain_saturation().into()),
         exp("e1", "E1 — TCP latency under load (DES)", || e::latency_under_load().into()),
         exp("e2", "E2 — shared host cache across co-processors", || e::shared_cache().into()),
-        exp("e3", "E3 — QoS gate under overload", || e::qos_overload().into()),
-        exp("e4", "E4 — submission pipeline vs queue depth", || e::queue_depth().into()),
+        exp("e3", "E3 — QoS gate under overload", e::qos_overload),
+        exp("e4", "E4 — submission pipeline vs queue depth", e::queue_depth),
         exp("e5", "E5 — fault injection and recovery", e::fault_recovery),
         exp("e6", "E6 — extent-lease data plane", e::lease_data_plane),
-        exp("e7", "E7 — sharded control-plane scalability", e::control_plane_scaling),
+        exp("e7", "E7 — sharded control plane: one table off the data path", e::control_plane_scaling),
         exp("e8", "E8 — symmetric reply wave and TCP send coalescing", e::reply_wave),
         exp("e9", "E9 — domain failover under a fault storm", e::domain_failover),
         exp("e10", "E10 — hierarchical QoS under tenant-id churn", e::hierarchical_qos),

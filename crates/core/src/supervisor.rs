@@ -316,6 +316,13 @@ impl ShardSupervisor {
         faults
     }
 
+    /// Times the TCP control table has been locked since boot: by a
+    /// listen, an accept, a close, a fence or an audit, never by an echo
+    /// or an idle poll round.
+    pub fn control_table_acquisitions(&self) -> u64 {
+        self.control.table_acquisitions.load(Ordering::Relaxed)
+    }
+
     /// Failovers completed so far.
     pub fn failovers(&self) -> u64 {
         self.tally.lock().domains_failed_over

@@ -6,9 +6,13 @@
 //! *home* to. What the shards share — the shared-listening-socket
 //! registry (§4.4.3), the per-listener connection charges and the one
 //! load balancer — is one table in [`TcpControl`] behind one lock. It
-//! changes only on listen, accept and close, never per byte: each
-//! mutator changes it in place under the lock and does its own NIC side
-//! effect (listen or unlisten) there.
+//! is *taken* only on listen, accept, close and fence, never per byte
+//! and never in an idle round: each mutator changes it in place under
+//! the lock and does its own NIC side effect (listen or unlisten) there,
+//! and a poll round of a shard home to some port asks the NIC whether a
+//! connection waits before it takes the table to list those ports. Every
+//! acquisition is counted (`ShardSupervisor::control_table_acquisitions`),
+//! and E7 gates on it.
 //!
 //! Determinism of the paper's connection-based round-robin is preserved
 //! by *home-shard polling*: the shard whose listen created a port's
@@ -32,7 +36,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use solros_faults::EngineFaults;
@@ -42,7 +46,7 @@ use solros_proto::net_msg::{NetEvent, NetRequest, NetResponse, SockId};
 use solros_proto::rpc_error::RpcErr;
 use solros_qos::{FlowSpec, HostGate, HostScheduler, QosClass, QosConfig, Service};
 use solros_ringbuf::{Consumer, Doorbell, Producer, RingError};
-use solros_simkit::sync::Mutex;
+use solros_simkit::sync::{Mutex, MutexGuard};
 
 use crate::proxy_engine::{
     EngineLane, GateJob, OpHandler, ProxyEngine, ProxyStats, ShardHealth, StagedPart,
@@ -126,6 +130,11 @@ struct CtrlTable {
     conn_counts: HashMap<(usize, usize), u64>,
     /// The one policy instance for every port.
     lb: Box<dyn LoadBalancer>,
+    /// Ports each shard is home to, kept with the registry and read
+    /// without the lock (see [`TcpProxy::poll_accepts`]). `Relaxed`: a
+    /// count publishes no data (the ports are read under the lock), and
+    /// a change that makes a shard a home rings it afterwards.
+    homes: Arc<[AtomicUsize]>,
 }
 
 impl CtrlTable {
@@ -151,6 +160,7 @@ impl CtrlTable {
             }
         };
         rec.listeners.push((sock, shard));
+        self.count_homes();
         Ok(())
     }
 
@@ -162,6 +172,7 @@ impl CtrlTable {
             if rec.listeners.is_empty() {
                 self.registry.remove(&port);
                 network.unlisten(port);
+                self.count_homes();
             }
         }
     }
@@ -178,6 +189,15 @@ impl CtrlTable {
         self.lb.conn_assigned(slot);
         *self.conn_counts.entry((owner, slot)).or_insert(0) += 1;
         Some((sock, owner, slot))
+    }
+
+    /// Recounts the ports each shard is home to, after the registry
+    /// changed.
+    fn count_homes(&self) {
+        for (d, n) in self.homes.iter().enumerate() {
+            let homed = self.registry.values().filter(|r| r.home == d).count();
+            n.store(homed, Ordering::Relaxed);
+        }
     }
 
     /// Releases one connection charged to `(shard, slot)`. Count-guarded:
@@ -208,6 +228,7 @@ impl CtrlTable {
             }
             true
         });
+        self.count_homes();
         self.conn_counts.retain(|&(shard, slot), n| {
             if shard != dead {
                 return true;
@@ -225,6 +246,10 @@ impl CtrlTable {
 /// machine-global counters.
 pub struct TcpControl {
     table: Mutex<CtrlTable>,
+    /// [`CtrlTable`]'s home-port counts, readable without its lock.
+    homes: Arc<[AtomicUsize]>,
+    /// Times the table has been locked (see [`TcpControl::lock_table`]).
+    pub(crate) table_acquisitions: AtomicU64,
     inboxes: Vec<Mutex<VecDeque<Handoff>>>,
     /// One doorbell per shard slot: the shard's engine sleeps on it, and
     /// whatever gives that shard work it cannot see on its own rings —
@@ -245,12 +270,16 @@ impl TcpControl {
     /// `ncoprocs` co-processors in total, balancing shared listening
     /// sockets with `lb`.
     pub fn new(nshards: usize, ncoprocs: usize, lb: Box<dyn LoadBalancer>) -> Arc<Self> {
+        let homes: Arc<[AtomicUsize]> = (0..nshards).map(|_| AtomicUsize::new(0)).collect();
         Arc::new(Self {
             table: Mutex::new(CtrlTable {
                 registry: HashMap::new(),
                 conn_counts: HashMap::new(),
                 lb,
+                homes: Arc::clone(&homes),
             }),
+            homes,
+            table_acquisitions: AtomicU64::new(0),
             inboxes: (0..nshards).map(|_| Mutex::new(VecDeque::new())).collect(),
             bells: (0..nshards).map(|_| Doorbell::new()).collect(),
             nic_hooked: AtomicBool::new(false),
@@ -272,6 +301,13 @@ impl TcpControl {
         self.event_drops.load(Ordering::Relaxed)
     }
 
+    /// Locks the table, counting the acquisition: every lock of it goes
+    /// through here.
+    fn lock_table(&self) -> MutexGuard<'_, CtrlTable> {
+        self.table_acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.table.lock()
+    }
+
     /// Rings every shard's doorbell (NIC ingress, whose owning shard
     /// the fabric does not know, or a fence).
     fn ring_all(&self) {
@@ -284,11 +320,6 @@ impl TcpControl {
     fn hand_off(&self, owner: usize, h: Handoff) {
         self.inboxes[owner].lock().push_back(h);
         self.bells[owner].ring();
-    }
-
-    /// Releases one connection charged to `(shard, slot)`.
-    fn release(&self, shard: usize, slot: usize) {
-        self.table.lock().release(shard, slot);
     }
 
     /// Has the fabric ring this control plane's shards on ingress. Once
@@ -307,7 +338,7 @@ impl TcpControl {
     /// the same lock, so none routed before the fence outlives it, and
     /// none after can name `shard`.
     pub(crate) fn fence(&self, shard: usize, heir: usize, network: &Network) {
-        let mut table = self.table.lock();
+        let mut table = self.lock_table();
         table.fence(shard, heir, network);
         for h in self.inboxes[shard].lock().drain(..) {
             let _ = network.close_for_good(h.conn, EndKind::Server);
@@ -329,7 +360,7 @@ impl TcpControl {
     ///   in its inbox — so a charge no close will ever release shows up
     ///   here.
     pub(crate) fn audit(&self, shards: &[&TcpProxy]) -> Vec<String> {
-        let table = self.table.lock();
+        let table = self.lock_table();
         let live = |d: usize| shards.iter().find(|p| p.shard == d);
         let mut faults = Vec::new();
         for (&port, rec) in &table.registry {
@@ -510,8 +541,6 @@ pub struct TcpProxy {
     next_sock: SockId,
     /// The event frame being encoded for an event ring.
     evt_frame: Vec<u8>,
-    /// Home ports, copied out for one poll round's NIC scan.
-    scan_ports: Vec<u16>,
     /// Evented connections, copied out for one poll round's data scan.
     scan_conns: Vec<SockId>,
     /// Small-`Send` coalescing table (see [`SendStage`]).
@@ -661,7 +690,6 @@ impl TcpProxy {
                 // without cross-shard coordination.
                 next_sock: shard as SockId + 1,
                 evt_frame: Vec::new(),
-                scan_ports: Vec::new(),
                 scan_conns: Vec::new(),
                 send_stage: SendStage::default(),
                 qos: None,
@@ -809,8 +837,7 @@ impl TcpProxy {
                 };
                 let backlog = (backlog as usize).max(64);
                 self.control
-                    .table
-                    .lock()
+                    .lock_table()
                     .listen(port, sock, self.shard, &self.network, backlog)
                     .map_err(|_| RpcErr::AddrInUse)?;
                 let pending = VecDeque::new();
@@ -901,15 +928,14 @@ impl TcpProxy {
             }
             SockState::Listening { port, pending } => {
                 self.control
-                    .table
-                    .lock()
+                    .lock_table()
                     .unlisten(port, sock, &self.network);
                 refused.extend(pending.into_iter().map(|(conn, _)| conn));
             }
             SockState::Fresh | SockState::Bound(_) => {}
         }
         if let Some(slot) = rec.lb_slot {
-            self.control.release(self.shard, slot);
+            self.control.lock_table().release(self.shard, slot);
         }
         for conn in refused {
             let _ = self.close_sock(conn);
@@ -921,24 +947,27 @@ impl TcpProxy {
     /// routes them through the control table. Returns true when any
     /// work happened.
     fn poll_accepts(&mut self) -> bool {
-        // The home ports, read under the lock once per round into a
-        // vector kept from round to round.
-        let mut ports = std::mem::take(&mut self.scan_ports);
-        ports.clear();
-        ports.extend(
-            self.control
-                .table
-                .lock()
-                .registry
-                .iter()
-                .filter(|(_, rec)| rec.home == self.shard)
-                .map(|(p, _)| *p),
-        );
+        // A shard home to no port has nothing to poll, and the NIC
+        // answers before the table is taken: a round with no connection
+        // waiting leaves the table alone. One that arrives after the
+        // question rings this shard through the ingress hook.
+        let homes = self.control.homes[self.shard].load(Ordering::Relaxed);
+        if homes == 0 || !self.network.accepts_pending() {
+            return false;
+        }
+        let ports: Vec<u16> = self
+            .control
+            .lock_table()
+            .registry
+            .iter()
+            .filter(|(_, rec)| rec.home == self.shard)
+            .map(|(p, _)| *p)
+            .collect();
         let mut worked = false;
         for &port in &ports {
             while let Ok(Some((conn, client_addr))) = self.network.poll_accept(port) {
                 worked = true;
-                let mut table = self.control.table.lock();
+                let mut table = self.control.lock_table();
                 let Some((listener, owner, slot)) = table.route(port, client_addr) else {
                     // The port lost its last proxy-side listener between
                     // the NIC accept and routing: refuse the orphan.
@@ -962,7 +991,6 @@ impl TcpProxy {
                 }
             }
         }
-        self.scan_ports = ports;
         worked
     }
 
@@ -990,7 +1018,7 @@ impl TcpProxy {
             // it and release its balancer slot.
             _ => {
                 let _ = self.network.close_for_good(h.conn, EndKind::Server);
-                self.control.release(self.shard, h.slot);
+                self.control.lock_table().release(self.shard, h.slot);
                 return;
             }
         };
@@ -1073,7 +1101,7 @@ impl TcpProxy {
                     self.push_event(coproc, &NetEvent::Closed { sock });
                     let rec = self.socks.get_mut(&sock);
                     if let Some(slot) = rec.and_then(|r| r.lb_slot.take()) {
-                        self.control.release(self.shard, slot);
+                        self.control.lock_table().release(self.shard, slot);
                     }
                     self.evented_conns.retain(|s| *s != sock);
                 }
@@ -1429,6 +1457,43 @@ mod tests {
         assert_eq!(again, missing(RpcErr::NotConnected));
         let unissued = proxy.handle(0, NetRequest::Close { sock: sock + 1 });
         assert_eq!(unissued, missing(RpcErr::NotFound));
+    }
+
+    /// The data path leaves the control table alone: once a connection
+    /// is accepted, a thousand echoes through the shard and a hundred
+    /// idle rounds take the table not once.
+    #[test]
+    fn echo_and_idle_rounds_leave_the_control_table_alone() {
+        let (mut proxy, network, evt_rx) = one_lane(EVENT_RING_BYTES);
+        listen(&mut proxy, 80);
+        let peer = network.client_connect(80, 7).expect("connect");
+        assert!(proxy.poll(), "the connection is routed");
+        let mut conns = Vec::new();
+        read_events(&evt_rx, &mut conns);
+        let [sock] = conns[..] else {
+            panic!("one accept: {conns:?}");
+        };
+        let control = Arc::clone(&proxy.control);
+        let before = control.table_acquisitions.load(Ordering::Relaxed);
+        for i in 0..1_000u32 {
+            let msg = i.to_le_bytes();
+            network.send(peer, EndKind::Client, &msg).unwrap();
+            assert!(proxy.poll(), "the bytes become an event");
+            read_events(&evt_rx, &mut conns);
+            let send = NetRequest::Send {
+                sock,
+                data: msg.to_vec(),
+            };
+            assert_eq!(proxy.handle(0, send), NetResponse::Sent { count: 4 });
+            assert_eq!(network.recv(peer, EndKind::Client, 16).unwrap(), msg);
+        }
+        for _ in 0..100 {
+            assert!(!proxy.poll(), "an idle round finds no work");
+        }
+        assert_eq!(
+            control.table_acquisitions.load(Ordering::Relaxed) - before,
+            0
+        );
     }
 
     /// Applies every event on the co-processor's ring: the connections

@@ -215,6 +215,12 @@ impl Network {
         }
     }
 
+    /// Whether any listener holds a connection not yet accepted.
+    pub fn accepts_pending(&self) -> bool {
+        let g = self.inner.lock();
+        g.listeners.values().any(|l| !l.pending.is_empty())
+    }
+
     fn stream_mut(conn: &mut Conn, from: EndKind) -> &mut Stream {
         match from {
             EndKind::Client => &mut conn.to_server,
@@ -428,6 +434,21 @@ mod tests {
         assert_eq!(net.live_connections(), 1, "the peer has not closed");
         net.close(c, EndKind::Client).unwrap();
         assert_eq!(net.live_connections(), 0);
+    }
+
+    #[test]
+    fn accepts_pending_until_every_connection_is_accepted() {
+        let net = Network::new();
+        net.listen(80, 4).unwrap();
+        net.listen(81, 4).unwrap();
+        assert!(!net.accepts_pending());
+        net.client_connect(81, 1).unwrap();
+        net.client_connect(81, 2).unwrap();
+        assert!(net.accepts_pending());
+        net.poll_accept(81).unwrap();
+        assert!(net.accepts_pending(), "one connection still waits");
+        net.poll_accept(81).unwrap();
+        assert!(!net.accepts_pending());
     }
 
     #[test]

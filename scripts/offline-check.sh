@@ -2,7 +2,8 @@
 # Tier-1 and what it does not cover: every workspace test in release mode,
 # the two tests whose readings are per process once more on their own, the
 # reply-wave sweep test twenty times, and the nine extension gates of the
-# solros-bench binary (e8 five times: each
+# solros-bench binary, each of which exits nonzero when one of its own
+# checks fails (e8 five times: each
 # wave is one publish, so it is deterministic; e6 three times: its recall
 # storm drives calls parked on a lease across two engines). Needs no registry; exits nonzero on the first
 # failure. Ends with the per-crate line counts of scripts/loc.sh.
