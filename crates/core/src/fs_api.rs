@@ -550,7 +550,7 @@ impl PendingWrite {
     }
 }
 
-enum BatchOp {
+enum BatchOp<'a> {
     Read {
         f: FileHandle,
         offset: u64,
@@ -559,7 +559,7 @@ enum BatchOp {
     Write {
         f: FileHandle,
         offset: u64,
-        data: Vec<u8>,
+        data: &'a [u8],
     },
 }
 
@@ -618,11 +618,11 @@ impl BatchResult {
 /// the rest — depth degrades gracefully instead of deadlocking.
 pub struct Batch<'a> {
     fs: &'a CoprocFs,
-    ops: Vec<(BatchOp, bool)>,
+    ops: Vec<(BatchOp<'a>, bool)>,
     barrier_next: bool,
 }
 
-impl Batch<'_> {
+impl<'a> Batch<'a> {
     /// Queues a read of `len` bytes at `offset`.
     pub fn read(mut self, f: FileHandle, offset: u64, len: usize) -> Self {
         let barrier = std::mem::take(&mut self.barrier_next);
@@ -630,17 +630,11 @@ impl Batch<'_> {
         self
     }
 
-    /// Queues a write of `data` at `offset`.
-    pub fn write(mut self, f: FileHandle, offset: u64, data: &[u8]) -> Self {
+    /// Queues a write of `data` at `offset`. The batch borrows `data`
+    /// until it runs: the payload is copied once, into the window.
+    pub fn write(mut self, f: FileHandle, offset: u64, data: &'a [u8]) -> Self {
         let barrier = std::mem::take(&mut self.barrier_next);
-        self.ops.push((
-            BatchOp::Write {
-                f,
-                offset,
-                data: data.to_vec(),
-            },
-            barrier,
-        ));
+        self.ops.push((BatchOp::Write { f, offset, data }, barrier));
         self
     }
 
@@ -664,7 +658,7 @@ impl Batch<'_> {
     /// Submits every queued operation and waits for all completions.
     /// Results are in queue order even though completions may arrive out
     /// of order.
-    pub fn run(mut self) -> Vec<BatchResult> {
+    pub fn run(self) -> Vec<BatchResult> {
         let fs = self.fs;
         let n = self.ops.len();
         let mut results: Vec<Option<BatchResult>> = Vec::new();
@@ -716,24 +710,18 @@ impl Batch<'_> {
             match accepted {
                 Ok(tokens) => {
                     for (token, &(off, alloc_len)) in tokens.into_iter().zip(&buffers) {
-                        let op = match &mut self.ops[next].0 {
+                        let op = match self.ops[next].0 {
                             BatchOp::Read { len, .. } => PendingOp::Read(PendingRead {
                                 token,
                                 off,
                                 alloc_len,
-                                want: *len,
+                                want: len,
                             }),
-                            BatchOp::Write { data, .. } => {
-                                // The payload is in the window now: give
-                                // its memory back before the reads' results
-                                // are allocated, not when the batch ends.
-                                drop(std::mem::take(data));
-                                PendingOp::Write(PendingWrite {
-                                    token,
-                                    off,
-                                    alloc_len,
-                                })
-                            }
+                            BatchOp::Write { .. } => PendingOp::Write(PendingWrite {
+                                token,
+                                off,
+                                alloc_len,
+                            }),
                         };
                         inflight.push_back((next, op));
                         next += 1;
