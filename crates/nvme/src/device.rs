@@ -13,8 +13,10 @@
 //!   one interrupt per command), used by the baselines.
 //!
 //! Like the DMA engine it stands for, the model reads each command where
-//! the submitter wrote it and moves each block once, store to window or
-//! window to store. A submission runs in one queue-pair critical section
+//! the submitter wrote it and moves its run of blocks once, store to
+//! window or window to store, in one copy per store chunk the run
+//! touches; a run that ends past the device fails before any block
+//! moves. A submission runs in one queue-pair critical section
 //! — reserve a consecutive command-identifier range, ring, execute, post,
 //! reap — so the completions a submitter reaps are the ones carrying its
 //! own range, however many threads share the device.
@@ -302,41 +304,36 @@ impl NvmeDevice {
                 return Err(NvmeError::NoCompletion);
             }
         }
-        match cmd {
+        let (moved, blocks) = match cmd {
             NvmeCommand::Read { lba, nblocks, dst } => {
                 // The device's own DMA engine moves the data; this is
                 // not CPU-initiated PCIe traffic, so it uses a local
                 // mapping of the target window.
                 let handle = dst.window.map(dst.window.home());
-                for i in 0..*nblocks {
-                    let off = dst.offset + i as usize * BLOCK_SIZE;
-                    self.store.read_with(lba + i as u64, |block| {
-                        // SAFETY: the submitter owns the destination
-                        // buffer exclusively for the duration of the
-                        // command (driver contract, enforced by the FS
-                        // proxy).
-                        unsafe { handle.write(off, block) }
-                    })?;
-                }
-                self.blocks_read
-                    .fetch_add(*nblocks as u64, Ordering::Relaxed);
-                Ok(())
+                let moved = self.store.read_run(*lba, u64::from(*nblocks), |at, run| {
+                    // SAFETY: the submitter owns the destination
+                    // buffer exclusively for the duration of the
+                    // command (driver contract, enforced by the FS
+                    // proxy).
+                    unsafe { handle.write(dst.offset + at, run) }
+                });
+                (moved, &self.blocks_read)
             }
             NvmeCommand::Write { lba, nblocks, src } => {
                 let handle = src.window.map(src.window.home());
-                for i in 0..*nblocks {
-                    let off = src.offset + i as usize * BLOCK_SIZE;
-                    self.store.write_with(lba + i as u64, |block| {
-                        // SAFETY: as above — exclusive source buffer.
-                        unsafe { handle.read(off, block) }
-                    })?;
-                }
-                self.blocks_written
-                    .fetch_add(*nblocks as u64, Ordering::Relaxed);
-                Ok(())
+                let moved = self.store.write_run(*lba, u64::from(*nblocks), |at, run| {
+                    // SAFETY: as above — exclusive source buffer.
+                    unsafe { handle.read(src.offset + at, run) }
+                });
+                (moved, &self.blocks_written)
             }
-            NvmeCommand::Flush => Ok(()),
-        }
+            NvmeCommand::Flush => return Ok(()),
+        };
+        match moved {
+            Ok(()) => blocks.fetch_add(u64::from(cmd.nblocks()), Ordering::Relaxed),
+            Err(_) => self.failures.fetch_add(1, Ordering::Relaxed),
+        };
+        moved
     }
 }
 
@@ -458,6 +455,39 @@ mod tests {
             dst: DmaPtr::new(buf, 0),
         };
         assert_eq!(dev.submit_vectored(&[r])[0], Err(NvmeError::OutOfRange));
+    }
+
+    #[test]
+    fn a_command_past_the_end_moves_no_block() {
+        let dev = NvmeDevice::new(16);
+        let src = buffer(2 * BLOCK_SIZE);
+        fill(&src, 0, &[0x77u8; 2 * BLOCK_SIZE]);
+        // Two blocks at the last LBA: the first is on the device, the
+        // second is not, so the whole command fails and writes nothing.
+        let w = NvmeCommand::Write {
+            lba: 15,
+            nblocks: 2,
+            src: DmaPtr::new(src, 0),
+        };
+        assert_eq!(dev.submit_vectored(&[w])[0], Err(NvmeError::OutOfRange));
+        assert_eq!(dev.store.resident_blocks(), 0, "no block was written");
+        // The same run read back fails and leaves the destination as it was.
+        let dst = buffer(2 * BLOCK_SIZE);
+        fill(&dst, 0, &[0xEEu8; 2 * BLOCK_SIZE]);
+        let r = NvmeCommand::Read {
+            lba: 15,
+            nblocks: 2,
+            dst: DmaPtr::new(Arc::clone(&dst), 0),
+        };
+        assert_eq!(dev.submit_vectored(&[r])[0], Err(NvmeError::OutOfRange));
+        assert!(
+            read_back(&dst, 0, 2 * BLOCK_SIZE)
+                .iter()
+                .all(|&b| b == 0xEE),
+            "no block was read"
+        );
+        let s = dev.stats();
+        assert_eq!((s.blocks_read, s.blocks_written, s.failures), (0, 0, 2));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!
 //! This crate reproduces the device:
 //!
-//! * [`store::BlockStore`] — sparse in-memory backing blocks;
+//! * [`store::BlockStore`] — the in-memory backing store, in chunks of
+//!   one maximum-size command's blocks allocated on first write, so a
+//!   command's run moves in one copy per chunk;
 //! * [`queue::QueuePair`] — submission/completion rings with doorbells and
 //!   phase bits;
 //! * [`device::NvmeDevice`] — command execution, DMA into arbitrary PCIe

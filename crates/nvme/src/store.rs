@@ -1,25 +1,87 @@
-//! Sparse in-memory block storage backing the simulated SSD.
+//! Chunked in-memory block storage backing the simulated SSD.
 //!
-//! Blocks are materialized on first write; unwritten blocks read as
-//! zeroes, like a freshly TRIMmed drive. The map is sharded to keep lock
-//! contention negligible under the multi-threaded fio-style benchmarks.
+//! The LBA space is cut into chunks of one maximum-size command
+//! ([`MDTS_BLOCKS`] blocks). A chunk's bytes are one contiguous buffer,
+//! allocated on the first write into the chunk, with a bitmap of the
+//! blocks written; unwritten blocks read as zeroes, like a freshly
+//! TRIMmed drive, and are zero inside an allocated chunk too. Chunks are
+//! keyed in sharded maps, so a large SSD costs nothing at boot and
+//! threads working on different chunks rarely share a lock.
 //!
-//! The device moves data between a block and its DMA target directly
-//! ([`BlockStore::read_with`], [`BlockStore::write_with`]): a block is
-//! lent under its shard's lock, never bounced through a temporary.
+//! The device moves a command's run of blocks between the store and its
+//! DMA target directly ([`BlockStore::read_run`],
+//! [`BlockStore::write_run`]): each chunk the run touches is lent as one
+//! slice under its shard's lock, so a command costs at most two
+//! lock-and-copy steps and nothing is bounced through a temporary.
+
+use std::ops::Range;
 
 use solros_simkit::sync::Mutex;
 use solros_simkit::IntMap;
 
+use crate::device::MDTS_BLOCKS;
+use crate::NvmeError;
+
 /// Device logical block size in bytes (standard 4 KiB).
 pub const BLOCK_SIZE: usize = 4096;
 
+/// Blocks per chunk: one maximum-size command.
+const CHUNK_BLOCKS: usize = MDTS_BLOCKS as usize;
+const CHUNK_BYTES: usize = CHUNK_BLOCKS * BLOCK_SIZE;
+// A chunk's written blocks are the bits of a `u32`.
+const _: () = assert!(CHUNK_BLOCKS == u32::BITS as usize);
+
 const SHARDS: usize = 64;
 
-/// What every unwritten block reads as.
-static ZEROES: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+/// What every unwritten chunk reads as.
+static ZEROES: [u8; CHUNK_BYTES] = [0; CHUNK_BYTES];
 
-type Shard = Mutex<IntMap<u64, Box<[u8]>>>;
+struct Chunk {
+    /// Bit `i` is set once block `i` of the chunk has been written.
+    written: u32,
+    /// The chunk's bytes; an unwritten block's are zero.
+    data: Box<[u8]>,
+}
+
+type Shard = Mutex<IntMap<u64, Chunk>>;
+
+/// The part of a run that falls in one chunk.
+struct Piece {
+    chunk: u64,
+    /// Blocks of the chunk the piece covers.
+    blocks: Range<usize>,
+    /// Byte offset of the piece within the run.
+    at: usize,
+}
+
+impl Piece {
+    fn bytes(&self) -> Range<usize> {
+        self.blocks.start * BLOCK_SIZE..self.blocks.end * BLOCK_SIZE
+    }
+
+    fn mask(&self) -> u32 {
+        (u32::MAX >> (u32::BITS as usize - self.blocks.len())) << self.blocks.start
+    }
+}
+
+/// Cuts the run `[lba, lba + n)` at chunk boundaries.
+fn pieces(lba: u64, n: u64) -> impl Iterator<Item = Piece> {
+    let end = lba + n;
+    let mut next = lba;
+    std::iter::from_fn(move || {
+        (next < end).then(|| {
+            let first = (next % CHUNK_BLOCKS as u64) as usize;
+            let len = (CHUNK_BLOCKS - first).min((end - next) as usize);
+            let piece = Piece {
+                chunk: next / CHUNK_BLOCKS as u64,
+                blocks: first..first + len,
+                at: (next - lba) as usize * BLOCK_SIZE,
+            };
+            next += len as u64;
+            piece
+        })
+    })
+}
 
 /// A sparse array of fixed-size blocks addressed by LBA.
 ///
@@ -68,39 +130,98 @@ impl BlockStore {
 
     /// Returns the number of materialized (written) blocks.
     pub fn resident_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .values()
+                    .map(|c| c.written.count_ones() as usize)
+                    .sum::<usize>()
+            })
+            .sum()
     }
 
-    fn shard(&self, lba: u64) -> Result<&Shard, crate::NvmeError> {
-        if lba >= self.capacity_blocks {
-            return Err(crate::NvmeError::OutOfRange);
+    /// Fails unless every block of `[lba, lba + n)` is on the device.
+    fn check(&self, lba: u64, n: u64) -> Result<(), NvmeError> {
+        match lba.checked_add(n) {
+            Some(end) if end <= self.capacity_blocks => Ok(()),
+            _ => Err(NvmeError::OutOfRange),
         }
-        Ok(&self.shards[(lba as usize) % SHARDS])
+    }
+
+    fn shard(&self, chunk: u64) -> &Shard {
+        &self.shards[(chunk as usize) % SHARDS]
+    }
+
+    /// Lends a piece's bytes (zeroes for a chunk never written).
+    fn lend<R>(&self, piece: &Piece, f: impl FnOnce(&[u8]) -> R) -> R {
+        let shard = self.shard(piece.chunk).lock();
+        let bytes = piece.bytes();
+        f(shard
+            .get(&piece.chunk)
+            .map_or(&ZEROES[..bytes.len()], |c| &c.data[bytes]))
+    }
+
+    /// Lends a piece's bytes for overwriting, marking its blocks written
+    /// and allocating the chunk (zeroed) on its first write.
+    fn lend_mut<R>(&self, piece: &Piece, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        let mut shard = self.shard(piece.chunk).lock();
+        let chunk = shard.entry(piece.chunk).or_insert_with(|| Chunk {
+            written: 0,
+            data: vec![0u8; CHUNK_BYTES].into_boxed_slice(),
+        });
+        chunk.written |= piece.mask();
+        f(&mut chunk.data[piece.bytes()])
+    }
+
+    /// Lends the run of `n` blocks at `lba` to `f`, one slice per chunk
+    /// it touches, each with its byte offset within the run. Unwritten
+    /// blocks read as zeroes and are not materialized by being read.
+    /// Fails before lending anything if the run ends past the device.
+    pub fn read_run(
+        &self,
+        lba: u64,
+        n: u64,
+        mut f: impl FnMut(usize, &[u8]),
+    ) -> Result<(), NvmeError> {
+        self.check(lba, n)?;
+        for piece in pieces(lba, n) {
+            self.lend(&piece, |bytes| f(piece.at, bytes));
+        }
+        Ok(())
+    }
+
+    /// Lends the run of `n` blocks at `lba` to `f` for overwriting in
+    /// place, as [`BlockStore::read_run`] lends it for reading. Every
+    /// block of the run counts as written; one never written before
+    /// reaches `f` as zeroes.
+    pub fn write_run(
+        &self,
+        lba: u64,
+        n: u64,
+        mut f: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), NvmeError> {
+        self.check(lba, n)?;
+        for piece in pieces(lba, n) {
+            self.lend_mut(&piece, |bytes| f(piece.at, bytes));
+        }
+        Ok(())
     }
 
     /// Lends one block's bytes to `f` (zeroes for a block never written,
     /// which is not materialized by being read).
-    pub fn read_with<R>(
-        &self,
-        lba: u64,
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<R, crate::NvmeError> {
-        let shard = self.shard(lba)?.lock();
-        Ok(f(shard.get(&lba).map_or(&ZEROES[..], |b| b)))
+    pub fn read_with<R>(&self, lba: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R, NvmeError> {
+        self.check(lba, 1)?;
+        let piece = pieces(lba, 1).next().expect("one block");
+        Ok(self.lend(&piece, f))
     }
 
     /// Lends one block to `f` for overwriting in place, materializing it
     /// (zeroed) on first write.
-    pub fn write_with<R>(
-        &self,
-        lba: u64,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> Result<R, crate::NvmeError> {
-        let mut shard = self.shard(lba)?.lock();
-        let block = shard
-            .entry(lba)
-            .or_insert_with(|| vec![0u8; BLOCK_SIZE].into_boxed_slice());
-        Ok(f(block))
+    pub fn write_with<R>(&self, lba: u64, f: impl FnOnce(&mut [u8]) -> R) -> Result<R, NvmeError> {
+        self.check(lba, 1)?;
+        let piece = pieces(lba, 1).next().expect("one block");
+        Ok(self.lend_mut(&piece, f))
     }
 
     /// Reads one block into `buf`.
@@ -108,7 +229,7 @@ impl BlockStore {
     /// # Panics
     ///
     /// Panics if `buf.len() != BLOCK_SIZE`.
-    pub fn read(&self, lba: u64, buf: &mut [u8]) -> Result<(), crate::NvmeError> {
+    pub fn read(&self, lba: u64, buf: &mut [u8]) -> Result<(), NvmeError> {
         assert_eq!(buf.len(), BLOCK_SIZE, "partial-block read");
         self.read_with(lba, |block| buf.copy_from_slice(block))
     }
@@ -118,14 +239,25 @@ impl BlockStore {
     /// # Panics
     ///
     /// Panics if `buf.len() != BLOCK_SIZE`.
-    pub fn write(&self, lba: u64, buf: &[u8]) -> Result<(), crate::NvmeError> {
+    pub fn write(&self, lba: u64, buf: &[u8]) -> Result<(), NvmeError> {
         assert_eq!(buf.len(), BLOCK_SIZE, "partial-block write");
         self.write_with(lba, |block| block.copy_from_slice(buf))
     }
 
-    /// Discards a block (TRIM); subsequent reads return zeroes.
-    pub fn trim(&self, lba: u64) -> Result<(), crate::NvmeError> {
-        self.shard(lba)?.lock().remove(&lba);
+    /// Discards a block (TRIM); subsequent reads return zeroes. A chunk
+    /// left with no written block is freed.
+    pub fn trim(&self, lba: u64) -> Result<(), NvmeError> {
+        self.check(lba, 1)?;
+        let piece = pieces(lba, 1).next().expect("one block");
+        let mut shard = self.shard(piece.chunk).lock();
+        if let Some(chunk) = shard.get_mut(&piece.chunk) {
+            chunk.written &= !piece.mask();
+            if chunk.written == 0 {
+                shard.remove(&piece.chunk);
+            } else {
+                chunk.data[piece.bytes()].fill(0);
+            }
+        }
         Ok(())
     }
 }
@@ -139,9 +271,9 @@ mod tests {
     fn oob_rejected() {
         let s = BlockStore::new(10);
         let mut b = vec![0u8; BLOCK_SIZE];
-        assert_eq!(s.read(10, &mut b), Err(crate::NvmeError::OutOfRange));
-        assert_eq!(s.write(10, &b), Err(crate::NvmeError::OutOfRange));
-        assert_eq!(s.trim(10), Err(crate::NvmeError::OutOfRange));
+        assert_eq!(s.read(10, &mut b), Err(NvmeError::OutOfRange));
+        assert_eq!(s.write(10, &b), Err(NvmeError::OutOfRange));
+        assert_eq!(s.trim(10), Err(NvmeError::OutOfRange));
     }
 
     #[test]
@@ -180,7 +312,7 @@ mod tests {
         s.write_with(4, |b| b[0] = 9).unwrap();
         s.read(4, &mut out).unwrap();
         assert!(out[0] == 9 && out[1..].iter().all(|&x| x == 0));
-        assert_eq!(s.write_with(10, |_| ()), Err(crate::NvmeError::OutOfRange));
+        assert_eq!(s.write_with(10, |_| ()), Err(NvmeError::OutOfRange));
     }
 
     #[test]
