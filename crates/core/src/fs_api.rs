@@ -512,12 +512,8 @@ impl PendingRead {
 
     /// Blocks until the read completes and returns the payload.
     pub fn wait(self, fs: &CoprocFs) -> Result<Vec<u8>, RpcErr> {
-        self.finish(fs, |off, n| {
-            let mut v = vec![0u8; n];
-            // SAFETY: as in `wait_into`.
-            unsafe { fs.local().read(off, &mut v) };
-            v
-        })
+        // SAFETY: as in `wait_into`.
+        self.finish(fs, |off, n| unsafe { fs.local().read_vec(off, n) })
     }
 }
 

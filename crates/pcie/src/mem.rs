@@ -9,6 +9,7 @@
 //! `compare_and_swap`).
 
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::AtomicU64;
 
 /// A shared memory region addressable from both sides of the PCIe bus.
@@ -92,6 +93,24 @@ impl SharedRegion {
     ///
     /// Panics if the range is out of bounds.
     pub unsafe fn read(&self, off: usize, dst: &mut [u8]) {
+        // SAFETY: `read_uninit` only stores initialised bytes, so `dst`
+        // stays initialised; the range contract is forwarded.
+        unsafe { self.read_uninit(off, &mut *(dst as *mut [u8] as *mut [MaybeUninit<u8>])) }
+    }
+
+    /// Copies `dst.len()` bytes starting at `off` into `dst`, which need
+    /// not be initialised: every byte of it is on return. This is how a
+    /// payload lands in a fresh buffer in one copy, with no zero-fill
+    /// first.
+    ///
+    /// # Safety
+    ///
+    /// As [`SharedRegion::read`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub unsafe fn read_uninit(&self, off: usize, dst: &mut [MaybeUninit<u8>]) {
         assert!(
             off.checked_add(dst.len())
                 .is_some_and(|end| end <= self.len),
@@ -101,7 +120,7 @@ impl SharedRegion {
         );
         // SAFETY: bounds checked above; non-overlap guaranteed by caller.
         unsafe {
-            std::ptr::copy_nonoverlapping(self.base().add(off), dst.as_mut_ptr(), dst.len());
+            std::ptr::copy_nonoverlapping(self.base().add(off), dst.as_mut_ptr().cast(), dst.len());
         }
     }
 
@@ -242,6 +261,30 @@ mod tests {
         // SAFETY: single-threaded test.
         unsafe { r.read(0, &mut out) };
         assert!(out.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn read_uninit_fills_every_byte() {
+        let r = SharedRegion::new(64);
+        let data: Vec<u8> = (1..=24).collect();
+        let mut out = Vec::<u8>::with_capacity(24);
+        // SAFETY: single-threaded test, no atomic slots in range; the
+        // read initialises all 24 bytes before `set_len` exposes them.
+        unsafe {
+            r.write(16, &data);
+            r.read_uninit(16, &mut out.spare_capacity_mut()[..24]);
+            out.set_len(24);
+        }
+        assert_eq!(out, data);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn read_uninit_oob_panics() {
+        let r = SharedRegion::new(16);
+        let mut buf = [MaybeUninit::<u8>::uninit(); 9];
+        // SAFETY: panics before any access.
+        unsafe { r.read_uninit(8, &mut buf) };
     }
 
     #[test]

@@ -149,15 +149,41 @@ impl WindowHandle {
     /// Same contract as [`SharedRegion::read`]: the range must not be
     /// concurrently written and must not overlap atomic slots.
     pub unsafe fn read(&self, off: usize, dst: &mut [u8]) {
+        self.charge_read(dst.len());
+        // SAFETY: forwarded contract.
+        unsafe { self.window.region.read(off, dst) }
+    }
+
+    /// Load/store copy of `len` bytes out of the window into a fresh
+    /// `Vec`, charged and stalled as [`WindowHandle::read`]. The bytes
+    /// land in the new buffer uninitialised, in one copy.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`SharedRegion::read`].
+    pub unsafe fn read_vec(&self, off: usize, len: usize) -> Vec<u8> {
+        self.charge_read(len);
+        let mut v = Vec::with_capacity(len);
+        // SAFETY: forwarded contract; `read_uninit` initialises the first
+        // `len` bytes of the spare capacity before `set_len` exposes them.
+        unsafe {
+            self.window
+                .region
+                .read_uninit(off, &mut v.spare_capacity_mut()[..len]);
+            v.set_len(len);
+        }
+        v
+    }
+
+    /// Stalls and charges a remote load/store read of `len` bytes.
+    fn charge_read(&self, len: usize) {
         if self.is_remote() {
             self.window.consume_stall();
             self.window
                 .counters
                 .read_lines
-                .fetch_add(CostModel::lines(dst.len() as u64), Ordering::Relaxed);
+                .fetch_add(CostModel::lines(len as u64), Ordering::Relaxed);
         }
-        // SAFETY: forwarded contract.
-        unsafe { self.window.region.read(off, dst) }
     }
 
     /// Load/store copy into the window.
@@ -451,6 +477,22 @@ mod tests {
         assert_eq!(s.write_lines, 3);
         assert_eq!(s.read_lines, 1);
         assert_eq!(s.dma_ops, 0);
+    }
+
+    #[test]
+    fn read_vec_charges_as_read() {
+        let (w, c) = setup(Side::Coproc);
+        let local = w.map(Side::Coproc);
+        let remote = w.map(Side::Host);
+        // SAFETY: single-threaded test.
+        let (here, there) = unsafe {
+            local.write(0, &[5u8; 130]);
+            (local.read_vec(0, 130), remote.read_vec(0, 130))
+        };
+        assert_eq!(here, [5u8; 130]);
+        assert_eq!(there, here);
+        // Only the remote copy crossed the bus: 3 lines, as `read` charges.
+        assert_eq!(c.snapshot().read_lines, 3);
     }
 
     #[test]
