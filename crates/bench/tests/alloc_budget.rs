@@ -6,7 +6,7 @@
 //! rings, engines, FS, NVMe model, supervisor ticks — over 10 000+
 //! operations. Each budget is one above what the path measured when it
 //! was set, so the next `Vec` on a hot path fails here, not in a
-//! benchmark. One `#[test]`: the count is process-wide, so the ten
+//! benchmark. One `#[test]`: the count is process-wide, so the eleven
 //! paths must not overlap (CI also passes `--test-threads=1`).
 
 use std::sync::Arc;
@@ -36,6 +36,8 @@ const COLD_BLOCKS: u64 = 1024;
 /// Pages between two reads of the cold file: coprime with its length, so
 /// a read comes back to a page only after all the others.
 const COLD_STRIDE: u64 = 7;
+/// Bytes a bulk read or write moves.
+const BULK: usize = 512 * 1024;
 
 /// One co-processor on one socket, with a 256-page host cache.
 fn machine() -> MachineConfig {
@@ -94,6 +96,28 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
         assert!(results
             .into_iter()
             .all(|r| r.into_read().len() == BLOCK_SIZE));
+    });
+
+    // (k) One batch of one 512 KiB read and one 512 KiB write, as the
+    // benchmark's `fs_bulk_512k_rw` runs it: the write payload is
+    // borrowed, not copied, until it is staged in the window.
+    let bulk = fs.create("/bulk").unwrap();
+    let payload = vec![0x5Au8; BULK];
+    for half in 0..2 {
+        assert_eq!(fs.write_at(bulk, half * BULK as u64, &payload), Ok(BULK));
+    }
+    let mut src = 0;
+    let per_bulk_batch = allocs_per_call(OPS / WAVE as u64, || {
+        let dst = 1 - src;
+        let mut results = fs
+            .batch()
+            .read(bulk, src * BULK as u64, BULK)
+            .write(bulk, dst * BULK as u64, &payload)
+            .run()
+            .into_iter();
+        assert_eq!(results.next().unwrap().into_read().len(), BULK);
+        assert_eq!(results.next().unwrap().into_write(), BULK);
+        src = dst;
     });
 
     // (c) One 4 KiB leased read: no RPC, straight to the NVMe queues.
@@ -251,7 +275,8 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
          leased read {per_leased_read:.3}, wave of {WAVE} sends {per_send_wave:.2}, \
          buffered read hit {per_buffered_read:.3}, buffered overwrite {per_buffered_overwrite:.3}, \
          echo {per_echo:.3}, buffered read miss {per_buffered_miss:.3}, \
-         gated p2p read {per_gated_read:.3}, text index run {per_index_run:.3}"
+         gated p2p read {per_gated_read:.3}, text index run {per_index_run:.3}, \
+         bulk batch {per_bulk_batch:.3}"
     );
     // Measured when set, the same on every run: 0, 43 (32 payloads, the
     // builder's four growths, and one each for the wave's arena, offsets,
@@ -265,7 +290,10 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     // rebuilding its per-burst map of tenant charges) and 3 123 (3 121
     // under `--nocapture`: the harness's output capture costs the worker's
     // spawn two allocations; about 20 300 while each document counted into
-    // a map of its own and each of its terms became a `String`).
+    // a map of its own and each of its terms became a `String`), and 13 for
+    // the bulk batch (the read's payload, the builder's one growth, the
+    // seven vectors (b) names, and four more on the 512 KiB path; 14 while
+    // `Batch::write` copied its payload into an owned `Vec`).
     assert!(per_read <= 1.0, "P2P read: {per_read:.3} allocations");
     assert!(
         per_batch <= 44.0,
@@ -299,5 +327,9 @@ fn steady_state_requests_stay_within_their_allocation_budgets() {
     assert!(
         per_index_run <= 3_124.0,
         "text index run: {per_index_run:.3} allocations"
+    );
+    assert!(
+        per_bulk_batch <= 14.0,
+        "bulk batch: {per_bulk_batch:.3} allocations"
     );
 }

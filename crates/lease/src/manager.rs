@@ -1,7 +1,6 @@
 //! Control-plane lease manager: grants, conflicts, and the recall
 //! protocol.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,6 +9,7 @@ use solros_faults::LeaseFaults;
 use solros_fs::Extent;
 use solros_qos::QosStats;
 use solros_simkit::sync::Mutex;
+use solros_simkit::IntMap;
 
 use crate::state::{LeaseKind, LeaseState, SettledLease};
 
@@ -82,20 +82,20 @@ impl LeaseLedger {
 #[derive(Default)]
 struct Inner {
     next_id: u64,
-    leases: HashMap<u64, Arc<LeaseState>>,
-    by_ino: HashMap<u64, Vec<u64>>,
+    leases: IntMap<u64, Arc<LeaseState>>,
+    by_ino: IntMap<u64, Vec<u64>>,
     /// Recall deadlines, keyed by lease id. Presence means a recall is
     /// pending; whichever of ack / sweep removes the entry settles it.
-    deadlines: HashMap<u64, Instant>,
+    deadlines: IntMap<u64, Instant>,
     /// Monotonic per-inode generation fed to new grants. Bumped on
     /// every settle so a re-grant never reuses a generation a stale
     /// mapping might still carry.
-    generations: HashMap<u64, u64>,
+    generations: IntMap<u64, u64>,
     /// Inodes on which new grants are refused (`Busy`), refcounted by
     /// [`GrantBar`]. Destructive control-plane ops (unlink, truncate)
     /// bar the inode so no lease can be granted between their recall
     /// and the operation itself.
-    barred: HashMap<u64, u64>,
+    barred: IntMap<u64, u64>,
 }
 
 /// The control-plane half of the lease subsystem.

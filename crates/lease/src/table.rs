@@ -7,7 +7,6 @@
 //! back to the proxy path, after flushing and acking if a recall is the
 //! reason.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -16,6 +15,7 @@ use solros_machine::WindowAlloc;
 use solros_nvme::{DmaPtr, NvmeCommand, NvmeDevice, NvmeError, BLOCK_SIZE, MDTS_BLOCKS};
 use solros_pcie::{Side, Window};
 use solros_simkit::sync::Mutex;
+use solros_simkit::IntMap;
 
 use crate::manager::LeaseManager;
 use crate::state::{LeaseKind, LeaseState};
@@ -84,7 +84,7 @@ pub struct LeaseTable {
     window: Arc<Window>,
     alloc: Arc<WindowAlloc>,
     manager: Arc<LeaseManager>,
-    leases: Mutex<HashMap<u64, Arc<LeaseState>>>,
+    leases: Mutex<IntMap<u64, Arc<LeaseState>>>,
     /// The command list and statuses of the leased operation in progress:
     /// refilled per operation, so the fast path allocates nothing. Held
     /// across the submission, which the device serializes anyway.
@@ -120,7 +120,7 @@ impl LeaseTable {
             window,
             alloc,
             manager,
-            leases: Mutex::new(HashMap::new()),
+            leases: Mutex::default(),
             scratch: Mutex::default(),
             stats: LeaseTableStats::default(),
         }
