@@ -149,6 +149,12 @@ impl BlockStore {
         }
     }
 
+    /// The piece holding the one block at `lba`, if it is on the device.
+    fn block(&self, lba: u64) -> Result<Piece, NvmeError> {
+        self.check(lba, 1)?;
+        Ok(pieces(lba, 1).next().expect("one block is one piece"))
+    }
+
     fn shard(&self, chunk: u64) -> &Shard {
         &self.shards[(chunk as usize) % SHARDS]
     }
@@ -211,17 +217,13 @@ impl BlockStore {
     /// Lends one block's bytes to `f` (zeroes for a block never written,
     /// which is not materialized by being read).
     pub fn read_with<R>(&self, lba: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R, NvmeError> {
-        self.check(lba, 1)?;
-        let piece = pieces(lba, 1).next().expect("one block");
-        Ok(self.lend(&piece, f))
+        Ok(self.lend(&self.block(lba)?, f))
     }
 
     /// Lends one block to `f` for overwriting in place, materializing it
     /// (zeroed) on first write.
     pub fn write_with<R>(&self, lba: u64, f: impl FnOnce(&mut [u8]) -> R) -> Result<R, NvmeError> {
-        self.check(lba, 1)?;
-        let piece = pieces(lba, 1).next().expect("one block");
-        Ok(self.lend_mut(&piece, f))
+        Ok(self.lend_mut(&self.block(lba)?, f))
     }
 
     /// Reads one block into `buf`.
@@ -247,8 +249,7 @@ impl BlockStore {
     /// Discards a block (TRIM); subsequent reads return zeroes. A chunk
     /// left with no written block is freed.
     pub fn trim(&self, lba: u64) -> Result<(), NvmeError> {
-        self.check(lba, 1)?;
-        let piece = pieces(lba, 1).next().expect("one block");
+        let piece = self.block(lba)?;
         let mut shard = self.shard(piece.chunk).lock();
         if let Some(chunk) = shard.get_mut(&piece.chunk) {
             chunk.written &= !piece.mask();
@@ -271,9 +272,9 @@ mod tests {
     fn oob_rejected() {
         let s = BlockStore::new(10);
         let mut b = vec![0u8; BLOCK_SIZE];
-        assert_eq!(s.read(10, &mut b), Err(NvmeError::OutOfRange));
-        assert_eq!(s.write(10, &b), Err(NvmeError::OutOfRange));
-        assert_eq!(s.trim(10), Err(NvmeError::OutOfRange));
+        assert_eq!(s.read(10, &mut b), Err(crate::NvmeError::OutOfRange));
+        assert_eq!(s.write(10, &b), Err(crate::NvmeError::OutOfRange));
+        assert_eq!(s.trim(10), Err(crate::NvmeError::OutOfRange));
     }
 
     #[test]
@@ -312,7 +313,7 @@ mod tests {
         s.write_with(4, |b| b[0] = 9).unwrap();
         s.read(4, &mut out).unwrap();
         assert!(out[0] == 9 && out[1..].iter().all(|&x| x == 0));
-        assert_eq!(s.write_with(10, |_| ()), Err(NvmeError::OutOfRange));
+        assert_eq!(s.write_with(10, |_| ()), Err(crate::NvmeError::OutOfRange));
     }
 
     #[test]

@@ -280,15 +280,6 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "out of bounds")]
-    fn read_uninit_oob_panics() {
-        let r = SharedRegion::new(16);
-        let mut buf = [MaybeUninit::<u8>::uninit(); 9];
-        // SAFETY: panics before any access.
-        unsafe { r.read_uninit(8, &mut buf) };
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
     fn read_oob_panics() {
         let r = SharedRegion::new(16);
         let mut buf = [0u8; 9];

@@ -156,7 +156,8 @@ impl WindowHandle {
 
     /// Load/store copy of `len` bytes out of the window into a fresh
     /// `Vec`, charged and stalled as [`WindowHandle::read`]. The bytes
-    /// land in the new buffer uninitialised, in one copy.
+    /// are copied once, into the new buffer's uninitialised capacity:
+    /// nothing zero-fills it first.
     ///
     /// # Safety
     ///
